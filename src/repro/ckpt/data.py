@@ -157,13 +157,18 @@ class EvolvingData:
     checkpointing exists for.  The field *layout* (names, sizes, header)
     must not change across steps; only payload bytes evolve.
 
+    ``layout`` is that step-invariant layout as a size-only
+    :class:`CheckpointData`; when given, restore paths take their template
+    from it instead of materializing step 0.
+
     See :meth:`mutating` for the standard synthetic workload: a seeded
     initial state with one contiguous pseudo-random region overwritten per
     step.
     """
 
-    def __init__(self, fn) -> None:
+    def __init__(self, fn, layout: Optional[CheckpointData] = None) -> None:
         self.fn = fn
+        self.layout = layout
 
     def bind(self, rank: int) -> "BoundEvolvingData":
         return BoundEvolvingData(self, rank)
@@ -221,7 +226,7 @@ class EvolvingData:
                 pos += nbytes
             return CheckpointData(fields, header_bytes=header_bytes)
 
-        return cls(_MutatingFn(advance, fields_of))
+        return cls(_MutatingFn(advance, fields_of), layout=shape)
 
 
 class _MutatingFn:
@@ -262,8 +267,14 @@ class BoundEvolvingData:
         return self.source.fn(self.rank, step)
 
     def template(self) -> CheckpointData:
-        """A layout template (step-0 state) for restore paths."""
-        return self.at_step(0)
+        """A layout template for restore paths and size queries.
+
+        The source's size-only ``layout`` when it declared one (no payload
+        is generated and the workload's cached state is left where it is),
+        else the step-0 state.
+        """
+        layout = self.source.layout
+        return layout if layout is not None else self.at_step(0)
 
     @property
     def total_bytes(self) -> int:

@@ -6,10 +6,12 @@ generation under the paper's strategies.  This module provides the shared
 machinery that lets every strategy ship only the *changed* chunks:
 
 - **Content-defined chunking** — a windowed Gear rolling hash computed
-  vectorized over :class:`~repro.buffers.ByteRope` segments (carry-in of
-  the previous window tail, no flat materialization), with min/avg/max
-  chunk-size bounds.  Boundaries depend only on content, so an edit moves
-  at most the chunks it touches: the suffix re-aligns after one window.
+  vectorized over :class:`~repro.buffers.ByteRope` segments in
+  cache-sized tiles (narrowest word that holds the mask, log-doubling
+  window sum, carry-in of the previous window's raw bytes, no flat
+  materialization), with min/avg/max chunk-size bounds.  Boundaries
+  depend only on content, so an edit moves at most the chunks it touches:
+  the suffix re-aligns after one window.
 - **Content addressing** — each chunk carries a CRC32 and a 128-bit
   BLAKE2b digest, both computed segment-iteratively over the rope.
 - **Versioned manifests** — every delta generation writes a canonical-JSON
@@ -78,14 +80,27 @@ __all__ = [
 #: future format change can never silently mis-restore old checkpoints.
 MANIFEST_VERSION = 1
 
-#: Rolling-hash window: a boundary decision looks at this many bytes, so
-#: chunk boundaries re-align at most one window after any edit.
+#: Rolling-hash window: a boundary decision looks at no more than this many
+#: bytes, so chunk boundaries re-align at most one window after any edit.
+#: Byte ``j`` back enters the hash shifted left by ``j`` and the boundary
+#: test reads only the mask's bits, so the *effective* window is
+#: ``min(GEAR_WINDOW, mask.bit_length())`` — 13 bytes at the default 8 KiB
+#: average.  A power of two: the scan's doubling passes land on it exactly.
 GEAR_WINDOW = 32
 
 #: The Gear table: 256 pseudo-random 64-bit words, fixed forever (chunk
 #: boundaries are part of the on-disk format's stability contract).
 _GEAR = np.random.default_rng(0x47454152).integers(
     0, 1 << 64, size=256, dtype=np.uint64)
+
+#: ``(width, table)`` truncations of :data:`_GEAR`, narrowest first: the
+#: scan hashes in the first width that holds the mask.
+_GEAR_NARROW = tuple((np.dtype(dt).itemsize * 8, _GEAR.astype(dt))
+                     for dt in (np.uint16, np.uint32, np.uint64))
+
+#: Positions hashed per scan tile: two scratch arrays of this many words
+#: (128 KiB at the default mask's uint16) stay L2-resident.
+_TILE = 1 << 15
 
 
 class ManifestError(UnrecoverableCheckpointError):
@@ -141,29 +156,62 @@ def _candidate_positions(rope: ByteRope, mask: int) -> np.ndarray:
     """Boundary candidates: positions ``p`` where the windowed Gear hash of
     ``rope[:p]``'s last :data:`GEAR_WINDOW` bytes satisfies the mask.
 
-    Processes the rope segment by segment; the previous segment's tail of
-    Gear words carries in so positions near a segment seam hash exactly as
-    they would in the flat byte stream.  No payload bytes are copied.
+    ``h[i] = sum_{j<W} GEAR[b[i-j]] << j``, and only ``h & mask`` is ever
+    tested, which makes three shortcuts exact (not approximations):
+
+    - *narrow words*: ``<< j`` clears the low ``j`` bits, so bits above
+      ``mask.bit_length()`` never reach the test — the sum runs in the
+      narrowest unsigned dtype holding the mask, and terms with
+      ``j >= bits`` drop out (the effective window is ``min(W, bits)``);
+    - *log-doubling*: ``h_2k[i] = h_k[i] + (h_k[i-k] << k)`` is the same
+      modular sum regrouped, reaching the window in ``log2`` passes;
+    - *tiling*: each :data:`_TILE`-position slice of a segment is hashed in
+      cache-resident scratch, with the preceding ``window - 1`` raw bytes
+      carried across tile and segment seams so positions near a seam hash
+      exactly as they would in the flat byte stream.
+
+    No payload bytes are copied beyond that carry.
     """
-    w = GEAR_WINDOW
-    m = np.uint64(mask)
+    bits = max(mask.bit_length(), 1)
+    gear = next(g for width, g in _GEAR_NARROW if bits <= width)
+    m = gear.dtype.type(mask)
+    # Doubling stops at the first power of two >= min(W, bits): never past
+    # W, and any terms past ``bits`` it includes vanish under the mask.
+    shifts = []
+    window = 1
+    while window < min(GEAR_WINDOW, bits):
+        shifts.append(window)
+        window *= 2
+    keep = window - 1
+    h = np.empty(_TILE + keep, dtype=gear.dtype)
+    tmp = np.empty_like(h)
     out: list[np.ndarray] = []
-    tail = np.zeros(w - 1, dtype=np.uint64)
+    carry = b""
     pos = 0
     for seg in rope.iter_segments():
-        g = _GEAR[np.frombuffer(seg, dtype=np.uint8)]
-        n = len(g)
-        ext = np.concatenate([tail, g])
-        acc = np.zeros(n, dtype=np.uint64)
-        for j in range(w):
-            # h[i] = sum_{j<w} GEAR[b[i-j]] << j  (uint64 wraparound)
-            acc += ext[w - 1 - j : w - 1 - j + n] << np.uint64(j)
-        hits = np.nonzero((acc & m) == m)[0]
-        if len(hits):
-            # A candidate *after* byte i cuts at absolute position i + 1.
-            out.append(hits.astype(np.int64) + (pos + 1))
-        tail = ext[n:]
-        pos += n
+        seg = np.frombuffer(seg, dtype=np.uint8)
+        for lo in range(0, len(seg), _TILE):
+            part = seg[lo:lo + _TILE]
+            c = len(carry)
+            n = c + len(part)
+            if c:
+                h[:c] = gear[np.frombuffer(carry, dtype=np.uint8)]
+            # mode="clip" only to skip take()'s bounds-check buffering:
+            # uint8 indices cannot leave the 256-entry table.
+            np.take(gear, part, out=h[c:n], mode="clip")
+            for k in shifts:
+                if k >= n:
+                    break
+                np.left_shift(h[:n - k], k, out=tmp[:n - k])
+                np.add(h[k:n], tmp[:n - k], out=h[k:n])
+            np.bitwise_and(h[c:n], m, out=tmp[c:n])
+            hits = np.flatnonzero(tmp[c:n] == m)
+            if len(hits):
+                # A candidate *after* byte i cuts at absolute position i + 1.
+                out.append(hits + (pos + 1))
+            pos += len(part)
+            if keep:
+                carry = (carry + part[-keep:].tobytes())[-keep:]
     if not out:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(out)

@@ -2,6 +2,7 @@
 
 from .aggregation import (
     FileDomains,
+    FlatExchange,
     RegionMap,
     TamExchange,
     pick_aggregators,
@@ -12,6 +13,7 @@ from .hints import Hints, TAM_MODES
 
 __all__ = [
     "FileDomains",
+    "FlatExchange",
     "RegionMap",
     "TamExchange",
     "pick_aggregators",

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["RegionMap", "FileDomains", "TamExchange", "pick_aggregators",
-           "pick_node_aggregators"]
+__all__ = ["RegionMap", "FileDomains", "FlatExchange", "TamExchange",
+           "pick_aggregators", "pick_node_aggregators"]
 
 
 class RegionMap:
@@ -181,6 +181,29 @@ def pick_aggregators(comm_size: int, n_aggregators: int) -> list[int]:
     cached tuple via :func:`_aggregator_placement` directly).
     """
     return list(_aggregator_placement(comm_size, n_aggregators))
+
+
+class FlatExchange:
+    """Shared geometry of one flat two-phase collective write call.
+
+    File domains and aggregator placement are properties of the collective
+    call, not of the calling rank (Thakur, Gropp & Lusk), so they are built
+    exactly once per call via ``allgather(map_fn=...)`` alongside the
+    :class:`RegionMap` and consulted read-only by every participant.
+    ``agg_index`` maps an aggregator's rank to the domain it commits.
+    """
+
+    __slots__ = ("regions", "domains", "aggregators", "agg_index")
+
+    def __init__(self, raw_regions: list, n_aggregators: int,
+                 block_size: int, align: bool = True) -> None:
+        self.regions = RegionMap(raw_regions)
+        self.domains = FileDomains(
+            self.regions.lo, self.regions.hi, n_aggregators,
+            block_size, align=align)
+        self.aggregators = _aggregator_placement(len(raw_regions),
+                                                 n_aggregators)
+        self.agg_index = {r: k for k, r in enumerate(self.aggregators)}
 
 
 def pick_node_aggregators(leaders, n_aggregators: int) -> tuple[int, ...]:

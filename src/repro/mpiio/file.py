@@ -30,8 +30,7 @@ from ..mpi import CommView, RankContext
 from ..sim import Process
 from ..storage import FSClient, FileHandle
 from ..topology import NodeGroups
-from .aggregation import FileDomains, RegionMap, TamExchange, \
-    _aggregator_placement
+from .aggregation import FlatExchange, TamExchange
 from .hints import Hints
 
 __all__ = ["MPIFile", "SplitRequest"]
@@ -181,8 +180,6 @@ class MPIFile:
         rope and commits it in bursts.
         """
         comm = self.comm
-        cfg = self.fs.fs.config
-        hints = self.hints
         tag = _SHUFFLE_TAG_BASE + seq
         if payload is not None:
             payload = ByteRope.wrap(payload)
@@ -195,21 +192,16 @@ class MPIFile:
         eng = self.fs.fs.engine
         t_x0 = eng.now
 
-        # Phase 0: exchange access regions (one shared RegionMap built).
-        regions: RegionMap = yield from comm.allgather(
-            (offset, nbytes), nbytes=16, map_fn=RegionMap
-        )
+        # Phase 0: exchange access regions (one shared exchange plan built).
+        ex: FlatExchange = yield from comm.allgather(
+            (offset, nbytes), nbytes=16, map_fn=self._flat_exchange)
+        regions = ex.regions
         if regions.hi <= regions.lo:
             # Nothing to write anywhere: still synchronize.
             yield from comm.barrier()
             return
-
-        n_aggs = hints.n_aggregators(comm.size)
-        domains = FileDomains(
-            regions.lo, regions.hi, n_aggs,
-            cfg.fs_block_size, align=hints.align_file_domains,
-        )
-        aggregators = _aggregator_placement(comm.size, n_aggs)
+        domains = ex.domains
+        aggregators = ex.aggregators
 
         # Phase 1: shuffle — send my data to the aggregator(s) owning it.
         send_reqs = []
@@ -235,9 +227,7 @@ class MPIFile:
                     )
 
         # Phase 2: aggregators receive their domain and commit it.
-        my_agg_index = None
-        if comm.rank in aggregators:
-            my_agg_index = aggregators.index(comm.rank)
+        my_agg_index = ex.agg_index.get(comm.rank)
         if my_agg_index is not None:
             dlo, dhi = domains.domain(my_agg_index)
             senders = regions.senders_overlapping(dlo, dhi)
@@ -255,6 +245,18 @@ class MPIFile:
         if tr is not None:
             tr.span(comm.world_rank, "exchange", "mpiio", t_x0, eng.now,
                     nbytes, args={"path": self.path, "seq": seq})
+
+    def _flat_exchange(self, raw: list) -> FlatExchange:
+        """``allgather`` map: the call's shared plan, built by one rank.
+
+        A bound method rather than a closure: every rank holds its
+        ``map_fn`` for the whole collective, and a closure per rank per
+        call is measurable resident memory at 8K ranks.
+        """
+        hints = self.hints
+        return FlatExchange(raw, hints.n_aggregators(len(raw)),
+                            self.fs.fs.config.fs_block_size,
+                            align=hints.align_file_domains)
 
     def _node_groups(self) -> Optional[NodeGroups]:
         """Node co-residency of the file's communicator, or ``None``.

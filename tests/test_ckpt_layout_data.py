@@ -4,7 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt import CheckpointData, CheckpointResult, Field, FileLayout, RankReport
+from repro.buffers import as_bytes
+from repro.ckpt import (
+    CheckpointData,
+    CheckpointResult,
+    EvolvingData,
+    Field,
+    FileLayout,
+    RankReport,
+    ReducedBlockingIO,
+)
+from repro.experiments import run_resilient_campaign
+from repro.topology import intrepid
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +68,86 @@ def test_nekcem_like_shape():
     assert [f.name for f in d.fields][0] == "geometry"
     # ~142 bytes per point total.
     assert d.total_bytes == 94 * 1000 + 6 * 8 * 1000
+
+
+# ---------------------------------------------------------------------------
+# EvolvingData layout template
+# ---------------------------------------------------------------------------
+
+def _counting_advance(data: EvolvingData) -> list[tuple[int, int]]:
+    """Record every ``(rank, step)`` the mutating workload materializes."""
+    calls: list[tuple[int, int]] = []
+    inner = data.fn._advance
+
+    def advance(state, rank, step):
+        calls.append((rank, step))
+        return inner(state, rank, step)
+
+    data.fn._advance = advance
+    return calls
+
+
+def test_evolving_template_is_free_and_size_only():
+    data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
+                                 header_bytes=256)
+    calls = _counting_advance(data)
+    bound = data.bind(3)
+    template = bound.template()
+    assert bound.total_bytes == template.total_bytes
+    assert calls == []
+    assert template.has_payload is False
+
+    step0 = bound.at_step(0)
+    assert step0.has_payload
+    assert template.field_sizes == step0.field_sizes
+    assert [f.name for f in template.fields] == [f.name for f in step0.fields]
+    assert template.header_bytes == step0.header_bytes == 256
+    assert template.total_bytes == step0.total_bytes
+
+
+def test_evolving_template_does_not_rewind_state():
+    data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5)
+    bound = data.bind(1)
+    bound.at_step(2)
+    calls = _counting_advance(data)
+    bound.template()
+    got = bound.at_step(3)
+    # Continued from the cached step-2 state: no replay from step 0.
+    assert calls == [(1, 3)]
+    fresh = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5).bind(1)
+    assert ([as_bytes(f.payload) for f in got.fields]
+            == [as_bytes(f.payload) for f in fresh.at_step(3).fields])
+
+
+def test_evolving_template_falls_back_to_step0_without_layout():
+    calls = []
+
+    def fn(rank, step):
+        calls.append((rank, step))
+        return CheckpointData([Field("a", 4, bytes([rank, step, 0, 0]))])
+
+    template = EvolvingData(fn).bind(2).template()
+    assert calls == [(2, 0)]
+    assert template.field_sizes == (4,)
+
+
+def test_resilient_restore_from_layout_template_is_bit_identical():
+    n_ranks, n_steps = 16, 3
+    data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
+                                 header_bytes=256)
+    strategy = ReducedBlockingIO(workers_per_writer=8)
+    strategy.configure_delta("require")
+    campaign = run_resilient_campaign(
+        strategy, n_ranks, data, n_steps=n_steps, config=intrepid().quiet(),
+        gap_seconds=2.0)
+    assert campaign.restored_step == n_steps - 1
+    truth = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
+                                  header_bytes=256)
+    for rank in range(n_ranks):
+        _step, fields = campaign.restored[rank]
+        want = truth.bind(rank).at_step(n_steps - 1)
+        assert ([as_bytes(f) for f in fields]
+                == [as_bytes(f.payload) for f in want.fields])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import Job
-from repro.mpiio import FileDomains, Hints, MPIFile, RegionMap, pick_aggregators
+from repro.mpiio import (
+    FileDomains,
+    FlatExchange,
+    Hints,
+    MPIFile,
+    RegionMap,
+    pick_aggregators,
+)
 from repro.storage import attach_storage
 from repro.topology import intrepid
 
@@ -244,6 +251,20 @@ def test_pick_aggregators_validation():
         pick_aggregators(4, 5)
     with pytest.raises(ValueError):
         pick_aggregators(4, 0)
+
+
+def test_flat_exchange_is_the_per_rank_geometry_built_once():
+    raw = [(100 * r, 100) for r in range(64)]
+    ex = FlatExchange(raw, n_aggregators=2, block_size=64)
+    assert (ex.regions.lo, ex.regions.hi) == (0, 6400)
+    assert list(ex.aggregators) == pick_aggregators(64, 2)
+    assert ex.agg_index == {0: 0, 32: 1}
+    want = FileDomains(0, 6400, 2, 64)
+    assert [ex.domains.domain(k) for k in range(2)] == [
+        want.domain(k) for k in range(2)]
+    # Nothing written anywhere: still constructible (ranks then only sync).
+    empty = FlatExchange([(0, 0)] * 4, n_aggregators=1, block_size=64)
+    assert empty.regions.hi <= empty.regions.lo
 
 
 # ---------------------------------------------------------------------------
