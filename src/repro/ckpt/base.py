@@ -122,10 +122,11 @@ class CheckpointStrategy:
         """Offer a :class:`~repro.sim.CoalescePlan`, or ``None``.
 
         A strategy whose ranks are symmetric within groups (identical data,
-        identical schedules) may return a plan so the runner replays each
-        group once.  The default is ``None``: strategies with per-rank
-        divergence (1PFPP's arrival jitter, coIO's per-member file offsets
-        and aggregator roles) must run every rank.
+        identical schedules — rbIO workers), or share a role that needs no
+        process of its own (coIO's non-aggregator ranks), may return a plan
+        so the runner replays each group from one representative.  The
+        default is ``None``: strategies with per-rank divergence and no
+        such structure (1PFPP's arrival jitter) must run every rank.
         """
         return None
 

@@ -22,12 +22,16 @@ so the collective pattern is one ``write_at_all`` per field.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
+from .. import trace as _trace
 from ..buffers import zeros
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
-from ..mpiio import Hints, MPIFile
+from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
+from ..mpiio.file import SHUFFLE_TAG_BASE
+from ..sim import CoalescePlan, GroupPlan
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .layout import FileLayout
@@ -89,6 +93,66 @@ class CollectiveIO(CheckpointStrategy):
     def file_path(self, basedir: str, step: int, group: int) -> str:
         """Path of one group's shared output file."""
         return f"{self.step_dir(basedir, step)}/part{group:05d}.vtk"
+
+    # -- coalescing -------------------------------------------------------
+    def coalesce_plan(self, n_ranks: int):
+        """Replay the ranks that only contribute an extent and wait.
+
+        Aggregator placement is a property of the file communicator, so
+        the non-aggregator ranks are known up front: one group per maximal
+        contiguous run of them between two aggregators (1-31 and 33-63 of
+        a 64-rank file group under the default 1:32 hint).  Aggregators —
+        the ranks that receive, overlay and touch the file system — keep
+        their processes.  Only the flat, full-write exchange is replayed:
+        TAM and delta change the members' roles and run uncoalesced.
+        """
+        if self.hints.tam != "off" or self.delta != "off":
+            return None
+        per_file = self.ranks_per_file or n_ranks
+        groups = []
+        for base in range(0, n_ranks, per_file):
+            size = min(per_file, n_ranks - base)
+            aggs = pick_aggregators(size, self.hints.n_aggregators(size))
+            for agg, nxt in zip(aggs, aggs[1:] + [size]):
+                members = tuple(range(base + agg + 1, base + nxt))
+                if members:
+                    groups.append(GroupPlan(rep=members[0], members=members))
+        if not groups:
+            return None
+        return CoalescePlan(groups=tuple(groups),
+                            worker_main=self.coalesced_worker_main)
+
+    def coalesced_worker_main(self, ctx: RankContext, members,
+                              data: CheckpointData, steps, basedir: str,
+                              gaps, barrier_each_step: bool):
+        """Generator: stand in for one run of non-aggregator ranks.
+
+        Only the world barrier and the communicator split — which complete
+        for all members at once — use the bulk collective entries.  From
+        the first layout allgather on each member is a
+        :class:`_MemberReplay`: a chain of plain event callbacks,
+        registered where the rank's process would have been waiting,
+        through every step.
+        """
+        world = ctx.comm
+        contexts = ctx.job.contexts
+        yield from world.barrier_members(members)
+        t0 = ctx.engine.now
+        if self.ranks_per_file is None:
+            views = [contexts[m].comm for m in members]
+        else:
+            by_rank = yield from world.split_members(
+                [(m, self.group_of(m)) for m in members])
+            views = [by_rank[m] for m in members]
+        for m, view in zip(members, views):
+            # What _iocomm leaves behind: a later restore (or ghost) of the
+            # member must find the split done, as the aggregators do.
+            self._cache(contexts[m])["iocomm"] = view
+        run = _RunReplay(self, ctx, members, data, steps, basedir, gaps,
+                         barrier_each_step, views[0].comm)
+        for m, view in zip(members, views):
+            _MemberReplay(run, m, view, t0)._gather_layout()
+        return (yield run.done)
 
     # -- setup ------------------------------------------------------------
     def _iocomm(self, ctx: RankContext):
@@ -265,3 +329,191 @@ class CollectiveIO(CheckpointStrategy):
         self._span(ctx, "restore", t_r0, ctx.engine.now,
                    template.total_bytes, step=step)
         return fields
+
+
+class _RunReplay:
+    """What the members of one coalesced run share (see ``_MemberReplay``)."""
+
+    def __init__(self, strategy: CollectiveIO, ctx: RankContext, members,
+                 data: CheckpointData, steps, basedir: str, gaps,
+                 barrier_each_step: bool, comm) -> None:
+        job = ctx.job
+        self.strategy = strategy
+        self.eng = job.engine
+        self.contexts = job.contexts
+        self.world = ctx.comm.comm
+        self.comm = comm
+        self.gaps = gaps
+        self.barrier_each_step = barrier_each_step
+        group = strategy.group_of(members[0])
+        self.paths = [strategy.file_path(basedir, step, group)
+                      for step in steps]
+        self.total_bytes = data.total_bytes
+        self.field_sizes = list(data.field_sizes)
+        self.layout_nbytes = 8 * data.n_fields
+        self.make_layout = partial(FileLayout, data.header_bytes)
+        # The collective calls of one step: the master header (members
+        # contribute an empty region) is call -1 when there is one.
+        self.first_call = -1 if data.header_bytes else 0
+        self.payloads = [fld.view for fld in data.fields]
+        self.exchange_plan = partial(
+            FlatExchange.for_hints, hints=strategy.hints,
+            block_size=ctx.fs.fs.config.fs_block_size)
+        self.reports: dict[int, list] = {m: [] for m in members}
+        self.unfinished = len(members)
+        self.done = self.eng.event()
+
+
+class _MemberReplay:
+    """One non-aggregator rank of a collective checkpoint, without a process.
+
+    Each method is the continuation a rank process would run when the
+    event it waits on fires, and registers the next one exactly where the
+    process would have appended its resume callback.  Members therefore
+    take their turns among the aggregator processes (and each other) in
+    the uncoalesced order, which makes everything order-sensitive exact by
+    construction: the shared noise stream's draws, the reservations on an
+    aggregator node's ejection pipe (its own straddling piece included),
+    collective arrival order, Darshan records and spans.
+
+    Nothing another layer decides is re-derived here: a member ships the
+    pieces :meth:`FlatExchange.sends` lists for it, like
+    ``MPIFile._two_phase`` does, and what an open or close costs and
+    records is ``FSClient``'s begin/finish halves.
+    """
+
+    __slots__ = ("run", "rank", "view", "lr", "fs", "step", "t0", "offs",
+                 "t_op", "handle", "call", "t_x0")
+
+    def __init__(self, run: _RunReplay, rank: int, view, t0: float) -> None:
+        self.run = run
+        self.rank = rank
+        self.view = view
+        self.lr = view.rank
+        self.fs = run.contexts[rank].fs
+        self.step = 0
+        self.t0 = t0
+
+    # -- step prologue ----------------------------------------------------
+    def _after_gap(self, _ev) -> None:
+        run = self.run
+        if run.barrier_each_step:
+            run.world._barrier_arrive(self.rank).event.callbacks.append(
+                self._enter_step)
+        else:
+            self._enter_step(None)
+
+    def _enter_step(self, _ev) -> None:
+        self.t0 = self.run.eng.now
+        self._gather_layout()
+
+    def _gather_layout(self) -> None:
+        run = self.run
+        run.comm._allgather_arrive(
+            self.lr, run.field_sizes, run.layout_nbytes, run.make_layout
+        ).event.callbacks.append(self._laid_out)
+
+    def _laid_out(self, ev) -> None:
+        self.offs = ev.value.member_offsets(self.lr)
+        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
+            self._open)
+
+    # -- MPIFile.open, non-creator side: the open barrier has released ----
+    def _open(self, _ev) -> None:
+        run = self.run
+        self.t_op = run.eng.now
+        fobj, service = self.fs.open_begin(run.paths[self.step])
+        run.eng.timeout(service).callbacks.append(partial(self._opened, fobj))
+
+    def _opened(self, fobj, _ev) -> None:
+        self.handle = self.fs.open_finish(fobj, True, self.t_op)
+        self.call = self.run.first_call
+        self._write_at_all()
+
+    # -- one collective write per call: allgather, ship, barrier ----------
+    def _write_at_all(self) -> None:
+        run = self.run
+        i = self.call
+        if i == len(run.payloads):
+            # MPIFile.close: barrier, fs.close, barrier.
+            run.comm._barrier_arrive(self.lr).event.callbacks.append(
+                self._close)
+            return
+        self.t_x0 = run.eng.now
+        region = (0, 0) if i < 0 else (self.offs[i], run.field_sizes[i])
+        run.comm._allgather_arrive(
+            self.lr, region, 16, run.exchange_plan
+        ).event.callbacks.append(self._ship)
+
+    def _ship(self, ev) -> None:
+        ex: FlatExchange = ev.value
+        run = self.run
+        if ex.empty:
+            run.comm._barrier_arrive(self.lr).event.callbacks.append(
+                self._next_call)
+            return
+        sends = ex.sends(self.lr)
+        if not sends:
+            self._shipped(None)
+            return
+        i = self.call
+        offset = self.offs[i]
+        payload = run.payloads[i]
+        tag = SHUFFLE_TAG_BASE + i - run.first_call
+        sent = [
+            self.view.isend(
+                dest, hi - lo, tag=tag,
+                payload=(lo, hi, None if payload is None
+                         else payload[lo - offset:hi - offset])).event
+            for dest, lo, hi in sends]
+        (sent[0] if len(sent) == 1 else run.eng.all_of(sent)).add_callback(
+            self._shipped)
+
+    def _shipped(self, _ev) -> None:
+        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
+            self._exchanged)
+
+    def _exchanged(self, ev) -> None:
+        tr = _trace.tracer
+        if tr is not None:
+            run = self.run
+            i = self.call
+            tr.span(self.rank, "exchange", "mpiio", self.t_x0, run.eng.now,
+                    0 if i < 0 else run.field_sizes[i],
+                    args={"path": run.paths[self.step],
+                          "seq": i - run.first_call})
+        self._next_call(ev)
+
+    def _next_call(self, _ev) -> None:
+        self.call += 1
+        self._write_at_all()
+
+    # -- MPIFile.close ----------------------------------------------------
+    def _close(self, _ev) -> None:
+        run = self.run
+        self.t_op = run.eng.now
+        run.eng.timeout(self.fs.close_begin(self.handle)
+                        ).callbacks.append(self._closed)
+
+    def _closed(self, _ev) -> None:
+        self.fs.close_finish(self.handle, self.t_op)
+        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
+            self._finished)
+
+    def _finished(self, _ev) -> None:
+        run = self.run
+        now = run.eng.now
+        run.reports[self.rank].append(run.strategy._report(
+            run.contexts[self.rank], "collective", self.t0, now, now,
+            run.total_bytes))
+        self.step += 1
+        if self.step == len(run.paths):
+            run.unfinished -= 1
+            if not run.unfinished:
+                run.done.succeed(run.reports)
+            return
+        gap = run.gaps[self.step]
+        if gap > 0:
+            run.eng.timeout(gap).callbacks.append(self._after_gap)
+        else:
+            self._after_gap(None)

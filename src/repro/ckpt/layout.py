@@ -68,6 +68,12 @@ class FileLayout:
         self._check(field, member)
         return int(self.section_offsets[field] + self._within[member, field])
 
+    def member_offsets(self, member: int) -> list[int]:
+        """:meth:`block_offset` of ``member`` in every field section."""
+        if not 0 <= member < self.n_members:
+            raise ValueError(f"member {member} out of range")
+        return (self.section_offsets + self._within[member]).tolist()
+
     def block_size(self, field: int, member: int) -> int:
         """Size of ``member``'s block in ``field``'s section."""
         self._check(field, member)

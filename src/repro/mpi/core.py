@@ -81,6 +81,52 @@ class Message:
         )
 
 
+class Mailbox(Store):
+    """One rank's message queue: a :class:`Store` that also matches inline.
+
+    A fully specified receive (every aggregator receive) is a pending
+    ``(source, tag)`` pair rather than a filter closure, so neither queued
+    messages nor arriving ones cost a Python call per comparison.  The
+    discipline is the store's: the oldest matching message wins, and
+    pending receives — exact, filtered and wildcard alike — are served in
+    the order they were posted.
+    """
+
+    __slots__ = ()
+
+    def put(self, msg: Message) -> None:
+        """Deposit ``msg``, waking the first pending receive it satisfies."""
+        for i, (flt, ev) in enumerate(self._getters):
+            if flt is None:
+                wanted = True
+            elif flt.__class__ is tuple:  # get_exact's (source, tag)
+                wanted = msg.source == flt[0] and msg.tag == flt[1]
+            else:
+                wanted = flt(msg)
+            if wanted:
+                del self._getters[i]
+                ev.succeed(msg)
+                return
+        self.items.append(msg)
+
+    def get_exact(self, source: int, tag: int) -> Event:
+        """:meth:`get` for the oldest message from ``source`` with ``tag``.
+
+        An aggregator's mailbox holds a whole domain's senders while it
+        drains them in file-offset order; this scans them without calling
+        a filter once per queued message.
+        """
+        items = self.items
+        for i, msg in enumerate(items):
+            if msg.source == source and msg.tag == tag:
+                ev = Event(self.engine)
+                ev.succeed(items.pop(i))
+                return ev
+        ev = Event(self.engine)
+        self._getters.append(((source, tag), ev))
+        return ev
+
+
 class Request:
     """Handle for a nonblocking operation.
 
@@ -139,7 +185,7 @@ class Communicator:
         self.world_ranks = list(world_ranks)
         self.size = len(world_ranks)
         self._local_of_world = {w: i for i, w in enumerate(self.world_ranks)}
-        self.mailboxes = [Store(engine) for _ in range(self.size)]
+        self.mailboxes = [Mailbox(engine) for _ in range(self.size)]
         self._coll_ops: dict[int, _CollectiveOp] = {}
         self._coll_seq = [0] * self.size
         self.id = Communicator._next_id
@@ -281,6 +327,23 @@ class Communicator:
         if op.arrived == self.size:
             del ops[seq]
             self._finish_after(op, self._sync_time, None)
+        return op
+
+    def _allgather_arrive(self, local_rank: int, value: Any, nbytes: int,
+                          map_fn: Optional[Callable[[list], Any]]
+                          ) -> _CollectiveOp:
+        """One rank's allgather arrival (completing the op if it is last).
+
+        The non-generator half of :meth:`CommView.allgather`: a caller that
+        is not a process (coalesced replay) registers its continuation on
+        ``op.event`` itself.
+        """
+        op, is_last = self._collective_enter("allgather", local_rank, value, 0)
+        if is_last:
+            result = list(op.contrib)
+            if map_fn is not None:
+                result = map_fn(result)
+            self._finish_after(op, 2 * self.tree_time(nbytes), result)
         return op
 
     def _complete_split(self, op: _CollectiveOp) -> None:
@@ -443,14 +506,19 @@ class CommView:
         comm = self.comm
         if source != ANY_SOURCE and not 0 <= source < comm.size:
             raise MPIError(f"irecv source {source} out of range")
-        if source == ANY_SOURCE and tag == ANY_TAG:
-            flt = None
+        mailbox = comm.mailboxes[self.rank]
+        if source != ANY_SOURCE and tag != ANY_TAG:
+            # Fully specified (every aggregator receive): matched inline by
+            # the mailbox, no filter closure called per queued message.
+            ev = mailbox.get_exact(source, tag)
+        elif source == ANY_SOURCE and tag == ANY_TAG:
+            ev = mailbox.get()
         else:
             def flt(m, source=source, tag=tag):
                 return (source == ANY_SOURCE or m.source == source) and (
                     tag == ANY_TAG or m.tag == tag
                 )
-        ev = comm.mailboxes[self.rank].get(flt)
+            ev = mailbox.get(flt)
         return Request(ev, comm.engine.now, "irecv")
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
@@ -513,14 +581,7 @@ class CommView:
         collectives use this to build shared index structures without
         per-rank rework.
         """
-        comm = self.comm
-        op, is_last = comm._collective_enter("allgather", self.rank, value, 0)
-        if is_last:
-            delay = 2 * comm.tree_time(nbytes)
-            result = list(op.contrib)
-            if map_fn is not None:
-                result = map_fn(result)
-            comm._finish_after(op, delay, result)
+        op = self.comm._allgather_arrive(self.rank, value, nbytes, map_fn)
         result = yield op.event
         return result
 

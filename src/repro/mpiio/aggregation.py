@@ -54,41 +54,6 @@ class RegionMap:
         """Sum of all region lengths."""
         return int((self.ends - self.offsets).sum())
 
-    def senders_overlapping(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        """Ranks whose region intersects ``[lo, hi)``.
-
-        Returns ``(rank, overlap_lo, overlap_hi)`` triples.  O(log n + k)
-        via binary search on the sorted offsets (regions from checkpoint
-        writes are non-overlapping and near-sorted).
-        """
-        if hi <= lo:
-            return []
-        # Candidate window: regions starting before hi...
-        j = int(np.searchsorted(self.offsets, hi, side="left"))
-        out = []
-        # ...scan backwards while regions can still overlap.  Checkpoint
-        # regions are contiguous per rank and non-overlapping, so once
-        # region end <= lo for a few consecutive entries we can stop; to be
-        # robust to unequal sizes we scan until offsets drop below
-        # lo - max_len, bounded by the window start.
-        i = j - 1
-        while i >= 0:
-            o = int(self.offsets[i])
-            e = int(self.ends[i])
-            if e > lo and e > o:
-                out.append((int(self.ranks[i]), max(o, lo), min(e, hi)))
-            elif e == o:
-                # Zero-length region: contributes nothing but must not end
-                # the scan (it can sit at the same offset as a real region).
-                pass
-            else:
-                # Non-empty region ending at/before lo: with non-overlapping
-                # regions every earlier non-empty region also ends there.
-                break
-            i -= 1
-        out.reverse()
-        return out
-
 
 class FileDomains:
     """Partition of a byte range into per-aggregator file domains.
@@ -131,6 +96,17 @@ class FileDomains:
             bs = self.block_size
             b = -(-b // bs) * bs
         return min(b, self.hi)
+
+    def boundaries(self) -> np.ndarray:
+        """All ``n_domains + 1`` boundaries at once (``_boundary`` vectorised)."""
+        b = self.lo + np.arange(self.n_domains + 1, dtype=np.int64) * self._chunk
+        if self.align:
+            bs = self.block_size
+            b = -(-b // bs) * bs
+        np.minimum(b, self.hi, out=b)
+        b[0] = self.lo
+        b[-1] = self.hi
+        return b
 
     def domain(self, k: int) -> tuple[int, int]:
         """Byte range ``[lo, hi)`` of domain ``k`` (may be empty)."""
@@ -184,26 +160,80 @@ def pick_aggregators(comm_size: int, n_aggregators: int) -> list[int]:
 
 
 class FlatExchange:
-    """Shared geometry of one flat two-phase collective write call.
+    """Shared plan of one flat two-phase collective write call.
 
     File domains and aggregator placement are properties of the collective
-    call, not of the calling rank (Thakur, Gropp & Lusk), so they are built
-    exactly once per call via ``allgather(map_fn=...)`` alongside the
-    :class:`RegionMap` and consulted read-only by every participant.
-    ``agg_index`` maps an aggregator's rank to the domain it commits.
+    call, not of the calling rank (Thakur, Gropp & Lusk), so the whole
+    exchange — which pieces every rank sends where, and whom every
+    aggregator hears from — is computed exactly once per call via
+    ``allgather(map_fn=...)``, vectorised over the gathered extents, and
+    consulted read-only by every participant: the per-rank
+    :meth:`MPIFile._two_phase <repro.mpiio.file.MPIFile>` and coIO's
+    coalesced replay read this one plan.
+
+    ``agg_index`` maps an aggregator's rank to the domain it commits;
+    ``expected[k]`` lists the ranks domain ``k``'s aggregator receives from
+    (ascending file offset, itself excluded — its own pieces are staged
+    locally); :meth:`sends` gives a rank's ``(dest, lo, hi)`` pieces.
     """
 
-    __slots__ = ("regions", "domains", "aggregators", "agg_index")
+    __slots__ = ("regions", "domains", "aggregators", "agg_index",
+                 "expected", "_pieces", "_starts")
 
     def __init__(self, raw_regions: list, n_aggregators: int,
                  block_size: int, align: bool = True) -> None:
-        self.regions = RegionMap(raw_regions)
-        self.domains = FileDomains(
-            self.regions.lo, self.regions.hi, n_aggregators,
-            block_size, align=align)
-        self.aggregators = _aggregator_placement(len(raw_regions),
-                                                 n_aggregators)
-        self.agg_index = {r: k for k, r in enumerate(self.aggregators)}
+        regions = self.regions = RegionMap(raw_regions)
+        domains = self.domains = FileDomains(
+            regions.lo, regions.hi, n_aggregators, block_size, align=align)
+        aggregators = self.aggregators = _aggregator_placement(
+            len(raw_regions), n_aggregators)
+        self.agg_index = {r: k for k, r in enumerate(aggregators)}
+        # Clip every extent (in file-offset order) against the domain
+        # boundaries: extent i touches domains first[i]..last[i].
+        offs, ends = regions.offsets, regions.ends
+        bounds = domains.boundaries()
+        first = np.searchsorted(bounds[1:], offs, side="right")
+        last = np.searchsorted(bounds[:-1], ends, side="left") - 1
+        count = np.where(ends > offs, last - first + 1, 0)
+        ext = np.repeat(np.arange(len(count)), count)
+        dom = first[ext] + np.arange(len(ext)) - np.repeat(
+            np.cumsum(count) - count, count)
+        lo = np.maximum(offs[ext], bounds[dom])
+        hi = np.minimum(ends[ext], bounds[dom + 1])
+        keep = hi > lo  # a degenerate (empty) domain inside the extent
+        src, dom, lo, hi = regions.ranks[ext[keep]], dom[keep], lo[keep], hi[keep]
+        # Receiver side: per domain, senders in file-offset order.
+        by_dom = np.argsort(dom, kind="stable")
+        senders = src[by_dom].tolist()
+        cut = np.searchsorted(dom[by_dom],
+                              np.arange(n_aggregators + 1)).tolist()
+        self.expected = tuple(
+            tuple(s for s in senders[cut[k]:cut[k + 1]] if s != agg)
+            for k, agg in enumerate(aggregators))
+        # Sender side: pieces grouped by rank, ascending domain within.
+        by_src = np.argsort(src, kind="stable")
+        dest = np.asarray(aggregators, dtype=np.int64)[dom[by_src]]
+        self._pieces = list(zip(dest.tolist(), lo[by_src].tolist(),
+                                hi[by_src].tolist()))
+        self._starts = np.searchsorted(
+            src[by_src], np.arange(len(raw_regions) + 1)).tolist()
+
+    @classmethod
+    def for_hints(cls, raw_regions: list, hints, block_size: int
+                  ) -> "FlatExchange":
+        """The plan a file's :class:`~repro.mpiio.Hints` select."""
+        return cls(raw_regions, hints.n_aggregators(len(raw_regions)),
+                   block_size, align=hints.align_file_domains)
+
+    @property
+    def empty(self) -> bool:
+        """Nothing is written anywhere (participants only synchronize)."""
+        return self.regions.hi <= self.regions.lo
+
+    def sends(self, rank: int) -> list[tuple[int, int, int]]:
+        """``(dest rank, lo, hi)`` pieces of ``rank``'s extent, one per
+        touched domain (``dest == rank``: an aggregator's own piece)."""
+        return self._pieces[self._starts[rank]:self._starts[rank + 1]]
 
 
 def pick_node_aggregators(leaders, n_aggregators: int) -> tuple[int, ...]:
@@ -240,7 +270,7 @@ class TamExchange:
     """
 
     __slots__ = ("raw", "regions", "groups", "domains", "aggregators",
-                 "send_domains", "expected")
+                 "agg_index", "send_domains", "expected")
 
     def __init__(self, raw_regions: list, groups, n_aggregators: int,
                  block_size: int, align: bool = True) -> None:
@@ -249,6 +279,7 @@ class TamExchange:
         self.groups = groups
         leaders = groups.leaders
         self.aggregators = pick_node_aggregators(leaders, n_aggregators)
+        self.agg_index = {r: k for k, r in enumerate(self.aggregators)}
         self.domains = FileDomains(
             self.regions.lo, self.regions.hi, len(self.aggregators),
             block_size, align=align)

@@ -33,9 +33,10 @@ from ..topology import NodeGroups
 from .aggregation import FlatExchange, TamExchange
 from .hints import Hints
 
-__all__ = ["MPIFile", "SplitRequest"]
+__all__ = ["MPIFile", "SplitRequest", "SHUFFLE_TAG_BASE"]
 
-_SHUFFLE_TAG_BASE = 1 << 20
+#: Tag of collective call ``seq``'s shuffle messages is this plus ``seq``.
+SHUFFLE_TAG_BASE = 1 << 20
 #: Tag space of the intra-node (rank -> node leader) TAM shuffle; disjoint
 #: from the inter-node shuffle tags so both phases of one call coexist.
 _TAM_TAG_BASE = 1 << 22
@@ -180,7 +181,7 @@ class MPIFile:
         rope and commits it in bursts.
         """
         comm = self.comm
-        tag = _SHUFFLE_TAG_BASE + seq
+        tag = SHUFFLE_TAG_BASE + seq
         if payload is not None:
             payload = ByteRope.wrap(payload)
 
@@ -195,48 +196,33 @@ class MPIFile:
         # Phase 0: exchange access regions (one shared exchange plan built).
         ex: FlatExchange = yield from comm.allgather(
             (offset, nbytes), nbytes=16, map_fn=self._flat_exchange)
-        regions = ex.regions
-        if regions.hi <= regions.lo:
+        if ex.empty:
             # Nothing to write anywhere: still synchronize.
             yield from comm.barrier()
             return
-        domains = ex.domains
-        aggregators = ex.aggregators
+        me = comm.rank
 
         # Phase 1: shuffle — send my data to the aggregator(s) owning it.
         send_reqs = []
-        if nbytes > 0:
-            my_lo, my_hi = offset, offset + nbytes
-            for k in domains.domains_overlapping(my_lo, my_hi):
-                dlo, dhi = domains.domain(k)
-                lo = max(my_lo, dlo)
-                hi = min(my_hi, dhi)
-                if hi <= lo:
-                    continue
-                dest = aggregators[k]
-                part = None
-                if payload is not None:
-                    part = payload[lo - my_lo : hi - my_lo]
-                if dest == comm.rank:
-                    # Self-contribution: no message needed.
-                    self._stage_local(tag, lo, hi, part)
-                else:
-                    send_reqs.append(
-                        comm.isend(dest, hi - lo, tag=tag,
-                                   payload=(lo, hi, part))
-                    )
+        for dest, lo, hi in ex.sends(me):
+            part = None
+            if payload is not None:
+                part = payload[lo - offset : hi - offset]
+            if dest == me:
+                # Self-contribution: no message needed.
+                self._stage_local(tag, lo, hi, part)
+            else:
+                send_reqs.append(
+                    comm.isend(dest, hi - lo, tag=tag, payload=(lo, hi, part)))
 
         # Phase 2: aggregators receive their domain and commit it.
-        my_agg_index = ex.agg_index.get(comm.rank)
-        if my_agg_index is not None:
-            dlo, dhi = domains.domain(my_agg_index)
-            senders = regions.senders_overlapping(dlo, dhi)
+        k = ex.agg_index.get(me)
+        if k is not None:
             pieces: list[tuple[int, int, Optional[bytes]]] = self._staged.pop(tag, [])
-            expected = [s for s in senders if s[0] != comm.rank]
-            for src, _lo, _hi in expected:
+            for src in ex.expected[k]:
                 msg = yield from comm.recv(source=src, tag=tag)
                 pieces.append(msg.payload)
-            yield from self._commit_domain(dlo, dhi, pieces)
+            yield from self._commit_domain(*ex.domains.domain(k), pieces)
 
         if send_reqs:
             yield from comm.waitall(send_reqs)
@@ -253,10 +239,16 @@ class MPIFile:
         ``map_fn`` for the whole collective, and a closure per rank per
         call is measurable resident memory at 8K ranks.
         """
+        return FlatExchange.for_hints(raw, self.hints,
+                                      self.fs.fs.config.fs_block_size)
+
+    def _tam_exchange(self, raw: list) -> TamExchange:
+        """``allgather`` map of the two-level call (bound, as above)."""
         hints = self.hints
-        return FlatExchange(raw, hints.n_aggregators(len(raw)),
-                            self.fs.fs.config.fs_block_size,
-                            align=hints.align_file_domains)
+        return TamExchange(raw, self._node_groups(),
+                           hints.n_aggregators(len(raw)),
+                           self.fs.fs.config.fs_block_size,
+                           align=hints.align_file_domains)
 
     def _node_groups(self) -> Optional[NodeGroups]:
         """Node co-residency of the file's communicator, or ``None``.
@@ -299,20 +291,13 @@ class MPIFile:
         reassembled bytes.
         """
         comm = self.comm
-        cfg = self.fs.fs.config
         tag_intra = _TAM_TAG_BASE + seq
-        tag_inter = _SHUFFLE_TAG_BASE + seq
-        hints = self.hints
+        tag_inter = SHUFFLE_TAG_BASE + seq
         eng = self.fs.fs.engine
         t_x0 = eng.now
 
-        def build(raw):
-            return TamExchange(raw, groups, hints.n_aggregators(comm.size),
-                               cfg.fs_block_size,
-                               align=hints.align_file_domains)
-
         ex: TamExchange = yield from comm.allgather(
-            (offset, nbytes), nbytes=16, map_fn=build)
+            (offset, nbytes), nbytes=16, map_fn=self._tam_exchange)
         if ex.regions.hi <= ex.regions.lo:
             yield from comm.barrier()
             return
@@ -368,14 +353,13 @@ class MPIFile:
                               "members": len(groups.members_of[me])})
 
         # Phase 2: aggregators overlay and commit, as in the flat path.
-        if me in ex.aggregators:
-            k = ex.aggregators.index(me)
-            dlo, dhi = ex.domains.domain(k)
+        k = ex.agg_index.get(me)
+        if k is not None:
             pieces = self._staged.pop(tag_inter, [])
             for src in ex.expected[k]:
                 msg = yield from comm.recv(source=src, tag=tag_inter)
                 pieces.extend(msg.payload)
-            yield from self._commit_domain(dlo, dhi, pieces)
+            yield from self._commit_domain(*ex.domains.domain(k), pieces)
 
         if send_reqs:
             yield from comm.waitall(send_reqs)

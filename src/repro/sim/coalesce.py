@@ -33,10 +33,30 @@ experiment runner, documented in DESIGN.md):
 
 - per-member checkpoint data must be identical — the runner only coalesces
   when every rank shares one :class:`~repro.ckpt.CheckpointData` object;
-- members must never diverge: per-rank RNG draws (1PFPP's arrival jitter),
-  per-member file offsets/FS handles (coIO aggregation), or flow-control
-  acknowledgements (``max_outstanding``) desynchronize the group, so those
-  configurations auto-disable coalescing and run uncoalesced.
+- a *lock-step* replay (one generator acting for all members at once) is
+  only valid while members cannot diverge: per-rank RNG draws (1PFPP's
+  arrival jitter) or flow-control acknowledgements (``max_outstanding``)
+  desynchronize the group, so those configurations offer no plan and run
+  uncoalesced;
+- a fault schedule targets ranks individually, so every rank must run.
+
+Role-based replay for collective groups (coIO).  The ranks of a two-phase
+collective write are not symmetric — file domains make some of them
+aggregators — but the roles are a property of the communicator, known
+before the run: :meth:`repro.ckpt.CollectiveIO.coalesce_plan` offers one
+group per contiguous run of *non-aggregator* ranks (which only contribute
+an extent and wait), and aggregators keep their processes.  Those members
+do diverge — each draws its own file-open noise, and from then on they
+reach every collective at their own time — so only the world barrier and
+the communicator split go through the bulk entries.  After them a member
+is a chain of plain event callbacks, each appended to the awaited event's
+callback list at the moment the rank's process would have appended its
+resume.  The engine fires callbacks in list order, so every member action
+(collective arrival, fabric reservation, noise draw, Darshan record, span)
+happens at the same position among the aggregators' and the other
+members' actions as in the uncoalesced run: order-dependent state is equal
+by construction rather than re-derived.  What is saved is the process —
+a five-deep generator chain resumed ~30 times per rank per step.
 
 Two-level aggregation (``tam``, rbIO) breaks *full* group symmetry — node
 leaders block on their members' intra-node forwards before issuing the
@@ -59,10 +79,11 @@ __all__ = ["GroupPlan", "CoalescePlan"]
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """One symmetric group: ``rep`` replays every rank in ``members``.
+    """One replayed group: ``rep`` stands in for every rank in ``members``.
 
-    ``members`` are world ranks with identical schedules (``rep`` is the
-    first of them); ranks not covered by any group run uncoalesced.
+    ``members`` are world ranks with identical schedules, or at least one
+    shared role (``rep`` is the first of them); ranks not covered by any
+    group run uncoalesced.
     """
 
     rep: int

@@ -402,11 +402,24 @@ class FSClient:
         t0 = fs.engine.now
         if fs.injector is not None:
             yield from fs.injector.before_fs_op(self.rank, "open", path)
-        fobj = fs.file(path)
-        yield fs.engine.timeout(fs.config.meta_open_service * fs.noise())
-        fs.opens += 1
+        fobj, service = self.open_begin(path)
+        yield fs.engine.timeout(service)
+        return self.open_finish(fobj, write, t0)
+
+    # An open or close is begin, a wait of the returned service time, finish.
+    # The generator methods do that in the calling process; a caller that is
+    # not a process (coalesced replay) waits from an event callback instead.
+    def open_begin(self, path: str) -> tuple[FileObject, float]:
+        """Look ``path`` up and draw its open's metadata service time."""
+        fs = self.fs
+        return fs.file(path), fs.config.meta_open_service * fs.noise()
+
+    def open_finish(self, fobj: FileObject, write: bool,
+                    t0: float) -> FileHandle:
+        """Complete an open begun at ``t0``: count, register, record."""
+        self.fs.opens += 1
         handle = self._make_handle(fobj, write)
-        self._record("open", t0, 0, path)
+        self._record("open", t0, 0, fobj.path)
         return handle
 
     def _make_handle(self, fobj: FileObject, write: bool) -> FileHandle:
@@ -423,13 +436,22 @@ class FSClient:
         if fs.injector is not None:
             yield from fs.injector.before_fs_op(self.rank, "close",
                                                 handle.file.path)
+        yield fs.engine.timeout(self.close_begin(handle))
+        self.close_finish(handle, t0)
+
+    def close_begin(self, handle: FileHandle) -> float:
+        """Release ``handle`` and draw its close's metadata service time."""
+        fs = self.fs
         if handle.closed:
             raise FSError(f"double close of {handle.file.path!r}", op="close",
                           path=handle.file.path, time=fs.engine.now)
         handle.closed = True
         if handle.writable:
             handle.file.writer_clients.discard(self.rank)
-        yield fs.engine.timeout(fs.config.meta_close_service * fs.noise())
+        return fs.config.meta_close_service * fs.noise()
+
+    def close_finish(self, handle: FileHandle, t0: float) -> None:
+        """Complete a close begun at ``t0``."""
         self._record("close", t0, 0, handle.file.path)
 
     # -- data operations -------------------------------------------------------

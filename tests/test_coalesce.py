@@ -6,8 +6,13 @@ results: per-rank report arrays, roles, file-system statistics.  Runs use
 the default (noisy) GPFS model on purpose: any divergence in event ordering
 would desynchronize the noise RNG draw sequence and show up here.
 
-Strategies without a valid plan (1PFPP's per-rank jitter, coIO's per-member
-offsets, flow-controlled rbIO/bbIO) must fall back to the uncoalesced path
+coIO replays only the non-aggregator ranks of each file communicator, as
+event callbacks standing where the rank processes would have waited; its
+cells additionally compare file images, fabric counters, the final clock,
+the whole Darshan record sequence and the trace totals.
+
+Configurations without a valid plan (1PFPP's per-rank jitter, flow-controlled
+rbIO/bbIO, coIO under TAM or delta) must fall back to the uncoalesced path
 under ``coalesce="auto"``.
 """
 
@@ -22,7 +27,17 @@ from repro.ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
 )
-from repro.experiments import run_checkpoint_step, run_checkpoint_steps
+from repro.ckpt.layout import FileLayout
+from repro.buffers import as_bytes
+from repro.experiments import (
+    run_checkpoint_step,
+    run_checkpoint_steps,
+    run_resilient_campaign,
+)
+from repro.faults import FaultSchedule, FaultSpec
+from repro.mpiio import FlatExchange, Hints, pick_aggregators
+from repro.topology import intrepid
+from repro.trace import configure_trace
 
 PER_FIELD = 4096
 
@@ -96,14 +111,18 @@ def test_rbio_ragged_last_group_exact():
     assert_identical(off, on)
 
 
-def test_rbio_file_bytes_identical():
-    strategy = ReducedBlockingIO(workers_per_writer=4)
-    off, on = run_pair(strategy, 16, shared_data())
+def assert_file_images_identical(off, on):
     for path, fobj in off.fs.files.items():
         other = on.fs.files[path]
         assert fobj.size == other.size, path
         assert fobj.read_extents(0, fobj.size) == \
             other.read_extents(0, other.size), path
+
+
+def test_rbio_file_bytes_identical():
+    strategy = ReducedBlockingIO(workers_per_writer=4)
+    off, on = run_pair(strategy, 16, shared_data())
+    assert_file_images_identical(off, on)
 
 
 def test_bbio_exact_without_flow_control():
@@ -146,14 +165,13 @@ def test_per_rank_data_builder_disables_coalescing():
         run_checkpoint_step(strategy, 32, builder, coalesce="require")
 
 
-def test_1pfpp_and_coio_offer_no_plan():
+def test_1pfpp_offers_no_plan():
     assert OneFilePerProcess().coalesce_plan(32) is None
-    assert CollectiveIO().coalesce_plan(32) is None
 
 
 @pytest.mark.parametrize("strategy", [
     OneFilePerProcess(),
-    CollectiveIO(),
+    CollectiveIO().configure_tam("auto"),
     ReducedBlockingIO(workers_per_writer=8, max_outstanding=2),
 ])
 def test_auto_equals_off_when_no_plan(strategy):
@@ -161,6 +179,182 @@ def test_auto_equals_off_when_no_plan(strategy):
     off = run_checkpoint_step(strategy, 16, data, seed=3, coalesce="off")
     auto = run_checkpoint_step(strategy, 16, data, seed=3, coalesce="auto")
     assert_identical(off, auto)
+
+
+# ---------------------------------------------------------------------------
+# coIO: non-aggregator ranks replayed as positioned event callbacks
+# ---------------------------------------------------------------------------
+
+#: Token storms at test scale (the calibrated knee needs thousands of
+#: concurrent streams): shared-file bursts draw from the storm stream too.
+STORMY = intrepid().with_(storm_knee=1.0, storm_beta=1.0,
+                          storm_probability=0.6, storm_probability_max=0.6)
+
+STEP_MODES = {
+    "1step": {},
+    "3steps": dict(n_steps=3, gap_seconds=0.5),
+    "3steps-free": dict(n_steps=3, gap_seconds=0.25, barrier_each_step=False),
+}
+
+
+def coio(per_file):
+    return CollectiveIO(ranks_per_file=per_file)
+
+
+def records_of(run):
+    return [(r.rank, r.op, r.start, r.end, r.nbytes, r.path)
+            for r in run.profiler.records]
+
+
+def run_traced(strategy, n_ranks, data, mode, **kwargs):
+    tracer = configure_trace("summary")
+    try:
+        run = run_checkpoint_steps(strategy, n_ranks, data, seed=11,
+                                   coalesce=mode, **kwargs)
+    finally:
+        configure_trace("off")
+    return run, tracer.summary()
+
+
+def assert_coio_identical(strategy, n_ranks, data, **kwargs):
+    """off vs require, compared on everything a run leaves behind."""
+    off, off_trace = run_traced(strategy, n_ranks, data, "off", **kwargs)
+    on, on_trace = run_traced(strategy, n_ranks, data, "require", **kwargs)
+    assert_identical(off, on)
+    assert_file_images_identical(off, on)
+    assert off.job.fabric.stats() == on.job.fabric.stats()
+    assert off.job.engine.now == on.job.engine.now
+    assert records_of(off) == records_of(on)
+    assert off_trace == on_trace
+    return off
+
+
+@pytest.mark.parametrize("steps", list(STEP_MODES))
+@pytest.mark.parametrize("payload", [False, True], ids=["sizes", "payload"])
+@pytest.mark.parametrize("config", [None, STORMY], ids=["noisy", "stormy"])
+@pytest.mark.parametrize("n_ranks", [64, 128])
+@pytest.mark.parametrize("per_file", [64, None], ids=["64to1", "nf1"])
+def test_coio_exact(per_file, n_ranks, config, payload, steps):
+    off = assert_coio_identical(coio(per_file), n_ranks,
+                                shared_data(payload=payload), config=config,
+                                **STEP_MODES[steps])
+    assert off.fs.stats()["opens"] > 0
+    if config is STORMY:
+        assert off.fs.stats()["storms"] > 0
+
+
+@pytest.mark.parametrize("per_file,n_ranks,config,steps", [
+    (64, 256, None, "1step"),
+    (None, 256, None, "3steps"),
+    (64, 256, STORMY, "3steps-free"),
+    (64, 1024, None, "1step"),
+    (None, 1024, STORMY, "1step"),
+], ids=lambda v: "stormy" if v is STORMY else str(v))
+def test_coio_exact_larger(per_file, n_ranks, config, steps):
+    assert_coio_identical(coio(per_file), n_ranks, shared_data(payload=False),
+                          config=config, **STEP_MODES[steps])
+
+
+def test_coio_exact_without_header_and_with_ragged_last_group():
+    data = CheckpointData([Field("a", 3000), Field("b", 0), Field("c", 5000)],
+                          header_bytes=0)
+    assert_coio_identical(coio(48), 128, data)      # groups of 48, 48, 32
+    assert_coio_identical(coio(None), 64, data, n_steps=2)  # back to back
+
+
+@pytest.mark.parametrize("block_size,straddler", [(1024, "aggregator"),
+                                                  (8192, "member")])
+def test_coio_exact_when_an_extent_straddles_a_domain(block_size, straddler):
+    """The domain boundary falls inside aggregator 32's own block (it ships
+    the head to aggregator 0 between the members' sends) or inside member
+    33's block (two sends, one ``all_of`` wait) — asserted, not assumed."""
+    data = shared_data(payload=True)
+    layout = FileLayout.uniform(data.header_bytes, data.field_sizes, 64)
+    aggs = pick_aggregators(64, 2)
+    split = set()
+    for i, nbytes in enumerate(data.field_sizes):
+        ex = FlatExchange.for_hints(
+            [(layout.block_offset(i, r), nbytes) for r in range(64)],
+            Hints(), block_size)
+        split |= {r for r in range(64) if len(ex.sends(r)) > 1}
+    assert split and all((r in aggs) == (straddler == "aggregator")
+                         for r in split)
+    config = intrepid().with_(fs_block_size=block_size)
+    for n_ranks, per_file in ((128, 64), (64, None)):
+        assert_coio_identical(coio(per_file), n_ranks, data, config=config,
+                              **STEP_MODES["3steps"])
+
+
+@pytest.mark.parametrize("per_file", [16, None], ids=["16to1", "nf1"])
+def test_coio_restore_after_a_coalesced_run(per_file):
+    """The restore wave runs one process per rank on the same job, so a
+    replayed member must leave behind what its own checkpoint() would have:
+    without the cached file communicator it splits again and the
+    aggregators, which hold theirs, never join."""
+    data = shared_data()
+    off, on = (run_resilient_campaign(coio(per_file), 64, data, n_steps=2,
+                                      seed=11, coalesce=mode)
+               for mode in ("off", "require"))
+    assert_identical(off.run, on.run)
+    assert off.run.job.engine.now == on.run.job.engine.now
+    assert records_of(off.run) == records_of(on.run)
+    want = [as_bytes(f.payload) for f in data.fields]
+    for rank in range(64):
+        assert off.restored[rank][0] == on.restored[rank][0] == 1
+        assert [as_bytes(f) for f in off.restored[rank][1]] == want
+        assert [as_bytes(f) for f in on.restored[rank][1]] == want
+
+
+def test_coio_plan_shape():
+    plan = coio(64).coalesce_plan(256)
+    aggregators = {g * 64 + a for g in range(4) for a in pick_aggregators(64, 2)}
+    assert [g.members for g in plan.groups[:2]] == [
+        tuple(range(1, 32)), tuple(range(33, 64))]
+    assert len(plan.groups) == 8
+    covered = set()
+    for g in plan.groups:
+        assert g.is_contiguous and g.rep == g.members[0]
+        assert covered.isdisjoint(g.members)
+        covered.update(g.members)
+    assert covered == set(range(256)) - aggregators
+    # nf=1: the 31-rank runs between the world communicator's aggregators.
+    nf1 = coio(None).coalesce_plan(2048)
+    assert len(nf1.groups) == 64
+    assert all(len(g.members) == 31 and g.members[0] % 32 == 1
+               for g in nf1.groups)
+    # Ragged last file group: its own (smaller) communicator, own aggregators.
+    ragged = coio(48).coalesce_plan(128)
+    assert [g.members for g in ragged.groups] == [
+        tuple(range(1, 48)), tuple(range(49, 96)), tuple(range(97, 128))]
+
+
+def test_coio_offers_no_plan_without_a_flat_full_write_member():
+    assert coio(64).configure_tam("auto").coalesce_plan(256) is None
+    assert CollectiveIO(64, Hints(tam="auto")).coalesce_plan(256) is None
+    assert coio(64).configure_delta("auto").coalesce_plan(256) is None
+    # Every rank an aggregator: nobody left to replay.
+    assert CollectiveIO(64, Hints(ranks_per_aggregator=1)
+                        ).coalesce_plan(256) is None
+
+
+@pytest.mark.parametrize("case", ["builder", "tam", "delta", "faults"])
+def test_coio_auto_without_a_plan_equals_off(case):
+    runs = []
+    for mode in ("off", "auto"):
+        strategy, data, kwargs = coio(16), shared_data(), {}
+        if case == "builder":
+            data = lambda rank, d=data: d  # noqa: E731
+        elif case == "tam":
+            strategy.configure_tam("auto")
+        elif case == "delta":
+            strategy.configure_delta("auto")
+        else:
+            kwargs["faults"] = FaultSchedule((
+                FaultSpec(kind="fs_error", time=0.0, op="write", count=1),))
+        runs.append(run_checkpoint_steps(strategy, 32, data, n_steps=2,
+                                         seed=5, coalesce=mode, **kwargs))
+    assert_identical(*runs)
+    assert records_of(runs[0]) == records_of(runs[1])
 
 
 def test_bad_coalesce_value_rejected():

@@ -173,6 +173,35 @@ def test_fig10_distribution_synchronized_groups():
     assert len(np.unique(np.round(times, 9))) <= 1024 // 64 + 1
 
 
+@pytest.mark.parametrize("key", ["coio_64", "coio_nf1"])
+def test_coio_figure_runs_equal_the_uncoalesced_reference(key):
+    """``get_run`` takes coIO's coalesce plan; every figure value it feeds
+    (result arrays, Darshan write intervals, fs counters) must be the
+    uncoalesced run's, at the default noisy calibration."""
+    from repro.experiments import run_checkpoint_step
+    from repro.experiments.figures import problem_for, strategy_for
+
+    n = 1024
+    strategy = strategy_for(key, n)
+    assert strategy.coalesce_plan(n) is not None
+    ref = run_checkpoint_step(strategy, n, problem_for(n).data(),
+                              coalesce="off")
+    got = get_run(key, n)
+    for attr in ("ranks", "t_start", "t_blocked_end", "t_complete",
+                 "bytes_local", "isend_seconds"):
+        assert np.array_equal(getattr(got.result, attr),
+                              getattr(ref.result, attr)), attr
+    assert got.result.roles == ref.result.roles
+    assert got.write_intervals.intervals == \
+        ref.profiler.write_intervals().intervals
+    assert got.fs_stats == ref.fs.stats()
+    if key == "coio_64":
+        ranks, times = fig10_distribution_coio(n_ranks=n)
+        assert np.array_equal(ranks, ref.result.ranks)
+        assert np.array_equal(times,
+                              ref.result.t_complete - ref.result.t_start)
+
+
 def test_fig11_two_lines():
     out = fig11_distribution_rbio(n_ranks=1024, config=QUIET)
     assert out["writer_mask"].sum() == 16

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Job, MPIError, run_spmd
+from repro.mpi.core import Mailbox
+from repro.sim import Engine
 from repro.topology import intrepid
 
 
@@ -204,3 +206,149 @@ def test_many_to_one_incast_ordering():
     n = 64
     results = run_spmd(main, n, QUIET)
     assert results[0] == 1000 * sum(range(1, n))
+
+
+def test_exact_receives_match_out_of_order_arrivals():
+    """An aggregator drains its senders in file-offset order, not arrival
+    order: fully specified receives pick the right queued message."""
+    def main(ctx):
+        if ctx.rank == 0:
+            yield ctx.engine.timeout(1.0)   # let everything queue up first
+            got = []
+            for src in (3, 1, 2):
+                for tag in (21, 20):
+                    msg = yield from ctx.comm.recv(source=src, tag=tag)
+                    got.append((msg.source, msg.tag, msg.payload))
+            return got
+        for tag in (20, 21):
+            yield from ctx.comm.send(0, nbytes=8, tag=tag,
+                                     payload=f"{ctx.rank}:{tag}")
+
+    results = run_spmd(main, 4, QUIET)
+    assert results[0] == [(s, t, f"{s}:{t}") for s in (3, 1, 2)
+                          for t in (21, 20)]
+
+
+def test_exact_and_wildcard_receives_pending_on_one_mailbox():
+    """Posted before anything arrives: each message goes to the first
+    posted receive it matches, exact or wildcard alike."""
+    def main(ctx):
+        if ctx.rank == 0:
+            comm = ctx.comm
+            exact = comm.irecv(source=2, tag=5)
+            any_source = comm.irecv(source=ANY_SOURCE, tag=5)
+            anything = comm.irecv()
+            late_exact = comm.irecv(source=1, tag=5)
+            msgs = yield from comm.waitall(
+                [exact, any_source, anything, late_exact])
+            return [(m.source, m.tag) for m in msgs]
+        # Rank r sends at time r: 1 (tag 5), 2 (tag 5), 3 (tag 6), 1 again.
+        yield ctx.engine.timeout(float(ctx.rank))
+        yield from ctx.comm.send(0, nbytes=8, tag=6 if ctx.rank == 3 else 5)
+        if ctx.rank == 1:
+            yield ctx.engine.timeout(5.0)
+            yield from ctx.comm.send(0, nbytes=8, tag=5)
+
+    results = run_spmd(main, 4, QUIET)
+    # 1's first message skips the exact (2, 5) receive and takes the
+    # any-source one; 3's tag-6 message only fits the full wildcard.
+    assert results[0] == [(2, 5), (1, 5), (3, 6), (1, 5)]
+
+
+# ---------------------------------------------------------------------------
+# Mailbox.get_exact — (source, tag) matched inline, same discipline as a filter
+# ---------------------------------------------------------------------------
+
+class _Msg:
+    def __init__(self, source, tag, body=None):
+        self.source, self.tag, self.body = source, tag, body
+
+    def __repr__(self):
+        return f"m({self.source},{self.tag},{self.body})"
+
+
+def _drive(script):
+    """Run ``script(store, got)`` (a generator) and return what it collected."""
+    eng = Engine()
+    store = Mailbox(eng)
+    got = []
+    eng.process(script(eng, store, got))
+    eng.run()
+    return store, got
+
+
+def test_mailbox_get_exact_takes_oldest_match_and_leaves_the_rest():
+    def script(eng, store, got):
+        for m in (_Msg(1, 7, "a"), _Msg(2, 7, "b"), _Msg(1, 7, "c"),
+                  _Msg(1, 8, "d")):
+            store.put(m)
+        got.append((yield store.get_exact(1, 8)).body)   # out of order
+        got.append((yield store.get_exact(1, 7)).body)   # oldest of two
+        got.append((yield store.get_exact(1, 7)).body)
+
+    store, got = _drive(script)
+    assert got == ["d", "a", "c"]
+    assert [m.body for m in store.peek_all()] == ["b"]
+
+
+def test_mailbox_get_exact_pending_getter_woken_only_by_its_match():
+    def script(eng, store, got):
+        ev = store.get_exact(3, 5)
+        store.put(_Msg(3, 4, "wrong tag"))
+        store.put(_Msg(2, 5, "wrong source"))
+        assert not ev.triggered
+        store.put(_Msg(3, 5, "mine"))
+        got.append((yield ev).body)
+
+    store, got = _drive(script)
+    assert got == ["mine"]
+    assert [m.body for m in store.peek_all()] == ["wrong tag", "wrong source"]
+
+
+def test_mailbox_mixed_getters_on_one_mailbox_served_in_arrival_order():
+    """Wildcard, filtered and exact getters pending together: every put
+    goes to the *first* getter it satisfies, whatever that getter's kind."""
+    def script(eng, store, got):
+        exact_a = store.get_exact(1, 7)
+        wildcard = store.get()
+        filtered = store.get(lambda m: m.tag == 9)
+        exact_b = store.get_exact(1, 7)
+        store.put(_Msg(4, 9, "p"))   # exact_a no; wildcard yes
+        store.put(_Msg(1, 7, "q"))   # exact_a (registered before exact_b)
+        store.put(_Msg(1, 7, "r"))   # filtered no (tag); exact_b
+        store.put(_Msg(5, 9, "s"))   # filtered
+        for name, ev in (("exact_a", exact_a), ("wildcard", wildcard),
+                         ("filtered", filtered), ("exact_b", exact_b)):
+            got.append((name, (yield ev).body))
+
+    store, got = _drive(script)
+    assert got == [("exact_a", "q"), ("wildcard", "p"), ("filtered", "s"),
+                   ("exact_b", "r")]
+    assert store.peek_all() == []
+
+
+def test_mailbox_get_exact_delivers_like_the_closure_filter():
+    """Same puts and gets through both paths: identical delivery order."""
+    arrivals = [(s, t) for s in (3, 1, 2) for t in (11, 10)] * 2
+    wanted = [(2, 10), (1, 11), (3, 10), (2, 10), (1, 10), (3, 11), (9, 9)]
+
+    def make(exact):
+        def script(eng, store, got):
+            pending = []
+            for i, (s, t) in enumerate(wanted):
+                if i == 3:  # half queued first, half found pending getters
+                    for n, (ps, pt) in enumerate(arrivals):
+                        store.put(_Msg(ps, pt, n))
+                pending.append(
+                    store.get_exact(s, t) if exact else
+                    store.get(lambda m, s=s, t=t: m.source == s and m.tag == t))
+            for ev in pending[:-1]:
+                got.append((yield ev).body)
+            assert not pending[-1].triggered
+        return script
+
+    store_f, got_f = _drive(make(exact=False))
+    store_e, got_e = _drive(make(exact=True))
+    assert got_e == got_f
+    assert [m.body for m in store_e.peek_all()] == \
+        [m.body for m in store_f.peek_all()]

@@ -120,41 +120,10 @@ def test_regionmap_global_range():
     assert rm.total_bytes == 160
 
 
-def test_regionmap_senders_overlapping():
-    # Ranks 0..3 write 100 bytes each, contiguous.
-    rm = RegionMap([(i * 100, 100) for i in range(4)])
-    senders = rm.senders_overlapping(150, 250)
-    assert senders == [(1, 150, 200), (2, 200, 250)]
-
-
-def test_regionmap_senders_exact_boundaries():
-    rm = RegionMap([(0, 100), (100, 100)])
-    assert rm.senders_overlapping(0, 100) == [(0, 0, 100)]
-    assert rm.senders_overlapping(100, 200) == [(1, 100, 200)]
-
-
-def test_regionmap_empty_range():
-    rm = RegionMap([(0, 100)])
-    assert rm.senders_overlapping(50, 50) == []
-
-
 def test_regionmap_zero_length_regions_ignored_in_range():
     rm = RegionMap([(0, 0), (10, 5)])
     assert rm.lo == 10
     assert rm.hi == 15
-
-
-def test_regionmap_zero_length_does_not_hide_overlap():
-    """A zero-length region at the same offset must not end the scan early."""
-    rm = RegionMap([(0, 400), (0, 0), (0, 0), (0, 0)])
-    senders = rm.senders_overlapping(100, 200)
-    assert senders == [(0, 100, 200)]
-
-
-def test_regionmap_unsorted_input():
-    rm = RegionMap([(200, 100), (0, 100), (100, 100)])
-    senders = rm.senders_overlapping(0, 300)
-    assert [s[0] for s in senders] == [1, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +165,15 @@ def test_domains_more_domains_than_bytes():
     assert spans[0] == (0, 1)
     assert spans[1] == (1, 2)
     assert all(lo == hi for lo, hi in spans[2:])  # empty tail domains
+
+
+def test_domain_boundaries_vectorised_match_scalar():
+    for lo, hi, n, bs, align in [(100, 10 * 4096 + 17, 3, 4096, True),
+                                 (0, 2, 8, 1, False), (0, 0, 4, 64, True),
+                                 (7, 1000, 5, 64, True), (0, 999, 4, 1, False)]:
+        fd = FileDomains(lo, hi, n, block_size=bs, align=align)
+        assert fd.boundaries().tolist() == [
+            fd._boundary(k) for k in range(n + 1)]
 
 
 def test_domains_overlapping_query():
@@ -253,6 +231,97 @@ def test_pick_aggregators_validation():
         pick_aggregators(4, 0)
 
 
+def scalar_plan(raw, n_aggregators, block_size, align=True):
+    """Loop reference for :class:`FlatExchange`: what each rank used to
+    work out for itself (sends) and each aggregator for its domain."""
+    active = [(o, o + n) for o, n in raw if n > 0]
+    lo = min((a for a, _b in active), default=0)
+    hi = max((b for _a, b in active), default=0)
+    fd = FileDomains(lo, hi, n_aggregators, block_size, align=align)
+    aggs = pick_aggregators(len(raw), n_aggregators)
+    sends = []
+    for off, n in raw:
+        mine = []
+        if n > 0:
+            for k in fd.domains_overlapping(off, off + n):
+                dlo, dhi = fd.domain(k)
+                a, b = max(off, dlo), min(off + n, dhi)
+                if b > a:
+                    mine.append((aggs[k], a, b))
+        sends.append(mine)
+    by_offset = sorted(range(len(raw)), key=lambda r: raw[r][0])
+    expected = tuple(
+        tuple(r for r in by_offset
+              if r != agg and any(d == agg for d, _a, _b in sends[r]))
+        for agg in aggs)
+    return sends, expected
+
+
+def assert_plan_matches_scalar(raw, n_aggregators, block_size, align=True):
+    ex = FlatExchange(raw, n_aggregators, block_size, align=align)
+    sends, expected = scalar_plan(raw, n_aggregators, block_size, align)
+    assert [ex.sends(r) for r in range(len(raw))] == sends
+    assert ex.expected == expected
+    return ex
+
+
+def test_flat_exchange_senders_in_file_offset_order():
+    # Ranks hold the file's thirds out of rank order; one domain.
+    ex = assert_plan_matches_scalar([(200, 100), (0, 100), (100, 100)], 1, 1)
+    assert ex.expected == ((1, 2),)  # rank 0 is the aggregator itself
+    assert ex.sends(2) == [(0, 100, 200)]
+
+
+def test_flat_exchange_splits_an_extent_at_the_domain_boundary():
+    # Two 300 B domains; rank 1's extent straddles the boundary and is
+    # shipped as one piece to each aggregator (ranks 0 and 2).
+    ex = assert_plan_matches_scalar(
+        [(0, 250), (250, 350), (600, 0), (600, 0)], 2, 1, align=False)
+    assert ex.sends(0) == [(0, 0, 250)]
+    assert ex.sends(1) == [(0, 250, 300), (2, 300, 600)]
+    assert ex.expected == ((1,), (1,))
+
+
+def test_flat_exchange_exact_boundaries_send_one_piece():
+    ex = assert_plan_matches_scalar([(0, 100), (100, 100)], 2, 1, align=False)
+    assert ex.sends(0) == [(0, 0, 100)]
+    assert ex.sends(1) == [(1, 100, 200)]
+    assert ex.expected == ((), ())
+
+
+def test_flat_exchange_zero_length_does_not_hide_a_sender():
+    """Zero-length regions at a real region's offset contribute nothing and
+    must not hide it from the aggregator."""
+    ex = assert_plan_matches_scalar([(0, 0), (0, 400), (0, 0), (0, 0)], 1, 1)
+    assert ex.expected == ((1,),)
+    assert ex.sends(0) == ex.sends(2) == []
+
+
+@given(
+    lengths=st.lists(st.integers(0, 300), min_size=1, max_size=24),
+    gaps=st.lists(st.integers(0, 40), min_size=24, max_size=24),
+    order_seed=st.integers(0, 10_000),
+    agg_div=st.integers(1, 8),
+    bs=st.sampled_from([1, 16, 64, 256]),
+    align=st.booleans(),
+    base=st.integers(0, 500),
+)
+@settings(max_examples=150, deadline=None)
+def test_flat_exchange_plan_equals_per_rank_loop(lengths, gaps, order_seed,
+                                                 agg_div, bs, align, base):
+    """The vectorised plan is the per-rank loop, for any non-overlapping
+    extents (unordered, gapped, empty ones mixed in, degenerate domains)."""
+    n = len(lengths)
+    slots = np.random.default_rng(order_seed).permutation(n)
+    raw = [None] * n
+    pos = base
+    for slot in slots:
+        pos += gaps[slot]
+        raw[slot] = (pos, lengths[slot])
+        pos += lengths[slot]
+    assert_plan_matches_scalar(raw, max(1, n // agg_div), bs, align)
+
+
 def test_flat_exchange_is_the_per_rank_geometry_built_once():
     raw = [(100 * r, 100) for r in range(64)]
     ex = FlatExchange(raw, n_aggregators=2, block_size=64)
@@ -264,7 +333,8 @@ def test_flat_exchange_is_the_per_rank_geometry_built_once():
         want.domain(k) for k in range(2)]
     # Nothing written anywhere: still constructible (ranks then only sync).
     empty = FlatExchange([(0, 0)] * 4, n_aggregators=1, block_size=64)
-    assert empty.regions.hi <= empty.regions.lo
+    assert empty.empty and not ex.empty
+    assert empty.expected == ((),)
 
 
 # ---------------------------------------------------------------------------

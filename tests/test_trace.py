@@ -401,6 +401,8 @@ def _run_fingerprint(approach, n_ranks, *, delta="off", tam="off",
 @pytest.mark.parametrize("cfg", [
     dict(approach="1pfpp", n_ranks=32),
     dict(approach="coio_64", n_ranks=64),
+    dict(approach="coio_64", n_ranks=64, coalesce="off"),
+    dict(approach="coio_nf1", n_ranks=128, coalesce="require", n_steps=2),
     dict(approach="coio_64", n_ranks=64, tam="require"),
     dict(approach="rbio_ng", n_ranks=64),
     dict(approach="rbio_ng", n_ranks=64, tam="require"),
