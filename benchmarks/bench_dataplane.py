@@ -18,7 +18,7 @@ import time
 import numpy as np
 from _common import SMOKE, bench_record, print_series
 
-from repro import buffers
+from repro import RunConfig
 from repro.ckpt import (
     BurstBufferIO,
     CheckpointData,
@@ -68,26 +68,21 @@ def _data_builder(per_field: int):
 
 def _measure(make_strategy, per_field: int, mode: str) -> dict:
     """One run in one copy mode: copies/byte + wall seconds."""
-    prev = buffers.set_copy_mode(mode)
-    try:
-        buffers.stats.reset()
-        t0 = time.perf_counter()
-        run_checkpoint_steps(make_strategy(), N_RANKS,
-                             _data_builder(per_field), 1,
-                             config=intrepid().quiet())
-        wall = time.perf_counter() - t0
-        checkpointed = N_RANKS * N_FIELDS * per_field
-        snap = buffers.stats.snapshot()
-        return {
-            "bytes_checkpointed": checkpointed,
-            "bytes_copied": snap["bytes_copied"],
-            "buffer_allocs": snap["buffer_allocs"],
-            "copies_per_byte": snap["bytes_copied"] / checkpointed,
-            "wall_seconds": wall,
-        }
-    finally:
-        buffers.set_copy_mode(prev)
-        buffers.stats.reset()
+    t0 = time.perf_counter()
+    run = run_checkpoint_steps(make_strategy(), N_RANKS,
+                               _data_builder(per_field), 1,
+                               config=intrepid().quiet(),
+                               run_config=RunConfig(copy=mode))
+    wall = time.perf_counter() - t0
+    checkpointed = N_RANKS * N_FIELDS * per_field
+    metrics = run.job.metrics()
+    return {
+        "bytes_checkpointed": checkpointed,
+        "bytes_copied": metrics.get("copy.bytes_copied"),
+        "buffer_allocs": metrics.get("copy.buffer_allocs"),
+        "copies_per_byte": metrics.get("copy.bytes_copied") / checkpointed,
+        "wall_seconds": wall,
+    }
 
 
 def test_dataplane_copies(benchmark):

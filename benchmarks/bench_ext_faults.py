@@ -18,6 +18,7 @@ sweep): fault counts are per-campaign, so scaling np only dilutes them.
 
 from _common import SMOKE, bench_np, bench_record, cached_point, print_series
 
+from repro import RunConfig
 from repro.campaign.shim import (
     failover_campaign,
     failover_metrics,
@@ -55,7 +56,8 @@ def test_fault_rate_overhead_sweep(benchmark):
         rows = rate_rows(SWEEP_CAMPAIGN)
         baseline = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=WPW), NP, _data(NP),
-            N_STEPS, gap_seconds=GAP, coalesce="off",
+            N_STEPS, gap_seconds=GAP,
+            run_config=RunConfig(coalesce="off"),
         ).results[-1]
         return rows, baseline.overall_time
 

@@ -60,17 +60,19 @@ CPN = QUIET.cores_per_node
 
 _RECORD: dict = {"np_sweep": list(NP_SWEEP), "cores_per_node": CPN}
 
-#: The fabric-stats keys every cell carries into the record.
-_KEYS = ("fabric_msgs_intra", "fabric_msgs_inter",
-         "fabric_bytes_intra", "fabric_bytes_inter",
-         "tam_msgs", "tam_packages", "tam_coalesce_ratio")
+#: The ``Job.metrics()`` counters every cell carries into the record.
+_KEYS = ("fabric.msgs_intra", "fabric.msgs_inter",
+         "fabric.bytes_intra", "fabric.bytes_inter",
+         "fabric.tam_msgs", "fabric.tam_packages",
+         "fabric.tam_coalesce_ratio")
 
 
 def _cell(strategy, n_ranks: int) -> dict:
-    """Run one checkpoint step; return fabric stats + headline timing."""
+    """Run one checkpoint step; return fabric counters + headline timing."""
     run = run_checkpoint_step(strategy, n_ranks,
                               problem_for(n_ranks).data(), config=QUIET)
-    out = {k: run.job.fabric.stats()[k] for k in _KEYS}
+    metrics = run.job.metrics()
+    out = {k: metrics.get(k) for k in _KEYS}
     out["gbps"] = run.result.write_bandwidth / 1e9
     return out
 
@@ -79,8 +81,8 @@ def _rbio_pair(n_ranks: int) -> dict:
     flat = _cell(strategy_for("rbio_ng", n_ranks), n_ranks)
     tam = _cell(strategy_for("rbio_ng", n_ranks, tam="require"), n_ranks)
     return {"np": n_ranks, "flat": flat, "tam": tam,
-            "reduction": flat["fabric_msgs_inter"]
-            / tam["fabric_msgs_inter"]}
+            "reduction": flat["fabric.msgs_inter"]
+            / tam["fabric.msgs_inter"]}
 
 
 def _coio_pair(cb_nodes: int) -> dict:
@@ -91,8 +93,8 @@ def _coio_pair(cb_nodes: int) -> dict:
     flat = _cell(build("off"), COIO_NP)
     tam = _cell(build("require"), COIO_NP)
     return {"cb_nodes": cb_nodes, "flat": flat, "tam": tam,
-            "reduction": flat["fabric_msgs_inter"]
-            / tam["fabric_msgs_inter"]}
+            "reduction": flat["fabric.msgs_inter"]
+            / tam["fabric.msgs_inter"]}
 
 
 def test_rbio_inter_node_message_reduction(benchmark):
@@ -108,8 +110,8 @@ def test_rbio_inter_node_message_reduction(benchmark):
         f"cores/node={CPN}",
         ["np", "flat msgs", "TAM msgs", "reduction", "flat GB/s",
          "TAM GB/s"],
-        [[r["np"], r["flat"]["fabric_msgs_inter"],
-          r["tam"]["fabric_msgs_inter"], f"{r['reduction']:.2f}x",
+        [[r["np"], r["flat"]["fabric.msgs_inter"],
+          r["tam"]["fabric.msgs_inter"], f"{r['reduction']:.2f}x",
           f"{r['flat']['gbps']:.3f}", f"{r['tam']['gbps']:.3f}"]
          for r in rows],
     )
@@ -121,18 +123,18 @@ def test_rbio_inter_node_message_reduction(benchmark):
         groups = r["np"] // WPW
         # Scaling shape, not just a factor: flat sends one message per
         # remote *rank* per aggregator, TAM one per remote *node*.
-        assert r["flat"]["fabric_msgs_inter"] == groups * (WPW - CPN)
-        assert r["tam"]["fabric_msgs_inter"] == groups * (WPW // CPN - 1)
+        assert r["flat"]["fabric.msgs_inter"] == groups * (WPW - CPN)
+        assert r["tam"]["fabric.msgs_inter"] == groups * (WPW // CPN - 1)
         # Every package still crosses the node boundary exactly once, so
         # inter-node *bytes* are identical; only the message count drops.
-        assert (r["tam"]["fabric_bytes_inter"]
-                == r["flat"]["fabric_bytes_inter"])
-        assert r["tam"]["tam_coalesce_ratio"] > 1.0
-        assert r["flat"]["tam_msgs"] == 0
+        assert (r["tam"]["fabric.bytes_inter"]
+                == r["flat"]["fabric.bytes_inter"])
+        assert r["tam"]["fabric.tam_coalesce_ratio"] > 1.0
+        assert r["flat"]["fabric.tam_msgs"] == 0
     _RECORD["rbio"] = [
         {"np": r["np"], "reduction": r["reduction"],
-         "flat_msgs_inter": r["flat"]["fabric_msgs_inter"],
-         "tam_msgs_inter": r["tam"]["fabric_msgs_inter"],
+         "flat_msgs_inter": r["flat"]["fabric.msgs_inter"],
+         "tam_msgs_inter": r["tam"]["fabric.msgs_inter"],
          "flat_gbps": r["flat"]["gbps"], "tam_gbps": r["tam"]["gbps"]}
         for r in rows
     ]
@@ -152,8 +154,8 @@ def test_coio_reduction_across_aggregator_counts(benchmark):
         f"coIO (nf=1, np={COIO_NP}) inter-node fabric messages vs "
         "aggregator count, flat vs TAM",
         ["cb_nodes", "flat msgs", "TAM msgs", "reduction"],
-        [[r["cb_nodes"], r["flat"]["fabric_msgs_inter"],
-          r["tam"]["fabric_msgs_inter"], f"{r['reduction']:.2f}x"]
+        [[r["cb_nodes"], r["flat"]["fabric.msgs_inter"],
+          r["tam"]["fabric.msgs_inter"], f"{r['reduction']:.2f}x"]
          for r in rows],
     )
     for r in rows:
@@ -162,13 +164,13 @@ def test_coio_reduction_across_aggregator_counts(benchmark):
         # largest aggregator count (where more leaders are themselves
         # aggregators and have nothing to forward).
         assert CPN / 2 < r["reduction"] <= CPN
-        assert (r["tam"]["fabric_bytes_inter"]
-                == r["flat"]["fabric_bytes_inter"])
-        assert r["tam"]["tam_msgs"] > 0
+        assert (r["tam"]["fabric.bytes_inter"]
+                == r["flat"]["fabric.bytes_inter"])
+        assert r["tam"]["fabric.tam_msgs"] > 0
     _RECORD["coio"] = [
         {"cb_nodes": r["cb_nodes"], "reduction": r["reduction"],
-         "flat_msgs_inter": r["flat"]["fabric_msgs_inter"],
-         "tam_msgs_inter": r["tam"]["fabric_msgs_inter"]}
+         "flat_msgs_inter": r["flat"]["fabric.msgs_inter"],
+         "tam_msgs_inter": r["tam"]["fabric.msgs_inter"]}
         for r in rows
     ]
     bench_record("ext_tam", **_RECORD)

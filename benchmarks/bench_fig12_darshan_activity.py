@@ -59,22 +59,19 @@ def test_fig12_activity_parity_from_span_store(benchmark):
     two views, no chance to disagree.  Runs at a fixed tiny np on every
     scale tier; the figure itself covers the paper scale.
     """
-    import repro.trace as trace_mod
+    from repro import RunConfig
     from repro.experiments.figures import problem_for, strategy_for
     from repro.experiments.runner import run_checkpoint_steps
-    from repro.trace import configure_trace
     from repro.trace.export import write_intervals_from_spans
 
     n = 128
     for key in ("rbio_ng", "coio_64"):
-        tr = configure_trace("full")
-        try:
-            run = run_checkpoint_steps(strategy_for(key, n), n,
-                                       problem_for(n).data(), 1)
-            legacy = run.profiler.write_intervals()
-            rebuilt = write_intervals_from_spans(trace_mod.tracer)
-        finally:
-            configure_trace("off")
+        run = run_checkpoint_steps(strategy_for(key, n), n,
+                                   problem_for(n).data(), 1,
+                                   run_config=RunConfig(trace="full"))
+        tr = run.job.tracer
+        legacy = run.profiler.write_intervals()
+        rebuilt = write_intervals_from_spans(tr)
         assert rebuilt.intervals == legacy.intervals, key
         l_starts, l_counts = legacy.activity(0.25)
         s_starts, s_counts = rebuilt.activity(0.25)

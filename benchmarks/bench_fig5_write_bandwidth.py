@@ -8,9 +8,13 @@ few GB/s on single-file extent allocation; coIO 64:1 rises then drops at
 
 from _common import PAPER_SCALE, SIZES, bench_record, print_series
 
-from repro.buffers import stats as buffer_stats
 from repro.campaign.shim import figure_campaign, prefetch_campaign
-from repro.experiments import APPROACHES, APPROACH_LABELS, fig5_write_bandwidth
+from repro.experiments import (
+    APPROACHES,
+    APPROACH_LABELS,
+    fig5_write_bandwidth,
+    get_run,
+)
 
 #: The whole figure as one declarative campaign; prefetching its expansion
 #: warms the same caches the legacy (approach, np) loop did, byte for byte.
@@ -19,7 +23,6 @@ CAMPAIGN = figure_campaign("fig5_write_bandwidth", tuple(APPROACHES), SIZES)
 
 def test_fig5_write_bandwidth(benchmark):
     prefetch_campaign(CAMPAIGN)
-    buffer_stats.reset()
     out = benchmark.pedantic(
         lambda: fig5_write_bandwidth(sizes=SIZES), rounds=1, iterations=1
     )
@@ -30,7 +33,8 @@ def test_fig5_write_bandwidth(benchmark):
     print_series("Fig 5: write bandwidth", ["approach"] + [f"np={n}" for n in SIZES], rows)
     bench_record("fig5_write_bandwidth", gbps={
         key: {str(n): out[key][n] for n in SIZES} for key in out
-    }, bytes_copied=buffer_stats.bytes_copied)
+    }, bytes_copied=sum(get_run(key, n).bytes_copied
+                        for key in out for n in SIZES))
 
     for n in SIZES:
         # rbIO nf=ng beats its nf=1 variant; the two nf=1 variants are

@@ -6,13 +6,16 @@ rbIO bars stay nearly flat up to 65,536 processors.
 
 from _common import PAPER_SCALE, SIZES, bench_record, prefetch, print_series
 
-from repro.buffers import stats as buffer_stats
-from repro.experiments import APPROACHES, APPROACH_LABELS, fig6_overall_time
+from repro.experiments import (
+    APPROACHES,
+    APPROACH_LABELS,
+    fig6_overall_time,
+    get_run,
+)
 
 
 def test_fig6_overall_time(benchmark):
     prefetch((key, n) for key in APPROACHES for n in SIZES)
-    buffer_stats.reset()
     out = benchmark.pedantic(
         lambda: fig6_overall_time(sizes=SIZES), rounds=1, iterations=1
     )
@@ -24,7 +27,8 @@ def test_fig6_overall_time(benchmark):
                   ["approach"] + [f"np={n}" for n in SIZES], rows)
     bench_record("fig6_overall_time", seconds={
         key: {str(n): out[key][n] for n in SIZES} for key in out
-    }, bytes_copied=buffer_stats.bytes_copied)
+    }, bytes_copied=sum(get_run(key, n).bytes_copied
+                        for key in out for n in SIZES))
 
     if PAPER_SCALE:
         for n in SIZES:

@@ -38,8 +38,7 @@ Quickstart::
     print(run.result.write_bandwidth / 1e9, "GB/s")
 """
 
-from .buffers import ByteRope, SegmentList
-from .buffers import stats as buffer_stats
+from .buffers import ByteRope
 from .ckpt import (
     BurstBufferIO,
     CheckpointData,
@@ -52,6 +51,7 @@ from .ckpt import (
     RankReport,
     ReducedBlockingIO,
 )
+from .mpi import RunConfig
 from .topology import MachineConfig, intrepid
 
 __version__ = "1.1.0"
@@ -59,8 +59,6 @@ __version__ = "1.1.0"
 __all__ = [
     "BurstBufferIO",
     "ByteRope",
-    "SegmentList",
-    "buffer_stats",
     "CheckpointData",
     "CheckpointResult",
     "CheckpointSchedule",
@@ -70,6 +68,7 @@ __all__ = [
     "OneFilePerProcess",
     "RankReport",
     "ReducedBlockingIO",
+    "RunConfig",
     "MachineConfig",
     "intrepid",
     "__version__",

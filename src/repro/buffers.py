@@ -12,106 +12,84 @@ offset/length views, never flatten mid-pipeline), this module provides an
 immutable rope of ``memoryview`` segments so a checkpoint's bytes are
 copied exactly once — at the final file-system commit boundary.
 
-:class:`ByteRope` (alias :data:`SegmentList`) supports ``slice`` /
-``concat`` / ``split_at`` without touching payload bytes, computes CRC32
-iteratively over its segments, compares content against any bytes-like
-without materializing, and converts to flat ``bytes`` lazily (memoized) via
-:meth:`ByteRope.to_bytes`.
+:class:`ByteRope` supports ``slice`` / ``concat`` / ``split_at`` without
+touching payload bytes, computes CRC32 iteratively over its segments,
+compares content against any bytes-like without materializing, and
+converts to flat ``bytes`` lazily (memoized) via :meth:`ByteRope.to_bytes`.
 
 Accounting
 ----------
-Every materializing operation records into the module-level :data:`stats`
-(``bytes_copied`` / ``buffer_allocs``), surfaced through
-``Engine.counters()`` and ``DarshanProfiler.summary()`` so the zero-copy
-win is measurable (``benchmarks/bench_dataplane.py``).
+A rope is a value type with no owner to reach a job through, so copy
+accounting uses the one scoped carrier in the code base: :func:`run_scope`,
+entered by :meth:`repro.mpi.Job.run` for the duration of dispatch, names
+the run's stats object (``bytes_copied`` / ``buffer_allocs`` / ``eager``).
+Every materializing operation inside the scope records into it —
+published as ``copy.*`` by :meth:`repro.mpi.Job.metrics` — and nested or
+alternately-advanced jobs each see their own.  Outside a run, ropes work
+and count nothing.
 
-:func:`set_copy_mode` switches the module between ``"zerocopy"`` (default)
-and ``"eager"``.  Eager mode materializes at every hop — reproducing the
-pre-rope copy-per-hop behavior byte for byte — which is what the data-plane
-benchmark and the rope-vs-bytes property tests compare against.  Both modes
-produce bit-identical committed file images; only host copies differ.
+A run configured with ``RunConfig(copy="eager")`` materializes at every
+hop — reproducing the pre-rope copy-per-hop behavior byte for byte — which
+is what the data-plane benchmark and the rope-vs-bytes property tests
+compare against.  Both modes produce bit-identical committed file images;
+only host copies differ.
 """
 
 from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional, Union
 
 __all__ = [
     "ByteRope",
-    "SegmentList",
-    "BufferStats",
-    "stats",
+    "COPY_MODES",
+    "run_scope",
     "concat",
+    "concat_once",
     "zeros",
     "overlay",
     "as_bytes",
     "crc32_of",
-    "set_copy_mode",
-    "copy_mode",
 ]
 
 BytesLike = Union[bytes, bytearray, memoryview, "ByteRope"]
 
 
-class BufferStats:
-    """Process-wide data-plane copy counters.
+#: Data-plane copy disciplines a run can select (``RunConfig.copy``).
+COPY_MODES = ("zerocopy", "eager")
 
-    ``bytes_copied`` counts payload bytes physically moved between host
-    buffers; ``buffer_allocs`` counts the fresh buffers those moves filled.
-    Zero-copy operations (slice, concat, split, CRC, equality) never touch
-    either counter.
+#: The scoped current-run carrier: the stats object of the job whose
+#: ``run()`` is dispatching (``None`` outside a run).  The only
+#: module-level run state in ``repro``; only this module reads it.
+_run: ContextVar = ContextVar("repro_current_run", default=None)
+
+
+@contextmanager
+def run_scope(stats):
+    """Make ``stats`` the current run for the ``with`` body, then restore.
+
+    ``stats`` needs an ``eager`` flag, ``count_copy(nbytes)`` and a
+    weak-keyed ``ropes`` memo — :class:`repro.mpi.RunStats` in practice.
     """
-
-    __slots__ = ("bytes_copied", "buffer_allocs")
-
-    def __init__(self) -> None:
-        self.bytes_copied = 0
-        self.buffer_allocs = 0
-
-    def reset(self) -> None:
-        """Zero both counters (benchmark / test isolation)."""
-        self.bytes_copied = 0
-        self.buffer_allocs = 0
-
-    def count_copy(self, nbytes: int, allocs: int = 1) -> None:
-        """Record one materialization of ``nbytes`` into ``allocs`` buffers."""
-        self.bytes_copied += nbytes
-        self.buffer_allocs += allocs
-
-    def snapshot(self) -> dict:
-        """Counter values as a plain dict (for records and summaries)."""
-        return {"bytes_copied": self.bytes_copied,
-                "buffer_allocs": self.buffer_allocs}
+    token = _run.set(stats)
+    try:
+        yield stats
+    finally:
+        _run.reset(token)
 
 
-#: The module-wide counter instance every rope operation reports to.
-stats = BufferStats()
-
-_MODES = ("zerocopy", "eager")
-_mode = "zerocopy"
+#: The current run's stats object, or ``None`` outside a run.
+_current_run = _run.get
 
 
-def set_copy_mode(mode: str) -> str:
-    """Select the data-plane copy discipline; returns the previous mode.
-
-    ``"zerocopy"`` (default) moves segment references between hops and
-    copies only at the FS-commit boundary.  ``"eager"`` materializes every
-    slice/concat/zeros into fresh ``bytes`` — the pre-rope behavior — so
-    benchmarks can measure the reduction against a faithful baseline.
-    """
-    global _mode
-    if mode not in _MODES:
-        raise ValueError(f"unknown copy mode {mode!r}; expected one of {_MODES}")
-    prev = _mode
-    _mode = mode
-    return prev
-
-
-def copy_mode() -> str:
-    """The active copy discipline (``"zerocopy"`` or ``"eager"``)."""
-    return _mode
+def _count_copy(nbytes: int) -> None:
+    """Record one materialization of ``nbytes`` into one fresh buffer."""
+    run = _current_run()
+    if run is not None:
+        run.count_copy(nbytes)
 
 
 #: Shared zero page backing `zeros()` ropes (sparse reads, file headers).
@@ -193,9 +171,10 @@ class ByteRope:
             return EMPTY
         if len(ropes) == 1:
             return ropes[0]
-        if _mode == "eager":
+        run = _current_run()
+        if run is not None and run.eager:
             data = b"".join(s for r in ropes for s in r._segments)
-            stats.count_copy(len(data))
+            run.count_copy(len(data))
             return cls._flat_rope(data)
         segments = []
         starts = []
@@ -220,9 +199,10 @@ class ByteRope:
         n = stop - start
         if n == 0:
             return EMPTY
-        if _mode == "eager":
+        run = _current_run()
+        if run is not None and run.eager:
             data = b"".join(self._iter_range(start, stop))
-            stats.count_copy(n)
+            run.count_copy(n)
             return ByteRope._flat_rope(data)
         segments = tuple(self._iter_range(start, stop))
         starts = []
@@ -275,7 +255,7 @@ class ByteRope:
         flat = self._flat
         if flat is None:
             flat = b"".join(self._segments)
-            stats.count_copy(len(flat))
+            _count_copy(len(flat))
             self._flat = flat
         return flat
 
@@ -368,9 +348,6 @@ class ByteRope:
                 f"{' (flat)' if self._flat is not None else ''}>")
 
 
-#: ISSUE/API alias: a rope *is* the segment list.
-SegmentList = ByteRope
-
 #: The canonical empty rope (shared; every empty result is this object).
 EMPTY = ByteRope._new((), [], 0, b"")
 ByteRope.EMPTY = EMPTY
@@ -381,17 +358,35 @@ def concat(parts) -> ByteRope:
     return ByteRope.concat(parts)
 
 
+def concat_once(owner, parts) -> ByteRope:
+    """``concat(parts)``, built once per run for ``owner``.
+
+    The memo is the current run's (``stats.ropes``, weak-keyed by
+    ``owner``), so a rope one run flattened is never served to another and
+    each run's copy accounting is independent of what ran before it.
+    Outside a run nothing is cached.
+    """
+    run = _current_run()
+    if run is None:
+        return ByteRope.concat(parts)
+    rope = run.ropes.get(owner)
+    if rope is None:
+        rope = run.ropes[owner] = ByteRope.concat(parts)
+    return rope
+
+
 def zeros(n: int) -> ByteRope:
     """A rope of ``n`` zero bytes backed by one shared page (no allocation).
 
     Sparse-file reads and master headers are all zeros; in zero-copy mode
-    they reference the module's zero page, in eager mode they allocate (and
-    count) real buffers like the pre-rope code did.
+    they reference the module's zero page, in an eager run they allocate
+    (and count) real buffers like the pre-rope code did.
     """
     if n <= 0:
         return EMPTY
-    if _mode == "eager":
-        stats.count_copy(n)
+    run = _current_run()
+    if run is not None and run.eager:
+        run.count_copy(n)
         return ByteRope._flat_rope(bytes(n))
     full, rem = divmod(n, _ZERO_PAGE_SIZE)
     segments = [_ZERO_VIEW] * full
@@ -454,7 +449,7 @@ def as_bytes(data) -> Optional[bytes]:
         return data.to_bytes()
     if isinstance(data, (bytearray, memoryview)):
         out = bytes(data)
-        stats.count_copy(len(out))
+        _count_copy(len(out))
         return out
     raise TypeError(f"cannot materialize {type(data).__name__} as bytes")
 

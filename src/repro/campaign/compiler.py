@@ -24,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .. import trace as trace_plane
 from ..ckpt import EvolvingData
-from ..ckpt.incremental import stats as delta_stats
 from ..experiments.figures import get_run, problem_for, strategy_for
 from ..experiments.parallel import cache_key
 from ..experiments.resilience import run_resilient_campaign
 from ..experiments.runner import run_checkpoint_steps
 from ..faults import FaultConfig, FaultSchedule, faults_of
+from ..mpi import RunConfig
 from ..sim import StreamRegistry
 from ..topology import MachineConfig
 from .spec import CampaignSpec
@@ -175,6 +174,22 @@ def expand(spec: CampaignSpec) -> ExpandedCampaign:
     return ExpandedCampaign(spec, tuple(points), tuple(skipped))
 
 
+#: Result-dict keys of a delta point (``delta.<key>`` in ``Job.metrics()``).
+_DELTA_KEYS = ("bytes_logical", "bytes_to_pfs", "chunk_hits", "chunk_misses")
+
+#: Result-dict keys of a tam point -> their ``Job.metrics()`` names.  The
+#: flat spellings are part of the result format caches and readers hold.
+_FABRIC_KEYS = {
+    "fabric_msgs_intra": "fabric.msgs_intra",
+    "fabric_msgs_inter": "fabric.msgs_inter",
+    "fabric_bytes_intra": "fabric.bytes_intra",
+    "fabric_bytes_inter": "fabric.bytes_inter",
+    "tam_msgs": "fabric.tam_msgs",
+    "tam_packages": "fabric.tam_packages",
+    "tam_coalesce_ratio": "fabric.tam_coalesce_ratio",
+}
+
+
 def run_point(point: CampaignPoint) -> dict:
     """Execute one point; return a JSON-clean metrics dict.
 
@@ -204,26 +219,12 @@ def run_point(point: CampaignPoint) -> dict:
             "gbps": res.write_bandwidth / 1e9,
         })
         return out
-    from ..profiling import configure_profiling
-    prev_profiling = None
-    if point.trace != "off":
-        trace_plane.configure_trace(point.trace)
-    else:
-        # Non-figure sweep points never read their profiles: run with the
-        # zero-cost None-profiler (figure points go through get_run,
-        # whose summaries read ``run.profiler``, so they keep it on).
-        prev_profiling = configure_profiling("off")
-    try:
-        return _run_point_live(point, out)
-    finally:
-        if point.trace != "off":
-            trace_plane.configure_trace("off")
-        if prev_profiling is not None:
-            configure_profiling(prev_profiling)
-
-
-def _run_point_live(point: CampaignPoint, out: dict) -> dict:
-    """The non-figure execution body (trace/profiling already configured)."""
+    # Non-figure sweep points never read their profiles: run with the
+    # zero-cost None-profiler unless the point is traced (a tracer forces
+    # a live profiler; figure points go through get_run, whose summaries
+    # read ``run.profiler``, so they keep it on).
+    run_config = RunConfig(trace=point.trace, profiling="off",
+                           faults=point.faults)
     strategy = strategy_for(point.approach, point.n_ranks,
                             delta=point.delta, tam=point.tam)
     if point.points_per_rank is not None:
@@ -233,14 +234,12 @@ def _run_point_live(point: CampaignPoint, out: dict) -> dict:
             seed=0 if point.seed is None else point.seed)
     else:
         data = problem_for(point.n_ranks).data()
-    if point.delta != "off":
-        delta_stats.reset()
     if point.resume:
         campaign = run_resilient_campaign(
             strategy, point.n_ranks, data, n_steps=point.n_steps,
-            faults=point.faults, config=point.config, seed=point.seed,
+            config=point.config, seed=point.seed,
             basedir=point.basedir, fs_type=point.fs_type,
-            gap_seconds=point.gaps)
+            gap_seconds=point.gaps, run_config=run_config)
         run = campaign.run
         report = campaign.fault_report
         out.update({
@@ -253,7 +252,7 @@ def _run_point_live(point: CampaignPoint, out: dict) -> dict:
             strategy, point.n_ranks, data, point.n_steps,
             config=point.config, seed=point.seed, basedir=point.basedir,
             fs_type=point.fs_type, gap_seconds=point.gaps,
-            faults=point.faults)
+            run_config=run_config)
         report = faults_of(run.job).report()
     res = run.results[-1]
     out.update({
@@ -265,16 +264,12 @@ def _run_point_live(point: CampaignPoint, out: dict) -> dict:
         "gbps": res.write_bandwidth / 1e9,
         "per_step_blocking": [r.blocking_time for r in run.results],
     })
+    metrics = run.job.metrics()
     if point.delta != "off":
-        out.update(delta_stats.snapshot())
+        out.update({key: metrics.get(f"delta.{key}") for key in _DELTA_KEYS})
     if point.tam != "off":
-        # Per-job fabric instance counters (not the process-wide snapshot),
-        # so sharded campaign workers report their own point's traffic.
-        fs = run.job.fabric.stats()
-        out.update({k: fs[k] for k in
-                    ("fabric_msgs_intra", "fabric_msgs_inter",
-                     "fabric_bytes_intra", "fabric_bytes_inter",
-                     "tam_msgs", "tam_packages", "tam_coalesce_ratio")})
-    if point.trace != "off" and trace_plane.tracer is not None:
-        out["trace_summary"] = trace_plane.tracer.summary()
+        out.update({flat: metrics.get(name)
+                    for flat, name in _FABRIC_KEYS.items()})
+    if run.job.tracer is not None:
+        out["trace_summary"] = run.job.tracer.summary()
     return out

@@ -15,12 +15,18 @@ Built on :class:`http.server.ThreadingHTTPServer` — no dependencies, good
 enough for many concurrent polling clients (the service itself serializes
 on its own lock; the worker pool does the heavy lifting).  Invalid specs
 come back as ``400`` with the :class:`~repro.campaign.spec.SpecError`
-message; unknown campaign ids as ``404``.
+message; unknown campaign ids as ``404``.  The edge is bounded: request
+bodies over :data:`MAX_BODY_BYTES` are refused with ``413`` before a byte
+is read, a negative or non-integer ``Content-Length`` is a ``400``, a
+client that stalls for :data:`REQUEST_TIMEOUT_S` gets a ``408`` and loses
+its connection, and an unexpected exception in a handler comes back as a
+JSON ``500`` naming the exception type (traceback in the log).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -28,7 +34,16 @@ from typing import Optional
 from .service import SweepService
 from .spec import SpecError
 
-__all__ = ["make_server", "start_server", "serve_forever"]
+__all__ = ["make_server", "start_server", "serve_forever",
+           "MAX_BODY_BYTES", "REQUEST_TIMEOUT_S"]
+
+#: Largest accepted request body; a campaign spec is a few KiB of JSON.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may sit idle mid-request before it is dropped.
+REQUEST_TIMEOUT_S = 30.0
+
+_log = logging.getLogger(__name__)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -36,6 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-campaign/1"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S  # applied to the socket by setup()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -64,8 +80,39 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(raw)
 
-    def _error(self, code: int, message: str) -> None:
+    def _error(self, code: int, message: str, close: bool = False) -> None:
+        if close:
+            # The request body was not (fully) consumed: the connection
+            # cannot be reused for a next request.
+            self.close_connection = True
         self._send(code, {"error": message})
+
+    def _internal_error(self, exc: Exception) -> None:
+        _log.exception("unhandled error serving %s %s", self.command,
+                       self.path)
+        self._send(500, {"error": str(exc) or type(exc).__name__,
+                         "type": type(exc).__name__})
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after answering 400/408/413."""
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(400, f"bad Content-Length: {raw!r}", close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"request body of {length} bytes exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit", close=True)
+            return None
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, "timed out reading the request body",
+                        close=True)
+            return None
 
     # -- routes ------------------------------------------------------------
 
@@ -94,15 +141,19 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"no such endpoint: {self.path}")
         except KeyError as exc:
             self._error(404, str(exc.args[0]) if exc.args else "not found")
+        except Exception as exc:  # the server must outlive a handler bug
+            self._internal_error(exc)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         if self.path.rstrip("/") != "/campaigns":
             self._error(404, f"no such endpoint: {self.path}")
             return
+        raw = self._read_body()
+        if raw is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError) as exc:
+            body = json.loads(raw or b"{}")
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8
             self._error(400, f"bad JSON body: {exc}")
             return
         spec = body.get("spec", body) if isinstance(body, dict) else None

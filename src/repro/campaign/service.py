@@ -241,9 +241,9 @@ class SweepService:
         """Live telemetry as a :class:`repro.trace.MetricsRegistry`.
 
         Backs the HTTP ``/metrics`` endpoint: service counters and load
-        gauges under ``campaign.``, plus the process-wide engine/fabric/
-        delta counter snapshot under its canonical ``repro.trace.SCHEMA``
-        names (one scrape shows both the service and the simulator).
+        gauges under ``campaign.``.  Simulator counters belong to one job
+        each (:meth:`repro.mpi.Job.metrics`) and reach clients through
+        the per-point results, not this process-level scrape.
         """
         from ..trace import MetricsRegistry
         registry = MetricsRegistry()

@@ -73,7 +73,7 @@ DELTA_MODES = ("off", "auto", "require")
 TAM_MODES = ("off", "auto", "require")
 
 #: Trace-capture modes the ``grid.trace`` axis accepts
-#: (see :func:`repro.trace.configure_trace`).
+#: (see :class:`repro.mpi.RunConfig`).
 TRACE_MODES = ("off", "summary", "full")
 
 

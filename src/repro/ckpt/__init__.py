@@ -31,7 +31,6 @@ from .incremental import (
     chunk_spans,
     manifest_path,
 )
-from .incremental import stats as delta_stats
 from .layout import FileLayout
 from .onefileper import OneFilePerProcess
 from .rbio import ReducedBlockingIO
@@ -69,7 +68,6 @@ __all__ = [
     "chunk_spans",
     "checkpoint_instants",
     "checkpoint_ratio",
-    "delta_stats",
     "manifest_path",
     "production_improvement",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .. import trace as _trace
 from ..mpi import RankContext
 from .data import CheckpointData
 from .result import RankReport
@@ -265,7 +264,7 @@ class CheckpointStrategy:
         Spans never schedule engine events or touch simulation state, so
         trace ``off``/``summary``/``full`` runs stay bit-identical.
         """
-        tr = _trace.tracer
+        tr = ctx.job.tracer
         if tr is not None:
             tr.span(ctx.rank, name, cat, t_start, t_end, nbytes,
                     members=members, args=args or None)
@@ -274,7 +273,7 @@ class CheckpointStrategy:
     def _report(ctx: RankContext, role: str, t_start: float,
                 t_blocked_end: float, t_complete: float, nbytes: int,
                 isend_seconds: float = 0.0) -> RankReport:
-        tr = _trace.tracer
+        tr = ctx.job.tracer
         if tr is not None:
             tr.span(ctx.rank, "checkpoint", "ckpt", t_start, t_complete,
                     nbytes, args={"role": role,

@@ -112,7 +112,7 @@ class BurstBufferIO(ReducedBlockingIO):
         """The job's staging service, attached on first use."""
         svc = staging_of(ctx.job)
         if svc is None:
-            svc = attach_staging(ctx.job, self.staging, profiler=ctx.profiler)
+            svc = attach_staging(ctx.job, self.staging)
         return svc
 
     def _partner_rank(self, svc: StagingService, ctx: RankContext) -> int:
@@ -135,7 +135,7 @@ class BurstBufferIO(ReducedBlockingIO):
         manifest.  Returns ``(pfs_commits, wire_nbytes)`` for the staged
         package.
         """
-        from .incremental import Manifest, manifest_path, shift_fresh, stats
+        from .incremental import Manifest, manifest_path, shift_fresh
 
         group = self.group_of(ctx.rank)
         parents = cache.get("delta_parent")
@@ -162,7 +162,7 @@ class BurstBufferIO(ReducedBlockingIO):
         )
         to_pfs = header_bytes + fresh_total + len(blob)
         cache["delta_parent"] = (step, {s.member: s for s in sections})
-        stats.record_commit(group_bytes, to_pfs, hits, misses)
+        ctx.job.stats.record_commit(group_bytes, to_pfs, hits, misses)
         return commits, to_pfs
 
     def _stage_package(self, ctx: RankContext, layout, image, step: int,

@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .. import trace as _trace
 from ..buffers import zeros
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
@@ -233,7 +232,7 @@ class CollectiveIO(CheckpointStrategy):
         Each member then issues one collective write of its fresh region;
         the group's rank 0 writes the manifest.
         """
-        from .incremental import (Manifest, plan_section, shift_fresh, stats,
+        from .incremental import (Manifest, plan_section, shift_fresh,
                                   write_manifest)
 
         eng = ctx.engine
@@ -286,7 +285,8 @@ class CollectiveIO(CheckpointStrategy):
             manifest_bytes = yield from write_manifest(ctx, manifest, path)
             to_pfs += header_bytes + manifest_bytes
         cache["delta_parent"] = (step, manifest.section_for(comm.rank))
-        stats.record_commit(data.total_bytes, to_pfs, plan.hits, plan.misses)
+        ctx.job.stats.record_commit(data.total_bytes, to_pfs, plan.hits,
+                                    plan.misses)
         t_end = eng.now
         return self._report(ctx, "collective", t0, t_end, t_end,
                             data.total_bytes)
@@ -340,6 +340,7 @@ class _RunReplay:
         job = ctx.job
         self.strategy = strategy
         self.eng = job.engine
+        self.tracer = job.tracer
         self.contexts = job.contexts
         self.world = ctx.comm.comm
         self.comm = comm
@@ -474,9 +475,9 @@ class _MemberReplay:
             self._exchanged)
 
     def _exchanged(self, ev) -> None:
-        tr = _trace.tracer
+        run = self.run
+        tr = run.tracer
         if tr is not None:
-            run = self.run
             i = self.call
             tr.span(self.rank, "exchange", "mpiio", self.t_x0, run.eng.now,
                     0 if i < 0 else run.field_sizes[i],

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..buffers import ByteRope, BytesLike
+from ..buffers import ByteRope, BytesLike, concat_once
 
 __all__ = ["Field", "CheckpointData", "EvolvingData", "BoundEvolvingData"]
 
@@ -69,9 +69,6 @@ class CheckpointData:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names: {names}")
         self.header_bytes = header_bytes
-        # Memoized concatenation, keyed by the copy mode active when built
-        # (eager/zerocopy runs of the same data must not share a cache).
-        self._payload_rope: Optional[tuple[str, ByteRope]] = None
 
     @property
     def n_fields(self) -> int:
@@ -97,20 +94,14 @@ class CheckpointData:
         """All field payloads joined in order (None if any is missing).
 
         Returns a zero-copy :class:`~repro.buffers.ByteRope` referencing
-        the fields' own buffers, memoized per instance — rbIO's buffered
-        nf=ng writer path calls this once per flush, and workers package it
-        every checkpoint step.
+        the fields' own buffers, memoized per instance and run by
+        :func:`repro.buffers.concat_once` — rbIO's buffered nf=ng writer
+        path calls this once per flush, and workers package it every
+        checkpoint step.
         """
         if not self.has_payload:
             return None
-        from ..buffers import copy_mode
-        cached = self._payload_rope
-        mode = copy_mode()
-        if cached is not None and cached[0] == mode:
-            return cached[1]
-        rope = ByteRope.concat([f.payload for f in self.fields])
-        self._payload_rope = (mode, rope)
-        return rope
+        return concat_once(self, [f.payload for f in self.fields])
 
     @classmethod
     def synthetic(cls, bytes_per_field: Sequence[int],

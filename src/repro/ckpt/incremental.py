@@ -29,9 +29,9 @@ machinery that lets every strategy ship only the *changed* chunks:
   :func:`assemble_section` reassembles the member payload from the run
   data and verifies every chunk's CRC32, rejecting any bit-flip.
 
-Accounting lives in the module-level :data:`stats`
+Accounting lives in the owning job's :class:`~repro.mpi.RunStats`
 (``bytes_logical`` / ``bytes_to_pfs`` / ``chunk_hits`` / ``chunk_misses``),
-surfaced through ``Engine.counters()`` and ``DarshanProfiler.summary()``.
+published as ``delta.*`` by :meth:`repro.mpi.Job.metrics`.
 
 Strategies expose all of this behind the ``delta="off"|"auto"|"require"``
 knob (:meth:`~repro.ckpt.CheckpointStrategy.configure_delta`); full-write
@@ -61,8 +61,6 @@ __all__ = [
     "Manifest",
     "SectionPlan",
     "ReadRun",
-    "DeltaStats",
-    "stats",
     "chunk_boundaries",
     "chunk_spans",
     "chunk_digest",
@@ -596,10 +594,13 @@ def write_manifest(ctx, manifest: Manifest, data_path: str):
     blob = manifest.to_bytes()
     path = manifest_path(data_path)
     eng = ctx.engine
-    handle = yield from retry_fs(eng, lambda: ctx.fs.create(path))
+    tracer = ctx.job.tracer
+    handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                 tracer=tracer)
     yield from retry_fs(
         eng, lambda: ctx.fs.write(handle, 0, len(blob),
-                                  payload=ByteRope.wrap(blob)))
+                                  payload=ByteRope.wrap(blob)),
+        tracer=tracer)
     yield from ctx.fs.close(handle)
     return len(blob)
 
@@ -629,52 +630,6 @@ def read_manifest(ctx, data_path: str, step: int):
             f"{path!r} describes step {manifest.step}, expected {step}",
             step=step, path=path, rank=ctx.rank)
     return manifest
-
-
-# ---------------------------------------------------------------------------
-# Accounting
-# ---------------------------------------------------------------------------
-
-class DeltaStats:
-    """Process-wide incremental-checkpointing counters.
-
-    ``bytes_logical`` counts the application state a delta commit covered;
-    ``bytes_to_pfs`` the bytes it actually shipped (header + fresh chunks
-    + manifest).  ``chunk_hits`` / ``chunk_misses`` count parent-manifest
-    dedup outcomes.  Full-write (``delta="off"``) commits touch none of
-    these — the counters isolate the incremental subsystem's effect.
-    """
-
-    __slots__ = ("bytes_logical", "bytes_to_pfs", "chunk_hits",
-                 "chunk_misses")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.bytes_logical = 0
-        self.bytes_to_pfs = 0
-        self.chunk_hits = 0
-        self.chunk_misses = 0
-
-    def record_commit(self, logical: int, to_pfs: int, hits: int,
-                      misses: int) -> None:
-        self.bytes_logical += logical
-        self.bytes_to_pfs += to_pfs
-        self.chunk_hits += hits
-        self.chunk_misses += misses
-
-    def snapshot(self) -> dict:
-        return {
-            "bytes_logical": self.bytes_logical,
-            "bytes_to_pfs": self.bytes_to_pfs,
-            "chunk_hits": self.chunk_hits,
-            "chunk_misses": self.chunk_misses,
-        }
-
-
-#: The module-wide counter instance every delta commit reports to.
-stats = DeltaStats()
 
 
 def crc32_concat(parts) -> int:

@@ -61,7 +61,8 @@ class OneFilePerProcess(CheckpointStrategy):
         if self._delta_active(data):
             return (yield from self._checkpoint_delta(ctx, data, step, path,
                                                       t0))
-        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path))
+        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                     tracer=ctx.job.tracer)
         # POSIX stream write: header and fields leave the node as one
         # buffered sequential burst.
         total = data.header_bytes + data.total_bytes
@@ -70,7 +71,8 @@ class OneFilePerProcess(CheckpointStrategy):
             payload = ByteRope.concat(
                 [zeros(data.header_bytes), data.concatenated_payload()])
         yield from retry_fs(
-            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload))
+            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload),
+            tracer=ctx.job.tracer)
         yield from ctx.fs.close(handle)
         t_end = eng.now
         return self._report(ctx, "independent", t0, t_end, t_end, data.total_bytes)
@@ -83,7 +85,7 @@ class OneFilePerProcess(CheckpointStrategy):
         written alongside maps every logical chunk to the generation and
         offset that holds its bytes.
         """
-        from .incremental import (Manifest, plan_section, shift_fresh, stats,
+        from .incremental import (Manifest, plan_section, shift_fresh,
                                   write_manifest)
 
         eng = ctx.engine
@@ -104,16 +106,18 @@ class OneFilePerProcess(CheckpointStrategy):
             parent=parent[0] if parent else None,
             header_bytes=data.header_bytes, chunking=self.chunking,
             sections=(section,))
-        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path))
+        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                     tracer=ctx.job.tracer)
         total = data.header_bytes + plan.fresh_bytes
         payload = ByteRope.concat([zeros(data.header_bytes), plan.fresh])
         yield from retry_fs(
-            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload))
+            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload),
+            tracer=ctx.job.tracer)
         yield from ctx.fs.close(handle)
         manifest_bytes = yield from write_manifest(ctx, manifest, path)
         cache["delta_parent"] = (step, section)
-        stats.record_commit(data.total_bytes, total + manifest_bytes,
-                            plan.hits, plan.misses)
+        ctx.job.stats.record_commit(data.total_bytes, total + manifest_bytes,
+                                    plan.hits, plan.misses)
         t_end = eng.now
         return self._report(ctx, "independent", t0, t_end, t_end,
                             data.total_bytes)

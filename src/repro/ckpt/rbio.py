@@ -839,7 +839,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         still send full packages (the fast path is untouched); dedup is
         writer-side against the previous generation's manifest.
         """
-        from .incremental import Manifest, shift_fresh, stats, write_manifest
+        from .incremental import Manifest, shift_fresh, write_manifest
 
         eng = ctx.engine
         group = self.group_of(ctx.rank)
@@ -873,7 +873,8 @@ class ReducedBlockingIO(CheckpointStrategy):
         yield from f.close()
         manifest_bytes = yield from write_manifest(ctx, manifest, path)
         cache["delta_parent"] = (step, {s.member: s for s in sections})
-        stats.record_commit(group_bytes, total + manifest_bytes, hits, misses)
+        ctx.job.stats.record_commit(group_bytes, total + manifest_bytes,
+                                    hits, misses)
 
     def _commit_shared_delta(self, ctx: RankContext, cache: dict,
                              member_sizes, member_payloads,
@@ -884,7 +885,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         merge places each writer's fresh region by prefix sum, producing a
         single manifest (members keyed by world rank) written by writer 0.
         """
-        from .incremental import Manifest, shift_fresh, stats, write_manifest
+        from .incremental import Manifest, shift_fresh, write_manifest
 
         eng = ctx.engine
         wcomm = cache["wcomm"]
@@ -940,7 +941,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         mine = set(member_ids)
         cache["delta_parent"] = (step, {
             s.member: s for s in manifest.sections if s.member in mine})
-        stats.record_commit(group_bytes, to_pfs, hits, misses)
+        ctx.job.stats.record_commit(group_bytes, to_pfs, hits, misses)
 
     def _commit_shared(self, ctx: RankContext, wcomm, layout: FileLayout,
                        member_sizes: list[tuple[int, ...]],

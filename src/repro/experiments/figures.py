@@ -101,6 +101,8 @@ class RunSummary:
     result: CheckpointResult
     write_intervals: IntervalRecorder
     fs_stats: dict
+    #: ``copy.bytes_copied`` of the run (0 for size-only figure workloads).
+    bytes_copied: int = 0
 
 
 _CACHE: dict[tuple, RunSummary] = {}
@@ -168,6 +170,7 @@ def _compute_summary(point: tuple) -> RunSummary:
         result=run.result,
         write_intervals=run.profiler.write_intervals(),
         fs_stats=run.fs.stats(),
+        bytes_copied=run.job.metrics().get("copy.bytes_copied"),
     )
 
 
@@ -422,9 +425,6 @@ def eq1_production_improvement(n_ranks: int = 16384, nc: int = 20,
         "ratio_rbio_blocking": new.blocking_time / t_comp,
         "improvement_commit": improvement_commit,
         "improvement_blocking": improvement_blocking,
-        # Backwards-compatible aliases.
-        "ratio_rbio": new.blocking_time / t_comp,
-        "improvement": improvement_commit,
     }
 
 

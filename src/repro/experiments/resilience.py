@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from ..ckpt import CheckpointStrategy
 from ..faults import FaultConfig, FaultSchedule, faults_of
+from ..mpi import RunConfig
 from ..sim import StreamRegistry
 from ..topology import MachineConfig, intrepid
 from .runner import CheckpointRun, DataBuilder, _data_fn, run_checkpoint_steps
@@ -71,19 +72,20 @@ def _restore_main(ctx, strategy: CheckpointStrategy, data_fn, steps, basedir):
 
 def run_resilient_campaign(strategy: CheckpointStrategy, n_ranks: int,
                            data: DataBuilder, n_steps: int = 2,
-                           faults: Optional[FaultSchedule] = None,
                            config: Optional[MachineConfig] = None,
                            seed: Optional[int] = None,
                            basedir: str = "/ckpt",
                            fs_type: str = "gpfs",
                            gap_seconds: float = 0.0,
                            barrier_each_step: bool = True,
-                           coalesce: str = "auto",
-                           restore: bool = True) -> ResilientCampaign:
+                           restore: bool = True,
+                           run_config: Optional[RunConfig] = None
+                           ) -> ResilientCampaign:
     """Checkpoint ``n_steps`` generations under faults, then restart.
 
-    The restore wave is spawned on the *same* job after the checkpoint
-    wave (and every background drain) has completed, trying generations
+    The fault schedule is ``run_config.faults``.  The restore wave is
+    spawned on the *same* job after the checkpoint wave (and every
+    background drain) has completed, trying generations
     newest first; it returns ``(step, fields)`` per rank or raises
     :class:`~repro.faults.UnrecoverableCheckpointError` when no generation
     survives — never a silently corrupt restore.  All ranks participate in
@@ -92,8 +94,7 @@ def run_resilient_campaign(strategy: CheckpointStrategy, n_ranks: int,
     run = run_checkpoint_steps(
         strategy, n_ranks, data, n_steps, config=config, seed=seed,
         basedir=basedir, fs_type=fs_type, gap_seconds=gap_seconds,
-        barrier_each_step=barrier_each_step, coalesce=coalesce,
-        faults=faults,
+        barrier_each_step=barrier_each_step, run_config=run_config,
     )
     restored = None
     if restore:
@@ -131,7 +132,8 @@ def resilience_sweep(strategy: CheckpointStrategy, n_ranks: int,
             StreamRegistry(root_seed + 7919 * i), n_ranks, cfg)
         run = run_checkpoint_steps(
             strategy, n_ranks, data, n_steps, config=config, seed=seed,
-            fs_type=fs_type, gap_seconds=gap_seconds, faults=schedule,
+            fs_type=fs_type, gap_seconds=gap_seconds,
+            run_config=RunConfig(faults=schedule),
         )
         inj = faults_of(run.job)
         report = inj.report()

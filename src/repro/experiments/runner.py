@@ -13,12 +13,11 @@ from typing import Callable, Optional, Sequence, Union
 from ..ckpt import CheckpointData, CheckpointResult, CheckpointStrategy
 from ..ckpt.data import EvolvingData
 from ..ckpt.result import RankReport
-from ..faults import FaultSchedule, attach_faults
-from ..mpi import Job
-from .. import trace as _trace
-from ..profiling import DarshanProfiler, make_profiler
+from ..faults import attach_faults
+from ..mpi import Job, RunConfig
+from ..profiling import DarshanProfiler
 from ..storage import attach_storage
-from ..topology import MachineConfig, intrepid
+from ..topology import MachineConfig
 
 __all__ = ["CheckpointRun", "normalize_gaps", "run_checkpoint_step",
            "run_checkpoint_steps"]
@@ -57,16 +56,19 @@ def normalize_gaps(gap_seconds: GapSpec, n_steps: int) -> tuple[float, ...]:
 class CheckpointRun:
     """Everything produced by a checkpoint experiment run.
 
-    ``profiler`` is ``None`` when profiling was switched off via
-    :func:`repro.profiling.configure_profiling` (sweeps that never read
-    profiles); figure pipelines always run with it on.
+    ``profiler`` is ``None`` when the run's ``RunConfig`` switched
+    profiling off (sweeps that never read profiles); figure pipelines
+    always run with it on.
     """
 
-    def __init__(self, job: Job, profiler: Optional[DarshanProfiler],
-                 results: list[CheckpointResult]) -> None:
+    def __init__(self, job: Job, results: list[CheckpointResult]) -> None:
         self.job = job
-        self.profiler = profiler
         self.results = results
+
+    @property
+    def profiler(self) -> Optional[DarshanProfiler]:
+        """The job's I/O profiler."""
+        return self.job.profiler
 
     @property
     def result(self) -> CheckpointResult:
@@ -147,8 +149,8 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                          fs_type: str = "gpfs",
                          gap_seconds: GapSpec = 0.0,
                          barrier_each_step: bool = True,
-                         coalesce: str = "auto",
-                         faults: Optional[FaultSchedule] = None) -> CheckpointRun:
+                         run_config: Optional[RunConfig] = None
+                         ) -> CheckpointRun:
     """Run ``n_steps`` coordinated checkpoint steps; return all results.
 
     Each step writes into its own ``stepNNNNNN`` directory, as NekCEM does
@@ -160,34 +162,20 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     gaps — the form campaign checkpoint rules (every/at in sim or wall
     time) compile down to.
 
-    ``coalesce`` controls symmetry-aware rank coalescing (see
-    :mod:`repro.sim.coalesce`): ``"auto"`` (default) accepts the strategy's
-    plan when all ranks share one :class:`~repro.ckpt.CheckpointData`
-    object, ``"off"`` forces the full SPMD run, ``"require"`` raises if no
-    plan is available (used by the exactness tests).  Coalesced runs are
-    bit-identical to uncoalesced ones.
-
-    ``faults`` attaches a :class:`~repro.faults.FaultSchedule` to the job
-    (see :mod:`repro.faults`).  A non-empty schedule disables coalescing:
-    faults break the rank symmetry coalescing relies on, so every rank
-    must actually run.
+    ``run_config`` (:class:`~repro.mpi.RunConfig`) selects how the run
+    executes: tracing, profiling, copy mode, symmetry-aware rank
+    coalescing (see :mod:`repro.sim.coalesce`; coalesced runs are
+    bit-identical to uncoalesced ones) and the
+    :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
+    schedule disables coalescing: faults break the rank symmetry
+    coalescing relies on, so every rank must actually run.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if coalesce not in ("auto", "off", "require"):
-        raise ValueError(f"coalesce must be auto/off/require, got {coalesce!r}")
-    if coalesce == "require" and faults:
-        raise ValueError("coalesce='require' is incompatible with a "
-                         "non-empty fault schedule")
-    config = config if config is not None else intrepid()
-    job = Job(n_ranks, config, seed=seed)
-    profiler = make_profiler()
-    if _trace.tracer is not None:
-        _trace.tracer.cores_per_node = config.cores_per_node
-    fs = attach_storage(job, profiler=profiler, fs_type=fs_type)
+    job = Job(n_ranks, config, seed=seed, run_config=run_config)
+    coalesce, faults = job.run_config.coalesce, job.run_config.faults
+    fs = attach_storage(job, fs_type=fs_type)
     attach_faults(job, faults)
-    for ctx in job.contexts:
-        ctx.profiler = profiler
     steps = list(range(n_steps))
     gaps = normalize_gaps(gap_seconds, n_steps)
     writer_set = frozenset()
@@ -244,7 +232,7 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                 fs_stats=fs.stats(),
             )
         )
-    return CheckpointRun(job, profiler, results)
+    return CheckpointRun(job, results)
 
 
 def run_checkpoint_step(strategy: CheckpointStrategy, n_ranks: int,
@@ -253,10 +241,11 @@ def run_checkpoint_step(strategy: CheckpointStrategy, n_ranks: int,
                         seed: Optional[int] = None,
                         basedir: str = "/ckpt",
                         fs_type: str = "gpfs",
-                        coalesce: str = "auto") -> CheckpointRun:
+                        run_config: Optional[RunConfig] = None
+                        ) -> CheckpointRun:
     """Run a single coordinated checkpoint step."""
     return run_checkpoint_steps(strategy, n_ranks, data, 1, config, seed,
-                                basedir, fs_type, coalesce=coalesce)
+                                basedir, fs_type, run_config=run_config)
 
 
 def run_checkpoint_and_restore(strategy: CheckpointStrategy, n_ranks: int,
@@ -264,7 +253,9 @@ def run_checkpoint_and_restore(strategy: CheckpointStrategy, n_ranks: int,
                                config: Optional[MachineConfig] = None,
                                seed: Optional[int] = None,
                                basedir: str = "/ckpt",
-                               fs_type: str = "gpfs") -> dict:
+                               fs_type: str = "gpfs",
+                               run_config: Optional[RunConfig] = None
+                               ) -> dict:
     """One checkpoint step followed by a coordinated restart read.
 
     Returns the checkpoint :class:`~repro.ckpt.CheckpointResult` plus
@@ -272,14 +263,8 @@ def run_checkpoint_and_restore(strategy: CheckpointStrategy, n_ranks: int,
     the slowest rank holds its state again (the restart latency a failure
     recovery pays).
     """
-    config = config if config is not None else intrepid()
-    job = Job(n_ranks, config, seed=seed)
-    profiler = make_profiler()
-    if _trace.tracer is not None:
-        _trace.tracer.cores_per_node = config.cores_per_node
-    fs = attach_storage(job, profiler=profiler, fs_type=fs_type)
-    for ctx in job.contexts:
-        ctx.profiler = profiler
+    job = Job(n_ranks, config, seed=seed, run_config=run_config)
+    fs = attach_storage(job, fs_type=fs_type)
     data_fn = _data_fn(data)
     restore_windows: dict[int, tuple[float, float]] = {}
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .. import trace as _trace
 from ..storage import FSError
 from .schedule import FS_KINDS, NET_KINDS, FaultSchedule
 
@@ -66,7 +65,7 @@ class FaultInjector:
     def log(self, kind: str, **detail: Any) -> None:
         """Record one delivered fault (deterministic, comparable)."""
         self.injected.append({"kind": kind, "time": self.engine.now, **detail})
-        tr = _trace.tracer
+        tr = self.job.tracer
         if tr is not None:
             # Faults (including writer failovers) surface as instant
             # events on the trace timeline, annotated with the same

@@ -13,8 +13,6 @@ the whole generator is safe.
 
 from __future__ import annotations
 
-from .. import trace as _trace
-
 __all__ = ["retry_fs", "DEFAULT_RETRIES", "DEFAULT_BACKOFF"]
 
 DEFAULT_RETRIES = 4
@@ -22,13 +20,15 @@ DEFAULT_BACKOFF = 0.05
 
 
 def retry_fs(engine, attempt, retries: int = DEFAULT_RETRIES,
-             backoff: float = DEFAULT_BACKOFF):
+             backoff: float = DEFAULT_BACKOFF, tracer=None):
     """Run ``attempt()`` (a generator factory), retrying transient errors.
 
     Re-invokes ``attempt`` up to ``retries`` extra times, sleeping
     ``backoff * 2**n`` simulated seconds before retry ``n``.  An error
     without a truthy ``transient`` attribute — or one past the retry
     budget — propagates unchanged.  Returns the attempt's return value.
+    Each retry is recorded as an instant event on ``tracer`` (the job's,
+    when the run is traced).
     """
     tries = 0
     while True:
@@ -37,12 +37,12 @@ def retry_fs(engine, attempt, retries: int = DEFAULT_RETRIES,
         except RuntimeError as exc:
             if not getattr(exc, "transient", False) or tries >= retries:
                 raise
-            tr = _trace.tracer
-            if tr is not None:
-                tr.instant("retry", "fault", engine.now,
-                           rank=getattr(exc, "rank", -1),
-                           args={"error": type(exc).__name__,
-                                 "detail": str(exc), "attempt": tries + 1,
-                                 "backoff": backoff * (2 ** tries)})
+            if tracer is not None:
+                tracer.instant("retry", "fault", engine.now,
+                               rank=getattr(exc, "rank", -1),
+                               args={"error": type(exc).__name__,
+                                     "detail": str(exc),
+                                     "attempt": tries + 1,
+                                     "backoff": backoff * (2 ** tries)})
             yield engine.timeout(backoff * (2 ** tries))
             tries += 1

@@ -9,7 +9,7 @@ from .core import (
     MPIError,
     Request,
 )
-from .job import Job, RankContext, run_spmd
+from .job import Job, RankContext, RunConfig, RunStats, run_spmd
 
 __all__ = [
     "ANY_SOURCE",
@@ -21,5 +21,7 @@ __all__ = [
     "Request",
     "Job",
     "RankContext",
+    "RunConfig",
+    "RunStats",
     "run_spmd",
 ]

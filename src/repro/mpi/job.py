@@ -5,20 +5,123 @@ the world communicator.  ``spawn`` starts one generator per rank (the SPMD
 program); ``run`` drives the engine until every rank finishes and returns
 the per-rank results.
 
-Higher layers (storage, profiling, the NekCEM driver) attach their per-job
+A job is also the unit of configuration and measurement: it is built from
+one frozen :class:`RunConfig` and owns everything a run mutates — its
+span tracer (or ``None``), its profiler (or ``None``), and the
+:class:`RunStats` its copy and delta counters land in — so two jobs in
+one process never see each other's state, and :meth:`Job.metrics` is the
+single publisher of a run's counters.
+
+Higher layers (storage, staging, the NekCEM driver) attach their per-job
 services to the job and their per-rank clients to each :class:`RankContext`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
+from weakref import WeakKeyDictionary
 
+from ..buffers import COPY_MODES, run_scope
 from ..network import Fabric
+from ..profiling import PROFILING_MODES, DarshanProfiler
 from ..sim import Engine, StreamRegistry
 from ..topology import MachineConfig, intrepid
+from ..trace import MODES as TRACE_MODES
+from ..trace import SCHEMA, MetricsRegistry, SpanTracer
 from .core import Communicator, CommView
 
-__all__ = ["Job", "RankContext", "run_spmd"]
+__all__ = ["Job", "RankContext", "RunConfig", "RunStats", "run_spmd"]
+
+COALESCE_MODES = ("auto", "off", "require")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything that selects *how* one run executes (never what it computes).
+
+    ``trace``
+        ``off`` (no tracer, zero cost), ``summary`` (per-phase aggregates)
+        or ``full`` (every span retained for export).
+    ``profiling``
+        ``on`` gives the job a :class:`~repro.profiling.DarshanProfiler`,
+        ``off`` gives it ``None`` — unless tracing is on, which forces a
+        live profiler because fs/phase spans are forwarded from its
+        records.
+    ``copy``
+        ``zerocopy`` moves rope segment references between hops;
+        ``eager`` materializes at every hop (the pre-rope reference the
+        data-plane bench and property tests compare against).
+    ``coalesce``
+        Symmetry-aware rank coalescing in the checkpoint runners:
+        ``auto`` accepts a strategy's plan when all ranks share one
+        ``CheckpointData``, ``off`` forces the full SPMD run, ``require``
+        raises if no plan is available.  Coalesced runs are bit-identical.
+    ``faults``
+        A :class:`~repro.faults.FaultSchedule` the runners attach to the
+        job (a non-empty one disables coalescing), or ``None``.
+    """
+
+    trace: str = "off"
+    profiling: str = "on"
+    copy: str = "zerocopy"
+    coalesce: str = "auto"
+    faults: Any = None
+
+    def __post_init__(self) -> None:
+        for name, allowed in (("trace", TRACE_MODES),
+                              ("profiling", PROFILING_MODES),
+                              ("copy", COPY_MODES),
+                              ("coalesce", COALESCE_MODES)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {value!r}")
+        if self.coalesce == "require" and self.faults:
+            raise ValueError("coalesce='require' is incompatible with a "
+                             "non-empty fault schedule")
+
+
+class RunStats:
+    """One run's copy and delta counters (fabric counts live on the fabric).
+
+    ``bytes_copied`` counts payload bytes physically moved between host
+    buffers and ``buffer_allocs`` the fresh buffers those moves filled;
+    zero-copy rope operations touch neither.  ``bytes_logical`` is the
+    application state delta commits covered, ``bytes_to_pfs`` what they
+    actually shipped (header + fresh chunks + manifest), and
+    ``chunk_hits`` / ``chunk_misses`` the parent-manifest dedup outcomes —
+    all zero while ``delta="off"``.  ``eager`` is the run's copy
+    discipline and ``ropes`` its per-data rope memo, both used by
+    :mod:`repro.buffers` only.
+    """
+
+    __slots__ = ("eager", "ropes", "bytes_copied", "buffer_allocs",
+                 "bytes_logical", "bytes_to_pfs", "chunk_hits",
+                 "chunk_misses")
+
+    def __init__(self, eager: bool = False) -> None:
+        self.eager = eager
+        self.ropes = WeakKeyDictionary()
+        self.bytes_copied = 0
+        self.buffer_allocs = 0
+        self.bytes_logical = 0
+        self.bytes_to_pfs = 0
+        self.chunk_hits = 0
+        self.chunk_misses = 0
+
+    def count_copy(self, nbytes: int) -> None:
+        """Record one materialization of ``nbytes`` into a fresh buffer."""
+        self.bytes_copied += nbytes
+        self.buffer_allocs += 1
+
+    def record_commit(self, logical: int, to_pfs: int, hits: int,
+                      misses: int) -> None:
+        """Record one delta commit."""
+        self.bytes_logical += logical
+        self.bytes_to_pfs += to_pfs
+        self.chunk_hits += hits
+        self.chunk_misses += misses
 
 
 class RankContext:
@@ -35,7 +138,7 @@ class RankContext:
     fs:
         Per-rank file-system client, attached by :mod:`repro.storage`.
     profiler:
-        Per-rank I/O profiler, attached by :mod:`repro.profiling`.
+        The job's I/O profiler, or ``None`` when profiling is off.
     """
 
     __slots__ = ("rank", "comm", "job", "fs", "profiler", "user")
@@ -45,7 +148,7 @@ class RankContext:
         self.comm = comm
         self.job = job
         self.fs = None
-        self.profiler = None
+        self.profiler = job.profiler
         self.user: dict[str, Any] = {}
 
     @property
@@ -73,14 +176,27 @@ class Job:
         Machine constants; defaults to the calibrated Intrepid preset.
     seed:
         Overrides ``config.seed`` for the job's random streams.
+    run_config:
+        How the run executes (tracing, profiling, copy mode, coalescing,
+        faults); defaults to :class:`RunConfig`'s defaults.
     """
 
     def __init__(self, n_ranks: int, config: Optional[MachineConfig] = None,
-                 seed: Optional[int] = None) -> None:
+                 seed: Optional[int] = None,
+                 run_config: Optional[RunConfig] = None) -> None:
         if n_ranks < 1:
             raise ValueError(f"need at least one rank, got {n_ranks}")
         self.config = config if config is not None else intrepid()
         self.n_ranks = n_ranks
+        rc = self.run_config = run_config or RunConfig()
+        self.tracer: Optional[SpanTracer] = None
+        if rc.trace != "off":
+            self.tracer = SpanTracer(rc.trace)
+            self.tracer.cores_per_node = self.config.cores_per_node
+        self.profiler: Optional[DarshanProfiler] = None
+        if rc.profiling == "on" or self.tracer is not None:
+            self.profiler = DarshanProfiler(self.tracer)
+        self.stats = RunStats(eager=rc.copy == "eager")
         self.engine = Engine()
         self.fabric = Fabric(self.engine, self.config, n_ranks)
         self.streams = StreamRegistry(self.config.seed if seed is None else seed)
@@ -109,7 +225,8 @@ class Job:
         Raises if any rank process failed (its exception propagates) or, for
         ``until=None``, if some rank never finished (deadlock diagnosis).
         """
-        self.engine.run(until=until)
+        with run_scope(self.stats):
+            self.engine.run(until=until)
         results: dict[int, Any] = {}
         stuck = []
         # Later spawns for the same rank overwrite earlier results, so a
@@ -136,6 +253,27 @@ class Job:
     def now(self) -> float:
         """Current virtual time."""
         return self.engine.now
+
+    def metrics(self) -> MetricsRegistry:
+        """This run's counters under the canonical ``repro.trace.SCHEMA`` names.
+
+        ``sim.*`` from the engine, ``copy.*`` / ``delta.*`` from the run
+        stats, ``fabric.*`` from the fabric, plus ``trace.*`` phase totals
+        when the run was traced.  A fresh job reports zeros; nothing here
+        is shared with any other job.
+        """
+        reg = MetricsRegistry()
+        reg.update_counters(self.engine.counters())
+        fabric = self.fabric.stats()
+        for name in SCHEMA:
+            owner, key = name.split(".", 1)
+            if owner == "fabric":
+                reg.counter(name, fabric[key])
+            elif owner != "sim":  # copy.*, delta.*
+                reg.counter(name, getattr(self.stats, key))
+        if self.tracer is not None:
+            reg.collect_tracer(self.tracer)
+        return reg
 
 
 def run_spmd(rank_fn: Callable, n_ranks: int,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .. import trace as _trace
 from ..buffers import ByteRope, overlay
 from ..faults.retry import retry_fs
 from ..mpi import CommView, RankContext
@@ -65,10 +64,11 @@ class MPIFile:
     :meth:`open_independent` (``MPI_COMM_SELF``).
     """
 
-    def __init__(self, comm: Optional[CommView], fs: FSClient,
+    def __init__(self, comm: Optional[CommView], ctx: RankContext,
                  handle: FileHandle, path: str, hints: Hints) -> None:
         self.comm = comm
-        self.fs = fs
+        self.fs: FSClient = ctx.fs
+        self.tracer = ctx.job.tracer
         self.handle = handle
         self.path = path
         self.hints = hints
@@ -90,17 +90,20 @@ class MPIFile:
         """
         hints = hints or Hints()
         eng = ctx.fs.fs.engine
+        tracer = ctx.job.tracer
         if comm.size == 1:
-            handle = yield from retry_fs(eng, lambda: ctx.fs.create(path))
-            return cls(comm, ctx.fs, handle, path, hints)
+            handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                         tracer=tracer)
+            return cls(comm, ctx, handle, path, hints)
         if comm.rank == 0:
-            handle = yield from retry_fs(eng, lambda: ctx.fs.create(path))
+            handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                         tracer=tracer)
             yield from comm.barrier()
         else:
             yield from comm.barrier()
             handle = yield from retry_fs(
-                eng, lambda: ctx.fs.open(path, write=True))
-        return cls(comm, ctx.fs, handle, path, hints)
+                eng, lambda: ctx.fs.open(path, write=True), tracer=tracer)
+        return cls(comm, ctx, handle, path, hints)
 
     @classmethod
     def open_independent(cls, ctx: RankContext, path: str,
@@ -111,8 +114,9 @@ class MPIFile:
         no collective synchronization, no shared-file lock traffic.
         """
         handle = yield from retry_fs(
-            ctx.fs.fs.engine, lambda: ctx.fs.create(path))
-        return cls(None, ctx.fs, handle, path, hints or Hints())
+            ctx.fs.fs.engine, lambda: ctx.fs.create(path),
+            tracer=ctx.job.tracer)
+        return cls(None, ctx, handle, path, hints or Hints())
 
     # ------------------------------------------------------------------
     # Independent I/O
@@ -122,7 +126,8 @@ class MPIFile:
         self._check_open()
         yield from retry_fs(
             self.fs.fs.engine,
-            lambda: self.fs.write(self.handle, offset, nbytes, payload=payload))
+            lambda: self.fs.write(self.handle, offset, nbytes, payload=payload),
+            tracer=self.tracer)
 
     def read_at(self, offset: int, nbytes: int):
         """Generator: independent read; returns stored bytes."""
@@ -227,7 +232,7 @@ class MPIFile:
         if send_reqs:
             yield from comm.waitall(send_reqs)
         yield from comm.barrier()
-        tr = _trace.tracer
+        tr = self.tracer
         if tr is not None:
             tr.span(comm.world_rank, "exchange", "mpiio", t_x0, eng.now,
                     nbytes, args={"path": self.path, "seq": seq})
@@ -345,7 +350,7 @@ class MPIFile:
                     send_reqs.append(
                         comm.isend(dest, total, tag=tag_inter,
                                    payload=pieces))
-            tr = _trace.tracer
+            tr = self.tracer
             if tr is not None:
                 tr.span(comm.world_rank, "tam-gather", "mpiio", t_g0,
                         eng.now, sum(n for _o, n, _p in parts),
@@ -364,7 +369,7 @@ class MPIFile:
         if send_reqs:
             yield from comm.waitall(send_reqs)
         yield from comm.barrier()
-        tr = _trace.tracer
+        tr = self.tracer
         if tr is not None:
             tr.span(comm.world_rank, "exchange", "mpiio", t_x0, eng.now,
                     nbytes, args={"path": self.path, "seq": seq,
@@ -404,9 +409,10 @@ class MPIFile:
             yield from retry_fs(
                 eng,
                 lambda p=pos, b=burst, c=chunk:
-                    self.fs.write(self.handle, p, b, payload=c))
+                    self.fs.write(self.handle, p, b, payload=c),
+                tracer=self.tracer)
             pos += burst
-        tr = _trace.tracer
+        tr = self.tracer
         if tr is not None:
             rank = self.fs.rank if self.comm is None else self.comm.world_rank
             tr.span(rank, "commit", "mpiio", t_w0, eng.now, hi - lo,

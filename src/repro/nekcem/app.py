@@ -321,10 +321,7 @@ def run_parallel_solver(
     t_compute = compute_seconds_per_step(points_per_rank, config)
 
     job = Job(n_ranks, config, seed=seed)
-    profiler = DarshanProfiler()
-    attach_storage(job, profiler=profiler)
-    for c in job.contexts:
-        c.profiler = profiler
+    attach_storage(job)
     restored_at: dict[int, Optional[int]] = {}
 
     def rank_main(ctx: RankContext):
@@ -429,7 +426,7 @@ def run_parallel_solver(
         n_steps=n_steps,
         checkpoint_results=ckpt_results,
         job=job,
-        profiler=profiler,
+        profiler=job.profiler,
         compute_seconds_per_step=t_compute,
         restored_at_step=restored_at.get(0),
     )

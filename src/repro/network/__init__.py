@@ -1,5 +1,5 @@
 """Message transport over the simulated torus fabric."""
 
-from .fabric import Fabric, FabricStats, stats
+from .fabric import Fabric
 
-__all__ = ["Fabric", "FabricStats", "stats"]
+__all__ = ["Fabric"]

@@ -24,62 +24,7 @@ from __future__ import annotations
 from ..sim import Engine, Event, Pipe
 from ..topology import MachineConfig, PsetMap, TorusTopology
 
-__all__ = ["Fabric", "FabricStats", "stats"]
-
-
-class FabricStats:
-    """Process-wide fabric traffic accounting (all Fabric instances).
-
-    Splits message/byte counts by whether the endpoints share a compute
-    node (intra-node transfers move over shared memory and never touch the
-    torus) and tracks the two-level-aggregation (TAM) coalescing effect:
-    ``tam_msgs`` inter-node messages carried ``tam_packages`` original
-    per-rank packages, so ``tam_coalesce_ratio`` is the message-count
-    reduction factor the node-local aggregation achieved.
-
-    Riders on :meth:`repro.sim.Engine.counters` and the Darshan
-    ``summary()``; like the data-plane and delta counters, these accumulate
-    until :meth:`reset`.  Per-run numbers are available on each
-    :class:`Fabric` instance's :meth:`Fabric.stats`.
-    """
-
-    __slots__ = ("msgs_intra", "msgs_inter", "bytes_intra", "bytes_inter",
-                 "tam_msgs", "tam_packages")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.msgs_intra = 0
-        self.msgs_inter = 0
-        self.bytes_intra = 0
-        self.bytes_inter = 0
-        self.tam_msgs = 0
-        self.tam_packages = 0
-
-    @property
-    def tam_coalesce_ratio(self) -> float:
-        """Average per-rank packages per coalesced TAM message (0 if none)."""
-        if self.tam_msgs == 0:
-            return 0.0
-        return self.tam_packages / self.tam_msgs
-
-    def snapshot(self) -> dict:
-        """Counter dict (the rider keys in ``Engine.counters()``)."""
-        return {
-            "fabric_msgs_intra": self.msgs_intra,
-            "fabric_msgs_inter": self.msgs_inter,
-            "fabric_bytes_intra": self.bytes_intra,
-            "fabric_bytes_inter": self.bytes_inter,
-            "tam_msgs": self.tam_msgs,
-            "tam_packages": self.tam_packages,
-            "tam_coalesce_ratio": self.tam_coalesce_ratio,
-        }
-
-
-#: The process-wide accumulator every :class:`Fabric` reports into.
-stats = FabricStats()
+__all__ = ["Fabric"]
 
 
 class Fabric:
@@ -106,10 +51,12 @@ class Fabric:
         # given experiment phase, and 16K Pipe objects up front is waste.
         self._injection: dict[int, Pipe] = {}
         self._ejection: dict[int, Pipe] = {}
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.messages_intra = 0
-        self.messages_inter = 0
+        # Traffic counters, split by whether the endpoints share a compute
+        # node (intra-node transfers move over shared memory and never
+        # touch the torus); ``tam_msgs`` inter-node messages carried
+        # ``tam_packages`` original per-rank packages.
+        self.msgs_intra = 0
+        self.msgs_inter = 0
         self.bytes_intra = 0
         self.bytes_inter = 0
         self.tam_msgs = 0
@@ -175,22 +122,16 @@ class Fabric:
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
         eng = self.engine
-        self.messages_sent += 1
-        self.bytes_sent += nbytes
         cpn = self._cores_per_node
         src = src_rank // cpn
         dst = dst_rank // cpn
         if src == dst:
             # Intra-node: one memory-bandwidth copy plus software overhead.
-            self.messages_intra += 1
+            self.msgs_intra += 1
             self.bytes_intra += nbytes
-            stats.msgs_intra += 1
-            stats.bytes_intra += nbytes
             return eng.timeout(self._intra_overhead + nbytes / self._mem_bw)
-        self.messages_inter += 1
+        self.msgs_inter += 1
         self.bytes_inter += nbytes
-        stats.msgs_inter += 1
-        stats.bytes_inter += nbytes
         t_inj = self.injection(src).reserve(nbytes)
         t_ej = self.ejection(dst).reserve(nbytes)
         done = max(t_inj, t_ej) + self._pair_latency(src, dst)
@@ -209,28 +150,27 @@ class Fabric:
         original per-rank packages (issued by a node leader)."""
         self.tam_msgs += 1
         self.tam_packages += packages
-        stats.tam_msgs += 1
-        stats.tam_packages += packages
 
     # -- diagnostics ---------------------------------------------------------
     def stats(self) -> dict:
-        """Aggregate traffic counters (diagnostics).
+        """This run's traffic counters.
 
-        ``messages_sent`` / ``bytes_sent`` are totals;
-        ``fabric_msgs_intra`` / ``fabric_msgs_inter`` (and the byte
-        equivalents) split them by whether the endpoints shared a compute
-        node.  ``tam_msgs`` / ``tam_packages`` describe two-level
-        aggregation: how many inter-node messages carried how many
-        coalesced per-rank packages.
+        ``msgs_intra`` / ``msgs_inter`` (and the byte equivalents) split
+        the ``messages_sent`` / ``bytes_sent`` totals by whether the
+        endpoints shared a compute node.  ``tam_msgs`` / ``tam_packages``
+        describe two-level aggregation: how many inter-node messages
+        carried how many coalesced per-rank packages, and
+        ``tam_coalesce_ratio`` is the message-count reduction that
+        achieved (0 if none).
         """
         ratio = self.tam_packages / self.tam_msgs if self.tam_msgs else 0.0
         return {
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "fabric_msgs_intra": self.messages_intra,
-            "fabric_msgs_inter": self.messages_inter,
-            "fabric_bytes_intra": self.bytes_intra,
-            "fabric_bytes_inter": self.bytes_inter,
+            "messages_sent": self.msgs_intra + self.msgs_inter,
+            "bytes_sent": self.bytes_intra + self.bytes_inter,
+            "msgs_intra": self.msgs_intra,
+            "msgs_inter": self.msgs_inter,
+            "bytes_intra": self.bytes_intra,
+            "bytes_inter": self.bytes_inter,
             "tam_msgs": self.tam_msgs,
             "tam_packages": self.tam_packages,
             "tam_coalesce_ratio": ratio,

@@ -1,20 +1,17 @@
 """Darshan-style I/O instrumentation and figure analyses.
 
-Profiling follows the same module-level off-switch idiom as
-``repro.faults`` and ``repro.trace``: :func:`configure_profiling`
-selects the mode, :func:`make_profiler` returns either a live
-:class:`DarshanProfiler` or ``None``.  Every hot-path producer
-(``FSClient._record``, strategy ``record_phase`` calls, the staging
-drainer) already guards with ``profiler is not None``, so ``off`` costs
-one attribute test per op — nothing is allocated or appended.  Sweeps
-that never read profiles (the campaign runner's non-figure points) run
-with profiling off; figure pipelines keep it on because their summaries
-read ``run.profiler`` directly.
+Whether a run is profiled is part of its :class:`repro.mpi.RunConfig`
+(``profiling="on" | "off"``): the :class:`~repro.mpi.Job` holds either a
+live :class:`DarshanProfiler` or ``None`` as ``job.profiler``.  Every
+hot-path producer (``FSClient._record``, strategy ``record_phase`` calls,
+the staging drainer) guards with ``profiler is not None``, so ``off``
+costs one attribute test per op — nothing is allocated or appended.
+Sweeps that never read profiles (the campaign runner's non-figure points)
+run with profiling off; figure pipelines keep it on because their
+summaries read ``run.profiler`` directly.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .analysis import (
     distribution_summary,
@@ -29,46 +26,11 @@ __all__ = [
     "DarshanProfiler",
     "OpRecord",
     "PROFILING_MODES",
-    "configure_profiling",
     "distribution_summary",
     "drain_activity",
     "io_time_distribution",
-    "make_profiler",
-    "profiling_mode",
     "write_activity",
     "writer_worker_split",
 ]
 
 PROFILING_MODES = ("on", "off")
-
-_mode = "on"
-
-
-def configure_profiling(mode: str = "on") -> str:
-    """Set the profiling mode; returns the previous one (for restore)."""
-    global _mode
-    if mode not in PROFILING_MODES:
-        raise ValueError(
-            f"profiling mode must be one of {PROFILING_MODES}, got {mode!r}")
-    previous = _mode
-    _mode = mode
-    return previous
-
-
-def profiling_mode() -> str:
-    """The currently configured profiling mode."""
-    return _mode
-
-
-def make_profiler() -> Optional[DarshanProfiler]:
-    """A profiler per the current mode, or ``None`` when switched off.
-
-    An active span tracer forces a live profiler regardless of the
-    profiling mode: fs/phase spans are *forwarded* from profiler
-    records (one event, two views), so tracing without a profiler would
-    silently drop them.
-    """
-    from .. import trace
-    if _mode == "on" or trace.tracer is not None:
-        return DarshanProfiler()
-    return None

@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .. import trace as _trace
 from ..sim import IntervalRecorder
 
 __all__ = ["OpRecord", "DarshanProfiler"]
@@ -60,21 +59,22 @@ class DarshanProfiler:
     File-system clients call :meth:`record_op`; checkpoint strategies call
     :meth:`record_phase` for application-level blocking windows (phases are
     stored with an ``app:`` prefix on the op name).  ``reset()`` between
-    checkpoint steps isolates per-step analyses.
+    checkpoint steps isolates per-step analyses.  With the run's
+    ``tracer`` attached, every record is also forwarded as a span — one
+    event, two views, so op records and fs/phase spans cannot disagree.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tracer=None) -> None:
         self.records: list[OpRecord] = []
+        self.tracer = tracer
 
     # -- recording -----------------------------------------------------------
     def record_op(self, rank: int, op: str, start: float, end: float,
                   nbytes: int, path: str) -> None:
         """Record a file-system operation (called by FSClient)."""
         self.records.append(OpRecord(rank, op, start, end, nbytes, path))
-        tr = _trace.tracer
+        tr = self.tracer
         if tr is not None:
-            # Forwarded, not duplicated at the call site: op records and
-            # fs spans come from the same event, so they cannot disagree.
             tr.span(rank, op, "fs", start, end, nbytes,
                     args={"path": path})
 
@@ -82,7 +82,7 @@ class DarshanProfiler:
                      nbytes: int = 0) -> None:
         """Record an application-level phase (e.g. 'ckpt', 'isend')."""
         self.records.append(OpRecord(rank, f"app:{phase}", start, end, nbytes, ""))
-        tr = _trace.tracer
+        tr = self.tracer
         if tr is not None:
             tr.span(rank, phase, "phase", start, end, nbytes)
 
@@ -181,35 +181,13 @@ class DarshanProfiler:
         return out
 
     def summary(self) -> dict[str, float]:
-        """One-line job summary (total ops, bytes, busiest rank).
-
-        Includes the process-wide data-plane copy counters
-        (:data:`repro.buffers.stats`) so a profile shows host copy volume
-        next to the I/O it produced, and the incremental-checkpointing
-        counters (:data:`repro.ckpt.incremental.stats`) — logical vs
-        PFS-shipped bytes and chunk-dedup hits/misses, zero unless a
-        strategy ran with ``delta`` enabled — and the fabric traffic split
-        (:data:`repro.network.stats`): intra-node vs inter-node messages
-        and bytes plus the TAM coalescing ratio.
-        """
-        from ..buffers import stats as buffer_stats
-        from ..ckpt.incremental import stats as delta_stats
-        from ..network.fabric import stats as fabric_stats
-
+        """One-line job summary (total ops, bytes, busiest rank)."""
         writes = self.select(["write"])
         per_rank = self.per_rank_io_time()
-        out = {k: float(v) for k, v in fabric_stats.snapshot().items()}
-        out.update({
+        return {
             "n_records": len(self.records),
             "n_writes": len(writes),
             "bytes_written": float(sum(r.nbytes for r in writes)),
             "max_rank_io_time": max(per_rank.values()) if per_rank else 0.0,
             "mean_rank_io_time": float(np.mean(list(per_rank.values()))) if per_rank else 0.0,
-            "bytes_copied": float(buffer_stats.bytes_copied),
-            "buffer_allocs": float(buffer_stats.buffer_allocs),
-            "bytes_logical": float(delta_stats.bytes_logical),
-            "bytes_to_pfs": float(delta_stats.bytes_to_pfs),
-            "chunk_hits": float(delta_stats.chunk_hits),
-            "chunk_misses": float(delta_stats.chunk_misses),
-        })
-        return out
+        }

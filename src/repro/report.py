@@ -260,16 +260,16 @@ def _trace_parser(prog: str, description: str) -> argparse.ArgumentParser:
 
 def _traced_run(args):
     """Run one traced checkpoint experiment; returns the populated tracer."""
-    from . import trace as trace_mod
     from .experiments.figures import problem_for, strategy_for
     from .experiments.runner import run_checkpoint_steps
+    from .mpi import RunConfig
 
-    trace_mod.configure_trace("full")
     strategy = strategy_for(args.approach, args.n_ranks, delta=args.delta,
                             tam=args.tam)
     data = problem_for(args.n_ranks).data()
-    run_checkpoint_steps(strategy, args.n_ranks, data, args.steps)
-    return trace_mod.tracer
+    run = run_checkpoint_steps(strategy, args.n_ranks, data, args.steps,
+                               run_config=RunConfig(trace="full"))
+    return run.job.tracer
 
 
 def trace_main(argv: list[str]) -> int:
@@ -281,12 +281,10 @@ def trace_main(argv: list[str]) -> int:
     parser.add_argument("--out", default="trace.json",
                         help="output path (default trace.json)")
     args = parser.parse_args(argv)
-    from . import trace as trace_mod
     from .trace.export import write_chrome_trace
 
     tracer = _traced_run(args)
     doc = write_chrome_trace(tracer, args.out)
-    trace_mod.configure_trace("off")
     print(f"{args.out}: {len(doc['traceEvents'])} events "
           f"({len(tracer.spans)} spans, {len(tracer.events)} instants) — "
           f"open in chrome://tracing or https://ui.perfetto.dev")
@@ -304,7 +302,6 @@ def timeline_main(argv: list[str]) -> int:
     parser.add_argument("--rows", type=int, default=32,
                         help="max rank rows before elision (default 32)")
     args = parser.parse_args(argv)
-    from . import trace as trace_mod
     from .trace.timeline import render_critical_path, render_timeline
 
     tracer = _traced_run(args)
@@ -312,7 +309,6 @@ def timeline_main(argv: list[str]) -> int:
                                      max_rows=args.rows))
     sys.stdout.write("\n")
     sys.stdout.write(render_critical_path(tracer))
-    trace_mod.configure_trace("off")
     return 0
 
 

@@ -639,57 +639,28 @@ class Engine:
         return self._event_count / self._wall_seconds
 
     def counters(self) -> dict:
-        """Machine-readable performance counters for benchmark records.
+        """Machine-readable performance counters, under ``sim.*`` names.
 
         ``dispatched_events`` / ``batched_events`` / ``absorbed_events``
         break ``events_processed`` down by how each event was paid for
         (calendar dispatch, batch membership, synchronous credit), and the
         two histograms show batch sizes and per-instant drain sizes in
         power-of-two bins — together they make the events/sec figure
-        auditable.  ``bytes_copied`` / ``buffer_allocs`` are the
-        process-wide data-plane copy counters (:data:`repro.buffers.stats`):
-        how many payload bytes were physically materialized, and into how
-        many buffers, since the last ``stats.reset()`` — they ride along so
-        benchmark records can report copy volume next to event throughput.
-        The incremental-checkpointing counters
-        (:data:`repro.ckpt.incremental.stats`) ride along the same way:
-        ``bytes_logical`` vs ``bytes_to_pfs`` and the chunk-dedup hit/miss
-        counts — all zero while ``delta="off"``.  The fabric counters
-        (:data:`repro.network.stats`) split message/byte traffic into
-        intra-node (shared memory) vs inter-node (torus) and report the
-        two-level-aggregation coalescing ratio (``tam_*`` — zero unless a
-        strategy ran with ``tam`` enabled).
+        auditable.  A job publishes these next to its copy / delta /
+        fabric counters through :meth:`repro.mpi.Job.metrics`.
         """
-        from ..buffers import stats as buffer_stats
-        from ..ckpt.incremental import stats as delta_stats
-        from ..network.fabric import stats as fabric_stats
-
-        out = fabric_stats.snapshot()
-        out.update({
-            "events_processed": self._event_count,
-            "dispatched_events": self._dispatched,
-            "batched_events": self._batched,
-            "absorbed_events": self._absorbed,
-            "batches": self._batch_count,
-            "batch_hist": pow2_histogram(self._batch_hist),
-            "drain_hist": pow2_histogram(self._drain_hist),
-            "wall_seconds": self._wall_seconds,
-            "events_per_second": self.events_per_second,
-            "virtual_time": self.now,
-            "bytes_copied": buffer_stats.bytes_copied,
-            "buffer_allocs": buffer_stats.buffer_allocs,
-            "bytes_logical": delta_stats.bytes_logical,
-            "bytes_to_pfs": delta_stats.bytes_to_pfs,
-            "chunk_hits": delta_stats.chunk_hits,
-            "chunk_misses": delta_stats.chunk_misses,
-        })
-        # Canonical namespaced spellings (repro.trace.SCHEMA).  The flat
-        # legacy keys above stay for one release as aliases; new readers
-        # should use the dotted names.
-        from ..trace import SCHEMA
-        for canonical, legacy in SCHEMA.items():
-            out[canonical] = out[legacy]
-        return out
+        return {
+            "sim.events_processed": self._event_count,
+            "sim.dispatched_events": self._dispatched,
+            "sim.batched_events": self._batched,
+            "sim.absorbed_events": self._absorbed,
+            "sim.batches": self._batch_count,
+            "sim.batch_hist": pow2_histogram(self._batch_hist),
+            "sim.drain_hist": pow2_histogram(self._drain_hist),
+            "sim.wall_seconds": self._wall_seconds,
+            "sim.events_per_second": self.events_per_second,
+            "sim.virtual_time": self.now,
+        }
 
     # -- execution -------------------------------------------------------
     def step(self) -> None:

@@ -114,14 +114,19 @@ class DrainScheduler:
     profiler:
         Optional :class:`~repro.profiling.DarshanProfiler`; drain windows
         are recorded as ``app:drain`` phases.
+    tracer:
+        Optional :class:`~repro.trace.SpanTracer`; drain-time FS retries
+        are recorded as instants.
     """
 
     def __init__(self, engine: Engine, fs_client_of: Callable[[int], Any],
-                 config: StagingConfig, profiler: Any = None) -> None:
+                 config: StagingConfig, profiler: Any = None,
+                 tracer: Any = None) -> None:
         self.engine = engine
         self.fs_client_of = fs_client_of
         self.config = config
         self.profiler = profiler
+        self.tracer = tracer
         self._queues: dict[int, Store] = {}
         self.intervals = IntervalRecorder("drain")
         self.packages_drained = 0
@@ -182,7 +187,8 @@ class DrainScheduler:
                 committed = 0
                 for path, pieces in commits:
                     handle = yield from retry_fs(
-                        eng, lambda p=path: fsc.create(p))
+                        eng, lambda p=path: fsc.create(p),
+                        tracer=self.tracer)
                     for base, nbytes, image in pieces:
                         pos = 0
                         while pos < nbytes:
@@ -207,7 +213,8 @@ class DrainScheduler:
                             yield from retry_fs(
                                 eng,
                                 lambda h=handle, p=base + pos, b=burst,
-                                c=chunk: fsc.write(h, p, b, payload=c))
+                                c=chunk: fsc.write(h, p, b, payload=c),
+                                tracer=self.tracer)
                             pos += burst
                             committed += burst
                             if (cfg.drain_bandwidth is not None

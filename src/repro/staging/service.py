@@ -20,7 +20,7 @@ what makes capacity pressure interesting at scale.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..mpi import Job
 from ..sim import Pipe
@@ -41,20 +41,20 @@ class StagingService:
         file-system clients attached (the drain writes through them).
     config:
         Staging tunables; defaults to :class:`StagingConfig`'s defaults.
-    profiler:
-        Optional profiler shared with the storage layer, so drain windows
-        land in the same Darshan-style record stream.
+
+    Drain windows land in the job's profiler (when it has one), the same
+    Darshan-style record stream the storage layer writes.
     """
 
-    def __init__(self, job: Job, config: Optional[StagingConfig] = None,
-                 profiler: Any = None) -> None:
+    def __init__(self, job: Job, config: Optional[StagingConfig] = None
+                 ) -> None:
         self.job = job
         self.config = config if config is not None else StagingConfig()
-        self.profiler = profiler
         self._psets = job.config.pset_map(job.n_ranks)
         self._buffers: dict[int, BurstBuffer] = {}
         self.drain = DrainScheduler(job.engine, self._fs_client_of,
-                                    self.config, profiler=profiler)
+                                    self.config, profiler=job.profiler,
+                                    tracer=job.tracer)
         self.replicator: Optional[PartnerReplicator] = None
         if self.config.replicate:
             self.replicator = PartnerReplicator(
@@ -120,14 +120,14 @@ class StagingService:
         return out
 
 
-def attach_staging(job: Job, config: Optional[StagingConfig] = None,
-                   profiler: Any = None) -> StagingService:
+def attach_staging(job: Job, config: Optional[StagingConfig] = None
+                   ) -> StagingService:
     """Create a job's staging tier and register it under ``job.services``.
 
     Idempotent per job: attaching twice replaces the service (fresh
     buffers), mirroring how tests re-attach storage between phases.
     """
-    service = StagingService(job, config=config, profiler=profiler)
+    service = StagingService(job, config=config)
     job.services["staging"] = service
     return service
 

@@ -1,7 +1,5 @@
 """GPFS-like shared parallel file-system substrate."""
 
-from typing import Any
-
 from ..mpi import Job
 from .gpfs import FSClient, FSError, FileHandle, FileObject, GPFS
 from .lustre import LustreFS
@@ -19,22 +17,22 @@ __all__ = [
 ]
 
 
-def attach_storage(job: Job, profiler: Any = None, fs_type: str = "gpfs",
-                   **fs_kwargs) -> GPFS:
+def attach_storage(job: Job, fs_type: str = "gpfs", **fs_kwargs) -> GPFS:
     """Create a file system for ``job`` and attach per-rank clients.
 
     ``fs_type`` selects ``"gpfs"`` (the paper's Intrepid setup),
     ``"lustre"`` (the future-work variant), or ``"pvfs"`` (the lock-free
     comparison the paper wanted).  After this call every
     :class:`~repro.mpi.RankContext` in the job has ``ctx.fs`` set to its
-    :class:`FSClient`.  Returns the file system (also stored as
+    :class:`FSClient`, reporting every operation to ``job.profiler`` when
+    the job has one.  Returns the file system (also stored as
     ``job.services["fs"]``).
     """
     cls = {"gpfs": GPFS, "lustre": LustreFS, "pvfs": PVFS}.get(fs_type)
     if cls is None:
         raise ValueError(f"unknown fs_type {fs_type!r}")
     fs = cls(job.engine, job.config, job.config.pset_map(job.n_ranks),
-             job.streams, profiler=profiler, **fs_kwargs)
+             job.streams, profiler=job.profiler, **fs_kwargs)
     for ctx in job.contexts:
         ctx.fs = fs.client(ctx.rank)
     job.services["fs"] = fs

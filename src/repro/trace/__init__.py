@@ -1,8 +1,8 @@
 """Unified observability plane: sim-time spans, metrics, exporters.
 
-This package is the single place the simulator's scattered telemetry —
-``Engine.counters()``, fabric intra/inter + TAM counters, buffer/delta
-stats, Darshan-style op records — comes together:
+This package is the single place the simulator's telemetry — engine
+counters, fabric intra/inter + TAM counters, copy/delta counters,
+Darshan-style op records — comes together:
 
 - :class:`SpanTracer` records hierarchical *sim-time* spans (checkpoint
   → pack / chunk / tam-gather / exchange / write / drain / restore)
@@ -18,27 +18,22 @@ stats, Darshan-style op records — comes together:
 - :mod:`repro.trace.timeline` renders per-rank ASCII Gantt charts and a
   critical-path summary for ``repro-report timeline``.
 
-Tracing follows the repo's zero-cost off-switch idiom (see
-``repro.faults``): the module global :data:`tracer` is ``None`` unless
-:func:`configure_trace` enabled it, and every instrumented call site
-guards with a single ``is not None`` test.  Spans never schedule engine
-events and never touch simulation state, so ``off`` is bit-identical to
-pre-trace behaviour *by construction* — the differential tests in
-``tests/test_trace.py`` enforce it across strategies × delta × tam ×
-coalesce, and the perf gate bounds the residual wall cost.
-
-Call sites must access the switch through the module object
-(``from .. import trace as _trace`` then ``_trace.tracer``), never
-``from ..trace import tracer`` — the latter copies the binding at
-import time and goes stale when the mode changes.
+A tracer belongs to exactly one run: :class:`repro.mpi.Job` builds a
+:class:`SpanTracer` when its ``RunConfig.trace`` is ``summary`` or
+``full`` and holds ``None`` when it is ``off``, and every instrumented
+call site reaches it through its job (``ctx.job.tracer``, or a reference
+captured at construction) and guards with a single ``is not None`` test.
+Spans never schedule engine events and never touch simulation state, so
+``off`` is bit-identical to pre-trace behaviour *by construction* — the
+differential tests in ``tests/test_trace.py`` enforce it across
+strategies × delta × tam × coalesce.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence
 
-__all__ = ["MODES", "Span", "SpanTracer", "tracer", "configure_trace",
-           "trace_mode", "MetricsRegistry", "SCHEMA"]
+__all__ = ["MODES", "Span", "SpanTracer", "MetricsRegistry", "SCHEMA"]
 
 #: Recognised trace modes, mirroring ``repro.faults`` / delta / tam:
 #: ``off`` removes every cost, ``summary`` keeps only per-phase
@@ -155,30 +150,6 @@ class SpanTracer:
         self.spans.clear()
         self.events.clear()
         self._totals.clear()
-
-
-#: Module-level switch.  ``None`` (the default) disables tracing; call
-#: sites guard every record with ``_trace.tracer is not None``.
-tracer: Optional[SpanTracer] = None
-
-
-def configure_trace(mode: str = "off") -> Optional[SpanTracer]:
-    """Select the tracing mode for subsequent runs; returns the tracer.
-
-    ``off`` restores the zero-cost default (and drops any collected
-    data); ``summary`` keeps per-phase aggregates only; ``full`` also
-    retains every span for timeline export.
-    """
-    global tracer
-    if mode not in MODES:
-        raise ValueError(f"trace mode must be one of {MODES}, got {mode!r}")
-    tracer = None if mode == "off" else SpanTracer(mode)
-    return tracer
-
-
-def trace_mode() -> str:
-    """The currently configured mode (``off`` when tracing is disabled)."""
-    return "off" if tracer is None else tracer.mode
 
 
 from .registry import SCHEMA, MetricsRegistry  # noqa: E402  (re-export)

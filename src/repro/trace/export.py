@@ -134,7 +134,7 @@ def fs_totals(tracer) -> dict:
     """Aggregate filesystem-op spans: ``{op: {count, seconds, bytes}}``.
 
     These are the numbers the reconciliation tests compare against
-    ``DarshanProfiler.summary()`` and ``Engine.counters()``.
+    ``DarshanProfiler.summary()``.
     """
     out: dict[str, dict] = {}
     for phase, agg in tracer.phase_totals().items():

@@ -1,13 +1,10 @@
 """Namespaced metrics schema and registry.
 
-Before this module, every telemetry producer invented its own flat key
-names — ``Engine.counters()`` said ``events_processed`` next to
-``bytes_copied`` next to ``fabric_msgs_intra`` with no indication of
-which subsystem owned what, and bench JSON columns drifted whenever a
-counter was renamed.  :data:`SCHEMA` is now the single source of truth:
-every canonical dotted name maps to its legacy flat key, the engine
-publishes both for one release, and ``tests/test_trace.py`` pins the
-full key set so shape changes are loud.
+:data:`SCHEMA` is the single source of truth for counter names: the
+canonical dotted names every run publishes through
+:meth:`repro.mpi.Job.metrics` (``sim.*`` from the engine, ``copy.*`` /
+``delta.*`` from the job's run stats, ``fabric.*`` from its fabric), and
+``tests/test_trace.py`` pins the full set so shape changes are loud.
 
 :class:`MetricsRegistry` is the aggregation point: counters, gauges and
 pow2-histograms registered under canonical names, exportable as a plain
@@ -19,47 +16,38 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Union
 
-__all__ = ["SCHEMA", "LEGACY_KEYS", "MetricsRegistry"]
+__all__ = ["SCHEMA", "MetricsRegistry"]
 
-#: Canonical dotted metric name -> legacy flat key as emitted by
-#: ``Engine.counters()`` (and mirrored into bench JSON).  The engine
-#: emits **both** spellings for one release; new code should read the
-#: canonical names.  Fabric *instance* stats additionally expose the
-#: pre-TAM aliases ``messages_sent``/``bytes_sent`` for the combined
-#: intra+inter totals — those are per-``Fabric`` diagnostics, not part
-#: of the process-wide counter schema, and keep their old names.
-SCHEMA: dict[str, str] = {
-    # simulator core
-    "sim.events_processed": "events_processed",
-    "sim.dispatched_events": "dispatched_events",
-    "sim.batched_events": "batched_events",
-    "sim.absorbed_events": "absorbed_events",
-    "sim.batches": "batches",
-    "sim.batch_hist": "batch_hist",
-    "sim.drain_hist": "drain_hist",
-    "sim.wall_seconds": "wall_seconds",
-    "sim.events_per_second": "events_per_second",
-    "sim.virtual_time": "virtual_time",
+#: Canonical dotted names of the per-run counters (``Job.metrics()``).
+SCHEMA: tuple[str, ...] = (
+    # simulator core (Engine.counters())
+    "sim.events_processed",
+    "sim.dispatched_events",
+    "sim.batched_events",
+    "sim.absorbed_events",
+    "sim.batches",
+    "sim.batch_hist",
+    "sim.drain_hist",
+    "sim.wall_seconds",
+    "sim.events_per_second",
+    "sim.virtual_time",
     # copy/buffer accounting
-    "copy.bytes_copied": "bytes_copied",
-    "copy.buffer_allocs": "buffer_allocs",
+    "copy.bytes_copied",
+    "copy.buffer_allocs",
     # incremental (delta) checkpointing
-    "delta.bytes_logical": "bytes_logical",
-    "delta.bytes_to_pfs": "bytes_to_pfs",
-    "delta.chunk_hits": "chunk_hits",
-    "delta.chunk_misses": "chunk_misses",
-    # fabric traffic (process-wide snapshot)
-    "fabric.msgs_intra": "fabric_msgs_intra",
-    "fabric.msgs_inter": "fabric_msgs_inter",
-    "fabric.bytes_intra": "fabric_bytes_intra",
-    "fabric.bytes_inter": "fabric_bytes_inter",
-    "fabric.tam_msgs": "tam_msgs",
-    "fabric.tam_packages": "tam_packages",
-    "fabric.tam_coalesce_ratio": "tam_coalesce_ratio",
-}
-
-#: Reverse view: legacy flat key -> canonical dotted name.
-LEGACY_KEYS: dict[str, str] = {v: k for k, v in SCHEMA.items()}
+    "delta.bytes_logical",
+    "delta.bytes_to_pfs",
+    "delta.chunk_hits",
+    "delta.chunk_misses",
+    # fabric traffic
+    "fabric.msgs_intra",
+    "fabric.msgs_inter",
+    "fabric.bytes_intra",
+    "fabric.bytes_inter",
+    "fabric.tam_msgs",
+    "fabric.tam_packages",
+    "fabric.tam_coalesce_ratio",
+)
 
 Number = Union[int, float]
 
@@ -98,27 +86,15 @@ class MetricsRegistry:
         """A pow2-bucketed distribution, ``{label: count}``."""
         self._set("histogram", name, dict(buckets), help)
 
-    def update_counters(self, prefix: str, values: Mapping[str, Number],
-                        help: str = "") -> None:
-        """Bulk-register ``values`` as counters under ``prefix.``."""
-        for key, value in values.items():
+    def update_counters(self, values: Mapping[str, object]) -> None:
+        """Bulk-register ``values`` as counters (mappings as histograms)."""
+        for name, value in values.items():
             if isinstance(value, Mapping):
-                self.histogram(f"{prefix}.{key}", value, help)
+                self.histogram(name, value)
             else:
-                self.counter(f"{prefix}.{key}", value, help)
+                self.counter(name, value)
 
     # -- ingestion from live sources ----------------------------------------
-    def collect_engine(self, counters: Mapping[str, object]) -> None:
-        """Register an ``Engine.counters()`` dict under canonical names."""
-        for canonical, legacy in SCHEMA.items():
-            if legacy not in counters:
-                continue
-            value = counters[legacy]
-            if isinstance(value, Mapping):
-                self.histogram(canonical, value)
-            else:
-                self.counter(canonical, value)
-
     def collect_tracer(self, tracer) -> None:
         """Register a :class:`~repro.trace.SpanTracer`'s phase totals."""
         for phase, agg in tracer.phase_totals().items():
@@ -128,10 +104,6 @@ class MetricsRegistry:
             self.counter(f"trace.{slug}.bytes", agg["bytes"])
         self.counter("trace.spans", len(tracer.spans))
         self.counter("trace.events", len(tracer.events))
-
-    def collect_profiler(self, profiler) -> None:
-        """Register a ``DarshanProfiler.summary()`` under ``profile.``."""
-        self.update_counters("profile", profiler.summary())
 
     # -- export --------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -34,7 +34,7 @@ def render_timeline(tracer, width: int = 72, max_rows: int = 32,
                     cores_per_node: Optional[int] = None) -> str:
     """Per-rank ASCII Gantt chart of every span in the store."""
     if not tracer.spans:
-        return "(no spans recorded — run with configure_trace('full'))\n"
+        return "(no spans recorded — run with RunConfig(trace='full'))\n"
     t0, t1 = _span_bounds(tracer)
     extent = max(t1 - t0, 1e-12)
     cpn = cores_per_node or tracer.cores_per_node or 1

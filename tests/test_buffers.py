@@ -6,24 +6,22 @@ import pytest
 
 from repro.buffers import (
     ByteRope,
-    SegmentList,
     as_bytes,
     concat,
-    copy_mode,
+    concat_once,
     crc32_of,
     overlay,
-    set_copy_mode,
-    stats,
+    run_scope,
     zeros,
 )
+from repro.mpi import RunStats
 
 
-@pytest.fixture(autouse=True)
-def _clean_stats():
-    stats.reset()
-    yield
-    stats.reset()
-    set_copy_mode("zerocopy")
+@pytest.fixture
+def stats():
+    """A fresh run's stats, current for the test body (as in ``Job.run``)."""
+    with run_scope(RunStats()) as st:
+        yield st
 
 
 # -- construction -------------------------------------------------------------
@@ -33,7 +31,7 @@ def test_direct_construction_forbidden():
         ByteRope()
 
 
-def test_wrap_bytes_keeps_reference():
+def test_wrap_bytes_keeps_reference(stats):
     data = b"hello world"
     rope = ByteRope.wrap(data)
     assert len(rope) == 11
@@ -43,7 +41,7 @@ def test_wrap_bytes_keeps_reference():
     assert stats.bytes_copied == 0
 
 
-def test_wrap_bytearray_and_memoryview_views_in_place():
+def test_wrap_bytearray_and_memoryview_views_in_place(stats):
     src = bytearray(b"abcdef")
     rope = ByteRope.wrap(src)
     assert rope == b"abcdef"
@@ -65,13 +63,9 @@ def test_wrap_rejects_non_bytes():
         ByteRope.wrap(42)
 
 
-def test_segmentlist_alias():
-    assert SegmentList is ByteRope
-
-
 # -- structural ops ------------------------------------------------------------
 
-def test_concat_is_zero_copy():
+def test_concat_is_zero_copy(stats):
     rope = concat([b"aa", b"bb", bytearray(b"cc")])
     assert rope.n_segments == 3
     assert stats.bytes_copied == 0
@@ -92,7 +86,7 @@ def test_slice_full_range_returns_self():
     assert rope[:] is rope
 
 
-def test_slice_and_split_share_segments():
+def test_slice_and_split_share_segments(stats):
     rope = concat([b"abcd", b"efgh", b"ijkl"])
     mid = rope.slice(2, 10)
     assert stats.bytes_copied == 0
@@ -125,7 +119,7 @@ def test_add_and_radd():
 
 # -- content ops ---------------------------------------------------------------
 
-def test_crc32_matches_flat_and_is_chainable():
+def test_crc32_matches_flat_and_is_chainable(stats):
     payload = bytes(range(256)) * 3
     rope = concat([payload[:100], payload[100:350], payload[350:]])
     assert rope.crc32() == (zlib.crc32(payload) & 0xFFFFFFFF)
@@ -135,7 +129,7 @@ def test_crc32_matches_flat_and_is_chainable():
     assert stats.bytes_copied == 0
 
 
-def test_to_bytes_memoized_and_counted_once():
+def test_to_bytes_memoized_and_counted_once(stats):
     rope = concat([b"ab", b"cd"])
     flat1 = rope.to_bytes()
     flat2 = rope.to_bytes()
@@ -144,7 +138,7 @@ def test_to_bytes_memoized_and_counted_once():
     assert stats.buffer_allocs == 1
 
 
-def test_equality_without_materializing():
+def test_equality_without_materializing(stats):
     a = concat([b"abc", b"defg", b"h"])
     b = concat([b"a", b"bcdef", b"gh"])
     assert a == b
@@ -159,7 +153,7 @@ def test_equality_without_materializing():
 
 # -- helpers -------------------------------------------------------------------
 
-def test_zeros_shares_the_zero_page():
+def test_zeros_shares_the_zero_page(stats):
     big = zeros(3 * (1 << 20) + 17)
     assert len(big) == 3 * (1 << 20) + 17
     assert stats.buffer_allocs == 0
@@ -178,7 +172,7 @@ def test_overlay_later_wins_and_zero_fills():
     assert overlay([(0, b"aa")], 3, 3) is ByteRope.EMPTY
 
 
-def test_as_bytes_boundary():
+def test_as_bytes_boundary(stats):
     assert as_bytes(None) is None
     raw = b"raw"
     assert as_bytes(raw) is raw
@@ -192,28 +186,55 @@ def test_as_bytes_boundary():
 
 # -- copy modes ----------------------------------------------------------------
 
-def test_mode_switch_roundtrip_and_validation():
-    assert copy_mode() == "zerocopy"
-    prev = set_copy_mode("eager")
-    assert prev == "zerocopy"
-    assert copy_mode() == "eager"
-    set_copy_mode(prev)
-    with pytest.raises(ValueError):
-        set_copy_mode("lazy")
+def test_run_scope_nests_and_restores():
+    outer, inner = RunStats(), RunStats(eager=True)
+    with run_scope(outer):
+        bytes(concat([b"ab", b"cd"]))
+        with run_scope(inner):
+            concat([b"ab", b"cd"])           # eager: materializes
+        bytes(concat([b"ef", b"gh"]))
+    assert (outer.bytes_copied, outer.buffer_allocs) == (8, 2)
+    assert (inner.bytes_copied, inner.buffer_allocs) == (4, 1)
+
+
+def test_outside_a_run_ropes_work_and_count_nothing():
+    rope = concat([b"ab", b"cd"])
+    assert rope.n_segments == 2              # zero-copy, never eager
+    assert bytes(rope) == b"abcd" and as_bytes(bytearray(b"x")) == b"x"
+    with run_scope(RunStats()) as stats:
+        assert bytes(rope) == b"abcd"        # memoized outside: free here
+    assert (stats.bytes_copied, stats.buffer_allocs) == (0, 0)
+
+
+def test_concat_once_memoizes_per_run_and_owner():
+    class Owner:
+        pass
+    owner, parts = Owner(), [b"ab", b"cd"]
+    first, second = RunStats(), RunStats()
+    with run_scope(first):
+        rope = concat_once(owner, parts)
+        assert concat_once(owner, parts) is rope
+        bytes(rope)
+    with run_scope(second):                  # a later run re-pays the flatten
+        again = concat_once(owner, parts)
+        assert again is not rope
+        bytes(again)
+    assert first.bytes_copied == second.bytes_copied == 4
+    assert concat_once(owner, parts) is not concat_once(owner, parts)
+    del owner
+    assert not first.ropes and not second.ropes
 
 
 def test_eager_mode_counts_every_hop_but_same_bytes():
     payload = bytes(range(64))
-    set_copy_mode("eager")
-    rope = concat([payload[:20], payload[20:]])
-    assert stats.bytes_copied == 64  # concat materialized
-    part = rope.slice(10, 30)
-    assert stats.bytes_copied == 64 + 20  # slice materialized
-    z = zeros(8)
-    assert stats.bytes_copied == 64 + 20 + 8  # zeros allocated
-    set_copy_mode("zerocopy")
+    with run_scope(RunStats(eager=True)) as stats:
+        rope = concat([payload[:20], payload[20:]])
+        assert stats.bytes_copied == 64  # concat materialized
+        part = rope.slice(10, 30)
+        assert stats.bytes_copied == 64 + 20  # slice materialized
+        z = zeros(8)
+        assert stats.bytes_copied == 64 + 20 + 8  # zeros allocated
+        # Full-range slice still returns self (CPython bytes[:] semantics).
+        assert rope.slice(0, len(rope)) is rope
     assert bytes(part) == payload[10:30]
     assert bytes(z) == bytes(8)
-    # Full-range slice still returns self (CPython bytes[:] semantics).
-    set_copy_mode("eager")
-    assert rope.slice(0, len(rope)) is rope

@@ -200,3 +200,68 @@ def test_http_campaign_listing(http_service):
     listing = _get(f"{base}/campaigns")
     assert [c["name"] for c in listing] == ["listed"]
     assert listing[0]["campaign_id"] == cid
+
+
+# ---------------------------------------------------------------------------
+# The HTTP edge is bounded and typed
+# ---------------------------------------------------------------------------
+
+def _raw_post(base: str, headers: dict, body: bytes = b"",
+              timeout: float = 30.0):
+    """POST /campaigns over a bare socket (urllib fixes Content-Length up)."""
+    import socket
+    from urllib.parse import urlparse
+
+    addr = urlparse(base)
+    head = "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+    with socket.create_connection((addr.hostname, addr.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(f"POST /campaigns HTTP/1.1\r\nHost: x\r\n{head}\r\n"
+                     .encode() + body)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    status, _, rest = raw.partition(b"\r\n")
+    return int(status.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def test_http_oversize_body_is_413_without_reading_it(http_service):
+    from repro.campaign.http import MAX_BODY_BYTES
+    _svc, base = http_service
+    # Only the header claims the size: a server that tried to read the
+    # body would block until the timeout instead of answering.
+    code, payload = _raw_post(
+        base, {"Content-Length": MAX_BODY_BYTES + 1}, timeout=5.0)
+    assert code == 413 and str(MAX_BODY_BYTES) in payload["error"]
+
+
+@pytest.mark.parametrize("length", ["-5", "lots", "1e3"])
+def test_http_garbage_content_length_is_400(http_service, length):
+    _svc, base = http_service
+    code, payload = _raw_post(base, {"Content-Length": length}, timeout=5.0)
+    assert code == 400 and "Content-Length" in payload["error"]
+
+
+def test_http_stalled_client_gets_408_and_server_survives(http_service,
+                                                          monkeypatch):
+    from repro.campaign import http
+    monkeypatch.setattr(http._Handler, "timeout", 0.2)
+    _svc, base = http_service
+    code, payload = _raw_post(base, {"Content-Length": 100}, b"{", 5.0)
+    assert code == 408 and "timed out" in payload["error"]
+    assert _get(f"{base}/healthz")["status"] == "ok"
+
+
+def test_http_unexpected_error_is_typed_json_500(http_service, monkeypatch):
+    svc, base = http_service
+
+    def boom():
+        raise RuntimeError("registry exploded")
+
+    monkeypatch.setattr(svc, "service_status", boom)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _get(f"{base}/status")
+    assert err.value.code == 500
+    assert json.loads(err.value.read()) == {
+        "error": "registry exploded", "type": "RuntimeError"}
+    assert _get(f"{base}/healthz")["status"] == "ok"

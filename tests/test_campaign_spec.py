@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import RunConfig
 from repro.campaign import CampaignSpec, SpecError, expand, run_point
 from repro.campaign.shim import (
     failover_campaign,
@@ -308,7 +309,8 @@ def test_failover_metrics_bit_identical_to_legacy_campaign():
     faults = FaultSchedule((FaultSpec(kind="rank_crash", time=1.0, rank=0),))
     campaign = run_resilient_campaign(
         ReducedBlockingIO(workers_per_writer=64), 128,
-        scaled_problem(128).data(), n_steps=2, faults=faults,
+        scaled_problem(128).data(), n_steps=2,
+        run_config=RunConfig(faults=faults),
         gap_seconds=1.0)
     spec = failover_campaign("f", 128, 2, 1.0)
     out = failover_metrics(spec, n_workers=1)

@@ -19,6 +19,7 @@ under ``coalesce="auto"``.
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.ckpt import (
     BurstBufferIO,
     CheckpointData,
@@ -37,7 +38,6 @@ from repro.experiments import (
 from repro.faults import FaultSchedule, FaultSpec
 from repro.mpiio import FlatExchange, Hints, pick_aggregators
 from repro.topology import intrepid
-from repro.trace import configure_trace
 
 PER_FIELD = 4096
 
@@ -55,9 +55,10 @@ def shared_data(n_fields: int = 3, payload: bool = True) -> CheckpointData:
 
 def run_pair(strategy, n_ranks, data, **kwargs):
     off = run_checkpoint_steps(strategy, n_ranks, data, seed=11,
-                               coalesce="off", **kwargs)
+                               run_config=RunConfig(coalesce="off"), **kwargs)
     on = run_checkpoint_steps(strategy, n_ranks, data, seed=11,
-                              coalesce="require", **kwargs)
+                              run_config=RunConfig(coalesce="require"),
+                              **kwargs)
     return off, on
 
 
@@ -154,7 +155,8 @@ def test_flow_control_disables_plan():
 def test_flow_control_require_raises():
     strategy = ReducedBlockingIO(workers_per_writer=8, max_outstanding=2)
     with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_step(strategy, 32, shared_data(), coalesce="require")
+        run_checkpoint_step(strategy, 32, shared_data(),
+                            run_config=RunConfig(coalesce="require"))
 
 
 def test_per_rank_data_builder_disables_coalescing():
@@ -162,7 +164,8 @@ def test_per_rank_data_builder_disables_coalescing():
     strategy = ReducedBlockingIO(workers_per_writer=8)
     builder = lambda rank: shared_data()  # noqa: E731
     with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_step(strategy, 32, builder, coalesce="require")
+        run_checkpoint_step(strategy, 32, builder,
+                            run_config=RunConfig(coalesce="require"))
 
 
 def test_1pfpp_offers_no_plan():
@@ -176,8 +179,10 @@ def test_1pfpp_offers_no_plan():
 ])
 def test_auto_equals_off_when_no_plan(strategy):
     data = shared_data(payload=False)
-    off = run_checkpoint_step(strategy, 16, data, seed=3, coalesce="off")
-    auto = run_checkpoint_step(strategy, 16, data, seed=3, coalesce="auto")
+    off = run_checkpoint_step(strategy, 16, data, seed=3,
+                              run_config=RunConfig(coalesce="off"))
+    auto = run_checkpoint_step(strategy, 16, data, seed=3,
+                               run_config=RunConfig(coalesce="auto"))
     assert_identical(off, auto)
 
 
@@ -207,13 +212,10 @@ def records_of(run):
 
 
 def run_traced(strategy, n_ranks, data, mode, **kwargs):
-    tracer = configure_trace("summary")
-    try:
-        run = run_checkpoint_steps(strategy, n_ranks, data, seed=11,
-                                   coalesce=mode, **kwargs)
-    finally:
-        configure_trace("off")
-    return run, tracer.summary()
+    run = run_checkpoint_steps(
+        strategy, n_ranks, data, seed=11,
+        run_config=RunConfig(trace="summary", coalesce=mode), **kwargs)
+    return run, run.job.tracer.summary()
 
 
 def assert_coio_identical(strategy, n_ranks, data, **kwargs):
@@ -293,7 +295,8 @@ def test_coio_restore_after_a_coalesced_run(per_file):
     aggregators, which hold theirs, never join."""
     data = shared_data()
     off, on = (run_resilient_campaign(coio(per_file), 64, data, n_steps=2,
-                                      seed=11, coalesce=mode)
+                                      seed=11,
+                                      run_config=RunConfig(coalesce=mode))
                for mode in ("off", "require"))
     assert_identical(off.run, on.run)
     assert off.run.job.engine.now == on.run.job.engine.now
@@ -341,7 +344,7 @@ def test_coio_offers_no_plan_without_a_flat_full_write_member():
 def test_coio_auto_without_a_plan_equals_off(case):
     runs = []
     for mode in ("off", "auto"):
-        strategy, data, kwargs = coio(16), shared_data(), {}
+        strategy, data, faults = coio(16), shared_data(), None
         if case == "builder":
             data = lambda rank, d=data: d  # noqa: E731
         elif case == "tam":
@@ -349,15 +352,15 @@ def test_coio_auto_without_a_plan_equals_off(case):
         elif case == "delta":
             strategy.configure_delta("auto")
         else:
-            kwargs["faults"] = FaultSchedule((
+            faults = FaultSchedule((
                 FaultSpec(kind="fs_error", time=0.0, op="write", count=1),))
-        runs.append(run_checkpoint_steps(strategy, 32, data, n_steps=2,
-                                         seed=5, coalesce=mode, **kwargs))
+        runs.append(run_checkpoint_steps(
+            strategy, 32, data, n_steps=2, seed=5,
+            run_config=RunConfig(coalesce=mode, faults=faults)))
     assert_identical(*runs)
     assert records_of(runs[0]) == records_of(runs[1])
 
 
 def test_bad_coalesce_value_rejected():
-    with pytest.raises(ValueError, match="auto/off/require"):
-        run_checkpoint_step(ReducedBlockingIO(workers_per_writer=8), 16,
-                            shared_data(), coalesce="yes")
+    with pytest.raises(ValueError, match="coalesce must be one of"):
+        RunConfig(coalesce="yes")

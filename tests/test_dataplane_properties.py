@@ -14,7 +14,7 @@ every committed file byte for byte.
 import numpy as np
 import pytest
 
-from repro import buffers
+from repro import RunConfig
 from repro.buffers import as_bytes, crc32_of
 from repro.ckpt import (
     BurstBufferIO,
@@ -68,21 +68,16 @@ def _data_builder(seed: int):
 
 def _committed_image(make_strategy, seed: int, faults, mode: str) -> dict:
     """Run one checkpoint step in ``mode``; return {path: (size, bytes, crc)}."""
-    prev = buffers.set_copy_mode(mode)
-    try:
-        run = run_checkpoint_steps(make_strategy(), N_RANKS,
-                                   _data_builder(seed), 1,
-                                   config=intrepid().quiet(),
-                                   faults=faults)
-        fs = run.job.services["fs"]
-        out = {}
-        for path, fobj in sorted(fs.files.items()):
-            content = fobj.read_extents(0, fobj.size)
-            out[path] = (fobj.size, as_bytes(content), crc32_of(content))
-        return out
-    finally:
-        buffers.set_copy_mode(prev)
-        buffers.stats.reset()
+    run = run_checkpoint_steps(make_strategy(), N_RANKS,
+                               _data_builder(seed), 1,
+                               config=intrepid().quiet(),
+                               run_config=RunConfig(copy=mode, faults=faults))
+    fs = run.job.services["fs"]
+    out = {}
+    for path, fobj in sorted(fs.files.items()):
+        content = fobj.read_extents(0, fobj.size)
+        out[path] = (fobj.size, as_bytes(content), crc32_of(content))
+    return out
 
 
 @pytest.mark.parametrize("fault_name", sorted(FAULT_MODES))

@@ -8,6 +8,7 @@ same ones the paper's full-scale plots rely on.
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.experiments import (
     APPROACHES,
     PAPER_SIZES,
@@ -185,7 +186,7 @@ def test_coio_figure_runs_equal_the_uncoalesced_reference(key):
     strategy = strategy_for(key, n)
     assert strategy.coalesce_plan(n) is not None
     ref = run_checkpoint_step(strategy, n, problem_for(n).data(),
-                              coalesce="off")
+                              run_config=RunConfig(coalesce="off"))
     got = get_run(key, n)
     for attr in ("ranks", "t_start", "t_blocked_end", "t_complete",
                  "bytes_local", "isend_seconds"):

@@ -11,6 +11,7 @@ corrupt restore.
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.ckpt import (
     BurstBufferIO,
     CollectiveIO,
@@ -87,7 +88,8 @@ FAULT_CELLS = {
 def run_cell(strategy_name: str, fault_name: str):
     return run_resilient_campaign(
         make_strategy(strategy_name), NP, matrix_data,
-        n_steps=N_STEPS, faults=FAULT_CELLS[fault_name],
+        n_steps=N_STEPS,
+        run_config=RunConfig(faults=FAULT_CELLS[fault_name]),
         config=QUIET, gap_seconds=GAP,
     )
 
@@ -205,7 +207,7 @@ def test_no_fault_cells_restore_newest_generation():
     for name in ["1pfpp", "coio", "rbio", "bbio"]:
         campaign = run_resilient_campaign(
             make_strategy(name), NP, matrix_data, n_steps=N_STEPS,
-            faults=None, config=QUIET, gap_seconds=GAP,
+            config=QUIET, gap_seconds=GAP,
         )
         assert_contract(campaign)
         assert campaign.restored_step == N_STEPS - 1

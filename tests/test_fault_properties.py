@@ -15,6 +15,7 @@ exactly from its seed.
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.ckpt import (
     BurstBufferIO,
     CheckpointData,
@@ -93,7 +94,8 @@ def check_case(i: int):
     strategy, n_ranks, data_fn, faults = build_case(i)
     try:
         campaign = run_resilient_campaign(
-            strategy, n_ranks, data_fn, n_steps=2, faults=faults,
+            strategy, n_ranks, data_fn, n_steps=2,
+            run_config=RunConfig(faults=faults),
             config=QUIET, gap_seconds=1.5,
         )
     except UnrecoverableCheckpointError:

@@ -25,6 +25,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.buffers import as_bytes
 from repro.ckpt import (
     BurstBufferIO,
@@ -36,7 +37,6 @@ from repro.ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
     UnrecoverableCheckpointError,
-    delta_stats,
 )
 from repro.experiments import run_resilient_campaign
 from repro.faults import FaultSchedule, FaultSpec
@@ -109,7 +109,8 @@ FAULT_CELLS = {
 def run_cell(strategy_name: str, fault_name: str, delta: str):
     return run_resilient_campaign(
         make_strategy(strategy_name, delta), NP, DATA,
-        n_steps=N_STEPS, faults=FAULT_CELLS[fault_name],
+        n_steps=N_STEPS,
+        run_config=RunConfig(faults=FAULT_CELLS[fault_name]),
         config=QUIET, gap_seconds=GAP,
     )
 
@@ -163,7 +164,6 @@ def test_matrix_cell_differential(strategy_name, fault_name):
         off = run_cell(strategy_name, fault_name, "off")
     except UnrecoverableCheckpointError:
         off = None
-    delta_stats.reset()
     try:
         on = run_cell(strategy_name, fault_name, "auto")
     except UnrecoverableCheckpointError:
@@ -194,7 +194,7 @@ def test_matrix_cell_differential(strategy_name, fault_name):
     # Every surviving manifest's declared CRCs match the stored bytes,
     # and the delta run actually deduplicated (or at least chunked).
     audit_manifests(on.run.job, strict=(fault_name == "none"))
-    snap = delta_stats.snapshot()
+    snap = delta_snapshot(on.run.job)
     assert snap["chunk_misses"] > 0
     if fault_name in ("none", "transient_fs"):
         # Unfaulted chains dedup every generation after the first.
@@ -206,22 +206,28 @@ def test_matrix_cell_differential(strategy_name, fault_name):
         assert snap["bytes_to_pfs"] < snap["bytes_logical"]
 
 
+def delta_snapshot(job) -> dict:
+    m = job.metrics()
+    return {key: m.get(f"delta.{key}") for key in (
+        "bytes_logical", "bytes_to_pfs", "chunk_hits", "chunk_misses")}
+
+
 def test_delta_off_leaves_counters_untouched():
-    delta_stats.reset()
-    run_cell("1pfpp", "none", "off")
-    assert delta_stats.snapshot() == {
+    # Run after a delta job in the same process, with no reset anywhere.
+    assert delta_snapshot(run_cell("rbio", "none", "auto").run.job)[
+        "chunk_misses"] > 0
+    assert delta_snapshot(run_cell("1pfpp", "none", "off").run.job) == {
         "bytes_logical": 0, "bytes_to_pfs": 0,
         "chunk_hits": 0, "chunk_misses": 0,
     }
 
 
 def test_dedup_beats_full_write_in_steady_state():
-    delta_stats.reset()
-    run_resilient_campaign(
+    campaign = run_resilient_campaign(
         make_strategy("rbio", "require"), NP, DATA, n_steps=6,
         config=QUIET, gap_seconds=GAP, restore=False,
     )
-    snap = delta_stats.snapshot()
+    snap = delta_snapshot(campaign.run.job)
     # Generations 1..5 reuse the ~75% untouched chunks of their parent,
     # so across the chain hits overtake the full gen-0 misses.
     assert snap["chunk_hits"] > snap["chunk_misses"]

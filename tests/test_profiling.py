@@ -134,33 +134,39 @@ def test_rbio_profiler_contains_isend_phases():
 
 
 # ---------------------------------------------------------------------------
-# Fabric traffic split: engine counters and Darshan summary
+# Fabric traffic split: one home (the job's fabric), one publisher
 # ---------------------------------------------------------------------------
 
-def test_fabric_counters_in_engine_and_summary():
-    """Engine.counters() and DarshanProfiler.summary() both surface the
-    process-wide intra/inter fabric split and the TAM coalescing ratio,
-    and the per-step numbers agree with the job's own fabric instance."""
-    from repro.network import stats as fabric_stats
+def test_job_metrics_publish_the_fabric_counters_once():
+    """``Job.metrics()`` carries the job's own intra/inter fabric split and
+    TAM coalescing ratio; the Darshan summary is I/O records only; and in
+    the flat run the worker ``isend`` spans account for every message."""
+    from repro import RunConfig
 
-    fabric_stats.reset()
     data = scaled_problem(16).data()
-    strategy = ReducedBlockingIO(workers_per_writer=8).configure_tam("require")
-    run = run_checkpoint_step(strategy, 16, data, config=QUIET)
-
-    job_stats = run.job.fabric.stats()
-    eng = run.job.engine.counters()
-    darshan = run.profiler.summary()
-    for counters in (eng, darshan):
-        for key in ("fabric_msgs_intra", "fabric_msgs_inter",
-                    "fabric_bytes_intra", "fabric_bytes_inter",
+    runs = {}
+    for tam in ("off", "require"):
+        strategy = ReducedBlockingIO(workers_per_writer=8)
+        if tam != "off":
+            strategy.configure_tam(tam)
+        runs[tam] = run_checkpoint_step(strategy, 16, data, config=QUIET,
+                                        run_config=RunConfig(trace="full"))
+    for run in runs.values():
+        metrics, fabric = run.job.metrics(), run.job.fabric.stats()
+        for key in ("msgs_intra", "msgs_inter", "bytes_intra", "bytes_inter",
                     "tam_msgs", "tam_packages", "tam_coalesce_ratio"):
-            assert counters[key] == job_stats[key], key
-    assert eng["fabric_msgs_intra"] > 0
-    assert eng["fabric_msgs_inter"] > 0
-    assert eng["tam_coalesce_ratio"] > 1.0
-    # Messages are classified exhaustively.
-    assert (eng["fabric_msgs_intra"] + eng["fabric_msgs_inter"]
-            == job_stats["messages_sent"])
-    fabric_stats.reset()
-    assert run.job.engine.counters()["tam_msgs"] == 0
+            assert metrics.get(f"fabric.{key}") == fabric[key], key
+        # Messages are classified exhaustively, each counted once.
+        assert (fabric["msgs_intra"] + fabric["msgs_inter"]
+                == fabric["messages_sent"])
+        assert not {"tam_msgs", "bytes_copied", "bytes_logical"} \
+            & set(run.profiler.summary())
+    flat, tam = (runs[k].job.metrics() for k in ("off", "require"))
+    assert flat.get("fabric.msgs_intra") > 0
+    assert flat.get("fabric.msgs_inter") > 0
+    assert flat.get("fabric.tam_msgs") == 0
+    assert tam.get("fabric.tam_coalesce_ratio") > 1.0
+    # Span totals = counters: every flat fabric message is one worker isend.
+    sent = runs["off"].job.fabric.stats()
+    assert flat.get("trace.phase.isend.count") == sent["messages_sent"]
+    assert flat.get("trace.phase.isend.bytes") == sent["bytes_sent"]

@@ -7,6 +7,7 @@ different seeds perturb only the stochastic parts.
 
 import numpy as np
 
+from repro import RunConfig
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
 from repro.experiments import clear_cache, fig5_write_bandwidth, run_checkpoint_step, scaled_problem
 from repro.topology import intrepid
@@ -130,7 +131,7 @@ def test_faulted_campaign_bit_reproducible():
     def campaign():
         return run_resilient_campaign(
             ReducedBlockingIO(workers_per_writer=16), 64, DATA, n_steps=2,
-            faults=faults, gap_seconds=2.0, seed=5,
+            run_config=RunConfig(faults=faults), gap_seconds=2.0, seed=5,
         )
 
     a, b = campaign(), campaign()
@@ -158,7 +159,8 @@ def test_faulted_run_reproducible_under_auto_coalescing():
     def run(mode):
         return run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=16), 64, DATA, 2,
-            gap_seconds=1.0, coalesce=mode, faults=faults)
+            gap_seconds=1.0,
+            run_config=RunConfig(coalesce=mode, faults=faults))
 
     a, b = run("auto"), run("auto")
     c = run("off")
@@ -180,7 +182,8 @@ def test_empty_schedule_is_zero_cost():
                                 gap_seconds=1.0)
     empty = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), N, DATA, 2,
                                  gap_seconds=1.0,
-                                 faults=FaultSchedule(()))
+                                 run_config=RunConfig(
+                                     faults=FaultSchedule(())))
     for ra, rb in zip(base.results, empty.results):
         assert np.array_equal(ra.t_complete, rb.t_complete)
         assert ra.overall_time == rb.overall_time
@@ -257,3 +260,92 @@ def test_zero_delay_cascade_interleaving_is_fifo():
         expected.extend(("first", i) for i in at_t)
         expected.extend(("second", i) for i in at_t)
     assert fired == expected
+
+
+# ---------------------------------------------------------------------------
+# Per-job state: runs in one process cannot observe each other
+# ---------------------------------------------------------------------------
+
+def _two_step_job(run_config, delta="off", tam="off"):
+    """A spawned-but-not-run payload job: two evolving rbIO generations."""
+    from repro.ckpt import EvolvingData
+    from repro.experiments.figures import strategy_for
+    from repro.mpi import Job
+    from repro.storage import attach_storage
+
+    strategy = strategy_for("rbio_ng", 64, delta=delta, tam=tam)
+    data = EvolvingData.mutating(64, mutated_fraction=0.25, seed=3)
+    job = Job(64, seed=9, run_config=run_config)
+    attach_storage(job)
+
+    def rank_main(ctx):
+        mine = data.bind(ctx.rank)
+        for step in range(2):
+            yield from ctx.comm.barrier()
+            yield from strategy.checkpoint(ctx, mine.at_step(step), step)
+
+    job.spawn(rank_main)
+    return job
+
+
+def _observed(job) -> dict:
+    metrics = job.metrics().snapshot()
+    del metrics["sim.wall_seconds"], metrics["sim.events_per_second"]
+    tracer = job.tracer
+    return {
+        "metrics": metrics,
+        "spans": None if tracer is None else [
+            (s.rank, s.cat, s.name, s.start, s.end, s.nbytes, s.members)
+            for s in tracer.spans],
+        "events": None if tracer is None else tracer.events,
+        "records": [(r.rank, r.op, r.start, r.end, r.nbytes, r.path)
+                    for r in job.profiler.records],
+        "image": {path: (size, bytes(rope))
+                  for path, (size, rope) in _fs_image(job).items()},
+    }
+
+
+def _loaded_and_plain():
+    loaded = _two_step_job(RunConfig(trace="full"), delta="require",
+                           tam="require")
+    plain = _two_step_job(RunConfig())
+    return loaded, plain
+
+
+def test_alternately_advanced_jobs_match_isolated_runs():
+    isolated = []
+    for job in _loaded_and_plain():
+        job.run()
+        isolated.append(_observed(job))
+
+    jobs = _loaded_and_plain()
+    ends = [obs["metrics"]["sim.virtual_time"] for obs in isolated]
+    for k in range(1, 40):
+        for job, end in zip(jobs, ends):    # loaded, plain, loaded, ...
+            job.run(until=end * k / 40)
+    for job in jobs:
+        job.run()
+    assert [_observed(job) for job in jobs] == isolated
+    assert isolated[0]["spans"] and isolated[0]["metrics"] != \
+        isolated[1]["metrics"]
+
+
+def test_plain_job_after_loaded_job_starts_from_zero():
+    """No reset call anywhere: the second job's counters are its own."""
+    loaded, plain = _loaded_and_plain()
+    loaded.run()
+    before = loaded.metrics().snapshot()
+    assert before["delta.chunk_misses"] > 0 and before["copy.bytes_copied"] > 0
+    assert before["fabric.tam_msgs"] > 0 and loaded.tracer.spans
+    plain.run()
+    after = plain.metrics().snapshot()
+    assert plain.tracer is None
+    assert all(after[k] == 0 for k in after
+               if k.startswith(("delta.", "fabric.tam_")))
+    # Its copies are exactly the isolated run's (one per committed byte).
+    alone = _two_step_job(RunConfig())
+    alone.run()
+    assert after["copy.bytes_copied"] == \
+        alone.metrics().get("copy.bytes_copied") > 0
+    # ...and the first job's numbers did not move while the second ran.
+    assert loaded.metrics().snapshot() == before

@@ -455,9 +455,9 @@ def test_timeout_batch_credits_logical_events():
     c = eng.counters()
     # 10 logical timeouts paid for with one calendar entry: the dispatched
     # representative plus nine batched members.
-    assert c["batched_events"] == 9
-    assert c["batches"] == 1
-    assert c["batch_hist"] == {"8-15": 1}
+    assert c["sim.batched_events"] == 9
+    assert c["sim.batches"] == 1
+    assert c["sim.batch_hist"] == {"8-15": 1}
 
 
 def test_timeout_batch_rejects_empty_and_negative():
@@ -489,8 +489,8 @@ def test_cohort_wakes_all_waiters_and_credits_members():
     eng.run()
     assert woken == [0, 1, 2]
     c = eng.counters()
-    assert c["batched_events"] == 7  # 8 members minus the dispatched event
-    assert c["batch_hist"] == {"8-15": 1}
+    assert c["sim.batched_events"] == 7  # 8 members minus the dispatched event
+    assert c["sim.batch_hist"] == {"8-15": 1}
 
 
 def test_cohort_size_validated():
@@ -514,7 +514,7 @@ def test_cohort_fail_credits_nothing():
     coh.fail(RuntimeError("collective aborted"))
     eng.run()
     assert caught == [True]
-    assert eng.counters()["batched_events"] == 0
+    assert eng.counters()["sim.batched_events"] == 0
 
 
 def test_succeed_many_preserves_fifo_order():
@@ -554,8 +554,8 @@ def test_count_events_credits_absorbed():
     eng = Engine()
     eng.count_events(100)
     c = eng.counters()
-    assert c["absorbed_events"] == 100
-    assert c["events_processed"] == 100
+    assert c["sim.absorbed_events"] == 100
+    assert c["sim.events_processed"] == 100
 
 
 def test_counters_breakdown_is_exact():
@@ -572,12 +572,13 @@ def test_counters_breakdown_is_exact():
     eng.count_events(3)
     eng.run()
     c = eng.counters()
-    assert c["events_processed"] == (
-        c["dispatched_events"] + c["batched_events"] + c["absorbed_events"]
+    assert c["sim.events_processed"] == (
+        c["sim.dispatched_events"] + c["sim.batched_events"]
+        + c["sim.absorbed_events"]
     )
-    assert c["batched_events"] == (4 - 1) + (6 - 1)
-    assert c["absorbed_events"] == 3
-    assert c["batches"] == 2
+    assert c["sim.batched_events"] == (4 - 1) + (6 - 1)
+    assert c["sim.absorbed_events"] == 3
+    assert c["sim.batches"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +600,8 @@ def test_wall_seconds_excludes_setup_time():
     eng.run()
     assert 0.0 < eng.wall_seconds < 0.05
     c = eng.counters()
-    assert c["events_per_second"] == pytest.approx(
-        c["events_processed"] / c["wall_seconds"]
+    assert c["sim.events_per_second"] == pytest.approx(
+        c["sim.events_processed"] / c["sim.wall_seconds"]
     )
 
 
@@ -620,7 +621,7 @@ def test_step_accumulates_wall_and_dispatch():
     eng.step()  # bootstrap event
     eng.step()  # the timeout
     assert eng.wall_seconds > 0.0
-    assert eng.counters()["dispatched_events"] == 2
+    assert eng.counters()["sim.dispatched_events"] == 2
 
 
 # ---------------------------------------------------------------------------

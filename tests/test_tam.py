@@ -20,6 +20,7 @@ the flat failover protocol (``"auto"`` falls back silently,
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.buffers import as_bytes
 from repro.ckpt import (
     BurstBufferIO,
@@ -98,7 +99,7 @@ def test_matrix_cell_differential(strategy_name, coalesce, delta):
         runs[tam] = run_resilient_campaign(
             make_strategy(strategy_name, tam=tam, delta=delta), NP, DATA,
             n_steps=N_STEPS, config=QUIET, gap_seconds=GAP,
-            coalesce=coalesce)
+            run_config=RunConfig(coalesce=coalesce))
     off, on = runs["off"], runs["require"]
 
     # Bit-identical PFS images and checksums.
@@ -128,7 +129,7 @@ def test_matrix_cell_differential(strategy_name, coalesce, delta):
     st = on.run.job.fabric.stats()
     assert st["tam_msgs"] > 0
     assert st["tam_coalesce_ratio"] > 1.0
-    assert st["fabric_msgs_inter"] < sf["fabric_msgs_inter"]
+    assert st["msgs_inter"] < sf["msgs_inter"]
     assert sf["tam_msgs"] == 0 and sf["tam_packages"] == 0
 
 
@@ -148,7 +149,8 @@ def test_tam_coalesced_replay_is_exact():
     for coalesce in ("off", "require"):
         runs[coalesce] = run_checkpoint_steps(
             make_strategy("rbio", tam="require"), NP, data(), seed=11,
-            n_steps=N_STEPS, gap_seconds=0.5, coalesce=coalesce)
+            n_steps=N_STEPS, gap_seconds=0.5,
+            run_config=RunConfig(coalesce=coalesce))
     full, coal = runs["off"], runs["require"]
     assert_same_files(full.job, coal.job)
     for a, b in zip(full.results, coal.results):
@@ -158,9 +160,9 @@ def test_tam_coalesced_replay_is_exact():
             assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
         assert a.fs_stats == b.fs_stats
     sa, sb = full.job.fabric.stats(), coal.job.fabric.stats()
-    for key in ("messages_sent", "bytes_sent", "fabric_msgs_intra",
-                "fabric_msgs_inter", "fabric_bytes_intra",
-                "fabric_bytes_inter", "tam_msgs", "tam_packages"):
+    for key in ("messages_sent", "bytes_sent", "msgs_intra",
+                "msgs_inter", "bytes_intra",
+                "bytes_inter", "tam_msgs", "tam_packages"):
         assert sa[key] == sb[key], key
 
 
@@ -180,14 +182,14 @@ def test_tam_fabric_accounting_invariants():
             n_steps=1)
     sf = runs["off"].job.fabric.stats()
     st = runs["require"].job.fabric.stats()
-    assert st["fabric_bytes_inter"] == sf["fabric_bytes_inter"]
+    assert st["bytes_inter"] == sf["bytes_inter"]
     assert st["messages_sent"] == sf["messages_sent"]
-    assert st["fabric_msgs_inter"] < sf["fabric_msgs_inter"]
-    assert st["fabric_bytes_intra"] > sf["fabric_bytes_intra"]
+    assert st["msgs_inter"] < sf["msgs_inter"]
+    assert st["bytes_intra"] > sf["bytes_intra"]
     for s in (sf, st):
-        assert (s["fabric_bytes_intra"] + s["fabric_bytes_inter"]
+        assert (s["bytes_intra"] + s["bytes_inter"]
                 == s["bytes_sent"])
-        assert (s["fabric_msgs_intra"] + s["fabric_msgs_inter"]
+        assert (s["msgs_intra"] + s["msgs_inter"]
                 == s["messages_sent"])
     assert st["tam_coalesce_ratio"] == st["tam_packages"] / st["tam_msgs"]
 
@@ -213,7 +215,8 @@ def test_writer_failover_under_tam_auto_falls_back_flat():
     for tam in ("off", "auto"):
         runs[tam] = run_resilient_campaign(
             make_strategy("rbio", tam=tam), NP, DATA, n_steps=N_STEPS,
-            faults=WRITER_CRASH, config=QUIET, gap_seconds=GAP)
+            run_config=RunConfig(faults=WRITER_CRASH), config=QUIET,
+            gap_seconds=GAP)
     off, on = runs["off"], runs["auto"]
     assert_same_files(off.run.job, on.run.job)
     assert off.restored_step == on.restored_step
@@ -226,7 +229,8 @@ def test_writer_failover_under_tam_require_raises():
     with pytest.raises(ValueError, match="tam='require'"):
         run_resilient_campaign(
             make_strategy("rbio", tam="require"), NP, DATA,
-            n_steps=N_STEPS, faults=WRITER_CRASH, config=QUIET,
+            n_steps=N_STEPS, run_config=RunConfig(faults=WRITER_CRASH),
+            config=QUIET,
             gap_seconds=GAP)
 
 
@@ -237,7 +241,8 @@ def test_transient_fs_errors_keep_tam_engaged():
     for tam in ("off", "require"):
         runs[tam] = run_resilient_campaign(
             make_strategy("rbio", tam=tam), NP, DATA, n_steps=N_STEPS,
-            faults=TRANSIENT_FS, config=QUIET, gap_seconds=GAP)
+            run_config=RunConfig(faults=TRANSIENT_FS), config=QUIET,
+            gap_seconds=GAP)
     assert_same_files(runs["off"].run.job, runs["require"].run.job)
     assert runs["require"].run.job.fabric.stats()["tam_msgs"] > 0
     assert runs["require"].restored == runs["off"].restored

@@ -2,11 +2,12 @@
 
 Covers the tracer core (modes, aggregates, coalesce expansion), the
 metrics registry and counter schema, the Chrome trace exporter (schema
-validation), reconciliation of span totals against ``Engine.counters()``
+validation), reconciliation of span totals against ``Job.metrics()``
 and ``DarshanProfiler.summary()``, the zero-cost off guarantee
 (differential: trace off vs full is bit-identical across strategies ×
-delta × tam × coalesce), the campaign ``grid.trace`` axis, and the
-service ``/metrics`` + ``/healthz`` endpoints.
+delta × tam × coalesce), per-job isolation of every counter and span,
+the campaign ``grid.trace`` axis, and the service ``/metrics`` +
+``/healthz`` endpoints.
 """
 
 import json
@@ -15,23 +16,15 @@ import urllib.request
 
 import pytest
 
-from repro import trace as trace_mod
 from repro.campaign import CampaignSpec, SweepService, expand, run_point
 from repro.campaign.http import start_server
 from repro.campaign.spec import SpecError
 from repro.ckpt import EvolvingData
 from repro.experiments.figures import problem_for, strategy_for
 from repro.experiments.runner import run_checkpoint_steps
-from repro.profiling import configure_profiling, make_profiler, profiling_mode
+from repro.mpi import Job, RunConfig
 from repro.sim import Engine
-from repro.trace import (
-    SCHEMA,
-    MetricsRegistry,
-    Span,
-    SpanTracer,
-    configure_trace,
-    trace_mode,
-)
+from repro.trace import SCHEMA, MetricsRegistry, Span, SpanTracer
 from repro.trace.export import (
     chrome_trace,
     fs_totals,
@@ -42,31 +35,24 @@ from repro.trace.timeline import critical_path, render_critical_path, \
     render_timeline
 
 
-@pytest.fixture(autouse=True)
-def _trace_off():
-    """Every test starts and ends with tracing off and profiling on."""
-    configure_trace("off")
-    configure_profiling("on")
-    yield
-    configure_trace("off")
-    configure_profiling("on")
+def _traced(mode="full", **kw) -> RunConfig:
+    return RunConfig(trace=mode, **kw)
 
 
 # ---------------------------------------------------------------------------
 # tracer core
 # ---------------------------------------------------------------------------
 
-def test_configure_trace_modes():
-    assert trace_mode() == "off"
-    assert trace_mod.tracer is None
-    tr = configure_trace("summary")
-    assert tr is trace_mod.tracer and tr.mode == "summary"
-    tr = configure_trace("full")
-    assert trace_mod.tracer.mode == "full"
-    assert configure_trace("off") is None
-    assert trace_mod.tracer is None
-    with pytest.raises(ValueError):
-        configure_trace("verbose")
+def test_run_config_selects_the_jobs_tracer():
+    assert Job(4).tracer is None
+    assert Job(4, run_config=_traced("summary")).tracer.mode == "summary"
+    job = Job(4, run_config=_traced("full"))
+    assert job.tracer.mode == "full"
+    assert job.tracer.cores_per_node == job.config.cores_per_node
+    for bad in (dict(trace="verbose"), dict(profiling="maybe"),
+                dict(copy="lazy"), dict(coalesce="always")):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
     with pytest.raises(ValueError):
         SpanTracer("off")
 
@@ -138,33 +124,15 @@ def test_registry_prometheus_text():
     assert text.endswith("\n")
 
 
-def test_engine_counters_pin_full_key_set():
-    """The counter schema is pinned: legacy keys + canonical aliases."""
-    legacy = {
-        "fabric_msgs_intra", "fabric_msgs_inter", "fabric_bytes_intra",
-        "fabric_bytes_inter", "tam_msgs", "tam_packages",
-        "tam_coalesce_ratio", "events_processed", "dispatched_events",
-        "batched_events", "absorbed_events", "batches", "batch_hist",
-        "drain_hist", "wall_seconds", "events_per_second", "virtual_time",
-        "bytes_copied", "buffer_allocs", "bytes_logical", "bytes_to_pfs",
-        "chunk_hits", "chunk_misses",
-    }
-    c = Engine().counters()
-    assert set(c) == legacy | set(SCHEMA)
-    # One release of aliasing: every canonical key mirrors its legacy one.
-    for canonical, old in SCHEMA.items():
-        assert c[canonical] == c[old], (canonical, old)
-    assert set(SCHEMA.values()) <= legacy
-
-
-def test_registry_collects_engine_counters():
-    eng = Engine()
-    reg = MetricsRegistry()
-    reg.collect_engine(eng.counters())
-    snap = reg.snapshot()
+def test_job_metrics_pin_full_key_set():
+    """The counter schema is pinned: an untraced job publishes exactly it."""
+    snap = Job(4).metrics().snapshot()
+    assert set(snap) == set(SCHEMA) and len(SCHEMA) == 23
     assert snap["sim.events_processed"] == 0
     assert isinstance(snap["sim.batch_hist"], dict)
-    assert "fabric.msgs_intra" in snap
+    # The engine owns the sim.* names and nothing else.
+    assert set(Engine().counters()) == {k for k in SCHEMA
+                                        if k.startswith("sim.")}
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +238,15 @@ def test_timeline_empty_and_elision():
 # profiling off-switch (satellite: zero-cost DarshanProfiler)
 # ---------------------------------------------------------------------------
 
-def test_configure_profiling_modes():
-    assert profiling_mode() == "on"
-    assert isinstance(make_profiler(), object) and make_profiler() is not None
-    prev = configure_profiling("off")
-    assert prev == "on" and profiling_mode() == "off"
-    assert make_profiler() is None
+def test_run_config_selects_the_jobs_profiler():
+    assert Job(4).profiler is not None
+    quiet = Job(4, run_config=RunConfig(profiling="off"))
+    assert quiet.profiler is None
+    assert all(ctx.profiler is None for ctx in quiet.contexts)
     # An active tracer forces a live profiler (spans are forwarded).
-    configure_trace("full")
-    assert make_profiler() is not None
-    configure_trace("off")
-    assert make_profiler() is None
-    with pytest.raises(ValueError):
-        configure_profiling("maybe")
+    traced = Job(4, run_config=RunConfig(trace="full", profiling="off"))
+    assert traced.profiler is not None
+    assert traced.profiler.tracer is traced.tracer
 
 
 def test_run_without_profiler_matches_run_with():
@@ -290,8 +254,8 @@ def test_run_without_profiler_matches_run_with():
     strategy = strategy_for("coio_64", 64)
     data = problem_for(64).data()
     base = run_checkpoint_steps(strategy, 64, data, 1)
-    configure_profiling("off")
-    quiet = run_checkpoint_steps(strategy_for("coio_64", 64), 64, data, 1)
+    quiet = run_checkpoint_steps(strategy_for("coio_64", 64), 64, data, 1,
+                                 run_config=RunConfig(profiling="off"))
     assert quiet.profiler is None
     assert base.profiler is not None and base.profiler.records
     assert quiet.result.overall_time == base.result.overall_time
@@ -299,15 +263,14 @@ def test_run_without_profiler_matches_run_with():
 
 
 # ---------------------------------------------------------------------------
-# reconciliation: spans vs Engine.counters() vs Darshan summary()
+# reconciliation: spans vs Job.metrics() vs Darshan summary()
 # ---------------------------------------------------------------------------
 
-def test_full_trace_reconciles_with_profiler_and_counters():
-    configure_trace("full")
+def test_full_trace_reconciles_with_profiler_and_metrics():
     strategy = strategy_for("rbio_ng", 128)
     data = problem_for(128).data()
-    run = run_checkpoint_steps(strategy, 128, data, 1)
-    tr = trace_mod.tracer
+    run = run_checkpoint_steps(strategy, 128, data, 1, run_config=_traced())
+    tr = run.job.tracer
     assert tr.spans
 
     summary = run.profiler.summary()
@@ -322,10 +285,11 @@ def test_full_trace_reconciles_with_profiler_and_counters():
     rebuilt = write_intervals_from_spans(tr)
     assert rebuilt.intervals == legacy.intervals
 
-    # Engine counters reconcile through the schema aliases.
-    c = run.job.engine.counters()
-    for canonical, old in SCHEMA.items():
-        assert c[canonical] == c[old]
+    # The job's metrics carry the same phase totals under trace.*.
+    m = run.job.metrics()
+    assert m.get("trace.fs.write.count") == writes["count"]
+    assert m.get("trace.fs.write.bytes") == writes["bytes"]
+    assert m.get("trace.spans") == len(tr.spans)
 
     # Checkpoint envelope spans agree with the run's own report.
     ck = tr.phase_totals()["ckpt:checkpoint"]
@@ -337,36 +301,42 @@ def test_full_trace_reconciles_with_profiler_and_counters():
 
 
 def test_trace_captures_tam_and_exchange_spans():
-    configure_trace("full")
     strategy = strategy_for("coio_64", 64, tam="require")
     data = problem_for(64).data()
-    run_checkpoint_steps(strategy, 64, data, 1)
-    totals = trace_mod.tracer.phase_totals()
+    run = run_checkpoint_steps(strategy, 64, data, 1, run_config=_traced())
+    totals = run.job.tracer.phase_totals()
     assert "mpiio:exchange" in totals
     assert "mpiio:tam-gather" in totals
     assert "mpiio:commit" in totals
 
 
 def test_trace_captures_restore_spans():
-    from repro.experiments.runner import run_checkpoint_and_restore
-    configure_trace("full")
-    run_checkpoint_and_restore(strategy_for("1pfpp", 16), 16,
-                               problem_for(16).data())
-    totals = trace_mod.tracer.phase_totals()
-    assert totals["ckpt:restore"]["count"] == 16
+    from repro.storage import attach_storage
+    strategy, data = strategy_for("1pfpp", 16), problem_for(16).data()
+    job = Job(16, run_config=_traced())
+    attach_storage(job)
+
+    def rank_main(ctx):
+        yield from strategy.checkpoint(ctx, data, 0, "/ckpt")
+        yield from ctx.comm.barrier()
+        yield from strategy.restore(ctx, data, 0, "/ckpt")
+
+    job.spawn(rank_main)
+    job.run()
+    assert job.tracer.phase_totals()["ckpt:restore"]["count"] == 16
 
 
 def test_retry_instants_recorded_on_transient_faults():
     from repro.faults import FaultSchedule, FaultSpec, faults_of
-    configure_trace("full")
     faults = FaultSchedule((
         FaultSpec(kind="fs_error", time=0.0, op="write", count=2,
                   transient=True),
     ))
     run = run_checkpoint_steps(strategy_for("1pfpp", 32), 32,
-                               problem_for(32).data(), 1, faults=faults)
+                               problem_for(32).data(), 1,
+                               run_config=_traced(faults=faults))
     assert faults_of(run.job).report()["injected"] == 2
-    tr = trace_mod.tracer
+    tr = run.job.tracer
     assert tr.events, "injected faults must surface as trace instants"
     assert all(e["cat"] == "fault" for e in tr.events)
     kinds = {e["name"] for e in tr.events}
@@ -379,14 +349,17 @@ def test_retry_instants_recorded_on_transient_faults():
 # ---------------------------------------------------------------------------
 
 def _run_fingerprint(approach, n_ranks, *, delta="off", tam="off",
-                     coalesce="auto", evolving=False, n_steps=1):
+                     coalesce="auto", evolving=False, n_steps=1,
+                     trace="off"):
     strategy = strategy_for(approach, n_ranks, delta=delta, tam=tam)
     if evolving:
         data = EvolvingData.mutating(64, mutated_fraction=0.25, seed=3)
     else:
         data = problem_for(n_ranks).data()
-    run = run_checkpoint_steps(strategy, n_ranks, data, n_steps,
-                               coalesce=coalesce)
+    run = run_checkpoint_steps(
+        strategy, n_ranks, data, n_steps,
+        run_config=RunConfig(trace=trace, coalesce=coalesce))
+    assert (run.job.tracer is None) == (trace == "off")
     fp = []
     for res in run.results:
         fp.append((res.overall_time, res.blocking_time,
@@ -415,9 +388,7 @@ def _run_fingerprint(approach, n_ranks, *, delta="off", tam="off",
 def test_trace_off_is_bit_identical(cfg):
     base = _run_fingerprint(**cfg)
     for mode in ("summary", "full"):
-        configure_trace(mode)
-        traced = _run_fingerprint(**cfg)
-        configure_trace("off")
+        traced = _run_fingerprint(**cfg, trace=mode)
         assert traced == base, f"trace={mode} diverged for {cfg}"
 
 
@@ -427,10 +398,10 @@ def test_trace_off_is_bit_identical(cfg):
 
 def test_fig12_activity_row_identical_from_spans():
     import numpy as np
-    configure_trace("full")
     run = run_checkpoint_steps(strategy_for("rbio_ng", 128), 128,
-                               problem_for(128).data(), 1)
-    tr = trace_mod.tracer
+                               problem_for(128).data(), 1,
+                               run_config=_traced())
+    tr = run.job.tracer
     legacy_starts, legacy_counts = \
         run.profiler.write_intervals().activity(0.25)
     span_starts, span_counts = \
@@ -467,7 +438,7 @@ def test_grid_trace_axis_rejects_unknown_mode():
         CampaignSpec.from_dict(bad)
 
 
-def test_run_point_trace_summary_and_restored_state():
+def test_run_point_trace_summary():
     expanded = expand(CampaignSpec.from_dict(
         {**_SPEC, "grid": {"approaches": ["coio_64"], "np": [64],
                            "trace": ["full"]}}))
@@ -475,9 +446,24 @@ def test_run_point_trace_summary_and_restored_state():
     assert out["trace"] == "full"
     phases = out["trace_summary"]["phases"]
     assert phases["ckpt:checkpoint"]["count"] == 64
-    assert trace_mod.tracer is None          # restored after the point
-    assert profiling_mode() == "on"
     json.dumps(out)
+
+
+def test_run_point_leaves_no_state_behind():
+    """A traced point and an untraced live point cannot observe each other:
+    both orders produce identical dicts."""
+    base = {"name": "iso", "seed": 5, "steps": {"n_steps": 2, "gap": 0.0},
+            "workload": {"points_per_rank": 64},
+            "grid": {"approaches": ["rbio_ng"], "np": [64],
+                     "delta": ["require"], "tam": ["require"],
+                     "trace": ["full", "off"]}}
+    traced, plain = expand(CampaignSpec.from_dict(base)).points
+    assert traced.trace == "full" and plain.trace == "off"
+    first = [run_point(traced), run_point(plain)]
+    second = [run_point(plain), run_point(traced)]
+    assert first == second[::-1]
+    assert "trace_summary" in first[0] and "trace_summary" not in first[1]
+    assert first[1]["bytes_logical"] > 0 and first[1]["tam_msgs"] > 0
 
 
 def test_run_point_trace_off_matches_traced_results():
