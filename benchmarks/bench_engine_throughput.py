@@ -148,6 +148,25 @@ def _wide_barrier_coalesced() -> Engine:
     return job.engine
 
 
+def _coalesced_1pfpp() -> dict:
+    """Deterministic counts of one coalesced 1PFPP checkpoint.
+
+    Every rank is replayed as event callbacks from one process; the perf
+    gate holds these counts, so a replay that drifts (an extra event per
+    rank, a plan silently dropped) fails CI.
+    """
+    from repro.experiments.figures import problem_for, strategy_for
+    from repro.experiments.runner import run_checkpoint_steps
+
+    job = run_checkpoint_steps(strategy_for("1pfpp", TRACE_NP), TRACE_NP,
+                               problem_for(TRACE_NP).data(), 1).job
+    counters = job.engine.counters()
+    return {"np": TRACE_NP,
+            "dispatched": counters["sim.dispatched_events"],
+            "events": counters["sim.events_processed"],
+            "rank_processes": len(job._rank_procs)}
+
+
 _WORKLOADS = {
     "timeout_storm": _timeout_storm,
     "ping_pong": _ping_pong,
@@ -171,7 +190,7 @@ def test_engine_throughput(benchmark):
           f"{c['sim.events_per_second']:,.0f}"]
          for name, c in out.items()],
     )
-    bench_record("engine_throughput", **{
+    bench_record("engine_throughput", ckpt_1pfpp=_coalesced_1pfpp(), **{
         name: {"events": c["sim.events_processed"],
                "dispatched": c["sim.dispatched_events"],
                "wall_seconds": c["sim.wall_seconds"],

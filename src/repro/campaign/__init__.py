@@ -39,7 +39,7 @@ abstraction, productionized for many concurrent clients:
 """
 
 from .compiler import CampaignPoint, ExpandedCampaign, expand, run_point
-from .service import SweepService
+from .service import SweepService, WorkerLost
 from .spec import (
     CampaignCheckpoint,
     CampaignFaults,
@@ -64,6 +64,7 @@ __all__ = [
     "SpecError",
     "StepsSpec",
     "SweepService",
+    "WorkerLost",
     "WorkloadSpec",
     "expand",
     "run_point",

@@ -15,6 +15,13 @@ layers keep redundant work off the pool:
    :class:`~repro.experiments.parallel.DiskCache`, so later campaigns
    start from warm hits.
 
+A worker process that dies (out of memory on a large point, a signal)
+breaks the whole pool: every pending future fails and every later
+``submit`` raises.  Runs are deterministic, so the service rebuilds the
+pool and re-dispatches each point that was in flight, once; a point whose
+worker dies a second time fails with :class:`WorkerLost`, and the service
+stays usable either way.
+
 All public methods are thread-safe; the HTTP layer calls them from
 request-handler threads.  :attr:`SweepService.counters` exposes exactly
 how many points actually executed vs. were deduped or served from cache
@@ -26,13 +33,18 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Union
 
 from ..experiments.parallel import DiskCache, default_workers, sweep_cache
 from .compiler import ExpandedCampaign, expand, run_point
 from .spec import CampaignSpec
 
-__all__ = ["SweepService", "CampaignStatus"]
+__all__ = ["SweepService", "CampaignStatus", "WorkerLost"]
+
+
+class WorkerLost(RuntimeError):
+    """A point's worker process died twice; the point was not computed."""
 
 
 class CampaignStatus:
@@ -129,6 +141,7 @@ class SweepService:
             "points_executed": 0,
             "points_deduped": 0,
             "points_cached": 0,
+            "pool_rebuilds": 0,
         }
 
     # -- submission --------------------------------------------------------
@@ -172,15 +185,55 @@ class SweepService:
         if future is not None:
             self.counters["points_deduped"] += 1
         else:
-            future = self._pool.submit(run_point, point)
-            self._inflight[key] = future
+            future = self._inflight[key] = Future()
             self.counters["points_executed"] += 1
             future.add_done_callback(
                 lambda f, key=key: self._retire(key, f))
+            self._dispatch(point, future, retry=True)
         status.futures[index] = future
         future.add_done_callback(
             lambda f, status=status, index=index: self._record(
                 status, index, f))
+
+    def _dispatch(self, point, future: Future, retry: bool) -> None:
+        """Run ``point`` on the pool and settle ``future`` with the outcome.
+
+        ``future`` is the service's own, so a re-dispatch after a worker
+        death is invisible to the campaigns waiting on it.  Caller holds
+        ``self._lock``.
+        """
+        pool = self._pool
+        try:
+            attempt = pool.submit(run_point, point)
+        except BrokenProcessPool:  # died since the last point settled
+            self._rebuild(pool)
+            pool = self._pool
+            attempt = pool.submit(run_point, point)
+
+        def settle(attempt: Future) -> None:
+            exc = attempt.exception()
+            if exc is None:
+                future.set_result(attempt.result())
+            elif not isinstance(exc, BrokenProcessPool):
+                future.set_exception(exc)
+            elif retry:
+                with self._lock:
+                    self._rebuild(pool)
+                    self._dispatch(point, future, retry=False)
+            else:
+                future.set_exception(WorkerLost(
+                    f"worker process died twice running point "
+                    f"{point.content_hash[:12]} ({point.approach} "
+                    f"np={point.n_ranks})"))
+
+        attempt.add_done_callback(settle)
+
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken`` (once, however many futures report it)."""
+        if self._pool is broken:
+            broken.shutdown(wait=False)
+            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+            self.counters["pool_rebuilds"] += 1
 
     def _retire(self, key: str, future: Future) -> None:
         """Drop a finished future from the in-flight table; cache success."""

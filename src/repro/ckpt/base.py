@@ -120,12 +120,12 @@ class CheckpointStrategy:
     def coalesce_plan(self, n_ranks: int):
         """Offer a :class:`~repro.sim.CoalescePlan`, or ``None``.
 
-        A strategy whose ranks are symmetric within groups (identical data,
-        identical schedules — rbIO workers), or share a role that needs no
-        process of its own (coIO's non-aggregator ranks), may return a plan
-        so the runner replays each group from one representative.  The
-        default is ``None``: strategies with per-rank divergence and no
-        such structure (1PFPP's arrival jitter) must run every rank.
+        A strategy whose ranks need no process of their own — symmetric
+        within groups (rbIO workers), one role that only contributes and
+        waits (coIO's non-aggregator ranks), or independent but for the
+        file system (every 1PFPP rank) — returns a plan, and the runner
+        has one representative stand in for each group.  The default is
+        ``None``: every rank runs.
         """
         return None
 

@@ -30,7 +30,7 @@ from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
 from ..mpiio.file import SHUFFLE_TAG_BASE
-from ..sim import CoalescePlan, GroupPlan
+from ..sim import CoalescePlan, GroupPlan, StagedOp
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .layout import FileLayout
@@ -365,7 +365,7 @@ class _RunReplay:
         self.done = self.eng.event()
 
 
-class _MemberReplay:
+class _MemberReplay(StagedOp):
     """One non-aggregator rank of a collective checkpoint, without a process.
 
     Each method is the continuation a rank process would run when the
@@ -379,14 +379,16 @@ class _MemberReplay:
 
     Nothing another layer decides is re-derived here: a member ships the
     pieces :meth:`FlatExchange.sends` lists for it, like
-    ``MPIFile._two_phase`` does, and what an open or close costs and
-    records is ``FSClient``'s begin/finish halves.
+    ``MPIFile._two_phase`` does, and an open or close is ``FSClient``'s own
+    staged op, called from :meth:`_open` / :meth:`_close` as a process
+    would ``yield from`` it.
     """
 
     __slots__ = ("run", "rank", "view", "lr", "fs", "step", "t0", "offs",
-                 "t_op", "handle", "call", "t_x0")
+                 "handle", "seq", "t_x0")
 
     def __init__(self, run: _RunReplay, rank: int, view, t0: float) -> None:
+        super().__init__(None)
         self.run = run
         self.rank = rank
         self.view = view
@@ -416,29 +418,30 @@ class _MemberReplay:
 
     def _laid_out(self, ev) -> None:
         self.offs = ev.value.member_offsets(self.lr)
+        self.then = _MemberReplay._open
         self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
-            self._open)
+            self.advance)
 
     # -- MPIFile.open, non-creator side: the open barrier has released ----
-    def _open(self, _ev) -> None:
-        run = self.run
-        self.t_op = run.eng.now
-        fobj, service = self.fs.open_begin(run.paths[self.step])
-        run.eng.timeout(service).callbacks.append(partial(self._opened, fobj))
+    # (_open/_opened and _close/_closed are StagedOp stages, not callbacks.)
+    def _open(self):
+        self.then = _MemberReplay._opened
+        return self.call(self.fs.open_op(self.run.paths[self.step], True))
 
-    def _opened(self, fobj, _ev) -> None:
-        self.handle = self.fs.open_finish(fobj, True, self.t_op)
-        self.call = self.run.first_call
+    def _opened(self) -> None:
+        self.handle = self.result
+        self.seq = self.run.first_call
         self._write_at_all()
 
     # -- one collective write per call: allgather, ship, barrier ----------
     def _write_at_all(self) -> None:
         run = self.run
-        i = self.call
+        i = self.seq
         if i == len(run.payloads):
             # MPIFile.close: barrier, fs.close, barrier.
+            self.then = _MemberReplay._close
             run.comm._barrier_arrive(self.lr).event.callbacks.append(
-                self._close)
+                self.advance)
             return
         self.t_x0 = run.eng.now
         region = (0, 0) if i < 0 else (self.offs[i], run.field_sizes[i])
@@ -457,7 +460,7 @@ class _MemberReplay:
         if not sends:
             self._shipped(None)
             return
-        i = self.call
+        i = self.seq
         offset = self.offs[i]
         payload = run.payloads[i]
         tag = SHUFFLE_TAG_BASE + i - run.first_call
@@ -478,7 +481,7 @@ class _MemberReplay:
         run = self.run
         tr = run.tracer
         if tr is not None:
-            i = self.call
+            i = self.seq
             tr.span(self.rank, "exchange", "mpiio", self.t_x0, run.eng.now,
                     0 if i < 0 else run.field_sizes[i],
                     args={"path": run.paths[self.step],
@@ -486,18 +489,15 @@ class _MemberReplay:
         self._next_call(ev)
 
     def _next_call(self, _ev) -> None:
-        self.call += 1
+        self.seq += 1
         self._write_at_all()
 
     # -- MPIFile.close ----------------------------------------------------
-    def _close(self, _ev) -> None:
-        run = self.run
-        self.t_op = run.eng.now
-        run.eng.timeout(self.fs.close_begin(self.handle)
-                        ).callbacks.append(self._closed)
+    def _close(self):
+        self.then = _MemberReplay._closed
+        return self.call(self.fs.close_op(self.handle))
 
-    def _closed(self, _ev) -> None:
-        self.fs.close_finish(self.handle, self.t_op)
+    def _closed(self) -> None:
         self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
             self._finished)
 

@@ -15,10 +15,13 @@ rather than an artificial rank-ordered ramp.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from ..buffers import ByteRope, zeros
 from ..faults import UnrecoverableCheckpointError
 from ..faults.retry import retry_fs
 from ..mpi import RankContext
+from ..sim import CoalescePlan, GroupPlan, StagedOp
 from .base import CheckpointStrategy
 from .data import CheckpointData
 
@@ -49,6 +52,58 @@ class OneFilePerProcess(CheckpointStrategy):
         """This rank's private output file (all in one directory)."""
         return f"{self.step_dir(basedir, step)}/p{rank:06d}.vtk"
 
+    # -- coalescing -------------------------------------------------------
+    def coalesce_plan(self, n_ranks: int):
+        """Offer every rank as a continuation (:class:`_RankReplay`).
+
+        Between a rank's waits nothing happens that a callback on the
+        awaited event cannot do, so no rank needs a process.  Delta commits
+        keep per-rank parent manifests and run uncoalesced.
+        """
+        if self.delta != "off":
+            return None
+        group = GroupPlan(rep=0, members=tuple(range(n_ranks)))
+        return CoalescePlan(groups=(group,),
+                            worker_main=self.coalesced_worker_main)
+
+    def coalesced_worker_main(self, ctx: RankContext, members,
+                              data: CheckpointData, steps, basedir: str,
+                              gaps, barrier_each_step: bool):
+        """Generator: the one process of a coalesced run.
+
+        It enters the first barrier for everybody, starts the ranks in rank
+        order — as the barrier's release resumes rank processes — and waits
+        for the last to finish.  The first wave's jitter is one vector
+        draw: the values, in the order, of one scalar draw per rank.
+        """
+        yield from ctx.comm.barrier_members(members)
+        job = ctx.job
+        eng = job.engine
+        run = SimpleNamespace(
+            strategy=self, eng=eng, contexts=job.contexts,
+            world=ctx.comm.comm, rng=job.streams.stream("ckpt.jitter"),
+            data=data, has_payload=data.has_payload,
+            total_bytes=data.total_bytes,
+            file_bytes=data.header_bytes + data.total_bytes, steps=steps,
+            basedir=basedir, gaps=gaps, barrier_each_step=barrier_each_step,
+            reports={}, unfinished=len(members), done=eng.event())
+        if self.arrival_jitter > 0:
+            delays = run.rng.random(len(members)) * self.arrival_jitter
+            for m, delay in zip(members, delays.tolist()):
+                eng.timeout(delay).callbacks.append(_RankReplay(run, m).advance)
+        else:
+            for m in members:
+                _RankReplay(run, m).advance()
+        return (yield run.done)
+
+    @staticmethod
+    def _file_payload(data: CheckpointData):
+        """One rank's file image, header then fields (size-only: ``None``)."""
+        if not data.has_payload:
+            return None
+        return ByteRope.concat(
+            [zeros(data.header_bytes), data.concatenated_payload()])
+
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
         """Generator: create own file, stream header + fields, close."""
@@ -66,10 +121,7 @@ class OneFilePerProcess(CheckpointStrategy):
         # POSIX stream write: header and fields leave the node as one
         # buffered sequential burst.
         total = data.header_bytes + data.total_bytes
-        payload = None
-        if data.has_payload:
-            payload = ByteRope.concat(
-                [zeros(data.header_bytes), data.concatenated_payload()])
+        payload = self._file_payload(data)
         yield from retry_fs(
             eng, lambda: ctx.fs.write(handle, 0, total, payload=payload),
             tracer=ctx.job.tracer)
@@ -155,3 +207,85 @@ class OneFilePerProcess(CheckpointStrategy):
         self._span(ctx, "restore", t_r0, ctx.engine.now,
                    template.total_bytes, step=step)
         return fields
+
+
+class _RankReplay(StagedOp):
+    """One rank of a coalesced 1PFPP run, without a process.
+
+    The stages are ``_rank_main``'s loop around :meth:`OneFilePerProcess.
+    checkpoint`, cut at its waits, and :meth:`StagedOp.advance` takes each
+    wait where the rank's process would have: noise draws, the directory
+    token's FIFO, pipe reservations, ``active_streams``, Darshan records
+    and spans fall in the uncoalesced order by construction.  What a
+    create, write or close costs is ``FSClient``'s staged op.  ``run`` is
+    what the ranks share (see ``coalesced_worker_main``).
+    """
+
+    __slots__ = ("run", "rank", "fs", "step", "t0", "handle")
+
+    def __init__(self, run, rank: int) -> None:
+        # Step 0 starts past its barrier and jitter (the worker main's).
+        super().__init__(_RankReplay._create)
+        self.run = run
+        self.rank = rank
+        self.fs = run.contexts[rank].fs
+        self.step = 0
+        self.t0 = run.eng.now
+
+    def _next_step(self):
+        run = self.run
+        gap = run.gaps[self.step]
+        if gap > 0:
+            self.then = _RankReplay._barrier
+            return run.eng.timeout(gap)
+        return self._barrier()
+
+    def _barrier(self):
+        run = self.run
+        if run.barrier_each_step:
+            self.then = _RankReplay._enter
+            return run.world._barrier_arrive(self.rank).event
+        return self._enter()
+
+    def _enter(self):
+        run = self.run
+        self.t0 = run.eng.now
+        jitter = run.strategy.arrival_jitter
+        if jitter > 0:
+            self.then = _RankReplay._create
+            return run.eng.timeout(float(run.rng.random()) * jitter)
+        return self._create()
+
+    def _create(self):
+        run = self.run
+        self.then = _RankReplay._write
+        return self.call(self.fs.create_op(run.strategy.rank_path(
+            run.basedir, run.steps[self.step], self.rank)))
+
+    def _write(self):
+        run = self.run
+        self.handle = self.result
+        self.then = _RankReplay._close
+        # A rope per member, as in checkpoint(): the copy counters count it.
+        payload = (run.strategy._file_payload(run.data) if run.has_payload
+                   else None)
+        return self.call(self.fs.write_op(self.handle, 0, run.file_bytes,
+                                          payload))
+
+    def _close(self):
+        self.then = _RankReplay._report
+        return self.call(self.fs.close_op(self.handle))
+
+    def _report(self):
+        run = self.run
+        now = run.eng.now
+        run.reports.setdefault(self.rank, []).append(run.strategy._report(
+            run.contexts[self.rank], "independent", self.t0, now, now,
+            run.total_bytes))
+        self.step += 1
+        if self.step < len(run.steps):
+            return self._next_step()
+        run.unfinished -= 1
+        if not run.unfinished:
+            run.done.succeed(run.reports)
+        return self.done()

@@ -134,13 +134,6 @@ def _rank_main(ctx, strategy: CheckpointStrategy, data_fn, steps: list[int],
     return reports
 
 
-def _rep_main(ctx, worker_main, members, data, steps: list[int], basedir: str,
-              gaps: tuple[float, ...], barrier_each_step: bool):
-    """Representative rank: replay a whole symmetric group from one process."""
-    return (yield from worker_main(ctx, members, data, steps, basedir,
-                                   gaps, barrier_each_step))
-
-
 def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                          data: DataBuilder, n_steps: int = 1,
                          config: Optional[MachineConfig] = None,
@@ -163,12 +156,12 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     time) compile down to.
 
     ``run_config`` (:class:`~repro.mpi.RunConfig`) selects how the run
-    executes: tracing, profiling, copy mode, symmetry-aware rank
-    coalescing (see :mod:`repro.sim.coalesce`; coalesced runs are
-    bit-identical to uncoalesced ones) and the
+    executes: tracing, profiling, copy mode, rank coalescing (see
+    :mod:`repro.sim.coalesce`; coalesced runs are bit-identical to
+    uncoalesced ones) and the
     :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
-    schedule disables coalescing: faults break the rank symmetry
-    coalescing relies on, so every rank must actually run.
+    schedule disables coalescing: faults target ranks individually, so
+    every rank must actually run.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -184,8 +177,8 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     plan = None
     if coalesce != "off" and isinstance(data, CheckpointData) and not faults:
         # Per-rank data builders can diverge, so only a single shared
-        # CheckpointData object is provably symmetric.  A non-empty fault
-        # schedule also disqualifies coalescing (rank-targeted faults).
+        # CheckpointData object is provably the same for every rank.  A
+        # non-empty fault schedule also disqualifies coalescing.
         plan = strategy.coalesce_plan(n_ranks)
     if coalesce == "require" and plan is None:
         raise ValueError(
@@ -206,9 +199,8 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
             if r in skip:
                 continue
             if r in rep_members:
-                job.spawn(_rep_main, plan.worker_main, rep_members[r], data,
-                          steps, basedir, gaps, barrier_each_step,
-                          ranks=[r])
+                job.spawn(plan.worker_main, rep_members[r], data, steps,
+                          basedir, gaps, barrier_each_step, ranks=[r])
             else:
                 job.spawn(_rank_main, strategy, data_fn, steps, basedir,
                           gaps, barrier_each_step, writer_set,

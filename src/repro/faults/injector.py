@@ -107,12 +107,12 @@ class FaultInjector:
 
     # -- storage hook --------------------------------------------------------
     def before_fs_op(self, rank: int, op: str, path: str):
-        """Generator run at the head of every FS operation.
+        """First stage of every FS operation: its stall event, or ``None``.
 
-        Applies at most one matching armed fault: a stall pauses the
-        caller, an error raises a contextual transient/fatal
-        :class:`FSError` *before* the operation mutates any state (so a
-        retried op re-runs cleanly).
+        Applies at most one matching armed fault: a stall is returned as
+        the timeout the caller must wait for, an error raises a contextual
+        transient/fatal :class:`FSError` *before* the operation mutates
+        any state (so a retried op re-runs cleanly).
         """
         now = self.engine.now
         for state in self._fs_state:
@@ -129,8 +129,7 @@ class FaultInjector:
             if spec.kind == "fs_stall":
                 self.log("fs_stall", rank=rank, op=op, path=path,
                          delay=spec.delay)
-                yield self.engine.timeout(spec.delay)
-                return
+                return self.engine.timeout(spec.delay)
             self.log("fs_error", rank=rank, op=op, path=path,
                      transient=spec.transient)
             raise FSError(
@@ -138,8 +137,7 @@ class FaultInjector:
                 f"{op} error on {path!r}",
                 op=op, path=path, time=now, transient=spec.transient,
             )
-        return
-        yield  # pragma: no cover - makes this a generator
+        return None
 
     # -- network hook --------------------------------------------------------
     def net_adjust(self, now: float, src: int, dst: int, done: float) -> float:

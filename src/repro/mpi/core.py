@@ -185,7 +185,7 @@ class Communicator:
         self.world_ranks = list(world_ranks)
         self.size = len(world_ranks)
         self._local_of_world = {w: i for i, w in enumerate(self.world_ranks)}
-        self.mailboxes = [Mailbox(engine) for _ in range(self.size)]
+        self._mailboxes: dict[int, Mailbox] = {}
         self._coll_ops: dict[int, _CollectiveOp] = {}
         self._coll_seq = [0] * self.size
         self.id = Communicator._next_id
@@ -207,6 +207,13 @@ class Communicator:
         if not 0 <= local_rank < self.size:
             raise MPIError(f"rank {local_rank} out of range for size {self.size}")
         return CommView(self, local_rank)
+
+    def mailbox(self, local_rank: int) -> Mailbox:
+        """A rank's message queue, built on its first send or receive."""
+        box = self._mailboxes.get(local_rank)
+        if box is None:
+            box = self._mailboxes[local_rank] = Mailbox(self.engine)
+        return box
 
     def local_rank_of(self, world_rank: int) -> int:
         """Translate a world rank to this communicator's numbering."""
@@ -419,7 +426,9 @@ class CommView:
         eager = buffered or nbytes <= cfg.eager_threshold
 
         transport = fabric.transfer(src_world, dst_world, nbytes)
-        mailbox = comm.mailboxes[dest]
+        mailbox = comm._mailboxes.get(dest)
+        if mailbox is None:
+            mailbox = comm.mailbox(dest)
         source_local = self.rank
 
         def deliver(_ev, mailbox=mailbox, source_local=source_local, tag=tag,
@@ -457,7 +466,7 @@ class CommView:
         transport = comm.fabric.transfer(
             comm.world_ranks[self.rank], comm.world_ranks[dest], nbytes
         )
-        mailbox = comm.mailboxes[dest]
+        mailbox = comm.mailbox(dest)
         source_local = self.rank
 
         def deliver(_ev, mailbox=mailbox, source_local=source_local, tag=tag,
@@ -488,7 +497,7 @@ class CommView:
         transfer = comm.fabric.transfer
         world = comm.world_ranks
         dst_world = world[dest]
-        put = comm.mailboxes[dest].put
+        put = comm.mailbox(dest).put
         for src in sources_local:
             def deliver(_ev, put=put, src=src, tag=tag, nbytes=nbytes,
                         payload=payload, issued_at=issued_at, eng=eng):
@@ -506,7 +515,9 @@ class CommView:
         comm = self.comm
         if source != ANY_SOURCE and not 0 <= source < comm.size:
             raise MPIError(f"irecv source {source} out of range")
-        mailbox = comm.mailboxes[self.rank]
+        mailbox = comm._mailboxes.get(self.rank)
+        if mailbox is None:
+            mailbox = comm.mailbox(self.rank)
         if source != ANY_SOURCE and tag != ANY_TAG:
             # Fully specified (every aggregator receive): matched inline by
             # the mailbox, no filter closure called per queued message.

@@ -53,10 +53,11 @@ class RunConfig:
         ``eager`` materializes at every hop (the pre-rope reference the
         data-plane bench and property tests compare against).
     ``coalesce``
-        Symmetry-aware rank coalescing in the checkpoint runners:
-        ``auto`` accepts a strategy's plan when all ranks share one
-        ``CheckpointData``, ``off`` forces the full SPMD run, ``require``
-        raises if no plan is available.  Coalesced runs are bit-identical.
+        Rank coalescing in the checkpoint runners (ranks replayed without
+        a process each; every strategy offers a plan): ``auto`` accepts
+        the plan when all ranks share one ``CheckpointData`` and no fault
+        is scheduled, ``off`` forces the full SPMD run, ``require`` raises
+        if no plan is available.  Coalesced runs are bit-identical.
     ``faults``
         A :class:`~repro.faults.FaultSchedule` the runners attach to the
         job (a non-empty one disables coalescing), or ``None``.

@@ -15,6 +15,8 @@ Public surface:
   :class:`~repro.sim.monitor.IntervalRecorder` — measurement helpers.
 - :class:`~repro.sim.coalesce.CoalescePlan`,
   :class:`~repro.sim.coalesce.GroupPlan` — symmetry-aware rank coalescing.
+- :class:`~repro.sim.stages.StagedOp` — a blocking operation cut at its
+  waits, runnable from a process or from event callbacks.
 """
 
 from .coalesce import CoalescePlan, GroupPlan
@@ -35,6 +37,7 @@ from .engine import (
 from .monitor import IntervalRecorder, Tally, TimeSeries, pow2_histogram
 from .randomness import NoiseModel, StreamRegistry
 from .resources import Pipe, Resource, Store
+from .stages import StagedOp
 
 __all__ = [
     "AllOf",
@@ -60,4 +63,5 @@ __all__ = [
     "Pipe",
     "Resource",
     "Store",
+    "StagedOp",
 ]

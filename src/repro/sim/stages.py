@@ -1,0 +1,80 @@
+"""Blocking operations cut at their waits, runnable with or without a process.
+
+A layer writes a blocking operation once, as a :class:`StagedOp` whose
+*stages* are plain methods.  A stage does the work up to the next wait,
+points ``then`` at the stage that follows it and returns the event:
+``yield ev`` becomes ``self.then = nxt; return ev``.  With nothing to wait
+for it calls the next stage itself; the last one ends ``return
+self.done()``; and ``yield from`` another op is ``return self.call(op)``.
+
+A process drives an op with :meth:`StagedOp.run`.  A caller that is not a
+process (coalesced replay) calls :meth:`StagedOp.advance`, which appends
+itself to the awaited event's callback list — where a process would have
+appended its resume, so everything order-dependent happens at the same
+position among the other waiters.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Optional
+
+from .engine import Event
+
+__all__ = ["StagedOp"]
+
+
+class StagedOp:
+    """One operation in flight: where it goes on, and who it returns to."""
+
+    __slots__ = ("then", "result", "up", "sub")
+
+    def __init__(self, first: Callable[["StagedOp"], Optional[Event]]) -> None:
+        #: The stage (a plain function of the op) that runs next.
+        self.then = first
+        self.result: Any = None
+        #: The op that called this one, and the op this one has called.
+        self.up: Optional[StagedOp] = None
+        self.sub: Optional[StagedOp] = None
+
+    def call(self, op: "StagedOp") -> Optional[Event]:
+        """Run ``op`` to completion, then go on at ``then``."""
+        op.up = self
+        self.sub = op
+        return op.then(op)
+
+    def done(self) -> Optional[Event]:
+        """The last stage's return value: the caller, if any, goes on."""
+        up = self.up
+        if up is None:
+            return None
+        up.sub = None
+        up.result = self.result
+        return up.then(up)
+
+    def advance(self, fired: Optional[Event] = None,
+                detached: bool = True) -> Optional[Event]:
+        """Go on (at the innermost called op) up to the next wait or the end.
+
+        Detached (the default: this is the callback), the wait is taken by
+        appending ``advance`` to the event's callbacks; otherwise the
+        event is returned to the caller (``None`` when done).
+        """
+        if fired is not None and not fired._ok:
+            raise fired._value
+        while True:
+            op = self
+            while op.sub is not None:
+                op = op.sub
+            out = op.then(op)
+            if out is None or not detached:
+                return out
+            callbacks = out.callbacks
+            if callbacks is not None:  # else already processed: go on now
+                callbacks.append(self.advance)
+                return out
+
+    def run(self):
+        """Generator: run the op in the calling process; returns ``result``."""
+        while (ev := self.advance(None, False)) is not None:
+            yield ev
+        return self.result

@@ -50,7 +50,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..buffers import ByteRope, as_bytes, overlay
-from ..sim import Engine, Pipe, Resource, StreamRegistry
+from ..sim import Engine, Pipe, Resource, StagedOp, StreamRegistry, Timeout
 from ..topology import MachineConfig, PsetMap
 
 __all__ = ["GPFS", "FSClient", "FileHandle", "FileObject", "FSError"]
@@ -75,6 +75,10 @@ class FSError(RuntimeError):
         self.transient = transient
 
 
+#: ``GPFS.noise`` draws this many factors from its stream at a time.
+_NOISE_BLOCK = 4096
+
+
 def _parent_dir(path: str) -> str:
     """Directory component of a path ('' for bare names)."""
     i = path.rfind("/")
@@ -96,16 +100,28 @@ class FileObject:
         "created_at",
     )
 
-    def __init__(self, path: str, file_id: int, engine: Engine, created_at: float) -> None:
+    def __init__(self, path: str, file_id: int, created_at: float) -> None:
         self.path = path
         self.file_id = file_id
         self.size = 0
         self.allocated_blocks: set[int] = set()
-        self.allocator = Resource(engine, capacity=1)
+        self.allocator: Optional[Resource] = None  # see alloc_manager
         self.lock_owner: dict[int, int] = {}
         self.writer_clients: set[int] = set()
-        self.extents: list[tuple[int, bytes]] = []
+        self.extents: Optional[list[tuple[int, bytes]]] = None  # see store
         self.created_at = created_at
+
+    def alloc_manager(self, engine: Engine) -> Resource:
+        """The allocation token, built on the first shared allocation."""
+        if self.allocator is None:
+            self.allocator = Resource(engine, capacity=1)
+        return self.allocator
+
+    def store(self, offset: int, data: bytes) -> None:
+        """Keep a written payload (size-only files never build the list)."""
+        if self.extents is None:
+            self.extents = []
+        self.extents.append((offset, data))
 
     def read_extents(self, offset: int, nbytes: int) -> ByteRope:
         """Stored payload for ``[offset, offset+nbytes)`` as a zero-copy rope.
@@ -117,7 +133,7 @@ class FileObject:
         :func:`repro.buffers.as_bytes` — that is the read-side copy
         boundary.
         """
-        return overlay(self.extents, offset, offset + nbytes)
+        return overlay(self.extents or (), offset, offset + nbytes)
 
 
 class FileHandle:
@@ -162,6 +178,7 @@ class GPFS:
         self._peak_streams = 0.0
         self._peak_time = 0.0
         self._noise_rng = streams.stream("fs.noise")
+        self._noise_block: list[float] = []
         self._storm_rng = streams.stream("fs.storms")
         self._sigma = config.noise_sigma
         #: Optional :class:`~repro.faults.FaultInjector`; ``None`` keeps
@@ -260,10 +277,20 @@ class GPFS:
 
     # -- noise ---------------------------------------------------------------
     def noise(self) -> float:
-        """Multiplicative lognormal service-time noise factor."""
+        """Multiplicative lognormal service-time noise factor.
+
+        Served from a prefetched block, reversed so the next value pops
+        off the end: this file system is the ``fs.noise`` stream's only
+        reader, so the values are those of one scalar
+        ``float(np.exp(rng.normal(0, sigma)))`` per call, in order.
+        """
         if self._sigma <= 0:
             return 1.0
-        return float(np.exp(self._noise_rng.normal(0.0, self._sigma)))
+        block = self._noise_block
+        if not block:
+            block = self._noise_block = np.exp(self._noise_rng.normal(
+                0.0, self._sigma, size=_NOISE_BLOCK))[::-1].tolist()
+        return block.pop()
 
     def storm_delay(self) -> float:
         """Draw a token-storm delay (0.0 most of the time).
@@ -296,14 +323,14 @@ class GPFS:
         if payload is not None and len(payload) != nbytes:
             raise FSError("payload length mismatch", op="preload", path=path,
                           time=self.engine.now)
-        fobj = FileObject(path, self._next_file_id, self.engine, self.engine.now)
+        fobj = FileObject(path, self._next_file_id, self.engine.now)
         self._next_file_id += 1
         fobj.size = nbytes
         bs = self.config.fs_block_size
         if nbytes:
             fobj.allocated_blocks.update(range((nbytes - 1) // bs + 1))
         if payload is not None:
-            fobj.extents.append((0, as_bytes(payload)))
+            fobj.store(0, as_bytes(payload))
         self.files[path] = fobj
         dirname = _parent_dir(path)
         self._dir_entries[dirname] = self._dir_entries.get(dirname, 0) + 1
@@ -340,9 +367,13 @@ class GPFS:
 class FSClient:
     """Per-rank POSIX-like interface to the shared :class:`GPFS`.
 
-    All methods are generators (DES blocking calls).  Every operation is
-    reported to the attached profiler, which is how the Darshan-style
-    analyses of Figs. 9-12 are produced.
+    Create, open, write and close exist once each, as a staged op
+    (:class:`_FSOp`).  The generator method runs it in the calling
+    process; the ``*_op`` method hands it to a caller that waits from
+    event callbacks (coalesced replay) — build it when the call starts,
+    that is its ``t0``.  Every operation is reported to the attached
+    profiler, which is how the Darshan-style analyses of Figs. 9-12 are
+    produced.
     """
 
     __slots__ = ("fs", "rank", "pset")
@@ -359,6 +390,12 @@ class FSClient:
             prof.record_op(self.rank, op, t0, self.fs.engine.now, nbytes, path)
 
     # -- metadata operations ---------------------------------------------------
+    def create_op(self, path: str, exclusive: bool = False) -> "_Create":
+        """Staged :meth:`create`; ``result`` is the handle."""
+        op = _Create(self, path)
+        op.exclusive = exclusive
+        return op
+
     def create(self, path: str, exclusive: bool = False):
         """Generator: create ``path`` and open it for writing.
 
@@ -366,61 +403,17 @@ class FSClient:
         directory's metanode token — the 1PFPP metadata storm.  Creating an
         existing file (``exclusive=False``) degrades to a plain open.
         """
-        fs = self.fs
-        eng = fs.engine
-        t0 = eng.now
-        if fs.injector is not None:
-            yield from fs.injector.before_fs_op(self.rank, "create", path)
-        if fs.exists(path):
-            if exclusive:
-                raise FSError(f"file exists: {path!r}", op="create",
-                              path=path, time=eng.now)
-            handle = yield from self.open(path, write=True)
-            return handle
-        dirname = _parent_dir(path)
-        token = fs.create_token(dirname)
-        yield token.request()
-        try:
-            # Insert cost grows with directory size (block splits, longer
-            # lock holds): the mechanism behind the 1PFPP metadata storm.
-            yield eng.timeout(fs.create_service_time(dirname) * fs.noise())
-            if not fs.exists(path):
-                fobj = FileObject(path, fs._next_file_id, eng, eng.now)
-                fs._next_file_id += 1
-                fs.files[path] = fobj
-                fs._dir_entries[dirname] = fs._dir_entries.get(dirname, 0) + 1
-                fs.creates += 1
-        finally:
-            token.release()
-        handle = self._make_handle(fs.files[path], write=True)
-        self._record("create", t0, 0, path)
-        return handle
+        return (yield from self.create_op(path, exclusive).run())
+
+    def open_op(self, path: str, write: bool = False) -> "_Open":
+        """Staged :meth:`open`; ``result`` is the handle."""
+        op = _Open(self, path)
+        op.write = write
+        return op
 
     def open(self, path: str, write: bool = False):
         """Generator: open an existing file."""
-        fs = self.fs
-        t0 = fs.engine.now
-        if fs.injector is not None:
-            yield from fs.injector.before_fs_op(self.rank, "open", path)
-        fobj, service = self.open_begin(path)
-        yield fs.engine.timeout(service)
-        return self.open_finish(fobj, write, t0)
-
-    # An open or close is begin, a wait of the returned service time, finish.
-    # The generator methods do that in the calling process; a caller that is
-    # not a process (coalesced replay) waits from an event callback instead.
-    def open_begin(self, path: str) -> tuple[FileObject, float]:
-        """Look ``path`` up and draw its open's metadata service time."""
-        fs = self.fs
-        return fs.file(path), fs.config.meta_open_service * fs.noise()
-
-    def open_finish(self, fobj: FileObject, write: bool,
-                    t0: float) -> FileHandle:
-        """Complete an open begun at ``t0``: count, register, record."""
-        self.fs.opens += 1
-        handle = self._make_handle(fobj, write)
-        self._record("open", t0, 0, fobj.path)
-        return handle
+        return (yield from self.open_op(path, write).run())
 
     def _make_handle(self, fobj: FileObject, write: bool) -> FileHandle:
         fs = self.fs
@@ -429,32 +422,25 @@ class FSClient:
             fobj.writer_clients.add(self.rank)
         return FileHandle(fobj, self, write, stream, fs.engine.now)
 
+    def close_op(self, handle: FileHandle) -> "_Close":
+        """Staged :meth:`close`."""
+        op = _Close(self, handle.file.path)
+        op.handle = handle
+        return op
+
     def close(self, handle: FileHandle):
         """Generator: close a handle (releases writer registration)."""
-        fs = self.fs
-        t0 = fs.engine.now
-        if fs.injector is not None:
-            yield from fs.injector.before_fs_op(self.rank, "close",
-                                                handle.file.path)
-        yield fs.engine.timeout(self.close_begin(handle))
-        self.close_finish(handle, t0)
-
-    def close_begin(self, handle: FileHandle) -> float:
-        """Release ``handle`` and draw its close's metadata service time."""
-        fs = self.fs
-        if handle.closed:
-            raise FSError(f"double close of {handle.file.path!r}", op="close",
-                          path=handle.file.path, time=fs.engine.now)
-        handle.closed = True
-        if handle.writable:
-            handle.file.writer_clients.discard(self.rank)
-        return fs.config.meta_close_service * fs.noise()
-
-    def close_finish(self, handle: FileHandle, t0: float) -> None:
-        """Complete a close begun at ``t0``."""
-        self._record("close", t0, 0, handle.file.path)
+        return (yield from self.close_op(handle).run())
 
     # -- data operations -------------------------------------------------------
+    def write_op(self, handle: FileHandle, offset: int, nbytes: int,
+                 payload: Optional[Any] = None) -> "_Write":
+        """Staged :meth:`write`."""
+        op = _Write(self, handle.file.path)
+        op.handle, op.offset, op.nbytes, op.payload = (handle, offset, nbytes,
+                                                       payload)
+        return op
+
     def write(self, handle: FileHandle, offset: int, nbytes: int,
               payload: Optional[Any] = None):
         """Generator: write ``nbytes`` at ``offset`` through this handle.
@@ -468,125 +454,7 @@ class FSClient:
         files) -> pipelined data movement through client stream, ION uplink
         and striped servers.  Returns when the burst is durably written.
         """
-        fs = self.fs
-        eng = fs.engine
-        cfg = fs.config
-        if fs.injector is not None:
-            yield from fs.injector.before_fs_op(self.rank, "write",
-                                                handle.file.path)
-        if handle.closed or not handle.writable:
-            raise FSError(f"write on closed/read-only handle {handle!r}",
-                          op="write", path=handle.file.path, time=eng.now)
-        if nbytes < 0 or offset < 0:
-            raise FSError(f"bad write range offset={offset} nbytes={nbytes}",
-                          op="write", path=handle.file.path, time=eng.now)
-        if payload is not None and len(payload) != nbytes:
-            raise FSError(f"payload length {len(payload)} != nbytes {nbytes}",
-                          op="write", path=handle.file.path, time=eng.now)
-        t0 = eng.now
-        fobj = handle.file
-        if nbytes == 0:
-            self._record("write", t0, 0, fobj.path)
-            return
-        bs = cfg.fs_block_size
-        first = offset // bs
-        last = (offset + nbytes - 1) // bs
-        blocks = range(first, last + 1)
-        shared = len(fobj.writer_clients) > 1
-
-        # --- extent allocation -------------------------------------------
-        new_blocks = [b for b in blocks if b not in fobj.allocated_blocks]
-        if new_blocks:
-            if shared and fs.serialized_shared_allocation:
-                yield fobj.allocator.request()
-                try:
-                    yield eng.timeout(cfg.alloc_service * len(new_blocks) * fs.noise())
-                    fobj.allocated_blocks.update(new_blocks)
-                finally:
-                    fobj.allocator.release()
-            else:
-                segments = -(-len(new_blocks) // cfg.alloc_batch_blocks)
-                yield eng.timeout(cfg.alloc_service * segments * fs.noise())
-                fobj.allocated_blocks.update(new_blocks)
-
-        # --- byte-range lock tokens ----------------------------------------
-        if shared and fs.byte_range_locks:
-            # Unaligned boundary blocks last written by another client
-            # force a read-modify-write of the whole block (GPFS
-            # whole-block tokens; the alignment optimization of Liao &
-            # Choudhary, SC'08, exists to avoid exactly this).
-            rmw_blocks = 0
-            if fs.whole_block_locks:
-                if offset % bs:
-                    owner = fobj.lock_owner.get(first)
-                    if owner is not None and owner != self.rank:
-                        rmw_blocks += 1
-                if (offset + nbytes) % bs and last != first:
-                    owner = fobj.lock_owner.get(last)
-                    if owner is not None and owner != self.rank:
-                        rmw_blocks += 1
-            acquire_runs = 0
-            revoke_runs = 0
-            prev_state = None  # "mine" / "free" / "theirs"
-            for b in blocks:
-                owner = fobj.lock_owner.get(b)
-                state = "mine" if owner == self.rank else ("free" if owner is None else "theirs")
-                if state != "mine" and state != prev_state:
-                    acquire_runs += 1
-                    if state == "theirs":
-                        revoke_runs += 1
-                prev_state = state
-                fobj.lock_owner[b] = self.rank
-            cost = (cfg.token_acquire * acquire_runs
-                    + cfg.token_revoke * revoke_runs
-                    + rmw_blocks * bs / cfg.server_disk_bandwidth)
-            fs.revocations += revoke_runs
-            fs.rmw_reads += rmw_blocks
-            if cost > 0:
-                yield eng.timeout(cost * fs.noise())
-            storm = fs.storm_delay()
-            if storm > 0:
-                yield eng.timeout(storm)
-        else:
-            for b in blocks:
-                fobj.lock_owner[b] = self.rank
-
-        # --- data movement ---------------------------------------------------
-        fs.active_streams += 1
-        try:
-            t_stream = handle.stream.reserve(nbytes)
-            t_ion = fs.ion_pipe(self.pset).reserve(nbytes)
-            t_done = max(t_stream, t_ion)
-            active = fs.effective_streams()
-            seek = cfg.seek_penalty_per_stream * active
-            qd_factor = cfg.server_queue_service_fraction * min(
-                cfg.server_queue_knee / active, cfg.server_queue_max_factor
-            )
-            for b in blocks:
-                lo = max(offset, b * bs)
-                hi = min(offset + nbytes, (b + 1) * bs)
-                chunk = hi - lo
-                base = chunk / cfg.server_disk_bandwidth
-                extra = (seek + base * qd_factor + (fs.noise() - 1.0) * base
-                         + base * (fs.server_service_factor - 1.0))
-                t_srv = fs.server_pipe(fs.server_of_block(fobj, b)).reserve(
-                    chunk, extra_delay=max(extra, 0.0)
-                )
-                if t_srv > t_done:
-                    t_done = t_srv
-            yield eng.timeout(t_done - eng.now)
-        finally:
-            fs.active_streams -= 1
-
-        if offset + nbytes > fobj.size:
-            fobj.size = offset + nbytes
-        if payload is not None:
-            # THE data-plane copy boundary: payload views/ropes rode the
-            # whole pipeline by reference and materialize exactly here,
-            # where the file system commits a durable byte image.
-            fobj.extents.append((offset, as_bytes(payload)))
-        fs.writes += 1
-        self._record("write", t0, nbytes, fobj.path)
+        return (yield from self.write_op(handle, offset, nbytes, payload).run())
 
     def read(self, handle: FileHandle, offset: int, nbytes: int):
         """Generator: read ``nbytes`` at ``offset``; returns stored data.
@@ -600,8 +468,10 @@ class FSClient:
         eng = fs.engine
         cfg = fs.config
         if fs.injector is not None:
-            yield from fs.injector.before_fs_op(self.rank, "read",
-                                                handle.file.path)
+            stall = fs.injector.before_fs_op(self.rank, "read",
+                                             handle.file.path)
+            if stall is not None:
+                yield stall
         if handle.closed:
             raise FSError(f"read on closed handle {handle!r}", op="read",
                           path=handle.file.path, time=eng.now)
@@ -623,7 +493,7 @@ class FSClient:
             t_srv = fs.server_pipe(fs.server_of_block(fobj, b)).reserve(hi - lo)
             if t_srv > t_done:
                 t_done = t_srv
-        yield eng.timeout(t_done - eng.now)
+        yield Timeout(eng, t_done - eng.now)
         fs.reads += 1
         self._record("read", t0, nbytes, fobj.path)
         if not fobj.extents:
@@ -631,3 +501,273 @@ class FSClient:
             # not materialize gigabytes of zeros at figure scale.
             return None
         return fobj.read_extents(offset, nbytes)
+
+
+class _FSOp(StagedOp):
+    """An :class:`FSClient` call cut at its waits (see :class:`StagedOp`).
+
+    The cost model lives in these stages and nowhere else: what a call
+    costs, draws, counts and records cannot depend on who drives it.
+    """
+
+    __slots__ = ("client", "fs", "path", "t0")
+
+    #: Operation name, as fault specs and Darshan records spell it.
+    name = ""
+
+    def __init__(self, client: FSClient, path: str) -> None:
+        # StagedOp.__init__ flattened: three of these per rank per step.
+        self.result = self.up = self.sub = None
+        self.client = client
+        self.fs = fs = client.fs
+        self.path = path
+        self.t0 = fs.engine.now
+        cls = self.__class__
+        # A fault schedule gets its turn first; usually there is none.
+        self.then = cls._begin if fs.injector is None else cls._hook
+
+    def _hook(self):
+        stall = self.fs.injector.before_fs_op(self.client.rank, self.name,
+                                              self.path)
+        if stall is None:
+            return self._begin()
+        self.then = self.__class__._begin
+        return stall
+
+
+class _Create(_FSOp):
+    __slots__ = ("exclusive", "dirname", "token")
+    name = "create"
+
+    def _begin(self):
+        fs = self.fs
+        path = self.path
+        if path in fs.files:
+            if self.exclusive:
+                raise FSError(f"file exists: {path!r}", op="create",
+                              path=path, time=fs.engine.now)
+            self.then = StagedOp.done  # a plain open is all that is left
+            return self.call(self.client.open_op(path, True))
+        self.dirname = _parent_dir(path)
+        self.token = fs.create_token(self.dirname)
+        self.then = _Create._insert
+        return self.token.request()
+
+    def _insert(self):
+        # Insert cost grows with directory size (block splits, longer
+        # lock holds): the mechanism behind the 1PFPP metadata storm.
+        fs = self.fs
+        self.then = _Create._finish
+        return Timeout(
+            fs.engine, fs.create_service_time(self.dirname) * fs.noise())
+
+    def _finish(self):
+        fs = self.fs
+        path = self.path
+        if path not in fs.files:
+            fs.files[path] = FileObject(path, fs._next_file_id, fs.engine.now)
+            fs._next_file_id += 1
+            fs._dir_entries[self.dirname] = (
+                fs._dir_entries.get(self.dirname, 0) + 1)
+            fs.creates += 1
+        self.token.release()
+        self.result = self.client._make_handle(fs.files[path], True)
+        self.client._record("create", self.t0, 0, path)
+        return self.done()
+
+
+class _Open(_FSOp):
+    __slots__ = ("write", "fobj")
+    name = "open"
+
+    def _begin(self):
+        fs = self.fs
+        self.fobj = fs.file(self.path)
+        self.then = _Open._finish
+        return Timeout(fs.engine, fs.config.meta_open_service * fs.noise())
+
+    def _finish(self):
+        self.fs.opens += 1
+        self.result = self.client._make_handle(self.fobj, self.write)
+        self.client._record("open", self.t0, 0, self.path)
+        return self.done()
+
+
+class _Close(_FSOp):
+    __slots__ = ("handle",)
+    name = "close"
+
+    def _begin(self):
+        fs = self.fs
+        handle = self.handle
+        if handle.closed:
+            raise FSError(f"double close of {self.path!r}", op="close",
+                          path=self.path, time=fs.engine.now)
+        handle.closed = True
+        if handle.writable:
+            handle.file.writer_clients.discard(self.client.rank)
+        self.then = _Close._finish
+        return Timeout(fs.engine, fs.config.meta_close_service * fs.noise())
+
+    def _finish(self):
+        self.client._record("close", self.t0, 0, self.path)
+        return self.done()
+
+
+class _Write(_FSOp):
+    __slots__ = ("handle", "offset", "nbytes", "payload", "blocks",
+                 "new_blocks", "shared", "serialized")
+    name = "write"
+
+    def _begin(self):
+        fs = self.fs
+        eng = fs.engine
+        handle, offset, nbytes, payload = (self.handle, self.offset,
+                                           self.nbytes, self.payload)
+        if handle.closed or not handle.writable:
+            raise FSError(f"write on closed/read-only handle {handle!r}",
+                          op="write", path=self.path, time=eng.now)
+        if nbytes < 0 or offset < 0:
+            raise FSError(f"bad write range offset={offset} nbytes={nbytes}",
+                          op="write", path=self.path, time=eng.now)
+        if payload is not None and len(payload) != nbytes:
+            raise FSError(f"payload length {len(payload)} != nbytes {nbytes}",
+                          op="write", path=self.path, time=eng.now)
+        self.t0 = eng.now
+        if nbytes == 0:
+            self.client._record("write", self.t0, 0, self.path)
+            return self.done()
+        fobj = handle.file
+        bs = fs.config.fs_block_size
+        self.blocks = range(offset // bs, (offset + nbytes - 1) // bs + 1)
+        self.shared = len(fobj.writer_clients) > 1
+        # --- extent allocation: a shared file's serializes on its manager
+        self.new_blocks = [b for b in self.blocks
+                           if b not in fobj.allocated_blocks]
+        self.serialized = self.shared and fs.serialized_shared_allocation
+        if not self.new_blocks:
+            return self._lock()
+        if self.serialized:
+            self.then = _Write._allocate
+            return fobj.alloc_manager(eng).request()
+        return self._allocate()
+
+    def _allocate(self):
+        fs = self.fs
+        cfg = fs.config
+        n_new = len(self.new_blocks)
+        if not self.serialized:  # a sole writer allocates in segments
+            n_new = -(-n_new // cfg.alloc_batch_blocks)
+        self.then = _Write._allocated
+        return Timeout(fs.engine, cfg.alloc_service * n_new * fs.noise())
+
+    def _allocated(self):
+        fobj = self.handle.file
+        fobj.allocated_blocks.update(self.new_blocks)
+        if self.serialized:
+            fobj.allocator.release()
+        return self._lock()
+
+    def _lock(self):
+        # --- byte-range lock tokens ----------------------------------------
+        fs = self.fs
+        cfg = fs.config
+        rank = self.client.rank
+        fobj = self.handle.file
+        blocks = self.blocks
+        if not (self.shared and fs.byte_range_locks):
+            for b in blocks:
+                fobj.lock_owner[b] = rank
+            return self._move()
+        # Unaligned boundary blocks last written by another client force a
+        # read-modify-write of the whole block (GPFS whole-block tokens;
+        # the alignment optimization of Liao & Choudhary, SC'08, exists to
+        # avoid exactly this).
+        bs = cfg.fs_block_size
+        first, last = blocks[0], blocks[-1]
+        rmw_blocks = 0
+        if fs.whole_block_locks:
+            if self.offset % bs:
+                owner = fobj.lock_owner.get(first)
+                if owner is not None and owner != rank:
+                    rmw_blocks += 1
+            if (self.offset + self.nbytes) % bs and last != first:
+                owner = fobj.lock_owner.get(last)
+                if owner is not None and owner != rank:
+                    rmw_blocks += 1
+        acquire_runs = 0
+        revoke_runs = 0
+        prev_state = None  # "mine" / "free" / "theirs"
+        for b in blocks:
+            owner = fobj.lock_owner.get(b)
+            state = "mine" if owner == rank else ("free" if owner is None else "theirs")
+            if state != "mine" and state != prev_state:
+                acquire_runs += 1
+                if state == "theirs":
+                    revoke_runs += 1
+            prev_state = state
+            fobj.lock_owner[b] = rank
+        cost = (cfg.token_acquire * acquire_runs
+                + cfg.token_revoke * revoke_runs
+                + rmw_blocks * bs / cfg.server_disk_bandwidth)
+        fs.revocations += revoke_runs
+        fs.rmw_reads += rmw_blocks
+        if cost > 0:
+            self.then = _Write._storm
+            return Timeout(fs.engine, cost * fs.noise())
+        return self._storm()
+
+    def _storm(self):
+        storm = self.fs.storm_delay()
+        if storm > 0:
+            self.then = _Write._move
+            return Timeout(self.fs.engine, storm)
+        return self._move()
+
+    def _move(self):
+        # --- data movement: client stream, ION uplink, striped servers ------
+        fs = self.fs
+        eng = fs.engine
+        cfg = fs.config
+        fobj = self.handle.file
+        offset, nbytes = self.offset, self.nbytes
+        bs = cfg.fs_block_size
+        fs.active_streams += 1
+        t_stream = self.handle.stream.reserve(nbytes)
+        t_ion = fs.ion_pipe(self.client.pset).reserve(nbytes)
+        t_done = max(t_stream, t_ion)
+        active = fs.effective_streams()
+        seek = cfg.seek_penalty_per_stream * active
+        qd_factor = cfg.server_queue_service_fraction * min(
+            cfg.server_queue_knee / active, cfg.server_queue_max_factor
+        )
+        for b in self.blocks:
+            lo = max(offset, b * bs)
+            hi = min(offset + nbytes, (b + 1) * bs)
+            chunk = hi - lo
+            base = chunk / cfg.server_disk_bandwidth
+            extra = (seek + base * qd_factor + (fs.noise() - 1.0) * base
+                     + base * (fs.server_service_factor - 1.0))
+            t_srv = fs.server_pipe(fs.server_of_block(fobj, b)).reserve(
+                chunk, extra_delay=max(extra, 0.0)
+            )
+            if t_srv > t_done:
+                t_done = t_srv
+        self.then = _Write._commit
+        return Timeout(eng, t_done - eng.now)
+
+    def _commit(self):
+        fs = self.fs
+        fobj = self.handle.file
+        fs.active_streams -= 1
+        end = self.offset + self.nbytes
+        if end > fobj.size:
+            fobj.size = end
+        if self.payload is not None:
+            # THE data-plane copy boundary: payload views/ropes rode the
+            # whole pipeline by reference and materialize exactly here,
+            # where the file system commits a durable byte image.
+            fobj.store(self.offset, as_bytes(self.payload))
+        fs.writes += 1
+        self.client._record("write", self.t0, self.nbytes, self.path)
+        return self.done()

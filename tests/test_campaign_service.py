@@ -265,3 +265,50 @@ def test_http_unexpected_error_is_typed_json_500(http_service, monkeypatch):
     assert json.loads(err.value.read()) == {
         "error": "registry exploded", "type": "RuntimeError"}
     assert _get(f"{base}/healthz")["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# A dead worker does not kill the service
+# ---------------------------------------------------------------------------
+
+def _dying_run_point(marker: str, point):
+    """``run_point`` in a worker that dies: once (marker file) or always."""
+    import os
+    if marker is None or not os.path.exists(marker):
+        if marker is not None:
+            open(marker, "w").close()
+        os._exit(1)
+    return run_point(point)
+
+
+def test_dead_worker_is_retried_once_then_typed(tmp_path, monkeypatch):
+    from functools import partial
+    from repro.campaign import WorkerLost, service
+
+    def spec(name):
+        return CampaignSpec.from_dict({
+            "name": name, "seed": 5,
+            "grid": {"approaches": ["rbio_ng"], "np": [128]}})
+
+    direct = run_sweep(run_point, expand(spec("x")).points, n_workers=1)
+    with SweepService(n_workers=1, cache=False) as svc:
+        # First call dies: the pool is rebuilt, the point runs again.
+        monkeypatch.setattr(service, "run_point", partial(
+            _dying_run_point, str(tmp_path / "died-once")))
+        cid = svc.submit(spec("dies-once"))
+        assert svc.wait(cid, timeout=300)["state"] == "done"
+        assert [r["gbps"] for r in svc.results(cid)] == \
+            [r["gbps"] for r in direct]
+        assert svc.service_status()["counters"]["pool_rebuilds"] == 1
+        # Every call dies: one retry, then a typed per-point error.
+        monkeypatch.setattr(service, "run_point",
+                            partial(_dying_run_point, None))
+        cid = svc.submit(spec("dies-twice"))
+        status = svc.wait(cid, timeout=300)
+        assert status["state"] == "failed"
+        assert status["errors"][0].startswith(WorkerLost.__name__)
+        # The service is still usable.
+        monkeypatch.setattr(service, "run_point", run_point)
+        cid = svc.submit(spec("after"))
+        assert svc.wait(cid, timeout=300)["state"] == "done"
+        assert svc.results(cid)[0]["gbps"] == direct[0]["gbps"]

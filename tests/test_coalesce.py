@@ -6,13 +6,14 @@ results: per-rank report arrays, roles, file-system statistics.  Runs use
 the default (noisy) GPFS model on purpose: any divergence in event ordering
 would desynchronize the noise RNG draw sequence and show up here.
 
-coIO replays only the non-aggregator ranks of each file communicator, as
-event callbacks standing where the rank processes would have waited; its
-cells additionally compare file images, fabric counters, the final clock,
-the whole Darshan record sequence and the trace totals.
+coIO replays only the non-aggregator ranks of each file communicator, and
+1PFPP every rank, as event callbacks standing where the rank processes
+would have waited; their cells additionally compare file images, fabric
+counters, the final clock, the whole Darshan record sequence and the trace
+(totals for coIO, every span for 1PFPP).
 
-Configurations without a valid plan (1PFPP's per-rank jitter, flow-controlled
-rbIO/bbIO, coIO under TAM or delta) must fall back to the uncoalesced path
+Configurations without a valid plan (flow-controlled rbIO/bbIO, coIO under
+TAM or delta, 1PFPP under delta) must fall back to the uncoalesced path
 under ``coalesce="auto"``.
 """
 
@@ -138,7 +139,7 @@ def test_coalesce_spawns_fewer_processes():
     plan = strategy.coalesce_plan(64)
     assert plan is not None
     # 8 groups of 7 workers each -> 6 replayed per group eliminated.
-    assert plan.n_replayed == 8 * 6
+    assert len(plan.replayed_ranks()) == 8 * 6
     assert plan.replayed_ranks().isdisjoint(plan.rep_members())
 
 
@@ -168,12 +169,7 @@ def test_per_rank_data_builder_disables_coalescing():
                             run_config=RunConfig(coalesce="require"))
 
 
-def test_1pfpp_offers_no_plan():
-    assert OneFilePerProcess().coalesce_plan(32) is None
-
-
 @pytest.mark.parametrize("strategy", [
-    OneFilePerProcess(),
     CollectiveIO().configure_tam("auto"),
     ReducedBlockingIO(workers_per_writer=8, max_outstanding=2),
 ])
@@ -316,7 +312,7 @@ def test_coio_plan_shape():
     assert len(plan.groups) == 8
     covered = set()
     for g in plan.groups:
-        assert g.is_contiguous and g.rep == g.members[0]
+        assert g.members == tuple(range(g.rep, g.rep + len(g.members)))
         assert covered.isdisjoint(g.members)
         covered.update(g.members)
     assert covered == set(range(256)) - aggregators
@@ -359,6 +355,80 @@ def test_coio_auto_without_a_plan_equals_off(case):
             run_config=RunConfig(coalesce=mode, faults=faults)))
     assert_identical(*runs)
     assert records_of(runs[0]) == records_of(runs[1])
+
+
+# ---------------------------------------------------------------------------
+# 1PFPP: every rank replayed as positioned event callbacks
+# ---------------------------------------------------------------------------
+
+def assert_1pfpp_identical(strategy, n_ranks, data, copy="zerocopy",
+                           **kwargs):
+    """off vs require under a full trace: every span, record and counter."""
+    off, on = (run_checkpoint_steps(
+        strategy, n_ranks, data, seed=11,
+        run_config=RunConfig(trace="full", copy=copy, coalesce=mode),
+        **kwargs) for mode in ("off", "require"))
+    assert len(on.job._rank_procs) == 1 and len(off.job._rank_procs) == n_ranks
+    assert_identical(off, on)
+    assert_file_images_identical(off, on)
+    assert off.job.engine.now == on.job.engine.now
+    assert records_of(off) == records_of(on)
+    spans = [[(s.rank, s.name, s.cat, s.start, s.end, s.nbytes, s.args)
+              for s in run.job.tracer.spans] for run in (off, on)]
+    assert spans[0] == spans[1] and spans[0]
+    copies = [{k: v for k, v in run.job.metrics().snapshot().items()
+               if k.startswith("copy.")} for run in (off, on)]
+    assert copies[0] == copies[1]
+    return off
+
+
+@pytest.mark.parametrize("copy", ["zerocopy", "eager"])
+@pytest.mark.parametrize("steps", list(STEP_MODES))
+@pytest.mark.parametrize("payload", [False, True], ids=["sizes", "payload"])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_1pfpp_exact(jitter, payload, steps, copy):
+    off = assert_1pfpp_identical(
+        OneFilePerProcess(arrival_jitter=jitter), 64,
+        shared_data(payload=payload), copy=copy, **STEP_MODES[steps])
+    assert off.fs.stats()["creates"] == 64 * len(off.results)
+    if payload:
+        assert off.job.metrics().get("copy.bytes_copied") > 0
+
+
+@pytest.mark.parametrize("n_ranks,steps", [(1, "3steps"), (512, "3steps-free")])
+def test_1pfpp_exact_one_rank_and_many(n_ranks, steps):
+    assert_1pfpp_identical(OneFilePerProcess(), n_ranks,
+                           shared_data(payload=False), **STEP_MODES[steps])
+
+
+def test_1pfpp_restore_after_a_coalesced_run():
+    """The restore wave runs one process per rank on the job a coalesced
+    checkpoint ran on (the coIO lesson: what a replayed rank leaves behind
+    must be what its own ``checkpoint()`` would have)."""
+    data = shared_data()
+    off, on = (run_resilient_campaign(OneFilePerProcess(), 64, data,
+                                      n_steps=2, seed=11,
+                                      run_config=RunConfig(coalesce=mode))
+               for mode in ("off", "require"))
+    assert_identical(off.run, on.run)
+    assert off.run.job.engine.now == on.run.job.engine.now
+    assert records_of(off.run) == records_of(on.run)
+    want = [as_bytes(f.payload) for f in data.fields]
+    for rank in range(64):
+        assert off.restored[rank][0] == on.restored[rank][0] == 1
+        assert [as_bytes(f) for f in on.restored[rank][1]] == want
+
+
+@pytest.mark.parametrize("case", ["delta", "builder"])
+def test_1pfpp_require_without_a_plan_raises(case):
+    strategy, data = OneFilePerProcess(), shared_data()
+    if case == "delta":
+        strategy.configure_delta("auto")
+    else:
+        data = lambda rank, d=data: d  # noqa: E731
+    with pytest.raises(ValueError, match="no plan"):
+        run_checkpoint_step(strategy, 32, data,
+                            run_config=RunConfig(coalesce="require"))
 
 
 def test_bad_coalesce_value_rejected():

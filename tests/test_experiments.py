@@ -203,6 +203,22 @@ def test_coio_figure_runs_equal_the_uncoalesced_reference(key):
                               ref.result.t_complete - ref.result.t_start)
 
 
+def test_1pfpp_default_run_takes_its_plan():
+    """Canary: the default ``RunConfig`` must replay 1PFPP without a process
+    per rank (six calendar events a rank: jitter, token grant, create,
+    allocate, move, close) — a refactor that silently drops the plan fails
+    here, not in a host-time benchmark."""
+    from repro.experiments import run_checkpoint_step
+    from repro.experiments.figures import problem_for, strategy_for
+
+    n = 4096
+    run = run_checkpoint_step(strategy_for("1pfpp", n), n,
+                              problem_for(n).data())
+    assert len(run.job._rank_procs) == 1
+    assert run.job.metrics().get("sim.dispatched_events") <= 7 * n
+    assert run.result.roles == ["independent"] * n
+
+
 def test_fig11_two_lines():
     out = fig11_distribution_rbio(n_ranks=1024, config=QUIET)
     assert out["writer_mask"].sum() == 16

@@ -417,3 +417,69 @@ def test_storms_only_on_shared_files():
     job.spawn(shared)
     job.run()
     assert fs.storms >= 1
+
+
+# ---------------------------------------------------------------------------
+# The staged create/write (PR 17) cost what the generator methods cost
+# ---------------------------------------------------------------------------
+
+def test_shared_file_with_storms_is_pinned_to_the_pre_staging_values():
+    """Eight clients on one file — created once and opened seven times
+    through ``create``, unaligned overlapping payload writes, an empty
+    write, an aligned size-only write, a rewrite of own blocks — with token
+    storms on.  The expected values were taken from the generator
+    ``create``/``write`` before they were rebuilt from stages."""
+    import hashlib
+
+    stormy = intrepid().with_(storm_knee=1.0, storm_beta=1.0,
+                              storm_probability=0.6,
+                              storm_probability_max=0.6, fs_block_size=4096)
+
+    def main(ctx):
+        r = ctx.rank
+        yield ctx.engine.timeout(0.001 * r)
+        h = yield from ctx.fs.create("/d/shared.vtk")
+        body = bytes([65 + r]) * 10_000
+        yield from ctx.fs.write(h, 3_000 * r, 10_000, payload=body)
+        yield from ctx.fs.write(h, 3_000 * r, 0)
+        yield from ctx.fs.write(h, 40_000 + 4096 * r, 4096)
+        yield from ctx.fs.write(h, 3_000 * r, 5_000, payload=body[:5_000])
+        yield from ctx.fs.close(h)
+        return ctx.engine.now
+
+    job = Job(8, stormy, seed=3)
+    fs = attach_storage(job)
+    job.spawn(main)
+    ends = job.run()
+    assert [ends[r] for r in range(8)] == [
+        0.003159892684915806, 0.01433060582470357, 6.238802721671697,
+        15.35985340569074, 13.531828486689164, 50.727569758158936,
+        13.075648798420094, 19.13706905140517]
+    assert fs.stats() == {
+        "files": 1, "creates": 1, "opens": 7, "writes": 24, "reads": 0,
+        "storms": 13, "revocations": 17, "rmw_reads": 24,
+        "bytes_stored": 72768}
+    records = [(r.rank, r.op, r.start, r.end, r.nbytes, r.path)
+               for r in job.profiler.records]
+    assert len(records) == 48
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+        "6367bc8734411ed1ce5ccbadecd457b6aec28a7d72b3d1dabf03e28ee20533b2")
+    fobj = fs.files["/d/shared.vtk"]
+    assert hashlib.sha256(bytes(fobj.read_extents(0, fobj.size))
+                          ).hexdigest() == (
+        "37c4741f516d318fd91a5517a26f97ea11d34a02cbdbe9426f771b3563f0899f")
+
+
+def test_noise_block_equals_the_scalar_draws():
+    """``GPFS.noise()`` serves from prefetched blocks; the values must be
+    the ones a scalar draw per call gives, across a block boundary."""
+    import numpy as np
+    from repro.sim import StreamRegistry
+
+    config = intrepid()
+    job = Job(4, config, seed=17)
+    fs = attach_storage(job)
+    rng = StreamRegistry(17).stream("fs.noise")
+    want = [float(np.exp(rng.normal(0.0, config.noise_sigma)))
+            for _ in range(5000)]
+    assert [fs.noise() for _ in range(5000)] == want

@@ -9,7 +9,9 @@ asserts:
    :func:`repro.experiments.run_sweep` over the same expanded points;
 2. the duplicate submission was deduped to one execution (counters);
 3. the ``/healthz`` liveness probe answers and ``/metrics`` serves valid
-   Prometheus text exposition with the service counters in it.
+   Prometheus text exposition with the service counters in it;
+4. a worker process killed mid-campaign costs nothing but a pool rebuild:
+   the campaign still finishes with the direct run's results.
 
 Exit code 0 on success; any mismatch raises.  Run from the repo root::
 
@@ -19,6 +21,8 @@ Exit code 0 on success; any mismatch raises.  Run from the repo root::
 from __future__ import annotations
 
 import json
+import os
+import signal
 import sys
 import threading
 import time
@@ -112,6 +116,22 @@ def main() -> int:
     assert results == direct, "HTTP results diverge from direct run_sweep"
     print(f"OK: {len(results)} points bit-identical to direct run_sweep, "
           f"duplicate submission deduped")
+
+    # Kill a worker under a second campaign: the service rebuilds its pool
+    # and re-dispatches what was in flight (runs are deterministic).
+    kill_spec = {**SPEC, "name": "ci-campaign-smoke-kill", "seed": 6}
+    kill_direct = json.loads(json.dumps(run_sweep(
+        run_point, expand(CampaignSpec.from_dict(kill_spec)).points,
+        n_workers=1), default=str))
+    kid = _post(f"{base}/campaigns", {"spec": kill_spec})["campaign_id"]
+    os.kill(next(iter(service._pool._processes)), signal.SIGKILL)
+    status = service.wait(kid, timeout=600)
+    assert status["state"] == "done", status
+    assert _get(f"{base}/campaigns/{kid}/results") == kill_direct, \
+        "results after a worker death diverge from direct run_sweep"
+    rebuilds = _get(f"{base}/status")["counters"]["pool_rebuilds"]
+    assert rebuilds >= 1, rebuilds
+    print(f"OK: worker killed, pool rebuilt {rebuilds}x, campaign done")
 
     server.shutdown()
     service.shutdown()
