@@ -7,6 +7,14 @@ runner barriers first), each rank contributes its
 :class:`~repro.ckpt.result.RankReport` describing when it was blocked and
 when its I/O duty completed.
 
+A strategy's rank program is written once, as **gather -> plan -> commit**:
+who gathers (nobody, ROMIO's aggregators inside the collective call, or
+dedicated writers), what is written (a *plan*: ``(offset, nbytes, payload)``
+pieces, plus a serialized manifest when the generation is a delta —
+:func:`repro.ckpt.incremental.plan_delta`), and the commit that takes the
+plan to the file system (private, shared or staged).  Delta, TAM, faults
+and staging are choices made inside a stage, never a parallel method.
+
 Strategies are shared, immutable configuration objects; per-rank state that
 must persist across steps (split communicators, cached layouts) lives in
 ``ctx.user`` under the strategy's cache key.
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from .data import CheckpointData
 from .result import RankReport
@@ -24,7 +33,15 @@ __all__ = ["CheckpointStrategy"]
 
 
 class CheckpointStrategy:
-    """Base class for the three checkpointing I/O approaches."""
+    """Base class for the checkpointing I/O approaches.
+
+    Subclasses implement :meth:`checkpoint` (gather -> plan -> commit, see
+    the module docstring) and :meth:`restore`; what the stages share across
+    strategies lives here: the collective commit tail
+    (:meth:`_commit_shared`), the delta-chain restore
+    (:meth:`_restore_delta`) and the full-write block read
+    (:meth:`_read_blocks`).
+    """
 
     #: Short identifier used in result tables ("1pfpp", "coio", "rbio").
     name: str = "abstract"
@@ -85,7 +102,6 @@ class CheckpointStrategy:
         raises :class:`~repro.faults.UnrecoverableCheckpointError` once no
         generation survives — never a silently wrong restore.
         """
-        from ..faults import UnrecoverableCheckpointError
         from ..staging import StagingError
         from ..storage import FSError
 
@@ -185,25 +201,45 @@ class CheckpointStrategy:
                 f"CheckpointData, got size-only fields")
         return False
 
-    def _delta_restore(self, ctx: RankContext, template: CheckpointData,
+    def _commit_shared(self, ctx: RankContext, f, pieces, manifest=None):
+        """Generator: commit a plan to an open collective file.
+
+        One ``write_at_all`` per piece (the master header is rank 0's
+        first piece, :func:`~repro.ckpt.layout.header_piece`), the
+        collective close, then the manifest if the plan carries one — a
+        delta plan hands it to the file communicator's rank 0 only.
+        """
+        from .incremental import write_manifest
+
+        for offset, nbytes, payload in pieces:
+            yield from f.write_at_all(offset, nbytes, payload=payload)
+        yield from f.close()
+        if manifest is not None:
+            yield from write_manifest(ctx, manifest, f.path)
+
+    def _restore_delta(self, ctx: RankContext, template: CheckpointData,
                        step: int, member: int, path_of):
         """Generator: restore one member by walking its delta chain.
 
         ``path_of(step)`` maps a generation to the data-file path holding
-        this member's chunks.  Reads the target generation's manifest,
-        merges its chunk list into contiguous runs per source generation,
-        reads each run, verifies every chunk's CRC32, and returns the
-        per-field payload ropes.  Any damage (missing/short source file,
-        bit-flip, malformed manifest) raises an
+        this member's chunks.  Returns ``None`` when ``step`` left no
+        manifest (a full write: the caller reads its blocks instead).
+        Otherwise reads the generation's manifest, merges its chunk list
+        into contiguous runs per source generation, reads each run,
+        verifies every chunk's CRC32, and returns the per-field payload
+        ropes.  Any damage (missing/short source file, bit-flip, malformed
+        manifest) raises an
         :class:`~repro.faults.UnrecoverableCheckpointError` subclass so
         resilient restores vote the generation down.
         """
         from ..buffers import ByteRope
-        from ..faults import UnrecoverableCheckpointError
         from .incremental import (ManifestError, assemble_section,
-                                  read_manifest, read_plan)
+                                  manifest_exists, read_manifest, read_plan)
 
         path = path_of(step)
+        if self.delta == "off" or not manifest_exists(ctx, path):
+            return None
+        t_r0 = ctx.engine.now
         manifest = yield from read_manifest(ctx, path, step)
         section = manifest.section_for(member)
         if section.field_sizes != template.field_sizes:
@@ -239,6 +275,33 @@ class CheckpointStrategy:
         for nbytes in template.field_sizes:
             fields.append(payload.slice(pos, pos + nbytes))
             pos += nbytes
+        self._span(ctx, "restore", t_r0, ctx.engine.now,
+                   template.total_bytes, step=step, delta=True)
+        return fields
+
+    def _read_blocks(self, ctx: RankContext, template: CheckpointData,
+                     step: int, path: str, file_bytes: int, offsets,
+                     t_r0: float):
+        """Generator: read this rank's field blocks from a full-write file.
+
+        ``offsets[i]`` is where field ``i``'s block starts.  A file that is
+        not exactly ``file_bytes`` long is a partial generation (aborted
+        write, failover file holding survivors only): it is refused, so
+        the resilient restore falls back to an older one.
+        """
+        handle = yield from ctx.fs.open(path)
+        if handle.file.size != file_bytes:
+            yield from ctx.fs.close(handle)
+            raise UnrecoverableCheckpointError(
+                f"{path!r} has {handle.file.size} B, expected "
+                f"{file_bytes} B", step=step, path=path, rank=ctx.rank)
+        fields = []
+        for fld, offset in zip(template.fields, offsets):
+            chunk = yield from ctx.fs.read(handle, offset, fld.nbytes)
+            fields.append(chunk)
+        yield from ctx.fs.close(handle)
+        self._span(ctx, "restore", t_r0, ctx.engine.now,
+                   template.total_bytes, step=step)
         return fields
 
     # -- shared helpers -------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers import ByteRope, zeros
+from ..buffers import ByteRope
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from ..mpiio import Hints
@@ -40,6 +40,7 @@ from ..staging import (
 )
 from ..storage import FSError
 from .data import CheckpointData
+from .incremental import manifest_path, plan_delta
 from .rbio import ReducedBlockingIO
 
 __all__ = ["BurstBufferIO"]
@@ -124,61 +125,32 @@ class BurstBufferIO(ReducedBlockingIO):
         return partner * self.workers_per_writer
 
     # -- checkpoint --------------------------------------------------------
-    def _delta_pfs_commits(self, ctx: RankContext, cache: dict, member_sizes,
-                           member_payloads, header_bytes: int, step: int,
-                           basedir: str):
-        """Generator: plan this generation's drain-time delta commit.
+    #: The writer's duty window is the Darshan "stage" phase.
+    _writer_phase = "stage"
+
+    def _commit_group(self, ctx: RankContext, cache: dict,
+                      data: CheckpointData, step: int, basedir: str,
+                      gathered, dead):
+        """Generator: stage the assembled image instead of committing it;
+        degrade to the PFS if the local buffer is unusable.
 
         The burst buffer stages the *full* field-major image (buffer and
-        partner restores scatter from it, bit-identical to delta-off), but
-        the background drain ships only ``[header][fresh chunks]`` plus the
-        manifest.  Returns ``(pfs_commits, wire_nbytes)`` for the staged
-        package.
+        partner restores scatter from it, bit-identical to delta-off); in
+        incremental mode the background drain ships only the delta plan —
+        ``[header][fresh chunks]`` plus the manifest.  The delta is planned
+        only after the image is safely staged, and only for a complete
+        group, so the degraded direct-PFS path below never plans one — a
+        degraded generation is always a plain full write without a
+        manifest.
         """
-        from .incremental import Manifest, manifest_path, shift_fresh
-
-        group = self.group_of(ctx.rank)
-        parents = cache.get("delta_parent")
-        parent_step = parents[0] if parents else None
-        parent_secs = parents[1] if parents else {}
-        group_bytes = sum(sum(s) for s in member_sizes)
-        sections, fresh_parts, fresh_total, hits, misses = \
-            self._plan_group_delta(member_sizes, member_payloads, step,
-                                   parent_secs, range(len(member_sizes)))
-        # Chunking + hashing: one pass over the aggregation buffer.
-        yield ctx.engine.timeout(group_bytes / ctx.config.memory_bandwidth)
-        sections = [shift_fresh(s, step, header_bytes) for s in sections]
-        manifest = Manifest(
-            strategy=self.name, step=step, parent=parent_step,
-            header_bytes=header_bytes, chunking=self.chunking,
-            sections=tuple(sections))
-        blob = manifest.to_bytes()
-        parts = [zeros(header_bytes)] if header_bytes else []
-        delta_image = ByteRope.concat(parts + fresh_parts)
-        path = self.file_path(basedir, step, group)
-        commits = (
-            (path, ((0, header_bytes + fresh_total, delta_image),)),
-            (manifest_path(path), ((0, len(blob), ByteRope.wrap(blob)),)),
-        )
-        to_pfs = header_bytes + fresh_total + len(blob)
-        cache["delta_parent"] = (step, {s.member: s for s in sections})
-        ctx.job.stats.record_commit(group_bytes, to_pfs, hits, misses)
-        return commits, to_pfs
-
-    def _stage_package(self, ctx: RankContext, layout, image, step: int,
-                       basedir: str, delta_fn=None):
-        """Generator: stage the assembled image; degrade to the PFS if the
-        local buffer is unusable.  Returns the tier used.
-
-        ``delta_fn`` (when incremental mode applies) is invoked only after
-        the image is safely staged, so the degraded direct-PFS path below
-        never plans a delta — a degraded generation is always a plain full
-        write without a manifest.
-        """
+        layout, image, member_sizes, member_payloads = gathered
+        delta = (self._delta_active(data)
+                 and len(member_sizes) == cache["gcomm"].size)
         eng = ctx.engine
         svc = self._service(ctx)
         buf = svc.buffer_for(ctx.rank)
         group = self.group_of(ctx.rank)
+        path = self.file_path(basedir, step, group)
         total = layout.total_size
         if not buf.lost:
             try:
@@ -189,13 +161,19 @@ class BurstBufferIO(ReducedBlockingIO):
                     raise  # usage error (oversized package...), not a fault
                 # Device died under us: fall through to degradation.
             else:
-                pkg = StagedPackage(eng, step, group,
-                                    self.file_path(basedir, step, group),
-                                    total, layout=layout, image=image)
-                if delta_fn is not None:
-                    commits, wire = yield from delta_fn()
-                    pkg.pfs_commits = commits
-                    pkg.wire_nbytes = wire
+                pkg = StagedPackage(eng, step, group, path, total,
+                                    layout=layout, image=image)
+                if delta:
+                    pieces, blob = yield from plan_delta(
+                        self, ctx, zip(range(len(member_sizes)),
+                                       member_sizes, member_payloads),
+                        step, data.header_bytes, span_dedup=True)
+                    pkg.pfs_commits = (
+                        (path, tuple(pieces)),
+                        (manifest_path(path),
+                         ((0, len(blob), ByteRope.wrap(blob)),)))
+                    pkg.wire_nbytes = len(blob) + sum(
+                        n for _o, n, _p in pieces)
                 buf.stage(pkg)
                 if svc.replicator is not None:
                     partner_rank = self._partner_rank(svc, ctx)
@@ -210,74 +188,13 @@ class BurstBufferIO(ReducedBlockingIO):
                             inj.log("replica_skipped", rank=ctx.rank,
                                     step=step, group=group)
                 svc.drain.enqueue(ctx.rank, buf, pkg)
-                return "buffer"
+                return
         # Graceful degradation: local buffer lost — commit straight to the
         # PFS like rbIO so the generation is still durable.
-        yield from self._commit_private(ctx, layout, image, step, basedir)
+        yield from self._commit_private(ctx, path, [(0, total, image)])
         inj = ctx.job.services.get("faults")
         if inj is not None:
             inj.log("bbio_degraded", rank=ctx.rank, step=step, group=group)
-        return "pfs"
-
-    def _writer(self, ctx: RankContext, cache: dict, data: CheckpointData,
-                step: int, basedir: str):
-        """Writer: gather and reorder as rbIO, then stage instead of commit."""
-        eng = ctx.engine
-        t0 = eng.now
-        gcomm = cache["gcomm"]
-        layout, image, member_sizes, member_payloads = yield from \
-            self._gather_group(ctx, gcomm, data, step)
-        delta_fn = None
-        if self._delta_active(data):
-            delta_fn = lambda: self._delta_pfs_commits(  # noqa: E731
-                ctx, cache, member_sizes, member_payloads, data.header_bytes,
-                step, basedir)
-        yield from self._stage_package(ctx, layout, image, step, basedir,
-                                       delta_fn=delta_fn)
-        self._ack_group(gcomm)
-        t_end = eng.now
-        if ctx.profiler is not None:
-            ctx.profiler.record_phase(ctx.rank, "stage", t0, t_end,
-                                      layout.total_size)
-        return self._report(ctx, "writer", t0, t_end, t_end, data.total_bytes)
-
-    def _writer_faulted(self, ctx: RankContext, inj, cache: dict,
-                        data: CheckpointData, step: int, basedir: str,
-                        now: float):
-        """Crash-aware writer step: stage own group (with degradation),
-        adopt orphaned groups with a direct PFS commit."""
-        eng = ctx.engine
-        t0 = eng.now
-        gcomm = cache["gcomm"]
-        g = self.group_of(ctx.rank)
-        n_ranks = ctx.comm.size
-        ng = self.n_groups(n_ranks)
-        base = g * self.workers_per_writer
-        dead_members = tuple(src for src in range(1, gcomm.size)
-                             if inj.dead_at(base + src, now))
-        layout, image, member_sizes, member_payloads = yield from \
-            self._gather_group(ctx, gcomm, data, step,
-                               dead_members=dead_members)
-        delta_fn = None
-        if self._delta_active(data) and not dead_members:
-            delta_fn = lambda: self._delta_pfs_commits(  # noqa: E731
-                ctx, cache, member_sizes, member_payloads, data.header_bytes,
-                step, basedir)
-        yield from self._stage_package(ctx, layout, image, step, basedir,
-                                       delta_fn=delta_fn)
-        self._ack_group(gcomm, dead_members=dead_members)
-        for w in self.writer_ranks(n_ranks):
-            if not inj.dead_at(w, now):
-                continue
-            og = self.group_of(w)
-            if self._adopter_rank(inj, og, ng, now) == ctx.rank:
-                yield from self._adopt_group(ctx, inj, og, data, step,
-                                             basedir, now)
-        t_end = eng.now
-        if ctx.profiler is not None:
-            ctx.profiler.record_phase(ctx.rank, "stage", t0, t_end,
-                                      layout.total_size)
-        return self._report(ctx, "writer", t0, t_end, t_end, data.total_bytes)
 
     # -- restore -----------------------------------------------------------
     def _locate(self, svc: StagingService, ctx: RankContext, step: int):

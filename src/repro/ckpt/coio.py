@@ -26,14 +26,14 @@ from functools import partial
 from typing import Optional
 
 from ..buffers import zeros
-from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
 from ..mpiio.file import SHUFFLE_TAG_BASE
 from ..sim import CoalescePlan, GroupPlan, StagedOp
 from .base import CheckpointStrategy
 from .data import CheckpointData
-from .layout import FileLayout
+from .incremental import plan_delta
+from .layout import FileLayout, header_piece
 
 __all__ = ["CollectiveIO"]
 
@@ -182,7 +182,7 @@ class CollectiveIO(CheckpointStrategy):
     # -- checkpoint -------------------------------------------------------
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
-        """Generator: one collective write per field on the group file."""
+        """Generator: one collective write per piece on the group file."""
         eng = ctx.engine
         t0 = eng.now
         comm = yield from self._iocomm(ctx)
@@ -194,141 +194,54 @@ class CollectiveIO(CheckpointStrategy):
             # same oracle at the same post-barrier time) and restore falls
             # back to the newest complete one.
             return self._report(ctx, "collective", t0, t0, t0, 0)
+        # Gather happens inside the collective call (ROMIO's aggregators);
+        # the plan is one piece per field section of the NekCEM layout —
+        # or, for a delta, the member's fresh region placed by the group's
+        # allgather — behind the master header.
+        manifest = None
         if self._delta_active(data):
-            return (yield from self._checkpoint_delta(ctx, data, step,
-                                                      basedir, comm, t0))
-        layout: FileLayout = yield from comm.allgather(
-            list(data.field_sizes), nbytes=8 * data.n_fields,
-            map_fn=lambda sizes: FileLayout(data.header_bytes, sizes),
-        )
+            pieces, manifest = yield from plan_delta(
+                self, ctx,
+                [(comm.rank, data.field_sizes, data.concatenated_payload())],
+                step, data.header_bytes, comm=comm)
+        else:
+            layout: FileLayout = yield from comm.allgather(
+                list(data.field_sizes), nbytes=8 * data.n_fields,
+                map_fn=lambda sizes: FileLayout(data.header_bytes, sizes),
+            )
+            hdr = zeros(data.header_bytes) if data.has_payload else None
+            # Fields contribute zero-copy views; the two-phase exchange
+            # slices and ships segment references, never the bytes.
+            pieces = header_piece(comm.rank, data.header_bytes, hdr) + [
+                (offset, fld.nbytes, fld.view) for offset, fld in
+                zip(layout.member_offsets(comm.rank), data.fields)]
         path = self.file_path(basedir, step, self.group_of(ctx.rank))
         f = yield from MPIFile.open(ctx, comm, path, hints=self.hints)
-        # Master header: contributed by the group's rank 0 in a collective
-        # call of its own (everyone else contributes an empty region).
-        if data.header_bytes:
-            hdr = zeros(data.header_bytes) if data.has_payload else None
-            if comm.rank == 0:
-                yield from f.write_at_all(0, data.header_bytes, payload=hdr)
-            else:
-                yield from f.write_at_all(0, 0)
-        # One collective write per field section (file sorted by fields).
-        # Fields contribute zero-copy views; the two-phase exchange slices
-        # and ships segment references, never the bytes themselves.
-        for i, fld in enumerate(data.fields):
-            offset = layout.block_offset(i, comm.rank)
-            yield from f.write_at_all(offset, fld.nbytes, payload=fld.view)
-        yield from f.close()
+        yield from self._commit_shared(ctx, f, pieces, manifest)
         t_end = eng.now
         return self._report(ctx, "collective", t0, t_end, t_end, data.total_bytes)
-
-    def _checkpoint_delta(self, ctx: RankContext, data: CheckpointData,
-                          step: int, basedir: str, comm, t0: float):
-        """Generator: collective delta commit on the group file.
-
-        Every member chunks its payload against its cached parent section,
-        the group allgathers ``(section, fresh_bytes)`` pairs, and one
-        shared merge lays the fresh regions out contiguously after the
-        header (prefix sums) — producing a single manifest for the file.
-        Each member then issues one collective write of its fresh region;
-        the group's rank 0 writes the manifest.
-        """
-        from .incremental import (Manifest, plan_section, shift_fresh,
-                                  write_manifest)
-
-        eng = ctx.engine
-        cache = self._cache(ctx)
-        parent = cache.get("delta_parent")  # (step, shifted section) | None
-        plan = plan_section(
-            data.concatenated_payload(), data.field_sizes, member=comm.rank,
-            step=step, params=self.chunking,
-            parent_section=parent[1] if parent else None)
-        # Chunking + hashing is one pass over the member's image.
-        t_c0 = eng.now
-        yield eng.timeout(data.total_bytes / ctx.config.memory_bandwidth)
-        self._span(ctx, "chunk", t_c0, eng.now, data.total_bytes,
-                   cat="phase", step=step)
-        header_bytes = data.header_bytes
-        parent_step = parent[0] if parent else None
-        chunking = self.chunking
-        strategy_name = self.name
-
-        def merge(entries):
-            bases = []
-            sections = []
-            pos = header_bytes
-            for sec, fresh_bytes in entries:
-                bases.append(pos)
-                sections.append(shift_fresh(sec, step, pos))
-                pos += fresh_bytes
-            manifest = Manifest(
-                strategy=strategy_name, step=step, parent=parent_step,
-                header_bytes=header_bytes, chunking=chunking,
-                sections=tuple(sections))
-            return manifest, tuple(bases), pos
-
-        manifest, bases, _total = yield from comm.allgather(
-            (plan.section, plan.fresh_bytes),
-            nbytes=16 + 48 * len(plan.section.chunks), map_fn=merge)
-        path = self.file_path(basedir, step, self.group_of(ctx.rank))
-        f = yield from MPIFile.open(ctx, comm, path, hints=self.hints)
-        if header_bytes:
-            if comm.rank == 0:
-                yield from f.write_at_all(0, header_bytes,
-                                          payload=zeros(header_bytes))
-            else:
-                yield from f.write_at_all(0, 0)
-        yield from f.write_at_all(bases[comm.rank], plan.fresh_bytes,
-                                  payload=plan.fresh)
-        yield from f.close()
-        to_pfs = plan.fresh_bytes
-        if comm.rank == 0:
-            manifest_bytes = yield from write_manifest(ctx, manifest, path)
-            to_pfs += header_bytes + manifest_bytes
-        cache["delta_parent"] = (step, manifest.section_for(comm.rank))
-        ctx.job.stats.record_commit(data.total_bytes, to_pfs, plan.hits,
-                                    plan.misses)
-        t_end = eng.now
-        return self._report(ctx, "collective", t0, t_end, t_end,
-                            data.total_bytes)
 
     # -- restore ----------------------------------------------------------
     def restore(self, ctx: RankContext, template: CheckpointData, step: int,
                 basedir: str = "/ckpt"):
         """Generator: read this rank's blocks back from the group file."""
         t_r0 = ctx.engine.now
-        if self.delta != "off":
-            from .incremental import manifest_exists
-            group = self.group_of(ctx.rank)
-            if manifest_exists(ctx, self.file_path(basedir, step, group)):
-                member = (ctx.rank if self.ranks_per_file is None
-                          else ctx.rank % self.ranks_per_file)
-                fields = yield from self._delta_restore(
-                    ctx, template, step, member=member,
-                    path_of=lambda s: self.file_path(basedir, s, group))
-                self._span(ctx, "restore", t_r0, ctx.engine.now,
-                           template.total_bytes, step=step, delta=True)
-                return fields
+        group = self.group_of(ctx.rank)
+        fields = yield from self._restore_delta(
+            ctx, template, step,
+            member=(ctx.rank if self.ranks_per_file is None
+                    else ctx.rank % self.ranks_per_file),
+            path_of=lambda s: self.file_path(basedir, s, group))
+        if fields is not None:
+            return fields
         comm = yield from self._iocomm(ctx)
         layout: FileLayout = yield from comm.allgather(
             list(template.field_sizes), nbytes=8 * template.n_fields,
             map_fn=lambda sizes: FileLayout(template.header_bytes, sizes),
         )
-        path = self.file_path(basedir, step, self.group_of(ctx.rank))
-        handle = yield from ctx.fs.open(path)
-        if handle.file.size != layout.total_size:
-            yield from ctx.fs.close(handle)
-            raise UnrecoverableCheckpointError(
-                f"{path!r} has {handle.file.size} B, expected "
-                f"{layout.total_size} B", step=step, path=path, rank=ctx.rank)
-        fields = []
-        for i, fld in enumerate(template.fields):
-            offset = layout.block_offset(i, comm.rank)
-            chunk = yield from ctx.fs.read(handle, offset, fld.nbytes)
-            fields.append(chunk)
-        yield from ctx.fs.close(handle)
-        self._span(ctx, "restore", t_r0, ctx.engine.now,
-                   template.total_bytes, step=step)
-        return fields
+        return (yield from self._read_blocks(
+            ctx, template, step, self.file_path(basedir, step, group),
+            layout.total_size, layout.member_offsets(comm.rank), t_r0))
 
 
 class _RunReplay:

@@ -23,7 +23,10 @@ machinery that lets every strategy ship only the *changed* chunks:
 - **Delta planning** — :func:`plan_section` chunks a member's payload,
   looks every chunk up in the parent manifest by ``(digest, length)``, and
   returns the fresh chunks packed as a zero-copy rope plus the manifest
-  section describing the whole generation.
+  section describing the whole generation.  :func:`plan_delta` is the
+  *plan* stage every strategy's delta commit runs: members in, the
+  ``(offset, nbytes, payload)`` pieces to write plus the file's serialized
+  manifest out.
 - **Delta-chain restore** — :func:`read_plan` merges a section's chunks
   into maximal contiguous read runs per source generation;
   :func:`assemble_section` reassembles the member payload from the run
@@ -48,8 +51,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..buffers import ByteRope
+from ..buffers import ByteRope, zeros
 from ..faults import UnrecoverableCheckpointError
+from .layout import header_piece
 
 __all__ = [
     "MANIFEST_VERSION",
@@ -65,6 +69,7 @@ __all__ = [
     "chunk_spans",
     "chunk_digest",
     "plan_section",
+    "plan_delta",
     "shift_fresh",
     "read_plan",
     "assemble_section",
@@ -491,6 +496,95 @@ def shift_fresh(section: ManifestSection, step: int, base: int
     )
 
 
+def plan_delta(strategy, ctx, members, step: int, header_bytes: int,
+               comm=None, span_dedup: bool = False):
+    """Generator: the *plan* stage of one committer's delta generation.
+
+    ``members`` lists ``(member id, field sizes, payload)`` for every
+    member this committer writes for: a rank's own image (1PFPP, coIO) or
+    a writer's gathered group (rbIO, bbIO).  Each is chunked against its
+    section of the parent generation (the strategy's per-rank
+    ``delta_parent`` cache) and the fresh chunks are packed member after
+    member; chunking and hashing cost one memory pass, recorded as the
+    ``phase:chunk`` span (``span_dedup`` adds the ``hits`` / ``misses``
+    args a writer deduplicating for its group reports).
+
+    Placement is *independent* (``comm=None``: the committer owns the
+    file, the fresh region follows the header and the one piece returned
+    is the whole file image) or *collective* (the committers of ``comm``
+    share the file: one allgather lays the fresh regions out by prefix sum
+    behind the header, which is rank 0's piece of its own — everyone else
+    contributes an empty region to that call).
+
+    Returns ``(pieces, manifest)``: the ``(offset, nbytes, payload)``
+    writes of this committer, and the file's serialized manifest on the
+    rank that writes it (``None`` on the others).  The placed sections
+    become the next generation's parent and the commit is accounted here:
+    a commit that fails past its retries aborts the job.
+    """
+    eng = ctx.engine
+    cache = strategy._cache(ctx)
+    parent_step, parent_secs = cache.get("delta_parent") or (None, {})
+    sections = []
+    fresh_parts = []
+    mine = set()
+    fresh_total = logical = hits = misses = 0
+    for member, sizes, payload in members:
+        mine.add(member)
+        plan = plan_section(
+            ByteRope.wrap(payload), sizes, member=member, step=step,
+            params=strategy.chunking, parent_section=parent_secs.get(member))
+        sections.append(shift_fresh(plan.section, step, fresh_total))
+        fresh_total += plan.fresh_bytes
+        if plan.fresh_bytes:
+            fresh_parts.append(plan.fresh)
+        logical += sum(sizes)
+        hits += plan.hits
+        misses += plan.misses
+    # Chunking + hashing: one pass over the image(s) being committed.
+    t_c0 = eng.now
+    yield eng.timeout(logical / ctx.config.memory_bandwidth)
+    strategy._span(ctx, "chunk", t_c0, eng.now, logical, cat="phase",
+                   step=step,
+                   **({"hits": hits, "misses": misses} if span_dedup else {}))
+
+    def merge(entries):
+        bases = []
+        placed = []
+        pos = header_bytes
+        for secs, fresh_bytes in entries:
+            bases.append(pos)
+            placed.extend(shift_fresh(s, step, pos) for s in secs)
+            pos += fresh_bytes
+        return bases, Manifest(
+            strategy=strategy.name, step=step, parent=parent_step,
+            header_bytes=header_bytes, chunking=strategy.chunking,
+            sections=tuple(placed))
+
+    entry = (tuple(sections), fresh_total)
+    if comm is None:
+        _bases, manifest = merge([entry])
+        head = [zeros(header_bytes)] if header_bytes else []
+        pieces = [(0, header_bytes + fresh_total,
+                   ByteRope.concat(head + fresh_parts))]
+    else:
+        bases, manifest = yield from comm.allgather(
+            entry, nbytes=16 + 48 * sum(len(s.chunks) for s in sections),
+            map_fn=merge)
+        hdr = zeros(header_bytes) if comm.rank == 0 else None
+        pieces = header_piece(comm.rank, header_bytes, hdr) + [
+            (bases[comm.rank], fresh_total, ByteRope.concat(fresh_parts))]
+    cache["delta_parent"] = (step, {s.member: s for s in manifest.sections
+                                    if s.member in mine})
+    blob = None
+    if comm is None or comm.rank == 0:
+        blob = manifest.to_bytes()
+    ctx.job.stats.record_commit(
+        logical, sum(n for _o, n, _p in pieces) + len(blob or b""),
+        hits, misses)
+    return pieces, blob
+
+
 # ---------------------------------------------------------------------------
 # Delta-chain restore
 # ---------------------------------------------------------------------------
@@ -584,14 +678,11 @@ def assemble_section(section: ManifestSection,
 # Manifest I/O (simulated file system)
 # ---------------------------------------------------------------------------
 
-def write_manifest(ctx, manifest: Manifest, data_path: str):
-    """Generator: write a manifest next to its data file (with FS retry).
-
-    Returns the number of bytes written (manifest overhead accounting).
-    """
+def write_manifest(ctx, blob: bytes, data_path: str):
+    """Generator: write a serialized manifest (:meth:`Manifest.to_bytes`)
+    next to its data file, with FS retry."""
     from ..faults.retry import retry_fs
 
-    blob = manifest.to_bytes()
     path = manifest_path(data_path)
     eng = ctx.engine
     tracer = ctx.job.tracer
@@ -602,7 +693,6 @@ def write_manifest(ctx, manifest: Manifest, data_path: str):
                                   payload=ByteRope.wrap(blob)),
         tracer=tracer)
     yield from ctx.fs.close(handle)
-    return len(blob)
 
 
 def manifest_exists(ctx, data_path: str) -> bool:

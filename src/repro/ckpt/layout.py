@@ -18,7 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FileLayout"]
+__all__ = ["FileLayout", "header_piece"]
+
+
+def header_piece(rank: int, header_bytes: int, payload) -> list:
+    """The master header as the first piece of a collective commit.
+
+    The file communicator's rank 0 contributes it in a collective call of
+    its own; everyone else contributes an empty region to that call.  A
+    headerless format has no such call: the list is empty.
+    """
+    if not header_bytes:
+        return []
+    return [(0, header_bytes, payload) if rank == 0 else (0, 0, None)]
 
 
 class FileLayout:

@@ -18,12 +18,12 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 from ..buffers import ByteRope, zeros
-from ..faults import UnrecoverableCheckpointError
 from ..faults.retry import retry_fs
 from ..mpi import RankContext
 from ..sim import CoalescePlan, GroupPlan, StagedOp
 from .base import CheckpointStrategy
 from .data import CheckpointData
+from .incremental import plan_delta, write_manifest
 
 __all__ = ["OneFilePerProcess"]
 
@@ -106,107 +106,60 @@ class OneFilePerProcess(CheckpointStrategy):
 
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
-        """Generator: create own file, stream header + fields, close."""
+        """Generator: create own file, stream header + fields, close.
+
+        Nobody gathers; the plan is the whole file as one piece — header
+        and fields (full write) or header and the chunks absent from the
+        parent generation, with the manifest that maps every logical chunk
+        to the generation and offset holding its bytes (delta); the commit
+        is a POSIX create / write / close.
+        """
         eng = ctx.engine
         t0 = eng.now
         if self.arrival_jitter > 0:
             rng = ctx.job.streams.stream("ckpt.jitter")
             yield eng.timeout(float(rng.random()) * self.arrival_jitter)
         path = self.rank_path(basedir, step, ctx.rank)
+        manifest = None
         if self._delta_active(data):
-            return (yield from self._checkpoint_delta(ctx, data, step, path,
-                                                      t0))
+            pieces, manifest = yield from plan_delta(
+                self, ctx, [(0, data.field_sizes, data.concatenated_payload())],
+                step, data.header_bytes)
+        else:
+            pieces = [(0, data.header_bytes + data.total_bytes,
+                       self._file_payload(data))]
         handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
                                      tracer=ctx.job.tracer)
         # POSIX stream write: header and fields leave the node as one
         # buffered sequential burst.
-        total = data.header_bytes + data.total_bytes
-        payload = self._file_payload(data)
-        yield from retry_fs(
-            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload),
-            tracer=ctx.job.tracer)
+        for offset, nbytes, payload in pieces:
+            yield from retry_fs(
+                eng, lambda o=offset, n=nbytes, p=payload:
+                    ctx.fs.write(handle, o, n, payload=p),
+                tracer=ctx.job.tracer)
         yield from ctx.fs.close(handle)
+        if manifest is not None:
+            yield from write_manifest(ctx, manifest, path)
         t_end = eng.now
         return self._report(ctx, "independent", t0, t_end, t_end, data.total_bytes)
-
-    def _checkpoint_delta(self, ctx: RankContext, data: CheckpointData,
-                          step: int, path: str, t0: float):
-        """Generator: write only chunks absent from the parent generation.
-
-        The file holds ``[header][fresh chunks, packed]``; the manifest
-        written alongside maps every logical chunk to the generation and
-        offset that holds its bytes.
-        """
-        from .incremental import (Manifest, plan_section, shift_fresh,
-                                  write_manifest)
-
-        eng = ctx.engine
-        cache = self._cache(ctx)
-        parent = cache.get("delta_parent")  # (step, shifted section) | None
-        plan = plan_section(
-            data.concatenated_payload(), data.field_sizes, member=0,
-            step=step, params=self.chunking,
-            parent_section=parent[1] if parent else None)
-        # Chunking + hashing is one pass over the image.
-        t_c0 = eng.now
-        yield eng.timeout(data.total_bytes / ctx.config.memory_bandwidth)
-        self._span(ctx, "chunk", t_c0, eng.now, data.total_bytes,
-                   cat="phase", step=step)
-        section = shift_fresh(plan.section, step, data.header_bytes)
-        manifest = Manifest(
-            strategy=self.name, step=step,
-            parent=parent[0] if parent else None,
-            header_bytes=data.header_bytes, chunking=self.chunking,
-            sections=(section,))
-        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
-                                     tracer=ctx.job.tracer)
-        total = data.header_bytes + plan.fresh_bytes
-        payload = ByteRope.concat([zeros(data.header_bytes), plan.fresh])
-        yield from retry_fs(
-            eng, lambda: ctx.fs.write(handle, 0, total, payload=payload),
-            tracer=ctx.job.tracer)
-        yield from ctx.fs.close(handle)
-        manifest_bytes = yield from write_manifest(ctx, manifest, path)
-        cache["delta_parent"] = (step, section)
-        ctx.job.stats.record_commit(data.total_bytes, total + manifest_bytes,
-                                    plan.hits, plan.misses)
-        t_end = eng.now
-        return self._report(ctx, "independent", t0, t_end, t_end,
-                            data.total_bytes)
 
     def restore(self, ctx: RankContext, template: CheckpointData, step: int,
                 basedir: str = "/ckpt"):
         """Generator: read this rank's fields back from its private file."""
-        path = self.rank_path(basedir, step, ctx.rank)
         t_r0 = ctx.engine.now
-        if self.delta != "off":
-            from .incremental import manifest_exists
-            if manifest_exists(ctx, path):
-                fields = yield from self._delta_restore(
-                    ctx, template, step, member=0,
-                    path_of=lambda s: self.rank_path(basedir, s, ctx.rank))
-                self._span(ctx, "restore", t_r0, ctx.engine.now,
-                           template.total_bytes, step=step, delta=True)
-                return fields
-        handle = yield from ctx.fs.open(path)
-        expected = template.header_bytes + template.total_bytes
-        if handle.file.size != expected:
-            # Truncated/partial file (e.g. an aborted write): refuse it so
-            # the resilient restore falls back to an older generation.
-            yield from ctx.fs.close(handle)
-            raise UnrecoverableCheckpointError(
-                f"{path!r} has {handle.file.size} B, expected {expected} B",
-                step=step, path=path, rank=ctx.rank)
-        fields = []
-        offset = template.header_bytes
+        path_of = lambda s: self.rank_path(basedir, s, ctx.rank)  # noqa: E731
+        fields = yield from self._restore_delta(ctx, template, step, 0,
+                                                path_of)
+        if fields is not None:
+            return fields
+        offsets = []
+        pos = template.header_bytes
         for f in template.fields:
-            chunk = yield from ctx.fs.read(handle, offset, f.nbytes)
-            fields.append(chunk)
-            offset += f.nbytes
-        yield from ctx.fs.close(handle)
-        self._span(ctx, "restore", t_r0, ctx.engine.now,
-                   template.total_bytes, step=step)
-        return fields
+            offsets.append(pos)
+            pos += f.nbytes
+        return (yield from self._read_blocks(ctx, template, step,
+                                             path_of(step), pos, offsets,
+                                             t_r0))
 
 
 class _RankReplay(StagedOp):

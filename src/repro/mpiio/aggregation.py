@@ -167,9 +167,10 @@ class FlatExchange:
     exchange — which pieces every rank sends where, and whom every
     aggregator hears from — is computed exactly once per call via
     ``allgather(map_fn=...)``, vectorised over the gathered extents, and
-    consulted read-only by every participant: the per-rank
-    :meth:`MPIFile._two_phase <repro.mpiio.file.MPIFile>` and coIO's
-    coalesced replay read this one plan.
+    consulted read-only by every participant: the per-rank two-phase
+    write (``MPIFile._two_phase``, whose phase 1 reads a
+    :class:`TamExchange` instead when two-level aggregation engages) and
+    coIO's coalesced replay read this one plan.
 
     ``agg_index`` maps an aggregator's rank to the domain it commits;
     ``expected[k]`` lists the ranks domain ``k``'s aggregator receives from
@@ -308,3 +309,8 @@ class TamExchange:
                 if self.aggregators[k] != lead:
                     expected[k].append(lead)
         self.expected = {k: tuple(v) for k, v in expected.items()}
+
+    @property
+    def empty(self) -> bool:
+        """Nothing is written anywhere (participants only synchronize)."""
+        return self.regions.hi <= self.regions.lo

@@ -179,54 +179,110 @@ class MPIFile:
                    payload: Optional[bytes]):
         """The two-phase collective write, executed per rank.
 
-        Payloads travel as zero-copy ropes end to end: phase 1 slices each
-        rank's contribution into per-domain segment views and ships the
-        *references* (region descriptors + views, never reassembled bytes);
-        phase 2 overlays the received views into the aggregator's domain
-        rope and commits it in bursts.
+        Phase 0 exchanges the access regions and builds the call's one
+        shared plan; phase 1 ships every rank's data towards the
+        aggregator(s) owning it; in phase 2 aggregators overlay what they
+        received into their domain and commit it.  Only phase 1 knows
+        about two-level aggregation (TAM, when the file's node groups are
+        non-trivial): flat, a rank slices its own extent per domain and
+        sends the pieces itself; two-level, it hands the extent to its
+        node's leader over shared memory (no torus traffic), and the
+        leader clips its node's extents against the file domains and sends
+        *one* message per touched domain (``Fabric.count_tam`` records the
+        coalescing).  The clipped piece set is identical either way, piece
+        by piece, so the overlaid file image is bit-exact.
+
+        Payloads travel as zero-copy ropes end to end: region descriptors
+        plus segment views are shipped, never reassembled bytes.
         """
         comm = self.comm
         tag = SHUFFLE_TAG_BASE + seq
+        tag_intra = _TAM_TAG_BASE + seq
         if payload is not None:
             payload = ByteRope.wrap(payload)
-
         groups = self._node_groups()
-        if groups is not None:
-            yield from self._two_phase_tam(seq, offset, nbytes, payload,
-                                           groups)
-            return
         eng = self.fs.fs.engine
         t_x0 = eng.now
 
         # Phase 0: exchange access regions (one shared exchange plan built).
-        ex: FlatExchange = yield from comm.allgather(
-            (offset, nbytes), nbytes=16, map_fn=self._flat_exchange)
+        ex = yield from comm.allgather(
+            (offset, nbytes), nbytes=16,
+            map_fn=self._flat_exchange if groups is None
+            else self._tam_exchange)
         if ex.empty:
             # Nothing to write anywhere: still synchronize.
             yield from comm.barrier()
             return
         me = comm.rank
 
-        # Phase 1: shuffle — send my data to the aggregator(s) owning it.
+        # Phase 1: shuffle my data towards the aggregator(s) owning it.
         send_reqs = []
-        for dest, lo, hi in ex.sends(me):
-            part = None
-            if payload is not None:
-                part = payload[lo - offset : hi - offset]
-            if dest == me:
-                # Self-contribution: no message needed.
-                self._stage_local(tag, lo, hi, part)
-            else:
+        if groups is None:
+            for dest, lo, hi in ex.sends(me):
+                part = None
+                if payload is not None:
+                    part = payload[lo - offset : hi - offset]
+                if dest == me:
+                    # Self-contribution: no message needed.
+                    self._staged.setdefault(tag, []).append((lo, hi, part))
+                else:
+                    send_reqs.append(comm.isend(dest, hi - lo, tag=tag,
+                                                payload=(lo, hi, part)))
+        elif groups.leader_of[me] != me:
+            # Phase 1a: hand my extent to my node's leader (shared memory).
+            if nbytes > 0:
                 send_reqs.append(
-                    comm.isend(dest, hi - lo, tag=tag, payload=(lo, hi, part)))
+                    comm.isend(groups.leader_of[me], nbytes, tag=tag_intra,
+                               payload=(offset, nbytes, payload)))
+        else:
+            # Leader: coalesce the node's extents...
+            t_g0 = eng.now
+            parts: list[tuple[int, int, Optional[ByteRope]]] = []
+            if nbytes > 0:
+                parts.append((offset, nbytes, payload))
+            for m in groups.members_of[me][1:]:
+                if ex.raw[m][1] > 0:
+                    msg = yield from comm.recv(source=m, tag=tag_intra)
+                    parts.append(msg.payload)
+            # ...and forward one message per touched domain (phase 1b).
+            for k in ex.send_domains.get(me, ()):
+                dlo, dhi = ex.domains.domain(k)
+                pieces = []
+                total = 0
+                for p_off, p_len, p_pay in parts:
+                    lo = max(p_off, dlo)
+                    hi = min(p_off + p_len, dhi)
+                    if hi <= lo:
+                        continue
+                    part = None
+                    if p_pay is not None:
+                        part = p_pay[lo - p_off : hi - p_off]
+                    pieces.append((lo, hi, part))
+                    total += hi - lo
+                dest = ex.aggregators[k]
+                if dest == me:
+                    self._staged.setdefault(tag, []).extend(pieces)
+                else:
+                    comm.comm.fabric.count_tam(len(pieces))
+                    send_reqs.append(
+                        comm.isend(dest, total, tag=tag, payload=pieces))
+            tr = self.tracer
+            if tr is not None:
+                tr.span(comm.world_rank, "tam-gather", "mpiio", t_g0,
+                        eng.now, sum(n for _o, n, _p in parts),
+                        args={"path": self.path, "seq": seq,
+                              "members": len(groups.members_of[me])})
 
         # Phase 2: aggregators receive their domain and commit it.
         k = ex.agg_index.get(me)
         if k is not None:
-            pieces: list[tuple[int, int, Optional[bytes]]] = self._staged.pop(tag, [])
+            pieces = self._staged.pop(tag, [])
             for src in ex.expected[k]:
                 msg = yield from comm.recv(source=src, tag=tag)
-                pieces.append(msg.payload)
+                if groups is None:
+                    pieces.append(msg.payload)
+                else:
+                    pieces.extend(msg.payload)
             yield from self._commit_domain(*ex.domains.domain(k), pieces)
 
         if send_reqs:
@@ -234,8 +290,11 @@ class MPIFile:
         yield from comm.barrier()
         tr = self.tracer
         if tr is not None:
+            args = {"path": self.path, "seq": seq}
+            if groups is not None:
+                args["tam"] = True
             tr.span(comm.world_rank, "exchange", "mpiio", t_x0, eng.now,
-                    nbytes, args={"path": self.path, "seq": seq})
+                    nbytes, args=args)
 
     def _flat_exchange(self, raw: list) -> FlatExchange:
         """``allgather`` map: the call's shared plan, built by one rank.
@@ -279,105 +338,6 @@ class MPIFile:
                     f"{cpn}), two-level aggregation cannot engage")
         self._tam_groups_cache = groups
         return groups
-
-    def _two_phase_tam(self, seq: int, offset: int, nbytes: int,
-                       payload, groups: NodeGroups):
-        """Two-level collective write: intra-node coalesce, then exchange.
-
-        Phase 1a ships each rank's extent to its node leader over shared
-        memory (intra-node transfer — no torus traffic); phase 1b has each
-        leader clip its node's extents against the file domains and send
-        *one* message per touched domain to that domain's aggregator
-        (``Fabric.count_tam`` records the coalescing).  Phase 2 is the
-        flat path's aggregator commit verbatim — the clipped piece set is
-        identical to what the flat exchange produces, piece by piece, so
-        the overlaid file image is bit-exact.  Payloads stay zero-copy
-        ropes throughout: leaders forward slices of members' ropes, never
-        reassembled bytes.
-        """
-        comm = self.comm
-        tag_intra = _TAM_TAG_BASE + seq
-        tag_inter = SHUFFLE_TAG_BASE + seq
-        eng = self.fs.fs.engine
-        t_x0 = eng.now
-
-        ex: TamExchange = yield from comm.allgather(
-            (offset, nbytes), nbytes=16, map_fn=self._tam_exchange)
-        if ex.regions.hi <= ex.regions.lo:
-            yield from comm.barrier()
-            return
-
-        me = comm.rank
-        lead = groups.leader_of[me]
-        send_reqs = []
-        if lead != me:
-            # Phase 1a: hand my extent to my node's leader (shared memory).
-            if nbytes > 0:
-                send_reqs.append(
-                    comm.isend(lead, nbytes, tag=tag_intra,
-                               payload=(offset, nbytes, payload)))
-        else:
-            # Leader: coalesce the node's extents...
-            t_g0 = eng.now
-            parts: list[tuple[int, int, Optional[ByteRope]]] = []
-            if nbytes > 0:
-                parts.append((offset, nbytes, payload))
-            for m in groups.members_of[me][1:]:
-                if ex.raw[m][1] > 0:
-                    msg = yield from comm.recv(source=m, tag=tag_intra)
-                    parts.append(msg.payload)
-            # ...and forward one message per touched domain (phase 1b).
-            fabric = comm.comm.fabric
-            for k in ex.send_domains.get(me, ()):
-                dlo, dhi = ex.domains.domain(k)
-                pieces = []
-                total = 0
-                for p_off, p_len, p_pay in parts:
-                    lo = max(p_off, dlo)
-                    hi = min(p_off + p_len, dhi)
-                    if hi <= lo:
-                        continue
-                    part = None
-                    if p_pay is not None:
-                        part = p_pay[lo - p_off : hi - p_off]
-                    pieces.append((lo, hi, part))
-                    total += hi - lo
-                dest = ex.aggregators[k]
-                if dest == me:
-                    self._staged.setdefault(tag_inter, []).extend(pieces)
-                else:
-                    fabric.count_tam(len(pieces))
-                    send_reqs.append(
-                        comm.isend(dest, total, tag=tag_inter,
-                                   payload=pieces))
-            tr = self.tracer
-            if tr is not None:
-                tr.span(comm.world_rank, "tam-gather", "mpiio", t_g0,
-                        eng.now, sum(n for _o, n, _p in parts),
-                        args={"path": self.path, "seq": seq,
-                              "members": len(groups.members_of[me])})
-
-        # Phase 2: aggregators overlay and commit, as in the flat path.
-        k = ex.agg_index.get(me)
-        if k is not None:
-            pieces = self._staged.pop(tag_inter, [])
-            for src in ex.expected[k]:
-                msg = yield from comm.recv(source=src, tag=tag_inter)
-                pieces.extend(msg.payload)
-            yield from self._commit_domain(*ex.domains.domain(k), pieces)
-
-        if send_reqs:
-            yield from comm.waitall(send_reqs)
-        yield from comm.barrier()
-        tr = self.tracer
-        if tr is not None:
-            tr.span(comm.world_rank, "exchange", "mpiio", t_x0, eng.now,
-                    nbytes, args={"path": self.path, "seq": seq,
-                                  "tam": True})
-
-    def _stage_local(self, tag: int, lo: int, hi: int, part: Optional[bytes]) -> None:
-        """Stage this rank's own contribution for its aggregator role."""
-        self._staged.setdefault(tag, []).append((lo, hi, part))
 
     def _commit_domain(self, dlo: int, dhi: int,
                        pieces: list[tuple[int, int, Optional[bytes]]]):

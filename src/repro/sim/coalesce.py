@@ -15,9 +15,11 @@ Darshan record and span happens where it does in the uncoalesced run
   so one generator performs each member's visible actions in member order
   and synthesizes their reports from its own times.  Valid only while
   members cannot diverge: flow-control acknowledgements
-  (``max_outstanding``) offer no plan.  Under TAM symmetry holds per role,
-  and a role-aware replay
-  (:meth:`repro.ckpt.ReducedBlockingIO._coalesced_worker_tam`) is used.
+  (``max_outstanding``) offer no plan.  Under TAM symmetry holds per
+  role, so the one replay
+  (:meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main`) is
+  role-aware: node leaders are replayed per symmetry class, and the flat
+  exchange is the case with no leader class.
 - *Role-based continuations* (coIO).  Aggregator placement is a property
   of the file communicator, so the ranks that only contribute an extent
   and wait (62 of 64) are known before the run.  They do diverge — each

@@ -224,6 +224,35 @@ def test_rbio_single_file_layout_global_field_major():
             assert data[off : off + per] == expected.fields[i].payload
 
 
+@pytest.mark.parametrize("tam", ["off", "auto"])
+@pytest.mark.parametrize("delta", ["off", "auto"])
+def test_rbio_single_file_with_a_ragged_last_group_restores(delta, tam):
+    """np=16 at 6:1 leaves a last group of four.  Every writer's group must
+    be placed at the prefix sum of the gathered group sizes: placing it by
+    the writer's index times its *own* group size leaves the shared file
+    short and every generation unrestorable."""
+    from repro.buffers import as_bytes
+    from repro.ckpt import ChunkingParams, EvolvingData
+    from repro.experiments import run_resilient_campaign
+
+    data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
+                                 header_bytes=256)
+    strategy = ReducedBlockingIO(workers_per_writer=6, single_file=True)
+    if delta != "off":
+        strategy.configure_delta(delta, chunking=ChunkingParams(
+            min_size=256, avg_size=1024, max_size=4096))
+    if tam != "off":
+        strategy.configure_tam(tam)
+    campaign = run_resilient_campaign(strategy, 16, data, n_steps=2,
+                                      config=QUIET, gap_seconds=1.0)
+    assert campaign.restored_step == 1
+    for rank in range(16):
+        step, fields = campaign.restored[rank]
+        assert step == 1
+        truth = data.bind(rank).at_step(1).fields
+        assert [as_bytes(f) for f in fields] == [f.payload for f in truth]
+
+
 def test_rbio_isend_window_recorded_for_workers():
     strategy = ReducedBlockingIO(workers_per_writer=4)
     run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)

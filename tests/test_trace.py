@@ -310,6 +310,45 @@ def test_trace_captures_tam_and_exchange_spans():
     assert "mpiio:commit" in totals
 
 
+@pytest.mark.parametrize("name", ["1pfpp", "coio", "rbio", "rbio_nf1",
+                                  "bbio"])
+def test_every_delta_committer_records_one_chunk_span_per_step(name):
+    """The one delta plan (``repro.ckpt.incremental.plan_delta``) is what
+    emits ``phase:chunk``, so all five committers are visible in the trace
+    plane: each committing rank records exactly one span per step, and the
+    spans' bytes are the logical bytes the delta counters report."""
+    from repro.ckpt import (BurstBufferIO, ChunkingParams, CollectiveIO,
+                            OneFilePerProcess, ReducedBlockingIO)
+
+    strategy = {
+        "1pfpp": lambda: OneFilePerProcess(arrival_jitter=0.0),
+        "coio": lambda: CollectiveIO(ranks_per_file=8),
+        "rbio": lambda: ReducedBlockingIO(workers_per_writer=8),
+        "rbio_nf1": lambda: ReducedBlockingIO(workers_per_writer=8,
+                                              single_file=True),
+        "bbio": lambda: BurstBufferIO(workers_per_writer=8),
+    }[name]().configure_delta("auto", chunking=ChunkingParams(
+        min_size=256, avg_size=1024, max_size=4096))
+    n_ranks, n_steps = 16, 3
+    data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
+                                 header_bytes=256)
+    run = run_checkpoint_steps(strategy, n_ranks, data, n_steps,
+                               gap_seconds=1.0, run_config=_traced())
+    chunk = [s for s in run.job.tracer.spans
+             if (s.cat, s.name) == ("phase", "chunk")]
+    committers = (range(n_ranks) if name in ("1pfpp", "coio")
+                  else strategy.writer_ranks(n_ranks))
+    assert sorted((s.rank, s.args["step"]) for s in chunk) == [
+        (r, step) for r in committers for step in range(n_steps)]
+    snap = run.job.metrics().snapshot()
+    assert sum(s.nbytes for s in chunk) == snap["delta.bytes_logical"] > 0
+    if name not in ("1pfpp", "coio"):
+        # A writer deduplicating for its group reports the outcome.
+        assert sum(s.args["hits"] for s in chunk) == snap["delta.chunk_hits"]
+        assert (sum(s.args["misses"] for s in chunk)
+                == snap["delta.chunk_misses"])
+
+
 def test_trace_captures_restore_spans():
     from repro.storage import attach_storage
     strategy, data = strategy_for("1pfpp", 16), problem_for(16).data()
