@@ -148,23 +148,49 @@ def _wide_barrier_coalesced() -> Engine:
     return job.engine
 
 
-def _coalesced_1pfpp() -> dict:
-    """Deterministic counts of one coalesced 1PFPP checkpoint.
+#: What a run leaves CPython's cyclic collector, as exact counts (see
+#: ``_checkpoint_cell``); the perf gate holds both at zero.
+_LIFETIME_LEAVES = ("drain_unreachable", "left_for_collector_after_close")
 
-    Every rank is replayed as event callbacks from one process; the perf
-    gate holds these counts, so a replay that drifts (an extra event per
-    rank, a plan silently dropped) fails CI.
+
+def _checkpoint_cell(approach: str) -> dict:
+    """Deterministic counts of one coalesced checkpoint.
+
+    Non-aggregator ranks (1PFPP: every rank) are replayed as event
+    callbacks; the perf gate holds the event counts, so a replay that
+    drifts (an extra event per rank, a plan silently dropped) fails CI.
+
+    ``Engine.run`` pauses the cyclic collector, which is sound only while
+    a drain makes no cyclic garbage (``drain_unreachable``: what a full
+    collection finds after the drain, job still referenced) and cheap only
+    while ``Job.close()`` releases the run by reference count
+    (``left_for_collector_after_close``: what one finds after close and
+    the last reference) — so a new reference cycle fails CI too.
     """
+    import gc
+
     from repro.experiments.figures import problem_for, strategy_for
     from repro.experiments.runner import run_checkpoint_steps
 
-    job = run_checkpoint_steps(strategy_for("1pfpp", TRACE_NP), TRACE_NP,
-                               problem_for(TRACE_NP).data(), 1).job
-    counters = job.engine.counters()
-    return {"np": TRACE_NP,
-            "dispatched": counters["sim.dispatched_events"],
-            "events": counters["sim.events_processed"],
-            "rank_processes": len(job._rank_procs)}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        job = run_checkpoint_steps(strategy_for(approach, TRACE_NP), TRACE_NP,
+                                   problem_for(TRACE_NP).data(), 1).job
+        counters = job.engine.counters()
+        cell = {"np": TRACE_NP,
+                "dispatched": counters["sim.dispatched_events"],
+                "events": counters["sim.events_processed"],
+                "rank_processes": len(job._rank_procs),
+                "drain_unreachable": gc.collect()}
+        job.close()
+        del job
+        cell["left_for_collector_after_close"] = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return cell
 
 
 _WORKLOADS = {
@@ -190,7 +216,11 @@ def test_engine_throughput(benchmark):
           f"{c['sim.events_per_second']:,.0f}"]
          for name, c in out.items()],
     )
-    bench_record("engine_throughput", ckpt_1pfpp=_coalesced_1pfpp(), **{
+    cells = {"ckpt_1pfpp": _checkpoint_cell("1pfpp")}
+    for name, approach in (("ckpt_rbio", "rbio_ng"), ("ckpt_coio", "coio_64")):
+        cell = _checkpoint_cell(approach)
+        cells[name] = {leaf: cell[leaf] for leaf in _LIFETIME_LEAVES}
+    bench_record("engine_throughput", **cells, **{
         name: {"events": c["sim.events_processed"],
                "dispatched": c["sim.dispatched_events"],
                "wall_seconds": c["sim.wall_seconds"],

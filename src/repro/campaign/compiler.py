@@ -272,8 +272,5 @@ def run_point(point: CampaignPoint) -> dict:
                     for flat, name in _FABRIC_KEYS.items()})
     if run.job.tracer is not None:
         out["trace_summary"] = run.job.tracer.summary()
-    # The finished job is one reference cycle (job <-> contexts), freed
-    # whenever the cyclic collector gets to it; drop its file images now,
-    # so a sweep does not carry one point's bytes into the next.
-    run.fs.files.clear()
+    run.job.close()
     return out

@@ -105,7 +105,7 @@ class CheckpointStrategy:
         from ..staging import StagingError
         from ..storage import FSError
 
-        last_exc: Any = None
+        last_failure = None
         for step in steps:
             ok = 1
             fields = None
@@ -114,13 +114,16 @@ class CheckpointStrategy:
                                                  basedir=basedir)
             except (FSError, StagingError, UnrecoverableCheckpointError) as exc:
                 ok = 0
-                last_exc = exc
+                # The message, not the exception: its traceback holds this
+                # frame, and a frame holding it back would be a cycle.
+                last_failure = str(exc)
             agreed = yield from ctx.comm.allreduce(ok, op=min)
             if agreed:
                 return step, fields
         raise UnrecoverableCheckpointError(
             f"no restorable checkpoint generation among steps {list(steps)!r}"
-            + (f" (last failure: {last_exc})" if last_exc is not None else ""),
+            + (f" (last failure: {last_failure})"
+               if last_failure is not None else ""),
             rank=ctx.rank,
         )
 

@@ -215,6 +215,12 @@ class ReducedBlockingIO(CheckpointStrategy):
                     [(m, self.group_of(m)) for m in members]
                 )
                 yield from comm.split_members([(m, 1) for m in members])
+                # What _setup would have left behind: the restore wave runs
+                # a process per member on this job and must find the splits
+                # done, as the writers do.  One table on the job, not a
+                # cache dict per member (+24 MiB at 64K ranks).
+                ctx.job.services.setdefault(self._splits_key, {}).update(
+                    gviews)
             t0 = eng.now
             tag = _PKG_TAG_BASE + step
             ttag = _TAM_TAG_BASE + step
@@ -282,13 +288,23 @@ class ReducedBlockingIO(CheckpointStrategy):
         return reports
 
     # -- setup -------------------------------------------------------------
+    @property
+    def _splits_key(self) -> str:
+        """``job.services`` key of the group views of replayed workers."""
+        return f"ckpt:{id(self)}:gviews"
+
     def _setup(self, ctx: RankContext):
         """Generator: split group comm (and writers' comm) once, cache."""
         cache = self._cache(ctx)
         if "gcomm" not in cache:
-            gcomm = yield from ctx.comm.split(color=self.group_of(ctx.rank))
-            am_writer = gcomm.rank == 0
-            wcomm = yield from ctx.comm.split(color=0 if am_writer else 1)
+            gcomm = ctx.job.services.get(self._splits_key, {}).get(ctx.rank)
+            am_writer, wcomm = False, None
+            if gcomm is None:  # not a worker a coalesced run split for
+                gcomm = yield from ctx.comm.split(
+                    color=self.group_of(ctx.rank))
+                am_writer = gcomm.rank == 0
+                wcomm = yield from ctx.comm.split(
+                    color=0 if am_writer else 1)
             cache["gcomm"] = gcomm
             cache["am_writer"] = am_writer
             cache["wcomm"] = wcomm if am_writer else None

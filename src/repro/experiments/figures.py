@@ -166,10 +166,15 @@ def _compute_summary(point: tuple) -> RunSummary:
     strategy = _strategy_for(key, n_ranks)
     data = _problem(n_ranks).data()
     run = run_checkpoint_step(strategy, n_ranks, data, config=config, seed=seed)
+    fs_stats = run.fs.stats()
+    # Released before the extracts below allocate: the collector, back on
+    # since the drain ended, then walks what is left of the run, not all
+    # of it.  The profiler and the counters outlive close().
+    run.job.close()
     return RunSummary(
         result=run.result,
         write_intervals=run.profiler.write_intervals(),
-        fs_stats=run.fs.stats(),
+        fs_stats=fs_stats,
         bytes_copied=run.job.metrics().get("copy.bytes_copied"),
     )
 
@@ -488,8 +493,8 @@ def ext_staging_run(n_ranks: int = 512, n_steps: int = 4,
                                config=config, seed=seed,
                                gap_seconds=gap_seconds,
                                barrier_each_step=False)
-    svc = staging_of(run.job)
-    stats = svc.stats()
+    stats = staging_of(run.job).stats()
+    run.job.close()
     per_step = [r.blocking_time for r in run.results]
     # The first step never sees backpressure (empty buffers, no
     # outstanding packages) — steady state is steps 1..n.

@@ -64,6 +64,7 @@ def input_read_time(n_ranks: int, elements: int,
 
     job.spawn(rank_main)
     job.run()
+    job.close()
     timings["n_ranks"] = n_ranks
     timings["elements"] = elements
     timings["file_mb"] = nbytes / 1e6

@@ -135,8 +135,8 @@ def resilience_sweep(strategy: CheckpointStrategy, n_ranks: int,
             fs_type=fs_type, gap_seconds=gap_seconds,
             run_config=RunConfig(faults=schedule),
         )
-        inj = faults_of(run.job)
-        report = inj.report()
+        report = faults_of(run.job).report()
+        run.job.close()
         result = run.results[-1]
         rows.append({
             "rate": float(rate),

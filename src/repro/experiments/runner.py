@@ -274,6 +274,7 @@ def run_checkpoint_and_restore(strategy: CheckpointStrategy, n_ranks: int,
     reports = job.run()
     result = CheckpointResult(strategy.name, reports,
                               params=strategy.describe(), fs_stats=fs.stats())
+    job.close()
     t0 = min(a for a, _b in restore_windows.values())
     t1 = max(b for _a, b in restore_windows.values())
     total = sum(data_fn(r).total_bytes for r in range(n_ranks))

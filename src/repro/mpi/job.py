@@ -137,20 +137,37 @@ class RankContext:
     job:
         The owning :class:`Job` (engine, fabric, machine config).
     fs:
-        Per-rank file-system client, attached by :mod:`repro.storage`.
+        Per-rank file-system client of the job's attached file system
+        (:func:`repro.storage.attach_storage`), built on first use; may be
+        assigned.  ``None`` while no file system is attached.
     profiler:
         The job's I/O profiler, or ``None`` when profiling is off.
     """
 
-    __slots__ = ("rank", "comm", "job", "fs", "profiler", "user")
+    __slots__ = ("rank", "comm", "job", "_fs", "profiler", "user")
 
     def __init__(self, rank: int, comm: CommView, job: "Job") -> None:
         self.rank = rank
         self.comm = comm
         self.job = job
-        self.fs = None
+        self._fs = None
         self.profiler = job.profiler
         self.user: dict[str, Any] = {}
+
+    @property
+    def fs(self):
+        """This rank's file-system client (most ranks of a run never touch
+        the file system, so it is built when first asked for)."""
+        client = self._fs
+        if client is None:
+            fs = self.job.services.get("fs")
+            if fs is not None:
+                client = self._fs = fs.client(self.rank)
+        return client
+
+    @fs.setter
+    def fs(self, client) -> None:
+        self._fs = client
 
     @property
     def engine(self) -> Engine:
@@ -214,6 +231,8 @@ class Job:
         ``rank_fn`` must be a generator function (the SPMD program).  By
         default every rank runs it; pass ``ranks`` to restrict.
         """
+        if self.contexts is None:
+            raise RuntimeError("spawn() on a closed job")
         targets = range(self.n_ranks) if ranks is None else ranks
         for r in targets:
             ctx = self.contexts[r]
@@ -226,6 +245,8 @@ class Job:
         Raises if any rank process failed (its exception propagates) or, for
         ``until=None``, if some rank never finished (deadlock diagnosis).
         """
+        if self.contexts is None:
+            raise RuntimeError("run() on a closed job")
         with run_scope(self.stats):
             self.engine.run(until=until)
         results: dict[int, Any] = {}
@@ -249,6 +270,21 @@ class Job:
                 f"{len(stuck)} rank(s) never finished (deadlock?): ranks {preview}..."
             )
         return results
+
+    def close(self) -> None:
+        """Release the finished run; the job can no longer spawn or run.
+
+        A job is a tree apart from the edges that point back at it —
+        ``RankContext.job``, a service's ``job``, the fabric's fault hook
+        — so dropping its contexts, services and rank processes here lets
+        the whole run (file images, per-rank state, finished generators)
+        die by reference count at once instead of waiting, as one large
+        cycle, for the cyclic collector.  :meth:`metrics`, ``profiler``,
+        ``tracer`` and results already taken stay readable.
+        """
+        self.contexts = self.services = self._rank_procs = None
+        self.fabric.injector = None
+        self.engine.close()
 
     @property
     def now(self) -> float:
@@ -286,4 +322,6 @@ def run_spmd(rank_fn: Callable, n_ranks: int,
     """
     job = Job(n_ranks, config=config, seed=seed)
     job.spawn(rank_fn, *args)
-    return job.run()
+    results = job.run()
+    job.close()
+    return results

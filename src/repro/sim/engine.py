@@ -71,6 +71,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -311,6 +312,7 @@ class Process(Event):
         # object instead of allocating a fresh bound method per event.
         resume = self._resume
         self._resume_cb = resume
+        engine._alive.add(self)
         # Bootstrap: resume at the current time via an immediate event.
         init = Event(engine)
         init.triggered = True
@@ -331,6 +333,11 @@ class Process(Event):
                 else:
                     target = gen.throw(event._value)
             except StopIteration as stop:
+                # Finished: drop the generator and the bound resume, whose
+                # self-reference would otherwise keep this process (and its
+                # frame) alive until a cyclic-collector pass.
+                self.generator = self._resume_cb = None
+                self.engine._alive.discard(self)
                 if not self.triggered:
                     self.succeed(stop.value)
                 return
@@ -339,11 +346,11 @@ class Process(Event):
             except BaseException as exc:
                 # Unhandled failure in the process body: propagate to waiters
                 # if any, otherwise crash the simulation loudly.
-                if not self.triggered:
-                    if self.callbacks:
-                        self.fail(exc)
-                        return
-                    raise
+                self.generator = self._resume_cb = None
+                self.engine._alive.discard(self)
+                if not self.triggered and self.callbacks:
+                    self.fail(exc)
+                    return
                 raise
             try:
                 cbs = target.callbacks
@@ -503,6 +510,7 @@ class Engine:
         "_batch_hist",
         "_drain_hist",
         "_wall_seconds",
+        "_alive",
     )
 
     def __init__(self) -> None:
@@ -517,6 +525,7 @@ class Engine:
         self._batch_hist: dict = {}  # batch_size.bit_length() -> count
         self._drain_hist: dict = {}  # drained bucket size bit_length -> count
         self._wall_seconds: float = 0.0
+        self._alive: set = set()  # processes whose generator has not finished
 
     # -- scheduling ------------------------------------------------------
     def _push(self, delay: float, event: Event) -> None:
@@ -690,6 +699,13 @@ class Engine:
 
         When stopped by ``until``, the clock is set exactly to ``until`` and
         any event scheduled at or before that instant has been processed.
+
+        Automatic cyclic garbage collection is paused for the drain and put
+        back as it was on every way out.  A drain's heap only grows
+        (contexts, reports, records, pending events) and nothing under
+        ``repro`` leaves a reference cycle behind in it
+        (``tests/test_run_lifetime.py``), so generational passes over it
+        find nothing and cost a quarter of a paper-scale run.
         """
         if until is not None and until < self.now:
             raise ValueError(f"until={until} is in the past (now={self.now})")
@@ -698,6 +714,8 @@ class Engine:
         drain_hist = self._drain_hist
         pop = _heappop
         dispatched = 0
+        collecting = gc.isenabled()
+        gc.disable()
         t_wall = perf_counter()
         try:
             while times:
@@ -750,6 +768,24 @@ class Engine:
             self._event_count += dispatched
             self._dispatched += dispatched
             self._wall_seconds += perf_counter() - t_wall
+            if collecting:
+                gc.enable()
+
+    def close(self) -> None:
+        """Drop the calendar and abandon every unfinished process.
+
+        A process parked on an event (a drain loop on its empty queue) is a
+        reference cycle by construction: the pending event resumes the
+        process whose frame holds the queue that holds the event.  Once the
+        simulation is over, letting go of the generators here is what lets
+        them, and everything their frames hold, die by reference count.
+        """
+        self._times.clear()
+        self._buckets.clear()
+        alive = self._alive
+        while alive:
+            proc = alive.pop()
+            proc.generator = proc._resume_cb = None
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""

@@ -52,24 +52,29 @@ class StagingService:
         self.config = config if config is not None else StagingConfig()
         self._psets = job.config.pset_map(job.n_ranks)
         self._buffers: dict[int, BurstBuffer] = {}
-        self.drain = DrainScheduler(job.engine, self._fs_client_of,
+
+        # The drain and the replicator reach back through the job, never
+        # through a bound method of this service: every back-edge of a run
+        # passes through its job, which is what Job.close() cuts.
+        def fs_client_of(rank: int):
+            fsc = job.contexts[rank].fs
+            if fsc is None:
+                raise StagingError(
+                    f"rank {rank} has no file-system client; call "
+                    "attach_storage before the drain runs"
+                )
+            return fsc
+
+        self.drain = DrainScheduler(job.engine, fs_client_of,
                                     self.config, profiler=job.profiler,
                                     tracer=job.tracer)
         self.replicator: Optional[PartnerReplicator] = None
         if self.config.replicate:
             self.replicator = PartnerReplicator(
-                job.engine, job.fabric, self.buffer_for,
+                job.engine, job.fabric,
+                lambda rank: staging_of(job).buffer_for(rank),
                 shift=self.config.replica_shift,
             )
-
-    def _fs_client_of(self, rank: int):
-        fsc = self.job.contexts[rank].fs
-        if fsc is None:
-            raise StagingError(
-                f"rank {rank} has no file-system client; call attach_storage "
-                "before the drain runs"
-            )
-        return fsc
 
     def domain_of(self, rank: int) -> int:
         """Failure-domain index of a rank (pset or node, per placement)."""

@@ -22,18 +22,19 @@ def attach_storage(job: Job, fs_type: str = "gpfs", **fs_kwargs) -> GPFS:
 
     ``fs_type`` selects ``"gpfs"`` (the paper's Intrepid setup),
     ``"lustre"`` (the future-work variant), or ``"pvfs"`` (the lock-free
-    comparison the paper wanted).  After this call every
-    :class:`~repro.mpi.RankContext` in the job has ``ctx.fs`` set to its
-    :class:`FSClient`, reporting every operation to ``job.profiler`` when
-    the job has one.  Returns the file system (also stored as
-    ``job.services["fs"]``).
+    comparison the paper wanted).  After this call ``ctx.fs`` of every
+    :class:`~repro.mpi.RankContext` in the job is its :class:`FSClient`
+    (built when the rank first uses it), reporting every operation to
+    ``job.profiler`` when the job has one.  Returns the file system (also
+    stored as ``job.services["fs"]``).
     """
     cls = {"gpfs": GPFS, "lustre": LustreFS, "pvfs": PVFS}.get(fs_type)
     if cls is None:
         raise ValueError(f"unknown fs_type {fs_type!r}")
     fs = cls(job.engine, job.config, job.config.pset_map(job.n_ranks),
              job.streams, profiler=job.profiler, **fs_kwargs)
-    for ctx in job.contexts:
-        ctx.fs = fs.client(ctx.rank)
+    if "fs" in job.services:
+        for ctx in job.contexts:  # clients of the file system being replaced
+            ctx.fs = None
     job.services["fs"] = fs
     return fs

@@ -113,6 +113,36 @@ def test_rbio_ragged_last_group_exact():
     assert_identical(off, on)
 
 
+@pytest.mark.parametrize("tam", ["off", "auto"])
+@pytest.mark.parametrize("single_file", [False, True], ids=["nf_ng", "nf1"])
+def test_rbio_restore_after_a_coalesced_run(single_file, tam):
+    """The restore wave runs one process per rank on the same job: a
+    replayed worker must find both setup splits done (as coIO's members
+    find their file communicator), or it splits again and the writers,
+    which hold theirs, never join — the restore deadlocks."""
+    data = shared_data()
+    runs = []
+    for mode in ("off", "require"):
+        strategy = ReducedBlockingIO(workers_per_writer=8,
+                                     single_file=single_file)
+        strategy.configure_tam(tam)
+        runs.append(run_resilient_campaign(
+            strategy, 64, data, n_steps=2, seed=11,
+            run_config=RunConfig(coalesce=mode)))
+    off, on = runs
+    assert_identical(off.run, on.run)
+    assert off.run.job.engine.now == on.run.job.engine.now
+    assert off.run.job.fabric.stats() == on.run.job.fabric.stats()
+    # The rbIO replay records its workers' phases group by group: the same
+    # records, in another order.
+    assert sorted(records_of(off.run)) == sorted(records_of(on.run))
+    want = [as_bytes(f.payload) for f in data.fields]
+    for rank in range(64):
+        assert off.restored[rank][0] == on.restored[rank][0] == 1
+        assert [as_bytes(f) for f in off.restored[rank][1]] == want
+        assert [as_bytes(f) for f in on.restored[rank][1]] == want
+
+
 def assert_file_images_identical(off, on):
     for path, fobj in off.fs.files.items():
         other = on.fs.files[path]
