@@ -39,7 +39,7 @@ abstraction, productionized for many concurrent clients:
 """
 
 from .compiler import CampaignPoint, ExpandedCampaign, expand, run_point
-from .service import SweepService, WorkerLost
+from .service import CampaignEvicted, SweepService, WorkerLost
 from .spec import (
     CampaignCheckpoint,
     CampaignFaults,
@@ -65,6 +65,7 @@ __all__ = [
     "StepsSpec",
     "SweepService",
     "WorkerLost",
+    "CampaignEvicted",
     "WorkloadSpec",
     "expand",
     "run_point",

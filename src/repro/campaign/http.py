@@ -15,7 +15,8 @@ Built on :class:`http.server.ThreadingHTTPServer` — no dependencies, good
 enough for many concurrent polling clients (the service itself serializes
 on its own lock; the worker pool does the heavy lifting).  Invalid specs
 come back as ``400`` with the :class:`~repro.campaign.spec.SpecError`
-message; unknown campaign ids as ``404``.  The edge is bounded: request
+message; unknown campaign ids as ``404``, ids of finished campaigns the
+service has evicted as a typed ``410``.  The edge is bounded: request
 bodies over :data:`MAX_BODY_BYTES` are refused with ``413`` before a byte
 is read, a negative or non-integer ``Content-Length`` is a ``400``, a
 client that stalls for :data:`REQUEST_TIMEOUT_S` gets a ``408`` and loses
@@ -31,7 +32,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .service import SweepService
+from .service import CampaignEvicted, SweepService
 from .spec import SpecError
 
 __all__ = ["make_server", "start_server", "serve_forever",
@@ -139,6 +140,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, self.service.results(parts[1]))
             else:
                 self._error(404, f"no such endpoint: {self.path}")
+        except CampaignEvicted as exc:
+            self._send(410, {"error": exc.args[0], "type": type(exc).__name__})
         except KeyError as exc:
             self._error(404, str(exc.args[0]) if exc.args else "not found")
         except Exception as exc:  # the server must outlive a handler bug

@@ -40,11 +40,23 @@ from ..experiments.parallel import DiskCache, default_workers, sweep_cache
 from .compiler import ExpandedCampaign, expand, run_point
 from .spec import CampaignSpec
 
-__all__ = ["SweepService", "CampaignStatus", "WorkerLost"]
+__all__ = ["SweepService", "CampaignStatus", "WorkerLost", "CampaignEvicted",
+           "MAX_FINISHED_CAMPAIGNS"]
+
+#: Finished campaigns a service keeps answering for (their points stay in
+#: the result cache; resubmitting an evicted spec is served from it).
+MAX_FINISHED_CAMPAIGNS = 256
+
+#: Evicted ids remembered (to answer 410 rather than 404); bounded too.
+_EVICTED_IDS_KEPT = 4096
 
 
 class WorkerLost(RuntimeError):
     """A point's worker process died twice; the point was not computed."""
+
+
+class CampaignEvicted(KeyError):
+    """The campaign finished and has since made room for newer ones."""
 
 
 class CampaignStatus:
@@ -114,11 +126,14 @@ class SweepService:
     :func:`~repro.experiments.parallel.default_workers`.  ``cache``
     accepts a :class:`DiskCache`, a directory path, ``None`` to adopt the
     environment's ``REPRO_BENCH_CACHE`` cache, or ``False`` to disable
-    caching outright.
+    caching outright.  At most ``max_finished`` settled campaigns stay
+    registered: beyond that the oldest are evicted (running ones never),
+    and asking for an evicted id raises :class:`CampaignEvicted`.
     """
 
     def __init__(self, n_workers: Optional[int] = None,
-                 cache: Union[DiskCache, str, None, bool] = None) -> None:
+                 cache: Union[DiskCache, str, None, bool] = None,
+                 max_finished: int = MAX_FINISHED_CAMPAIGNS) -> None:
         workers = default_workers() if n_workers is None else max(1, n_workers)
         self._pool = ProcessPoolExecutor(max_workers=workers)
         self.n_workers = workers
@@ -134,6 +149,8 @@ class SweepService:
         # under this lock) when the future is already finished.
         self._lock = threading.RLock()
         self._campaigns: dict[str, CampaignStatus] = {}
+        self.max_finished = max(0, max_finished)
+        self._evicted: dict[str, None] = {}  # ids only, oldest first
         self._inflight: dict[str, Future] = {}
         self.counters = {
             "campaigns_submitted": 0,
@@ -142,6 +159,7 @@ class SweepService:
             "points_deduped": 0,
             "points_cached": 0,
             "pool_rebuilds": 0,
+            "campaigns_evicted": 0,
         }
 
     # -- submission --------------------------------------------------------
@@ -165,9 +183,25 @@ class SweepService:
                 return campaign_id
             status = CampaignStatus(campaign_id, expand(spec))
             self._campaigns[campaign_id] = status
+            self._evicted.pop(campaign_id, None)
             for index, point in enumerate(status.expanded.points):
                 self._schedule(status, index, point)
+            self._evict(status)  # every point may have been a cache hit
         return campaign_id
+
+    def _evict(self, settled: CampaignStatus) -> None:
+        """Once ``settled`` is, drop the oldest finished campaigns beyond
+        the retention bound.  Caller holds ``self._lock``."""
+        if settled.state == "running":
+            return
+        finished = [cid for cid, status in self._campaigns.items()
+                    if status.state != "running"]
+        for cid in finished[:max(0, len(finished) - self.max_finished)]:
+            del self._campaigns[cid]
+            self._evicted[cid] = None
+            self.counters["campaigns_evicted"] += 1
+        while len(self._evicted) > _EVICTED_IDS_KEPT:
+            del self._evicted[next(iter(self._evicted))]
 
     def _schedule(self, status: CampaignStatus, index: int, point) -> None:
         """Resolve one point: cache hit, shared in-flight future, or pool.
@@ -251,12 +285,18 @@ class SweepService:
                 status.errors[index] = f"{type(exc).__name__}: {exc}"
             else:
                 status.results[index] = future.result()
+            self._evict(status)
 
     # -- inspection --------------------------------------------------------
 
     def _get(self, campaign_id: str) -> CampaignStatus:
         status = self._campaigns.get(campaign_id)
         if status is None:
+            if campaign_id in self._evicted:
+                raise CampaignEvicted(
+                    f"campaign {campaign_id!r} finished and was evicted "
+                    f"(the service keeps {self.max_finished} finished "
+                    f"campaigns); resubmit it to be served from the cache")
             raise KeyError(f"unknown campaign {campaign_id!r}")
         return status
 

@@ -23,13 +23,14 @@ so the collective pattern is one ``write_at_all`` per field.
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from typing import Optional
 
 from ..buffers import zeros
-from ..mpi import RankContext
+from ..mpi import Message, RankContext
 from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
 from ..mpiio.file import SHUFFLE_TAG_BASE
-from ..sim import CoalescePlan, GroupPlan, StagedOp
+from ..sim import CoalescePlan, GroupPlan
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta
@@ -124,21 +125,19 @@ class CollectiveIO(CheckpointStrategy):
     def coalesced_worker_main(self, ctx: RankContext, members,
                               data: CheckpointData, steps, basedir: str,
                               gaps, barrier_each_step: bool):
-        """Generator: stand in for one run of non-aggregator ranks.
+        """Generator: bring one run of non-aggregator ranks to its cohort.
 
         Only the world barrier and the communicator split — which complete
-        for all members at once — use the bulk collective entries.  From
-        the first layout allgather on each member is a
-        :class:`_MemberReplay`: a chain of plain event callbacks,
-        registered where the rank's process would have been waiting,
-        through every step.
+        for all members at once — are entered from here.  From the first
+        layout allgather on, the runs of one file communicator advance
+        together as a :class:`_RunReplay`, through every step.
         """
         world = ctx.comm
-        contexts = ctx.job.contexts
+        job = ctx.job
         yield from world.barrier_members(members)
         t0 = ctx.engine.now
         if self.ranks_per_file is None:
-            views = [contexts[m].comm for m in members]
+            views = [job.contexts[m].comm for m in members]
         else:
             by_rank = yield from world.split_members(
                 [(m, self.group_of(m)) for m in members])
@@ -146,12 +145,16 @@ class CollectiveIO(CheckpointStrategy):
         for m, view in zip(members, views):
             # What _iocomm leaves behind: a later restore (or ghost) of the
             # member must find the split done, as the aggregators do.
-            self._cache(contexts[m])["iocomm"] = view
-        run = _RunReplay(self, ctx, members, data, steps, basedir, gaps,
-                         barrier_each_step, views[0].comm)
-        for m, view in zip(members, views):
-            _MemberReplay(run, m, view, t0)._gather_layout()
-        return (yield run.done)
+            self._cache(job.contexts[m])["iocomm"] = view
+        cohorts = job.services.setdefault(f"ckpt:{id(self)}:cohorts", {})
+        group = self.group_of(members[0])
+        run = cohorts.get(group)
+        if run is None:
+            run = cohorts[group] = _RunReplay(
+                self, ctx, group, data, steps, basedir, gaps,
+                barrier_each_step, views[0].comm)
+        reports = yield run.join([view.rank for view in views], t0)
+        return {m: reports[m] for m in members}
 
     # -- setup ------------------------------------------------------------
     def _iocomm(self, ctx: RankContext):
@@ -245,9 +248,32 @@ class CollectiveIO(CheckpointStrategy):
 
 
 class _RunReplay:
-    """What the members of one coalesced run share (see ``_MemberReplay``)."""
+    """The non-aggregator ranks of one file communicator, without processes.
 
-    def __init__(self, strategy: CollectiveIO, ctx: RankContext, members,
+    Each method is the continuation the rank processes would run when the
+    event they wait on fires, for a *segment* of them: members whose
+    resumes would have sat next to each other in the event's callback
+    list, in that order.  :meth:`_await` puts one callback where the first
+    of them would have appended its resume and lets later arrivals join
+    it for as long as nobody else has appended after it — an aggregator's
+    process arriving in between starts a new segment.  Members therefore
+    take their turns among the aggregators (and each other) in the
+    uncoalesced order, which makes everything order-sensitive exact by
+    construction: the shared noise stream's draws, the reservations on an
+    aggregator node's ejection pipe (its own straddling piece included),
+    collective arrival order, Darshan records and spans.  Where members
+    part ways — each open and close takes its own time, each message is
+    delivered at its own instant — a member reaches the next collective
+    from its own event, and joins the segment forming there.
+
+    Nothing another layer decides is re-derived here: a member ships the
+    pieces :meth:`FlatExchange.sends` lists for it, like
+    ``MPIFile._two_phase`` does, and an open or close is ``FSClient``'s own
+    staged op, driven from callbacks (:meth:`_drive`) as a process would
+    ``yield from`` it.
+    """
+
+    def __init__(self, strategy: CollectiveIO, ctx: RankContext, group: int,
                  data: CheckpointData, steps, basedir: str, gaps,
                  barrier_each_step: bool, comm) -> None:
         job = ctx.job
@@ -259,7 +285,6 @@ class _RunReplay:
         self.comm = comm
         self.gaps = gaps
         self.barrier_each_step = barrier_each_step
-        group = strategy.group_of(members[0])
         self.paths = [strategy.file_path(basedir, step, group)
                       for step in steps]
         self.total_bytes = data.total_bytes
@@ -273,161 +298,210 @@ class _RunReplay:
         self.exchange_plan = partial(
             FlatExchange.for_hints, hints=strategy.hints,
             block_size=ctx.fs.fs.config.fs_block_size)
-        self.reports: dict[int, list] = {m: [] for m in members}
-        self.unfinished = len(members)
-        self.done = self.eng.event()
-
-
-class _MemberReplay(StagedOp):
-    """One non-aggregator rank of a collective checkpoint, without a process.
-
-    Each method is the continuation a rank process would run when the
-    event it waits on fires, and registers the next one exactly where the
-    process would have appended its resume callback.  Members therefore
-    take their turns among the aggregator processes (and each other) in
-    the uncoalesced order, which makes everything order-sensitive exact by
-    construction: the shared noise stream's draws, the reservations on an
-    aggregator node's ejection pipe (its own straddling piece included),
-    collective arrival order, Darshan records and spans.
-
-    Nothing another layer decides is re-derived here: a member ships the
-    pieces :meth:`FlatExchange.sends` lists for it, like
-    ``MPIFile._two_phase`` does, and an open or close is ``FSClient``'s own
-    staged op, called from :meth:`_open` / :meth:`_close` as a process
-    would ``yield from`` it.
-    """
-
-    __slots__ = ("run", "rank", "view", "lr", "fs", "step", "t0", "offs",
-                 "handle", "seq", "t_x0")
-
-    def __init__(self, run: _RunReplay, rank: int, view, t0: float) -> None:
-        super().__init__(None)
-        self.run = run
-        self.rank = rank
-        self.view = view
-        self.lr = view.rank
-        self.fs = run.contexts[rank].fs
+        # Per member, by rank on ``comm`` (an aggregator's slot stays None).
+        self.fs: list = [None] * comm.size
+        self.handles: list = [None] * comm.size
+        self.offs = None  # offs[lr][field], once the layout is known
+        self.t_x0 = [0.0] * comm.size
         self.step = 0
-        self.t0 = t0
+        self.t0 = [0.0] * len(self.paths)
+        self.reports: dict[int, list] = {}
+        self.unfinished = 0
+        self.done: list = []  # one event per joined run
+        self._tail = None
+
+    def join(self, lrs: list, t0: float):
+        """A run's members (ranks on ``comm``) enter their first step.
+
+        Returns the event that fires, with every member's reports by world
+        rank, when the cohort is through its last step.
+        """
+        world_ranks = self.comm.world_ranks
+        for lr in lrs:
+            rank = world_ranks[lr]
+            self.fs[lr] = self.contexts[rank].fs
+            self.reports[rank] = []
+        self.unfinished += len(lrs)
+        self.done.append(self.eng.event())
+        self.t0[0] = t0
+        self._gather_layout(lrs)
+        return self.done[-1]
+
+    def _await(self, event, lrs, handler, arg) -> None:
+        """Go on with ``handler(lrs, arg, event)`` where ``lrs``' processes
+        would have resumed from ``event``."""
+        callbacks = event.callbacks
+        tail = self._tail
+        if callbacks and callbacks[-1] is tail:
+            tail.args[0].extend(lrs)
+        else:
+            self._tail = tail = partial(handler, list(lrs), arg)
+            callbacks.append(tail)
 
     # -- step prologue ----------------------------------------------------
-    def _after_gap(self, _ev) -> None:
-        run = self.run
-        if run.barrier_each_step:
-            run.world._barrier_arrive(self.rank).event.callbacks.append(
-                self._enter_step)
+    def _after_gap(self, lrs, step, _ev) -> None:
+        if self.barrier_each_step:
+            world_ranks = self.comm.world_ranks
+            self._await(self.world._barrier_arrive_members(
+                [world_ranks[lr] for lr in lrs]).event,
+                lrs, self._enter_step, step)
         else:
-            self._enter_step(None)
+            self._enter_step(lrs, step, None)
 
-    def _enter_step(self, _ev) -> None:
-        self.t0 = self.run.eng.now
-        self._gather_layout()
+    def _enter_step(self, lrs, step, _ev) -> None:
+        self.step = step
+        self.t0[step] = self.eng.now
+        self._gather_layout(lrs)
 
-    def _gather_layout(self) -> None:
-        run = self.run
-        run.comm._allgather_arrive(
-            self.lr, run.field_sizes, run.layout_nbytes, run.make_layout
-        ).event.callbacks.append(self._laid_out)
+    def _gather_layout(self, lrs) -> None:
+        self._await(self.comm._allgather_arrive_members(
+            lrs, repeat(self.field_sizes), self.layout_nbytes,
+            self.make_layout).event, lrs, self._laid_out, None)
 
-    def _laid_out(self, ev) -> None:
-        self.offs = ev.value.member_offsets(self.lr)
-        self.then = _MemberReplay._open
-        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
-            self.advance)
+    def _laid_out(self, lrs, _arg, ev) -> None:
+        if self.offs is None:
+            self.offs = [fs and ev.value.member_offsets(lr)
+                         for lr, fs in enumerate(self.fs)]
+        # MPIFile.open, non-creator side: barrier, then fs.open.
+        self._await(self.comm._barrier_arrive_members(lrs).event,
+                    lrs, self._open, None)
 
-    # -- MPIFile.open, non-creator side: the open barrier has released ----
-    # (_open/_opened and _close/_closed are StagedOp stages, not callbacks.)
-    def _open(self):
-        self.then = _MemberReplay._opened
-        return self.call(self.fs.open_op(self.run.paths[self.step], True))
+    def _drive(self, op, done, lr, fired=None) -> None:
+        """Run one member's ``FSClient`` op up to its next wait, from where
+        its process would have resumed; ``done(lr, result)`` after it."""
+        ev = op.advance(fired, False)
+        if ev is None:
+            done(lr, op.result)
+        else:
+            ev.add_callback(partial(self._drive, op, done, lr))
 
-    def _opened(self) -> None:
-        self.handle = self.result
-        self.seq = self.run.first_call
-        self._write_at_all()
+    def _open(self, lrs, _arg, _ev) -> None:
+        path = self.paths[self.step]
+        for lr in lrs:
+            self._drive(self.fs[lr].open_op(path, True), self._opened, lr)
+
+    def _opened(self, lr, handle) -> None:
+        self.handles[lr] = handle
+        self._write_at_all((lr,), self.first_call)
 
     # -- one collective write per call: allgather, ship, barrier ----------
-    def _write_at_all(self) -> None:
-        run = self.run
-        i = self.seq
-        if i == len(run.payloads):
+    def _write_at_all(self, lrs, i) -> None:
+        comm = self.comm
+        if i == len(self.payloads):
             # MPIFile.close: barrier, fs.close, barrier.
-            self.then = _MemberReplay._close
-            run.comm._barrier_arrive(self.lr).event.callbacks.append(
-                self.advance)
+            self._await(comm._barrier_arrive_members(lrs).event,
+                        lrs, self._close, None)
             return
-        self.t_x0 = run.eng.now
-        region = (0, 0) if i < 0 else (self.offs[i], run.field_sizes[i])
-        run.comm._allgather_arrive(
-            self.lr, region, 16, run.exchange_plan
-        ).event.callbacks.append(self._ship)
-
-    def _ship(self, ev) -> None:
-        ex: FlatExchange = ev.value
-        run = self.run
-        if ex.empty:
-            run.comm._barrier_arrive(self.lr).event.callbacks.append(
-                self._next_call)
-            return
-        sends = ex.sends(self.lr)
-        if not sends:
-            self._shipped(None)
-            return
-        i = self.seq
-        offset = self.offs[i]
-        payload = run.payloads[i]
-        tag = SHUFFLE_TAG_BASE + i - run.first_call
-        sent = [
-            self.view.isend(
-                dest, hi - lo, tag=tag,
-                payload=(lo, hi, None if payload is None
-                         else payload[lo - offset:hi - offset])).event
-            for dest, lo, hi in sends]
-        (sent[0] if len(sent) == 1 else run.eng.all_of(sent)).add_callback(
-            self._shipped)
-
-    def _shipped(self, _ev) -> None:
-        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
-            self._exchanged)
-
-    def _exchanged(self, ev) -> None:
-        run = self.run
-        tr = run.tracer
-        if tr is not None:
-            i = self.seq
-            tr.span(self.rank, "exchange", "mpiio", self.t_x0, run.eng.now,
-                    0 if i < 0 else run.field_sizes[i],
-                    args={"path": run.paths[self.step],
-                          "seq": i - run.first_call})
-        self._next_call(ev)
-
-    def _next_call(self, _ev) -> None:
-        self.seq += 1
-        self._write_at_all()
-
-    # -- MPIFile.close ----------------------------------------------------
-    def _close(self):
-        self.then = _MemberReplay._closed
-        return self.call(self.fs.close_op(self.handle))
-
-    def _closed(self) -> None:
-        self.run.comm._barrier_arrive(self.lr).event.callbacks.append(
-            self._finished)
-
-    def _finished(self, _ev) -> None:
-        run = self.run
-        now = run.eng.now
-        run.reports[self.rank].append(run.strategy._report(
-            run.contexts[self.rank], "collective", self.t0, now, now,
-            run.total_bytes))
-        self.step += 1
-        if self.step == len(run.paths):
-            run.unfinished -= 1
-            if not run.unfinished:
-                run.done.succeed(run.reports)
-            return
-        gap = run.gaps[self.step]
-        if gap > 0:
-            run.eng.timeout(gap).callbacks.append(self._after_gap)
+        if self.tracer is not None:
+            now = self.eng.now
+            for lr in lrs:
+                self.t_x0[lr] = now
+        if i < 0:
+            regions = repeat((0, 0))
         else:
-            self._after_gap(None)
+            offs, nbytes = self.offs, self.field_sizes[i]
+            regions = [(offs[lr][i], nbytes) for lr in lrs]
+        self._await(comm._allgather_arrive_members(
+            lrs, regions, 16, self.exchange_plan).event, lrs, self._ship, i)
+
+    def _ship(self, lrs, i, ev) -> None:
+        ex: FlatExchange = ev.value
+        comm = self.comm
+        if ex.empty or i < 0:
+            # Nothing to send: straight to the call's closing barrier.
+            self._await(comm._barrier_arrive_members(lrs).event, lrs,
+                        self._next_call if ex.empty else self._exchanged, i)
+            return
+        eng = self.eng
+        issued_at = eng.now
+        fabric = comm.fabric
+        transfer = fabric.transfer
+        eager = fabric.config.eager_threshold
+        world = comm.world_ranks
+        mailbox = comm.mailbox
+        offs = self.offs
+        payload = self.payloads[i]
+        tag = SHUFFLE_TAG_BASE + i - self.first_call
+        shipped = self._shipped
+        for lr in lrs:
+            sends = ex.sends(lr)
+            offset = offs[lr][i]
+            if len(sends) != 1 or sends[0][2] - sends[0][1] <= eager:
+                # A straddling extent, an eager piece, nothing at all: the
+                # rank's own isend(s) and wait, as MPIFile._two_phase.
+                view = comm.view(lr)
+                sent = [view.isend(
+                    dest, hi - lo, tag=tag,
+                    payload=(lo, hi, None if payload is None
+                             else payload[lo - offset:hi - offset])).event
+                    for dest, lo, hi in sends]
+                if not sent:
+                    shipped(lr, i)
+                else:
+                    (sent[0] if len(sent) == 1 else eng.all_of(sent)
+                     ).add_callback(partial(shipped, lr, i))
+                continue
+            # One rendezvous send: its delivery is its completion.
+            dest, lo, hi = sends[0]
+
+            def deliver(_ev, put=mailbox(dest).put, lr=lr, nbytes=hi - lo,
+                        body=(lo, hi, None if payload is None
+                              else payload[lo - offset:hi - offset])):
+                put(Message(lr, tag, nbytes, body, issued_at, eng.now))
+                shipped(lr, i)
+
+            transfer(world[lr], world[dest], hi - lo).callbacks.append(deliver)
+
+    def _shipped(self, lr, i, _ev=None) -> None:
+        self._await(self.comm._barrier_arrive(lr).event, (lr,),
+                    self._exchanged, i)
+
+    def _exchanged(self, lrs, i, _ev) -> None:
+        tr = self.tracer
+        if tr is not None:
+            now = self.eng.now
+            world = self.comm.world_ranks
+            nbytes = 0 if i < 0 else self.field_sizes[i]
+            for lr in lrs:
+                tr.span(world[lr], "exchange", "mpiio", self.t_x0[lr], now,
+                        nbytes, args={"path": self.paths[self.step],
+                                      "seq": i - self.first_call})
+        self._write_at_all(lrs, i + 1)
+
+    def _next_call(self, lrs, i, _ev) -> None:
+        self._write_at_all(lrs, i + 1)
+
+    def _close(self, lrs, _arg, _ev) -> None:
+        for lr in lrs:
+            self._drive(self.fs[lr].close_op(self.handles[lr]),
+                        self._closed, lr)
+
+    def _closed(self, lr, _result) -> None:
+        self._await(self.comm._barrier_arrive(lr).event, (lr,),
+                    self._finished, self.step)
+
+    def _finished(self, lrs, step, _ev) -> None:
+        now = self.eng.now
+        t0 = self.t0[step]
+        world = self.comm.world_ranks
+        for lr in lrs:
+            rank = world[lr]
+            self.reports[rank].append(self.strategy._report(
+                self.contexts[rank], "collective", t0, now, now,
+                self.total_bytes))
+        step += 1
+        if step == len(self.paths):
+            self.unfinished -= len(lrs)
+            if not self.unfinished:
+                for done in self.done:
+                    done.succeed(self.reports)
+                self._tail = None  # it points back here
+            return
+        gap = self.gaps[step]
+        if gap > 0:
+            # One timer where the segment's would have stood side by side.
+            self.eng.count_events(len(lrs) - 1)
+            self.eng.timeout(gap).callbacks.append(
+                partial(self._after_gap, list(lrs), step))
+        else:
+            self._after_gap(lrs, step, None)

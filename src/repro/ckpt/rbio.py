@@ -238,11 +238,10 @@ class ReducedBlockingIO(CheckpointStrategy):
                                             payload=(src, package))
 
             def leader_replay(lead0, leads):
-                parts0 = [(lead0, package)]
-                for src in groups.members_of[lead0][1:]:
-                    msg = yield from gviews[world[lead0]].recv(source=src,
-                                                               tag=ttag)
-                    parts0.append(msg.payload)
+                parts0 = [(lead0, package)] + [
+                    msg.payload
+                    for msg in (yield from gviews[world[lead0]].recv_all(
+                        groups.members_of[lead0][1:], ttag))]
                 total = sum(sum(sizes) for _, (sizes, _p) in parts0)
                 for lead in leads:
                     parts = ([(lead, package)]
@@ -423,11 +422,9 @@ class ReducedBlockingIO(CheckpointStrategy):
                              tag=_TAM_TAG_BASE + step, payload=(me, package),
                              buffered=True)
         else:
-            parts = [(me, package)]
-            for src in groups.members_of[me][1:]:
-                msg = yield from comm.recv(source=src,
-                                           tag=_TAM_TAG_BASE + step)
-                parts.append(msg.payload)
+            parts = [(me, package)] + [
+                msg.payload for msg in (yield from comm.recv_all(
+                    groups.members_of[me][1:], _TAM_TAG_BASE + step))]
             total = sum(sum(sizes) for _, (sizes, _p) in parts)
             ctx.job.fabric.count_tam(len(parts))
             req = comm.isend(dest, total, tag=_PKG_TAG_BASE + step,
@@ -462,16 +459,14 @@ class ReducedBlockingIO(CheckpointStrategy):
         t_g0 = eng.now
         packages = [(tuple(data.field_sizes), data.concatenated_payload())]
         if groups is None:
-            for src in alive:
-                msg = yield from gcomm.recv(source=src, tag=tag)
-                packages.append(msg.payload)
+            packages += [msg.payload for msg in
+                         (yield from gcomm.recv_all(alive, tag))]
         else:
-            by_rank = {}
-            for src in groups.members_of[0][1:]:
-                msg = yield from gcomm.recv(source=src, tag=tag)
-                by_rank[src] = msg.payload
-            for lead in groups.leaders[1:]:
-                msg = yield from gcomm.recv(source=lead, tag=tag)
+            local = groups.members_of[0][1:]
+            msgs = yield from gcomm.recv_all(
+                list(local) + list(groups.leaders[1:]), tag)
+            by_rank = {msg.source: msg.payload for msg in msgs[:len(local)]}
+            for msg in msgs[len(local):]:
                 by_rank.update(msg.payload)
             packages += [by_rank[src] for src in alive]
         member_sizes = [tuple(sizes) for sizes, _payload in packages]
@@ -594,13 +589,9 @@ class ReducedBlockingIO(CheckpointStrategy):
         if not alive:
             return
         tag = _PKG_TAG_BASE + step
-        member_sizes: list[tuple[int, ...]] = []
-        member_payloads: list[Optional[bytes]] = []
-        for r in alive:
-            msg = yield from ctx.comm.recv(source=r, tag=tag)
-            sizes, payload = msg.payload
-            member_sizes.append(sizes)
-            member_payloads.append(payload)
+        msgs = yield from ctx.comm.recv_all(alive, tag)
+        member_sizes = [msg.payload[0] for msg in msgs]
+        member_payloads = [msg.payload[1] for msg in msgs]
         group_bytes = sum(sum(s) for s in member_sizes)
         yield ctx.engine.timeout(group_bytes / ctx.config.memory_bandwidth)
         layout = FileLayout(data.header_bytes,

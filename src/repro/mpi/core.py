@@ -15,6 +15,7 @@ return a :class:`Request` whose ``.event`` can be yielded::
         req = ctx.comm.isend(dest=0, nbytes=1 << 20, tag=7)
         yield req.event                       # send buffer reusable
         msg = yield from ctx.comm.recv(source=ANY_SOURCE, tag=7)
+        msgs = yield from ctx.comm.recv_all(sources=[1, 2, 3], tag=8)
         yield from ctx.comm.barrier()
 
 Semantics and costs
@@ -32,6 +33,17 @@ Semantics and costs
   still synchronises on the same completion event (so *blocking structure*
   is exact), but a 65,536-rank barrier costs O(np) simulator events instead
   of O(np log np).
+- **Receives** cost a message-body copy at memory bandwidth.  ``recv`` is
+  one receive; a fixed list of sources (an aggregator's senders, a
+  writer's workers) is received with ``recv_all``, which keeps all of them
+  posted and follows the receive-then-copy loop's clock to the instant
+  it ends at — same instant, same logical event count, an event per
+  wake-up of the loop instead of two per message (DESIGN.md section 9.1).
+- A caller that stands in for many ranks enters a collective for all of
+  them at once (``barrier_members``, ``split_members``,
+  ``Communicator._barrier_arrive_members`` /
+  ``_allgather_arrive_members``): one arrival per member is counted, in
+  one call.
 """
 
 from __future__ import annotations
@@ -81,15 +93,91 @@ class Message:
         )
 
 
+class _RecvAll:
+    """One :meth:`CommView.recv_all` pending in a :class:`Mailbox`.
+
+    The receive-then-copy loop it stands for, followed from the points
+    where the loop's future depends on what has arrived: ``slot`` is the
+    loop's next receive, ``t`` the instant it posts it, and ``waiting``
+    says that it has (the message was not there).  :meth:`go_on` runs the
+    loop's clock over everything that is there; an event is spent only to
+    come back when the loop would look again, never per message.
+    """
+
+    __slots__ = ("tag", "slot_of", "msgs", "missing", "bandwidth", "event",
+                 "slot", "t", "waiting", "owed")
+
+    def __init__(self, sources, tag: int, event: Event,
+                 bandwidth: float) -> None:
+        self.tag = tag
+        self.slot_of = {src: i for i, src in enumerate(sources)}
+        if len(self.slot_of) != len(sources):
+            raise MPIError(f"recv_all sources repeat: {sources!r}")
+        self.msgs: list = [None] * len(sources)
+        self.missing = len(sources)
+        self.bandwidth = bandwidth
+        self.event = event
+        self.slot = 0
+        self.t = event.engine.now
+        self.waiting = False
+        #: Events the loop has dispatched so far, less those spent here.
+        self.owed = -1
+
+    def go_on(self, _ev: Optional[Event] = None, woken: bool = False) -> None:
+        """It is ``t``: the loop takes what has arrived, with its own float
+        operations (a copy timeout adds ``nbytes / bandwidth``), up to the
+        first message that has not, or to its end — or, ``woken`` by a
+        message, through that one's copy only: loops woken in one instant
+        meet again after it, whatever else each had in its queue."""
+        msgs, bandwidth = self.msgs, self.bandwidth
+        slot, t = self.slot, self.t
+        start = t  # of the last copy
+        while slot < len(msgs) and msgs[slot] is not None:
+            start = t
+            copy = msgs[slot].nbytes / bandwidth
+            slot += 1
+            if copy > 0:
+                t += copy
+                self.owed += 1
+                if woken:
+                    break
+        self.owed += slot - self.slot
+        self.slot, self.t = slot, t
+        engine = self.event.engine
+        if slot < len(msgs):
+            if t > engine.now:  # busy copying until t: look again then
+                self._at(t, self.go_on)
+            else:
+                self.waiting = True
+        elif engine.now < start < t:
+            # The loop's last event is pushed when its last copy starts:
+            # two loops that end at one instant go on in that order.
+            self._at(start, self._finish)
+        else:
+            self._finish()
+
+    def _at(self, t: float, then) -> None:
+        self.owed -= 1
+        event = Event(self.event.engine)
+        event.callbacks.append(then)
+        event.engine.succeed_at(event, t)
+
+    def _finish(self, _ev: Optional[Event] = None) -> None:
+        engine = self.event.engine
+        engine.count_events(self.owed)
+        engine.succeed_at(self.event, self.t, self.msgs)
+
+
 class Mailbox(Store):
     """One rank's message queue: a :class:`Store` that also matches inline.
 
-    A fully specified receive (every aggregator receive) is a pending
-    ``(source, tag)`` pair rather than a filter closure, so neither queued
-    messages nor arriving ones cost a Python call per comparison.  The
-    discipline is the store's: the oldest matching message wins, and
-    pending receives — exact, filtered and wildcard alike — are served in
-    the order they were posted.
+    A fully specified receive is a pending ``(source, tag)`` pair, and a
+    whole aggregator call's receives are one pending :class:`_RecvAll`
+    that stays posted until its last message is in — rather than filter
+    closures, so neither queued messages nor arriving ones cost a Python
+    call per comparison.  The discipline is the store's: the oldest
+    matching message wins, and pending receives — exact, batched, filtered
+    and wildcard alike — are served in the order they were posted.
     """
 
     __slots__ = ()
@@ -99,6 +187,20 @@ class Mailbox(Store):
         for i, (flt, ev) in enumerate(self._getters):
             if flt is None:
                 wanted = True
+            elif flt.__class__ is _RecvAll:
+                slot = flt.slot_of.get(msg.source)
+                if (slot is None or msg.tag != flt.tag
+                        or flt.msgs[slot] is not None):
+                    continue
+                flt.msgs[slot] = msg
+                flt.missing -= 1
+                if not flt.missing:
+                    del self._getters[i]
+                if flt.waiting and slot == flt.slot:  # the loop wakes up
+                    flt.waiting = False
+                    flt.t = msg.delivered_at
+                    flt.go_on(woken=True)
+                return
             elif flt.__class__ is tuple:  # get_exact's (source, tag)
                 wanted = msg.source == flt[0] and msg.tag == flt[1]
             else:
@@ -110,12 +212,7 @@ class Mailbox(Store):
         self.items.append(msg)
 
     def get_exact(self, source: int, tag: int) -> Event:
-        """:meth:`get` for the oldest message from ``source`` with ``tag``.
-
-        An aggregator's mailbox holds a whole domain's senders while it
-        drains them in file-offset order; this scans them without calling
-        a filter once per queued message.
-        """
+        """:meth:`get` for the oldest message from ``source`` with ``tag``."""
         items = self.items
         for i, msg in enumerate(items):
             if msg.source == source and msg.tag == tag:
@@ -124,6 +221,33 @@ class Mailbox(Store):
                 return ev
         ev = Event(self.engine)
         self._getters.append(((source, tag), ev))
+        return ev
+
+    def get_all(self, sources, tag: int, bandwidth: float) -> Event:
+        """One event for the oldest ``tag`` message of every source.
+
+        It fires with the messages in ``sources`` order at the instant a
+        loop of :meth:`get_exact` + copy at ``bandwidth`` over ``sources``
+        would have come out (see :meth:`CommView.recv_all`).  Messages
+        already queued are taken now, in one pass; the rest as they come.
+        """
+        ev = Event(self.engine)
+        pending = _RecvAll(sources, tag, ev, bandwidth)
+        slot_of, msgs = pending.slot_of, pending.msgs
+        items = self.items
+        kept = []
+        for msg in items:
+            slot = slot_of.get(msg.source)
+            if slot is not None and msg.tag == tag and msgs[slot] is None:
+                msgs[slot] = msg
+            else:
+                kept.append(msg)
+        if len(kept) != len(items):
+            pending.missing -= len(items) - len(kept)
+            items[:] = kept
+        if pending.missing:
+            self._getters.append((pending, ev))
+        pending.go_on()
         return ev
 
 
@@ -175,8 +299,6 @@ class Communicator:
     from communicator-local ranks to world ranks (used for routing).
     """
 
-    _next_id = 0
-
     def __init__(self, engine: Engine, fabric: Fabric, world_ranks: list[int]) -> None:
         if not world_ranks:
             raise MPIError("communicator needs at least one rank")
@@ -188,8 +310,6 @@ class Communicator:
         self._mailboxes: dict[int, Mailbox] = {}
         self._coll_ops: dict[int, _CollectiveOp] = {}
         self._coll_seq = [0] * self.size
-        self.id = Communicator._next_id
-        Communicator._next_id += 1
         # Binomial-tree depth and an effective per-stage latency for the
         # analytic collective model.
         self._depth = max(1, math.ceil(math.log2(self.size))) if self.size > 1 else 0
@@ -231,32 +351,41 @@ class Communicator:
     # half is the completion fan-out, which is why every op completes on a
     # :class:`~repro.sim.Cohort` sized to the communicator.
 
+    def _op(self, seq: int, name: str, root: int, who: int) -> _CollectiveOp:
+        """The op of collective call ``seq``, which ``who`` enters as
+        ``name(root)``; raises if ranks disagree about which collective is
+        being called (SPMD ordering violation)."""
+        op = self._coll_ops.get(seq)
+        if op is None:
+            op = self._coll_ops[seq] = _CollectiveOp(
+                name, self.size, Cohort(self.engine, self.size), root)
+        elif op.name != name or op.root != root:
+            raise MPIError(
+                f"collective mismatch at seq {seq}: rank {who} called "
+                f"{name}(root={root}) but op is {op.name}(root={op.root})"
+            )
+        return op
+
+    def _arrived(self, op: _CollectiveOp, seq: int, k: int) -> bool:
+        """Count ``k`` arrivals at ``op``; whether they were the last."""
+        op.arrived += k
+        self.engine.count_events(k)
+        if op.arrived < self.size:
+            return False
+        del self._coll_ops[seq]
+        return True
+
     def _collective_enter(self, name: str, local_rank: int, contrib: Any,
                           root: int) -> tuple[_CollectiveOp, bool]:
         """Register a rank's arrival at its next collective call.
 
-        Returns ``(op, is_last)``.  Raises if ranks disagree about which
-        collective is being called (SPMD ordering violation).
+        Returns ``(op, is_last)``.
         """
         seq = self._coll_seq[local_rank]
         self._coll_seq[local_rank] = seq + 1
-        op = self._coll_ops.get(seq)
-        if op is None:
-            op = _CollectiveOp(name, self.size, Cohort(self.engine, self.size),
-                               root)
-            self._coll_ops[seq] = op
-        elif op.name != name or op.root != root:
-            raise MPIError(
-                f"collective mismatch at seq {seq}: rank {local_rank} called "
-                f"{name}(root={root}) but op is {op.name}(root={op.root})"
-            )
+        op = self._op(seq, name, root, local_rank)
         op.contrib[local_rank] = contrib
-        op.arrived += 1
-        self.engine.count_events()
-        is_last = op.arrived == self.size
-        if is_last:
-            del self._coll_ops[seq]
-        return op, is_last
+        return op, self._arrived(op, seq, 1)
 
     def _barrier_arrive(self, local_rank: int) -> _CollectiveOp:
         """Barrier-specialised :meth:`_collective_enter` + completion.
@@ -274,15 +403,8 @@ class Communicator:
         seqs[local_rank] = seq + 1
         ops = self._coll_ops
         op = ops.get(seq)
-        if op is None:
-            op = _CollectiveOp("barrier", self.size,
-                               Cohort(self.engine, self.size), 0)
-            ops[seq] = op
-        elif op.name != "barrier" or op.root != 0:
-            raise MPIError(
-                f"collective mismatch at seq {seq}: rank {local_rank} called "
-                f"barrier(root=0) but op is {op.name}(root={op.root})"
-            )
+        if op is None or op.name != "barrier":
+            op = self._op(seq, "barrier", 0, local_rank)
         arrived = op.arrived + 1
         op.arrived = arrived
         # Inlined engine.count_events(): one absorbed arrival, on the
@@ -295,44 +417,46 @@ class Communicator:
             self._finish_after(op, self._sync_time, None)
         return op
 
-    def _barrier_arrive_members(self, local_ranks) -> _CollectiveOp:
-        """Enter the next barrier for a whole symmetric member group.
+    def _advance_members(self, members: list) -> Optional[int]:
+        """Move ``members`` on to their next collective call, together.
 
-        For the contiguous ascending ranges coalescing plans produce, the
-        per-member loop collapses to two list-slice compares/assigns and a
-        single arrival-count bump — O(1) interpreted operations per wave
-        regardless of group size (the slices are C-level).  Any other
-        membership shape, or members out of collective lockstep, falls back
-        to per-member arrival with identical semantics.
+        Returns the call's sequence number, or ``None`` — nobody moved — if
+        they are not in collective lockstep.  The contiguous ascending
+        ranges rbIO's plans produce take two C-level slice operations.
+        """
+        seqs = self._coll_seq
+        lo, k = members[0], len(members)
+        seq = seqs[lo]
+        if k == 1:
+            seqs[lo] = seq + 1
+        elif members == list(range(lo, lo + k)):
+            if seqs[lo:lo + k] != [seq] * k:
+                return None
+            seqs[lo:lo + k] = [seq + 1] * k
+        elif any(seqs[lr] != seq for lr in members):
+            return None
+        else:
+            for lr in members:
+                seqs[lr] = seq + 1
+        return seq
+
+    def _barrier_arrive_members(self, local_ranks) -> _CollectiveOp:
+        """Enter the next barrier for a whole member group.
+
+        One arrival-count bump per wave for members in collective lockstep
+        (:meth:`_advance_members`); members out of lockstep fall back to
+        per-member arrival with identical semantics.
         """
         members = list(local_ranks)
-        k = len(members)
-        if k == 0:
+        if not members:
             raise MPIError("barrier_members requires at least one member")
-        lo = members[0]
-        seqs = self._coll_seq
-        seq = seqs[lo]
-        if members != list(range(lo, lo + k)) or seqs[lo:lo + k] != [seq] * k:
-            op = None
+        seq = self._advance_members(members)
+        if seq is None:
             for lr in members:
                 op = self._barrier_arrive(lr)
             return op
-        seqs[lo:lo + k] = [seq + 1] * k
-        ops = self._coll_ops
-        op = ops.get(seq)
-        if op is None:
-            op = _CollectiveOp("barrier", self.size,
-                               Cohort(self.engine, self.size), 0)
-            ops[seq] = op
-        elif op.name != "barrier" or op.root != 0:
-            raise MPIError(
-                f"collective mismatch at seq {seq}: members {lo}..{lo + k - 1} "
-                f"called barrier(root=0) but op is {op.name}(root={op.root})"
-            )
-        op.arrived += k
-        self.engine.count_events(k)
-        if op.arrived == self.size:
-            del ops[seq]
+        op = self._op(seq, "barrier", 0, members[0])
+        if self._arrived(op, seq, len(members)):
             self._finish_after(op, self._sync_time, None)
         return op
 
@@ -345,9 +469,26 @@ class Communicator:
         is not a process (coalesced replay) registers its continuation on
         ``op.event`` itself.
         """
-        op, is_last = self._collective_enter("allgather", local_rank, value, 0)
-        if is_last:
-            result = list(op.contrib)
+        return self._allgather_arrive_members((local_rank,), (value,),
+                                              nbytes, map_fn)
+
+    def _allgather_arrive_members(self, local_ranks, values, nbytes: int,
+                                  map_fn: Optional[Callable[[list], Any]]
+                                  ) -> _CollectiveOp:
+        """The twin of :meth:`_barrier_arrive_members` for an allgather:
+        ``values`` yields the members' contributions, in their order."""
+        members = list(local_ranks)
+        seq = self._advance_members(members)
+        if seq is None:  # not in lockstep: one by one
+            for lr, value in zip(members, values):
+                op = self._allgather_arrive(lr, value, nbytes, map_fn)
+            return op
+        op = self._op(seq, "allgather", 0, members[0])
+        contrib = op.contrib
+        for lr, value in zip(members, values):
+            contrib[lr] = value
+        if self._arrived(op, seq, len(members)):
+            result = list(contrib)
             if map_fn is not None:
                 result = map_fn(result)
             self._finish_after(op, 2 * self.tree_time(nbytes), result)
@@ -545,6 +686,30 @@ class CommView:
             yield comm.engine.timeout(copy)
         return msg
 
+    def recv_all(self, sources, tag: int):
+        """Generator: one ``tag`` message from each of ``sources``, in order.
+
+        What ``[(yield from self.recv(src, tag)) for src in sources]``
+        returns, at the instant that loop returns, without an event and a
+        process resume per message (the loop's events are credited, so
+        ``sim.events_processed`` is its): the mailbox follows the loop's
+        clock — wait for the message, then copy it — as the messages
+        arrive (:class:`_RecvAll`).  It holds every listed source's
+        receive posted from now on, where the loop posts them one at a
+        time; the two part ways only when another receive on this mailbox
+        competes for the same messages, which no deterministic program
+        does.
+        """
+        sources = tuple(sources)
+        if not sources:
+            return []
+        comm = self.comm
+        if tag == ANY_TAG or min(sources) < 0 or max(sources) >= comm.size:
+            raise MPIError(f"recv_all needs exact sources and tag, got "
+                           f"{sources!r}, tag {tag}")
+        return (yield comm.mailbox(self.rank).get_all(
+            sources, tag, comm.fabric.config.memory_bandwidth))
+
     def waitall(self, requests: list[Request]):
         """Generator: wait for all requests; returns their values in order."""
         if not requests:
@@ -670,4 +835,5 @@ class CommView:
         return {lr: views[lr] for lr, _color in entries}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CommView rank {self.rank}/{self.size} comm #{self.comm.id}>"
+        return (f"<CommView rank {self.rank}/{self.size} of the communicator "
+                f"at world rank {self.comm.world_ranks[0]}>")

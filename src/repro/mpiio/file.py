@@ -240,10 +240,9 @@ class MPIFile:
             parts: list[tuple[int, int, Optional[ByteRope]]] = []
             if nbytes > 0:
                 parts.append((offset, nbytes, payload))
-            for m in groups.members_of[me][1:]:
-                if ex.raw[m][1] > 0:
-                    msg = yield from comm.recv(source=m, tag=tag_intra)
-                    parts.append(msg.payload)
+            parts += [msg.payload for msg in (yield from comm.recv_all(
+                [m for m in groups.members_of[me][1:] if ex.raw[m][1] > 0],
+                tag_intra))]
             # ...and forward one message per touched domain (phase 1b).
             for k in ex.send_domains.get(me, ()):
                 dlo, dhi = ex.domains.domain(k)
@@ -277,8 +276,7 @@ class MPIFile:
         k = ex.agg_index.get(me)
         if k is not None:
             pieces = self._staged.pop(tag, [])
-            for src in ex.expected[k]:
-                msg = yield from comm.recv(source=src, tag=tag)
+            for msg in (yield from comm.recv_all(ex.expected[k], tag)):
                 if groups is None:
                     pieces.append(msg.payload)
                 else:

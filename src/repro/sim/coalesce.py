@@ -23,9 +23,10 @@ Darshan record and span happens where it does in the uncoalesced run
 - *Role-based continuations* (coIO).  Aggregator placement is a property
   of the file communicator, so the ranks that only contribute an extent
   and wait (62 of 64) are known before the run.  They do diverge — each
-  draws its own file-open noise — so each is a chain of event callbacks,
-  appended to the awaited event's callback list where the rank's process
-  would have appended its resume.  Aggregators keep their processes.
+  draws its own file-open noise — so they are event callbacks, one per
+  segment of members that wait side by side, appended to the awaited
+  event's callback list where the first rank's process would have
+  appended its resume.  Aggregators keep their processes.
 - *Every rank a continuation* (1PFPP).  Ranks diverge from the first
   instant (arrival jitter, the directory token's queue) but never interact
   except through the file system, so all of them are

@@ -538,6 +538,27 @@ class Engine:
         else:
             bucket.append(event)
 
+    def succeed_at(self, event: Event, t: float, value: Any = None) -> Event:
+        """Trigger ``event`` at the absolute instant ``t`` (not before now).
+
+        A caller that has folded a chain of waits into the instant the
+        chain ends must land on that very float: ``now + (t - now)`` is
+        not ``t`` in general, so a :class:`Timeout` cannot stand in.
+        """
+        if event.triggered:
+            raise SimulationError(f"{event!r} already triggered")
+        if t < self.now:
+            raise ValueError(f"instant {t} is in the past (now={self.now})")
+        event.triggered = True
+        event._value = value
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [event]
+            _heappush(self._times, t)
+        else:
+            bucket.append(event)
+        return event
+
     def event(self) -> Event:
         """Create a new pending :class:`Event` bound to this engine."""
         return Event(self)

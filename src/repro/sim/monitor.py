@@ -120,7 +120,8 @@ class TimeSeries:
         """Return ``(times, values)`` as numpy arrays."""
         return np.asarray(self.times), np.asarray(self.values)
 
-    def binned_sum(self, bin_width: float, t_end: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    def binned_sum(self, bin_width: float, t_end: Optional[float] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
         """Sum samples into fixed-width bins; returns (bin_starts, sums)."""
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")

@@ -15,7 +15,13 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import CampaignSpec, SweepService, expand, run_point
+from repro.campaign import (
+    CampaignEvicted,
+    CampaignSpec,
+    SweepService,
+    expand,
+    run_point,
+)
 from repro.campaign.http import start_server
 from repro.experiments import DiskCache, run_sweep
 
@@ -188,6 +194,42 @@ def test_http_unknown_campaign_404(http_service):
         assert exc.code == 404
     else:
         pytest.fail("expected HTTP 404")
+
+
+def test_finished_campaigns_are_evicted_oldest_first_with_a_typed_410():
+    """Retention of 2, three campaigns: the oldest finished one goes, its
+    id answers ``CampaignEvicted`` / HTTP 410 (not 404), the others stay."""
+    specs = [CampaignSpec.from_dict({
+        "name": f"kept-{i}", "seed": 5 + i,
+        "grid": {"approaches": ["rbio_ng"], "np": [128]}})
+        for i in range(3)]
+    svc = SweepService(n_workers=1, cache=False, max_finished=2)
+    server, _thread = start_server(svc)
+    base = "http://{}:{}".format(*server.server_address)
+    try:
+        cids = []
+        for spec in specs:
+            cids.append(svc.submit(spec))
+            assert svc.wait(cids[-1], timeout=300)["state"] == "done"
+        assert [c["campaign_id"] for c in svc.list_campaigns()] == cids[1:]
+        assert svc.service_status()["counters"]["campaigns_evicted"] == 1
+        with pytest.raises(CampaignEvicted):
+            svc.results(cids[0])
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(f"{base}/campaigns/{cids[0]}")
+        assert err.value.code == 410
+        assert json.loads(err.value.read())["type"] == "CampaignEvicted"
+        assert _get(f"{base}/campaigns/{cids[2]}")["state"] == "done"
+        with urllib.request.urlopen(f"{base}/metrics") as resp:
+            assert "campaign_campaigns_evicted" in resp.read().decode()
+        # Resubmitting an evicted spec registers it afresh.
+        assert svc.wait(svc.submit(specs[0]), timeout=300)["state"] == "done"
+        assert len(svc.results(cids[0])) == 1
+        with pytest.raises(CampaignEvicted):
+            svc.status(cids[1])
+    finally:
+        server.shutdown()
+        svc.shutdown()
 
 
 def test_http_campaign_listing(http_service):

@@ -6,11 +6,12 @@ results: per-rank report arrays, roles, file-system statistics.  Runs use
 the default (noisy) GPFS model on purpose: any divergence in event ordering
 would desynchronize the noise RNG draw sequence and show up here.
 
-coIO replays only the non-aggregator ranks of each file communicator, and
-1PFPP every rank, as event callbacks standing where the rank processes
-would have waited; their cells additionally compare file images, fabric
-counters, the final clock, the whole Darshan record sequence and the trace
-(totals for coIO, every span for 1PFPP).
+coIO replays only the non-aggregator ranks of each file communicator (as
+one cohort, a callback per segment of them), and 1PFPP every rank, as event
+callbacks standing where the rank processes would have waited; their cells
+additionally compare file images, fabric counters, the final clock, the
+whole Darshan record sequence and the trace (totals and, in the cohort
+cells, every span for coIO; every span for 1PFPP).
 
 Configurations without a valid plan (flow-controlled rbIO/bbIO, coIO under
 TAM or delta, 1PFPP under delta) must fall back to the uncoalesced path
@@ -313,6 +314,82 @@ def test_coio_exact_when_an_extent_straddles_a_domain(block_size, straddler):
                               **STEP_MODES["3steps"])
 
 
+def spans_of(run):
+    return [(s.rank, s.name, s.cat, s.start, s.end, s.nbytes, s.args)
+            for s in run.job.tracer.spans]
+
+
+@pytest.mark.parametrize("barrier_each_step", [True, False],
+                         ids=["barriers", "free"])
+@pytest.mark.parametrize("per_file,n_ranks", [(64, 128), (48, 128),
+                                              (None, 128)],
+                         ids=["64to1", "ragged", "nf1"])
+def test_coio_cohort_exact_under_a_full_trace(per_file, n_ranks,
+                                              barrier_each_step):
+    """The members of a file communicator advance as one cohort, segment by
+    segment; against a process per rank every span must come out the same,
+    in the same order, through a gap, a zero gap (the steps chain inside
+    one callback) and nf=1's idle aggregators (empty tail domains: they
+    reach each barrier in the middle of the members and split the walk)."""
+    off, on = (run_checkpoint_steps(
+        coio(per_file), n_ranks, shared_data(), n_steps=3, seed=11,
+        gap_seconds=(0.5, 0.0), barrier_each_step=barrier_each_step,
+        run_config=RunConfig(trace="full", coalesce=mode))
+        for mode in ("off", "require"))
+    assert_identical(off, on)
+    assert_file_images_identical(off, on)
+    assert off.job.fabric.stats() == on.job.fabric.stats()
+    assert off.job.engine.now == on.job.engine.now
+    assert records_of(off) == records_of(on)
+    assert spans_of(off) == spans_of(on) and spans_of(on)
+    n_agg = len(coio(per_file).coalesce_plan(n_ranks).rep_members())
+    assert len(on.job._rank_procs) == 2 * n_agg  # aggregators + run reps
+
+
+def members_of(strategy, n_ranks):
+    return {m for group in strategy.coalesce_plan(n_ranks).groups
+            for m in group.members}
+
+
+def member_isends(monkeypatch, strategy, n_ranks, data, **kwargs):
+    """World ranks of replayed members that went through their own
+    ``isend`` (the path a rank process takes) in a coalesced run, which is
+    held against ``coalesce="off"`` on the way."""
+    from repro.mpi import CommView
+    plain = CommView.isend
+    senders = set()
+
+    def isend(self, *args, **kw):
+        senders.add(self.world_rank)
+        return plain(self, *args, **kw)
+
+    assert_coio_identical(strategy, n_ranks, data, **kwargs)
+    monkeypatch.setattr(CommView, "isend", isend)
+    run_checkpoint_steps(strategy, n_ranks, data, seed=11,
+                         run_config=RunConfig(coalesce="require"), **kwargs)
+    return senders & members_of(strategy, n_ranks)
+
+
+def test_coio_member_with_two_pieces_waits_like_its_process(monkeypatch):
+    """A member whose extent straddles a file domain has two sends and one
+    ``all_of`` wait; the sweep hands it to ``isend`` as a process would,
+    and only it."""
+    config = intrepid().with_(fs_block_size=8192)
+    assert member_isends(monkeypatch, coio(64), 128, shared_data(),
+                         config=config, n_steps=2) == {33, 97}
+
+
+def test_coio_eager_and_empty_pieces_wait_like_their_process(monkeypatch):
+    """A piece under the eager threshold completes on its local copy, not
+    on delivery, and an empty extent sends nothing: every member takes
+    ``isend``'s path for the first and none for the second."""
+    data = CheckpointData([Field("a", 3000), Field("b", 0), Field("c", 800)],
+                          header_bytes=64)
+    assert 800 <= intrepid().eager_threshold < 3000
+    assert member_isends(monkeypatch, coio(64), 64,
+                         data) == members_of(coio(64), 64)
+
+
 @pytest.mark.parametrize("per_file", [16, None], ids=["16to1", "nf1"])
 def test_coio_restore_after_a_coalesced_run(per_file):
     """The restore wave runs one process per rank on the same job, so a
@@ -320,10 +397,14 @@ def test_coio_restore_after_a_coalesced_run(per_file):
     without the cached file communicator it splits again and the
     aggregators, which hold theirs, never join."""
     data = shared_data()
-    off, on = (run_resilient_campaign(coio(per_file), 64, data, n_steps=2,
+    strategies = coio(per_file), coio(per_file)
+    off, on = (run_resilient_campaign(strategy, 64, data, n_steps=2,
                                       seed=11,
                                       run_config=RunConfig(coalesce=mode))
-               for mode in ("off", "require"))
+               for strategy, mode in zip(strategies, ("off", "require")))
+    for strategy, campaign in zip(strategies, (off, on)):
+        assert all("iocomm" in strategy._cache(ctx)
+                   for ctx in campaign.run.job.contexts)
     assert_identical(off.run, on.run)
     assert off.run.job.engine.now == on.run.job.engine.now
     assert records_of(off.run) == records_of(on.run)

@@ -198,3 +198,15 @@ def test_barrier_cost_grows_with_scale():
     t_small = max(run_spmd(main, 4, QUIET).values())
     t_large = max(run_spmd(main, 256, QUIET).values())
     assert t_large > t_small
+
+
+def test_a_communicator_is_named_without_process_wide_state():
+    """``Communicator._next_id`` was a class-level counter every job in the
+    process bumped: a view's repr depended on what had run before."""
+    from repro.mpi.core import Communicator
+
+    before = repr(Job(8, QUIET).contexts[3].comm)
+    Job(64, QUIET)
+    assert repr(Job(8, QUIET).contexts[3].comm) == before
+    assert "rank 3/8" in before
+    assert not hasattr(Communicator, "_next_id")

@@ -1,9 +1,12 @@
 """Tests for simulated MPI point-to-point communication."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Job, MPIError, run_spmd
-from repro.mpi.core import Mailbox
+from repro.mpi.core import Communicator, Mailbox, Message
+from repro.network import Fabric
 from repro.sim import Engine
 from repro.topology import intrepid
 
@@ -352,3 +355,106 @@ def test_mailbox_get_exact_delivers_like_the_closure_filter():
     assert got_e == got_f
     assert [m.body for m in store_e.peek_all()] == \
         [m.body for m in store_f.peek_all()]
+
+
+# ---------------------------------------------------------------------------
+# recv_all == the loop of recv it replaces
+# ---------------------------------------------------------------------------
+
+_TAG, _FOREIGN, _SIDE = 7, 8, 9
+_T_POST = 1.0
+_SIZES = (0, 8, 1200, 1201, 64 << 10, 2 << 20)
+_OFFSETS = (-0.5, -1e-3, 0.0, 1e-3, 0.5)  # sender vs the posting instant
+
+
+class _SlowNet:
+    """An armed ``net_adjust``: every inter-node transfer takes half again."""
+
+    def net_adjust(self, now, _src, _dst, done):
+        return now + (done - now) * 1.5
+
+
+def _gather(batched, sends, sources, armed, receiver_first, side_at):
+    """One receiver (rank 0 of 16) hearing from ``sources`` under tag 7.
+
+    ``sends`` are ``(rank, offset, nbytes, tag)`` isends through the
+    fabric; the mailbox also sees a wildcard receive posted before the
+    gather (fed by a message put at 0.1), a tag-9 receive posted while it
+    is pending, and a wildcard posted long after it.
+    """
+    eng = Engine()
+    fabric = Fabric(eng, QUIET, 16)
+    if armed:
+        fabric.injector = _SlowNet()
+    comm = Communicator(eng, fabric, list(range(16)))
+    rx, box = comm.view(0), comm.mailbox(0)
+    seen = {}
+
+    def receiver():
+        yield eng.timeout(_T_POST)
+        if batched:
+            msgs = yield from rx.recv_all(sources, _TAG)
+        else:
+            msgs = []
+            for src in sources:
+                msgs.append((yield from rx.recv(source=src, tag=_TAG)))
+        seen["gather"] = (eng.now.hex(), [m.payload for m in msgs])
+
+    def sender(rank, at, nbytes, tag, n):
+        yield eng.timeout(at)
+        comm.view(rank).isend(0, nbytes, tag=tag, payload=(rank, tag, n))
+
+    def side(name, at, source, tag):
+        yield eng.timeout(at)
+        msg = yield rx.irecv(source, tag).event
+        seen[name] = (eng.now.hex(), msg.payload)
+
+    def put(at, tag, body):
+        yield eng.timeout(at)
+        box.put(Message(15, tag, 0, body, at, eng.now))
+
+    procs = [sender(rank, _T_POST + off, nbytes, tag, n)
+             for n, (rank, off, nbytes, tag) in enumerate(sends)]
+    procs.insert(0 if receiver_first else len(procs), receiver())
+    procs += [side("before", 0.0, ANY_SOURCE, ANY_TAG), put(0.1, _FOREIGN, "fed"),
+              side("during", _T_POST + 0.25, ANY_SOURCE, _SIDE),
+              side("after", 10.0, ANY_SOURCE, ANY_TAG)]
+    if side_at is not None:
+        procs.append(put(_T_POST + side_at, _SIDE, "side"))
+    for proc in procs:
+        eng.process(proc)
+    eng.run()
+    return seen, [m.payload for m in box.items], eng.events_processed
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_recv_all_is_the_recv_loop_it_replaces(data):
+    ranks = data.draw(st.lists(st.integers(1, 14), min_size=1, max_size=7,
+                               unique=True))
+    sources = data.draw(st.permutations(ranks))
+    silent = data.draw(st.none() | st.sampled_from(ranks))
+    sends = []
+    for rank in ranks:
+        if rank == silent:
+            continue
+        for _ in range(data.draw(st.integers(1, 2))):  # a second one is left
+            sends.append((rank, data.draw(st.sampled_from(_OFFSETS)),
+                          data.draw(st.sampled_from(_SIZES)), _TAG))
+        if data.draw(st.booleans()):
+            sends.append((rank, data.draw(st.sampled_from(_OFFSETS)),
+                          data.draw(st.sampled_from(_SIZES)), _FOREIGN))
+    sends = data.draw(st.permutations(sends))
+    rest = (sources, data.draw(st.booleans()), data.draw(st.booleans()),
+            data.draw(st.none() | st.sampled_from(_OFFSETS)))
+    loop, loop_left, loop_events = _gather(False, sends, *rest)
+    batch, batch_left, batch_events = _gather(True, sends, *rest)
+    assert ("gather" in batch) == ("gather" in loop) == (silent is None)
+    assert batch["before"] == loop["before"] and batch["before"][1] == "fed"
+    assert batch.get("during") == loop.get("during")
+    if silent is None:
+        # Instant (bit for bit), order, what stays queued, logical events.
+        assert batch == loop
+        assert [body[0] for body in batch["gather"][1]] == list(sources)
+        assert batch_left == loop_left
+        assert batch_events == loop_events

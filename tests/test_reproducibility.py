@@ -178,9 +178,11 @@ def test_empty_schedule_is_zero_cost():
     from repro.experiments import run_checkpoint_steps
     from repro.faults import FaultSchedule
 
-    base = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), N, DATA, 2,
+    # The smallest partition with two file groups of two aggregators each.
+    n, data = 128, scaled_problem(128).data()
+    base = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), n, data, 2,
                                 gap_seconds=1.0)
-    empty = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), N, DATA, 2,
+    empty = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), n, data, 2,
                                  gap_seconds=1.0,
                                  run_config=RunConfig(
                                      faults=FaultSchedule(())))
