@@ -152,9 +152,14 @@ def _wide_barrier_coalesced() -> Engine:
 #: rank costs per step (a replay that goes back to an event per message or
 #: a callback chain per member re-inflates it and fails the gate), and
 #: what a run leaves CPython's cyclic collector, as exact counts (see
-#: ``_checkpoint_cell``); the perf gate holds the last two at zero.
+#: ``_checkpoint_cell``); the perf gate holds those two at zero.  The
+#: last two pin the object budget of a run (DESIGN.md section 17): a
+#: change that goes back to an object per rank per concept — a context for
+#: a rank that never runs, a report or a Darshan record per replayed
+#: member — moves them by more than the gate's band.
 _GATED_LEAVES = ("dispatched_per_rank_step", "drain_unreachable",
-                 "left_for_collector_after_close")
+                 "left_for_collector_after_close",
+                 "tracked_objects_per_rank", "contexts_built")
 
 
 def _checkpoint_cell(approach: str) -> dict:
@@ -170,6 +175,11 @@ def _checkpoint_cell(approach: str) -> dict:
     while ``Job.close()`` releases the run by reference count
     (``left_for_collector_after_close``: what one finds after close and
     the last reference) — so a new reference cycle fails CI too.
+
+    ``tracked_objects_per_rank`` is what the run holds when its drain
+    ends (GC-tracked objects then, less those before the job was built,
+    per rank), ``contexts_built`` how many ranks were ever asked for
+    their ``RankContext``.
     """
     import gc
 
@@ -180,10 +190,17 @@ def _checkpoint_cell(approach: str) -> dict:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
+        strategy, data = strategy_for(approach, TRACE_NP), problem_for(TRACE_NP).data()
+        # First use: lazy imports and module-level memos are not the run's.
+        run_checkpoint_steps(strategy, TRACE_NP, data, 1).job.close()
+        before = len(gc.get_objects())
         job = run_checkpoint_steps(strategy_for(approach, TRACE_NP), TRACE_NP,
-                                   problem_for(TRACE_NP).data(), 1).job
+                                   data, 1).job
+        tracked = len(gc.get_objects()) - before
         counters = job.engine.counters()
         cell = {"np": TRACE_NP,
+                "tracked_objects_per_rank": round(tracked / TRACE_NP, 2),
+                "contexts_built": len(job.contexts.built()),
                 "dispatched": counters["sim.dispatched_events"],
                 "dispatched_per_rank_step": round(
                     counters["sim.dispatched_events"] / TRACE_NP, 3),

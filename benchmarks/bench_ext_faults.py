@@ -33,6 +33,8 @@ N_STEPS = 2
 GAP = 2.0
 RATES = (0.0, 2.0, 6.0) if SMOKE else (0.0, 2.0, 6.0, 12.0)
 WPW = 64
+#: Twice the seed-to-seed spread of the fault-free campaign's overall time.
+NOISE_BAND = 0.036
 
 #: Both studies as declarative campaigns; the shim executors reproduce the
 #: legacy resilience_sweep / run_resilient_campaign values bit for bit.
@@ -77,12 +79,19 @@ def test_fault_rate_overhead_sweep(benchmark):
     assert rows[0]["rate"] == 0.0
     assert rows[0]["injected"] == 0
     assert rows[0]["overall_time"] == base_time
-    # Injected transient faults only ever add time (retry backoff, stall
-    # waits), and the heaviest rate measurably hurts.
+    # Injected transient faults add time (retry backoff, stall waits) —
+    # to the operation they hit.  On the noisy default machine a delayed
+    # operation also moves every later draw of the shared FS noise stream,
+    # so a campaign with a handful of faults lands anywhere in the band
+    # the fault-free campaign itself spans from seed to seed: -1.8 % ..
+    # +1.4 % of its median over eight seeds at np = 1024 (EXPERIMENTS.md,
+    # "Fault-rate overhead below the noise band"; the small tier's rate-2
+    # point reads 0.987x with 3 faults injected).  Tolerance: twice that
+    # band below 1; the heaviest rate must clear it above.
     for r in rows:
-        assert r["overhead"] >= 1.0 - 1e-9
+        assert r["overhead"] >= 1.0 - NOISE_BAND
     assert rows[-1]["injected"] > 0
-    assert rows[-1]["overall_time"] >= rows[0]["overall_time"]
+    assert rows[-1]["overhead"] > 1.0 + NOISE_BAND
     _RECORD["sweep"] = [
         {k: r[k] for k in ("rate", "injected", "overall_time", "overhead")}
         for r in rows

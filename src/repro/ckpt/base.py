@@ -336,20 +336,32 @@ class CheckpointStrategy:
                     members=members, args=args or None)
 
     @staticmethod
-    def _report(ctx: RankContext, role: str, t_start: float,
+    def _checkpoint_span(tracer, rank: int, role: str, t_start: float,
+                         t_blocked_end: float, t_complete: float,
+                         nbytes: int) -> None:
+        """One rank's whole-checkpoint span of a traced run."""
+        tracer.span(rank, "checkpoint", "ckpt", t_start, t_complete, nbytes,
+                    args={"role": role, "blocked_until": t_blocked_end})
+
+    @classmethod
+    def _report(cls, ctx: RankContext, role: str, t_start: float,
                 t_blocked_end: float, t_complete: float, nbytes: int,
                 isend_seconds: float = 0.0) -> RankReport:
-        tr = ctx.job.tracer
-        if tr is not None:
-            tr.span(ctx.rank, "checkpoint", "ckpt", t_start, t_complete,
-                    nbytes, args={"role": role,
-                                  "blocked_until": t_blocked_end})
-        return RankReport(
-            rank=ctx.rank,
-            role=role,
-            t_start=t_start,
-            t_blocked_end=t_blocked_end,
-            t_complete=t_complete,
-            bytes_local=nbytes,
-            isend_seconds=isend_seconds,
-        )
+        """What :meth:`checkpoint` returns: the rank's span and report."""
+        if ctx.job.tracer is not None:
+            cls._checkpoint_span(ctx.job.tracer, ctx.rank, role, t_start,
+                                 t_blocked_end, t_complete, nbytes)
+        return RankReport(ctx.rank, role, t_start, t_blocked_end, t_complete,
+                          nbytes, isend_seconds)
+
+    @classmethod
+    def _put_report(cls, table, tracer, step: int, rank: int, role: str,
+                    t_start: float, t_blocked_end: float, t_complete: float,
+                    nbytes: int) -> None:
+        """:meth:`_report` for a rank replayed without a process: its span,
+        and its row of the run's table instead of a report object."""
+        if tracer is not None:
+            cls._checkpoint_span(tracer, rank, role, t_start, t_blocked_end,
+                                 t_complete, nbytes)
+        table.put(step, rank, role, t_start, t_blocked_end, t_complete,
+                  nbytes)

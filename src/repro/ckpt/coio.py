@@ -114,7 +114,7 @@ class CollectiveIO(CheckpointStrategy):
             size = min(per_file, n_ranks - base)
             aggs = pick_aggregators(size, self.hints.n_aggregators(size))
             for agg, nxt in zip(aggs, aggs[1:] + [size]):
-                members = tuple(range(base + agg + 1, base + nxt))
+                members = range(base + agg + 1, base + nxt)
                 if members:
                     groups.append(GroupPlan(rep=members[0], members=members))
         if not groups:
@@ -124,7 +124,7 @@ class CollectiveIO(CheckpointStrategy):
 
     def coalesced_worker_main(self, ctx: RankContext, members,
                               data: CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool):
+                              gaps, barrier_each_step: bool, table):
         """Generator: bring one run of non-aggregator ranks to its cohort.
 
         Only the world barrier and the communicator split — which complete
@@ -136,25 +136,25 @@ class CollectiveIO(CheckpointStrategy):
         job = ctx.job
         yield from world.barrier_members(members)
         t0 = ctx.engine.now
+        contexts = [job.contexts[m] for m in members]
         if self.ranks_per_file is None:
-            views = [job.contexts[m].comm for m in members]
+            views = [member.comm for member in contexts]
         else:
             by_rank = yield from world.split_members(
-                [(m, self.group_of(m)) for m in members])
+                members, self.group_of(members[0]))
             views = [by_rank[m] for m in members]
-        for m, view in zip(members, views):
+        for member, view in zip(contexts, views):
             # What _iocomm leaves behind: a later restore (or ghost) of the
             # member must find the split done, as the aggregators do.
-            self._cache(job.contexts[m])["iocomm"] = view
+            self._cache(member)["iocomm"] = view
         cohorts = job.services.setdefault(f"ckpt:{id(self)}:cohorts", {})
         group = self.group_of(members[0])
         run = cohorts.get(group)
         if run is None:
             run = cohorts[group] = _RunReplay(
                 self, ctx, group, data, steps, basedir, gaps,
-                barrier_each_step, views[0].comm)
-        reports = yield run.join([view.rank for view in views], t0)
-        return {m: reports[m] for m in members}
+                barrier_each_step, views[0].comm, table)
+        yield run.join([view.rank for view in views], t0)
 
     # -- setup ------------------------------------------------------------
     def _iocomm(self, ctx: RankContext):
@@ -275,7 +275,7 @@ class _RunReplay:
 
     def __init__(self, strategy: CollectiveIO, ctx: RankContext, group: int,
                  data: CheckpointData, steps, basedir: str, gaps,
-                 barrier_each_step: bool, comm) -> None:
+                 barrier_each_step: bool, comm, table) -> None:
         job = ctx.job
         self.strategy = strategy
         self.eng = job.engine
@@ -305,7 +305,7 @@ class _RunReplay:
         self.t_x0 = [0.0] * comm.size
         self.step = 0
         self.t0 = [0.0] * len(self.paths)
-        self.reports: dict[int, list] = {}
+        self.table = table
         self.unfinished = 0
         self.done: list = []  # one event per joined run
         self._tail = None
@@ -313,14 +313,12 @@ class _RunReplay:
     def join(self, lrs: list, t0: float):
         """A run's members (ranks on ``comm``) enter their first step.
 
-        Returns the event that fires, with every member's reports by world
-        rank, when the cohort is through its last step.
+        Returns the event that fires when the cohort is through its last
+        step.
         """
         world_ranks = self.comm.world_ranks
         for lr in lrs:
-            rank = world_ranks[lr]
-            self.fs[lr] = self.contexts[rank].fs
-            self.reports[rank] = []
+            self.fs[lr] = self.contexts[world_ranks[lr]].fs
         self.unfinished += len(lrs)
         self.done.append(self.eng.event())
         self.t0[0] = t0
@@ -485,16 +483,15 @@ class _RunReplay:
         t0 = self.t0[step]
         world = self.comm.world_ranks
         for lr in lrs:
-            rank = world[lr]
-            self.reports[rank].append(self.strategy._report(
-                self.contexts[rank], "collective", t0, now, now,
-                self.total_bytes))
+            self.strategy._put_report(self.table, self.tracer, step,
+                                      world[lr], "collective", t0, now, now,
+                                      self.total_bytes)
         step += 1
         if step == len(self.paths):
             self.unfinished -= len(lrs)
             if not self.unfinished:
                 for done in self.done:
-                    done.succeed(self.reports)
+                    done.succeed()
                 self._tail = None  # it points back here
             return
         gap = self.gaps[step]

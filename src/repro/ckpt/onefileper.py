@@ -62,13 +62,13 @@ class OneFilePerProcess(CheckpointStrategy):
         """
         if self.delta != "off":
             return None
-        group = GroupPlan(rep=0, members=tuple(range(n_ranks)))
+        group = GroupPlan(rep=0, members=range(n_ranks))
         return CoalescePlan(groups=(group,),
                             worker_main=self.coalesced_worker_main)
 
     def coalesced_worker_main(self, ctx: RankContext, members,
                               data: CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool):
+                              gaps, barrier_each_step: bool, table):
         """Generator: the one process of a coalesced run.
 
         It enters the first barrier for everybody, starts the ranks in rank
@@ -81,12 +81,13 @@ class OneFilePerProcess(CheckpointStrategy):
         eng = job.engine
         run = SimpleNamespace(
             strategy=self, eng=eng, contexts=job.contexts,
+            tracer=job.tracer, table=table,
             world=ctx.comm.comm, rng=job.streams.stream("ckpt.jitter"),
             data=data, has_payload=data.has_payload,
             total_bytes=data.total_bytes,
             file_bytes=data.header_bytes + data.total_bytes, steps=steps,
             basedir=basedir, gaps=gaps, barrier_each_step=barrier_each_step,
-            reports={}, unfinished=len(members), done=eng.event())
+            unfinished=len(members), done=eng.event())
         if self.arrival_jitter > 0:
             delays = run.rng.random(len(members)) * self.arrival_jitter
             for m, delay in zip(members, delays.tolist()):
@@ -94,7 +95,7 @@ class OneFilePerProcess(CheckpointStrategy):
         else:
             for m in members:
                 _RankReplay(run, m).advance()
-        return (yield run.done)
+        yield run.done
 
     @staticmethod
     def _file_payload(data: CheckpointData):
@@ -232,13 +233,13 @@ class _RankReplay(StagedOp):
     def _report(self):
         run = self.run
         now = run.eng.now
-        run.reports.setdefault(self.rank, []).append(run.strategy._report(
-            run.contexts[self.rank], "independent", self.t0, now, now,
-            run.total_bytes))
+        run.strategy._put_report(run.table, run.tracer, self.step, self.rank,
+                                 "independent", self.t0, now, now,
+                                 run.total_bytes)
         self.step += 1
         if self.step < len(run.steps):
             return self._next_step()
         run.unfinished -= 1
         if not run.unfinished:
-            run.done.succeed(run.reports)
+            run.done.succeed()
         return self.done()

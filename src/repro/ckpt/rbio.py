@@ -37,7 +37,6 @@ from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta, write_manifest
 from .layout import FileLayout, header_piece
-from .result import RankReport
 
 __all__ = ["ReducedBlockingIO"]
 
@@ -141,7 +140,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         groups = []
         for g in range(self.n_groups(n_ranks)):
             w = g * self.workers_per_writer
-            members = tuple(range(w + 1, min(w + self.workers_per_writer, n_ranks)))
+            members = range(w + 1, min(w + self.workers_per_writer, n_ranks))
             if members:
                 groups.append(GroupPlan(rep=members[0], members=members))
         if not groups:
@@ -151,7 +150,7 @@ class ReducedBlockingIO(CheckpointStrategy):
 
     def coalesced_worker_main(self, ctx: RankContext, members, data:
                               CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool):
+                              gaps, barrier_each_step: bool, table):
         """Generator: replay every worker of one group from its representative.
 
         Mirrors ``runner._rank_main`` + :meth:`_worker` member by member:
@@ -159,7 +158,11 @@ class ReducedBlockingIO(CheckpointStrategy):
         counts, same completion timing), each member's package moves through
         the fabric as its own transfer (same pipe reservations, so the
         writer-side incast is bit-identical), and the single shared eager
-        copy time stands in for every member's local Isend completion.
+        copy time stands in for every member's local Isend completion:
+        per step the members' rows of ``table`` are one slice assignment
+        and their Darshan records one run entry, with the node leaders'
+        own instants (TAM) as point fixes.  No member has a context, a
+        view or a report object of its own.
 
         Under TAM the worker roles are not fully symmetric, so the replay
         is role-aware.  Members on the writer's node and plain members are
@@ -183,7 +186,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         fabric = ctx.job.fabric
         nbytes = data.total_bytes
         copy = ctx.config.mpi_overhead + fabric.local_copy_time(nbytes)
-        world = (members[0] - 1,) + tuple(members)
+        world = range(members[0] - 1, members[-1] + 1)  # the writer first
         groups = None
         inj = ctx.job.services.get("faults")
         if self.tam != "off" and (inj is None or not inj.has_rank_faults):
@@ -194,7 +197,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             leaders = [lead for lead in groups.leaders if lead != 0]
             span_args = {"tam": True}
         else:
-            co_located = list(range(1, len(world)))
+            co_located = range(1, len(world))
             leaders = []
             span_args = {}
         classes: dict[int, list[int]] = {}
@@ -202,7 +205,6 @@ class ReducedBlockingIO(CheckpointStrategy):
             classes.setdefault(len(groups.members_of[lead]), []).append(lead)
         class_list = list(classes.values())
         gviews = None
-        reports: dict[int, list] = {m: [] for m in members}
         for i, step in enumerate(steps):
             if gaps[i] > 0:
                 yield eng.timeout(gaps[i])
@@ -211,16 +213,14 @@ class ReducedBlockingIO(CheckpointStrategy):
             if gviews is None:
                 # First step: stand in for every member of the two setup
                 # splits (group comm, then writers-vs-workers comm).
-                gviews = yield from comm.split_members(
-                    [(m, self.group_of(m)) for m in members]
-                )
-                yield from comm.split_members([(m, 1) for m in members])
+                group = self.group_of(members[0])
+                gviews = yield from comm.split_members(members, group)
+                yield from comm.split_members(members, 1)
                 # What _setup would have left behind: the restore wave runs
                 # a process per member on this job and must find the splits
-                # done, as the writers do.  One table on the job, not a
-                # cache dict per member (+24 MiB at 64K ranks).
-                ctx.job.services.setdefault(self._splits_key, {}).update(
-                    gviews)
+                # done, as the writers do.  One entry per group on the job,
+                # not a cache dict (or a table entry) per member.
+                ctx.job.services.setdefault(self._splits_key, {})[group] = gviews
             t0 = eng.now
             tag = _PKG_TAG_BASE + step
             ttag = _TAM_TAG_BASE + step
@@ -267,24 +267,25 @@ class ReducedBlockingIO(CheckpointStrategy):
                 for leads, t in zip(class_list, done):
                     for lead in leads:
                         t_leader[world[lead]] = t
-            by_end: dict[float, list[int]] = {}
-            for m in members:
-                t_done = t_leader.get(m, t_member)
-                by_end.setdefault(t_done, []).append(m)
-                if ctx.profiler is not None:
-                    ctx.profiler.record_phase(m, "isend", t0, t_done, nbytes)
-                reports[m].append(RankReport(
-                    rank=m, role="worker", t_start=t0, t_blocked_end=t_done,
-                    t_complete=t_done, bytes_local=nbytes,
-                    isend_seconds=t_done - t0,
-                ))
-            # One representative span per symmetry class (members sharing a
-            # completion time); exporters expand to every class member.
-            for t_done, cls_members in by_end.items():
-                self._span(ctx, "checkpoint", t0, t_done, nbytes,
-                           members=tuple(cls_members), role="worker",
-                           coalesced=True, **span_args)
-        return reports
+            if ctx.profiler is not None:
+                ctx.profiler.record_phase_members(
+                    members, "isend", t0, t_member, nbytes, late=t_leader or None)
+            table.put(i, members, "worker", t0, t_member, t_member, nbytes,
+                      t_member - t0)
+            for m, t_done in t_leader.items():
+                table.put(i, m, "worker", t0, t_done, t_done, nbytes,
+                          t_done - t0)
+            if ctx.job.tracer is not None:
+                # One representative span per symmetry class (members
+                # sharing a completion time); exporters expand to every
+                # class member.
+                by_end: dict[float, list[int]] = {}
+                for m in members:
+                    by_end.setdefault(t_leader.get(m, t_member), []).append(m)
+                for t_done, cls_members in by_end.items():
+                    self._span(ctx, "checkpoint", t0, t_done, nbytes,
+                               members=tuple(cls_members), role="worker",
+                               coalesced=True, **span_args)
 
     # -- setup -------------------------------------------------------------
     @property
@@ -296,7 +297,9 @@ class ReducedBlockingIO(CheckpointStrategy):
         """Generator: split group comm (and writers' comm) once, cache."""
         cache = self._cache(ctx)
         if "gcomm" not in cache:
-            gcomm = ctx.job.services.get(self._splits_key, {}).get(ctx.rank)
+            gviews = ctx.job.services.get(self._splits_key, {}).get(
+                self.group_of(ctx.rank))
+            gcomm = gviews.get(ctx.rank) if gviews is not None else None
             am_writer, wcomm = False, None
             if gcomm is None:  # not a worker a coalesced run split for
                 gcomm = yield from ctx.comm.split(

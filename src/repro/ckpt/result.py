@@ -12,6 +12,10 @@ The measurement semantics follow DESIGN.md section 5:
   the MPI_Isend window while dedicated writers drain in the background;
 - *perceived bandwidth* (Table I): total worker bytes over the maximum
   Isend completion window.
+
+A run keeps these per-rank facts in one :class:`ReportTable`, written by
+index; a :class:`CheckpointResult` is one step's rows of it (DESIGN.md
+section 17.2).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-__all__ = ["RankReport", "CheckpointResult"]
+__all__ = ["RankReport", "ReportTable", "CheckpointResult"]
 
 
 @dataclass
@@ -47,26 +51,115 @@ class RankReport:
         return self.t_blocked_end - self.t_start
 
 
-class CheckpointResult:
-    """Aggregate outcome of one coordinated checkpoint step."""
+class ReportTable:
+    """What every rank experienced in every step of one run: a column of
+    ``n_steps x n_ranks`` per :class:`RankReport` field (``role`` as an
+    index into :attr:`role_names`; ``-1``: nothing filed).  A rank process
+    files the report its strategy returned (:meth:`file`); a replay writes
+    the rows of the ranks it stands for by index (:meth:`put`), one
+    assignment for ``k`` ranks that behaved alike — no object per rank.
+    """
 
-    def __init__(self, approach: str, reports: dict[int, RankReport],
+    COLUMNS = ("t_start", "t_blocked_end", "t_complete", "bytes_local",
+               "isend_seconds")
+
+    def __init__(self, n_steps: int, n_ranks: int) -> None:
+        shape = (n_steps, n_ranks)
+        self.ranks = np.arange(n_ranks, dtype=np.int64)
+        self.role_names: list[str] = []
+        self.role = np.full(shape, -1, dtype=np.int8)
+        for name in self.COLUMNS:
+            setattr(self, name, np.zeros(
+                shape, np.int64 if name == "bytes_local" else np.float64))
+
+    @classmethod
+    def of_reports(cls, reports: dict[int, RankReport]) -> "ReportTable":
+        """A one-step table of ``reports`` (any rank ids), in rank order."""
+        table = cls(1, len(reports))
+        table.ranks[:] = sorted(reports)
+        for row, rank in enumerate(table.ranks.tolist()):
+            table.file(0, reports[rank], row)
+        return table
+
+    def put(self, step: int, rows, role: str, t_start: float,
+            t_blocked_end: float, t_complete: float, bytes_local: int,
+            isend_seconds: float = 0.0) -> None:
+        """Write one row of ``step`` (``rows``: a rank of the run), or the
+        same values into several: a contiguous ``range`` is a slice
+        assignment per column, any other sequence an indexed one."""
+        if isinstance(rows, range) and rows.step == 1:
+            rows = slice(rows.start, rows.stop)
+        names = self.role_names
+        if role not in names:
+            names.append(role)
+        self.role[step, rows] = names.index(role)
+        self.t_start[step, rows] = t_start
+        self.t_blocked_end[step, rows] = t_blocked_end
+        self.t_complete[step, rows] = t_complete
+        self.bytes_local[step, rows] = bytes_local
+        self.isend_seconds[step, rows] = isend_seconds
+
+    def file(self, step: int, report: RankReport, row: int = None) -> None:
+        """Write ``report`` as its rank's row of ``step``."""
+        self.put(step, report.rank if row is None else row, report.role,
+                 report.t_start, report.t_blocked_end, report.t_complete,
+                 report.bytes_local, report.isend_seconds)
+
+
+class CheckpointResult:
+    """Aggregate outcome of one coordinated checkpoint step.
+
+    ``reports`` is the step's :class:`RankReport` by rank, or the run's
+    :class:`ReportTable` with ``step`` naming the row; either way the
+    result *is* that row of columns (a dict is filed into a table first),
+    and :meth:`report` is the :class:`RankReport` view of one rank.
+    ``fs_stats`` is the file system's state at the **end of the run**: the
+    same on every step's result of a multi-step run.
+    """
+
+    #: The attributes an instance holds (what a pickled one must bring).
+    STATE = frozenset(("approach", "params", "fs_stats", "n_ranks", "ranks",
+                       "role_names", "_role") + ReportTable.COLUMNS)
+
+    def __init__(self, approach: str, reports,
                  params: Optional[dict[str, Any]] = None,
-                 fs_stats: Optional[dict] = None) -> None:
-        if not reports:
-            raise ValueError("no rank reports")
+                 fs_stats: Optional[dict] = None, step: int = 0) -> None:
+        if not isinstance(reports, ReportTable):
+            if not reports:
+                raise ValueError("no rank reports")
+            reports = ReportTable.of_reports(reports)
         self.approach = approach
         self.params = dict(params or {})
         self.fs_stats = dict(fs_stats or {})
-        self.n_ranks = len(reports)
-        ranks = sorted(reports)
-        self.ranks = np.array(ranks, dtype=np.int64)
-        self.roles = [reports[r].role for r in ranks]
-        self.t_start = np.array([reports[r].t_start for r in ranks])
-        self.t_blocked_end = np.array([reports[r].t_blocked_end for r in ranks])
-        self.t_complete = np.array([reports[r].t_complete for r in ranks])
-        self.bytes_local = np.array([reports[r].bytes_local for r in ranks], dtype=np.int64)
-        self.isend_seconds = np.array([reports[r].isend_seconds for r in ranks])
+        self.n_ranks = len(reports.ranks)
+        self.ranks = reports.ranks
+        self.role_names = reports.role_names
+        self._role = reports.role[step]
+        if self._role.min() < 0:
+            missing = self.ranks[self._role < 0]
+            raise ValueError(f"{len(missing)} rank(s) filed no report for "
+                             f"step {step}: {missing[:8].tolist()}...")
+        for name in ReportTable.COLUMNS:
+            setattr(self, name, getattr(reports, name)[step])
+
+    @property
+    def roles(self) -> list[str]:
+        """Each rank's role, in ``ranks`` order."""
+        return [self.role_names[code] for code in self._role.tolist()]
+
+    def _has_role(self, *roles: str) -> np.ndarray:
+        """Boolean column: the ranks whose role is one of ``roles``."""
+        names = self.role_names
+        return np.isin(self._role, [names.index(r) for r in roles
+                                    if r in names])
+
+    def report(self, rank: int) -> RankReport:
+        """The :class:`RankReport` view of one rank's row."""
+        row = int(np.searchsorted(self.ranks, rank))
+        if row == self.n_ranks or self.ranks[row] != rank:
+            raise KeyError(rank)
+        return RankReport(rank, self.role_names[self._role[row]], *(
+            getattr(self, name)[row].item() for name in ReportTable.COLUMNS))
 
     # -- core metrics ----------------------------------------------------------
     @property
@@ -99,7 +192,7 @@ class CheckpointResult:
         the background).  For 1PFPP/coIO every rank computes and blocks.
         """
         blocked = self.t_blocked_end - self.t_start
-        mask = np.array([role != "writer" for role in self.roles])
+        mask = ~self._has_role("writer")
         if not mask.any():
             return float(blocked.max())
         return float(blocked[mask].max())
@@ -108,25 +201,24 @@ class CheckpointResult:
     def per_rank_io_time(self) -> dict[int, float]:
         """Per-rank I/O time (Figs. 9-11 scatter)."""
         io = self.t_complete - self.t_start
-        return {int(r): float(t) for r, t in zip(self.ranks, io)}
+        return dict(zip(self.ranks.tolist(), io.tolist()))
 
     # -- role views -------------------------------------------------------------
     @property
     def writer_ranks(self) -> list[int]:
         """Ranks that committed data to the file system."""
-        return [int(r) for r, role in zip(self.ranks, self.roles)
-                if role in ("writer", "independent")]
+        return self.ranks[self._has_role("writer", "independent")].tolist()
 
     @property
     def worker_ranks(self) -> list[int]:
         """Ranks that only shipped data to a writer (rbIO workers)."""
-        return [int(r) for r, role in zip(self.ranks, self.roles) if role == "worker"]
+        return self.ranks[self._has_role("worker")].tolist()
 
     # -- rbIO perceived metrics ----------------------------------------------
     @property
     def perceived_time(self) -> float:
         """Table I: max worker Isend completion window (seconds)."""
-        mask = np.array([role == "worker" for role in self.roles])
+        mask = self._has_role("worker")
         if not mask.any():
             return 0.0
         return float(self.isend_seconds[mask].max())
@@ -134,7 +226,7 @@ class CheckpointResult:
     @property
     def perceived_bandwidth(self) -> float:
         """Table I: total worker bytes / perceived time (B/s)."""
-        mask = np.array([role == "worker" for role in self.roles])
+        mask = self._has_role("worker")
         t = self.perceived_time
         if t <= 0:
             return 0.0

@@ -166,7 +166,6 @@ def _compute_summary(point: tuple) -> RunSummary:
     strategy = _strategy_for(key, n_ranks)
     data = _problem(n_ranks).data()
     run = run_checkpoint_step(strategy, n_ranks, data, config=config, seed=seed)
-    fs_stats = run.fs.stats()
     # Released before the extracts below allocate: the collector, back on
     # since the drain ended, then walks what is left of the run, not all
     # of it.  The profiler and the counters outlive close().
@@ -174,7 +173,7 @@ def _compute_summary(point: tuple) -> RunSummary:
     return RunSummary(
         result=run.result,
         write_intervals=run.profiler.write_intervals(),
-        fs_stats=fs_stats,
+        fs_stats=run.result.fs_stats,
         bytes_copied=run.job.metrics().get("copy.bytes_copied"),
     )
 
@@ -182,6 +181,20 @@ def _compute_summary(point: tuple) -> RunSummary:
 def _disk_key(key: str, n_ranks: int, config: MachineConfig,
               seed: Optional[int]) -> str:
     return cache_key("get_run", key, n_ranks, seed, config)
+
+
+def _disk_get(disk, key: str, n_ranks: int, config: MachineConfig,
+              seed: Optional[int]) -> Optional[RunSummary]:
+    """The run's disk-cache entry if it is a well-formed :class:`RunSummary`,
+    else a miss: what a tree with other classes pickled unpickles into
+    instances lacking our attributes, and would fail at figure time."""
+    entry = disk.get(_disk_key(key, n_ranks, config, seed))
+    if (isinstance(entry, RunSummary)
+            and isinstance(entry.result, CheckpointResult)
+            and vars(entry).keys() == RunSummary.__dataclass_fields__.keys()
+            and vars(entry.result).keys() >= CheckpointResult.STATE):
+        return entry
+    return None
 
 
 def get_run(key: str, n_ranks: int, config: Optional[MachineConfig] = None,
@@ -200,7 +213,7 @@ def get_run(key: str, n_ranks: int, config: Optional[MachineConfig] = None,
         return hit
     disk = sweep_cache()
     if disk is not None:
-        summary = disk.get(_disk_key(key, n_ranks, config, seed))
+        summary = _disk_get(disk, key, n_ranks, config, seed)
         if summary is not None:
             _CACHE[mem_key] = summary
             return summary
@@ -232,7 +245,7 @@ def prefetch_runs(points: Iterable[tuple[str, int]],
             continue
         seen.add(mem_key)
         if disk is not None:
-            summary = disk.get(_disk_key(key, n_ranks, config, seed))
+            summary = _disk_get(disk, key, n_ranks, config, seed)
             if summary is not None:
                 _CACHE[mem_key] = summary
                 continue

@@ -58,9 +58,11 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Bump when any change alters simulated timings: cached entries from
-#: earlier versions must never be served as current results.
-CACHE_VERSION = 1
+#: Bump when any change alters simulated timings, or what a pickled entry
+#: holds (the attributes of ``RunSummary`` / ``CheckpointResult`` /
+#: ``IntervalRecorder``): cached entries from earlier versions must never
+#: be served as current results.  2: ``CheckpointResult`` role codes.
+CACHE_VERSION = 2
 
 
 def cache_key(*parts: Any) -> str:

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from ..ckpt import CheckpointData, CheckpointResult, CheckpointStrategy
 from ..ckpt.data import EvolvingData
-from ..ckpt.result import RankReport
+from ..ckpt.result import RankReport, ReportTable
 from ..faults import attach_faults
 from ..mpi import Job, RunConfig
 from ..profiling import DarshanProfiler
@@ -91,7 +91,8 @@ def _data_fn(data: DataBuilder):
 
 def _rank_main(ctx, strategy: CheckpointStrategy, data_fn, steps: list[int],
                basedir: str, gaps: tuple[float, ...], barrier_each_step: bool,
-               writer_set: frozenset):
+               writer_set: frozenset, table: ReportTable):
+    """Generator: one rank's steps; each step's report is filed in ``table``."""
     data = data_fn(ctx.rank)
     # Dedicated I/O ranks (rbIO writers) do not compute between
     # checkpoints — they spend the gap draining their backlog.  The writer
@@ -100,7 +101,6 @@ def _rank_main(ctx, strategy: CheckpointStrategy, data_fn, steps: list[int],
     is_writer = ctx.rank in writer_set
     inj = ctx.job.services.get("faults")
     crash_t = inj.crash_time(ctx.rank) if inj is not None else None
-    reports = []
     for i, step in enumerate(steps):
         dead = crash_t is not None and ctx.engine.now >= crash_t
         if gaps[i] > 0 and not is_writer and not dead:
@@ -125,13 +125,11 @@ def _rank_main(ctx, strategy: CheckpointStrategy, data_fn, steps: list[int],
             # survivors' collectives complete, but contributes no data.
             yield from strategy.ghost(ctx, d, step, basedir)
             now = ctx.engine.now
-            reports.append(RankReport(
+            table.file(i, RankReport(
                 rank=ctx.rank, role="crashed", t_start=now,
                 t_blocked_end=now, t_complete=now, bytes_local=0))
             continue
-        report = yield from strategy.checkpoint(ctx, d, step, basedir)
-        reports.append(report)
-    return reports
+        table.file(i, (yield from strategy.checkpoint(ctx, d, step, basedir)))
 
 
 def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
@@ -185,45 +183,27 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
             f"coalesce='require' but {strategy.name} offers no plan for "
             f"this configuration"
         )
+    table = ReportTable(n_steps, n_ranks)
+    rank_args = (strategy, _data_fn(data), steps, basedir, gaps,
+                 barrier_each_step, writer_set, table)
     if plan is None:
-        job.spawn(_rank_main, strategy, _data_fn(data), steps, basedir,
-                  gaps, barrier_each_step, writer_set)
+        job.spawn(_rank_main, *rank_args)
     else:
         # Spawn in world-rank order (reps in their group's first-worker
         # slot) so process bootstrap — and with it every same-time event
         # tie — happens in the same order as the uncoalesced run.
-        rep_members = plan.rep_members()
-        skip = plan.replayed_ranks()
-        data_fn = _data_fn(data)
-        for r in range(n_ranks):
-            if r in skip:
-                continue
-            if r in rep_members:
-                job.spawn(plan.worker_main, rep_members[r], data, steps,
-                          basedir, gaps, barrier_each_step, ranks=[r])
+        for r, members in plan.spawn_order(n_ranks):
+            if members is None:
+                job.spawn(_rank_main, *rank_args, ranks=[r])
             else:
-                job.spawn(_rank_main, strategy, data_fn, steps, basedir,
-                          gaps, barrier_each_step, writer_set,
-                          ranks=[r])
-    per_rank = job.run()
-    if plan is not None:
-        # A representative returns {member: [reports]} for its whole group.
-        expanded: dict[int, list] = {}
-        for r, value in per_rank.items():
-            if r in rep_members:
-                expanded.update(value)
-            else:
-                expanded[r] = value
-        per_rank = expanded
-    results = []
-    for i, step in enumerate(steps):
-        reports = {rank: reps[i] for rank, reps in per_rank.items()}
-        results.append(
-            CheckpointResult(
-                strategy.name, reports, params=strategy.describe(),
-                fs_stats=fs.stats(),
-            )
-        )
+                job.spawn(plan.worker_main, members, data, steps, basedir,
+                          gaps, barrier_each_step, table, ranks=[r])
+    job.run()
+    fs_stats = fs.stats()
+    results = [CheckpointResult(strategy.name, table,
+                                params=strategy.describe(),
+                                fs_stats=fs_stats, step=i)
+               for i in range(n_steps)]
     return CheckpointRun(job, results)
 
 

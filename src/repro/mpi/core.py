@@ -49,6 +49,7 @@ Semantics and costs
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import Any, Callable, Optional
 
 from ..network import Fabric
@@ -299,14 +300,14 @@ class Communicator:
     from communicator-local ranks to world ranks (used for routing).
     """
 
-    def __init__(self, engine: Engine, fabric: Fabric, world_ranks: list[int]) -> None:
+    def __init__(self, engine: Engine, fabric: Fabric, world_ranks) -> None:
         if not world_ranks:
             raise MPIError("communicator needs at least one rank")
         self.engine = engine
         self.fabric = fabric
         self.world_ranks = list(world_ranks)
         self.size = len(world_ranks)
-        self._local_of_world = {w: i for i, w in enumerate(self.world_ranks)}
+        self._local_of_world: Optional[dict[int, int]] = None
         self._mailboxes: dict[int, Mailbox] = {}
         self._coll_ops: dict[int, _CollectiveOp] = {}
         self._coll_seq = [0] * self.size
@@ -336,9 +337,14 @@ class Communicator:
         return box
 
     def local_rank_of(self, world_rank: int) -> int:
-        """Translate a world rank to this communicator's numbering."""
+        """Translate a world rank to this communicator's numbering (the
+        table is built by the first call)."""
+        table = self._local_of_world
+        if table is None:
+            table = self._local_of_world = {
+                w: i for i, w in enumerate(self.world_ranks)}
         try:
-            return self._local_of_world[world_rank]
+            return table[world_rank]
         except KeyError:
             raise MPIError(f"world rank {world_rank} not in communicator") from None
 
@@ -494,19 +500,42 @@ class Communicator:
             self._finish_after(op, 2 * self.tree_time(nbytes), result)
         return op
 
+    def _split_arrive_members(self, local_ranks, color: int) -> _CollectiveOp:
+        """The twin of :meth:`_barrier_arrive_members` for a split: every
+        member enters with ``color``, its rank as its ordering key."""
+        members = list(local_ranks)
+        seq = self._advance_members(members)
+        if seq is None:  # not in lockstep: one by one
+            for lr in members:
+                op, is_last = self._collective_enter(
+                    "split", lr, (color, lr, lr), 0)
+                if is_last:
+                    self._complete_split(op)
+            return op
+        op = self._op(seq, "split", 0, members[0])
+        contrib = op.contrib
+        for lr in members:
+            contrib[lr] = (color, lr, lr)
+        if self._arrived(op, seq, len(members)):
+            self._complete_split(op)
+        return op
+
     def _complete_split(self, op: _CollectiveOp) -> None:
-        """Build the sub-communicators of a completed MPI_Comm_split."""
+        """Build the sub-communicators of a completed MPI_Comm_split; every
+        rank gets the same :class:`_SplitViews`."""
         groups: dict[int, list[tuple[int, int]]] = {}
         for c, k, r in op.contrib:
             groups.setdefault(c, []).append((k, r))
-        member_view: dict[int, CommView] = {}
-        for c, members in groups.items():
+        sub_of: list = [None] * self.size
+        world_ranks = self.world_ranks
+        for members in groups.values():
             members.sort()
-            world = [self.world_ranks[r] for _k, r in members]
-            sub = Communicator(self.engine, self.fabric, world)
-            for local, (_k, r) in enumerate(members):
-                member_view[r] = sub.view(local)
-        self._finish_after(op, 2 * self.tree_time(), member_view)
+            sub = Communicator(self.engine, self.fabric,
+                               [world_ranks[r] for _k, r in members])
+            for _k, r in members:
+                sub_of[r] = sub
+        self._finish_after(op, 2 * self.tree_time(),
+                           _SplitViews(self, sub_of, range(self.size)))
 
     def _finish_after(self, op: _CollectiveOp, delay: float, result: Any) -> None:
         """Trigger a collective's completion event after ``delay``."""
@@ -522,6 +551,34 @@ class Communicator:
         depth = self._depth if stages is None else stages
         per_stage = self._stage_latency + nbytes_per_stage / self._link_bw
         return depth * per_stage
+
+
+class _SplitViews(Mapping):
+    """What a split completes with: ``views[r]`` is rank ``r``'s
+    :class:`CommView` on its new sub-communicator, made when it is asked
+    for (1 024 of the 65 536 ranks of a coalesced rbIO run ask).
+    ``members`` restricts the mapping to the ranks a caller stands in for.
+    """
+
+    __slots__ = ("_parent", "_sub_of", "_members")
+
+    def __init__(self, parent: Communicator, sub_of: list, members) -> None:
+        self._parent = parent
+        self._sub_of = sub_of  # by rank on ``parent``: its sub-communicator
+        self._members = members
+
+    def __getitem__(self, rank: int) -> "CommView":
+        if rank not in self._members:
+            raise KeyError(rank)
+        sub = self._sub_of[rank]
+        return CommView(
+            sub, sub.local_rank_of(self._parent.world_ranks[rank]))
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
 
 
 class CommView:
@@ -817,22 +874,16 @@ class CommView:
         op = self.comm._barrier_arrive_members(local_ranks)
         yield op.event
 
-    def split_members(self, entries):
+    def split_members(self, local_ranks, color: int):
         """Generator: enter the next MPI_Comm_split once per member.
 
-        ``entries`` is a list of ``(local_rank, color)`` pairs (the member's
-        current rank doubles as its ordering key, matching ``split`` with
-        ``key=None``).  Returns ``{local_rank: sub CommView}`` so the
-        representative holds every member's view on its sub-communicator.
+        Every member of ``local_ranks`` enters with ``color`` (its current
+        rank doubles as its ordering key, matching ``split`` with
+        ``key=None``).  Returns a mapping ``local_rank -> sub CommView``
+        over the members, each view made when it is asked for.
         """
-        comm = self.comm
-        op = None
-        for lr, color in entries:
-            op, is_last = comm._collective_enter("split", lr, (color, lr, lr), 0)
-            if is_last:
-                comm._complete_split(op)
-        views = yield op.event
-        return {lr: views[lr] for lr, _color in entries}
+        views = yield self.comm._split_arrive_members(local_ranks, color).event
+        return _SplitViews(views._parent, views._sub_of, local_ranks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CommView rank {self.rank}/{self.size} of the communicator "

@@ -14,12 +14,17 @@ single publisher of a run's counters.
 
 Higher layers (storage, staging, the NekCEM driver) attach their per-job
 services to the job and their per-rank clients to each :class:`RankContext`.
+
+A rank's :class:`RankContext` is built by the first code that indexes
+``job.contexts`` for it (DESIGN.md section 17.2); a replayed rank that
+never runs a line of its own never has one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 from weakref import WeakKeyDictionary
 
 from ..buffers import COPY_MODES, run_scope
@@ -183,6 +188,38 @@ class RankContext:
         return f"<RankContext rank={self.rank}/{self.comm.size}>"
 
 
+class _Contexts(Sequence):
+    """``job.contexts``: reads like the list of every rank's
+    :class:`RankContext` (iteration builds them all), each built when
+    first indexed; :meth:`built` is those that exist."""
+
+    __slots__ = ("_job", "_built")
+
+    def __init__(self, job: "Job") -> None:
+        self._job = job
+        self._built: dict[int, RankContext] = {}
+
+    def __len__(self) -> int:
+        return self._job.n_ranks
+
+    def __getitem__(self, rank: int) -> RankContext:
+        ctx = self._built.get(rank)
+        if ctx is None:
+            job = self._job
+            if not -job.n_ranks <= rank < job.n_ranks:
+                raise IndexError(f"rank {rank} out of range for "
+                                 f"{job.n_ranks} ranks")
+            if rank < 0:
+                return self[rank + job.n_ranks]
+            ctx = self._built[rank] = RankContext(
+                rank, CommView(job.world, rank), job)
+        return ctx
+
+    def built(self) -> Iterable[RankContext]:
+        """The contexts that exist, in the order they were first asked for."""
+        return self._built.values()
+
+
 class Job:
     """One simulated parallel job on a partition of the machine.
 
@@ -218,10 +255,8 @@ class Job:
         self.engine = Engine()
         self.fabric = Fabric(self.engine, self.config, n_ranks)
         self.streams = StreamRegistry(self.config.seed if seed is None else seed)
-        self.world = Communicator(self.engine, self.fabric, list(range(n_ranks)))
-        self.contexts = [
-            RankContext(r, self.world.view(r), self) for r in range(n_ranks)
-        ]
+        self.world = Communicator(self.engine, self.fabric, range(n_ranks))
+        self.contexts: Optional[_Contexts] = _Contexts(self)
         self._rank_procs: list = []
         self.services: dict[str, Any] = {}
 

@@ -18,7 +18,7 @@ figures' data series.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,24 @@ class OpRecord:
         )
 
 
+class _MemberRun(NamedTuple):
+    """One log entry for ``members`` that went through a phase side by
+    side (``late``: those that ended at an instant of their own)."""
+
+    members: Sequence[int]
+    op: str
+    start: float
+    end: float
+    nbytes: int
+    late: Optional[dict]
+
+    def expand(self) -> list[OpRecord]:
+        """One record per member, in their order."""
+        late = self.late or {}
+        return [OpRecord(m, self.op, self.start, late.get(m, self.end),
+                         self.nbytes, "") for m in self.members]
+
+
 class DarshanProfiler:
     """Collects I/O operation records for one job.
 
@@ -62,17 +80,33 @@ class DarshanProfiler:
     checkpoint steps isolates per-step analyses.  With the run's
     ``tracer`` attached, every record is also forwarded as a span — one
     event, two views, so op records and fs/phase spans cannot disagree.
+
+    There is one log, in recording order.  A replay that stands for many
+    ranks appends one entry for all of them (:meth:`record_phase_members`);
+    :attr:`records` expands such entries in place when first read, so it
+    is the sequence of the per-rank calls (DESIGN.md section 17.2).
     """
 
     def __init__(self, tracer=None) -> None:
-        self.records: list[OpRecord] = []
+        self._log: list = []  # OpRecord | _MemberRun
+        self._packed = 0  # _MemberRun entries in the log
         self.tracer = tracer
+
+    @property
+    def records(self) -> list[OpRecord]:
+        """Every record, in recording order (the log itself)."""
+        log = self._log
+        if self._packed:
+            log[:] = [rec for entry in log for rec in (
+                (entry,) if entry.__class__ is OpRecord else entry.expand())]
+            self._packed = 0
+        return log
 
     # -- recording -----------------------------------------------------------
     def record_op(self, rank: int, op: str, start: float, end: float,
                   nbytes: int, path: str) -> None:
         """Record a file-system operation (called by FSClient)."""
-        self.records.append(OpRecord(rank, op, start, end, nbytes, path))
+        self._log.append(OpRecord(rank, op, start, end, nbytes, path))
         tr = self.tracer
         if tr is not None:
             tr.span(rank, op, "fs", start, end, nbytes,
@@ -81,14 +115,30 @@ class DarshanProfiler:
     def record_phase(self, rank: int, phase: str, start: float, end: float,
                      nbytes: int = 0) -> None:
         """Record an application-level phase (e.g. 'ckpt', 'isend')."""
-        self.records.append(OpRecord(rank, f"app:{phase}", start, end, nbytes, ""))
+        self._log.append(OpRecord(rank, f"app:{phase}", start, end, nbytes, ""))
         tr = self.tracer
         if tr is not None:
             tr.span(rank, phase, "phase", start, end, nbytes)
 
+    def record_phase_members(self, members, phase: str, start: float,
+                             end: float, nbytes: int = 0,
+                             late: Optional[dict] = None) -> None:
+        """:meth:`record_phase` for every rank of ``members``, in order, as
+        one log entry; ``late[rank]`` replaces ``end`` for a member that
+        ended at an instant of its own."""
+        self._log.append(
+            _MemberRun(members, f"app:{phase}", start, end, nbytes, late))
+        self._packed += 1
+        tr = self.tracer
+        if tr is not None:
+            late = late or {}
+            for m in members:
+                tr.span(m, phase, "phase", start, late.get(m, end), nbytes)
+
     def reset(self) -> None:
         """Drop all records (between checkpoint steps)."""
-        self.records.clear()
+        self._log.clear()
+        self._packed = 0
 
     # -- queries --------------------------------------------------------------
     def select(self, ops: Optional[Iterable[str]] = None,
@@ -133,10 +183,19 @@ class DarshanProfiler:
 
     def write_intervals(self) -> IntervalRecorder:
         """Activity intervals of all 'write' operations (Fig. 12 input)."""
-        rec = IntervalRecorder("writes")
-        for r in self.records:
-            if r.op == "write":
+        return self._intervals("writes", "write")
+
+    def _intervals(self, name: str, op: str) -> IntervalRecorder:
+        """Intervals of the ``op`` records, expanding only entries of it."""
+        rec = IntervalRecorder(name)
+        for r in self._log:
+            if r.op != op:
+                continue
+            if r.__class__ is OpRecord:
                 rec.record(r.start, r.end, r.rank)
+            else:
+                for m in r.expand():
+                    rec.record(m.start, m.end, m.rank)
         return rec
 
     def phase_intervals(self, phase: str) -> IntervalRecorder:
@@ -146,12 +205,7 @@ class DarshanProfiler:
         ``"isend"``, ``"stage"``, ``"drain"``) — the ``app:`` prefix is
         added here.
         """
-        op = f"app:{phase}"
-        rec = IntervalRecorder(phase)
-        for r in self.records:
-            if r.op == op:
-                rec.record(r.start, r.end, r.rank)
-        return rec
+        return self._intervals(phase, f"app:{phase}")
 
     def file_counters(self) -> dict[str, dict[str, float]]:
         """Per-file Darshan-style counters.

@@ -13,7 +13,8 @@ Darshan record and span happens where it does in the uncoalesced run
 - *Lock-step* (rbIO/bbIO workers).  Members of a 64:1 group are identical
   by construction — same data, same barrier release, one buffered Isend —
   so one generator performs each member's visible actions in member order
-  and synthesizes their reports from its own times.  Valid only while
+  and writes their rows of the run's report table, one slice per step,
+  from its own times.  Valid only while
   members cannot diverge: flow-control acknowledgements
   (``max_outstanding``) offer no plan.  Under TAM symmetry holds per
   role, so the one replay
@@ -40,7 +41,7 @@ attached (faults target ranks individually, so every rank must run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Optional, Sequence
 
 __all__ = ["GroupPlan", "CoalescePlan"]
 
@@ -50,12 +51,13 @@ class GroupPlan:
     """One replayed group: ``rep`` stands in for every rank in ``members``.
 
     ``members`` are world ranks with identical schedules, or at least one
-    shared role (``rep`` is the first of them); ranks not covered by any
-    group run uncoalesced.
+    shared role (``rep`` is the first of them), ascending — a ``range``
+    when contiguous (every strategy's are: no per-rank object in a plan);
+    ranks not covered by any group run uncoalesced.
     """
 
     rep: int
-    members: tuple[int, ...]
+    members: Sequence[int]
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -71,19 +73,41 @@ class CoalescePlan:
     """A strategy's offer to replay symmetric ranks once.
 
     ``worker_main(ctx, members, data, steps, basedir, gaps,
-    barrier_each_step)`` is a generator run on each group's representative
-    rank; it must return ``{member_rank: [RankReport, ...]}`` covering every
-    member of that group for every step.  ``gaps`` is the normalized
-    per-step pre-gap tuple (``len(steps)`` entries, first always 0) from
+    barrier_each_step, table)`` is a generator run on each group's
+    representative rank; it must write every member's row of every step
+    into ``table`` (the run's :class:`~repro.ckpt.result.ReportTable`).
+    ``gaps`` is the normalized per-step pre-gap tuple (``len(steps)``
+    entries, first always 0) from
     :func:`repro.experiments.runner.normalize_gaps`.
     """
 
     groups: tuple[GroupPlan, ...]
     worker_main: Callable
 
-    def rep_members(self) -> dict[int, tuple[int, ...]]:
+    def rep_members(self) -> dict[int, Sequence[int]]:
         """Mapping representative rank -> the members it replays."""
         return {g.rep: g.members for g in self.groups}
+
+    def spawn_order(self, n_ranks: int
+                    ) -> Iterator[tuple[int, Optional[Sequence[int]]]]:
+        """What the runner spawns, in world-rank order: ``(rep, members)``
+        for a representative, ``(rank, None)`` for a rank no group covers.
+        A contiguous group is stepped over, not tested rank by rank."""
+        reps = self.rep_members()
+        skip: set = set()  # members of groups that are not contiguous
+        r = 0
+        while r < n_ranks:
+            members = reps.get(r)
+            if members is None:
+                if r not in skip:
+                    yield r, None
+            else:
+                yield r, members
+                if isinstance(members, range) and members.step == 1:
+                    r = members.stop
+                    continue
+                skip.update(members)
+            r += 1
 
     def replayed_ranks(self) -> frozenset:
         """Ranks that must *not* be spawned (replayed by a representative)."""

@@ -34,7 +34,9 @@ def attach_storage(job: Job, fs_type: str = "gpfs", **fs_kwargs) -> GPFS:
     fs = cls(job.engine, job.config, job.config.pset_map(job.n_ranks),
              job.streams, profiler=job.profiler, **fs_kwargs)
     if "fs" in job.services:
-        for ctx in job.contexts:  # clients of the file system being replaced
+        # Clients of the file system being replaced: only a context that
+        # exists can hold one.
+        for ctx in job.contexts.built():
             ctx.fs = None
     job.services["fs"] = fs
     return fs

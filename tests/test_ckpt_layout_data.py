@@ -278,3 +278,163 @@ def test_result_summary_keys():
     for key in ("approach", "n_ranks", "total_gb", "overall_time_s",
                 "bandwidth_gbps", "blocking_time_s", "n_writers"):
         assert key in s
+
+
+# ---------------------------------------------------------------------------
+# Columnar run state: rows written by index are the objects they stand for
+# ---------------------------------------------------------------------------
+
+def _loop_metrics(reports):
+    """``CheckpointResult``'s metrics as loops over ``RankReport``s (the
+    definitions of DESIGN.md section 5, one object per rank)."""
+    reps = [reports[r] for r in sorted(reports)]
+    start = min(r.t_start for r in reps)
+    overall = max(r.t_complete for r in reps) - start
+    total = sum(r.bytes_local for r in reps)
+    compute = [r for r in reps if r.role != "writer"] or reps
+    workers = [r for r in reps if r.role == "worker"]
+    perceived = max((r.isend_seconds for r in workers), default=0.0)
+    return {
+        "total_bytes": total, "start_time": start, "overall_time": overall,
+        "write_bandwidth": total / overall if overall > 0 else float("inf"),
+        "blocking_time": max(r.t_blocked_end - r.t_start for r in compute),
+        "per_rank_io_time": {r.rank: r.t_complete - r.t_start for r in reps},
+        "writer_ranks": [r.rank for r in reps
+                         if r.role in ("writer", "independent")],
+        "worker_ranks": [r.rank for r in workers],
+        "perceived_time": perceived,
+        "perceived_bandwidth": (sum(r.bytes_local for r in workers) / perceived
+                                if perceived > 0 else 0.0),
+    }
+
+
+_instants = st.floats(0.0, 1e3, allow_nan=False, width=64)
+
+
+@st.composite
+def _replayed_runs(draw):
+    """A run's steps as the calls a replay makes — and, beside each, the
+    per-rank calls it stands for."""
+    n_ranks = draw(st.integers(1, 40))
+    n_steps = draw(st.integers(1, 3))
+    width = draw(st.integers(2, 9))  # writer + workers; the last is ragged
+    scattered = draw(st.booleans())  # members a stride apart: no slice
+    steps = []
+    for _step in range(n_steps):
+        calls = []  # ("file" | "put" | "members", ...) in recording order
+        for writer in range(0, n_ranks, width):
+            t0 = draw(_instants)
+            group = range(writer, min(writer + width, n_ranks))
+            done = t0 + draw(_instants)
+            calls.append(("file", RankReport(writer, "writer", t0, done, done,
+                                             draw(st.integers(0, 1 << 40)))))
+            halves = ([group[1::2], group[2::2]] if scattered
+                      else [group[1:]])
+            for members in halves:
+                if not members:
+                    continue
+                if scattered:
+                    members = list(members)
+                t_end = t0 + draw(_instants)
+                late = {m: t0 + draw(_instants) for m in draw(
+                    st.lists(st.sampled_from(members), unique=True,
+                             max_size=3))}
+                calls.append(("members", members, t0, t_end,
+                              draw(st.integers(0, 1 << 40)), late))
+        for rank in draw(st.lists(st.integers(0, n_ranks - 1), unique=True,
+                                  max_size=3)):
+            calls.append(("put", rank, draw(_instants)))  # it crashed
+        steps.append(calls)
+    return n_ranks, steps
+
+
+@settings(max_examples=120, deadline=None)
+@given(_replayed_runs(), st.data())
+def test_rows_and_run_entries_are_the_objects_they_stand_for(run, data):
+    """(B) A ``CheckpointResult`` fed by ``ReportTable`` slice / index / row
+    writes is the one built from the equivalent ``{rank: RankReport}``
+    dict, array for array and property for property; (C) a Darshan log
+    with run entries reads, before and after it is expanded, as the log
+    of the per-member calls."""
+    from repro.ckpt.result import ReportTable
+    from repro.profiling import DarshanProfiler
+    from repro.trace import SpanTracer
+
+    n_ranks, steps = run
+    table = ReportTable(len(steps), n_ranks)
+    packed = DarshanProfiler(SpanTracer("full"))
+    plain = DarshanProfiler(SpanTracer("full"))
+    per_step = []
+    for i, calls in enumerate(steps):
+        reports = {}
+        for call in calls:
+            if call[0] == "file":
+                report = call[1]
+                table.file(i, report)
+                reports[report.rank] = report
+                op = data.draw(st.sampled_from(["write", "open", "close"]))
+                for prof in (packed, plain):
+                    prof.record_op(report.rank, op, report.t_start,
+                                   report.t_complete, report.bytes_local,
+                                   f"/f{i}")
+                    prof.record_phase(report.rank, "stage", report.t_start,
+                                      report.t_complete, 7)
+            elif call[0] == "put":
+                _kind, rank, now = call
+                table.put(i, rank, "crashed", now, now, now, 0)
+                reports[rank] = RankReport(rank, "crashed", now, now, now, 0)
+            else:
+                _kind, members, t0, t_end, nbytes, late = call
+                table.put(i, members, "worker", t0, t_end, t_end, nbytes,
+                          t_end - t0)
+                for m, t in late.items():
+                    table.put(i, m, "worker", t0, t, t, nbytes, t - t0)
+                packed.record_phase_members(members, "isend", t0, t_end,
+                                            nbytes, late=late or None)
+                for m in members:
+                    t = late.get(m, t_end)
+                    plain.record_phase(m, "isend", t0, t, nbytes)
+                    reports[m] = RankReport(m, "worker", t0, t, t, nbytes,
+                                            isend_seconds=t - t0)
+        per_step.append(reports)
+
+    for i, reports in enumerate(per_step):
+        got = CheckpointResult("x", table, step=i)
+        want = CheckpointResult("x", reports)
+        for name in ("ranks",) + ReportTable.COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.roles == want.roles == [
+            reports[r].role for r in range(n_ranks)]
+        for name, value in _loop_metrics(reports).items():
+            assert getattr(got, name) == getattr(want, name) == value, name
+            assert type(getattr(got, name)) is type(value), name
+        assert got.summary() == want.summary()
+        assert [got.report(r) for r in range(n_ranks)] == [
+            reports[r] for r in range(n_ranks)]
+
+    def intervals(prof):
+        return (prof.write_intervals().intervals,
+                prof.phase_intervals("isend").intervals,
+                prof.phase_intervals("stage").intervals)
+
+    def as_tuples(records):
+        return [(r.rank, r.op, r.start, r.end, r.nbytes, r.path)
+                for r in records]
+
+    n_runs = sum(call[0] == "members" for calls in steps for call in calls)
+    assert len(packed._log) == len(plain._log) - sum(
+        len(call[1]) - 1 for calls in steps for call in calls
+        if call[0] == "members")
+    before = intervals(packed)
+    assert packed._packed == n_runs  # reading intervals expands nothing
+    assert before == intervals(plain)
+    assert packed.op_counts() == plain.op_counts()  # reads the records
+    assert as_tuples(packed.records) == as_tuples(plain.records)
+    assert packed.records is packed.records and packed._packed == 0
+    assert intervals(packed) == before
+    assert packed.op_counts() == plain.op_counts()
+    assert [(s.rank, s.name, s.cat, s.start, s.end, s.nbytes)
+            for s in packed.tracer.spans] == [
+        (s.rank, s.name, s.cat, s.start, s.end, s.nbytes)
+        for s in plain.tracer.spans]

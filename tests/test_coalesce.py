@@ -117,18 +117,34 @@ def test_rbio_ragged_last_group_exact():
 @pytest.mark.parametrize("tam", ["off", "auto"])
 @pytest.mark.parametrize("single_file", [False, True], ids=["nf_ng", "nf1"])
 def test_rbio_restore_after_a_coalesced_run(single_file, tam):
+    check_rbio_restore_after_a_coalesced_run(single_file, tam, width=8)
+
+
+@pytest.mark.parametrize("width", [12, 9], ids=["ragged", "lone_writer"])
+@pytest.mark.parametrize("tam", ["off", "auto"])
+@pytest.mark.parametrize("single_file", [False, True], ids=["nf_ng", "nf1"])
+def test_rbio_restore_after_a_coalesced_run_with_a_short_last_group(
+        single_file, tam, width):
+    check_rbio_restore_after_a_coalesced_run(single_file, tam, width)
+
+
+def check_rbio_restore_after_a_coalesced_run(single_file, tam, width):
     """The restore wave runs one process per rank on the same job: a
     replayed worker must find both setup splits done (as coIO's members
     find their file communicator), or it splits again and the writers,
-    which hold theirs, never join — the restore deadlocks."""
+    which hold theirs, never join — the restore deadlocks.  It finds them
+    through one table entry per group (a ragged last group's too; a last
+    group that is a lone writer has none), not one per member."""
     data = shared_data()
-    runs = []
+    n_ranks = 64  # 12: a last group of 4; 9: a last group of rank 63 alone
+    runs, strategies = [], []
     for mode in ("off", "require"):
-        strategy = ReducedBlockingIO(workers_per_writer=8,
+        strategy = ReducedBlockingIO(workers_per_writer=width,
                                      single_file=single_file)
         strategy.configure_tam(tam)
+        strategies.append(strategy)
         runs.append(run_resilient_campaign(
-            strategy, 64, data, n_steps=2, seed=11,
+            strategy, n_ranks, data, n_steps=2, seed=11,
             run_config=RunConfig(coalesce=mode)))
     off, on = runs
     assert_identical(off.run, on.run)
@@ -138,10 +154,40 @@ def test_rbio_restore_after_a_coalesced_run(single_file, tam):
     # records, in another order.
     assert sorted(records_of(off.run)) == sorted(records_of(on.run))
     want = [as_bytes(f.payload) for f in data.fields]
-    for rank in range(64):
+    for rank in range(n_ranks):
         assert off.restored[rank][0] == on.restored[rank][0] == 1
         assert [as_bytes(f) for f in off.restored[rank][1]] == want
         assert [as_bytes(f) for f in on.restored[rank][1]] == want
+    strategy, job = strategies[1], on.run.job
+    table = job.services[strategy._splits_key]
+    assert sorted(table) == list(range((n_ranks - 2) // width + 1))
+    for ctx in job.contexts:
+        group = ctx.rank // width
+        cache, writer = strategy._cache(ctx), job.contexts[group * width]
+        # Every member is on its writer's own group communicator.
+        assert cache["gcomm"].comm is strategy._cache(writer)["gcomm"].comm
+        assert cache["gcomm"].world_rank == ctx.rank
+        assert cache["am_writer"] == (ctx is writer)
+        if ctx is not writer:
+            assert table[group][ctx.rank].rank == cache["gcomm"].rank
+            assert table[group].get(writer.rank) is None
+
+
+def test_attach_storage_twice_resets_the_clients_that_exist():
+    """Re-attaching drops the clients of the contexts that exist — there is
+    nothing to reset on a rank that was never asked for its context — and
+    builds no context to do it."""
+    from repro.mpi import Job
+    from repro.storage import attach_storage
+
+    job = Job(64, intrepid().quiet())
+    fs1 = attach_storage(job)
+    used = job.contexts[3].fs
+    assert used.fs is fs1 and len(job.contexts.built()) == 1
+    fs2 = attach_storage(job, fs_type="pvfs")
+    assert len(job.contexts.built()) == 1
+    assert job.contexts[3].fs.fs is fs2 and job.contexts[9].fs.fs is fs2
+    assert len(job.contexts.built()) == 2
 
 
 def assert_file_images_identical(off, on):
@@ -172,6 +218,22 @@ def test_coalesce_spawns_fewer_processes():
     # 8 groups of 7 workers each -> 6 replayed per group eliminated.
     assert len(plan.replayed_ranks()) == 8 * 6
     assert plan.replayed_ranks().isdisjoint(plan.rep_members())
+
+
+def test_spawn_order_steps_over_a_group_and_names_every_other_rank():
+    from repro.sim import CoalescePlan, GroupPlan
+
+    plan = ReducedBlockingIO(workers_per_writer=8).coalesce_plan(20)
+    assert list(plan.spawn_order(20)) == [
+        (0, None), (1, range(1, 8)), (8, None), (9, range(9, 16)),
+        (16, None), (17, range(17, 20))]
+    # Members that are not contiguous are left out one by one.
+    scattered = CoalescePlan(
+        groups=(GroupPlan(1, (1, 3, 5)), GroupPlan(6, range(6, 8))),
+        worker_main=None)
+    assert list(scattered.spawn_order(9)) == [
+        (0, None), (1, (1, 3, 5)), (2, None), (4, None), (6, range(6, 8)),
+        (8, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +481,11 @@ def test_coio_plan_shape():
     plan = coio(64).coalesce_plan(256)
     aggregators = {g * 64 + a for g in range(4) for a in pick_aggregators(64, 2)}
     assert [g.members for g in plan.groups[:2]] == [
-        tuple(range(1, 32)), tuple(range(33, 64))]
+        range(1, 32), range(33, 64)]  # contiguous: a range, no rank objects
     assert len(plan.groups) == 8
     covered = set()
     for g in plan.groups:
-        assert g.members == tuple(range(g.rep, g.rep + len(g.members)))
+        assert g.members == range(g.rep, g.rep + len(g.members))
         assert covered.isdisjoint(g.members)
         covered.update(g.members)
     assert covered == set(range(256)) - aggregators
@@ -435,7 +497,7 @@ def test_coio_plan_shape():
     # Ragged last file group: its own (smaller) communicator, own aggregators.
     ragged = coio(48).coalesce_plan(128)
     assert [g.members for g in ragged.groups] == [
-        tuple(range(1, 48)), tuple(range(49, 96)), tuple(range(97, 128))]
+        range(1, 48), range(49, 96), range(97, 128)]
 
 
 def test_coio_offers_no_plan_without_a_flat_full_write_member():

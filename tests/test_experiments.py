@@ -261,3 +261,30 @@ def test_eq2_7_model_vs_measured():
     assert 0.4 < ratio < 2.5
     # Eq. 7 is within ~25% of Eq. 5 when lambda ~ 0.
     assert out["speedup_eq7"] == pytest.approx(out["speedup_eq5"], rel=0.3)
+
+
+def test_fs_stats_is_computed_once_per_run(monkeypatch):
+    """``fs.stats()`` sums over every file (65 536 of them at 1PFPP @64K)
+    and its answer is the end-of-run state whichever step asks: a run
+    computes it once, every step's result carries that dict, and a figure
+    summary reads it from the result."""
+    from repro.experiments import run_checkpoint_steps
+    from repro.experiments.figures import (clear_cache, problem_for,
+                                           strategy_for)
+    from repro.storage import GPFS
+
+    calls = []
+    inner = GPFS.stats
+    monkeypatch.setattr(GPFS, "stats",
+                        lambda self: calls.append(1) or inner(self))
+    run = run_checkpoint_steps(strategy_for("1pfpp", 64), 64,
+                               problem_for(64).data(), n_steps=3)
+    assert len(calls) == 1
+    assert all(res.fs_stats == run.results[0].fs_stats
+               for res in run.results)
+    assert run.results[0].fs_stats == inner(run.fs)
+    del calls[:]
+    clear_cache()
+    summary = get_run("1pfpp", 64)
+    clear_cache()
+    assert len(calls) == 1 and summary.fs_stats == summary.result.fs_stats

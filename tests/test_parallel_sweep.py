@@ -272,3 +272,41 @@ def test_summaries_are_picklable():
     assert back.result.overall_time == summary.result.overall_time
     assert len(back.write_intervals) == len(summary.write_intervals)
     clear_cache()
+
+
+def test_an_entry_pickled_with_another_shape_is_a_miss(disk_cached):
+    """``CACHE_VERSION`` moves with what the pickled classes hold, but a
+    cache written by a tree that forgot to move it must still be a miss,
+    not a ``RunSummary`` that fails at figure time: an entry unpickles
+    without calling ``__init__``, so it holds whatever attributes its
+    writer's classes had."""
+    from repro.ckpt import CheckpointResult
+    from repro.experiments.figures import RunSummary, _disk_key
+
+    good = get_run("rbio_ng", 256, seed=5)
+    key = _disk_key("rbio_ng", 256, intrepid(), 5)
+    cache = DiskCache(disk_cached)
+    assert isinstance(cache.get(key), RunSummary)
+
+    # The parent commit's CheckpointResult: a ``roles`` list, no role codes.
+    stale = CheckpointResult.__new__(CheckpointResult)
+    state = dict(vars(good.result))
+    del state["_role"], state["role_names"]
+    state["roles"] = good.result.roles
+    vars(stale).update(state)
+    with pytest.raises(AttributeError):
+        stale.blocking_time  # what a figure would have hit
+    for entry in (RunSummary(stale, good.write_intervals, good.fs_stats),
+                  {"result": good.result}, good.result):
+        cache.put(key, entry)
+        clear_cache()
+        again = get_run("rbio_ng", 256, seed=5)
+        assert again.result.blocking_time == good.result.blocking_time
+        assert again.result.roles == good.result.roles
+        # ... and the recomputed summary replaced the entry.
+        assert cache.get(key).result.roles == good.result.roles
+    # prefetch_runs reads the cache through the same check.
+    cache.put(key, RunSummary(stale, good.write_intervals, good.fs_stats))
+    clear_cache()
+    prefetch_runs([("rbio_ng", 256)], seed=5, n_workers=1)
+    assert get_run("rbio_ng", 256, seed=5).result.roles == good.result.roles

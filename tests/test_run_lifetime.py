@@ -343,3 +343,69 @@ def test_fs_clients_are_built_on_first_use_and_may_be_assigned():
     # Re-attaching storage replaces every client, used or assigned.
     fs2 = attach_storage(job, fs_type="pvfs")
     assert job.contexts[5].fs.fs is fs2 and job.contexts[2].fs.fs is fs2
+
+
+# ---------------------------------------------------------------------------
+# Per-rank objects on first use (DESIGN.md section 17.2)
+# ---------------------------------------------------------------------------
+
+def test_a_replayed_rank_has_no_context():
+    """63 of every 64 rbIO ranks are replayed by a representative and never
+    run a line of their own: only writers and representatives are ever
+    asked for their context.  An uncoalesced run asks for all of them."""
+    n, groups = 4096, 64
+    data = problem_for(n).data()
+    run = run_checkpoint_steps(strategy_for("rbio_ng", n), n, data, 2)
+    built = run.job.contexts.built()
+    assert len(built) <= 2 * groups
+    assert sorted(ctx.rank for ctx in built) == sorted(
+        r for g in range(groups) for r in (64 * g, 64 * g + 1))
+    assert len(run.job.contexts) == n  # it still reads as all of them
+    assert run.result.n_ranks == n and run.result.roles.count("worker") == \
+        n - groups
+    run.job.close()
+    off = run_checkpoint_steps(strategy_for("rbio_ng", 256), 256,
+                               problem_for(256).data(), 1,
+                               run_config=RunConfig(coalesce="off"))
+    assert len(off.job.contexts.built()) == 256
+    off.job.close()
+
+
+def test_job_contexts_reads_like_the_list_it_was():
+    job = Job(8, intrepid().quiet())
+    contexts = job.contexts
+    assert len(contexts) == 8 and not contexts.built()
+    ctx = contexts[5]
+    assert ctx.rank == 5 and ctx.comm.rank == 5 and ctx.job is job
+    assert contexts[5] is ctx and contexts[-3] is ctx
+    assert [c.rank for c in contexts.built()] == [5]
+    for bad in (8, -9):
+        with pytest.raises(IndexError):
+            contexts[bad]
+    assert [c.rank for c in contexts] == list(range(8))  # builds the rest
+    assert contexts[5] is ctx and len(contexts.built()) == 8
+
+
+@pytest.mark.parametrize("tam", ["off", "auto"])
+def test_close_leaves_lazy_contexts_and_split_views_nothing_to_collect(tam):
+    """Contexts and split views made on request — by the checkpoint wave's
+    writers, and by every rank of the restore wave after it — hang off the
+    job like the eager ones did: close() still releases all of it by
+    reference count."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        campaign = run_resilient_campaign(
+            strategy_for("rbio_nf1", 256, tam=tam), 256, SHARED, n_steps=2,
+            seed=SEED)
+        job = campaign.run.job
+        assert len(job._rank_procs) < 2 * 256  # the first wave coalesced
+        assert len(job.contexts.built()) == 256  # the restore wave ran all
+        assert gc.collect() == 0
+        job.close()
+        del job, campaign
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
