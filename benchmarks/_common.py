@@ -22,10 +22,10 @@ SCALE = os.environ.get("REPRO_BENCH_SCALE", "paper")
 PAPER_SCALE = SCALE not in ("small", "smoke")
 SMOKE = SCALE == "smoke"
 
-# Small and paper tiers persist run summaries across invocations (and
-# share them between the figure benchmarks); smoke stays cache-free so the
-# test suite always exercises the live simulation path.  An explicit
-# REPRO_BENCH_CACHE setting (including "0") wins.
+# Small and paper tiers persist the figure runs' summaries across
+# invocations (``get_runs``; the figure benchmarks share them); smoke
+# stays cache-free so the test suite always exercises the live simulation
+# path.  An explicit REPRO_BENCH_CACHE setting (including "0") wins.
 if not SMOKE:
     os.environ.setdefault("REPRO_BENCH_CACHE", "1")
 
@@ -65,43 +65,6 @@ FIG9_NP = bench_np(16384, 1024)    # 1PFPP distribution
 FIG10_NP = bench_np(65536, 4096)   # coIO distribution
 FIG11_NP = bench_np(65536, 4096)   # rbIO distribution
 FIG12_NP = bench_np(32768, 2048)   # Darshan write activity
-
-
-def prefetch(points) -> None:
-    """Fan a bench's ``(approach, np)`` grid out before building figures.
-
-    Thin wrapper over :func:`repro.experiments.prefetch_runs`: missing
-    points run in parallel worker processes (``REPRO_BENCH_PARALLEL``)
-    and land in the shared caches, so the figure functions that follow
-    only see warm hits.
-    """
-    from repro.experiments import prefetch_runs
-
-    prefetch_runs(points)
-
-
-def cached_point(name: str, compute, *key_parts):
-    """Disk-memoize one benchmark point's (picklable) derived results.
-
-    The figure sweeps share results through ``get_run``'s caches; the
-    extension/ablation benches call the simulation directly, so this
-    gives them the same property — re-running a benchmark after an
-    unrelated edit is a cache hit.  Keys include the scale tier and
-    ``CACHE_VERSION`` (bumped on any timing-semantics change), and the
-    smoke tier never caches (``REPRO_BENCH_CACHE`` stays unset there),
-    so the test suite always exercises the live simulation path.
-    """
-    from repro.experiments.parallel import cache_key, sweep_cache
-
-    cache = sweep_cache()
-    if cache is None:
-        return compute()
-    key = cache_key("bench_point", SCALE, name, *key_parts)
-    hit = cache.get(key)
-    if hit is None:
-        hit = compute()
-        cache.put(key, hit)
-    return hit
 
 
 def bench_record(name: str, **metrics) -> None:

@@ -16,14 +16,7 @@ Four studies (DESIGN.md section 8):
 """
 
 import pytest
-from _common import (
-    PAPER_SCALE,
-    SMOKE,
-    bench_np,
-    bench_record,
-    cached_point,
-    print_series,
-)
+from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
 from repro.experiments import get_run, paper_data, run_checkpoint_step, scaled_problem
@@ -42,14 +35,10 @@ def test_ablation_noise_storms(benchmark):
     """Without shared-load noise the coIO 64:1 collapse at 64K vanishes."""
     def run():
         noisy = get_run("coio_64", NP_BIG).result
-        quiet = cached_point(
-            "ablation_quiet",
-            lambda: run_checkpoint_step(
-                CollectiveIO(ranks_per_file=64), NP_BIG, _data(NP_BIG),
-                config=intrepid().quiet(),
-            ).result,
-            NP_BIG,
-        )
+        quiet = run_checkpoint_step(
+            CollectiveIO(ranks_per_file=64), NP_BIG, _data(NP_BIG),
+            config=intrepid().quiet(),
+        ).result
         return noisy, quiet
 
     noisy, quiet = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -81,16 +70,12 @@ def test_ablation_alignment(benchmark):
     def run():
         out = {}
         for aligned in (True, False):
-            out[aligned] = cached_point(
-                "ablation_alignment",
-                lambda: (lambda r: (r.result, r.fs.stats()))(
-                    run_checkpoint_step(
-                        CollectiveIO(ranks_per_file=None,
-                                     hints=Hints(align_file_domains=aligned)),
-                        NP_MID, _data(NP_MID), config=intrepid().quiet(),
-                    )),
-                aligned, NP_MID,
+            run_ = run_checkpoint_step(
+                CollectiveIO(ranks_per_file=None,
+                             hints=Hints(align_file_domains=aligned)),
+                NP_MID, _data(NP_MID), config=intrepid().quiet(),
             )
+            out[aligned] = (run_.result, run_.fs.stats())
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -161,23 +146,14 @@ def test_ablation_writer_buffer(benchmark):
     def run():
         out = {}
         for buf in buffers:
-            out[buf] = cached_point(
-                "ablation_wbuf",
-                lambda: run_checkpoint_step(
-                    ReducedBlockingIO(workers_per_writer=64,
-                                      writer_buffer=buf),
-                    NP_MID, _data(NP_MID), config=intrepid().quiet(),
-                ).result,
-                buf, NP_MID,
-            )
-        out["nf1"] = cached_point(
-            "ablation_wbuf",
-            lambda: run_checkpoint_step(
-                ReducedBlockingIO(workers_per_writer=64, single_file=True),
+            out[buf] = run_checkpoint_step(
+                ReducedBlockingIO(workers_per_writer=64, writer_buffer=buf),
                 NP_MID, _data(NP_MID), config=intrepid().quiet(),
-            ).result,
-            "nf1", NP_MID,
-        )
+            ).result
+        out["nf1"] = run_checkpoint_step(
+            ReducedBlockingIO(workers_per_writer=64, single_file=True),
+            NP_MID, _data(NP_MID), config=intrepid().quiet(),
+        ).result
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,15 +9,15 @@ the application-*blocking* time (microsecond worker Isends — the effective
 cost once writer drain overlaps computation).
 """
 
-from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, prefetch, print_series
+from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
-from repro.experiments import eq1_production_improvement
+from repro.experiments import eq1_production_improvement, get_runs
 
 NP = bench_np(16384, 4096)
 
 
 def test_eq1_production_improvement(benchmark):
-    prefetch([("1pfpp", NP), ("rbio_ng", NP)])
+    get_runs([("1pfpp", NP), ("rbio_ng", NP)])
     out = benchmark.pedantic(
         lambda: eq1_production_improvement(n_ranks=NP, nc=20),
         rounds=1, iterations=1,

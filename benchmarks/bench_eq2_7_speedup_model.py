@@ -6,15 +6,15 @@ This bench evaluates the model from measured bandwidths and cross-checks
 it against blocked processor-seconds measured directly in the simulator.
 """
 
-from _common import PAPER_SCALE, bench_np, bench_record, prefetch, print_series
+from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
-from repro.experiments import eq2_7_speedup
+from repro.experiments import eq2_7_speedup, get_runs
 
 NP = bench_np(65536, 4096)
 
 
 def test_eq2_7_speedup_model(benchmark):
-    prefetch([("coio_64", NP), ("rbio_ng", NP)])
+    get_runs([("coio_64", NP), ("rbio_ng", NP)])
     out = benchmark.pedantic(
         lambda: eq2_7_speedup(n_ranks=NP), rounds=1, iterations=1
     )

@@ -14,7 +14,7 @@ read off directly.
   Eq. 6 speedup degrades toward 1/(BW_coIO/BW_rbIO) as the model predicts.
 """
 
-from _common import PAPER_SCALE, bench_np, bench_record, cached_point, print_series
+from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
 from repro.ckpt import ReducedBlockingIO
 from repro.experiments import paper_data, run_checkpoint_steps, scaled_problem
@@ -45,10 +45,7 @@ def test_ext_backpressure_lambda(benchmark):
             out["rows"].append((gap_factor, blocked, lam))
         return out
 
-    def run():
-        return cached_point("ext_backpressure", measure, NP)
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
+    out = benchmark.pedantic(measure, rounds=1, iterations=1)
     commit = out["commit"]
     model = SpeedupModel(NP, NP // 64, bw_coio=8e9, bw_rbio=12e9,
                          bw_perceived=500e12)

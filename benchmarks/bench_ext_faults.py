@@ -16,32 +16,36 @@ The fault-rate sweep is a fixed-size study (like the staging drain
 sweep): fault counts are per-campaign, so scaling np only dilutes them.
 """
 
-from _common import SMOKE, bench_np, bench_record, cached_point, print_series
+from _common import SMOKE, bench_np, bench_record, print_series
 
 from repro import RunConfig
-from repro.campaign.shim import (
-    failover_campaign,
-    failover_metrics,
-    faults_sweep_campaign,
-    rate_rows,
-)
+from repro.campaign import CampaignSpec, expand, run_point
 from repro.ckpt import ReducedBlockingIO
-from repro.experiments import run_checkpoint_steps, scaled_problem
+from repro.experiments import run_checkpoint_steps, run_sweep, scaled_problem
 
 NP = bench_np(4096, 1024)
 N_STEPS = 2
 GAP = 2.0
 RATES = (0.0, 2.0, 6.0) if SMOKE else (0.0, 2.0, 6.0, 12.0)
 WPW = 64
+CRASH_RANK = 0  # the first dedicated writer
 #: Twice the seed-to-seed spread of the fault-free campaign's overall time.
 NOISE_BAND = 0.036
 
-#: Both studies as declarative campaigns; the shim executors reproduce the
-#: legacy resilience_sweep / run_resilient_campaign values bit for bit.
-SWEEP_CAMPAIGN = faults_sweep_campaign(
-    "ext_faults_sweep", NP, RATES, N_STEPS, GAP, horizon=GAP * N_STEPS)
-FAILOVER_CAMPAIGN = failover_campaign(
-    "ext_faults_failover", NP, N_STEPS, GAP)
+#: Both studies as declarative campaigns on rbIO at np:ng = 64:1: a
+#: fault-rate axis, and one writer crashed then a resilient restart.
+STEPS = {"n_steps": N_STEPS, "gap": GAP}
+SWEEP_CAMPAIGN = CampaignSpec.from_dict({
+    "name": "ext_faults_sweep", "steps": STEPS,
+    "grid": {"approaches": ["rbio_ng"], "np": [NP],
+             "fault_rates": list(RATES)},
+    "faults": {"generate": {"horizon": GAP * N_STEPS}}})
+FAILOVER_CAMPAIGN = CampaignSpec.from_dict({
+    "name": "ext_faults_failover", "steps": STEPS,
+    "grid": {"approaches": ["rbio_ng"], "np": [NP]},
+    "faults": {"specs": [
+        {"kind": "rank_crash", "time": 1.0, "rank": CRASH_RANK}]},
+    "resume": {"enabled": True}})
 
 #: Cumulative metrics; each test re-records so BENCH_ext_faults.json holds
 #: everything the module produced so far.
@@ -55,7 +59,10 @@ def _data(n):
 def test_fault_rate_overhead_sweep(benchmark):
     """Overhead grows with the injected fault rate; zero rate costs zero."""
     def run():
-        rows = rate_rows(SWEEP_CAMPAIGN)
+        rows = run_sweep(run_point, expand(SWEEP_CAMPAIGN).points)
+        base = rows[0]["overall_time"]  # the zero-rate point
+        for row in rows:
+            row["overhead"] = row["overall_time"] / base if base > 0 else 1.0
         baseline = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=WPW), NP, _data(NP),
             N_STEPS, gap_seconds=GAP,
@@ -63,20 +70,17 @@ def test_fault_rate_overhead_sweep(benchmark):
         ).results[-1]
         return rows, baseline.overall_time
 
-    rows, base_time = benchmark.pedantic(
-        lambda: cached_point("faults_sweep", run, NP, N_STEPS, GAP, RATES),
-        rounds=1, iterations=1,
-    )
+    rows, base_time = benchmark.pedantic(run, rounds=1, iterations=1)
     print_series(
         f"Fault-rate overhead sweep, rbio np={NP}, {N_STEPS} steps",
         ["rate", "injected", "overall time", "overhead"],
-        [[f"{r['rate']:.0f}", r["injected"],
+        [[f"{r['fault_rate']:.0f}", r["injected"],
           f"{r['overall_time']:.3f} s", f"{r['overhead']:.3f}x"]
          for r in rows],
     )
     # Zero-cost off-switch: the empty schedule reproduces the fault-free
     # campaign bit-exactly (same events, same timing).
-    assert rows[0]["rate"] == 0.0
+    assert rows[0]["fault_rate"] == 0.0
     assert rows[0]["injected"] == 0
     assert rows[0]["overall_time"] == base_time
     # Injected transient faults add time (retry backoff, stall waits) —
@@ -93,7 +97,8 @@ def test_fault_rate_overhead_sweep(benchmark):
     assert rows[-1]["injected"] > 0
     assert rows[-1]["overhead"] > 1.0 + NOISE_BAND
     _RECORD["sweep"] = [
-        {k: r[k] for k in ("rate", "injected", "overall_time", "overhead")}
+        {"rate": float(r["fault_rate"]), "injected": r["injected"],
+         "overall_time": r["overall_time"], "overhead": r["overhead"]}
         for r in rows
     ]
     bench_record("ext_faults", **_RECORD)
@@ -101,17 +106,14 @@ def test_fault_rate_overhead_sweep(benchmark):
 
 def test_writer_failover_campaign(benchmark):
     """Losing a writer neither hangs the campaign nor corrupts the restart."""
-    crash_rank = 0  # first dedicated writer
-
     def run():
-        return failover_metrics(FAILOVER_CAMPAIGN)
+        (result,) = run_sweep(run_point, expand(FAILOVER_CAMPAIGN).points)
+        return {key: result[key] for key in (
+            "restored_step", "failovers", "overall_time", "crashed_roles")}
 
-    out = benchmark.pedantic(
-        lambda: cached_point("faults_failover", run, NP, N_STEPS, GAP),
-        rounds=1, iterations=1,
-    )
+    out = benchmark.pedantic(run, rounds=1, iterations=1)
     print_series(
-        f"Writer-failover campaign, rbio np={NP}, crash rank {crash_rank}",
+        f"Writer-failover campaign, rbio np={NP}, crash rank {CRASH_RANK}",
         ["metric", "value"],
         [[k, v] for k, v in out.items()],
     )

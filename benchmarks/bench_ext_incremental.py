@@ -24,16 +24,10 @@ planner (:mod:`repro.ckpt.schedule`) price delta checkpoints without
 running the simulation.
 """
 
-from _common import (
-    PAPER_SCALE,
-    SMOKE,
-    bench_record,
-    cached_point,
-    print_series,
-)
+from _common import PAPER_SCALE, SMOKE, bench_record, print_series
 
-from repro.campaign import CampaignSpec
-from repro.campaign.shim import run_campaign
+from repro.campaign import CampaignSpec, expand, run_point
+from repro.experiments import run_sweep
 from repro.model import chain_reduction, effective_delta_fraction
 
 # A fixed-size study (like the fault sweep): the delta ratio is a
@@ -70,7 +64,8 @@ def _spec(fraction: float, n_steps: int, modes) -> CampaignSpec:
 
 def _delta_cell(fraction: float, n_steps: int) -> dict:
     """One delta="require" campaign point, reduced to headline numbers."""
-    (row,) = run_campaign(_spec(fraction, n_steps, ["require"]))
+    spec = _spec(fraction, n_steps, ["require"])
+    (row,) = run_sweep(run_point, expand(spec).points)
     return _reduce(row)
 
 
@@ -96,15 +91,11 @@ def _model_reduction(fraction: float, n_steps: int) -> float:
 def test_headline_reduction_and_perceived_bandwidth(benchmark):
     """Delta-on ships >= 3x fewer bytes to the PFS at f=0.25, n=20."""
     def run():
-        rows = run_campaign(_spec(HEADLINE_F, HEADLINE_STEPS,
-                                  ["off", "require"]))
+        spec = _spec(HEADLINE_F, HEADLINE_STEPS, ["off", "require"])
+        rows = run_sweep(run_point, expand(spec).points)
         return [_reduce(r) for r in rows]
 
-    off, on = benchmark.pedantic(
-        lambda: cached_point("incremental_headline", run, NP, PPR,
-                             HEADLINE_F, HEADLINE_STEPS),
-        rounds=1, iterations=1,
-    )
+    off, on = benchmark.pedantic(run, rounds=1, iterations=1)
     assert off["delta"] == "off" and on["delta"] == "require"
     print_series(
         f"Incremental headline, rbio np={NP}, f={HEADLINE_F}, "
@@ -132,12 +123,8 @@ def test_headline_reduction_and_perceived_bandwidth(benchmark):
 
 def test_reduction_vs_mutated_fraction(benchmark):
     """More churn, less dedup — monotone, and the analytic model tracks."""
-    def run():
-        return [_delta_cell(f, HEADLINE_STEPS) for f in FRACTIONS]
-
     cells = benchmark.pedantic(
-        lambda: cached_point("incremental_fractions", run, NP, PPR,
-                             FRACTIONS, HEADLINE_STEPS),
+        lambda: [_delta_cell(f, HEADLINE_STEPS) for f in FRACTIONS],
         rounds=1, iterations=1,
     )
     models = [_model_reduction(f, HEADLINE_STEPS) for f in FRACTIONS]
@@ -163,12 +150,8 @@ def test_reduction_vs_mutated_fraction(benchmark):
 
 def test_reduction_vs_chain_length(benchmark):
     """Longer chains amortize the full generation 0 toward 1/f_eff."""
-    def run():
-        return [_delta_cell(HEADLINE_F, n) for n in CHAIN_LENGTHS]
-
     cells = benchmark.pedantic(
-        lambda: cached_point("incremental_chain", run, NP, PPR, HEADLINE_F,
-                             CHAIN_LENGTHS),
+        lambda: [_delta_cell(HEADLINE_F, n) for n in CHAIN_LENGTHS],
         rounds=1, iterations=1,
     )
     models = [_model_reduction(HEADLINE_F, n) for n in CHAIN_LENGTHS]

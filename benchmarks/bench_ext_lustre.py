@@ -9,14 +9,7 @@ the optimum — confirming the paper's observation that "this optimal number
 could vary from one file system to another".
 """
 
-from _common import (
-    PAPER_SCALE,
-    SMOKE,
-    bench_np,
-    bench_record,
-    cached_point,
-    print_series,
-)
+from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
 from repro.experiments import paper_data, run_checkpoint_step, scaled_problem
@@ -43,24 +36,16 @@ def test_ext_lustre_file_sweep(benchmark):
             if wpw < 2:
                 continue
             for fs_type in ("gpfs", "lustre"):
-                out[fs_type][nf] = cached_point(
-                    "ext_lustre",
-                    lambda: run_checkpoint_step(
-                        ReducedBlockingIO(workers_per_writer=wpw), NP, data,
-                        fs_type=fs_type,
-                    ).result.write_bandwidth / 1e9,
-                    fs_type, nf, NP,
-                )
+                out[fs_type][nf] = run_checkpoint_step(
+                    ReducedBlockingIO(workers_per_writer=wpw), NP, data,
+                    fs_type=fs_type,
+                ).result.write_bandwidth / 1e9
         # Shared-file collective baseline on both.
         for fs_type in ("gpfs", "lustre"):
-            out[fs_type]["nf=1 coIO"] = cached_point(
-                "ext_lustre",
-                lambda: run_checkpoint_step(
-                    CollectiveIO(ranks_per_file=None), NP, data,
-                    fs_type=fs_type,
-                ).result.write_bandwidth / 1e9,
-                fs_type, "coio_nf1", NP,
-            )
+            out[fs_type]["nf=1 coIO"] = run_checkpoint_step(
+                CollectiveIO(ranks_per_file=None), NP, data,
+                fs_type=fs_type,
+            ).result.write_bandwidth / 1e9
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

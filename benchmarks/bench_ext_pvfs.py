@@ -16,7 +16,7 @@ comparison is clean:
   paying only PVFS's cache handicap.
 """
 
-from _common import PAPER_SCALE, bench_np, bench_record, cached_point, print_series
+from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
 from repro.experiments import get_run, paper_data, run_checkpoint_step, scaled_problem
@@ -44,13 +44,9 @@ def test_ext_pvfs_comparison(benchmark):
             # GPFS side: shared with the Figs. 5-7 measurement campaign.
             res = get_run(cache_key, NP).result
             out["gpfs"][label] = res.write_bandwidth / 1e9
-            out["pvfs"][label] = cached_point(
-                "ext_pvfs",
-                lambda: run_checkpoint_step(
-                    _strategy_for(label), NP, data, fs_type="pvfs"
-                ).result.write_bandwidth / 1e9,
-                label, NP,
-            )
+            out["pvfs"][label] = run_checkpoint_step(
+                _strategy_for(label), NP, data, fs_type="pvfs"
+            ).result.write_bandwidth / 1e9
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -16,14 +16,7 @@ process trickle it to GPFS during the computation gaps.  Four studies:
    reads every group's package from its partner's buffer: zero PFS reads.
 """
 
-from _common import (
-    PAPER_SCALE,
-    SMOKE,
-    bench_np,
-    bench_record,
-    cached_point,
-    print_series,
-)
+from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
 from repro.ckpt import BurstBufferIO, CollectiveIO, ReducedBlockingIO
 from repro.experiments import (
@@ -69,12 +62,8 @@ def test_staging_vs_rbio_coio(benchmark):
     """bbIO worker blocking <= rbIO's at equal np (and far below coIO's)."""
     def run():
         out = {}
-        bb = cached_point(
-            "staging_bbio",
-            lambda: ext_staging_run(n_ranks=NP, n_steps=N_STEPS,
-                                    gap_seconds=GAP, max_outstanding=1),
-            NP, N_STEPS, GAP,
-        )
+        bb = ext_staging_run(n_ranks=NP, n_steps=N_STEPS, gap_seconds=GAP,
+                             max_outstanding=1)
         out["bbio"] = (bb["blocking_time"],
                        _steady_bw(bb["results"]), bb)
         for key, strat in (
@@ -82,16 +71,10 @@ def test_staging_vs_rbio_coio(benchmark):
                                        max_outstanding=1)),
             ("coio", CollectiveIO(ranks_per_file=64)),
         ):
-            pair = cached_point(
-                "staging_baseline",
-                lambda: (lambda r: (_steady_blocking(r.results),
-                                    _steady_bw(r.results)))(
-                    run_checkpoint_steps(strat, NP, _data(NP),
-                                         n_steps=N_STEPS, gap_seconds=GAP,
-                                         barrier_each_step=False)),
-                key, NP, N_STEPS, GAP,
-            )
-            out[key] = (pair[0], pair[1], None)
+            results = run_checkpoint_steps(
+                strat, NP, _data(NP), n_steps=N_STEPS, gap_seconds=GAP,
+                barrier_each_step=False).results
+            out[key] = (_steady_blocking(results), _steady_bw(results), None)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -119,14 +102,10 @@ def test_staging_vs_rbio_coio(benchmark):
 def test_staging_drain_bandwidth_sweep(benchmark):
     """Blocking engages once drain_bandwidth * gap < per-writer volume."""
     out = benchmark.pedantic(
-        lambda: cached_point(
-            "staging_drain",
-            lambda: ext_staging_drain_sweep(SWEEP_BWS, n_ranks=SWEEP_NP,
-                                            n_steps=SWEEP_STEPS,
-                                            gap_seconds=SWEEP_GAP,
-                                            capacity_steps=1.5),
-            SWEEP_BWS, SWEEP_NP, SWEEP_STEPS, SWEEP_GAP, 1.5,
-        ),
+        lambda: ext_staging_drain_sweep(SWEEP_BWS, n_ranks=SWEEP_NP,
+                                        n_steps=SWEEP_STEPS,
+                                        gap_seconds=SWEEP_GAP,
+                                        capacity_steps=1.5),
         rounds=1, iterations=1,
     )
     per_writer = scaled_problem(SWEEP_NP).data()
@@ -164,14 +143,10 @@ def test_staging_capacity_sweep(benchmark):
     """A bigger buffer delays backpressure under an undersized drain."""
     caps = (1.2, 3.0)
     out = benchmark.pedantic(
-        lambda: cached_point(
-            "staging_capacity",
-            lambda: ext_staging_capacity_sweep(caps, n_ranks=SWEEP_NP,
-                                               n_steps=SWEEP_STEPS,
-                                               gap_seconds=SWEEP_GAP,
-                                               drain_bandwidth=20e6),
-            caps, SWEEP_NP, SWEEP_STEPS, SWEEP_GAP, 20e6,
-        ),
+        lambda: ext_staging_capacity_sweep(caps, n_ranks=SWEEP_NP,
+                                           n_steps=SWEEP_STEPS,
+                                           gap_seconds=SWEEP_GAP,
+                                           drain_bandwidth=20e6),
         rounds=1, iterations=1,
     )
     print_series(
@@ -197,12 +172,8 @@ def test_staging_partner_restart(benchmark):
                           staging=StagingConfig(replicate=True),
                           restore_from="partner")
     out = benchmark.pedantic(
-        lambda: cached_point(
-            "staging_partner_restart",
-            lambda: run_checkpoint_and_restore(strat, np_restart,
-                                               _data(np_restart)),
-            np_restart,
-        ),
+        lambda: run_checkpoint_and_restore(strat, np_restart,
+                                           _data(np_restart)),
         rounds=1, iterations=1,
     )
     stats = out["checkpoint"].fs_stats

@@ -23,13 +23,7 @@ scale), rbIO under TAM must send >= 3x fewer inter-node fabric messages
 than the flat protocol.
 """
 
-from _common import (
-    PAPER_SCALE,
-    SMOKE,
-    bench_record,
-    cached_point,
-    print_series,
-)
+from _common import PAPER_SCALE, SMOKE, bench_record, print_series
 
 from repro.ckpt import CollectiveIO
 from repro.experiments import run_checkpoint_step
@@ -100,11 +94,7 @@ def _coio_pair(cb_nodes: int) -> dict:
 def test_rbio_inter_node_message_reduction(benchmark):
     """TAM cuts rbIO inter-node fabric messages >= 3x at the headline np."""
     rows = benchmark.pedantic(
-        lambda: cached_point("tam_rbio_sweep",
-                             lambda: [_rbio_pair(np_) for np_ in NP_SWEEP],
-                             NP_SWEEP, WPW, CPN),
-        rounds=1, iterations=1,
-    )
+        lambda: [_rbio_pair(np_) for np_ in NP_SWEEP], rounds=1, iterations=1)
     print_series(
         f"rbIO (np:ng={WPW}:1) inter-node fabric messages, flat vs TAM, "
         f"cores/node={CPN}",
@@ -145,11 +135,7 @@ def test_rbio_inter_node_message_reduction(benchmark):
 def test_coio_reduction_across_aggregator_counts(benchmark):
     """The coIO two-phase reduction holds across cb_nodes settings."""
     rows = benchmark.pedantic(
-        lambda: cached_point("tam_coio_sweep",
-                             lambda: [_coio_pair(cb) for cb in CB_NODES],
-                             CB_NODES, COIO_NP, CPN),
-        rounds=1, iterations=1,
-    )
+        lambda: [_coio_pair(cb) for cb in CB_NODES], rounds=1, iterations=1)
     print_series(
         f"coIO (nf=1, np={COIO_NP}) inter-node fabric messages vs "
         "aggregator count, flat vs TAM",

@@ -8,21 +8,21 @@ few GB/s on single-file extent allocation; coIO 64:1 rises then drops at
 
 from _common import PAPER_SCALE, SIZES, bench_record, print_series
 
-from repro.campaign.shim import figure_campaign, prefetch_campaign
 from repro.experiments import (
     APPROACHES,
     APPROACH_LABELS,
     fig5_write_bandwidth,
-    get_run,
+    get_runs,
 )
 
-#: The whole figure as one declarative campaign; prefetching its expansion
-#: warms the same caches the legacy (approach, np) loop did, byte for byte.
-CAMPAIGN = figure_campaign("fig5_write_bandwidth", tuple(APPROACHES), SIZES)
+#: The figure's (approach, np) grid; ``get_runs`` computes what no cache
+#: holds (in parallel with ``REPRO_BENCH_PARALLEL``) before the figure
+#: reads it.
+GRID = [(key, n) for key in APPROACHES for n in SIZES]
 
 
 def test_fig5_write_bandwidth(benchmark):
-    prefetch_campaign(CAMPAIGN)
+    runs = get_runs(GRID)
     out = benchmark.pedantic(
         lambda: fig5_write_bandwidth(sizes=SIZES), rounds=1, iterations=1
     )
@@ -33,8 +33,7 @@ def test_fig5_write_bandwidth(benchmark):
     print_series("Fig 5: write bandwidth", ["approach"] + [f"np={n}" for n in SIZES], rows)
     bench_record("fig5_write_bandwidth", gbps={
         key: {str(n): out[key][n] for n in SIZES} for key in out
-    }, bytes_copied=sum(get_run(key, n).bytes_copied
-                        for key in out for n in SIZES))
+    }, bytes_copied=sum(run.bytes_copied for run in runs))
 
     for n in SIZES:
         # rbIO nf=ng is never meaningfully behind its nf=1 variant; the two

@@ -4,18 +4,18 @@ rbIO and coIO cut the step time by orders of magnitude versus 1PFPP; the
 rbIO bars stay nearly flat up to 65,536 processors.
 """
 
-from _common import PAPER_SCALE, SIZES, bench_record, prefetch, print_series
+from _common import PAPER_SCALE, SIZES, bench_record, print_series
 
 from repro.experiments import (
     APPROACHES,
     APPROACH_LABELS,
     fig6_overall_time,
-    get_run,
+    get_runs,
 )
 
 
 def test_fig6_overall_time(benchmark):
-    prefetch((key, n) for key in APPROACHES for n in SIZES)
+    runs = get_runs([(key, n) for key in APPROACHES for n in SIZES])
     out = benchmark.pedantic(
         lambda: fig6_overall_time(sizes=SIZES), rounds=1, iterations=1
     )
@@ -27,8 +27,7 @@ def test_fig6_overall_time(benchmark):
                   ["approach"] + [f"np={n}" for n in SIZES], rows)
     bench_record("fig6_overall_time", seconds={
         key: {str(n): out[key][n] for n in SIZES} for key in out
-    }, bytes_copied=sum(get_run(key, n).bytes_copied
-                        for key in out for n in SIZES))
+    }, bytes_copied=sum(run.bytes_copied for run in runs))
 
     if PAPER_SCALE:
         for n in SIZES:

@@ -7,18 +7,19 @@ workers resume after the Isend window while dedicated writers drain in the
 background; see DESIGN.md §5 and EXPERIMENTS.md for the discrepancy note.)
 """
 
-from _common import PAPER_SCALE, SIZES, bench_record, prefetch, print_series
+from _common import PAPER_SCALE, SIZES, bench_record, print_series
 
 from repro.experiments import (
     APPROACHES,
     APPROACH_LABELS,
     TCOMP_PER_STEP,
     fig7_checkpoint_ratio,
+    get_runs,
 )
 
 
 def test_fig7_checkpoint_ratio(benchmark):
-    prefetch((key, n) for key in APPROACHES for n in SIZES)
+    get_runs([(key, n) for key in APPROACHES for n in SIZES])
     out = benchmark.pedantic(
         lambda: fig7_checkpoint_ratio(sizes=SIZES), rounds=1, iterations=1
     )

@@ -7,18 +7,18 @@ drive the backend, too many thrash it (and flood the step directory).
 
 from _common import FIG8_FILES, PAPER_SCALE, SIZES, bench_record, print_series
 
-from repro.campaign.shim import figure_campaign, prefetch_campaign
-from repro.experiments import fig8_file_sweep
+from repro.campaign import CampaignSpec, expand
+from repro.experiments import fig8_file_sweep, get_runs
 
 #: One campaign over every (nf, np) sweep point; infeasible combinations
 #: (fewer than two ranks per writer group) are skipped by the expansion,
 #: mirroring the guard fig8_file_sweep itself applies.
-CAMPAIGN = figure_campaign("fig8_nfiles_sweep",
-                           [f"rbio_nf{nf}" for nf in FIG8_FILES], SIZES)
+CAMPAIGN = CampaignSpec.from_dict({"name": "fig8_nfiles_sweep", "grid": {
+    "approaches": [f"rbio_nf{nf}" for nf in FIG8_FILES], "np": list(SIZES)}})
 
 
 def test_fig8_file_sweep(benchmark):
-    prefetch_campaign(CAMPAIGN)
+    get_runs([(p.approach, p.n_ranks) for p in expand(CAMPAIGN).points])
     out = benchmark.pedantic(
         lambda: fig8_file_sweep(sizes=SIZES, n_files=FIG8_FILES),
         rounds=1, iterations=1,

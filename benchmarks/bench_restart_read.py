@@ -7,7 +7,7 @@ read-dominated — no allocation or lock-token costs — so even the nf=1
 single-file layout restores far faster than it wrote.
 """
 
-from _common import PAPER_SCALE, bench_np, bench_record, cached_point, print_series
+from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
 from repro.experiments import paper_data, run_checkpoint_and_restore, scaled_problem
@@ -25,11 +25,7 @@ def test_restart_read(benchmark):
             ("coIO 64:1", CollectiveIO(ranks_per_file=64)),
             ("rbIO nf=ng", ReducedBlockingIO(workers_per_writer=64)),
         ]:
-            out[label] = cached_point(
-                "restart_read",
-                lambda: run_checkpoint_and_restore(strategy, NP, data),
-                label, NP,
-            )
+            out[label] = run_checkpoint_and_restore(strategy, NP, data)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

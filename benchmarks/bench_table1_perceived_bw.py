@@ -7,13 +7,13 @@ data volume because the worker Isend window stays roughly constant
 """
 
 import pytest
-from _common import PAPER_SCALE, SIZES, bench_record, prefetch, print_series
+from _common import PAPER_SCALE, SIZES, bench_record, print_series
 
-from repro.experiments import table1_perceived
+from repro.experiments import get_runs, table1_perceived
 
 
 def test_table1_perceived(benchmark):
-    prefetch(("rbio_ng", n) for n in SIZES)
+    get_runs([("rbio_ng", n) for n in SIZES])
     rows = benchmark.pedantic(
         lambda: table1_perceived(sizes=SIZES), rounds=1, iterations=1
     )

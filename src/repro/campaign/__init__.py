@@ -1,10 +1,9 @@
 """Declarative campaigns: spec -> compiler -> sharded sweep service.
 
-Every figure, extension bench, and resilience sweep in this repo is one
-*campaign*: a grid of (approach x processor-count [x fault-rate]) points
-run on a configured machine under declarative checkpoint and fault rules.
-This package replaces the ad-hoc per-bench Python configs with that one
-abstraction, productionized for many concurrent clients:
+Every figure, extension bench, and resilience sweep in this repo can be
+stated as one *campaign*: a grid of (approach x processor-count [x
+fault-rate]) points run on a configured machine under declarative
+checkpoint and fault rules, productionized for many concurrent clients:
 
 :mod:`repro.campaign.spec`
     The campaign spec: YAML/dict -> frozen dataclasses with schema
@@ -16,22 +15,18 @@ abstraction, productionized for many concurrent clients:
     Deterministic expansion of a spec into runnable points, each with a
     content hash derived from every run-determining input (reusing the
     ``CACHE_VERSION``-keyed scheme of :mod:`repro.experiments.parallel`),
-    and the picklable :func:`~repro.campaign.compiler.run_point` worker.
+    and :func:`~repro.campaign.compiler.run_point`, the one executor of a
+    point: a local sweep is ``run_sweep(run_point, expand(spec).points)``.
 
 :mod:`repro.campaign.service`
     A long-lived supervisor that shards campaign points across worker
     processes, dedupes concurrent identical campaigns and in-flight
-    points, streams results into the bounded :class:`DiskCache`, and
+    points, streams results into the bounded JSON :class:`DiskCache`, and
     serves status/summaries to many concurrent clients.
 
 :mod:`repro.campaign.http`
     A small stdlib HTTP JSON API over the service (submit campaign, poll
     progress, fetch results).
-
-:mod:`repro.campaign.shim`
-    The migration layer the bench modules use: one campaign spec each,
-    executed through the same compiler, byte-compatible with the legacy
-    ad-hoc sweeps.
 
 :mod:`repro.campaign.cli`
     ``repro-campaign`` (also reachable as ``repro-report campaign ...``):

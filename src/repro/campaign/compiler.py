@@ -3,20 +3,20 @@
 :func:`expand` turns one :class:`~repro.campaign.spec.CampaignSpec` into
 an ordered :class:`ExpandedCampaign` of :class:`CampaignPoint` records.
 Expansion is pure and deterministic — same spec, same points, same
-content hashes — and replicates the legacy sweeps exactly:
+content hashes:
 
 - figure-shaped points (one step, no faults, default paths) execute via
   :func:`~repro.experiments.figures.get_run`, sharing its memory/disk
   caches, so a campaign over ``(approach, np)`` is point-for-point
   bit-identical to ``fig5_write_bandwidth`` and friends;
-- fault-rate points draw their schedules with the
-  :func:`~repro.experiments.resilience_sweep` convention (per-rate-index
-  stream ``root_seed + 7919 * i``, ``fs_errors = rate``, ``fs_stalls =
-  rate / 2``), so a rate campaign reproduces the resilience benches;
+- fault-rate points draw their schedules from the per-rate-index stream
+  ``root_seed + 7919 * i`` with ``fs_errors = rate``, ``fs_stalls =
+  rate / 2``, so a rate campaign is bit-reproducible from its seed;
 - resume points replay :func:`~repro.experiments.run_resilient_campaign`.
 
-:func:`run_point` is the module-level worker the sweep service (and
-``run_sweep``) ships to shard processes; it returns a JSON-clean dict.
+:func:`run_point` is the module-level worker that ``run_sweep`` and the
+sweep service ship to worker processes; it returns a JSON-clean dict —
+what the service's :class:`~repro.experiments.DiskCache` stores.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class ExpandedCampaign:
         return tuple(p.content_hash for p in self.points)
 
 
-#: The ``resilience_sweep`` stream-stride constant: rate index ``i`` draws
-#: its schedule from ``StreamRegistry(root_seed + 7919 * i)``.
+#: The fault-rate stream stride: rate index ``i`` draws its schedule from
+#: ``StreamRegistry(root_seed + 7919 * i)``.
 _RATE_SEED_STRIDE = 7919
 
 
@@ -196,7 +196,8 @@ def run_point(point: CampaignPoint) -> dict:
     Module-level and picklable so :func:`~repro.experiments.run_sweep`
     and the sweep service can ship points to worker processes.  The same
     point always produces the same dict (seeded simulation), which is
-    what lets the service dedupe concurrent identical requests.
+    what lets the service dedupe concurrent identical requests; it holds
+    JSON types only, so a cached copy equals it.
     """
     out = {
         "approach": point.approach,

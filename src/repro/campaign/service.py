@@ -126,7 +126,8 @@ class SweepService:
     :func:`~repro.experiments.parallel.default_workers`.  ``cache``
     accepts a :class:`DiskCache`, a directory path, ``None`` to adopt the
     environment's ``REPRO_BENCH_CACHE`` cache, or ``False`` to disable
-    caching outright.  At most ``max_finished`` settled campaigns stay
+    caching outright; a path or ``None`` is bounded by
+    ``REPRO_BENCH_CACHE_MAX``.  At most ``max_finished`` settled campaigns stay
     registered: beyond that the oldest are evicted (running ones never),
     and asking for an evicted id raises :class:`CampaignEvicted`.
     """
@@ -142,7 +143,7 @@ class SweepService:
         elif isinstance(cache, DiskCache):
             self.cache = cache
         elif isinstance(cache, str):
-            self.cache = DiskCache(cache)
+            self.cache = sweep_cache(cache)
         else:
             self.cache = sweep_cache()
         # Reentrant: add_done_callback runs synchronously (in the caller,

@@ -445,8 +445,7 @@ class CampaignFaults:
     to every grid point.  ``generate`` is the :class:`FaultConfig`
     template used by the ``grid.fault_rates`` axis: each rate point draws
     a deterministic schedule with ``fs_errors = rate`` and ``fs_stalls =
-    rate / 2`` (the :func:`~repro.experiments.resilience_sweep`
-    convention), keeping the template's other knobs (notably ``horizon``).
+    rate / 2``, keeping the template's other knobs (notably ``horizon``).
     """
 
     specs: tuple[FaultSpec, ...] = ()

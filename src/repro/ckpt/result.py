@@ -117,10 +117,6 @@ class CheckpointResult:
     same on every step's result of a multi-step run.
     """
 
-    #: The attributes an instance holds (what a pickled one must bring).
-    STATE = frozenset(("approach", "params", "fs_stats", "n_ranks", "ranks",
-                       "role_names", "_role") + ReportTable.COLUMNS)
-
     def __init__(self, approach: str, reports,
                  params: Optional[dict[str, Any]] = None,
                  fs_stats: Optional[dict] = None, step: int = 0) -> None:

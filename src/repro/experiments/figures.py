@@ -19,6 +19,7 @@ The five plotted configurations (legend of Figs. 5-7):
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +32,7 @@ from ..ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
 )
+from ..ckpt.result import ReportTable
 from ..model import SpeedupModel, blocked_processor_seconds, production_improvement
 from ..sim import IntervalRecorder
 from ..staging import StagingConfig, staging_of
@@ -46,7 +48,7 @@ __all__ = [
     "PAPER_NP",
     "RunSummary",
     "get_run",
-    "prefetch_runs",
+    "get_runs",
     "clear_cache",
     "strategy_for",
     "problem_for",
@@ -94,6 +96,39 @@ APPROACH_LABELS = {
 }
 
 
+def _fields(doc, **types) -> list:
+    """``doc``'s values for exactly ``types``' keys, each of its type."""
+    if not isinstance(doc, dict) or doc.keys() != types.keys():
+        raise ValueError(f"expected an object with keys {sorted(types)}")
+    for name, kind in types.items():
+        if not isinstance(doc[name], kind):
+            raise ValueError(f"{name!r} is not a {kind.__name__}")
+    return [doc[name] for name in types]
+
+
+def _encode(column: np.ndarray) -> dict:
+    """A numpy column as JSON: base64 of its little-endian bytes."""
+    data = column.astype(column.dtype.newbyteorder("<"), copy=False)
+    return {"dtype": column.dtype.name, "shape": list(column.shape),
+            "data": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def _decode(doc, dtype: np.dtype, length: Optional[int] = None) -> np.ndarray:
+    """The column :func:`_encode` wrote, if it is 1-D ``dtype`` (int8,
+    int64 or float64) of ``length`` values; ``ValueError`` otherwise."""
+    name, shape, data = _fields(doc, dtype=str, shape=list, data=str)
+    raw = base64.b64decode(data, validate=True)
+    n, rest = divmod(len(raw), dtype.itemsize)
+    if name != dtype.name or rest or shape != [n] or length not in (None, n):
+        raise ValueError(f"expected {length} x {dtype.name}, got "
+                         f"{shape} x {name}")
+    return np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
+
+
+#: A result's per-rank columns in a summary's JSON form (``role``: codes).
+_RESULT_COLUMNS = ("ranks", "role") + ReportTable.COLUMNS
+
+
 @dataclass
 class RunSummary:
     """Lightweight cacheable extract of one checkpoint experiment."""
@@ -103,6 +138,52 @@ class RunSummary:
     fs_stats: dict
     #: ``copy.bytes_copied`` of the run (0 for size-only figure workloads).
     bytes_copied: int = 0
+
+    def to_json(self) -> dict:
+        """The summary as JSON data, every column exact (:func:`_encode`)."""
+        res, rec = self.result, self.write_intervals
+        starts, ends, ranks = zip(*rec.intervals) if rec.intervals else ((),) * 3
+        return {
+            "approach": res.approach, "params": res.params,
+            "n_ranks": res.n_ranks, "role_names": res.role_names,
+            "columns": {name: _encode(res._role if name == "role"
+                                      else getattr(res, name))
+                        for name in _RESULT_COLUMNS},
+            "write_intervals": {
+                "name": rec.name,
+                "start": _encode(np.array(starts, np.float64)),
+                "end": _encode(np.array(ends, np.float64)),
+                "rank": _encode(np.array(ranks, np.int64))},
+            "fs_stats": self.fs_stats, "bytes_copied": self.bytes_copied,
+        }
+
+    @classmethod
+    def from_json(cls, doc) -> "RunSummary":
+        """The summary :meth:`to_json` encoded; ``ValueError`` for any other
+        document (a key missing or extra, a column's dtype or shape off)."""
+        (approach, params, n_ranks, role_names, columns, intervals, fs_stats,
+         bytes_copied) = _fields(
+            doc, approach=str, params=dict, n_ranks=int, role_names=list,
+            columns=dict, write_intervals=dict, fs_stats=dict,
+            bytes_copied=int)
+        table = ReportTable(1, n_ranks)
+        for name, col in zip(_RESULT_COLUMNS, _fields(
+                columns, **dict.fromkeys(_RESULT_COLUMNS, dict))):
+            target = getattr(table, name)
+            target[...] = _decode(col, target.dtype, n_ranks)
+        if (not all(isinstance(r, str) for r in role_names)
+                or table.role.max(initial=-1) >= len(role_names)):
+            raise ValueError("role codes do not match role_names")
+        table.role_names = role_names
+        result = CheckpointResult(approach, table, params, fs_stats)
+        name, *cols = _fields(intervals, name=str, start=dict, end=dict,
+                              rank=dict)
+        start, end, ranks = map(_decode, cols, map(np.dtype, ("f8", "f8", "i8")))
+        if not len(start) == len(end) == len(ranks):
+            raise ValueError("write_intervals columns differ in length")
+        rec = IntervalRecorder(name)
+        rec.intervals = list(zip(start.tolist(), end.tolist(), ranks.tolist()))
+        return cls(result, rec, result.fs_stats, bytes_copied)
 
 
 _CACHE: dict[tuple, RunSummary] = {}
@@ -162,7 +243,7 @@ def _compute_summary(point: tuple) -> RunSummary:
     Module-level (not a closure) so :func:`~repro.experiments.run_sweep`
     can ship points to worker processes.
     """
-    key, n_ranks, config, seed = point
+    key, n_ranks, seed, config = point
     strategy = _strategy_for(key, n_ranks)
     data = _problem(n_ranks).data()
     run = run_checkpoint_step(strategy, n_ranks, data, config=config, seed=seed)
@@ -178,86 +259,44 @@ def _compute_summary(point: tuple) -> RunSummary:
     )
 
 
-def _disk_key(key: str, n_ranks: int, config: MachineConfig,
-              seed: Optional[int]) -> str:
-    return cache_key("get_run", key, n_ranks, seed, config)
+def get_runs(points: Iterable[tuple[str, int]],
+             config: Optional[MachineConfig] = None,
+             seed: Optional[int] = None,
+             n_workers: Optional[int] = None) -> list[RunSummary]:
+    """Run (or fetch from cache) one checkpoint step per ``(approach, np)``.
 
-
-def _disk_get(disk, key: str, n_ranks: int, config: MachineConfig,
-              seed: Optional[int]) -> Optional[RunSummary]:
-    """The run's disk-cache entry if it is a well-formed :class:`RunSummary`,
-    else a miss: what a tree with other classes pickled unpickles into
-    instances lacking our attributes, and would fail at figure time."""
-    entry = disk.get(_disk_key(key, n_ranks, config, seed))
-    if (isinstance(entry, RunSummary)
-            and isinstance(entry.result, CheckpointResult)
-            and vars(entry).keys() == RunSummary.__dataclass_fields__.keys()
-            and vars(entry.result).keys() >= CheckpointResult.STATE):
-        return entry
-    return None
+    Three layers, in order: the in-process ``_CACHE`` (shares one
+    measurement campaign across Figs. 5-7 and Table I within a process);
+    when ``REPRO_BENCH_CACHE`` is set, a disk cache that persists
+    summaries across invocations as :meth:`RunSummary.to_json` documents
+    (see :mod:`repro.experiments.parallel`; an entry that does not decode
+    is a miss); and computing what is left, fanned out over ``n_workers``
+    by :func:`~repro.experiments.run_sweep`.  Results in ``points`` order.
+    """
+    config = config if config is not None else intrepid()
+    points = [(key, n_ranks, seed, config) for key, n_ranks in points]
+    disk = sweep_cache()
+    todo = []
+    for point in dict.fromkeys(points):  # distinct, in order
+        if point in _CACHE:
+            continue
+        try:
+            _CACHE[point] = RunSummary.from_json(
+                disk.get(cache_key("get_run", *point)) if disk else None)
+        except ValueError:  # no disk cache, or no valid entry there
+            todo.append(point)
+    for point, summary in zip(todo, run_sweep(_compute_summary, todo,
+                                              n_workers=n_workers)):
+        if disk:
+            disk.put(cache_key("get_run", *point), summary.to_json())
+        _CACHE[point] = summary
+    return [_CACHE[point] for point in points]
 
 
 def get_run(key: str, n_ranks: int, config: Optional[MachineConfig] = None,
             seed: Optional[int] = None) -> RunSummary:
-    """Run (or fetch from cache) one checkpoint step for an approach.
-
-    Two cache layers: the in-process ``_CACHE`` (shares one measurement
-    campaign across Figs. 5-7 and Table I within a run) and, when
-    ``REPRO_BENCH_CACHE`` is set, a disk cache that persists summaries
-    across benchmark invocations (see :mod:`repro.experiments.parallel`).
-    """
-    config = config if config is not None else intrepid()
-    mem_key = (key, n_ranks, seed, config)
-    hit = _CACHE.get(mem_key)
-    if hit is not None:
-        return hit
-    disk = sweep_cache()
-    if disk is not None:
-        summary = _disk_get(disk, key, n_ranks, config, seed)
-        if summary is not None:
-            _CACHE[mem_key] = summary
-            return summary
-    summary = _compute_summary((key, n_ranks, config, seed))
-    if disk is not None:
-        disk.put(_disk_key(key, n_ranks, config, seed), summary)
-    _CACHE[mem_key] = summary
-    return summary
-
-
-def prefetch_runs(points: Iterable[tuple[str, int]],
-                  config: Optional[MachineConfig] = None,
-                  seed: Optional[int] = None,
-                  n_workers: Optional[int] = None) -> None:
-    """Compute missing ``(approach, np)`` runs, in parallel when possible.
-
-    Fills the same caches :func:`get_run` reads, so a benchmark can fan a
-    whole sweep grid out across worker processes up front and then build
-    its figures from warm cache hits.  Points already cached (memory or
-    disk) are skipped.
-    """
-    config = config if config is not None else intrepid()
-    todo = []
-    seen = set()
-    disk = sweep_cache()
-    for key, n_ranks in points:
-        mem_key = (key, n_ranks, seed, config)
-        if mem_key in seen or mem_key in _CACHE:
-            continue
-        seen.add(mem_key)
-        if disk is not None:
-            summary = _disk_get(disk, key, n_ranks, config, seed)
-            if summary is not None:
-                _CACHE[mem_key] = summary
-                continue
-        todo.append((key, n_ranks, config, seed))
-    if not todo:
-        return
-    for point, summary in zip(todo, run_sweep(_compute_summary, todo,
-                                              n_workers=n_workers)):
-        key, n_ranks, config, seed = point
-        if disk is not None:
-            disk.put(_disk_key(key, n_ranks, config, seed), summary)
-        _CACHE[(key, n_ranks, seed, config)] = summary
+    """One point of :func:`get_runs`."""
+    return get_runs([(key, n_ranks)], config, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Parallel, disk-cached sweep execution for the figure benchmarks.
+"""Parallel, disk-cached sweep execution.
 
 Regenerating the paper's evaluation means sweeping the same checkpoint
 experiment over (approach x processor count) grids.  Points are fully
 independent — a sweep is embarrassingly parallel — and bit-reproducible
 (every run is seeded), so results can be fanned out across worker
-processes and memoized on disk across benchmark invocations.
+processes and memoized on disk across invocations.  :func:`run_sweep` is
+the one local fan-out (``repro-campaign run`` and ``get_runs`` use it).
 
 Three knobs, all environment-driven so ``pytest benchmarks/`` needs no
 plumbing:
@@ -23,24 +24,24 @@ plumbing:
     Cache size bound in bytes (suffixes ``K``/``M``/``G`` accepted, e.g.
     ``512M``).  Unset/empty: unbounded.  When a write pushes the cache
     past the bound, least-recently-used entries are evicted (reads touch
-    entry mtimes) until it fits again.
+    entry mtimes) until it fits again — any cache :func:`sweep_cache` builds.
 
 Cache keys hash every input that determines a run's output — approach
 key, rank count, seed, the full :class:`~repro.topology.MachineConfig`
 repr — plus :data:`CACHE_VERSION`, which must be bumped whenever timing
 semantics change anywhere in the simulator (engine, fabric, storage,
-strategies).  Entries are pickles, written atomically (tmp + rename) so
-concurrent sweep workers — including the campaign sweep service's shard
-processes — can share one cache directory; eviction is serialized
-through an ``O_EXCL`` lock file so at most one process compacts at a
-time, and every reader treats a concurrently-evicted entry as a miss.
+strategies).  Entries are canonical JSON — data, never code, so a
+directory shared between processes cannot run anything in its readers —
+written atomically (tmp + rename); eviction is serialized through an
+``O_EXCL`` lock file so at most one process compacts at a time, and every
+reader treats a concurrently-evicted or unparseable entry as a miss.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,11 +59,11 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Bump when any change alters simulated timings, or what a pickled entry
-#: holds (the attributes of ``RunSummary`` / ``CheckpointResult`` /
-#: ``IntervalRecorder``): cached entries from earlier versions must never
-#: be served as current results.  2: ``CheckpointResult`` role codes.
-CACHE_VERSION = 2
+#: Bump when any change alters simulated timings, or what an entry holds
+#: (the JSON form of ``RunSummary``, a ``run_point`` result dict): cached
+#: entries from earlier versions must never be served as current results.
+#: 2: ``CheckpointResult`` role codes.  3: JSON entries.
+CACHE_VERSION = 3
 
 
 def cache_key(*parts: Any) -> str:
@@ -89,7 +90,10 @@ def point_seed(base_seed: Optional[int], *fields: Any) -> Optional[int]:
 
 
 class DiskCache:
-    """Pickle-per-entry cache directory; safe for concurrent writers.
+    """JSON-per-entry cache directory; safe for concurrent writers.
+
+    A value is anything :func:`json.dumps` encodes (``put`` raises
+    ``TypeError`` otherwise), stored canonically (sorted keys).
 
     With ``max_bytes`` set the cache is bounded: after each write, if the
     directory exceeds the bound, least-recently-used entries (by mtime;
@@ -114,18 +118,17 @@ class DiskCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
+        return self.root / f"{key}.json"
 
     def get(self, key: str) -> Optional[Any]:
         """Return the cached value, or ``None`` on miss or corrupt entry."""
         path = self._path(key)
         try:
-            with path.open("rb") as f:
-                value = pickle.load(f)
+            value = json.loads(path.read_bytes())
         except FileNotFoundError:
             return None
         except Exception:
-            # A torn write (interrupted run) must read as a miss.
+            # A torn write (interrupted run) or not JSON: a miss.
             try:
                 path.unlink()
             except OSError:
@@ -140,11 +143,12 @@ class DiskCache:
 
     def put(self, key: str, value: Any) -> None:
         """Store atomically: a reader sees the old entry or the new one."""
+        blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
         path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(fd, "w") as f:
+                f.write(blob)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -157,7 +161,7 @@ class DiskCache:
     def size_bytes(self) -> int:
         """Total bytes of all current entries (racy but monotonic enough)."""
         total = 0
-        for path in self.root.glob("*.pkl"):
+        for path in self.root.glob("*.json"):
             try:
                 total += path.stat().st_size
             except OSError:
@@ -212,7 +216,7 @@ class DiskCache:
                     except OSError:
                         pass
                 continue
-            if path.suffix == ".pkl":
+            if path.suffix == ".json":
                 entries.append((st.st_mtime, st.st_size, path))
         total = sum(size for _t, size, _p in entries)
         if total <= self.max_bytes:
@@ -238,7 +242,7 @@ def parse_size(spec: str) -> int:
         text = text[:-1]
     try:
         value = int(float(text) * scale)
-    except ValueError:
+    except (ValueError, OverflowError):  # "lots"; "inf" / "1e400"
         raise ValueError(
             f"bad size {spec!r}: expected bytes with optional K/M/G suffix"
         ) from None
@@ -247,23 +251,32 @@ def parse_size(spec: str) -> int:
     return value
 
 
-def sweep_cache() -> Optional[DiskCache]:
-    """The env-configured disk cache, or ``None`` when caching is off."""
-    spec = os.environ.get("REPRO_BENCH_CACHE", "")
-    if spec in ("", "0"):
-        return None
+def sweep_cache(root: Optional[str] = None) -> Optional[DiskCache]:
+    """The disk cache at ``root`` — by default ``REPRO_BENCH_CACHE``'s,
+    ``None`` when that turns caching off — bounded by
+    ``REPRO_BENCH_CACHE_MAX``.  Every cache the package opens is built
+    here, so none of them escapes the bound."""
+    if root is None:
+        spec = os.environ.get("REPRO_BENCH_CACHE", "")
+        if spec in ("", "0"):
+            return None
+        root = ".repro-cache" if spec == "1" else spec
     max_spec = os.environ.get("REPRO_BENCH_CACHE_MAX", "")
-    max_bytes = parse_size(max_spec) if max_spec else None
-    return DiskCache(".repro-cache" if spec == "1" else spec,
-                     max_bytes=max_bytes)
+    try:
+        max_bytes = parse_size(max_spec) if max_spec else None
+    except ValueError as exc:
+        raise ValueError(f"REPRO_BENCH_CACHE_MAX: {exc}") from None
+    return DiskCache(root, max_bytes=max_bytes)
 
 
 def default_workers() -> int:
     """Sweep worker count: ``REPRO_BENCH_PARALLEL`` or one per spare core."""
     spec = os.environ.get("REPRO_BENCH_PARALLEL", "")
-    if spec:
-        return max(1, int(spec))
-    return max(1, (os.cpu_count() or 1) - 1)
+    try:
+        return max(1, int(spec) if spec else (os.cpu_count() or 1) - 1)
+    except ValueError:
+        raise ValueError(f"REPRO_BENCH_PARALLEL: expected an integer worker "
+                         f"count, got {spec!r}") from None
 
 
 def run_sweep(fn: Callable[[Any], Any], points: Sequence[Any],
@@ -271,13 +284,14 @@ def run_sweep(fn: Callable[[Any], Any], points: Sequence[Any],
     """Evaluate ``fn`` over independent sweep points; results in order.
 
     With more than one worker, points run in a ``ProcessPoolExecutor``
-    (``fn`` and each point must be picklable — use a module-level
-    function).  Serial execution (one worker, or a single point) stays
-    in-process, so closures work and tracebacks are direct.
+    (``fn``, each point and each result must be picklable — use a
+    module-level function).  Serial execution (one worker, or a single
+    point) stays in-process, so closures work and tracebacks are direct.
     """
     points = list(points)
-    workers = default_workers() if n_workers is None else max(1, n_workers)
-    if workers <= 1 or len(points) <= 1:
+    workers = 1 if len(points) <= 1 else (
+        default_workers() if n_workers is None else max(1, n_workers))
+    if workers <= 1:
         return [fn(p) for p in points]
     with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
         return list(pool.map(fn, points))

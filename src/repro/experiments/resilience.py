@@ -1,29 +1,26 @@
 """Resilience campaigns: faulted checkpoint runs followed by restarts.
 
 Builds on :func:`~repro.experiments.runner.run_checkpoint_steps`:
-
-- :func:`run_resilient_campaign` runs ``n_steps`` coordinated checkpoint
-  steps under a :class:`~repro.faults.FaultSchedule`, then (on the same
-  job, after all background drains settle) a coordinated resilient restore
-  (:meth:`~repro.ckpt.CheckpointStrategy.restore_resilient`) that agrees
-  on the newest generation every rank can read back intact.
-- :func:`resilience_sweep` measures checkpoint overhead as a function of
-  the injected fault rate, with schedules drawn deterministically from a
-  root seed via :meth:`~repro.faults.FaultSchedule.generate`.
+:func:`run_resilient_campaign` runs ``n_steps`` coordinated checkpoint
+steps under a :class:`~repro.faults.FaultSchedule`, then (on the same
+job, after all background drains settle) a coordinated resilient restore
+(:meth:`~repro.ckpt.CheckpointStrategy.restore_resilient`) that agrees
+on the newest generation every rank can read back intact.  Checkpoint
+overhead against the injected fault rate is a campaign's ``fault_rates``
+axis (:mod:`repro.campaign.compiler`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..ckpt import CheckpointStrategy
-from ..faults import FaultConfig, FaultSchedule, faults_of
+from ..faults import faults_of
 from ..mpi import RunConfig
-from ..sim import StreamRegistry
-from ..topology import MachineConfig, intrepid
+from ..topology import MachineConfig
 from .runner import CheckpointRun, DataBuilder, _data_fn, run_checkpoint_steps
 
-__all__ = ["ResilientCampaign", "run_resilient_campaign", "resilience_sweep"]
+__all__ = ["ResilientCampaign", "run_resilient_campaign"]
 
 
 class ResilientCampaign:
@@ -103,50 +100,3 @@ def run_resilient_campaign(strategy: CheckpointStrategy, n_ranks: int,
                       steps_newest_first, basedir)
         restored = run.job.run()
     return ResilientCampaign(run, restored)
-
-
-def resilience_sweep(strategy: CheckpointStrategy, n_ranks: int,
-                     data: DataBuilder,
-                     fault_rates: Sequence[float],
-                     n_steps: int = 2,
-                     config: Optional[MachineConfig] = None,
-                     seed: Optional[int] = None,
-                     fs_type: str = "gpfs",
-                     gap_seconds: float = 0.0,
-                     horizon: float = 10.0) -> list[dict]:
-    """Checkpoint overhead vs. injected transient-fault rate.
-
-    ``fault_rates`` are expected transient FS error counts per campaign
-    (plus half as many stalls); each point's schedule is drawn from a
-    deterministic per-point seed, so the sweep is bit-reproducible from
-    the root seed.  Rate ``0.0`` produces an empty schedule and must cost
-    nothing (the zero-cost off-switch the benches assert).
-    """
-    config = config if config is not None else intrepid()
-    root_seed = config.seed if seed is None else seed
-    rows = []
-    for i, rate in enumerate(fault_rates):
-        cfg = FaultConfig(fs_errors=rate, fs_stalls=rate / 2.0,
-                          horizon=horizon)
-        schedule = FaultSchedule.generate(
-            StreamRegistry(root_seed + 7919 * i), n_ranks, cfg)
-        run = run_checkpoint_steps(
-            strategy, n_ranks, data, n_steps, config=config, seed=seed,
-            fs_type=fs_type, gap_seconds=gap_seconds,
-            run_config=RunConfig(faults=schedule),
-        )
-        report = faults_of(run.job).report()
-        run.job.close()
-        result = run.results[-1]
-        rows.append({
-            "rate": float(rate),
-            "scheduled": report["scheduled"],
-            "injected": report["injected"],
-            "overall_time": result.overall_time,
-            "blocking_time": result.blocking_time,
-            "write_bandwidth": result.write_bandwidth,
-        })
-    base = rows[0]["overall_time"] if rows else 0.0
-    for row in rows:
-        row["overhead"] = (row["overall_time"] / base) if base > 0 else 1.0
-    return rows

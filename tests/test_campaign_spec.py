@@ -1,4 +1,5 @@
-"""Tests for the campaign DSL: parsing, validation, expansion, shim parity."""
+"""Tests for the campaign DSL: parsing, validation, expansion, and parity
+with the sweeps the benches ran before they were campaigns."""
 
 import json
 
@@ -6,20 +7,13 @@ import pytest
 
 from repro import RunConfig
 from repro.campaign import CampaignSpec, SpecError, expand, run_point
-from repro.campaign.shim import (
-    failover_campaign,
-    failover_metrics,
-    faults_sweep_campaign,
-    figure_campaign,
-    prefetch_campaign,
-    rate_rows,
-)
 from repro.ckpt import CheckpointRule, ReducedBlockingIO, checkpoint_instants
 from repro.experiments import (
     clear_cache,
     get_run,
-    resilience_sweep,
+    get_runs,
     run_resilient_campaign,
+    run_sweep,
     scaled_problem,
 )
 from repro.faults import FaultSchedule, FaultSpec
@@ -30,6 +24,22 @@ TINY = {
     "seed": 5,
     "grid": {"approaches": ["rbio_ng", "coio_64"], "np": [128, 256]},
 }
+
+
+def _figure_spec(approaches, sizes, **extra) -> CampaignSpec:
+    """The figure-bench shape: one checkpoint step per (approach, np)."""
+    return CampaignSpec.from_dict({
+        "name": "f", "grid": {"approaches": approaches, "np": sizes},
+        **extra})
+
+
+def _rate_spec(rates) -> CampaignSpec:
+    """The fault-rate overhead sweep: rbIO 64:1 at np = 128, two steps."""
+    return CampaignSpec.from_dict({
+        "name": "r", "steps": {"n_steps": 2, "gap": 1.0},
+        "grid": {"approaches": ["rbio_ng"], "np": [128],
+                 "fault_rates": list(rates)},
+        "faults": {"generate": {"horizon": 2.0}}})
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,7 @@ def test_content_hash_sensitive_to_inputs():
 
 
 def test_expansion_skips_infeasible_file_counts():
-    spec = figure_campaign("f8", ["rbio_nf64", "rbio_nf512"], [128, 1024])
+    spec = _figure_spec(["rbio_nf64", "rbio_nf512"], [128, 1024])
     expanded = expand(spec)
     assert [(p.approach, p.n_ranks) for p in expanded.points] == [
         ("rbio_nf64", 128), ("rbio_nf64", 1024), ("rbio_nf512", 1024)]
@@ -256,7 +266,7 @@ def test_tam_point_reports_fabric_counters():
 
 
 def test_rate_axis_expansion_matches_resilience_convention():
-    spec = faults_sweep_campaign("r", 128, (0.0, 4.0), 2, 1.0, horizon=2.0)
+    spec = _rate_spec((0.0, 4.0))
     points = expand(spec).points
     assert [p.fault_rate for p in points] == [0.0, 4.0]
     assert not points[0].faults  # rate 0 -> empty schedule
@@ -267,13 +277,12 @@ def test_rate_axis_expansion_matches_resilience_convention():
 
 
 # ---------------------------------------------------------------------------
-# Byte-compatibility with the legacy sweeps (the shim contract)
+# Byte-compatibility with the sweeps the benches ran before campaigns
 # ---------------------------------------------------------------------------
 
 def test_figure_point_matches_get_run():
     clear_cache()
-    spec = figure_campaign("f", ["rbio_ng"], [128], seed=5)
-    (point,) = expand(spec).points
+    (point,) = expand(_figure_spec(["rbio_ng"], [128], seed=5)).points
     assert point.is_figure_point
     out = run_point(point)
     res = get_run("rbio_ng", 128, seed=5).result
@@ -285,8 +294,10 @@ def test_figure_point_matches_get_run():
 def test_prefetch_campaign_warms_figure_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "c"))
     clear_cache()
-    spec = figure_campaign("f", ["rbio_ng"], [128], seed=5)
-    prefetch_campaign(spec, n_workers=1)
+    spec = _figure_spec(["rbio_ng"], [128], seed=5)
+    get_runs([(p.approach, p.n_ranks) for p in expand(spec).points
+              if p.is_figure_point],
+             config=spec.machine.config(), seed=spec.seed, n_workers=1)
     entries = list((tmp_path / "c").iterdir())
     assert len(entries) == 1
     # get_run is now a warm hit: same disk entry, no new files.
@@ -295,26 +306,47 @@ def test_prefetch_campaign_warms_figure_cache(monkeypatch, tmp_path):
     clear_cache()
 
 
-def test_rate_rows_bit_identical_to_resilience_sweep():
-    rates = (0.0, 2.0)
-    legacy = resilience_sweep(
-        ReducedBlockingIO(workers_per_writer=64), 128,
-        scaled_problem(128).data(), rates, n_steps=2, gap_seconds=1.0,
-        horizon=2.0)
-    spec = faults_sweep_campaign("r", 128, rates, 2, 1.0, horizon=2.0)
-    assert rate_rows(spec, n_workers=1) == legacy
+#: The rows the per-rate sweep helper the rate axis replaced returned for
+#: rbIO 64:1, np = 128, rates (0, 2), two steps 1 s apart, horizon 2 s —
+#: recorded from it before it was deleted.
+RECORDED_RATE_ROWS = [
+    {"rate": 0.0, "scheduled": 0, "injected": 0,
+     "overall_time": 2.0349386857251814,
+     "blocking_time": 0.0001794164705883894,
+     "write_bandwidth": 151771939.94419435, "overhead": 1.0},
+    {"rate": 2.0, "scheduled": 3, "injected": 3,
+     "overall_time": 2.083609429804235,
+     "blocking_time": 0.0001794164705883894,
+     "write_bandwidth": 148226720.22031385, "overhead": 1.023917548189767},
+]
 
 
-def test_failover_metrics_bit_identical_to_legacy_campaign():
+def test_rate_campaign_reproduces_the_recorded_sweep_rows():
+    results = run_sweep(run_point, expand(_rate_spec((0.0, 2.0))).points,
+                        n_workers=1)
+    base = results[0]["overall_time"]
+    rows = [{"rate": float(r["fault_rate"]),
+             **{k: r[k] for k in ("scheduled", "injected", "overall_time",
+                                  "blocking_time", "write_bandwidth")},
+             "overhead": r["overall_time"] / base} for r in results]
+    assert rows == RECORDED_RATE_ROWS
+
+
+def test_failover_campaign_bit_identical_to_legacy_campaign():
     faults = FaultSchedule((FaultSpec(kind="rank_crash", time=1.0, rank=0),))
     campaign = run_resilient_campaign(
         ReducedBlockingIO(workers_per_writer=64), 128,
         scaled_problem(128).data(), n_steps=2,
         run_config=RunConfig(faults=faults),
         gap_seconds=1.0)
-    spec = failover_campaign("f", 128, 2, 1.0)
-    out = failover_metrics(spec, n_workers=1)
-    assert out == {
+    spec = CampaignSpec.from_dict({
+        "name": "f", "steps": {"n_steps": 2, "gap": 1.0},
+        "grid": {"approaches": ["rbio_ng"], "np": [128]},
+        "faults": {"specs": [{"kind": "rank_crash", "time": 1.0, "rank": 0}]},
+        "resume": {"enabled": True}})
+    (out,) = run_sweep(run_point, expand(spec).points, n_workers=1)
+    assert {k: out[k] for k in ("restored_step", "failovers", "overall_time",
+                                "crashed_roles")} == {
         "restored_step": campaign.restored_step,
         "failovers": campaign.fault_report["by_kind"].get(
             "writer_failover", 0),
