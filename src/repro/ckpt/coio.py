@@ -471,8 +471,9 @@ class _RunReplay:
 
     def _close(self, lrs, _arg, _ev) -> None:
         for lr in lrs:
-            self._drive(self.fs[lr].close_op(self.handles[lr]),
-                        self._closed, lr)
+            # The close op holds the handle (and its stream) from here on.
+            op, self.handles[lr] = self.fs[lr].close_op(self.handles[lr]), None
+            self._drive(op, self._closed, lr)
 
     def _closed(self, lr, _result) -> None:
         self._await(self.comm._barrier_arrive(lr).event, (lr,),

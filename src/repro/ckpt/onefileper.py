@@ -80,7 +80,7 @@ class OneFilePerProcess(CheckpointStrategy):
         job = ctx.job
         eng = job.engine
         run = SimpleNamespace(
-            strategy=self, eng=eng, contexts=job.contexts,
+            strategy=self, eng=eng, fs=job.services["fs"],
             tracer=job.tracer, table=table,
             world=ctx.comm.comm, rng=job.streams.stream("ckpt.jitter"),
             data=data, has_payload=data.has_payload,
@@ -172,7 +172,9 @@ class _RankReplay(StagedOp):
     token's FIFO, pipe reservations, ``active_streams``, Darshan records
     and spans fall in the uncoalesced order by construction.  What a
     create, write or close costs is ``FSClient``'s staged op.  ``run`` is
-    what the ranks share (see ``coalesced_worker_main``).
+    what the ranks share (see ``coalesced_worker_main``).  A member builds
+    no ``RankContext``: its client comes from the job's file system, and
+    the replay, its client and its handle are gone when its last step ends.
     """
 
     __slots__ = ("run", "rank", "fs", "step", "t0", "handle")
@@ -182,7 +184,7 @@ class _RankReplay(StagedOp):
         super().__init__(_RankReplay._create)
         self.run = run
         self.rank = rank
-        self.fs = run.contexts[rank].fs
+        self.fs = run.fs.client(rank)
         self.step = 0
         self.t0 = run.eng.now
 

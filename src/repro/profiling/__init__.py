@@ -6,9 +6,11 @@ live :class:`DarshanProfiler` or ``None`` as ``job.profiler``.  Every
 hot-path producer (``FSClient._record``, strategy ``record_phase`` calls,
 the staging drainer) guards with ``profiler is not None``, so ``off``
 costs one attribute test per op — nothing is allocated or appended.
-Sweeps that never read profiles (the campaign runner's non-figure points)
-run with profiling off; figure pipelines keep it on because their
-summaries read ``run.profiler`` directly.
+``on`` appends one row per op to the profiler's columns (one row per
+replayed member run), never an object per op; ``OpRecord``s are built
+only when a query reads them.  Sweeps that never read profiles (the
+campaign runner's non-figure points) run with profiling off; figure
+pipelines keep it on because their summaries read ``run.profiler``.
 """
 
 from __future__ import annotations

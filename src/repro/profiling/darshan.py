@@ -11,14 +11,17 @@ The paper verifies its tuning with two kinds of profile data:
 :class:`DarshanProfiler` collects per-operation records from the file-system
 clients (create/open/write/read/close with timestamps, sizes, and paths) and
 app-level *phase* records from the checkpoint strategies (e.g. a worker's
-``isend`` window).  :mod:`repro.profiling.analysis` turns these into the
-figures' data series.
+``isend`` window) into one columnar op log: a row per call, or one row for a
+replayed member run.  Every query — :attr:`~DarshanProfiler.records`, the
+counters, and the interval sets :mod:`repro.profiling.analysis` turns into
+the figures' data series — is a view of those columns.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,48 +30,20 @@ from ..sim import IntervalRecorder
 __all__ = ["OpRecord", "DarshanProfiler"]
 
 
-class OpRecord:
+class OpRecord(NamedTuple):
     """One instrumented operation (file op or app-level phase)."""
 
-    __slots__ = ("rank", "op", "start", "end", "nbytes", "path")
-
-    def __init__(self, rank: int, op: str, start: float, end: float,
-                 nbytes: int, path: str) -> None:
-        self.rank = rank
-        self.op = op
-        self.start = start
-        self.end = end
-        self.nbytes = nbytes
-        self.path = path
+    rank: int
+    op: str
+    start: float
+    end: float
+    nbytes: int
+    path: str
 
     @property
     def duration(self) -> float:
         """Wall-clock duration of the operation."""
         return self.end - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<Op {self.op} rank={self.rank} [{self.start:.4f},{self.end:.4f}] "
-            f"{self.nbytes}B {self.path!r}>"
-        )
-
-
-class _MemberRun(NamedTuple):
-    """One log entry for ``members`` that went through a phase side by
-    side (``late``: those that ended at an instant of their own)."""
-
-    members: Sequence[int]
-    op: str
-    start: float
-    end: float
-    nbytes: int
-    late: Optional[dict]
-
-    def expand(self) -> list[OpRecord]:
-        """One record per member, in their order."""
-        late = self.late or {}
-        return [OpRecord(m, self.op, self.start, late.get(m, self.end),
-                         self.nbytes, "") for m in self.members]
 
 
 class DarshanProfiler:
@@ -81,32 +56,54 @@ class DarshanProfiler:
     ``tracer`` attached, every record is also forwarded as a span — one
     event, two views, so op records and fs/phase spans cannot disagree.
 
-    There is one log, in recording order.  A replay that stands for many
-    ranks appends one entry for all of them (:meth:`record_phase_members`);
-    :attr:`records` expands such entries in place when first read, so it
-    is the sequence of the per-rank calls (DESIGN.md section 17.2).
+    The log is one set of append-only columns in recording order — op code,
+    rank, start, end, nbytes, path — with a row per call or per replayed
+    member run (:meth:`record_phase_members`: its members and sparse late
+    ends sit in a side table).  :attr:`records` and every query read the
+    columns as the sequence of the per-rank calls (DESIGN.md section 17.2).
     """
 
     def __init__(self, tracer=None) -> None:
-        self._log: list = []  # OpRecord | _MemberRun
-        self._packed = 0  # _MemberRun entries in the log
         self.tracer = tracer
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop all records (between checkpoint steps)."""
+        self._codes: dict[str, int] = {}  # op name -> code, in code order
+        self._ops, self._ranks = bytearray(), array("q")
+        self._starts, self._ends = array("d"), array("d")
+        self._nbytes, self._paths = [], []
+        self._runs: dict = {}  # row -> (members, late) of a member run
+        # Bound once: a row is appended per file operation.
+        self._append = (self._ops.append, self._ranks.append,
+                        self._starts.append, self._ends.append,
+                        self._nbytes.append, self._paths.append)
 
     @property
     def records(self) -> list[OpRecord]:
-        """Every record, in recording order (the log itself)."""
-        log = self._log
-        if self._packed:
-            log[:] = [rec for entry in log for rec in (
-                (entry,) if entry.__class__ is OpRecord else entry.expand())]
-            self._packed = 0
-        return log
+        """Every record, in recording order (a member run expanded)."""
+        return list(self._calls())
 
     # -- recording -----------------------------------------------------------
+    def _put(self, rank: int, op: str, start: float, end: float,
+             nbytes: int, path: str) -> None:
+        codes = self._codes
+        code = codes.get(op)
+        if code is None:
+            code = codes[op] = len(codes)
+        put_op, put_rank, put_start, put_end, put_nbytes, put_path = \
+            self._append
+        put_op(code)
+        put_rank(rank)
+        put_start(start)
+        put_end(end)
+        put_nbytes(nbytes)
+        put_path(path)
+
     def record_op(self, rank: int, op: str, start: float, end: float,
                   nbytes: int, path: str) -> None:
         """Record a file-system operation (called by FSClient)."""
-        self._log.append(OpRecord(rank, op, start, end, nbytes, path))
+        self._put(rank, op, start, end, nbytes, path)
         tr = self.tracer
         if tr is not None:
             tr.span(rank, op, "fs", start, end, nbytes,
@@ -115,7 +112,7 @@ class DarshanProfiler:
     def record_phase(self, rank: int, phase: str, start: float, end: float,
                      nbytes: int = 0) -> None:
         """Record an application-level phase (e.g. 'ckpt', 'isend')."""
-        self._log.append(OpRecord(rank, f"app:{phase}", start, end, nbytes, ""))
+        self._put(rank, f"app:{phase}", start, end, nbytes, "")
         tr = self.tracer
         if tr is not None:
             tr.span(rank, phase, "phase", start, end, nbytes)
@@ -124,56 +121,65 @@ class DarshanProfiler:
                              end: float, nbytes: int = 0,
                              late: Optional[dict] = None) -> None:
         """:meth:`record_phase` for every rank of ``members``, in order, as
-        one log entry; ``late[rank]`` replaces ``end`` for a member that
-        ended at an instant of its own."""
-        self._log.append(
-            _MemberRun(members, f"app:{phase}", start, end, nbytes, late))
-        self._packed += 1
+        one row; ``late[rank]`` replaces ``end`` for a member that ended
+        at an instant of its own."""
+        self._runs[len(self._ops)] = (members, late or {})
+        self._put(-1, f"app:{phase}", start, end, nbytes, "")
         tr = self.tracer
         if tr is not None:
             late = late or {}
             for m in members:
                 tr.span(m, phase, "phase", start, late.get(m, end), nbytes)
 
-    def reset(self) -> None:
-        """Drop all records (between checkpoint steps)."""
-        self._log.clear()
-        self._packed = 0
-
     # -- queries --------------------------------------------------------------
+    def _calls(self, ops: Optional[Iterable[str]] = None
+               ) -> Iterator[OpRecord]:
+        """The per-rank calls of the rows of ``ops`` (all when ``None``),
+        in recording order."""
+        names, runs = list(self._codes), self._runs
+        codes = None if ops is None else {self._codes.get(op) for op in ops}
+        for row, (code, rank, start, end, nbytes, path) in enumerate(zip(
+                self._ops, self._ranks, self._starts, self._ends,
+                self._nbytes, self._paths)):
+            if codes is None or code in codes:
+                if row not in runs:
+                    yield OpRecord(rank, names[code], start, end, nbytes, path)
+                    continue
+                members, late = runs[row]
+                for m in members:
+                    yield OpRecord(m, names[code], start, late.get(m, end),
+                                   nbytes, path)
+
     def select(self, ops: Optional[Iterable[str]] = None,
                path_prefix: Optional[str] = None) -> list[OpRecord]:
         """Records filtered by op name(s) and/or path prefix."""
-        out = self.records
-        if ops is not None:
-            opset = set(ops)
-            out = [r for r in out if r.op in opset]
+        out = self._calls(ops)
         if path_prefix is not None:
-            out = [r for r in out if r.path.startswith(path_prefix)]
-        return list(out) if out is self.records else out
+            return [r for r in out if r.path.startswith(path_prefix)]
+        return list(out)
 
     def op_counts(self) -> Counter:
         """Darshan-like counter table: number of ops per type."""
-        return Counter(r.op for r in self.records)
+        return Counter(r.op for r in self._calls())
 
     def bytes_by_op(self) -> dict[str, int]:
         """Total bytes moved per op type."""
         out: dict[str, int] = {}
-        for r in self.records:
+        for r in self._calls():
             out[r.op] = out.get(r.op, 0) + r.nbytes
         return out
 
     def per_rank_io_time(self, ops: Optional[Iterable[str]] = None) -> dict[int, float]:
         """Total time each rank spent inside the selected operations."""
         out: dict[int, float] = {}
-        for r in self.select(ops):
+        for r in self._calls(ops):
             out[r.rank] = out.get(r.rank, 0.0) + r.duration
         return out
 
     def per_rank_span(self, ops: Optional[Iterable[str]] = None) -> dict[int, tuple[float, float]]:
         """(first start, last end) of the selected ops, per rank."""
         out: dict[int, tuple[float, float]] = {}
-        for r in self.select(ops):
+        for r in self._calls(ops):
             cur = out.get(r.rank)
             if cur is None:
                 out[r.rank] = (r.start, r.end)
@@ -186,16 +192,21 @@ class DarshanProfiler:
         return self._intervals("writes", "write")
 
     def _intervals(self, name: str, op: str) -> IntervalRecorder:
-        """Intervals of the ``op`` records, expanding only entries of it."""
+        """Intervals of the ``op`` rows, read from the columns: only member
+        runs of ``op`` are expanded."""
         rec = IntervalRecorder(name)
-        for r in self._log:
-            if r.op != op:
-                continue
-            if r.__class__ is OpRecord:
-                rec.record(r.start, r.end, r.rank)
+        add, runs, ops = rec.record, self._runs, self._ops
+        code = self._codes.get(op)
+        row = -1 if code is None else ops.find(code)
+        while row >= 0:
+            start, end = self._starts[row], self._ends[row]
+            if row not in runs:
+                add(start, end, self._ranks[row])
             else:
-                for m in r.expand():
-                    rec.record(m.start, m.end, m.rank)
+                members, late = runs[row]
+                for m in members:
+                    add(start, late.get(m, end), m)
+            row = ops.find(code, row + 1)
         return rec
 
     def phase_intervals(self, phase: str) -> IntervalRecorder:
@@ -215,7 +226,7 @@ class DarshanProfiler:
         ``OPENS``.
         """
         out: dict[str, dict[str, float]] = {}
-        for r in self.records:
+        for r in self._calls():
             if not r.path:
                 continue
             c = out.setdefault(r.path, {
@@ -239,7 +250,8 @@ class DarshanProfiler:
         writes = self.select(["write"])
         per_rank = self.per_rank_io_time()
         return {
-            "n_records": len(self.records),
+            "n_records": len(self._ops) + sum(
+                len(members) - 1 for members, _late in self._runs.values()),
             "n_writes": len(writes),
             "bytes_written": float(sum(r.nbytes for r in writes)),
             "max_rank_io_time": max(per_rank.values()) if per_rank else 0.0,

@@ -75,6 +75,9 @@ class FSError(RuntimeError):
         self.transient = transient
 
 
+#: ``FileObject.writer_clients`` of every file nobody has open for writing.
+_NO_WRITERS = frozenset()
+
 #: ``GPFS.noise`` draws this many factors from its stream at a time.
 _NOISE_BLOCK = 4096
 
@@ -92,7 +95,6 @@ class FileObject:
         "path",
         "file_id",
         "size",
-        "allocated_blocks",
         "allocator",
         "lock_owner",
         "writer_clients",
@@ -104,10 +106,12 @@ class FileObject:
         self.path = path
         self.file_id = file_id
         self.size = 0
-        self.allocated_blocks: set[int] = set()
         self.allocator: Optional[Resource] = None  # see alloc_manager
-        self.lock_owner: dict[int, int] = {}
-        self.writer_clients: set[int] = set()
+        #: Allocated block -> rank holding its lock token, ``None`` while
+        #: nobody does: the lock map doubles as the allocation map.
+        self.lock_owner: dict[int, Optional[int]] = {}
+        #: Ranks with the file open for writing: a set once there is one.
+        self.writer_clients: frozenset | set[int] = _NO_WRITERS
         self.extents: Optional[list[tuple[int, bytes]]] = None  # see store
         self.created_at = created_at
 
@@ -328,7 +332,7 @@ class GPFS:
         fobj.size = nbytes
         bs = self.config.fs_block_size
         if nbytes:
-            fobj.allocated_blocks.update(range((nbytes - 1) // bs + 1))
+            fobj.lock_owner = dict.fromkeys(range((nbytes - 1) // bs + 1))
         if payload is not None:
             fobj.store(0, as_bytes(payload))
         self.files[path] = fobj
@@ -419,7 +423,10 @@ class FSClient:
         fs = self.fs
         stream = Pipe(fs.engine, fs.config.client_stream_bandwidth)
         if write:
-            fobj.writer_clients.add(self.rank)
+            if fobj.writer_clients:
+                fobj.writer_clients.add(self.rank)
+            else:
+                fobj.writer_clients = {self.rank}
         return FileHandle(fobj, self, write, stream, fs.engine.now)
 
     def close_op(self, handle: FileHandle) -> "_Close":
@@ -604,8 +611,11 @@ class _Close(_FSOp):
             raise FSError(f"double close of {self.path!r}", op="close",
                           path=self.path, time=fs.engine.now)
         handle.closed = True
-        if handle.writable:
-            handle.file.writer_clients.discard(self.client.rank)
+        writers = handle.file.writer_clients
+        if handle.writable and writers:
+            writers.discard(self.client.rank)
+            if not writers:
+                handle.file.writer_clients = _NO_WRITERS
         self.then = _Close._finish
         return Timeout(fs.engine, fs.config.meta_close_service * fs.noise())
 
@@ -643,7 +653,7 @@ class _Write(_FSOp):
         self.shared = len(fobj.writer_clients) > 1
         # --- extent allocation: a shared file's serializes on its manager
         self.new_blocks = [b for b in self.blocks
-                           if b not in fobj.allocated_blocks]
+                           if b not in fobj.lock_owner]
         self.serialized = self.shared and fs.serialized_shared_allocation
         if not self.new_blocks:
             return self._lock()
@@ -663,7 +673,10 @@ class _Write(_FSOp):
 
     def _allocated(self):
         fobj = self.handle.file
-        fobj.allocated_blocks.update(self.new_blocks)
+        # setdefault: a block another writer allocated and locked while
+        # this one waited keeps its owner.
+        for b in self.new_blocks:
+            fobj.lock_owner.setdefault(b, None)
         if self.serialized:
             fobj.allocator.release()
         return self._lock()

@@ -408,6 +408,21 @@ def test_coio_cohort_exact_under_a_full_trace(per_file, n_ranks,
     assert len(on.job._rank_procs) == 2 * n_agg  # aggregators + run reps
 
 
+def test_coio_cohort_lets_go_of_each_closed_handle():
+    """A member's ``FileHandle`` (and the client stream it holds) is the
+    close op's once the close starts: nothing of it outlives the step."""
+    import gc
+
+    from repro.storage import FileHandle
+
+    off, on = run_pair(coio(64), 256, shared_data(), n_steps=2,
+                       gap_seconds=0.5)
+    assert_identical(off, on)
+    assert_file_images_identical(off, on)
+    gc.collect()  # other tests' garbage; both runs are still referenced
+    assert not [o for o in gc.get_objects() if type(o) is FileHandle]
+
+
 def members_of(strategy, n_ranks):
     return {m for group in strategy.coalesce_plan(n_ranks).groups
             for m in group.members}

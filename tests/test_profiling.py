@@ -1,6 +1,9 @@
 """Tests for Darshan-style profiling and the figure analyses."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckpt import OneFilePerProcess, ReducedBlockingIO
 from repro.experiments import run_checkpoint_step, scaled_problem
@@ -76,6 +79,141 @@ def test_summary_fields():
     assert s["n_writes"] == 1
     assert s["bytes_written"] == 100
     assert s["max_rank_io_time"] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# The op log's views against a plain list of per-call records
+# ---------------------------------------------------------------------------
+
+_OPS = ("create", "open", "write", "read", "close")
+_PHASES = ("isend", "stage", "drain")
+_PATHS = ("/a/x", "/a/y", "/b/z")
+_t = st.floats(0.0, 1e3, allow_nan=False)
+
+
+@st.composite
+def _log_calls(draw):
+    """A random sequence of recording calls, members as a range or as a
+    list in any order, with and without late ends."""
+    calls = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(("op", "phase", "members", "reset")))
+        start = draw(_t)
+        end = start + draw(_t)
+        nbytes = draw(st.integers(0, 1 << 40))
+        if kind == "op":
+            calls.append((kind, draw(st.integers(0, 9)),
+                          draw(st.sampled_from(_OPS)), start, end, nbytes,
+                          draw(st.sampled_from(_PATHS))))
+        elif kind == "phase":
+            calls.append((kind, draw(st.integers(0, 9)),
+                          draw(st.sampled_from(_PHASES)), start, end, nbytes))
+        elif kind == "members":
+            lo = draw(st.integers(0, 9))
+            members = range(lo, lo + draw(st.integers(0, 6)))
+            if draw(st.booleans()):
+                members = draw(st.permutations(list(members)))
+            ended_late = draw(st.lists(st.sampled_from(list(members)),
+                                       unique=True, max_size=3)) if members else []
+            late = {m: start + draw(_t) for m in ended_late}
+            calls.append((kind, members, draw(st.sampled_from(_PHASES)),
+                          start, end, nbytes, late or None))
+        else:
+            calls.append((kind,))
+    return calls
+
+
+def _replay(calls):
+    """The profiler fed ``calls``, and the per-call tuples they stand for."""
+    prof, want = DarshanProfiler(), []
+    for call in calls:
+        kind, args = call[0], call[1:]
+        if kind == "op":
+            prof.record_op(*args)
+            want.append(args)
+        elif kind == "phase":
+            rank, phase, start, end, nbytes = args
+            prof.record_phase(*args)
+            want.append((rank, f"app:{phase}", start, end, nbytes, ""))
+        elif kind == "members":
+            members, phase, start, end, nbytes, late = args
+            prof.record_phase_members(members, phase, start, end, nbytes,
+                                      late=late)
+            want.extend((m, f"app:{phase}", start, (late or {}).get(m, end),
+                         nbytes, "") for m in members)
+        else:
+            prof.reset()
+            want.clear()
+    return prof, want
+
+
+def _io_time(calls):
+    out = {}
+    for rank, _op, start, end, _n, _p in calls:
+        out[rank] = out.get(rank, 0.0) + (end - start)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_log_calls(), st.lists(st.sampled_from(_OPS + tuple(
+    f"app:{p}" for p in _PHASES)), unique=True, max_size=3))
+def test_every_view_of_the_op_log_is_that_of_the_calls(calls, ops):
+    prof, want = _replay(calls)
+    chosen = [c for c in want if c[1] in ops]
+
+    def items(d):
+        return list(d.items())  # insertion order too
+
+    assert [tuple(r) for r in prof.records] == want
+    assert [tuple(r) for r in prof.select(ops)] == chosen
+    assert [tuple(r) for r in prof.select(path_prefix="/a")] == [
+        c for c in want if c[5].startswith("/a")]
+    assert [tuple(r) for r in prof.select(ops, path_prefix="/b")] == [
+        c for c in chosen if c[5].startswith("/b")]
+    counts, nbytes = {}, {}
+    for _rank, op, _s, _e, n, _p in want:
+        counts[op] = counts.get(op, 0) + 1
+        nbytes[op] = nbytes.get(op, 0) + n
+    assert items(prof.op_counts()) == items(counts)
+    assert items(prof.bytes_by_op()) == items(nbytes)
+    assert items(prof.per_rank_io_time()) == items(_io_time(want))
+    assert items(prof.per_rank_io_time(ops)) == items(_io_time(chosen))
+    span = {}
+    for rank, _op, start, end, _n, _p in chosen:
+        lo, hi = span.get(rank, (start, end))
+        span[rank] = (min(lo, start), max(hi, end))
+    assert items(prof.per_rank_span(ops)) == items(span)
+    files = {}
+    for _rank, op, start, end, n, path in want:
+        if not path:
+            continue
+        c = files.setdefault(path, {
+            "WRITES": 0, "BYTES_WRITTEN": 0, "READS": 0, "BYTES_READ": 0,
+            "F_WRITE_TIME": 0.0, "F_READ_TIME": 0.0, "OPENS": 0})
+        if op == "write":
+            c["WRITES"] += 1
+            c["BYTES_WRITTEN"] += n
+            c["F_WRITE_TIME"] += end - start
+        elif op == "read":
+            c["READS"] += 1
+            c["BYTES_READ"] += n
+            c["F_READ_TIME"] += end - start
+        elif op in ("open", "create"):
+            c["OPENS"] += 1
+    assert items(prof.file_counters()) == items(files)
+    writes = [c for c in want if c[1] == "write"]
+    per_rank = _io_time(want)
+    assert prof.summary() == {
+        "n_records": len(want), "n_writes": len(writes),
+        "bytes_written": float(sum(c[4] for c in writes)),
+        "max_rank_io_time": max(per_rank.values()) if per_rank else 0.0,
+        "mean_rank_io_time": (float(np.mean(list(per_rank.values())))
+                              if per_rank else 0.0)}
+    assert prof.write_intervals().intervals == [
+        (c[2], c[3], c[0]) for c in writes]
+    for phase in _PHASES:
+        assert prof.phase_intervals(phase).intervals == [
+            (c[2], c[3], c[0]) for c in want if c[1] == f"app:{phase}"]
 
 
 # ---------------------------------------------------------------------------

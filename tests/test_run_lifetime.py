@@ -371,6 +371,29 @@ def test_a_replayed_rank_has_no_context():
     off.job.close()
 
 
+def test_a_coalesced_1pfpp_run_builds_one_context():
+    """Every 1PFPP rank is replayed with a client of the job's file system:
+    only rank 0, whose process drives the replay, has a context.  The
+    drain leaves the collector nothing (``drain_unreachable``), nor does
+    ``close()`` (``left_for_collector_after_close``)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run = run_checkpoint_steps(strategy_for("1pfpp", 256), 256,
+                                   problem_for(256).data(), 2)
+        job = run.job
+        assert [ctx.rank for ctx in job.contexts.built()] == [0]
+        assert len(job._rank_procs) == 1 and run.result.n_ranks == 256
+        assert gc.collect() == 0
+        job.close()
+        del job, run
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_job_contexts_reads_like_the_list_it_was():
     job = Job(8, intrepid().quiet())
     contexts = job.contexts
