@@ -29,6 +29,7 @@ from typing import Optional
 from ..buffers import zeros
 from ..mpi import Message, RankContext
 from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
+from ..mpiio.aggregation import plan_table
 from ..mpiio.file import SHUFFLE_TAG_BASE
 from ..sim import CoalescePlan, GroupPlan
 from .base import CheckpointStrategy
@@ -297,7 +298,8 @@ class _RunReplay:
         self.payloads = [fld.view for fld in data.fields]
         self.exchange_plan = partial(
             FlatExchange.for_hints, hints=strategy.hints,
-            block_size=ctx.fs.fs.config.fs_block_size)
+            block_size=ctx.fs.fs.config.fs_block_size,
+            plans=plan_table(job.services))
         # Per member, by rank on ``comm`` (an aggregator's slot stays None).
         self.fs: list = [None] * comm.size
         self.handles: list = [None] * comm.size
@@ -411,16 +413,15 @@ class _RunReplay:
                         self._next_call if ex.empty else self._exchanged, i)
             return
         eng = self.eng
-        issued_at = eng.now
         fabric = comm.fabric
-        transfer = fabric.transfer
+        delay = fabric.delay
         eager = fabric.config.eager_threshold
         world = comm.world_ranks
         mailbox = comm.mailbox
         offs = self.offs
         payload = self.payloads[i]
         tag = SHUFFLE_TAG_BASE + i - self.first_call
-        shipped = self._shipped
+        shipped, delivered = self._shipped, self._delivered
         for lr in lrs:
             sends = ex.sends(lr)
             offset = offs[lr][i]
@@ -441,14 +442,15 @@ class _RunReplay:
                 continue
             # One rendezvous send: its delivery is its completion.
             dest, lo, hi = sends[0]
+            Message.in_flight(
+                eng, delay(world[lr], world[dest], hi - lo), mailbox(dest),
+                lr, tag, hi - lo, (lo, hi, None if payload is None
+                                   else payload[lo - offset:hi - offset])
+            ).callbacks.append(delivered)
 
-            def deliver(_ev, put=mailbox(dest).put, lr=lr, nbytes=hi - lo,
-                        body=(lo, hi, None if payload is None
-                              else payload[lo - offset:hi - offset])):
-                put(Message(lr, tag, nbytes, body, issued_at, eng.now))
-                shipped(lr, i)
-
-            transfer(world[lr], world[dest], hi - lo).callbacks.append(deliver)
+    def _delivered(self, msg) -> None:
+        """A member's rendezvous send is in (its call is read off the tag)."""
+        self._shipped(msg.source, msg.tag - SHUFFLE_TAG_BASE + self.first_call)
 
     def _shipped(self, lr, i, _ev=None) -> None:
         self._await(self.comm._barrier_arrive(lr).event, (lr,),

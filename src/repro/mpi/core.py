@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
 from ..network import Fabric
@@ -73,24 +74,54 @@ class MPIError(RuntimeError):
     """Raised on misuse of the simulated MPI interface."""
 
 
-class Message:
-    """A delivered point-to-point message."""
+class Message(Event):
+    """A point-to-point message: in flight, its own delivery event.
 
-    __slots__ = ("source", "tag", "nbytes", "payload", "sent_at", "delivered_at")
+    :meth:`in_flight` puts it in the calendar at ``now + delay`` — the
+    float instant and the bucket position of the transfer ``Timeout`` it
+    replaces — with :meth:`Mailbox.deliver` as its callback, so a message
+    costs one object and one calendar entry (DESIGN.md section 9.3).
+    ``Message(...)`` builds one that has already been delivered.
+    """
+
+    __slots__ = ("source", "tag", "nbytes", "payload", "sent_at",
+                 "delivered_at", "box")
 
     def __init__(self, source: int, tag: int, nbytes: int, payload: Any,
                  sent_at: float, delivered_at: float) -> None:
-        self.source = source
-        self.tag = tag
-        self.nbytes = nbytes
-        self.payload = payload
-        self.sent_at = sent_at
-        self.delivered_at = delivered_at
+        self.engine = self.callbacks = self._value = self.box = None
+        self._ok = self.triggered = self.processed = True
+        self.source, self.tag, self.nbytes = source, tag, nbytes
+        self.payload, self.sent_at, self.delivered_at = (
+            payload, sent_at, delivered_at)
+
+    @classmethod
+    def in_flight(cls, engine: Engine, delay: float, box: "Mailbox",
+                  source: int, tag: int, nbytes: int, payload: Any
+                  ) -> "Message":
+        """Send a message now: it arrives in ``box`` after ``delay``."""
+        msg = object.__new__(cls)
+        msg.engine, msg.callbacks, msg.box = engine, [Mailbox.deliver], box
+        msg._value = msg.delivered_at = None
+        msg._ok = msg.triggered = True
+        msg.processed = False
+        msg.source, msg.tag, msg.nbytes = source, tag, nbytes
+        msg.payload = payload
+        now = msg.sent_at = engine.now
+        t = now + delay
+        buckets = engine._buckets
+        bucket = buckets.get(t)
+        if bucket is None:
+            buckets[t] = [msg]
+            _heappush(engine._times, t)
+        else:
+            bucket.append(msg)
+        return msg
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Message src={self.source} tag={self.tag} "
-            f"nbytes={self.nbytes} t={self.delivered_at:.6f}>"
+            f"nbytes={self.nbytes} t={self.delivered_at}>"  # None in flight
         )
 
 
@@ -182,6 +213,13 @@ class Mailbox(Store):
     """
 
     __slots__ = ()
+
+    @staticmethod
+    def deliver(msg: Message) -> None:
+        """A message in flight arrives: stamp it and :meth:`put` it."""
+        box, msg.box = msg.box, None  # a queued message holds no mailbox
+        msg.delivered_at = msg.engine.now
+        box.put(msg)
 
     def put(self, msg: Message) -> None:
         """Deposit ``msg``, waking the first pending receive it satisfies."""
@@ -608,7 +646,8 @@ class CommView:
         """Nonblocking send of ``nbytes`` to communicator rank ``dest``.
 
         With ``buffered=True`` (or small messages) the returned request
-        completes after a local memory copy — the rbIO fast path.
+        completes after a local memory copy — the rbIO fast path; a
+        rendezvous send's request event is the message itself.
         """
         comm = self.comm
         if not 0 <= dest < comm.size:
@@ -618,31 +657,19 @@ class CommView:
         eng = comm.engine
         fabric = comm.fabric
         cfg = fabric.config
-        issued_at = eng.now
-        src_world = comm.world_ranks[self.rank]
-        dst_world = comm.world_ranks[dest]
-        eager = buffered or nbytes <= cfg.eager_threshold
-
-        transport = fabric.transfer(src_world, dst_world, nbytes)
+        world = comm.world_ranks
         mailbox = comm._mailboxes.get(dest)
         if mailbox is None:
             mailbox = comm.mailbox(dest)
-        source_local = self.rank
-
-        def deliver(_ev, mailbox=mailbox, source_local=source_local, tag=tag,
-                    nbytes=nbytes, payload=payload, issued_at=issued_at, eng=eng):
-            mailbox.put(Message(source_local, tag, nbytes, payload, issued_at, eng.now))
-
-        transport.add_callback(deliver)
-
-        if eager:
+        msg = Message.in_flight(
+            eng, fabric.delay(world[self.rank], world[dest], nbytes),
+            mailbox, self.rank, tag, nbytes, payload)
+        if buffered or nbytes <= cfg.eager_threshold:
             # Local completion: buffer copy at memory bandwidth plus the
             # per-message software overhead.
             copy = cfg.mpi_overhead + fabric.local_copy_time(nbytes)
-            local_done = eng.timeout(copy)
-        else:
-            local_done = transport
-        return Request(local_done, issued_at, "isend")
+            return Request(eng.timeout(copy), msg.sent_at, "isend")
+        return Request(msg, msg.sent_at, "isend")
 
     def post(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None) -> None:
         """Fire-and-forget buffered send (coalescing replay).
@@ -654,24 +681,7 @@ class CommView:
         completion (it is identical to its own), so the event would be pure
         heap churn.
         """
-        comm = self.comm
-        if not 0 <= dest < comm.size:
-            raise MPIError(f"post dest {dest} out of range (size {comm.size})")
-        if nbytes < 0:
-            raise MPIError(f"negative message size {nbytes}")
-        eng = comm.engine
-        issued_at = eng.now
-        transport = comm.fabric.transfer(
-            comm.world_ranks[self.rank], comm.world_ranks[dest], nbytes
-        )
-        mailbox = comm.mailbox(dest)
-        source_local = self.rank
-
-        def deliver(_ev, mailbox=mailbox, source_local=source_local, tag=tag,
-                    nbytes=nbytes, payload=payload, issued_at=issued_at, eng=eng):
-            mailbox.put(Message(source_local, tag, nbytes, payload, issued_at, eng.now))
-
-        transport.callbacks.append(deliver)
+        self.post_members((self.rank,), dest, nbytes, tag, payload)
 
     def post_members(self, sources_local, dest: int, nbytes: int,
                      tag: int = 0, payload: Any = None) -> None:
@@ -691,17 +701,14 @@ class CommView:
         if nbytes < 0:
             raise MPIError(f"negative message size {nbytes}")
         eng = comm.engine
-        issued_at = eng.now
-        transfer = comm.fabric.transfer
+        delay = comm.fabric.delay
         world = comm.world_ranks
         dst_world = world[dest]
-        put = comm.mailbox(dest).put
+        box = comm.mailbox(dest)
+        in_flight = Message.in_flight
         for src in sources_local:
-            def deliver(_ev, put=put, src=src, tag=tag, nbytes=nbytes,
-                        payload=payload, issued_at=issued_at, eng=eng):
-                put(Message(src, tag, nbytes, payload, issued_at, eng.now))
-
-            transfer(world[src], dst_world, nbytes).callbacks.append(deliver)
+            in_flight(eng, delay(world[src], dst_world, nbytes), box, src,
+                      tag, nbytes, payload)
 
     def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
         """Blocking send (generator): returns when send buffer is reusable."""

@@ -16,11 +16,12 @@ segment-list discipline that makes collective I/O fast in the first place.
 from __future__ import annotations
 
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 import numpy as np
 
 __all__ = ["RegionMap", "FileDomains", "FlatExchange", "TamExchange",
-           "pick_aggregators", "pick_node_aggregators"]
+           "pick_aggregators", "pick_node_aggregators", "plan_table"]
 
 
 class RegionMap:
@@ -179,7 +180,7 @@ class FlatExchange:
     """
 
     __slots__ = ("regions", "domains", "aggregators", "agg_index",
-                 "expected", "_pieces", "_starts")
+                 "expected", "_pieces", "_starts", "__weakref__")
 
     def __init__(self, raw_regions: list, n_aggregators: int,
                  block_size: int, align: bool = True) -> None:
@@ -220,11 +221,19 @@ class FlatExchange:
             src[by_src], np.arange(len(raw_regions) + 1)).tolist()
 
     @classmethod
-    def for_hints(cls, raw_regions: list, hints, block_size: int
-                  ) -> "FlatExchange":
-        """The plan a file's :class:`~repro.mpiio.Hints` select."""
-        return cls(raw_regions, hints.n_aggregators(len(raw_regions)),
-                   block_size, align=hints.align_file_domains)
+    def for_hints(cls, raw_regions: list, hints, block_size: int,
+                  plans: WeakValueDictionary) -> "FlatExchange":
+        """The plan a file's :class:`~repro.mpiio.Hints` select, shared by
+        equal calls while one is live in ``plans`` (:func:`plan_table`:
+        weak, a plan dies with its last call; DESIGN.md section 9.3)."""
+        n_aggregators = hints.n_aggregators(len(raw_regions))
+        align = hints.align_file_domains
+        key = (tuple(raw_regions), n_aggregators, block_size, align)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = cls(raw_regions, n_aggregators, block_size,
+                                    align=align)
+        return plan
 
     @property
     def empty(self) -> bool:
@@ -235,6 +244,14 @@ class FlatExchange:
         """``(dest rank, lo, hi)`` pieces of ``rank``'s extent, one per
         touched domain (``dest == rank``: an aggregator's own piece)."""
         return self._pieces[self._starts[rank]:self._starts[rank + 1]]
+
+
+def plan_table(services: dict) -> WeakValueDictionary:
+    """A job's live :class:`FlatExchange` plans (``services["mpiio:plans"]``)."""
+    plans = services.get("mpiio:plans")
+    if plans is None:
+        plans = services["mpiio:plans"] = WeakValueDictionary()
+    return plans
 
 
 def pick_node_aggregators(leaders, n_aggregators: int) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ from ..mpi import CommView, RankContext
 from ..sim import Process
 from ..storage import FSClient, FileHandle
 from ..topology import NodeGroups
-from .aggregation import FlatExchange, TamExchange
+from .aggregation import FlatExchange, TamExchange, plan_table
 from .hints import Hints
 
 __all__ = ["MPIFile", "SplitRequest", "SHUFFLE_TAG_BASE"]
@@ -69,6 +69,7 @@ class MPIFile:
         self.comm = comm
         self.fs: FSClient = ctx.fs
         self.tracer = ctx.job.tracer
+        self.services = ctx.job.services
         self.handle = handle
         self.path = path
         self.hints = hints
@@ -302,7 +303,8 @@ class MPIFile:
         call is measurable resident memory at 8K ranks.
         """
         return FlatExchange.for_hints(raw, self.hints,
-                                      self.fs.fs.config.fs_block_size)
+                                      self.fs.fs.config.fs_block_size,
+                                      plan_table(self.services))
 
     def _tam_exchange(self, raw: list) -> TamExchange:
         """``allgather`` map of the two-level call (bound, as above)."""

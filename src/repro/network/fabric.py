@@ -67,6 +67,7 @@ class Fabric:
         # Checkpoint traffic is many-messages-between-few-node-pairs
         # (workers -> their writer); hop latency per pair is cached.
         self._latency_cache: dict[int, float] = {}
+        self._n_nodes = self.psets.n_nodes
         #: Optional :class:`~repro.faults.FaultInjector`; ``None`` keeps
         #: transfers on the zero-cost fast path.
         self.injector = None
@@ -91,7 +92,7 @@ class Fabric:
     # -- transfers -----------------------------------------------------------
     def _pair_latency(self, src: int, dst: int) -> float:
         """Cached overhead + hop latency between two distinct nodes."""
-        key = src * self.psets.n_nodes + dst
+        key = src * self._n_nodes + dst
         lat = self._latency_cache.get(key)
         if lat is None:
             hops = self.topology.hops(src, dst)
@@ -107,11 +108,13 @@ class Fabric:
             return self.config.mpi_overhead
         return self._pair_latency(src, dst)
 
-    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Event:
-        """Move ``nbytes`` from ``src_rank``'s node to ``dst_rank``'s node.
+    def delay(self, src_rank: int, dst_rank: int, nbytes: int) -> float:
+        """Reserve the way for ``nbytes`` from ``src_rank``'s node to
+        ``dst_rank``'s node; the time from now until the last byte is in.
 
-        Returns an event triggering when the last byte has arrived.
         Same-node transfers cost a memory copy instead of network time.
+        The one reservation formula: a message in flight and
+        :meth:`transfer` both wait exactly this long.
 
         Only *sizes* move through the fabric model; message payloads ride
         the :class:`~repro.mpi.core.Message` as zero-copy segment
@@ -121,7 +124,6 @@ class Fabric:
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
-        eng = self.engine
         cpn = self._cores_per_node
         src = src_rank // cpn
         dst = dst_rank // cpn
@@ -129,15 +131,23 @@ class Fabric:
             # Intra-node: one memory-bandwidth copy plus software overhead.
             self.msgs_intra += 1
             self.bytes_intra += nbytes
-            return eng.timeout(self._intra_overhead + nbytes / self._mem_bw)
+            return self._intra_overhead + nbytes / self._mem_bw
         self.msgs_inter += 1
         self.bytes_inter += nbytes
-        t_inj = self.injection(src).reserve(nbytes)
-        t_ej = self.ejection(dst).reserve(nbytes)
-        done = max(t_inj, t_ej) + self._pair_latency(src, dst)
+        t_inj = (self._injection.get(src) or self.injection(src)).reserve(nbytes)
+        t_ej = (self._ejection.get(dst) or self.ejection(dst)).reserve(nbytes)
+        lat = self._latency_cache.get(src * self._n_nodes + dst)
+        if lat is None:
+            lat = self._pair_latency(src, dst)
+        done = (t_ej if t_ej > t_inj else t_inj) + lat  # max(), inline
+        now = self.engine.now
         if self.injector is not None:
-            done = self.injector.net_adjust(eng.now, src_rank, dst_rank, done)
-        return eng.timeout(done - eng.now)
+            done = self.injector.net_adjust(now, src_rank, dst_rank, done)
+        return done - now
+
+    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Event:
+        """An event when ``nbytes`` have moved (:meth:`delay` from now)."""
+        return self.engine.timeout(self.delay(src_rank, dst_rank, nbytes))
 
     def local_copy_time(self, nbytes: int) -> float:
         """Time for a node-local buffer copy of ``nbytes`` (eager sends)."""

@@ -366,7 +366,7 @@ def test_coio_exact_when_an_extent_straddles_a_domain(block_size, straddler):
     for i, nbytes in enumerate(data.field_sizes):
         ex = FlatExchange.for_hints(
             [(layout.block_offset(i, r), nbytes) for r in range(64)],
-            Hints(), block_size)
+            Hints(), block_size, plans={})
         split |= {r for r in range(64) if len(ex.sends(r)) > 1}
     assert split and all((r in aggs) == (straddler == "aggregator")
                          for r in split)

@@ -1,9 +1,13 @@
 """Tests for simulated MPI point-to-point communication."""
 
+import gc
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.mpi import ANY_SOURCE, ANY_TAG, Job, MPIError, run_spmd
 from repro.mpi.core import Communicator, Mailbox, Message
 from repro.network import Fabric
@@ -458,3 +462,155 @@ def test_recv_all_is_the_recv_loop_it_replaces(data):
         assert [body[0] for body in batch["gather"][1]] == list(sources)
         assert batch_left == loop_left
         assert batch_events == loop_events
+
+
+# ---------------------------------------------------------------------------
+# A message in flight is its own delivery event: one object and one calendar
+# entry, at the instant and bucket position of the Timeout it replaces
+# ---------------------------------------------------------------------------
+
+#: ``(source, dest, nbytes)`` on 16 ranks, 4 to a node: intra- and
+#: inter-node pairs, eager, rendezvous and zero-byte sizes, and repeats
+#: that queue behind each other on one node's pipes.
+_PAIRS = [(1, 0, 4096), (5, 0, 3000), (9, 0, 1 << 20), (0, 4, 777),
+          (2, 3, 0), (13, 0, 1 << 20), (5, 0, 3000), (4, 8, 64 << 10)]
+
+
+def _degrade(eng):
+    """An armed ``net_degrade`` injector: transfers take twice as long."""
+    return FaultInjector(SimpleNamespace(engine=eng, tracer=None), FaultSchedule((
+        FaultSpec(kind="net_degrade", time=0.0, factor=2.0, duration=1.0),)))
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["plain", "net_degrade"])
+def test_message_in_flight_lands_at_now_plus_delay(armed):
+    """``delivered_at`` is ``now + Fabric.delay(...)`` bit for bit, through
+    ``isend`` (eager and rendezvous) and ``post`` alike; a twin fabric that
+    makes the same reservations gives the delays."""
+    eng = Engine()
+    fabric, twin = Fabric(eng, QUIET, 16), Fabric(eng, QUIET, 16)
+    if armed:
+        fabric.injector, twin.injector = _degrade(eng), _degrade(eng)
+    comm = Communicator(eng, fabric, list(range(16)))
+    want = []
+
+    def sender():
+        yield eng.timeout(0.1)  # a clock that is not a round number
+        for k, (src, dst, nbytes) in enumerate(_PAIRS):
+            want.append((k, (eng.now + twin.delay(src, dst, nbytes)).hex()))
+            if k % 2:
+                comm.view(src).post(dst, nbytes, tag=k)
+            else:
+                comm.view(src).isend(dst, nbytes, tag=k)
+            if k % 3 == 2:
+                yield eng.timeout(1e-5)
+
+    eng.process(sender())
+    eng.run()
+    msgs = [m for r in range(16) for m in comm.mailbox(r).items]
+    assert sorted((m.tag, m.delivered_at.hex()) for m in msgs) == want
+    assert all(m.box is None and m.processed for m in msgs)
+
+
+def test_same_instant_messages_fire_in_creation_order():
+    """Intra-node messages with equal delays share one bucket with the
+    Timeouts created just before and just after them, and fire in the
+    order they were created."""
+    eng = Engine()
+    comm = Communicator(eng, Fabric(eng, QUIET, 16), list(range(16)))
+    nbytes = 4096  # rendezvous: the request event is the message itself
+    delay = QUIET.mpi_overhead + nbytes / QUIET.memory_bandwidth
+    fired = []
+
+    def log(name):
+        return lambda _ev: fired.append((name, eng.now))
+
+    def sender():
+        yield eng.timeout(0.1)
+        eng.timeout(delay).callbacks.append(log("before"))
+        for k, src in enumerate((1, 2, 3, 1)):
+            req = comm.view(src).isend(0, nbytes, tag=k)
+            assert isinstance(req.event, Message)
+            req.event.callbacks.append(log(k))
+        comm.view(2).post(0, nbytes, tag=4)
+        eng.timeout(delay).callbacks.append(log("after"))
+
+    eng.process(sender())
+    eng.run()
+    assert [name for name, _t in fired] == ["before", 0, 1, 2, 3, "after"]
+    assert len({t for _name, t in fired}) == 1
+    assert [m.tag for m in comm.mailbox(0).items] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["plain", "net_degrade"])
+def test_transfer_is_a_timeout_of_delay(armed):
+    """``Fabric.transfer`` against ``timeout(delay(...))`` on two fresh
+    fabrics: the same instants and the same ``stats()``."""
+    def run(wait):
+        eng = Engine()
+        fabric = Fabric(eng, QUIET, 16)
+        if armed:
+            fabric.injector = _degrade(eng)
+        fired = []
+
+        def sender():
+            yield eng.timeout(0.1)
+            for k, pair in enumerate(_PAIRS):
+                wait(eng, fabric, *pair).callbacks.append(
+                    lambda _ev, k=k: fired.append((k, eng.now.hex())))
+                if k % 3 == 2:
+                    yield eng.timeout(1e-5)
+
+        eng.process(sender())
+        eng.run()
+        return fired, fabric.stats()
+
+    by_transfer = run(lambda eng, fabric, *pair: fabric.transfer(*pair))
+    by_delay = run(lambda eng, fabric, *pair: eng.timeout(fabric.delay(*pair)))
+    assert by_transfer == by_delay
+    assert by_transfer[1]["msgs_intra"] and by_transfer[1]["msgs_inter"]
+
+
+def test_a_message_in_flight_is_one_object():
+    """``post_members`` of N messages grows the GC-tracked objects by at
+    most 2N before the drain — the message and its callback list."""
+    eng = Engine()
+    comm = Communicator(eng, Fabric(eng, QUIET, 16), list(range(16)))
+    view = comm.view(0)
+    sources = [1, 2, 3] * 100  # intra-node and equal sizes: one instant
+    nbytes = 4096
+    view.post_members(sources, 0, nbytes, tag=1)  # the mailbox is built
+    eng.run()
+    # Its calendar bucket stands already: count the messages alone.
+    eng.timeout(QUIET.mpi_overhead + nbytes / QUIET.memory_bandwidth)
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        view.post_members(sources, 0, nbytes, tag=2)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if collecting:
+            gc.enable()
+    assert grown <= 2 * len(sources)
+    eng.run()
+    assert [m.tag for m in comm.mailbox(0).items] == [1] * 300 + [2] * 300
+
+
+def test_a_message_built_outside_the_calendar_is_a_delivered_one():
+    eng = Engine()
+    box = Mailbox(eng)
+    msg = Message(15, 7, 0, "body", 0.5, 0.75)
+    assert msg.processed and msg.callbacks is None and msg.box is None
+    got = []
+
+    def reader():
+        got.append((yield box.get_exact(15, 7)))
+
+    eng.process(reader())
+    box.put(msg)
+    eng.run()
+    assert got == [msg]
+    assert (msg.source, msg.tag, msg.payload) == (15, 7, "body")
+    assert (msg.sent_at, msg.delivered_at) == (0.5, 0.75)

@@ -1,10 +1,15 @@
 """Tests for the MPI-IO layer: geometry, collective writes, data integrity."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig
+from repro.ckpt import CheckpointData, CollectiveIO, Field
+from repro.experiments import run_checkpoint_steps
 from repro.mpi import Job
 from repro.mpiio import (
     FileDomains,
@@ -564,3 +569,68 @@ def test_successive_collective_writes_per_field_pattern():
         for r in range(n):
             off = fld * n * per + r * per
             assert data[off] == fld * 16 + r
+
+
+# ---------------------------------------------------------------------------
+# One plan per distinct call per job, held weakly
+# ---------------------------------------------------------------------------
+
+def _spy_on_plans(monkeypatch, hold=False):
+    """Record every plan ``FlatExchange.for_hints`` hands out: its regions,
+    the plan (a weak reference unless the spy is to ``hold`` them), and
+    whether it *is* the first plan handed out for those regions — asked
+    then, while that one may still be live."""
+    handed, first = [], {}
+    real = FlatExchange.for_hints.__func__
+
+    def spy(cls, raw, hints, block_size, plans):
+        plan = real(cls, raw, hints, block_size, plans)
+        key, ref = tuple(raw), weakref.ref(plan)
+        handed.append((key, plan if hold else ref,
+                       first.setdefault(key, ref)() is plan))
+        return plan
+
+    monkeypatch.setattr(FlatExchange, "for_hints", classmethod(spy))
+    return handed
+
+
+def _coio_run(ranks_per_file, n_ranks, coalesce, header_bytes=512):
+    data = CheckpointData([Field(f"f{i}", 4096) for i in range(3)],
+                          header_bytes=header_bytes)
+    return run_checkpoint_steps(CollectiveIO(ranks_per_file), n_ranks, data,
+                                seed=11, run_config=RunConfig(coalesce=coalesce))
+
+
+def test_file_groups_making_the_same_call_share_one_plan(monkeypatch):
+    """Coalesced ``coio_64`` at np=256: the four file groups make each of
+    the three calls with the same regions, and all four receive the plan
+    the first of them built (``is``, checked while it is live)."""
+    handed = _spy_on_plans(monkeypatch)
+    _coio_run(64, 256, "require", header_bytes=0)
+    assert len(handed) == 4 * 3 and len({key for key, *_ in handed}) == 3
+    assert all(same for *_, same in handed)
+
+
+def test_two_jobs_never_share_a_plan(monkeypatch):
+    """Job A's plans are held alive while job B makes the same calls:
+    B builds its own, in its own table."""
+    handed = _spy_on_plans(monkeypatch, hold=True)
+    run_a = _coio_run(64, 128, "off")
+    held = handed[:]
+    del handed[:]
+    run_b = _coio_run(64, 128, "off")
+    assert run_b.job.services["mpiio:plans"] is not \
+        run_a.job.services["mpiio:plans"]
+    assert {key for key, *_ in handed} == {key for key, *_ in held}
+    assert not any(b is a for _key, b, _same in handed
+                   for _key_a, a, _same_a in held)
+
+
+@pytest.mark.parametrize("coalesce", ["off", "require"])
+def test_no_plan_outlives_its_call(coalesce):
+    """After a ``coio_nf1`` run the job's plan table holds nothing: a
+    strong memo would keep every distinct plan of the run alive."""
+    run = _coio_run(None, 256, coalesce)
+    plans = run.job.services["mpiio:plans"]
+    assert isinstance(plans, weakref.WeakValueDictionary)
+    assert list(plans.values()) == []
