@@ -12,9 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..buffers import ByteRope, BytesLike, concat_once
 
 __all__ = ["Field", "CheckpointData", "EvolvingData", "BoundEvolvingData"]
+
+
+def _random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The ``n`` uniform bytes ``rng.integers`` would draw as ``uint8``.
+
+    numpy draws each such byte from a buffered ``next_uint32``, low byte
+    first, and PCG64's ``next_uint32`` returns the low, then the high half
+    of each 64-bit word.  The byte stream is therefore the high half an
+    earlier 32-bit draw left pending (``has_uint32``), then the raw words
+    in little-endian order — read here straight off ``random_raw``.  The
+    generator is spent afterwards: its pending half is not maintained.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    pending = (state["uinteger"].to_bytes(4, "little")
+               if state["has_uint32"] else b"")
+    head = np.frombuffer(pending, dtype=np.uint8)[:n]
+    words = bitgen.random_raw(-(-(n - len(head)) // 8))
+    body = words.astype("<u8", copy=False).view(np.uint8)[: n - len(head)]
+    return np.concatenate((head, body)) if len(head) else body
 
 
 @dataclass(frozen=True)
@@ -176,9 +198,12 @@ class EvolvingData:
         bytes.  One region — not one per field — so the change surface
         matches the mutated fraction instead of being multiplied by
         chunk-boundary overhead at every field seam.
-        """
-        import numpy as np
 
+        Each step's state is one read-only array; its fields are read-only
+        ``memoryview`` slices of it, so no payload byte is copied before
+        the file-system commit, and a later step (a fresh array) never
+        aliases an earlier step's views.
+        """
         if not 0.0 <= mutated_fraction <= 1.0:
             raise ValueError(
                 f"mutated_fraction must be in [0, 1], got {mutated_fraction}")
@@ -192,28 +217,29 @@ class EvolvingData:
         def advance(state: "np.ndarray", rank: int, step: int
                     ) -> "np.ndarray":
             if step == 0:
-                rng = np.random.default_rng((seed, rank))
-                return rng.integers(0, 256, size=total, dtype=np.uint8)
-            if mut_len == 0:
+                out = _random_bytes(np.random.default_rng((seed, rank)), total)
+            elif mut_len == 0:
                 return state
-            rng = np.random.default_rng((seed, rank, step))
-            start = int(rng.integers(0, total))
-            fresh = rng.integers(0, 256, size=mut_len, dtype=np.uint8)
-            out = state.copy()
-            end = start + mut_len
-            if end <= total:
-                out[start:end] = fresh
             else:
-                out[start:] = fresh[: total - start]
-                out[: end - total] = fresh[total - start :]
+                rng = np.random.default_rng((seed, rank, step))
+                start = int(rng.integers(0, total))
+                fresh = _random_bytes(rng, mut_len)
+                out = state.copy()
+                end = start + mut_len
+                if end <= total:
+                    out[start:end] = fresh
+                else:
+                    out[start:] = fresh[: total - start]
+                    out[: end - total] = fresh[total - start :]
+            out.setflags(write=False)
             return out
 
         def fields_of(state: "np.ndarray") -> CheckpointData:
-            blob = state.tobytes()
+            view = memoryview(state)  # read-only: advance froze the array
             fields = []
             pos = 0
             for name, nbytes in zip(names, sizes):
-                fields.append(Field(name, nbytes, blob[pos : pos + nbytes]))
+                fields.append(Field(name, nbytes, view[pos : pos + nbytes]))
                 pos += nbytes
             return CheckpointData(fields, header_bytes=header_bytes)
 

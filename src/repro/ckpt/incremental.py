@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -720,14 +719,3 @@ def read_manifest(ctx, data_path: str, step: int):
             f"{path!r} describes step {manifest.step}, expected {step}",
             step=step, path=path, rank=ctx.rank)
     return manifest
-
-
-def crc32_concat(parts) -> int:
-    """CRC32 over a sequence of bytes-likes without joining them."""
-    value = 0
-    for p in parts:
-        if isinstance(p, ByteRope):
-            value = p.crc32(value)
-        else:
-            value = zlib.crc32(p, value) & 0xFFFFFFFF
-    return value & 0xFFFFFFFF
