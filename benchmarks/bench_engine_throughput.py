@@ -7,47 +7,29 @@ one-shot completion fan-out).  This bench measures events/second for each
 via the engine's built-in counters (:meth:`~repro.sim.Engine.counters`)
 so hot-path regressions show up as a number, not a vague slowdown.
 
-The headline ``timeout_storm`` / ``ping_pong`` workloads use the batched
-event paths (:meth:`~repro.sim.Engine.timeout_batch`,
-:meth:`~repro.sim.Engine.cohort`) the checkpoint strategies lean on; the
+The headline ``ping_pong`` workload completes on the counted
+:class:`~repro.sim.Cohort` every collective completes on; the
 ``*_scalar`` series keep the one-event-per-yield variants alive as
 regression canaries for the unbatched path.  ``barrier_4k`` runs
 uncoalesced per-rank barriers; ``barrier_64k`` runs the same total rank
 count through coalesced representatives so the O(1)-per-wave claim for
-symmetric groups (``Communicator._barrier_arrive_members``) is measured,
-not asserted.
+symmetric groups (``Communicator.arrive`` with a member range) is
+measured, not asserted.
 """
 
-import numpy as np
 from _common import SMOKE, bench_np, bench_record, print_series
 
 from repro.mpi import Job
-from repro.sim import Engine
+from repro.sim import Cohort, Engine
 from repro.topology import intrepid
 
 N_TIMEOUTS = 20_000 if SMOKE else 200_000
 N_PINGPONG = 10_000 if SMOKE else 100_000
-BATCH = 100  # timeouts per timeout_batch / exchanges per cohort volley
+BATCH = 100  # exchanges per cohort volley
 BARRIER_NP = bench_np(4096, 4096)
 BARRIER64_NP = bench_np(65536, 8192)
 GROUP64 = 64  # coalesced group width (the paper's rbIO 64:1 shape)
 N_BARRIERS = 16
-
-
-def _timeout_storm() -> Engine:
-    """Vectorized timeout scheduling: one calendar entry per delay batch."""
-    eng = Engine()
-    n_batches = N_TIMEOUTS // 100 // BATCH
-
-    def proc(offset):
-        delays = (((np.arange(BATCH) * 7 + offset) % 13) * 0.001)
-        for _ in range(n_batches):
-            yield eng.timeout_batch(delays)
-
-    for offset in range(100):
-        eng.process(proc(offset))
-    eng.run()
-    return eng
 
 
 def _timeout_storm_scalar() -> Engine:
@@ -72,7 +54,7 @@ def _ping_pong() -> Engine:
 
     def ping():
         for _ in range(n_volleys):
-            coh = eng.cohort(BATCH)
+            coh = Cohort(eng, BATCH)
             state["ball"] = coh
             yield eng.timeout(0.0)
             coh.succeed()
@@ -217,7 +199,6 @@ def _checkpoint_cell(approach: str) -> dict:
 
 
 _WORKLOADS = {
-    "timeout_storm": _timeout_storm,
     "ping_pong": _ping_pong,
     "barrier_4k": _wide_barrier,
     "barrier_64k": _wide_barrier_coalesced,
@@ -254,11 +235,10 @@ def test_engine_throughput(benchmark):
     for name, c in out.items():
         assert c["sim.events_processed"] > 0, name
         assert c["sim.events_per_second"] > 0, name
-    # The batched paths should clear 1M logical events/sec on any machine
+    # The cohort path should clear 1M logical events/sec on any machine
     # this runs on (target hardware does >5M); the scalar calendar path
     # should sustain well beyond 100K.  A big miss means a hot-path
     # regression.
-    assert out["timeout_storm"]["sim.events_per_second"] > 1_000_000
     assert out["ping_pong"]["sim.events_per_second"] > 1_000_000
     assert out["timeout_storm_scalar"]["sim.events_per_second"] > 100_000
     # Coalesced entry must make a wave *cheaper* in wall time than the

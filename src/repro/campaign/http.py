@@ -165,11 +165,11 @@ class _Handler(BaseHTTPRequestHandler):
                              "(optionally wrapped as {\"spec\": {...}})")
             return
         try:
-            campaign_id = self.service.submit(spec)
+            self._send(200, self.service.status(self.service.submit(spec)))
         except SpecError as exc:
             self._error(400, str(exc))
-            return
-        self._send(200, self.service.status(campaign_id))
+        except Exception as exc:  # the server must outlive a handler bug
+            self._internal_error(exc)
 
 
 def make_server(service: SweepService, host: str = "127.0.0.1",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Mapping, Optional
 
@@ -76,6 +77,11 @@ TAM_MODES = ("off", "auto", "require")
 #: (see :class:`repro.mpi.RunConfig`).
 TRACE_MODES = ("off", "summary", "full")
 
+#: Most checkpoints one point may take, from ``steps.n_steps`` or from the
+#: checkpoint rules (counted before their instants are enumerated): far
+#: above any bench or example, and a bound on what :func:`expand` builds.
+MAX_CHECKPOINTS = 10_000
+
 
 class SpecError(ValueError):
     """A campaign spec failed validation; the message names the path."""
@@ -112,6 +118,8 @@ def _number(value: Any, path: str, *, minimum: Optional[float] = None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(path, f"expected a number, got {_type_name(value)}")
     out = float(value)
+    if not math.isfinite(out):
+        raise SpecError(path, f"must be finite, got {value}")
     if positive and out <= 0:
         raise SpecError(path, f"must be positive, got {value}")
     if minimum is not None and out < minimum:
@@ -119,11 +127,14 @@ def _number(value: Any, path: str, *, minimum: Optional[float] = None,
     return out
 
 
-def _integer(value: Any, path: str, *, minimum: Optional[int] = None) -> int:
+def _integer(value: Any, path: str, *, minimum: Optional[int] = None,
+             maximum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(path, f"expected an integer, got {_type_name(value)}")
     if minimum is not None and value < minimum:
         raise SpecError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SpecError(path, f"must be <= {maximum}, got {value}")
     return value
 
 
@@ -188,9 +199,7 @@ class MachineSpec:
                                 f"unknown MachineConfig field "
                                 f"{name!r}{suggestion}")
             value = overrides[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(f"{path}.overrides.{name}",
-                                f"expected a number, got {_type_name(value)}")
+            _number(value, f"{path}.overrides.{name}")
             items.append((name, value))
         return cls(preset=preset, overrides=tuple(items))
 
@@ -314,7 +323,8 @@ class StepsSpec:
     def from_dict(cls, d: Mapping, path: str = "steps") -> "StepsSpec":
         _reject_unknown(d, ("n_steps", "gap"), path)
         return cls(
-            n_steps=_integer(d.get("n_steps", 1), f"{path}.n_steps", minimum=1),
+            n_steps=_integer(d.get("n_steps", 1), f"{path}.n_steps", minimum=1,
+                             maximum=MAX_CHECKPOINTS),
             gap=_number(d.get("gap", 0.0), f"{path}.gap", minimum=0.0),
         )
 
@@ -339,6 +349,15 @@ def _rule_from_dict(d: Mapping, path: str) -> CheckpointRule:
         return CheckpointRule(**kwargs)
     except ValueError as exc:
         raise SpecError(path, str(exc)) from None
+
+
+def _rule_count(rule: CheckpointRule, horizon: float) -> float:
+    """How many instants ``rule`` lists within ``horizon`` (to within one,
+    its end tolerance included), without listing them."""
+    if rule.at:
+        return len(rule.at)
+    end = horizon if rule.stop is None else min(rule.stop, horizon)
+    return max(0.0, (end + 1e-12 - rule.start) // rule.every + 1)
 
 
 def _rule_to_dict(rule: CheckpointRule) -> dict:
@@ -407,21 +426,28 @@ class CampaignCheckpoint:
         if "horizon" not in d:
             raise SpecError(f"{path}.horizon",
                             "required (simulated seconds the rules cover)")
+        horizon = _number(d["horizon"], f"{path}.horizon", positive=True)
+        at_end = _boolean(d.get("at_end", False), f"{path}.at_end")
+        t_step = _number(d.get("t_step", TCOMP_PER_STEP), f"{path}.t_step",
+                         positive=True)
         rules = {}
-        for axis in ("wallclock_time", "solver_steps"):
-            rules[axis] = tuple(
-                _rule_from_dict(_require_mapping(r, f"{path}.{axis}[{i}]"),
-                                f"{path}.{axis}[{i}]")
-                for i, r in enumerate(_sequence(d.get(axis, ()),
-                                                f"{path}.{axis}")))
-        return cls(
-            horizon=_number(d["horizon"], f"{path}.horizon", positive=True),
-            at_end=_boolean(d.get("at_end", False), f"{path}.at_end"),
-            t_step=_number(d.get("t_step", TCOMP_PER_STEP), f"{path}.t_step",
-                           positive=True),
-            wallclock_time=rules["wallclock_time"],
-            solver_steps=rules["solver_steps"],
-        )
+        count = float(at_end)
+        for axis, scale in (("wallclock_time", 1.0), ("solver_steps", t_step)):
+            parsed = []
+            for i, r in enumerate(_sequence(d.get(axis, ()), f"{path}.{axis}")):
+                where = f"{path}.{axis}[{i}]"
+                rule = _rule_from_dict(_require_mapping(r, where), where)
+                count += _rule_count(rule, horizon / scale)
+                if count > MAX_CHECKPOINTS:
+                    raise SpecError(
+                        where, f"the rules fire {count:.3g} times within "
+                        f"horizon {horizon}; a point takes at most "
+                        f"{MAX_CHECKPOINTS} checkpoints")
+                parsed.append(rule)
+            rules[axis] = tuple(parsed)
+        return cls(horizon=horizon, at_end=at_end, t_step=t_step,
+                   wallclock_time=rules["wallclock_time"],
+                   solver_steps=rules["solver_steps"])
 
     def to_dict(self) -> dict:
         out: dict = {"horizon": self.horizon}

@@ -342,8 +342,8 @@ class _RunReplay:
     def _after_gap(self, lrs, step, _ev) -> None:
         if self.barrier_each_step:
             world_ranks = self.comm.world_ranks
-            self._await(self.world._barrier_arrive_members(
-                [world_ranks[lr] for lr in lrs]).event,
+            self._await(self.world.arrive(
+                "barrier", [world_ranks[lr] for lr in lrs]).event,
                 lrs, self._enter_step, step)
         else:
             self._enter_step(lrs, step, None)
@@ -354,16 +354,16 @@ class _RunReplay:
         self._gather_layout(lrs)
 
     def _gather_layout(self, lrs) -> None:
-        self._await(self.comm._allgather_arrive_members(
-            lrs, repeat(self.field_sizes), self.layout_nbytes,
-            self.make_layout).event, lrs, self._laid_out, None)
+        self._await(self.comm.arrive(
+            "allgather", lrs, repeat(self.field_sizes), nbytes=self.layout_nbytes,
+            fn=self.make_layout).event, lrs, self._laid_out, None)
 
     def _laid_out(self, lrs, _arg, ev) -> None:
         if self.offs is None:
             self.offs = [fs and ev.value.member_offsets(lr)
                          for lr, fs in enumerate(self.fs)]
         # MPIFile.open, non-creator side: barrier, then fs.open.
-        self._await(self.comm._barrier_arrive_members(lrs).event,
+        self._await(self.comm.arrive("barrier", lrs).event,
                     lrs, self._open, None)
 
     def _drive(self, op, done, lr, fired=None) -> None:
@@ -389,7 +389,7 @@ class _RunReplay:
         comm = self.comm
         if i == len(self.payloads):
             # MPIFile.close: barrier, fs.close, barrier.
-            self._await(comm._barrier_arrive_members(lrs).event,
+            self._await(comm.arrive("barrier", lrs).event,
                         lrs, self._close, None)
             return
         if self.tracer is not None:
@@ -401,15 +401,16 @@ class _RunReplay:
         else:
             offs, nbytes = self.offs, self.field_sizes[i]
             regions = [(offs[lr][i], nbytes) for lr in lrs]
-        self._await(comm._allgather_arrive_members(
-            lrs, regions, 16, self.exchange_plan).event, lrs, self._ship, i)
+        self._await(comm.arrive(
+            "allgather", lrs, regions, nbytes=16, fn=self.exchange_plan).event,
+            lrs, self._ship, i)
 
     def _ship(self, lrs, i, ev) -> None:
         ex: FlatExchange = ev.value
         comm = self.comm
         if ex.empty or i < 0:
             # Nothing to send: straight to the call's closing barrier.
-            self._await(comm._barrier_arrive_members(lrs).event, lrs,
+            self._await(comm.arrive("barrier", lrs).event, lrs,
                         self._next_call if ex.empty else self._exchanged, i)
             return
         eng = self.eng

@@ -32,7 +32,8 @@ Semantics and costs
   partition topology rather than as explicit message storms: every rank
   still synchronises on the same completion event (so *blocking structure*
   is exact), but a 65,536-rank barrier costs O(np) simulator events instead
-  of O(np log np).
+  of O(np log np).  Every call is entered through one
+  :meth:`Communicator.arrive`, and completes by its collective's rule.
 - **Receives** cost a message-body copy at memory bandwidth.  ``recv`` is
   one receive; a fixed list of sources (an aggregator's senders, a
   writer's workers) is received with ``recv_all``, which keeps all of them
@@ -40,17 +41,19 @@ Semantics and costs
   it ends at — same instant, same logical event count, an event per
   wake-up of the loop instead of two per message (DESIGN.md section 9.1).
 - A caller that stands in for many ranks enters a collective for all of
-  them at once (``barrier_members``, ``split_members``,
-  ``Communicator._barrier_arrive_members`` /
-  ``_allgather_arrive_members``): one arrival per member is counted, in
-  one call.
+  them at once (``barrier_members``, ``split_members``, or
+  ``Communicator.arrive`` with a member range): one arrival per member is
+  counted, in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections.abc import Mapping
 from heapq import heappush as _heappush
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 from ..network import Fabric
@@ -68,6 +71,10 @@ __all__ = [
 
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+#: The collective calls :meth:`Communicator.arrive` enters.
+_COLLECTIVES = frozenset(
+    ("barrier", "bcast", "gather", "allgather", "reduce", "allreduce", "split"))
 
 
 class MPIError(RuntimeError):
@@ -401,6 +408,8 @@ class Communicator:
         being called (SPMD ordering violation)."""
         op = self._coll_ops.get(seq)
         if op is None:
+            if name not in _COLLECTIVES:
+                raise MPIError(f"unknown collective {name!r}")
             op = self._coll_ops[seq] = _CollectiveOp(
                 name, self.size, Cohort(self.engine, self.size), root)
         elif op.name != name or op.root != root:
@@ -410,37 +419,48 @@ class Communicator:
             )
         return op
 
-    def _arrived(self, op: _CollectiveOp, seq: int, k: int) -> bool:
-        """Count ``k`` arrivals at ``op``; whether they were the last."""
-        op.arrived += k
-        self.engine.count_events(k)
-        if op.arrived < self.size:
-            return False
-        del self._coll_ops[seq]
-        return True
+    def arrive(self, name: str, members, contribs=None, root: int = 0,
+               nbytes: int = 0, fn: Optional[Callable] = None
+               ) -> _CollectiveOp:
+        """Enter ``members`` (ranks, in order) at their next collective call,
+        ``name(root)``, with ``contribs`` (their contributions, in the same
+        order; ``None`` for none); returns the op, whose ``event`` fires
+        with the call's result.
 
-    def _collective_enter(self, name: str, local_rank: int, contrib: Any,
-                          root: int) -> tuple[_CollectiveOp, bool]:
-        """Register a rank's arrival at its next collective call.
-
-        Returns ``(op, is_last)``.
+        The only way a collective call is entered (``_barrier_arrive`` is
+        its per-rank barrier, specialised).  Members in lockstep enter in
+        one step (:meth:`_advance_members`), the others one by one, with
+        identical semantics; the last arrival completes the op
+        (:meth:`_complete`) with ``nbytes`` and ``fn``.
         """
-        seq = self._coll_seq[local_rank]
-        self._coll_seq[local_rank] = seq + 1
-        op = self._op(seq, name, root, local_rank)
-        op.contrib[local_rank] = contrib
-        return op, self._arrived(op, seq, 1)
+        members = list(members)
+        if not members:
+            raise MPIError(f"{name} needs at least one member")
+        seq = self._advance_members(members)
+        if seq is None:  # not in lockstep: one by one
+            for lr, value in zip(members, repeat(None) if contribs is None
+                                 else contribs):
+                op = self.arrive(name, (lr,), (value,), root, nbytes, fn)
+            return op
+        op = self._op(seq, name, root, members[0])
+        if contribs is not None:
+            contrib = op.contrib
+            for lr, value in zip(members, contribs):
+                contrib[lr] = value
+        op.arrived += len(members)
+        self.engine.count_events(len(members))
+        if op.arrived == self.size:
+            del self._coll_ops[seq]
+            self._complete(op, nbytes, fn)
+        return op
 
     def _barrier_arrive(self, local_rank: int) -> _CollectiveOp:
-        """Barrier-specialised :meth:`_collective_enter` + completion.
+        """``arrive("barrier", (local_rank,))``, specialised.
 
         The barrier is the hottest collective (every checkpoint wave runs
         one per step per rank), and it carries no contribution and a
-        constant completion delay — so the generic path's contribution
-        write, tuple return, and tree-time recomputation are pure overhead.
-        Semantics are identical to ``_collective_enter("barrier", rank,
-        None, 0)`` followed by ``_finish_after(op, 2 * tree_time(), None)``
-        on the last arrival.
+        constant completion delay — so the generic path's member list,
+        lockstep check and completion dispatch are pure overhead.
         """
         seqs = self._coll_seq
         seq = seqs[local_rank]
@@ -484,79 +504,28 @@ class Communicator:
                 seqs[lr] = seq + 1
         return seq
 
-    def _barrier_arrive_members(self, local_ranks) -> _CollectiveOp:
-        """Enter the next barrier for a whole member group.
-
-        One arrival-count bump per wave for members in collective lockstep
-        (:meth:`_advance_members`); members out of lockstep fall back to
-        per-member arrival with identical semantics.
-        """
-        members = list(local_ranks)
-        if not members:
-            raise MPIError("barrier_members requires at least one member")
-        seq = self._advance_members(members)
-        if seq is None:
-            for lr in members:
-                op = self._barrier_arrive(lr)
-            return op
-        op = self._op(seq, "barrier", 0, members[0])
-        if self._arrived(op, seq, len(members)):
+    def _complete(self, op: _CollectiveOp, nbytes: int,
+                  fn: Optional[Callable]) -> None:
+        """The last arrival at ``op``: its result after its analytic cost."""
+        name, contrib = op.name, op.contrib
+        if name == "barrier":
             self._finish_after(op, self._sync_time, None)
-        return op
-
-    def _allgather_arrive(self, local_rank: int, value: Any, nbytes: int,
-                          map_fn: Optional[Callable[[list], Any]]
-                          ) -> _CollectiveOp:
-        """One rank's allgather arrival (completing the op if it is last).
-
-        The non-generator half of :meth:`CommView.allgather`: a caller that
-        is not a process (coalesced replay) registers its continuation on
-        ``op.event`` itself.
-        """
-        return self._allgather_arrive_members((local_rank,), (value,),
-                                              nbytes, map_fn)
-
-    def _allgather_arrive_members(self, local_ranks, values, nbytes: int,
-                                  map_fn: Optional[Callable[[list], Any]]
-                                  ) -> _CollectiveOp:
-        """The twin of :meth:`_barrier_arrive_members` for an allgather:
-        ``values`` yields the members' contributions, in their order."""
-        members = list(local_ranks)
-        seq = self._advance_members(members)
-        if seq is None:  # not in lockstep: one by one
-            for lr, value in zip(members, values):
-                op = self._allgather_arrive(lr, value, nbytes, map_fn)
-            return op
-        op = self._op(seq, "allgather", 0, members[0])
-        contrib = op.contrib
-        for lr, value in zip(members, values):
-            contrib[lr] = value
-        if self._arrived(op, seq, len(members)):
+        elif name == "allgather":  # ``fn`` maps the list, once
             result = list(contrib)
-            if map_fn is not None:
-                result = map_fn(result)
-            self._finish_after(op, 2 * self.tree_time(nbytes), result)
-        return op
-
-    def _split_arrive_members(self, local_ranks, color: int) -> _CollectiveOp:
-        """The twin of :meth:`_barrier_arrive_members` for a split: every
-        member enters with ``color``, its rank as its ordering key."""
-        members = list(local_ranks)
-        seq = self._advance_members(members)
-        if seq is None:  # not in lockstep: one by one
-            for lr in members:
-                op, is_last = self._collective_enter(
-                    "split", lr, (color, lr, lr), 0)
-                if is_last:
-                    self._complete_split(op)
-            return op
-        op = self._op(seq, "split", 0, members[0])
-        contrib = op.contrib
-        for lr in members:
-            contrib[lr] = (color, lr, lr)
-        if self._arrived(op, seq, len(members)):
+            self._finish_after(op, 2 * self.tree_time(nbytes),
+                               result if fn is None else fn(result))
+        elif name == "bcast":
+            self._finish_after(op, self.tree_time(nbytes), contrib[op.root])
+        elif name == "gather":
+            self._finish_after(
+                op, self.tree_time() + (self.size - 1) * nbytes / self._link_bw,
+                list(contrib))
+        elif name == "split":
             self._complete_split(op)
-        return op
+        else:  # reduce / allreduce: ``fn`` folds (default +)
+            self._finish_after(
+                op, (1 if name == "reduce" else 2) * self.tree_time(),
+                functools.reduce(fn or operator.add, contrib))
 
     def _complete_split(self, op: _CollectiveOp) -> None:
         """Build the sub-communicators of a completed MPI_Comm_split; every
@@ -794,22 +763,13 @@ class CommView:
 
     def bcast(self, value: Any = None, root: int = 0, nbytes: int = 0):
         """Generator: broadcast ``value`` (and ``nbytes`` of data) from root."""
-        comm = self.comm
-        contrib = value if self.rank == root else None
-        op, is_last = comm._collective_enter("bcast", self.rank, contrib, root)
-        if is_last:
-            comm._finish_after(op, comm.tree_time(nbytes), op.contrib[root])
-        result = yield op.event
-        return result
+        return (yield self.comm.arrive("bcast", (self.rank,), (value,), root,
+                                       nbytes).event)
 
     def gather(self, value: Any, root: int = 0, nbytes: int = 0):
         """Generator: gather per-rank ``value``s to root (others get None)."""
-        comm = self.comm
-        op, is_last = comm._collective_enter("gather", self.rank, value, root)
-        if is_last:
-            delay = comm.tree_time() + (comm.size - 1) * nbytes / comm._link_bw
-            comm._finish_after(op, delay, list(op.contrib))
-        result = yield op.event
+        result = yield self.comm.arrive("gather", (self.rank,), (value,), root,
+                                        nbytes).event
         return result if self.rank == root else None
 
     def allgather(self, value: Any, nbytes: int = 0,
@@ -821,35 +781,19 @@ class CommView:
         collectives use this to build shared index structures without
         per-rank rework.
         """
-        op = self.comm._allgather_arrive(self.rank, value, nbytes, map_fn)
-        result = yield op.event
-        return result
+        return (yield self.comm.arrive("allgather", (self.rank,), (value,),
+                                       nbytes=nbytes, fn=map_fn).event)
 
     def reduce(self, value: Any, op: Callable[[Any, Any], Any] = None, root: int = 0):
         """Generator: reduce per-rank values to root with binary ``op`` (default +)."""
-        comm = self.comm
-        cop, is_last = comm._collective_enter("reduce", self.rank, value, root)
-        if is_last:
-            fn = op if op is not None else (lambda a, b: a + b)
-            acc = cop.contrib[0]
-            for v in cop.contrib[1:]:
-                acc = fn(acc, v)
-            comm._finish_after(cop, comm.tree_time(), acc)
-        result = yield cop.event
+        result = yield self.comm.arrive("reduce", (self.rank,), (value,), root,
+                                        fn=op).event
         return result if self.rank == root else None
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None):
         """Generator: reduce per-rank values and distribute the result."""
-        comm = self.comm
-        cop, is_last = comm._collective_enter("allreduce", self.rank, value, 0)
-        if is_last:
-            fn = op if op is not None else (lambda a, b: a + b)
-            acc = cop.contrib[0]
-            for v in cop.contrib[1:]:
-                acc = fn(acc, v)
-            comm._finish_after(cop, 2 * comm.tree_time(), acc)
-        result = yield cop.event
-        return result
+        return (yield self.comm.arrive("allreduce", (self.rank,), (value,),
+                                       fn=op).event)
 
     def split(self, color: int, key: Optional[int] = None):
         """Generator: partition the communicator by ``color`` (MPI_Comm_split).
@@ -857,13 +801,9 @@ class CommView:
         Returns this rank's :class:`CommView` on its new sub-communicator.
         Ranks within a colour are ordered by ``key`` (default: current rank).
         """
-        comm = self.comm
         key = self.rank if key is None else key
-        contrib = (color, key, self.rank)
-        op, is_last = comm._collective_enter("split", self.rank, contrib, 0)
-        if is_last:
-            comm._complete_split(op)
-        views = yield op.event
+        views = yield self.comm.arrive("split", (self.rank,),
+                                       ((color, key, self.rank),)).event
         return views[self.rank]
 
     # ------------------------------------------------------------------
@@ -876,10 +816,9 @@ class CommView:
         member of its group: arrival counting and completion timing are
         identical to each member entering on its own, but a contiguous
         member range costs O(1) interpreted work per wave
-        (:meth:`Communicator._barrier_arrive_members`).
+        (:meth:`Communicator.arrive`).
         """
-        op = self.comm._barrier_arrive_members(local_ranks)
-        yield op.event
+        yield self.comm.arrive("barrier", local_ranks).event
 
     def split_members(self, local_ranks, color: int):
         """Generator: enter the next MPI_Comm_split once per member.
@@ -889,7 +828,8 @@ class CommView:
         ``key=None``).  Returns a mapping ``local_rank -> sub CommView``
         over the members, each view made when it is asked for.
         """
-        views = yield self.comm._split_arrive_members(local_ranks, color).event
+        views = yield self.comm.arrive(
+            "split", local_ranks, [(color, lr, lr) for lr in local_ranks]).event
         return _SplitViews(views._parent, views._sub_of, local_ranks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

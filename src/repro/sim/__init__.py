@@ -5,8 +5,8 @@ Public surface:
 - :class:`~repro.sim.engine.Engine`, :class:`~repro.sim.engine.Event`,
   :class:`~repro.sim.engine.Process`, :func:`~repro.sim.engine.all_of`,
   :func:`~repro.sim.engine.any_of` — the process/event core.
-- :class:`~repro.sim.engine.BatchTimeout`, :class:`~repro.sim.engine.Cohort`
-  — batched events: one calendar entry standing for N homogeneous ones.
+- :class:`~repro.sim.engine.Cohort` — one calendar entry standing for N
+  identical completions (every collective completes on one).
 - :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.Pipe` — shared-resource primitives.
 - :class:`~repro.sim.randomness.StreamRegistry`,
@@ -23,7 +23,6 @@ from .coalesce import CoalescePlan, GroupPlan
 from .engine import (
     AllOf,
     AnyOf,
-    BatchTimeout,
     Cohort,
     Engine,
     Event,
@@ -42,7 +41,6 @@ from .stages import StagedOp
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BatchTimeout",
     "Cohort",
     "CoalescePlan",
     "GroupPlan",

@@ -5,8 +5,8 @@ which need no process of their own.  A strategy says which in a
 :class:`CoalescePlan`; the runner spawns one *representative* per group
 and the strategy's ``worker_main`` stands in for the members.  Whatever
 the idiom, a coalesced run is **exact**, not approximate: every pipe
-reservation, collective arrival (``Communicator._collective_enter`` counts
-one per member; contiguous ranges take the O(1) bulk path), noise draw,
+reservation, collective arrival (``Communicator.arrive`` counts one per
+member; contiguous ranges in lockstep enter in one step), noise draw,
 Darshan record and span happens where it does in the uncoalesced run
 (``tests/test_coalesce.py``).  Three idioms exist (DESIGN.md section 9):
 

@@ -22,24 +22,6 @@ appended to the live bucket while it drains are picked up in the same pass,
 which reproduces exactly the FIFO tie-break the classic ``(time, seq)``
 heap gave: within one instant, events fire in the order they were scheduled.
 
-Batched events
---------------
-Three engine-level batch primitives let homogeneous event cohorts cost one
-heap entry instead of N:
-
-- :meth:`Engine.timeout_batch` — one timer standing for a whole vector of
-  timeouts (fires at the max delay; numpy arrays welcome).
-- :meth:`Engine.cohort` — a counted event standing for N identical
-  completions (a barrier's release fan-out, a coalesced group's wave).
-- :meth:`Engine.succeed_many` — bulk-trigger a list of pending events in
-  FIFO order with one bucket extend.
-
-Each credits the events it absorbs to :attr:`Engine.events_processed` as
-*logical* events and records the batch size in the histograms exposed by
-:meth:`Engine.counters`, so throughput numbers remain auditable: the
-``dispatched`` / ``batched`` / ``absorbed`` split shows exactly where the
-events/sec figure comes from.
-
 Core concepts
 -------------
 :class:`Engine`
@@ -49,6 +31,10 @@ Core concepts
     A one-shot occurrence.  Processes wait on events by ``yield``-ing them.
 :class:`Timeout`
     An event that triggers after a fixed delay of virtual time.
+:class:`Cohort`
+    An event standing for N identical completions (every collective's
+    release fan-out).  Its members are credited as *batched* logical
+    events, so :meth:`Engine.counters` shows where events/sec comes from.
 :class:`Process`
     Wraps a generator; it is itself an event that triggers when the generator
     returns, so processes can wait on each other.
@@ -76,8 +62,6 @@ import heapq
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
-import numpy as np
-
 from .monitor import pow2_histogram
 
 _heappush = heapq.heappush
@@ -87,7 +71,6 @@ __all__ = [
     "Engine",
     "Event",
     "Timeout",
-    "BatchTimeout",
     "Cohort",
     "Process",
     "Condition",
@@ -217,47 +200,6 @@ class Timeout(Event):
             _heappush(engine._times, t)
         else:
             bucket.append(self)
-
-
-class BatchTimeout(Event):
-    """One timer event standing for a whole vector of homogeneous timeouts.
-
-    Fires once at ``now + max(delays)`` — the instant the *last* member of
-    the batch would have fired — and credits ``len(delays)`` logical events
-    to the engine (the batch-size histogram in :meth:`Engine.counters`
-    records the cohort).  Use it when a process issues many timeouts and
-    only ever observes the last one to complete (drain pacing waves,
-    symmetric per-member service delays): the simulation outcome is
-    identical and the calendar holds one entry instead of N.
-
-    ``delays`` may be any non-empty sequence; numpy arrays take the
-    vectorized ``min``/``max`` path.
-    """
-
-    __slots__ = ("delay", "batch_size")
-
-    def __init__(self, engine: "Engine", delays, value: Any = None) -> None:
-        n = len(delays)
-        if n == 0:
-            raise ValueError("timeout_batch requires at least one delay")
-        if isinstance(delays, np.ndarray):
-            dmin = float(delays.min())
-            dmax = float(delays.max())
-        else:
-            dmin = min(delays)
-            dmax = max(delays)
-        if dmin < 0:
-            raise ValueError(f"negative timeout delay in batch: {dmin}")
-        self.engine = engine
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.triggered = True
-        self.processed = False
-        self.delay = dmax
-        self.batch_size = n
-        engine._record_batch(n)
-        engine._push(dmax, self)
 
 
 class Cohort(Event):
@@ -487,9 +429,8 @@ class Engine:
 
     - *dispatched* — events popped from the calendar and fired (including
       each batch's representative event);
-    - *batched* — the *extra* members a :class:`BatchTimeout` /
-      :class:`Cohort` stands for beyond its dispatched representative
-      (batch size minus one per batch);
+    - *batched* — the *extra* members a :class:`Cohort` stands for beyond
+      its dispatched representative (batch size minus one per batch);
     - *absorbed* — logical events credited via :meth:`count_events` with no
       calendar entry at all (e.g. per-rank collective arrivals, which the
       analytic collective model folds into shared bookkeeping).
@@ -566,43 +507,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event triggering ``delay`` time units from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(self, delays, value: Any = None) -> BatchTimeout:
-        """One timer for a whole vector of timeouts (fires at the max).
-
-        Equivalent to issuing ``timeout(d)`` for every ``d`` in ``delays``
-        and waiting for the last one, at the cost of a single calendar
-        entry; the batch members are credited as logical events.  Accepts
-        any non-empty sequence, including numpy arrays.
-        """
-        return BatchTimeout(self, delays, value)
-
-    def cohort(self, size: int) -> Cohort:
-        """A counted event standing for ``size`` identical completions."""
-        return Cohort(self, size)
-
-    def succeed_many(self, events: Iterable[Event], value: Any = None) -> None:
-        """Trigger many pending events with one bucket insert.
-
-        Identical to calling ``ev.succeed(value)`` on each event in
-        iteration order (FIFO at the current instant), but resolves the
-        calendar bucket once.  Raises :class:`SimulationError` on the first
-        already-triggered event; events before it are left triggered,
-        matching the sequential-call semantics.
-        """
-        t = self.now
-        buckets = self._buckets
-        bucket = buckets.get(t)
-        if bucket is None:
-            bucket = buckets[t] = []
-            _heappush(self._times, t)
-        append = bucket.append
-        for ev in events:
-            if ev.triggered:
-                raise SimulationError(f"{ev!r} already triggered")
-            ev.triggered = True
-            ev._value = value
-            append(ev)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a simulation process."""

@@ -18,7 +18,7 @@ Three primitives cover everything the Blue Gene/P + GPFS model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from .engine import Engine, Event
 
@@ -82,26 +82,6 @@ class Resource:
         else:
             self.in_use -= 1
 
-    def release_many(self, n: int) -> None:
-        """Return ``n`` slots at once, bulk-granting queued requests in FIFO.
-
-        Identical to calling :meth:`release` ``n`` times, but the granted
-        requests are triggered with one calendar insert
-        (:meth:`~repro.sim.engine.Engine.succeed_many`).
-        """
-        if n < 0:
-            raise ValueError(f"cannot release {n} slots")
-        if n == 0:
-            return
-        if n > self.in_use:
-            raise RuntimeError("release_many() without matching request()s")
-        queue = self._queue
-        granted = min(n, len(queue))
-        if granted:
-            batch = [queue.popleft() for _ in range(granted)]
-            self.engine.succeed_many(batch)
-        self.in_use -= n - granted
-
     def acquire(self):
         """Generator helper: ``yield from resource.acquire()``."""
         yield self.request()
@@ -134,18 +114,6 @@ class Store:
                 ev.succeed(item)
                 return
         self.items.append(item)
-
-    def put_many(self, items: Iterable[Any]) -> None:
-        """Deposit many items in order, as if :meth:`put` were called per item.
-
-        With no getters pending — the aggregation-queue common case — this
-        is a single list extend instead of a per-item matching scan.
-        """
-        if not self._getters:
-            self.items.extend(items)
-            return
-        for item in items:
-            self.put(item)
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> Event:
         """Return an event triggering with the first (matching) item."""

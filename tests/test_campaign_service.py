@@ -309,6 +309,40 @@ def test_http_unexpected_error_is_typed_json_500(http_service, monkeypatch):
     assert _get(f"{base}/healthz")["status"] == "ok"
 
 
+def test_http_submit_bug_is_typed_json_500(http_service, monkeypatch):
+    svc, base = http_service
+
+    def boom(spec):
+        raise RuntimeError("submit exploded")
+
+    monkeypatch.setattr(svc, "submit", boom)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(f"{base}/campaigns", {"spec": E2E_SPEC})
+    assert err.value.code == 500
+    assert json.loads(err.value.read()) == {
+        "error": "submit exploded", "type": "RuntimeError"}
+    assert _get(f"{base}/healthz")["status"] == "ok"
+
+
+def test_http_unbounded_spec_is_400_and_the_service_keeps_answering(
+        http_service):
+    """``json.loads`` takes ``Infinity``: this body used to hang ``expand``
+    while it held the service lock, and every later request with it."""
+    _svc, base = http_service
+    spec = {"name": "x", "grid": {"approaches": ["rbio_ng"], "np": [128]},
+            "checkpoint": {"horizon": float("inf"),
+                           "wallclock_time": [{"every": 1.0}]}}
+    request = urllib.request.Request(
+        f"{base}/campaigns", data=json.dumps({"spec": spec}).encode())
+    assert b"Infinity" in request.data
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=5.0)
+    assert err.value.code == 400
+    assert "checkpoint.horizon" in json.loads(err.value.read())["error"]
+    with urllib.request.urlopen(f"{base}/status", timeout=5.0) as resp:
+        assert json.loads(resp.read())["counters"]["campaigns_submitted"] == 0
+
+
 # ---------------------------------------------------------------------------
 # A dead worker does not kill the service
 # ---------------------------------------------------------------------------

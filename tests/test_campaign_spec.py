@@ -2,6 +2,7 @@
 with the sweeps the benches ran before they were campaigns."""
 
 import json
+import time
 
 import pytest
 
@@ -147,6 +148,59 @@ def test_mutually_exclusive_sections_rejected():
             "grid": {"approaches": ["rbio_ng"], "np": [128],
                      "fault_rates": [1.0]},
             "faults": {"specs": [{"kind": "fs_stall", "time": 1.0}]}})
+
+
+#: Bodies ``json.loads`` accepts that used to hang ``expand`` (an unbounded
+#: or near-unbounded instant list), give it NaN gaps, or crash it untyped.
+UNBOUNDED_SPECS = {
+    "infinite-horizon": (
+        '{"checkpoint": {"horizon": Infinity, "wallclock_time": '
+        '[{"every": 1.0}]}}', r"checkpoint\.horizon: must be finite"),
+    "tiny-every": (
+        '{"checkpoint": {"horizon": 2.0, "wallclock_time": '
+        '[{"every": 1e-300}]}}', r"checkpoint\.wallclock_time\[0\].*at most"),
+    "tiny-t_step": (
+        '{"checkpoint": {"horizon": 2.0, "t_step": 1e-300, "solver_steps": '
+        '[{"every": 1.0}]}}', r"checkpoint\.solver_steps\[0\].*at most"),
+    "rules-add-up": (
+        '{"checkpoint": {"horizon": 6000.0, "wallclock_time": [{"every": 1.0}, '
+        '{"every": 1.0, "start": 0.5}]}}',
+        r"checkpoint\.wallclock_time\[1\].*at most"),
+    "nan-gap": ('{"steps": {"n_steps": 2, "gap": NaN}}',
+                r"steps\.gap: must be finite"),
+    "many-steps": ('{"steps": {"n_steps": 100000000}}',
+                   r"steps\.n_steps: must be <="),
+    "nan-rate": ('{"grid": {"approaches": ["rbio_ng"], "np": [128], '
+                 '"fault_rates": [NaN]}}', r"grid\.fault_rates\[0\]"),
+    "infinite-rate": ('{"grid": {"approaches": ["rbio_ng"], "np": [128], '
+                      '"fault_rates": [Infinity]}}', r"grid\.fault_rates\[0\]"),
+    "nan-override": (
+        '{"machine": {"overrides": {"server_disk_bandwidth": NaN}}}',
+        r"machine\.overrides\.server_disk_bandwidth: must be finite"),
+}
+
+
+@pytest.mark.parametrize("body, match", UNBOUNDED_SPECS.values(),
+                         ids=UNBOUNDED_SPECS.keys())
+def test_non_finite_and_unbounded_specs_are_rejected_fast(body, match):
+    d = {"name": "x", "grid": TINY["grid"], **json.loads(body)}
+    t0 = time.perf_counter()
+    with pytest.raises(SpecError, match=match):
+        expand(CampaignSpec.from_dict(d))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_checkpoint_bound_sits_far_above_real_campaigns():
+    from repro.campaign.spec import MAX_CHECKPOINTS
+    spec = CampaignSpec.from_dict({
+        "name": "x", "grid": TINY["grid"],
+        "checkpoint": {"horizon": float(MAX_CHECKPOINTS - 1),
+                       "wallclock_time": [{"every": 1.0}]}})
+    assert spec.steps_and_gaps()[0] == MAX_CHECKPOINTS
+    assert CampaignSpec.from_dict({
+        "name": "x", "grid": TINY["grid"],
+        "steps": {"n_steps": MAX_CHECKPOINTS}}).steps_and_gaps()[0] == \
+        MAX_CHECKPOINTS
 
 
 def test_checkpoint_rules_compile_to_steps_and_gaps():

@@ -1,5 +1,7 @@
 """Tests for simulated MPI collectives (barrier, bcast, gather, reduce, split)."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from repro.mpi import Job, MPIError, run_spmd
@@ -210,3 +212,104 @@ def test_a_communicator_is_named_without_process_wide_state():
     assert repr(Job(8, QUIET).contexts[3].comm) == before
     assert "rank 3/8" in before
     assert not hasattr(Communicator, "_next_id")
+
+
+# ---------------------------------------------------------------------------
+# Communicator.arrive: one entry point, entered three ways
+# ---------------------------------------------------------------------------
+
+N_ARRIVE = 8
+ROOT = {"bcast": 3, "gather": 2, "reduce": 1}
+NBYTES = {"allgather": 64, "bcast": 1 << 20, "gather": 4096}
+COLLECTIVES = ("barrier", "allgather", "bcast", "gather", "reduce",
+               "allreduce", "split")
+
+
+def _contrib(name, r):
+    if name == "barrier":
+        return None
+    return (r % 3, -r, r) if name == "split" else 10 * r + 1
+
+
+def _plain(value):
+    """A split's views as comparable data; any other result as it is."""
+    if isinstance(value, Mapping):
+        return {r: (tuple(v.comm.world_ranks), v.rank) for r, v in value.items()}
+    return value
+
+
+def _two_calls(name, how):
+    """Two consecutive ``name`` calls on an 8-rank world, entered ``how``:
+
+    - ``range``: rank 0's process enters every member at once (lockstep);
+    - ``per_rank``: each rank's process enters itself;
+    - ``ahead``: rank 0 enters the first call alone, then rank 1's process
+      enters all eight, so rank 0 is a call ahead and they go one by one.
+
+    Every way spawns one process per rank, so the engine's own events are
+    the same; returns the distinct ``(result, instant)`` of each call, how
+    often the allgather ``map_fn`` ran, and the engine counters.
+    """
+    job = Job(N_ARRIVE, QUIET)
+    comm, eng = job.world, job.engine
+    applied, seen = [], []
+    fn = {"allgather": lambda xs: applied.append(len(xs)) or tuple(xs),
+          "reduce": max}.get(name)
+
+    def enter(members):
+        contribs = (None if name == "barrier"
+                    else [_contrib(name, r) for r in members])
+        return comm.arrive(name, members, contribs, ROOT.get(name, 0),
+                           NBYTES.get(name, 0), fn).event
+
+    def wait(event):
+        value = yield event
+        seen.append((_plain(value), eng.now))
+
+    def main(ctx):
+        r = ctx.rank
+        if how == "per_rank":
+            for _ in range(2):
+                yield from wait(enter((r,)))
+        elif how == "range" and r == 0:
+            for _ in range(2):
+                yield from wait(enter(range(N_ARRIVE)))
+        elif how == "ahead" and r == 0:
+            enter((0,))
+        elif how == "ahead" and r == 1:
+            yield from wait(enter(range(N_ARRIVE)))
+            yield from wait(enter(range(1, N_ARRIVE)))
+        return None
+        yield  # pragma: no cover
+
+    job.spawn(main)
+    job.run()
+    distinct = [x for i, x in enumerate(seen) if x not in seen[:i]]
+    counters = {k: v for k, v in eng.counters().items()
+                if k.endswith("_events") or k == "sim.events_processed"}
+    return distinct, applied, counters
+
+
+@pytest.mark.parametrize("name", COLLECTIVES)
+def test_arrive_range_per_rank_and_out_of_lockstep_agree(name):
+    ranged = _two_calls(name, "range")
+    assert _two_calls(name, "per_rank") == ranged
+    assert _two_calls(name, "ahead") == ranged
+    calls, applied, counters = ranged
+    assert len(calls) == 2 and calls[0][1] < calls[1][1]
+    assert counters["sim.absorbed_events"] == 2 * N_ARRIVE
+    if name == "allgather":
+        assert applied == [N_ARRIVE, N_ARRIVE]  # once per call
+        assert calls[0][0] == tuple(10 * r + 1 for r in range(N_ARRIVE))
+    elif name == "reduce":
+        assert calls[0][0] == 10 * (N_ARRIVE - 1) + 1  # folded with max
+    elif name == "split":
+        assert calls[0][0][4] == ((7, 4, 1), 1)  # colour 1, ordered by key -r
+
+
+def test_arrive_rejects_no_members_and_unknown_names():
+    comm = Job(4, QUIET).world
+    with pytest.raises(MPIError, match="at least one member"):
+        comm.arrive("barrier", [])
+    with pytest.raises(MPIError, match="unknown collective"):
+        comm.arrive("scatter", (0,))

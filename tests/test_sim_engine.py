@@ -2,10 +2,9 @@
 
 import time
 
-import numpy as np
 import pytest
 
-from repro.sim import Engine, SimulationError, StopEngine, all_of, any_of
+from repro.sim import Cohort, Engine, SimulationError, StopEngine, all_of, any_of
 
 
 def test_timeout_ordering():
@@ -414,66 +413,13 @@ def test_many_processes_scale_smoke():
 
 
 # ---------------------------------------------------------------------------
-# Batched event primitives (timeout_batch / cohort / succeed_many)
+# Cohort: one counted event standing for N identical completions
 # ---------------------------------------------------------------------------
-
-def test_timeout_batch_fires_at_max_delay():
-    eng = Engine()
-    got = []
-
-    def proc():
-        v = yield eng.timeout_batch([1.0, 3.0, 2.0], value="last")
-        got.append((eng.now, v))
-
-    eng.process(proc())
-    eng.run()
-    assert got == [(3.0, "last")]
-
-
-def test_timeout_batch_numpy_delays():
-    eng = Engine()
-    got = []
-    delays = np.array([0.5, 2.5, 1.5])
-
-    def proc():
-        yield eng.timeout_batch(delays)
-        got.append(eng.now)
-
-    eng.process(proc())
-    eng.run()
-    assert got == [2.5]
-
-
-def test_timeout_batch_credits_logical_events():
-    eng = Engine()
-
-    def proc():
-        yield eng.timeout_batch([1.0] * 10)
-
-    eng.process(proc())
-    eng.run()
-    c = eng.counters()
-    # 10 logical timeouts paid for with one calendar entry: the dispatched
-    # representative plus nine batched members.
-    assert c["sim.batched_events"] == 9
-    assert c["sim.batches"] == 1
-    assert c["sim.batch_hist"] == {"8-15": 1}
-
-
-def test_timeout_batch_rejects_empty_and_negative():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        eng.timeout_batch([])
-    with pytest.raises(ValueError):
-        eng.timeout_batch([1.0, -0.5])
-    with pytest.raises(ValueError):
-        eng.timeout_batch(np.array([1.0, -0.5]))
-
 
 def test_cohort_wakes_all_waiters_and_credits_members():
     eng = Engine()
     woken = []
-    coh = eng.cohort(8)
+    coh = Cohort(eng, 8)
 
     def waiter(i):
         yield coh
@@ -496,13 +442,13 @@ def test_cohort_wakes_all_waiters_and_credits_members():
 def test_cohort_size_validated():
     eng = Engine()
     with pytest.raises(ValueError):
-        eng.cohort(0)
+        Cohort(eng, 0)
 
 
 def test_cohort_fail_credits_nothing():
     eng = Engine()
     caught = []
-    coh = eng.cohort(16)
+    coh = Cohort(eng, 16)
 
     def waiter():
         try:
@@ -515,39 +461,6 @@ def test_cohort_fail_credits_nothing():
     eng.run()
     assert caught == [True]
     assert eng.counters()["sim.batched_events"] == 0
-
-
-def test_succeed_many_preserves_fifo_order():
-    eng = Engine()
-    order = []
-    events = [eng.event() for _ in range(5)]
-
-    def waiter(i, ev):
-        v = yield ev
-        order.append((i, v))
-
-    for i, ev in enumerate(events):
-        eng.process(waiter(i, ev))
-
-    def trigger():
-        yield eng.timeout(1.0)
-        eng.succeed_many(events, value="go")
-
-    eng.process(trigger())
-    eng.run()
-    assert order == [(i, "go") for i in range(5)]
-
-
-def test_succeed_many_rejects_already_triggered():
-    eng = Engine()
-    a, b, c = eng.event(), eng.event(), eng.event()
-    b.succeed()
-    with pytest.raises(SimulationError):
-        eng.succeed_many([a, b, c])
-    # Sequential semantics: events before the offender are left triggered,
-    # the offender and everything after are untouched.
-    assert a.triggered
-    assert not c.triggered
 
 
 def test_count_events_credits_absorbed():
@@ -563,10 +476,10 @@ def test_counters_breakdown_is_exact():
 
     def proc():
         yield eng.timeout(1.0)
-        yield eng.timeout_batch([0.5] * 4)
-        coh = eng.cohort(6)
-        coh.succeed()
-        yield coh
+        for size in (4, 6):
+            coh = Cohort(eng, size)
+            coh.succeed()
+            yield coh
 
     eng.process(proc())
     eng.count_events(3)

@@ -370,128 +370,3 @@ def test_pipe_bytes_moved_accumulates():
     pipe.transfer(50.0)
     assert pipe.bytes_moved == 150
 
-
-# ---------------------------------------------------------------------------
-# Bulk grant / bulk put (batched event paths)
-# ---------------------------------------------------------------------------
-
-def test_release_many_grants_waiters_in_fifo_order():
-    eng = Engine()
-    res = Resource(eng, capacity=4)
-    order = []
-
-    def holder():
-        # Take all four slots before yielding so the waiters all queue.
-        reqs = [res.request() for _ in range(4)]
-        yield reqs[-1]
-        yield eng.timeout(1.0)
-        res.release_many(4)  # return all four slots at once
-
-    def waiter(i):
-        yield res.request()
-        order.append(i)
-
-    eng.process(holder())
-    for i in range(6):
-        eng.process(waiter(i))
-    eng.run()
-    # The four freed slots go to the four oldest waiters, in queue order;
-    # waiters 4 and 5 stay queued (nobody releases again).
-    assert order == [0, 1, 2, 3]
-    assert res.in_use == 4
-    assert res.queue_length == 2
-
-
-def test_release_many_partial_queue_frees_slots():
-    eng = Engine()
-    res = Resource(eng, capacity=4)
-    for _ in range(4):
-        res.request()
-    w = res.request()  # one waiter
-    res.release_many(3)
-    assert w.triggered  # waiter granted
-    assert res.in_use == 2  # 4 - (3 released - 1 regranted)
-    assert res.queue_length == 0
-
-
-def test_release_many_validation():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-    res.request()
-    with pytest.raises(ValueError):
-        res.release_many(-1)
-    with pytest.raises(RuntimeError):
-        res.release_many(2)  # only one slot in use
-    res.release_many(0)  # no-op
-    assert res.in_use == 1
-
-
-def test_release_many_matches_sequential_release():
-    def run(bulk):
-        eng = Engine()
-        res = Resource(eng, capacity=3)
-        order = []
-
-        def holder():
-            reqs = [res.request() for _ in range(3)]
-            yield reqs[-1]
-            yield eng.timeout(1.0)
-            if bulk:
-                res.release_many(3)
-            else:
-                for _ in range(3):
-                    res.release()
-
-        def waiter(i):
-            yield res.request()
-            order.append((eng.now, i))
-
-        eng.process(holder())
-        for i in range(5):
-            eng.process(waiter(i))
-        eng.run()
-        return order
-
-    assert run(bulk=True) == run(bulk=False)
-
-
-def test_store_put_many_fifo_without_getters():
-    eng = Engine()
-    store = Store(eng)
-    store.put("a")
-    store.put_many(["b", "c", "d"])
-    got = []
-
-    def consumer():
-        for _ in range(4):
-            v = yield store.get()
-            got.append(v)
-
-    eng.process(consumer())
-    eng.run()
-    assert got == ["a", "b", "c", "d"]
-
-
-def test_store_put_many_wakes_pending_getters_in_order():
-    eng = Engine()
-    store = Store(eng)
-    got = []
-
-    def getter(i, flt=None):
-        v = yield store.get(flt)
-        got.append((i, v))
-
-    eng.process(getter(0))
-    eng.process(getter(1, flt=lambda x: x > 10))
-    eng.process(getter(2))
-
-    def producer():
-        yield eng.timeout(1.0)
-        store.put_many([1, 2, 99])
-
-    eng.process(producer())
-    eng.run()
-    # Getter 0 takes 1; getter 1's filter skips 2, so getter 2 takes it;
-    # 99 matches getter 1's filter.
-    assert sorted(got) == [(0, 1), (1, 99), (2, 2)]
-    assert len(store) == 0
