@@ -132,7 +132,10 @@ def _wide_barrier_coalesced() -> Engine:
 
 #: What the rbIO / coIO cells publish: the calendar events a coalesced
 #: rank costs per step (a replay that goes back to an event per message or
-#: a callback chain per member re-inflates it and fails the gate), and
+#: a callback chain per member re-inflates it and fails the gate; rbIO's
+#: is ≈ 0.53 since a group's posted burst that the writer's waiting
+#: ``recv_all`` takes whole is one calendar entry, DESIGN.md section 9.4,
+#: where a delivery and a look-again per message were 2.45), and
 #: what a run leaves CPython's cyclic collector, as exact counts (see
 #: ``_checkpoint_cell``); the perf gate holds those two at zero.  The
 #: last two pin the object budget of a run (DESIGN.md section 17): a

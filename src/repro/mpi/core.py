@@ -40,6 +40,13 @@ Semantics and costs
   posted and follows the receive-then-copy loop's clock to the instant
   it ends at — same instant, same logical event count, an event per
   wake-up of the loop instead of two per message (DESIGN.md section 9.1).
+- A coalesced representative's burst (``post_members``: a group's
+  packages to its writer) is reserved in one pass over the fabric.  If
+  the writer's ``recv_all`` is already waiting for exactly those
+  sources, the loop is run at the post over every arrival but the last,
+  and only that last message goes in flight: one calendar entry per
+  burst instead of a delivery and a look-again per message, with the
+  same instants and logical event count (DESIGN.md section 9.4).
 - A caller that stands in for many ranks enters a collective for all of
   them at once (``barrier_members``, ``split_members``, or
   ``Communicator.arrive`` with a member range): one arrival per member is
@@ -87,8 +94,10 @@ class Message(Event):
     :meth:`in_flight` puts it in the calendar at ``now + delay`` — the
     float instant and the bucket position of the transfer ``Timeout`` it
     replaces — with :meth:`Mailbox.deliver` as its callback, so a message
-    costs one object and one calendar entry (DESIGN.md section 9.3).
-    ``Message(...)`` builds one that has already been delivered.
+    costs one object and one calendar entry (DESIGN.md section 9.3);
+    :meth:`arriving` does the same for an instant already known.
+    ``Message(...)`` builds one that has already been delivered (a
+    burst's messages a waiting receive took at the post, section 9.4).
     """
 
     __slots__ = ("source", "tag", "nbytes", "payload", "sent_at",
@@ -107,6 +116,13 @@ class Message(Event):
                   source: int, tag: int, nbytes: int, payload: Any
                   ) -> "Message":
         """Send a message now: it arrives in ``box`` after ``delay``."""
+        return cls.arriving(engine, engine.now + delay, box, source, tag,
+                            nbytes, payload)
+
+    @classmethod
+    def arriving(cls, engine: Engine, t: float, box: "Mailbox", source: int,
+                 tag: int, nbytes: int, payload: Any) -> "Message":
+        """Send a message now: it arrives in ``box`` at the instant ``t``."""
         msg = object.__new__(cls)
         msg.engine, msg.callbacks, msg.box = engine, [Mailbox.deliver], box
         msg._value = msg.delivered_at = None
@@ -114,8 +130,8 @@ class Message(Event):
         msg.processed = False
         msg.source, msg.tag, msg.nbytes = source, tag, nbytes
         msg.payload = payload
-        now = msg.sent_at = engine.now
-        t = now + delay
+        msg.sent_at = engine.now
+        box.incoming += 1
         buckets = engine._buckets
         bucket = buckets.get(t)
         if bucket is None:
@@ -162,38 +178,99 @@ class _RecvAll:
         #: Events the loop has dispatched so far, less those spent here.
         self.owed = -1
 
-    def go_on(self, _ev: Optional[Event] = None, woken: bool = False) -> None:
-        """It is ``t``: the loop takes what has arrived, with its own float
-        operations (a copy timeout adds ``nbytes / bandwidth``), up to the
-        first message that has not, or to its end — or, ``woken`` by a
-        message, through that one's copy only: loops woken in one instant
-        meet again after it, whatever else each had in its queue."""
-        msgs, bandwidth = self.msgs, self.bandwidth
-        slot, t = self.slot, self.t
+    def _step(self, msgs: list, slot: int, t: float, now: float,
+              woken: bool) -> tuple:
+        """The loop's clock, one wake-up: from its receive of ``slot``
+        (posted at ``t``) it takes what of ``msgs`` has arrived, with its
+        own float operations (a copy timeout adds ``nbytes / bandwidth``),
+        up to the first message that has not, or to its end — or, ``woken``
+        by a message, through that one's copy only: loops woken in one
+        instant meet again after it, whatever else each had in its queue.
+
+        Returns ``(slot, t, copies, at)``: where the loop is, how many copy
+        timeouts it ran, and the instant it comes back at — ``None`` if it
+        waits for ``msgs[slot]`` or, at its end, finishes ``now``.
+        """
+        bandwidth = self.bandwidth
         start = t  # of the last copy
+        copies = 0
         while slot < len(msgs) and msgs[slot] is not None:
             start = t
             copy = msgs[slot].nbytes / bandwidth
             slot += 1
             if copy > 0:
                 t += copy
-                self.owed += 1
+                copies += 1
                 if woken:
                     break
-        self.owed += slot - self.slot
-        self.slot, self.t = slot, t
-        engine = self.event.engine
-        if slot < len(msgs):
-            if t > engine.now:  # busy copying until t: look again then
-                self._at(t, self.go_on)
-            else:
-                self.waiting = True
-        elif engine.now < start < t:
-            # The loop's last event is pushed when its last copy starts:
-            # two loops that end at one instant go on in that order.
-            self._at(start, self._finish)
+        if slot < len(msgs):  # busy copying until t: look again then
+            return slot, t, copies, t if t > now else None
+        # The loop's last event is pushed when its last copy starts: two
+        # loops that end at one instant go on in that order.
+        return slot, t, copies, start if now < start < t else None
+
+    def go_on(self, _ev: Optional[Event] = None, woken: bool = False) -> None:
+        """It is now: the loop goes on (:meth:`_step`) and comes back when
+        it looks again, waits, or ends."""
+        msgs = self.msgs
+        slot, self.t, copies, at = self._step(
+            msgs, self.slot, self.t, self.event.engine.now, woken)
+        self.owed += copies + slot - self.slot
+        self.slot = slot
+        if at is not None:
+            self._at(at, self.go_on if slot < len(msgs) else self._finish)
+        elif slot < len(msgs):
+            self.waiting = True
         else:
             self._finish()
+
+    def fold(self, arrivals: list, slots: list, probe: Message) -> bool:
+        """A burst posted now, while the loop waits, brings ``probe``-sized
+        messages into ``slots`` at ``arrivals`` (post order): run the loop
+        over all but the last of them to arrive, as their deliveries and
+        its own look-agains would (a look-again that falls on an arrival
+        instant was pushed after the burst and comes second; ties in the
+        burst go in post order).
+
+        If the loop then waits for the last one, keep that state — every
+        earlier delivery taken (its calendar event credited), waiting for
+        the last slot — and return True; else False, nothing changed.
+        """
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        last = order.pop()
+        msgs = self.msgs[:]
+        slot, t, owed = self.slot, self.t, self.owed
+        look = None  # the pending look-again; None while the loop waits
+        spent = len(order)  # events of the per-message path folded here
+        j, a_last = 0, arrivals[last]
+        while True:
+            if look is not None and look < (
+                    arrivals[order[j]] if j < len(order) else a_last):
+                spent += 1
+                if msgs[slot] is None:  # nothing new: the loop waits again
+                    look = None
+                    continue
+                now, woken = look, False
+            elif j < len(order):
+                i = order[j]
+                j += 1
+                msgs[slots[i]] = probe
+                if look is not None or slots[i] != slot:
+                    continue
+                now = t = arrivals[i]
+                woken = True
+            else:
+                break
+            before = slot
+            slot, t, copies, look = self._step(msgs, slot, t, now, woken)
+            owed += copies + slot - before
+            if look is not None:
+                owed -= 1
+        if look is not None or slot != slots[last]:
+            return False
+        self.slot, self.t, self.owed = slot, t, owed + spent
+        self.missing = 1
+        return True
 
     def _at(self, t: float, then) -> None:
         self.owed -= 1
@@ -217,16 +294,59 @@ class Mailbox(Store):
     call per comparison.  The discipline is the store's: the oldest
     matching message wins, and pending receives — exact, batched, filtered
     and wildcard alike — are served in the order they were posted.
+    ``incoming`` counts the messages in flight to it.
     """
 
-    __slots__ = ()
+    __slots__ = ("incoming",)
+
+    def __init__(self, engine: Engine) -> None:
+        super().__init__(engine)
+        self.incoming = 0
 
     @staticmethod
     def deliver(msg: Message) -> None:
         """A message in flight arrives: stamp it and :meth:`put` it."""
         box, msg.box = msg.box, None  # a queued message holds no mailbox
+        box.incoming -= 1
         msg.delivered_at = msg.engine.now
         box.put(msg)
+
+    def take_burst(self, sources, tag: int, nbytes: int, payload: Any,
+                   arrivals: list) -> bool:
+        """Send a burst posted now (``nbytes`` from each of ``sources``,
+        arriving at ``arrivals``) as one message in flight, if it can be:
+        its first receive is a waiting :meth:`get_all` for ``tag`` that
+        misses exactly these sources, and nothing else is in flight here.
+
+        Then the receive's loop is run now over all but the last-arriving
+        message (:meth:`_RecvAll.fold`); if it would be waiting for that
+        one, the others are taken as delivered messages and only it goes
+        in flight, to come in as any message does (DESIGN.md section 9.4).
+        """
+        getters = self._getters
+        if self.incoming or not getters:
+            return False
+        pending = getters[0][0]
+        if (pending.__class__ is not _RecvAll or pending.tag != tag
+                or not pending.waiting or pending.missing != len(sources)):
+            return False
+        slot_of, msgs = pending.slot_of, pending.msgs
+        slots = [slot_of.get(src) for src in sources]
+        if (None in slots or len(set(slots)) != len(slots)
+                or any(msgs[slot] is not None for slot in slots)):
+            return False
+        engine = self.engine
+        now = engine.now
+        if not pending.fold(arrivals, slots,
+                            Message(-1, tag, nbytes, None, now, None)):
+            return False
+        last = slots.index(pending.slot)
+        for i, (src, slot, t) in enumerate(zip(sources, slots, arrivals)):
+            if i != last:
+                msgs[slot] = Message(src, tag, nbytes, payload, now, t)
+        Message.arriving(engine, arrivals[last], self, sources[last], tag,
+                         nbytes, payload)
+        return True
 
     def put(self, msg: Message) -> None:
         """Deposit ``msg``, waking the first pending receive it satisfies."""
@@ -487,21 +607,35 @@ class Communicator:
         Returns the call's sequence number, or ``None`` — nobody moved — if
         they are not in collective lockstep.  The contiguous ascending
         ranges rbIO's plans produce take two C-level slice operations.
+        Raises :class:`MPIError` for a member that is not a rank of the
+        communicator or that repeats.
         """
         seqs = self._coll_seq
+        size = self.size
         lo, k = members[0], len(members)
-        seq = seqs[lo]
-        if k == 1:
-            seqs[lo] = seq + 1
-        elif members == list(range(lo, lo + k)):
+        if k == 1 or members == list(range(lo, lo + k)):
+            if lo < 0 or lo + k > size:
+                raise MPIError(f"member {lo if lo < 0 else size} out of "
+                               f"range (size {size})")
+            seq = seqs[lo]
+            if k == 1:
+                seqs[lo] = seq + 1
+                return seq
             if seqs[lo:lo + k] != [seq] * k:
                 return None
             seqs[lo:lo + k] = [seq + 1] * k
-        elif any(seqs[lr] != seq for lr in members):
+            return seq
+        if min(members) < 0 or max(members) >= size:
+            lr = next(lr for lr in members if not 0 <= lr < size)
+            raise MPIError(f"member {lr} out of range (size {size})")
+        if len(set(members)) != k:
+            lr = next(lr for i, lr in enumerate(members) if lr in members[:i])
+            raise MPIError(f"member {lr} repeats")
+        seq = seqs[lo]
+        if any(seqs[lr] != seq for lr in members):
             return None
-        else:
-            for lr in members:
-                seqs[lr] = seq + 1
+        for lr in members:
+            seqs[lr] = seq + 1
         return seq
 
     def _complete(self, op: _CollectiveOp, nbytes: int,
@@ -660,24 +794,35 @@ class CommView:
         issues one per member; this keeps the per-member fabric transfers
         (each member's message reserves injection/ejection capacity on its
         own, so the writer-side incast stays bit-identical to uncoalesced
-        execution) while hoisting the per-call lookups out of the loop.
+        execution), reserved in one pass (:meth:`Fabric.arrivals`).
         ``sources_local`` gives the member source ranks on this
-        communicator, in issue order.
+        communicator, in issue order.  A burst that a waiting
+        ``recv_all`` takes whole costs one calendar entry, not one per
+        message (:meth:`Mailbox.take_burst`).
         """
         comm = self.comm
-        if not 0 <= dest < comm.size:
-            raise MPIError(f"post dest {dest} out of range (size {comm.size})")
+        size = comm.size
+        if not 0 <= dest < size:
+            raise MPIError(f"post dest {dest} out of range (size {size})")
         if nbytes < 0:
             raise MPIError(f"negative message size {nbytes}")
+        if len(sources_local) and (min(sources_local) < 0
+                                   or max(sources_local) >= size):
+            bad = next(src for src in sources_local if not 0 <= src < size)
+            raise MPIError(f"post source {bad} out of range (size {size})")
         eng = comm.engine
-        delay = comm.fabric.delay
+        fabric = comm.fabric
         world = comm.world_ranks
-        dst_world = world[dest]
         box = comm.mailbox(dest)
-        in_flight = Message.in_flight
-        for src in sources_local:
-            in_flight(eng, delay(world[src], dst_world, nbytes), box, src,
-                      tag, nbytes, payload)
+        arrivals = fabric.arrivals([world[src] for src in sources_local],
+                                   world[dest], nbytes)
+        if (len(arrivals) > 1 and fabric.injector is None
+                and box.take_burst(sources_local, tag, nbytes, payload,
+                                   arrivals)):
+            return
+        arriving = Message.arriving
+        for src, t in zip(sources_local, arrivals):
+            arriving(eng, t, box, src, tag, nbytes, payload)
 
     def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
         """Blocking send (generator): returns when send buffer is reusable."""

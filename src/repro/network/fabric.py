@@ -68,6 +68,9 @@ class Fabric:
         # (workers -> their writer); hop latency per pair is cached.
         self._latency_cache: dict[int, float] = {}
         self._n_nodes = self.psets.n_nodes
+        # The arrival instants :meth:`arrivals` handed out at one instant.
+        self._instants: dict[float, float] = {}
+        self._instants_at = -1.0
         #: Optional :class:`~repro.faults.FaultInjector`; ``None`` keeps
         #: transfers on the zero-cost fast path.
         self.injector = None
@@ -113,8 +116,8 @@ class Fabric:
         ``dst_rank``'s node; the time from now until the last byte is in.
 
         Same-node transfers cost a memory copy instead of network time.
-        The one reservation formula: a message in flight and
-        :meth:`transfer` both wait exactly this long.
+        The one reservation formula: a message in flight, :meth:`transfer`
+        and each source of :meth:`arrivals` wait exactly this long.
 
         Only *sizes* move through the fabric model; message payloads ride
         the :class:`~repro.mpi.core.Message` as zero-copy segment
@@ -134,16 +137,45 @@ class Fabric:
             return self._intra_overhead + nbytes / self._mem_bw
         self.msgs_inter += 1
         self.bytes_inter += nbytes
-        t_inj = (self._injection.get(src) or self.injection(src)).reserve(nbytes)
-        t_ej = (self._ejection.get(dst) or self.ejection(dst)).reserve(nbytes)
+        now = self.engine.now
+        # Pipe.reserve on the injection and the ejection pipe, inline.
+        inj = self._injection.get(src) or self.injection(src)
+        busy = inj.busy_until
+        inj.busy_until = t_inj = (busy if busy > now else now) + nbytes / inj.bandwidth
+        inj.bytes_moved += int(nbytes)
+        ej = self._ejection.get(dst) or self.ejection(dst)
+        busy = ej.busy_until
+        ej.busy_until = t_ej = (busy if busy > now else now) + nbytes / ej.bandwidth
+        ej.bytes_moved += int(nbytes)
         lat = self._latency_cache.get(src * self._n_nodes + dst)
         if lat is None:
             lat = self._pair_latency(src, dst)
         done = (t_ej if t_ej > t_inj else t_inj) + lat  # max(), inline
-        now = self.engine.now
         if self.injector is not None:
             done = self.injector.net_adjust(now, src_rank, dst_rank, done)
         return done - now
+
+    def arrivals(self, src_ranks, dst_rank: int, nbytes: int) -> list:
+        """Reserve the way for ``nbytes`` from each of ``src_ranks`` to
+        ``dst_rank``, one after the other in that order: each one's
+        arrival instant, ``now + delay(...)`` — the float a message in
+        flight computes — with the reservations and counters of one
+        :meth:`delay` per source.
+
+        Equal instants handed out at one instant are one float object, as
+        the calendar's bucket key is for the messages it delivers
+        (symmetric groups posting together arrive together).
+        """
+        now = self.engine.now
+        if self._instants_at != now:
+            self._instants_at, self._instants = now, {}
+        instants = self._instants
+        delay = self.delay
+        out = []
+        for src_rank in src_ranks:
+            t = now + delay(src_rank, dst_rank, nbytes)
+            out.append(instants.setdefault(t, t))
+        return out
 
     def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Event:
         """An event when ``nbytes`` have moved (:meth:`delay` from now)."""

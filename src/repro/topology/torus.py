@@ -83,19 +83,24 @@ class TorusTopology:
             raise ValueError(f"coords {coords} out of range for {self.dims} torus")
         return (x * y_dim + y) * z_dim + z
 
-    @staticmethod
-    def _axis_hops(a: int, b: int, dim: int) -> int:
-        """Shortest wrap-aware distance along one torus axis."""
-        d = abs(a - b)
-        return min(d, dim - d)
-
     def hops(self, src: int, dst: int) -> int:
-        """Dimension-ordered shortest hop count between two nodes."""
+        """Dimension-ordered shortest hop count between two nodes: the sum
+        of the wrap-aware distances along the three axes of :meth:`coords`.
+        """
         if src == dst:
             return 0
-        sa = self.coords(src)
-        sb = self.coords(dst)
-        return sum(self._axis_hops(a, b, d) for a, b, d in zip(sa, sb, self.dims))
+        x_dim, y_dim, z_dim = self.dims
+        yz = y_dim * z_dim
+        n = x_dim * yz
+        if not (0 <= src < n and 0 <= dst < n):
+            node = dst if 0 <= src < n else src
+            raise ValueError(f"node {node} out of range for {self.dims} torus")
+        dx = abs(src // yz - dst // yz)
+        dy = abs(src // z_dim % y_dim - dst // z_dim % y_dim)
+        dz = abs(src % z_dim - dst % z_dim)
+        return ((dx if dx + dx <= x_dim else x_dim - dx)
+                + (dy if dy + dy <= y_dim else y_dim - dy)
+                + (dz if dz + dz <= z_dim else z_dim - dz))
 
     def neighbors(self, node: int) -> list[int]:
         """The (up to six) distinct torus neighbours of ``node``."""

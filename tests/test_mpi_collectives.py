@@ -313,3 +313,26 @@ def test_arrive_rejects_no_members_and_unknown_names():
         comm.arrive("barrier", [])
     with pytest.raises(MPIError, match="unknown collective"):
         comm.arrive("scatter", (0,))
+
+
+@pytest.mark.parametrize("members, match", [
+    ([-1], "member -1 out of range"),        # would index rank 7
+    ([8], "member 8 out of range"),
+    ([6, 7, 8], "member 8 out of range"),     # a contiguous range
+    ([-1, 0, 1], "member -1 out of range"),
+    ([3, 8], "member 8 out of range"),        # a scattered list
+    ([1, 1], "member 1 repeats"),             # would finish without rank 0
+    ([0, 2, 5, 2], "member 2 repeats"),
+])
+def test_arrive_rejects_bad_members(members, match):
+    """A member that is not a rank of the communicator, or that repeats,
+    raises before anyone moves on to the next call."""
+    comm = Job(8, QUIET).world
+    with pytest.raises(MPIError, match=match):
+        comm.arrive("barrier", members)
+    assert comm._coll_seq == [0] * 8 and not comm._coll_ops
+    small = Job(2, QUIET).world
+    with pytest.raises(MPIError, match="member 1 repeats"):
+        small.arrive("barrier", [1, 1])
+    op = small.arrive("barrier", [0, 1])
+    assert op.arrived == 2 and small._coll_seq == [1, 1]

@@ -614,3 +614,226 @@ def test_a_message_built_outside_the_calendar_is_a_delivered_one():
     assert got == [msg]
     assert (msg.source, msg.tag, msg.payload) == (15, 7, "body")
     assert (msg.sent_at, msg.delivered_at) == (0.5, 0.75)
+
+
+# ---------------------------------------------------------------------------
+# post_members(burst) == one post per member: a burst a waiting recv_all
+# takes whole is one calendar entry, and nothing else moves
+# ---------------------------------------------------------------------------
+
+_BURST_SIZES = (0, 8, 1200, 4096, 64 << 10, 2 << 20)
+_RECV_AT = (-0.5, 0.0, 1e-6, 1e-3)  # the gather's post vs the burst's
+
+
+def _posted(bulk, burst, expect, nbytes, recv_at, receiver_first,
+            early=(), foreign=None, later=None, armed=False):
+    """Rank 0 of 32 (4 to a node) takes ``expect`` under tag 7 with one
+    ``recv_all`` while ``burst`` is posted to it at ``_T_POST``, by one
+    ``post_members`` (``bulk``) or one ``post`` per member.
+
+    ``early`` sources isend theirs at 0.2; ``foreign`` is the offset of a
+    tag-8 isend from rank 30 (before the post: in flight at it);
+    ``later`` a burst source that isends another tag-7 message of the
+    same size just after the post.  Returns everything that must agree.
+    """
+    eng = Engine()
+    fabric = Fabric(eng, QUIET, 32)
+    if armed:
+        fabric.injector = _SlowNet()
+    comm = Communicator(eng, fabric, list(range(32)))
+    rx, box = comm.view(0), comm.mailbox(0)
+    seen = {}
+
+    def receiver():
+        yield eng.timeout(_T_POST + recv_at)
+        msgs = yield from rx.recv_all(expect, _TAG)
+        seen["gather"] = (eng.now.hex(), [
+            (m.source, m.delivered_at.hex(), m.payload) for m in msgs])
+
+    def representative():
+        yield eng.timeout(_T_POST)
+        if bulk:
+            comm.view(0).post_members(burst, 0, nbytes, tag=_TAG,
+                                      payload="burst")
+        else:
+            for src in burst:
+                comm.view(src).post(0, nbytes, tag=_TAG, payload="burst")
+
+    def isend(at, rank, tag, size, body):
+        yield eng.timeout(at)
+        comm.view(rank).isend(0, size, tag=tag, payload=body)
+
+    procs = [representative()]
+    procs.insert(0 if receiver_first else 1, receiver())
+    procs += [isend(0.2, src, _TAG, 64, "early") for src in early]
+    if foreign is not None:
+        procs.append(isend(_T_POST + foreign, 30, _FOREIGN, 4096, "foreign"))
+    if later is not None:
+        procs.append(isend(_T_POST + 1e-6, later, _TAG, nbytes, "later"))
+    for proc in procs:
+        eng.process(proc)
+    eng.run()
+    assert box.incoming == 0
+    left = [(m.source, m.tag, m.delivered_at.hex(), m.payload)
+            for m in box.items]
+    return ((seen, left, eng.events_processed, fabric.stats(),
+             _pipe_state(fabric)), eng.counters()["sim.dispatched_events"])
+
+
+def _pipe_state(fabric):
+    return [{node: (pipe.busy_until.hex(), pipe.bytes_moved)
+             for node, pipe in pipes.items()}
+            for pipes in (fabric._injection, fabric._ejection)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_post_members_is_one_post_per_member(data):
+    """The burst against its members posted one by one: completion
+    instant, order and stamps, logical events, what stays queued, the
+    fabric's counters and pipes — with the receive posted before or after
+    the burst, members on the writer's node (bunched arrivals, so the
+    loop can be busy when the last one lands), zero-byte and eager sizes,
+    slots filled earlier, a foreign message in flight, an armed
+    ``net_adjust``, a repeated source and a later message to a claimed
+    slot (non-overtaking: it arrives after its burst message)."""
+    burst = data.draw(st.lists(st.integers(1, 31), min_size=1, max_size=9,
+                               unique=True))
+    if data.draw(st.booleans()):  # a repeated source: never folded
+        burst.append(data.draw(st.sampled_from(burst)))
+    rest = [r for r in range(1, 30) if r not in burst]
+    early = data.draw(st.lists(st.sampled_from(rest), max_size=3, unique=True))
+    expect = data.draw(st.permutations(sorted(set(burst)) + early))
+    args = (expect, data.draw(st.sampled_from(_BURST_SIZES)),
+            data.draw(st.sampled_from(_RECV_AT)), data.draw(st.booleans()))
+    kwargs = dict(
+        early=early,
+        foreign=data.draw(st.none() | st.sampled_from((-1e-6, 1e-7))),
+        later=data.draw(st.none() | st.sampled_from(burst)),
+        armed=data.draw(st.booleans()))
+    one, one_dispatched = _posted(False, burst, *args, **kwargs)
+    bulk, bulk_dispatched = _posted(True, burst, *args, **kwargs)
+    assert bulk == one
+    assert "gather" in bulk[0]
+    assert bulk_dispatched <= one_dispatched
+
+
+#: A writer's incast: its node's three other ranks and 20 remote ones.
+_INCAST = [1, 2, 3] + list(range(8, 28))
+
+
+@pytest.mark.parametrize("nbytes", [0, 8, 64 << 10, 2 << 20])
+def test_a_burst_a_waiting_gather_takes_is_one_calendar_entry(nbytes):
+    """The receive is posted first and keeps up with the incast: the
+    burst costs one calendar entry — its last message — and every other
+    delivery and look-again of the per-message path is credited, so the
+    logical event count is the same."""
+    one, one_dispatched = _posted(False, _INCAST, _INCAST, nbytes, -0.5, True)
+    bulk, bulk_dispatched = _posted(True, _INCAST, _INCAST, nbytes, -0.5, True)
+    assert bulk == one
+    # Every message but the last is off the calendar and, when copies
+    # take time, so are the look-agains between them (bar the bunched
+    # node-local ones).
+    saved = len(_INCAST) - 1 + (len(_INCAST) - 4 if nbytes > 8 else 0)
+    assert one_dispatched - bulk_dispatched >= saved
+
+
+@pytest.mark.parametrize("case", ["after", "in_flight", "armed", "bunched",
+                                  "single", "repeat"])
+def test_a_burst_falls_back_to_a_message_per_member(case):
+    """Nothing folded: the receive posted after the burst, a message already in
+    flight to the mailbox, an armed ``net_adjust``, arrivals so bunched
+    that the loop is still copying when the last one lands, a one-source
+    post, a repeated source.  The calendar sees a message per member."""
+    burst = [1, 2, 3] if case == "bunched" else [9] if case == "single" \
+        else [9, 13, 9] if case == "repeat" else _INCAST
+    kwargs = {"in_flight": dict(foreign=-1e-6), "armed": dict(armed=True)}
+    args = (burst, sorted(set(burst)), 1 << 20,
+            1e-3 if case == "after" else -0.5, True)
+    one, one_dispatched = _posted(False, *args, **kwargs.get(case, {}))
+    bulk, bulk_dispatched = _posted(True, *args, **kwargs.get(case, {}))
+    assert bulk == one
+    assert bulk_dispatched == one_dispatched
+
+
+def test_a_later_message_to_a_claimed_slot_queues_behind_the_burst():
+    """MPI's non-overtaking order: while a burst is on its way, another
+    message from one of its sources with its tag is matched after it,
+    even when it lands first (here: a 0-byte one from the writer's node,
+    sent just after a 2 MB burst)."""
+    eng = Engine()
+    comm = Communicator(eng, Fabric(eng, QUIET, 32), list(range(32)))
+    got = {}
+
+    def receiver():
+        msgs = yield from comm.view(0).recv_all(_INCAST, _TAG)
+        got["gather"] = [m.payload for m in msgs]
+
+    def representative():
+        yield eng.timeout(_T_POST)
+        comm.view(0).post_members(_INCAST, 0, 2 << 20, tag=_TAG,
+                                  payload="burst")
+        yield eng.timeout(1e-6)
+        comm.view(2).isend(0, 0, tag=_TAG, payload="later")
+
+    eng.process(receiver())
+    eng.process(representative())
+    eng.run()
+    assert got["gather"] == ["burst"] * len(_INCAST)
+    assert [m.payload for m in comm.mailbox(0).items] == ["later"]
+
+
+def test_post_members_rejects_a_source_out_of_range():
+    """``[-1, 2]`` would send from world rank 7: every source must be a
+    rank of the communicator, and nothing is sent if one is not."""
+    job = Job(8, QUIET)
+    view = job.world.view(0)
+    for sources, bad in (([-1, 2], -1), ([2, 8], 8), ([3, 9, 1], 9)):
+        with pytest.raises(MPIError, match=f"post source {bad} out of range"):
+            view.post_members(sources, 0, 100)
+    assert job.fabric.stats()["messages_sent"] == 0
+    view.post_members([], 0, 100)  # nothing to send is fine
+
+
+#: Dyadic constants: every instant below is exact, so a look-again can fall
+#: on an arrival instant (1 MiB copies and ejections both take 2**-11 s).
+_DYADIC = QUIET.with_(mpi_overhead=2.0 ** -19, torus_hop_latency=2.0 ** -23,
+                      memory_bandwidth=2.0 ** 31, torus_link_bandwidth=2.0 ** 31,
+                      torus_links_per_node=1)
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["per_member", "burst"])
+def test_an_arrival_goes_before_a_look_again_at_its_instant(bulk):
+    """Three 1 MiB messages from nodes one hop away arrive 2**-11 s apart,
+    the copy time: each look-again falls on the next arrival, which was
+    queued first, so the last message lands while the loop is busy and
+    the loop ends in that look-again.  A timer queued in between at the
+    last arrival instant goes on before the loop does — in both paths."""
+    eng = Engine()
+    comm = Communicator(eng, Fabric(eng, _DYADIC, 32), list(range(32)))
+    burst, order = [4, 8, 16], []
+
+    def receiver():
+        yield from comm.view(0).recv_all(burst, _TAG)
+        order.append(("gather", eng.now))
+
+    def representative():
+        yield eng.timeout(_T_POST)
+        if bulk:
+            comm.view(0).post_members(burst, 0, 1 << 20, tag=_TAG)
+        else:
+            for src in burst:
+                comm.view(src).post(0, 1 << 20, tag=_TAG)
+
+    def timer():
+        yield eng.timeout(_T_POST + 2.0 ** -12)  # after the post
+        yield eng.timeout(3 * 2.0 ** -11 + 2.0 ** -19 + 2.0 ** -23
+                          - 2.0 ** -12)  # to the last arrival
+        yield eng.timeout(2.0 ** -11)  # to the loop's end
+        order.append(("timer", eng.now))
+
+    for proc in (receiver(), representative(), timer()):
+        eng.process(proc)
+    eng.run()
+    assert order[0][1] == order[1][1]
+    assert [name for name, _t in order] == ["timer", "gather"]

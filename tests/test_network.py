@@ -145,3 +145,65 @@ def test_pipes_created_lazily():
     eng.process(proc())
     eng.run()
     assert fab.stats()["nodes_touched"] == 2
+
+
+class _Stretch:
+    """An armed ``net_adjust``: every inter-node transfer takes half again."""
+
+    def net_adjust(self, now, _src, _dst, done):
+        return now + (done - now) * 1.5
+
+
+def _pipes(fab):
+    return {kind: {node: (pipe.busy_until.hex(), pipe.bytes_moved)
+                   for node, pipe in pipes.items()}
+            for kind, pipes in (("inj", fab._injection), ("ej", fab._ejection))}
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["plain", "net_adjust"])
+@pytest.mark.parametrize("nbytes", [0, 8, 4096, 3 << 20])
+@pytest.mark.parametrize("sources", [
+    [1, 2, 3],                       # the destination's own node only
+    [4, 9, 1, 13, 17, 2, 21],        # remote and local, interleaved
+    [5, 5, 40, 5, 33, 63, 3],        # repeats queue on one injection pipe
+    [60],
+])
+def test_arrivals_is_delay_per_source_in_order(sources, nbytes, armed):
+    """``arrivals`` against one ``delay`` per source on a twin fabric, on
+    pipes already busy and a clock that is not a round number: the same
+    instants bit for bit, the same counters and the same pipes."""
+    eng, fab = make_fabric(n_ranks=64)
+    twin = Fabric(eng, fab.config, 64)
+    if armed:
+        fab.injector = twin.injector = _Stretch()
+    got = {}
+
+    def proc():
+        yield eng.timeout(0.1)
+        for f in (fab, twin):  # something queued ahead on a shared pipe
+            f.delay(13, 0, 1 << 20)
+            f.delay(5, 44, 1 << 20)
+        yield eng.timeout(1e-5)
+        got["bulk"] = fab.arrivals(sources, 0, nbytes)
+        got["one"] = [eng.now + twin.delay(src, 0, nbytes) for src in sources]
+
+    eng.process(proc())
+    eng.run()
+    assert [t.hex() for t in got["bulk"]] == [t.hex() for t in got["one"]]
+    assert fab.stats() == twin.stats()
+    assert _pipes(fab) == _pipes(twin)
+
+
+def test_arrivals_share_one_float_per_instant():
+    """Equal instants handed out at one instant are one object, as the
+    calendar's bucket key is for the messages it delivers."""
+    eng, fab = make_fabric(n_ranks=64)
+    arrivals = fab.arrivals([1, 2, 3, 40, 41], 0, 4096)
+    assert arrivals[0] is arrivals[1] is arrivals[2]  # one node's copies
+    assert arrivals[2] < arrivals[3] < arrivals[4]
+    twin = fab.arrivals([33, 34, 60], 32, 4096)  # a symmetric group
+    assert twin[0] is twin[1] is arrivals[0]
+    assert twin[2] is arrivals[3]
+    assert fab.arrivals([], 0, 4096) == []
+    with pytest.raises(ValueError):
+        fab.arrivals([1], 0, -1)

@@ -103,6 +103,25 @@ def test_invalid_dims_rejected():
         TorusTopology((0, 4, 4))
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 2), (8, 8, 8)])
+def test_hops_is_the_sum_of_axis_distances_between_coords(dims):
+    """Every node pair: ``hops`` against the wrap-aware distance of the
+    two nodes' ``coords()`` along each axis."""
+    t = TorusTopology(dims)
+    coords = [t.coords(node) for node in range(t.n_nodes)]
+    for src, a in enumerate(coords):
+        want = [sum(min(abs(p - q), d - abs(p - q))
+                    for p, q, d in zip(a, b, dims)) for b in coords]
+        assert [t.hops(src, dst) for dst in range(t.n_nodes)] == want
+
+
+def test_hops_out_of_range():
+    t = TorusTopology((2, 2, 2))
+    for src, dst, bad in [(8, 0, 8), (0, 8, 8), (-1, 3, -1), (3, -1, -1)]:
+        with pytest.raises(ValueError, match=f"node {bad} out of range"):
+            t.hops(src, dst)
+
+
 @given(st.integers(min_value=0, max_value=11))
 @settings(max_examples=30, deadline=None)
 def test_triangle_inequality_property(seed):
