@@ -233,11 +233,6 @@ class ByteRope:
         """The underlying segment views, in order."""
         return iter(self._segments)
 
-    @property
-    def n_segments(self) -> int:
-        """Number of underlying segments (scatter-gather degree)."""
-        return len(self._segments)
-
     # -- content ops -------------------------------------------------------
     def crc32(self, value: int = 0) -> int:
         """CRC32 of the content, computed incrementally over segments."""

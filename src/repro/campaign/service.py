@@ -175,6 +175,9 @@ class SweepService:
         if not isinstance(spec, CampaignSpec):
             spec = CampaignSpec.from_dict(spec)
         campaign_id = spec.campaign_id
+        # Expanding costs points x np: do it before taking the lock, so a
+        # big submission never stalls status() or /healthz.
+        expanded = expand(spec)
         with self._lock:
             self.counters["campaigns_submitted"] += 1
             existing = self._campaigns.get(campaign_id)
@@ -182,7 +185,7 @@ class SweepService:
                 existing.submissions += 1
                 self.counters["campaigns_deduped"] += 1
                 return campaign_id
-            status = CampaignStatus(campaign_id, expand(spec))
+            status = CampaignStatus(campaign_id, expanded)
             self._campaigns[campaign_id] = status
             self._evicted.pop(campaign_id, None)
             for index, point in enumerate(status.expanded.points):

@@ -82,6 +82,13 @@ TRACE_MODES = ("off", "summary", "full")
 #: above any bench or example, and a bound on what :func:`expand` builds.
 MAX_CHECKPOINTS = 10_000
 
+#: Largest ``grid.np`` value: sixteen times the paper's 64K ranks.
+MAX_NP = 1 << 20
+
+#: Most points one spec may expand to — the product of the grid's axis
+#: lengths, counted before any point is built.
+MAX_POINTS = 10_000
+
 
 class SpecError(ValueError):
     """A campaign spec failed validation; the message names the path."""
@@ -228,6 +235,9 @@ class GridSpec:
         if "approaches" not in d or "np" not in d:
             missing = [k for k in ("approaches", "np") if k not in d]
             raise SpecError(path, f"missing required field(s) {missing}")
+        _check_points(path, {
+            k: _sequence(d.get(k, ()), f"{path}.{k}") for k in (
+                "approaches", "np", "fault_rates", "delta", "tam", "trace")})
         approaches = []
         for i, a in enumerate(_sequence(d["approaches"], f"{path}.approaches")):
             key = _string(a, f"{path}.approaches[{i}]")
@@ -238,7 +248,7 @@ class GridSpec:
                     f"{_APPROACH_HELP} or 'rbio_nfNNN'")
             approaches.append(key)
         np_values = [
-            _integer(n, f"{path}.np[{i}]", minimum=1)
+            _integer(n, f"{path}.np[{i}]", minimum=1, maximum=MAX_NP)
             for i, n in enumerate(_sequence(d["np"], f"{path}.np"))
         ]
         rates = [
@@ -289,6 +299,17 @@ class GridSpec:
         if self.trace:
             out["trace"] = list(self.trace)
         return out
+
+
+def _check_points(path: str, axes: Mapping) -> None:
+    """Raise unless the grid over ``axes`` (name -> values; an empty
+    optional axis counts once) has at most :data:`MAX_POINTS` points."""
+    lengths = {name: len(axis) for name, axis in axes.items() if axis}
+    n = math.prod(lengths.values())
+    if n > MAX_POINTS:
+        product = " x ".join(f"{k} {name}" for name, k in lengths.items())
+        raise SpecError(path, f"the grid expands to {product} = {n} "
+                              f"points, more than {MAX_POINTS}")
 
 
 #: Fixed approach keys (the Fig. 5-7 legend plus the staging extension).

@@ -61,6 +61,13 @@ class CheckpointStrategy:
     #: engage).  Set via :meth:`configure_tam`.
     tam: str = "off"
 
+    #: A strategy whose checkpoint is written once as a
+    #: :class:`~repro.sim.StagedOp` (1PFPP) makes this its builder,
+    #: ``checkpoint_op(job, client, data, step, basedir, sink)``; the
+    #: runner's rank program then calls the op, under either driver,
+    #: instead of handing its process :meth:`checkpoint`.
+    checkpoint_op = None
+
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
         """Generator: perform one coordinated checkpoint step on this rank.

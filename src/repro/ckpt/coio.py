@@ -123,9 +123,7 @@ class CollectiveIO(CheckpointStrategy):
         return CoalescePlan(groups=tuple(groups),
                             worker_main=self.coalesced_worker_main)
 
-    def coalesced_worker_main(self, ctx: RankContext, members,
-                              data: CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool, table):
+    def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: bring one run of non-aggregator ranks to its cohort.
 
         Only the world barrier and the communicator split — which complete
@@ -152,9 +150,8 @@ class CollectiveIO(CheckpointStrategy):
         group = self.group_of(members[0])
         run = cohorts.get(group)
         if run is None:
-            run = cohorts[group] = _RunReplay(
-                self, ctx, group, data, steps, basedir, gaps,
-                barrier_each_step, views[0].comm, table)
+            run = cohorts[group] = _RunReplay(self, ctx, group, loop,
+                                             views[0].comm)
         yield run.join([view.rank for view in views], t0)
 
     # -- setup ------------------------------------------------------------
@@ -275,19 +272,19 @@ class _RunReplay:
     """
 
     def __init__(self, strategy: CollectiveIO, ctx: RankContext, group: int,
-                 data: CheckpointData, steps, basedir: str, gaps,
-                 barrier_each_step: bool, comm, table) -> None:
+                 loop, comm) -> None:
         job = ctx.job
+        data = loop.data
         self.strategy = strategy
         self.eng = job.engine
         self.tracer = job.tracer
         self.contexts = job.contexts
         self.world = ctx.comm.comm
         self.comm = comm
-        self.gaps = gaps
-        self.barrier_each_step = barrier_each_step
-        self.paths = [strategy.file_path(basedir, step, group)
-                      for step in steps]
+        self.gaps = loop.gaps
+        self.barrier_each_step = loop.barrier_each_step
+        self.paths = [strategy.file_path(loop.basedir, step, group)
+                      for step in loop.steps]
         self.total_bytes = data.total_bytes
         self.field_sizes = list(data.field_sizes)
         self.layout_nbytes = 8 * data.n_fields
@@ -307,7 +304,7 @@ class _RunReplay:
         self.t_x0 = [0.0] * comm.size
         self.step = 0
         self.t0 = [0.0] * len(self.paths)
-        self.table = table
+        self.table = loop.table
         self.unfinished = 0
         self.done: list = []  # one event per joined run
         self._tail = None

@@ -10,6 +10,7 @@ runs carry sizes only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,7 +71,8 @@ class Field:
 
 
 class CheckpointData:
-    """One rank's ordered checkpoint contribution.
+    """One rank's ordered checkpoint contribution (its fields do not change:
+    the totals are computed once).
 
     Parameters
     ----------
@@ -97,7 +99,7 @@ class CheckpointData:
         """Number of fields."""
         return len(self.fields)
 
-    @property
+    @cached_property
     def total_bytes(self) -> int:
         """Sum of field sizes (excluding any header)."""
         return sum(f.nbytes for f in self.fields)
@@ -107,7 +109,7 @@ class CheckpointData:
         """Per-field sizes, in order."""
         return tuple(f.nbytes for f in self.fields)
 
-    @property
+    @cached_property
     def has_payload(self) -> bool:
         """Whether every field carries real bytes."""
         return all(f.payload is not None for f in self.fields)

@@ -91,19 +91,6 @@ class FileLayout:
         self._check(field, member)
         return int(self.sizes[member, field])
 
-    def section_range(self, field: int) -> tuple[int, int]:
-        """``[lo, hi)`` byte range of one field section."""
-        if not 0 <= field < self.n_fields:
-            raise ValueError(f"field {field} out of range")
-        lo = int(self.section_offsets[field])
-        return lo, lo + int(self.sizes[:, field].sum())
-
-    def member_total(self, member: int) -> int:
-        """Total bytes contributed by one member."""
-        if not 0 <= member < self.n_members:
-            raise ValueError(f"member {member} out of range")
-        return int(self.sizes[member, :].sum())
-
     def _check(self, field: int, member: int) -> None:
         if not 0 <= field < self.n_fields:
             raise ValueError(f"field {field} out of range")

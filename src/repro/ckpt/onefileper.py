@@ -15,15 +15,17 @@ rather than an artificial rank-ordered ramp.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import math
+from itertools import repeat
 
 from ..buffers import ByteRope, zeros
 from ..faults.retry import retry_fs
 from ..mpi import RankContext
-from ..sim import CoalescePlan, GroupPlan, StagedOp
+from ..sim import CoalescePlan, GroupPlan, StagedOp, Timeout
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta, write_manifest
+from .result import ReportTable
 
 __all__ = ["OneFilePerProcess"]
 
@@ -41,8 +43,9 @@ class OneFilePerProcess(CheckpointStrategy):
     name = "1pfpp"
 
     def __init__(self, arrival_jitter: float = 0.2) -> None:
-        if arrival_jitter < 0:
-            raise ValueError("negative jitter")
+        if not (math.isfinite(arrival_jitter) and arrival_jitter >= 0):
+            raise ValueError(f"arrival_jitter must be finite and "
+                             f"non-negative, got {arrival_jitter!r}")
         self.arrival_jitter = arrival_jitter
 
     def describe(self) -> dict:
@@ -54,7 +57,7 @@ class OneFilePerProcess(CheckpointStrategy):
 
     # -- coalescing -------------------------------------------------------
     def coalesce_plan(self, n_ranks: int):
-        """Offer every rank as a continuation (:class:`_RankReplay`).
+        """Offer every rank as a program driven from event callbacks.
 
         Between a rank's waits nothing happens that a callback on the
         awaited event cannot do, so no rank needs a process.  Delta commits
@@ -66,83 +69,52 @@ class OneFilePerProcess(CheckpointStrategy):
         return CoalescePlan(groups=(group,),
                             worker_main=self.coalesced_worker_main)
 
-    def coalesced_worker_main(self, ctx: RankContext, members,
-                              data: CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool, table):
+    def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: the one process of a coalesced run.
 
-        It enters the first barrier for everybody, starts the ranks in rank
-        order — as the barrier's release resumes rank processes — and waits
-        for the last to finish.  The first wave's jitter is one vector
-        draw: the values, in the order, of one scalar draw per rank.
+        It enters the first barrier for everybody, starts each member's
+        program (``loop.member``) past that barrier and its jitter in rank
+        order — as the barrier's release resumes rank processes — and
+        waits for the last to finish.  The first wave's jitter is one
+        vector draw: the values, in the order, of one scalar draw per rank.
         """
         yield from ctx.comm.barrier_members(members)
+        eng = ctx.engine
         job = ctx.job
-        eng = job.engine
-        run = SimpleNamespace(
-            strategy=self, eng=eng, fs=job.services["fs"],
-            tracer=job.tracer, table=table,
-            world=ctx.comm.comm, rng=job.streams.stream("ckpt.jitter"),
-            data=data, has_payload=data.has_payload,
-            total_bytes=data.total_bytes,
-            file_bytes=data.header_bytes + data.total_bytes, steps=steps,
-            basedir=basedir, gaps=gaps, barrier_each_step=barrier_each_step,
-            unfinished=len(members), done=eng.event())
+        fs, data, table = job.services["fs"], loop.data, loop.table
+        home = _Home(eng.event(), len(members))
+        delays = None
         if self.arrival_jitter > 0:
-            delays = run.rng.random(len(members)) * self.arrival_jitter
-            for m, delay in zip(members, delays.tolist()):
-                eng.timeout(delay).callbacks.append(_RankReplay(run, m).advance)
-        else:
-            for m in members:
-                _RankReplay(run, m).advance()
-        yield run.done
+            rng = job.streams.stream("ckpt.jitter")
+            delays = rng.random(len(members)) * self.arrival_jitter
+        for m, delay in zip(members, repeat(None) if delays is None
+                            else delays.tolist()):
+            op = _Checkpoint(self, job, fs.client(m), data, 0, loop.basedir,
+                             table)
+            # Past the jitter drawn above, and the plan: a coalesced run
+            # writes full files.
+            op.then = _Checkpoint._create
+            prog = loop.member(m, home, op)
+            if delay is None:
+                prog.advance()
+            else:
+                Timeout(eng, delay).callbacks.append(prog.advance)
+        yield home.finished
 
-    @staticmethod
-    def _file_payload(data: CheckpointData):
-        """One rank's file image, header then fields (size-only: ``None``)."""
-        if not data.has_payload:
-            return None
-        return ByteRope.concat(
-            [zeros(data.header_bytes), data.concatenated_payload()])
+    # -- checkpoint -------------------------------------------------------
+    def checkpoint_op(self, job, client, data: CheckpointData, step: int,
+                      basedir: str, sink) -> "_Checkpoint":
+        """:meth:`checkpoint` of ``client``'s rank, staged.  ``sink`` is the
+        rank's context (the op's ``result`` is the report) or, for a rank
+        without one and with delta off, the run's
+        :class:`~repro.ckpt.result.ReportTable` (the op files row ``step``)."""
+        return _Checkpoint(self, job, client, data, step, basedir, sink)
 
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
-        """Generator: create own file, stream header + fields, close.
-
-        Nobody gathers; the plan is the whole file as one piece — header
-        and fields (full write) or header and the chunks absent from the
-        parent generation, with the manifest that maps every logical chunk
-        to the generation and offset holding its bytes (delta); the commit
-        is a POSIX create / write / close.
-        """
-        eng = ctx.engine
-        t0 = eng.now
-        if self.arrival_jitter > 0:
-            rng = ctx.job.streams.stream("ckpt.jitter")
-            yield eng.timeout(float(rng.random()) * self.arrival_jitter)
-        path = self.rank_path(basedir, step, ctx.rank)
-        manifest = None
-        if self._delta_active(data):
-            pieces, manifest = yield from plan_delta(
-                self, ctx, [(0, data.field_sizes, data.concatenated_payload())],
-                step, data.header_bytes)
-        else:
-            pieces = [(0, data.header_bytes + data.total_bytes,
-                       self._file_payload(data))]
-        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
-                                     tracer=ctx.job.tracer)
-        # POSIX stream write: header and fields leave the node as one
-        # buffered sequential burst.
-        for offset, nbytes, payload in pieces:
-            yield from retry_fs(
-                eng, lambda o=offset, n=nbytes, p=payload:
-                    ctx.fs.write(handle, o, n, payload=p),
-                tracer=ctx.job.tracer)
-        yield from ctx.fs.close(handle)
-        if manifest is not None:
-            yield from write_manifest(ctx, manifest, path)
-        t_end = eng.now
-        return self._report(ctx, "independent", t0, t_end, t_end, data.total_bytes)
+        """Generator: create own file, stream header + fields, close."""
+        return (yield from self.checkpoint_op(ctx.job, ctx.fs, data, step,
+                                              basedir, ctx).run())
 
     def restore(self, ctx: RankContext, template: CheckpointData, step: int,
                 basedir: str = "/ckpt"):
@@ -163,85 +135,132 @@ class OneFilePerProcess(CheckpointStrategy):
                                              t_r0))
 
 
-class _RankReplay(StagedOp):
-    """One rank of a coalesced 1PFPP run, without a process.
+def _retrying(job, attempt, *args):
+    """``attempt(*args)`` (an ``FSClient`` generator method) in the retry
+    loop a fault injector calls for."""
+    return retry_fs(job.engine, lambda: attempt(*args), tracer=job.tracer)
 
-    The stages are ``_rank_main``'s loop around :meth:`OneFilePerProcess.
-    checkpoint`, cut at its waits, and :meth:`StagedOp.advance` takes each
-    wait where the rank's process would have: noise draws, the directory
-    token's FIFO, pipe reservations, ``active_streams``, Darshan records
-    and spans fall in the uncoalesced order by construction.  What a
-    create, write or close costs is ``FSClient``'s staged op.  ``run`` is
-    what the ranks share (see ``coalesced_worker_main``).  A member builds
-    no ``RankContext``: its client comes from the job's file system, and
-    the replay, its client and its handle are gone when its last step ends.
+
+class _Checkpoint(StagedOp):
+    """One rank's checkpoint: jitter, plan, create, write each piece,
+    close, manifest, report.
+
+    Nobody gathers; the plan is the whole file as one piece — header and
+    fields (full write) or header and the chunks absent from the parent
+    generation, with the manifest that maps every logical chunk to the
+    generation and offset holding its bytes (delta); the commit is a POSIX
+    create / write / close, each ``FSClient``'s staged op.  With a fault
+    injector attached, create and write are the retrying generators
+    instead: they, the delta plan and the manifest write are handed to the
+    rank's process, where no coalesce plan reaches.
     """
 
-    __slots__ = ("run", "rank", "fs", "step", "t0", "handle")
+    __slots__ = ("strategy", "job", "client", "data", "step", "basedir",
+                 "sink", "t0", "handle", "plan")
 
-    def __init__(self, run, rank: int) -> None:
-        # Step 0 starts past its barrier and jitter (the worker main's).
-        super().__init__(_RankReplay._create)
-        self.run = run
-        self.rank = rank
-        self.fs = run.fs.client(rank)
-        self.step = 0
-        self.t0 = run.eng.now
+    def __init__(self, strategy, job, client, data, step, basedir,
+                 sink) -> None:
+        # StagedOp.__init__ flattened: one of these per rank per step.
+        self.then = _Checkpoint._jitter
+        self.result = self.up = self.sub = None
+        self.strategy = strategy
+        self.job = job
+        self.client = client
+        self.data = data
+        self.step = step
+        self.basedir = basedir
+        self.sink = sink
+        self.plan = None  # a delta plan: (pieces left, manifest)
+        self.t0 = job.engine.now
 
-    def _next_step(self):
-        run = self.run
-        gap = run.gaps[self.step]
-        if gap > 0:
-            self.then = _RankReplay._barrier
-            return run.eng.timeout(gap)
-        return self._barrier()
+    def _jitter(self):
+        jitter = self.strategy.arrival_jitter
+        if jitter <= 0:
+            return self._plan()
+        self.then = _Checkpoint._plan
+        rng = self.job.streams.stream("ckpt.jitter")
+        return self.job.engine.timeout(float(rng.random()) * jitter)
 
-    def _barrier(self):
-        run = self.run
-        if run.barrier_each_step:
-            self.then = _RankReplay._enter
-            return run.world._barrier_arrive(self.rank).event
-        return self._enter()
+    def _plan(self):
+        data = self.data
+        if not self.strategy._delta_active(data):
+            return self._create()
+        self.then = _Checkpoint._planned
+        return plan_delta(self.strategy, self.sink,
+                          [(0, data.field_sizes, data.concatenated_payload())],
+                          self.step, data.header_bytes)
 
-    def _enter(self):
-        run = self.run
-        self.t0 = run.eng.now
-        jitter = run.strategy.arrival_jitter
-        if jitter > 0:
-            self.then = _RankReplay._create
-            return run.eng.timeout(float(run.rng.random()) * jitter)
+    def _planned(self):
+        pieces, manifest = self.result
+        self.plan = (iter(pieces), manifest)
         return self._create()
 
     def _create(self):
-        run = self.run
-        self.then = _RankReplay._write
-        return self.call(self.fs.create_op(run.strategy.rank_path(
-            run.basedir, run.steps[self.step], self.rank)))
+        client = self.client
+        path = self.strategy.rank_path(self.basedir, self.step, client.rank)
+        self.then = _Checkpoint._write
+        if client.fs.injector is None:
+            return self.call(client.create_op(path))
+        return _retrying(self.job, client.create, path)
 
     def _write(self):
-        run = self.run
-        self.handle = self.result
-        self.then = _RankReplay._close
-        # A rope per member, as in checkpoint(): the copy counters count it.
-        payload = (run.strategy._file_payload(run.data) if run.has_payload
-                   else None)
-        return self.call(self.fs.write_op(self.handle, 0, run.file_bytes,
-                                          payload))
+        self.handle = handle = self.result
+        if self.plan is not None:  # delta: the planned pieces, in order
+            return self._piece()
+        # The full write: header and fields leave the node as one
+        # buffered sequential burst.
+        client, data = self.client, self.data
+        nbytes = data.header_bytes + data.total_bytes
+        payload = ByteRope.concat([zeros(data.header_bytes),
+                                   data.concatenated_payload()]
+                                  ) if data.has_payload else None
+        self.then = _Checkpoint._close
+        if client.fs.injector is None:
+            return self.call(client.write_op(handle, 0, nbytes, payload))
+        return _retrying(self.job, client.write, handle, 0, nbytes, payload)
+
+    def _piece(self):
+        piece = next(self.plan[0], None)
+        if piece is None:
+            return self._close()
+        client = self.client
+        self.then = _Checkpoint._piece
+        if client.fs.injector is None:
+            return self.call(client.write_op(self.handle, *piece))
+        return _retrying(self.job, client.write, self.handle, *piece)
 
     def _close(self):
-        self.then = _RankReplay._report
-        return self.call(self.fs.close_op(self.handle))
+        self.then = (_Checkpoint._report if self.plan is None
+                     else _Checkpoint._closed)
+        return self.call(self.client.close_op(self.handle))
+
+    def _closed(self):  # delta: the manifest, next to its data file
+        self.then = _Checkpoint._report
+        return write_manifest(self.sink, self.plan[1], self.handle.file.path)
 
     def _report(self):
-        run = self.run
-        now = run.eng.now
-        run.strategy._put_report(run.table, run.tracer, self.step, self.rank,
-                                 "independent", self.t0, now, now,
-                                 run.total_bytes)
-        self.step += 1
-        if self.step < len(run.steps):
-            return self._next_step()
-        run.unfinished -= 1
-        if not run.unfinished:
-            run.done.succeed()
+        now, nbytes, sink = self.job.engine.now, self.data.total_bytes, self.sink
+        if sink.__class__ is ReportTable:
+            self.strategy._put_report(sink, self.job.tracer, self.step,
+                                      self.client.rank, "independent",
+                                      self.t0, now, now, nbytes)
+        else:
+            self.result = self.strategy._report(sink, "independent", self.t0,
+                                                now, now, nbytes)
         return self.done()
+
+
+class _Home(StagedOp):
+    """Where the member programs of a coalesced run return: the last one
+    back fires ``finished``."""
+
+    __slots__ = ("finished", "left")
+
+    def __init__(self, finished, n: int) -> None:
+        super().__init__(_Home._back)
+        self.finished, self.left = finished, n
+
+    def _back(self):
+        self.left -= 1
+        if not self.left:
+            self.finished.succeed()

@@ -148,12 +148,10 @@ class ReducedBlockingIO(CheckpointStrategy):
         return CoalescePlan(groups=tuple(groups),
                             worker_main=self.coalesced_worker_main)
 
-    def coalesced_worker_main(self, ctx: RankContext, members, data:
-                              CheckpointData, steps, basedir: str,
-                              gaps, barrier_each_step: bool, table):
+    def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: replay every worker of one group from its representative.
 
-        Mirrors ``runner._rank_main`` + :meth:`_worker` member by member:
+        Mirrors the runner's rank program + :meth:`_worker` member by member:
         collective arrivals are entered once per member (same arrival
         counts, same completion timing), each member's package moves through
         the fabric as its own transfer (same pipe reservations, so the
@@ -184,6 +182,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         eng = ctx.engine
         comm = ctx.comm
         fabric = ctx.job.fabric
+        data, gaps, table = loop.data, loop.gaps, loop.table
         nbytes = data.total_bytes
         copy = ctx.config.mpi_overhead + fabric.local_copy_time(nbytes)
         world = range(members[0] - 1, members[-1] + 1)  # the writer first
@@ -205,10 +204,10 @@ class ReducedBlockingIO(CheckpointStrategy):
             classes.setdefault(len(groups.members_of[lead]), []).append(lead)
         class_list = list(classes.values())
         gviews = None
-        for i, step in enumerate(steps):
+        for i, step in enumerate(loop.steps):
             if gaps[i] > 0:
                 yield eng.timeout(gaps[i])
-            if i == 0 or barrier_each_step:
+            if i == 0 or loop.barrier_each_step:
                 yield from comm.barrier_members(members)
             if gviews is None:
                 # First step: stand in for every member of the two setup

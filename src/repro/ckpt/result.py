@@ -45,11 +45,6 @@ class RankReport:
         """The per-rank 'I/O time' plotted in Figs. 9-11."""
         return self.t_complete - self.t_start
 
-    @property
-    def blocked_seconds(self) -> float:
-        """How long computation was blocked on this rank."""
-        return self.t_blocked_end - self.t_start
-
 
 class ReportTable:
     """What every rank experienced in every step of one run: a column of
@@ -204,11 +199,6 @@ class CheckpointResult:
     def writer_ranks(self) -> list[int]:
         """Ranks that committed data to the file system."""
         return self.ranks[self._has_role("writer", "independent")].tolist()
-
-    @property
-    def worker_ranks(self) -> list[int]:
-        """Ranks that only shipped data to a writer (rbIO workers)."""
-        return self.ranks[self._has_role("worker")].tolist()
 
     # -- rbIO perceived metrics ----------------------------------------------
     @property

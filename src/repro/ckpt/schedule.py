@@ -159,16 +159,6 @@ class CheckpointSchedule:
         if self.t_checkpoint < 0:
             raise ValueError("negative checkpoint time")
 
-    def is_checkpoint_step(self, step: int) -> bool:
-        """Whether a checkpoint is taken after computation step ``step``.
-
-        Steps are 1-based; a run of ``n`` steps checkpoints at
-        ``nc, 2*nc, ...``.
-        """
-        if step < 1:
-            raise ValueError("steps are 1-based")
-        return step % self.nc == 0
-
     def production_time(self, n_steps: int) -> float:
         """Total wall-clock for ``n_steps`` steps including checkpoints."""
         if n_steps < 0:
@@ -206,21 +196,6 @@ class CheckpointSchedule:
         nc = max(1, round(interval / t_computation_step))
         return cls(nc=nc, t_computation_step=t_computation_step,
                    t_checkpoint=t_checkpoint)
-
-    @staticmethod
-    def daly_interval(t_checkpoint: float, mtbf: float) -> float:
-        """Daly's higher-order optimum (reduces to Young for small Tc/MTBF).
-
-        Uses Daly's perturbation solution
-        ``sqrt(2 Tc M) * (1 + sqrt(Tc/(2M))/3 + Tc/(9*2M)) - Tc`` for
-        ``Tc < 2M`` and the degenerate ``interval = M`` otherwise.
-        """
-        _check_positive(t_checkpoint=t_checkpoint, mtbf=mtbf)
-        if t_checkpoint >= 2.0 * mtbf:
-            return mtbf
-        x = t_checkpoint / (2.0 * mtbf)
-        return (math.sqrt(2.0 * t_checkpoint * mtbf)
-                * (1.0 + math.sqrt(x) / 3.0 + x / 9.0) - t_checkpoint)
 
     @staticmethod
     def young_interval_incremental(t_full_checkpoint: float,

@@ -51,11 +51,6 @@ class ProblemSize:
         """n / P (rounded)."""
         return round(self.points / self.n_ranks)
 
-    @property
-    def bytes_per_rank(self) -> int:
-        """Average checkpoint bytes contributed per rank."""
-        return round(self.file_bytes / self.n_ranks)
-
     def data(self) -> CheckpointData:
         """Per-rank checkpoint contribution (NekCEM-shaped, size-only)."""
         return CheckpointData.nekcem_like(self.points_per_rank)

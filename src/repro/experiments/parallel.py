@@ -158,16 +158,6 @@ class DiskCache:
             raise
         self._maybe_evict()
 
-    def size_bytes(self) -> int:
-        """Total bytes of all current entries (racy but monotonic enough)."""
-        total = 0
-        for path in self.root.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
     def _maybe_evict(self) -> None:
         if self.max_bytes is None:
             return

@@ -8,14 +8,17 @@ coordinated checkpoint steps with a given strategy, and return
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from ..ckpt import CheckpointData, CheckpointResult, CheckpointStrategy
 from ..ckpt.data import EvolvingData
 from ..ckpt.result import RankReport, ReportTable
-from ..faults import attach_faults
+from ..faults import FaultInjector, attach_faults
 from ..mpi import Job, RunConfig
 from ..profiling import DarshanProfiler
+from ..sim import StagedOp
 from ..storage import attach_storage
 from ..topology import MachineConfig
 
@@ -36,20 +39,20 @@ def normalize_gaps(gap_seconds: GapSpec, n_steps: int) -> tuple[float, ...]:
     A scalar means the classic uniform spacing; a sequence gives the gap
     before each step after the first (campaign checkpoint rules compile to
     these).  Entry ``i`` is the computation time a rank spends before
-    entering step ``i``.
+    entering step ``i``.  Every gap must be finite and non-negative.
     """
     if isinstance(gap_seconds, (int, float)):
-        gap = float(gap_seconds)
-        if gap < 0:
-            raise ValueError(f"negative gap_seconds: {gap}")
-        return (0.0,) + (gap,) * (n_steps - 1)
-    gaps = tuple(float(g) for g in gap_seconds)
-    if len(gaps) != n_steps - 1:
-        raise ValueError(
-            f"need {n_steps - 1} inter-step gaps for {n_steps} steps, "
-            f"got {len(gaps)}")
-    if any(g < 0 for g in gaps):
-        raise ValueError(f"negative inter-step gap in {gaps}")
+        given = (float(gap_seconds),)
+        gaps = given * (n_steps - 1)
+    else:
+        given = gaps = tuple(float(g) for g in gap_seconds)
+        if len(gaps) != n_steps - 1:
+            raise ValueError(
+                f"need {n_steps - 1} inter-step gaps for {n_steps} steps, "
+                f"got {len(gaps)}")
+    if not all(math.isfinite(g) and g >= 0 for g in given):
+        raise ValueError(f"gaps must be finite and non-negative, got "
+                         f"{gap_seconds!r}")
     return (0.0,) + gaps
 
 
@@ -89,47 +92,132 @@ def _data_fn(data: DataBuilder):
     return data
 
 
-def _rank_main(ctx, strategy: CheckpointStrategy, data_fn, steps: list[int],
-               basedir: str, gaps: tuple[float, ...], barrier_each_step: bool,
-               writer_set: frozenset, table: ReportTable):
-    """Generator: one rank's steps; each step's report is filed in ``table``."""
-    data = data_fn(ctx.rank)
-    # Dedicated I/O ranks (rbIO writers) do not compute between
-    # checkpoints — they spend the gap draining their backlog.  The writer
-    # set is computed once per run and shared (rebuilding it per rank was
-    # O(np^2) at 65K ranks).
-    is_writer = ctx.rank in writer_set
-    inj = ctx.job.services.get("faults")
-    crash_t = inj.crash_time(ctx.rank) if inj is not None else None
-    for i, step in enumerate(steps):
-        dead = crash_t is not None and ctx.engine.now >= crash_t
-        if gaps[i] > 0 and not is_writer and not dead:
-            # Computation between checkpoints (nc * Tcomp).
-            yield ctx.engine.timeout(gaps[i])
-        if i == 0 or barrier_each_step:
-            # Coordinated checkpoint start.  Without per-step barriers
-            # ranks iterate at their own pace (the solver's nearest-
-            # neighbour coupling, not a global barrier, is what loosely
-            # synchronizes a real run) — this is the mode that exposes
-            # rbIO writer backpressure.  Crashed ranks still enter the
-            # barrier: crashes are cooperative at step boundaries, and the
-            # barrier is what makes every rank evaluate the failure
-            # oracle at the same instant.
-            yield from ctx.comm.barrier()
+@dataclass(eq=False)
+class StepLoop:
+    """One run's step loop: what every rank's program reads.
+
+    :func:`run_checkpoint_steps` builds it and hands it to a coalesce
+    plan's ``worker_main``.  ``data_fn(rank)`` is a rank's data (``data``
+    itself when a plan coalesces); ``steps`` is ``range(n_steps)``, a step
+    being its own row of ``table``; ``gaps`` comes from
+    :func:`normalize_gaps`, and the ``writer_set`` ranks skip them;
+    ``faults`` is the job's injector.
+    """
+
+    job: Job
+    strategy: CheckpointStrategy
+    data: DataBuilder
+    data_fn: Callable
+    steps: range
+    basedir: str
+    gaps: tuple
+    barrier_each_step: bool
+    writer_set: frozenset
+    table: ReportTable
+    faults: FaultInjector
+
+    def rank_main(self, ctx):
+        """``job.spawn`` target: rank ``ctx.rank``'s program, in its process."""
+        return _RankProgram(self, ctx.rank, ctx, self.data_fn(ctx.rank)).run()
+
+    def member(self, rank: int, up: StagedOp,
+               op: StagedOp) -> "_RankProgram":
+        """Rank ``rank``'s program for a driver that is not a process: no
+        context, past its first barrier and inside ``op``, its first
+        checkpoint (the strategy's staged op, built by the driver; it files
+        its own row); it returns to ``up``."""
+        prog = _RankProgram(self, rank, None, self.data)
+        prog.up, prog.sub, prog.then = up, op, _RankProgram._next
+        op.up = prog
+        return prog
+
+
+class _RankProgram(StagedOp):
+    """One rank's steps — gap, barrier, crash check, checkpoint, its row —
+    for both drivers (:meth:`StepLoop.rank_main`, :meth:`StepLoop.member`)."""
+
+    __slots__ = ("loop", "rank", "ctx", "data", "i")
+
+    def __init__(self, loop: StepLoop, rank: int, ctx, data) -> None:
+        # StagedOp.__init__ flattened: one of these per rank.
+        self.then = _RankProgram._gap
+        self.result = self.up = self.sub = None
+        self.loop = loop
+        self.rank = rank
+        self.ctx = ctx
+        self.data = data
+        self.i = 0
+
+    def _dead(self) -> bool:
+        faults = self.loop.faults
+        return faults.has_rank_faults and faults.dead_at(
+            self.rank, self.loop.job.engine.now)
+
+    def _gap(self):
+        loop = self.loop
+        gap = loop.gaps[self.i]
+        if gap > 0 and self.rank not in loop.writer_set and not self._dead():
+            # Computation between checkpoints (nc * Tcomp); dedicated I/O
+            # ranks (rbIO writers) drain their backlog instead.
+            self.then = _RankProgram._barrier
+            return loop.job.engine.timeout(gap)
+        return self._barrier()
+
+    def _barrier(self):
+        if self.i and not self.loop.barrier_each_step:
+            return self._checkpoint()
+        # Coordinated checkpoint start.  Without per-step barriers ranks
+        # iterate at their own pace (the solver's nearest-neighbour
+        # coupling, not a global barrier, loosely synchronizes a real run)
+        # — the mode that exposes rbIO writer backpressure.  Crashed ranks
+        # still enter: crashes are cooperative at step boundaries, and the
+        # barrier makes every rank evaluate the failure oracle at once.
+        self.then = _RankProgram._checkpoint
+        return self.loop.job.world._barrier_arrive(self.rank).event
+
+    def _checkpoint(self):
+        loop, ctx, data = self.loop, self.ctx, self.data
+        strategy, step = loop.strategy, loop.steps[self.i]
         # Evolving workloads materialize each step's state just before it
         # is checkpointed (successive generations genuinely differ).
         d = data.at_step(step) if hasattr(data, "at_step") else data
-        if crash_t is not None and ctx.engine.now >= crash_t:
-            # This rank is dead for the rest of the campaign.  It ghosts
-            # through any collective setup (communicator splits) so the
-            # survivors' collectives complete, but contributes no data.
-            yield from strategy.ghost(ctx, d, step, basedir)
-            now = ctx.engine.now
-            table.file(i, RankReport(
-                rank=ctx.rank, role="crashed", t_start=now,
-                t_blocked_end=now, t_complete=now, bytes_local=0))
-            continue
-        table.file(i, (yield from strategy.checkpoint(ctx, d, step, basedir)))
+        if self._dead():
+            # Dead for the rest of the campaign: it ghosts through any
+            # collective setup (communicator splits) so the survivors'
+            # collectives complete, but contributes no data.
+            self.then = _RankProgram._crashed
+            return strategy.ghost(ctx, d, step, loop.basedir)
+        if strategy.checkpoint_op is None:
+            self.then = _RankProgram._file
+            return strategy.checkpoint(ctx, d, step, loop.basedir)
+        return self.call(self._op(d, step))
+
+    def _op(self, data, step: int):
+        """The strategy's staged checkpoint: a process files the report it
+        returns, a member (no context) has it file its own row."""
+        loop, ctx = self.loop, self.ctx
+        if ctx is None:
+            self.then = _RankProgram._next
+            return loop.strategy.checkpoint_op(
+                loop.job, loop.job.services["fs"].client(self.rank), data,
+                step, loop.basedir, loop.table)
+        self.then = _RankProgram._file
+        return loop.strategy.checkpoint_op(loop.job, ctx.fs, data, step,
+                                           loop.basedir, ctx)
+
+    def _crashed(self):
+        now = self.loop.job.engine.now
+        self.result = RankReport(self.rank, "crashed", now, now, now, 0)
+        return self._file()
+
+    def _file(self):
+        self.loop.table.file(self.i, self.result)
+        self.result = None  # the row holds it; the process returns nothing
+        return self._next()
+
+    def _next(self):
+        i = self.i = self.i + 1
+        return self._gap() if i < len(self.loop.steps) else self.done()
 
 
 def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
@@ -166,8 +254,7 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     job = Job(n_ranks, config, seed=seed, run_config=run_config)
     coalesce, faults = job.run_config.coalesce, job.run_config.faults
     fs = attach_storage(job, fs_type=fs_type)
-    attach_faults(job, faults)
-    steps = list(range(n_steps))
+    injector = attach_faults(job, faults)
     gaps = normalize_gaps(gap_seconds, n_steps)
     writer_set = frozenset()
     if any(g > 0 for g in gaps) and hasattr(strategy, "writer_ranks"):
@@ -183,24 +270,23 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
             f"coalesce='require' but {strategy.name} offers no plan for "
             f"this configuration"
         )
-    table = ReportTable(n_steps, n_ranks)
-    rank_args = (strategy, _data_fn(data), steps, basedir, gaps,
-                 barrier_each_step, writer_set, table)
+    loop = StepLoop(job, strategy, data, _data_fn(data), range(n_steps),
+                    basedir, gaps, barrier_each_step, writer_set,
+                    ReportTable(n_steps, n_ranks), injector)
     if plan is None:
-        job.spawn(_rank_main, *rank_args)
+        job.spawn(loop.rank_main)
     else:
         # Spawn in world-rank order (reps in their group's first-worker
         # slot) so process bootstrap — and with it every same-time event
         # tie — happens in the same order as the uncoalesced run.
         for r, members in plan.spawn_order(n_ranks):
             if members is None:
-                job.spawn(_rank_main, *rank_args, ranks=[r])
+                job.spawn(loop.rank_main, ranks=[r])
             else:
-                job.spawn(plan.worker_main, members, data, steps, basedir,
-                          gaps, barrier_each_step, table, ranks=[r])
+                job.spawn(plan.worker_main, members, loop, ranks=[r])
     job.run()
     fs_stats = fs.stats()
-    results = [CheckpointResult(strategy.name, table,
+    results = [CheckpointResult(strategy.name, loop.table,
                                 params=strategy.describe(),
                                 fs_stats=fs_stats, step=i)
                for i in range(n_steps)]

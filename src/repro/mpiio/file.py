@@ -130,12 +130,6 @@ class MPIFile:
             lambda: self.fs.write(self.handle, offset, nbytes, payload=payload),
             tracer=self.tracer)
 
-    def read_at(self, offset: int, nbytes: int):
-        """Generator: independent read; returns stored bytes."""
-        self._check_open()
-        data = yield from self.fs.read(self.handle, offset, nbytes)
-        return data
-
     # ------------------------------------------------------------------
     # Collective I/O
     # ------------------------------------------------------------------

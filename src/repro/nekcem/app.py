@@ -33,7 +33,7 @@ from ..storage import attach_storage
 from ..topology import MachineConfig, intrepid
 from .maxwell import (GhostFaces, MaxwellSolver, cavity_fields,
                       waveguide_te10_fields)
-from .mesh import HexMesh, read_rea
+from .mesh import HexMesh
 from .rk4 import RK4A, RK4B, RK4C
 from .vtk import write_vtk
 
@@ -116,12 +116,6 @@ class NekCEMApp:
         self.order = order
         self.solver = MaxwellSolver(mesh, order, alpha=alpha)
         self._init = init
-
-    @classmethod
-    def from_input_files(cls, rea_path: str, order: int, **kwargs) -> "NekCEMApp":
-        """Presetup from a ``.rea`` input file (as production runs do)."""
-        mesh = read_rea(rea_path)
-        return cls(mesh, order, **kwargs)
 
     def initial_state(self) -> list[np.ndarray]:
         """Initial fields: custom initializer or the TM110 cavity mode."""

@@ -400,8 +400,3 @@ class MaxwellSolver:
         """
         X, Y, Z = self.coordinates()
         return cavity_fields(self.mesh.bounds, X, Y, Z, t)
-
-    @staticmethod
-    def cavity_frequency(a: float, b: float) -> float:
-        """Angular frequency of the TM110 mode."""
-        return math.pi * math.sqrt(1.0 / a**2 + 1.0 / b**2)

@@ -20,7 +20,6 @@ the figures' data series — is a view of those columns.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -158,33 +157,11 @@ class DarshanProfiler:
             return [r for r in out if r.path.startswith(path_prefix)]
         return list(out)
 
-    def op_counts(self) -> Counter:
-        """Darshan-like counter table: number of ops per type."""
-        return Counter(r.op for r in self._calls())
-
-    def bytes_by_op(self) -> dict[str, int]:
-        """Total bytes moved per op type."""
-        out: dict[str, int] = {}
-        for r in self._calls():
-            out[r.op] = out.get(r.op, 0) + r.nbytes
-        return out
-
     def per_rank_io_time(self, ops: Optional[Iterable[str]] = None) -> dict[int, float]:
         """Total time each rank spent inside the selected operations."""
         out: dict[int, float] = {}
         for r in self._calls(ops):
             out[r.rank] = out.get(r.rank, 0.0) + r.duration
-        return out
-
-    def per_rank_span(self, ops: Optional[Iterable[str]] = None) -> dict[int, tuple[float, float]]:
-        """(first start, last end) of the selected ops, per rank."""
-        out: dict[int, tuple[float, float]] = {}
-        for r in self._calls(ops):
-            cur = out.get(r.rank)
-            if cur is None:
-                out[r.rank] = (r.start, r.end)
-            else:
-                out[r.rank] = (min(cur[0], r.start), max(cur[1], r.end))
         return out
 
     def write_intervals(self) -> IntervalRecorder:
@@ -217,33 +194,6 @@ class DarshanProfiler:
         added here.
         """
         return self._intervals(phase, f"app:{phase}")
-
-    def file_counters(self) -> dict[str, dict[str, float]]:
-        """Per-file Darshan-style counters.
-
-        Keys mirror Darshan's POSIX module: ``WRITES``, ``BYTES_WRITTEN``,
-        ``READS``, ``BYTES_READ``, ``F_WRITE_TIME``, ``F_READ_TIME``,
-        ``OPENS``.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for r in self._calls():
-            if not r.path:
-                continue
-            c = out.setdefault(r.path, {
-                "WRITES": 0, "BYTES_WRITTEN": 0, "READS": 0, "BYTES_READ": 0,
-                "F_WRITE_TIME": 0.0, "F_READ_TIME": 0.0, "OPENS": 0,
-            })
-            if r.op == "write":
-                c["WRITES"] += 1
-                c["BYTES_WRITTEN"] += r.nbytes
-                c["F_WRITE_TIME"] += r.duration
-            elif r.op == "read":
-                c["READS"] += 1
-                c["BYTES_READ"] += r.nbytes
-                c["F_READ_TIME"] += r.duration
-            elif r.op in ("open", "create"):
-                c["OPENS"] += 1
-        return out
 
     def summary(self) -> dict[str, float]:
         """One-line job summary (total ops, bytes, busiest rank)."""

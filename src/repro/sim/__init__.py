@@ -16,7 +16,9 @@ Public surface:
 - :class:`~repro.sim.coalesce.CoalescePlan`,
   :class:`~repro.sim.coalesce.GroupPlan` — symmetry-aware rank coalescing.
 - :class:`~repro.sim.stages.StagedOp` — a blocking operation cut at its
-  waits, runnable from a process or from event callbacks.
+  waits, runnable from a process or from event callbacks
+  (:class:`~repro.sim.stages.HandOffError` when a stage hands a generator
+  to the callback driver).
 """
 
 from .coalesce import CoalescePlan, GroupPlan
@@ -36,7 +38,7 @@ from .engine import (
 from .monitor import IntervalRecorder, Tally, TimeSeries, pow2_histogram
 from .randomness import NoiseModel, StreamRegistry
 from .resources import Pipe, Resource, Store
-from .stages import StagedOp
+from .stages import HandOffError, StagedOp
 
 __all__ = [
     "AllOf",
@@ -45,6 +47,7 @@ __all__ = [
     "CoalescePlan",
     "GroupPlan",
     "Engine",
+    "HandOffError",
     "Event",
     "Process",
     "SimulationError",

@@ -28,10 +28,12 @@ Darshan record and span happens where it does in the uncoalesced run
   segment of members that wait side by side, appended to the awaited
   event's callback list where the first rank's process would have
   appended its resume.  Aggregators keep their processes.
-- *Every rank a continuation* (1PFPP).  Ranks diverge from the first
+- *One program, two drivers* (1PFPP).  Ranks diverge from the first
   instant (arrival jitter, the directory token's queue) but never interact
-  except through the file system, so all of them are
-  :class:`~repro.sim.StagedOp` continuations driven from one process.
+  except through the file system.  Each member runs the runner's own rank
+  program (:meth:`~repro.experiments.runner.StepLoop.member`), a
+  :class:`~repro.sim.StagedOp` that an uncoalesced rank runs in its
+  process, here driven from event callbacks by one process.
 
 The runner only coalesces when every rank shares one
 :class:`~repro.ckpt.CheckpointData` object and no fault schedule is
@@ -72,13 +74,12 @@ class GroupPlan:
 class CoalescePlan:
     """A strategy's offer to replay symmetric ranks once.
 
-    ``worker_main(ctx, members, data, steps, basedir, gaps,
-    barrier_each_step, table)`` is a generator run on each group's
-    representative rank; it must write every member's row of every step
-    into ``table`` (the run's :class:`~repro.ckpt.result.ReportTable`).
-    ``gaps`` is the normalized per-step pre-gap tuple (``len(steps)``
-    entries, first always 0) from
-    :func:`repro.experiments.runner.normalize_gaps`.
+    ``worker_main(ctx, members, loop)`` is a generator run on each group's
+    representative rank; ``loop`` is the run's
+    :class:`repro.experiments.runner.StepLoop` (strategy, data, steps,
+    basedir, gaps, per-step barrier, writer set and report table), and
+    the generator must write every member's row of every step into
+    ``loop.table``.
     """
 
     groups: tuple[GroupPlan, ...]
@@ -108,11 +109,3 @@ class CoalescePlan:
                     continue
                 skip.update(members)
             r += 1
-
-    def replayed_ranks(self) -> frozenset:
-        """Ranks that must *not* be spawned (replayed by a representative)."""
-        out = set()
-        for g in self.groups:
-            out.update(g.members)
-            out.discard(g.rep)
-        return frozenset(out)

@@ -84,11 +84,6 @@ class Tally:
         """Unbiased sample variance (0.0 with <2 observations)."""
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
 
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return self.variance**0.5
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if not self.count:
             return "<Tally empty>"
@@ -186,7 +181,3 @@ class IntervalRecorder:
             counts[i0 : min(i1, n_bins)] += 1
         starts = t0 + bin_width * np.arange(n_bins)
         return starts, counts
-
-    def total_busy_time(self) -> float:
-        """Sum of interval durations (double-counts overlaps)."""
-        return sum(e - s for s, e, _ in self.intervals)

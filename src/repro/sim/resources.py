@@ -133,10 +133,6 @@ class Store:
         self._getters.append((filter, ev))
         return ev
 
-    def peek_all(self) -> list:
-        """Snapshot of queued items (diagnostics; does not consume)."""
-        return list(self.items)
-
 
 class Pipe:
     """A FIFO bandwidth-serialized channel with fixed per-transfer latency.

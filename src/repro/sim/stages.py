@@ -11,16 +11,26 @@ A process drives an op with :meth:`StagedOp.run`.  A caller that is not a
 process (coalesced replay) calls :meth:`StagedOp.advance`, which appends
 itself to the awaited event's callback list — where a process would have
 appended its resume, so everything order-dependent happens at the same
-position among the other waiters.
+position among the other waiters.  One program, two drivers.
+
+A stage may instead hand its process a generator (``return gen`` for
+``yield from gen``): a step only a process runs, such as a fault retry or
+a delta plan.  :meth:`run` runs it and stores its return value as the
+stage's op's ``result``; :meth:`advance` raises :class:`HandOffError`.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Callable, Optional
 
-from .engine import Event
+from .engine import Event, SimulationError
 
-__all__ = ["StagedOp"]
+__all__ = ["HandOffError", "StagedOp"]
+
+
+class HandOffError(SimulationError):
+    """A stage handed a generator to a driver that is not a process."""
 
 
 class StagedOp:
@@ -56,8 +66,9 @@ class StagedOp:
         """Go on (at the innermost called op) up to the next wait or the end.
 
         Detached (the default: this is the callback), the wait is taken by
-        appending ``advance`` to the event's callbacks; otherwise the
-        event is returned to the caller (``None`` when done).
+        appending ``advance`` to the event's callbacks, and a handed-over
+        generator raises :class:`HandOffError`; otherwise what the stage
+        returned goes back to the caller (``None`` when done).
         """
         if fired is not None and not fired._ok:
             raise fired._value
@@ -68,13 +79,28 @@ class StagedOp:
             out = op.then(op)
             if out is None or not detached:
                 return out
-            callbacks = out.callbacks
+            try:
+                callbacks = out.callbacks
+            except AttributeError:
+                raise HandOffError(f"a {type(op).__name__} stage handed a "
+                                   f"generator to event callbacks") from None
             if callbacks is not None:  # else already processed: go on now
                 callbacks.append(self.advance)
                 return out
 
     def run(self):
         """Generator: run the op in the calling process; returns ``result``."""
-        while (ev := self.advance(None, False)) is not None:
-            yield ev
-        return self.result
+        while True:  # advance(None, False), inlined: once per wait
+            op = self
+            while op.sub is not None:
+                op = op.sub
+            out = op.then(op)
+            if out is None:
+                return self.result
+            if out.__class__ is GeneratorType:  # a hand-off, from the
+                op = self                       # innermost op's stage
+                while op.sub is not None:
+                    op = op.sub
+                op.result = yield from out
+            else:
+                yield out

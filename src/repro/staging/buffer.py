@@ -151,11 +151,6 @@ class BurstBuffer:
 
     # -- capacity ----------------------------------------------------------
     @property
-    def free_bytes(self) -> int:
-        """Capacity not currently reserved."""
-        return self.capacity - self.used
-
-    @property
     def fill_fraction(self) -> float:
         """Reserved fraction of capacity."""
         return self.used / self.capacity

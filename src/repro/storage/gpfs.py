@@ -45,6 +45,7 @@ Data fidelity
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Optional
 
 import numpy as np
@@ -555,7 +556,9 @@ class _Create(_FSOp):
                               path=path, time=fs.engine.now)
             self.then = StagedOp.done  # a plain open is all that is left
             return self.call(self.client.open_op(path, True))
-        self.dirname = _parent_dir(path)
+        # One string per directory, not one per create: a metadata storm
+        # holds tens of thousands of creates in flight.
+        self.dirname = sys.intern(_parent_dir(path))
         self.token = fs.create_token(self.dirname)
         self.then = _Create._insert
         return self.token.request()

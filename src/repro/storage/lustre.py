@@ -60,10 +60,6 @@ class LustreFS(GPFS):
         # allocation at create time).
         return (file.file_id * self.stripe_count + ost_index) % self.config.n_file_servers
 
-    def mds_token(self) -> Resource:
-        """The single metadata server (creates serialize through it)."""
-        return self._mds
-
     def create_service_time(self, dirname: str) -> float:
         """Constant MDS service (no directory-growth factor)."""
         return self.mds_service

@@ -19,6 +19,7 @@ see ``DESIGN.md`` sections 6-7; the benchmarks assert the resulting shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .torus import TorusTopology
 
@@ -61,18 +62,19 @@ class PsetMap:
 
     def pset_of_rank(self, rank: int) -> int:
         """Pset (== ION index) serving ``rank``."""
-        return min(self.node_of_rank(rank) // self.nodes_per_pset, self.n_psets - 1)
+        if not 0 <= rank < self.n_ranks:
+            raise ValueError(f"rank {rank} out of range")
+        return min(rank // (self.cores_per_node * self.nodes_per_pset),
+                   self._last_pset)
+
+    @cached_property
+    def _last_pset(self) -> int:
+        # Asked once per file-system client: not re-derived every time.
+        return self.n_psets - 1
 
     def ranks_per_pset(self) -> int:
         """Ranks served by one full pset."""
         return self.cores_per_node * self.nodes_per_pset
-
-    def ranks_of_node(self, node: int) -> range:
-        """World ranks hosted by compute node ``node``."""
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} out of range")
-        lo = node * self.cores_per_node
-        return range(lo, min(lo + self.cores_per_node, self.n_ranks))
 
 
 class NodeGroups:
@@ -237,11 +239,6 @@ class MachineConfig:
     def torus(self, n_ranks: int) -> TorusTopology:
         """Torus geometry for an ``n_ranks`` partition."""
         return TorusTopology.for_nodes(self.pset_map(n_ranks).n_nodes)
-
-    @property
-    def aggregate_disk_bandwidth(self) -> float:
-        """Theoretical backend write peak (47 GB/s on Intrepid)."""
-        return self.n_file_servers * self.server_disk_bandwidth
 
     def with_(self, **changes) -> "MachineConfig":
         """Return a copy with the given fields replaced (ablation helper)."""

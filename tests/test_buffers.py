@@ -35,7 +35,6 @@ def test_wrap_bytes_keeps_reference(stats):
     data = b"hello world"
     rope = ByteRope.wrap(data)
     assert len(rope) == 11
-    assert rope.n_segments == 1
     # bytes input keeps the object: to_bytes is free and identical.
     assert rope.to_bytes() is data
     assert stats.bytes_copied == 0
@@ -67,7 +66,7 @@ def test_wrap_rejects_non_bytes():
 
 def test_concat_is_zero_copy(stats):
     rope = concat([b"aa", b"bb", bytearray(b"cc")])
-    assert rope.n_segments == 3
+    assert len(list(rope.iter_segments())) == 3
     assert stats.bytes_copied == 0
     assert rope == b"aabbcc"
     assert bytes(rope) == b"aabbcc"
@@ -199,7 +198,7 @@ def test_run_scope_nests_and_restores():
 
 def test_outside_a_run_ropes_work_and_count_nothing():
     rope = concat([b"ab", b"cd"])
-    assert rope.n_segments == 2              # zero-copy, never eager
+    assert len(list(rope.iter_segments())) == 2  # zero-copy, never eager
     assert bytes(rope) == b"abcd" and as_bytes(bytearray(b"x")) == b"x"
     with run_scope(RunStats()) as stats:
         assert bytes(rope) == b"abcd"        # memoized outside: free here

@@ -343,6 +343,59 @@ def test_http_unbounded_spec_is_400_and_the_service_keeps_answering(
         assert json.loads(resp.read())["counters"]["campaigns_submitted"] == 0
 
 
+def test_status_answers_while_a_submission_expands(http_service, monkeypatch):
+    """A slow ``expand`` runs outside the service lock."""
+    from repro.campaign import service
+
+    svc, base = http_service
+    done = CampaignSpec.from_dict({
+        "name": "done", "seed": 5,
+        "grid": {"approaches": ["rbio_ng"], "np": [128]}})
+    cid = svc.submit(done)
+    assert svc.wait(cid, timeout=300)["state"] == "done"
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_expand(spec):
+        entered.set()
+        release.wait(30)
+        return expand(spec)
+
+    monkeypatch.setattr(service, "expand", slow_expand)
+    slow = {"name": "slow", "seed": 6,
+            "grid": {"approaches": ["rbio_ng"], "np": [128]}}
+    submitter = threading.Thread(target=svc.submit, args=(slow,))
+    submitter.start()
+    try:
+        assert entered.wait(30)
+        answers = []
+        poller = threading.Thread(target=lambda: answers.extend([
+            svc.status(cid)["state"], svc.service_status()["campaigns"],
+            _get(f"{base}/healthz")["status"]]))
+        poller.start()
+        poller.join(5.0)
+        assert answers == ["done", 1, "ok"]
+    finally:
+        release.set()
+        submitter.join(30)
+    assert svc.service_status()["campaigns"] == 2
+
+
+def test_an_oversized_grid_fails_fast_and_names_its_product():
+    from repro.campaign.spec import MAX_NP, MAX_POINTS, SpecError
+
+    n = MAX_POINTS // 3 + 1
+    grid = {"approaches": ["1pfpp", "coio_64", "rbio_ng"],
+            "np": [64 * k for k in range(1, n + 1)]}
+    t0 = time.perf_counter()
+    with pytest.raises(SpecError, match=f"3 approaches x {n} np = {3 * n} "
+                                        f"points"):
+        CampaignSpec.from_dict({"name": "big", "grid": grid})
+    assert time.perf_counter() - t0 < 0.01
+    with pytest.raises(SpecError, match=r"grid\.np\[0\]: must be <="):
+        CampaignSpec.from_dict({"name": "huge", "grid": {
+            "approaches": ["1pfpp"], "np": [MAX_NP + 1]}})
+
+
 # ---------------------------------------------------------------------------
 # A dead worker does not kill the service
 # ---------------------------------------------------------------------------

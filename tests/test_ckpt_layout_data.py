@@ -159,7 +159,7 @@ def test_layout_uniform_offsets():
     # Section 0 (size 10 each): members at 100, 110, 120.
     assert [lo.block_offset(0, m) for m in range(3)] == [100, 110, 120]
     # Section 1 starts after section 0 (30 bytes).
-    assert lo.section_range(1) == (130, 190)
+    assert lo.section_offsets[1] == 130
     assert [lo.block_offset(1, m) for m in range(3)] == [130, 150, 170]
     assert lo.total_size == 100 + 30 + 60
 
@@ -169,9 +169,8 @@ def test_layout_ragged_members():
     assert lo.block_offset(0, 0) == 0
     assert lo.block_offset(0, 1) == 5
     assert lo.block_offset(0, 2) == 15
-    assert lo.section_range(0) == (0, 30)
+    assert lo.section_offsets[1] == 30
     assert lo.block_offset(1, 0) == 30
-    assert lo.member_total(1) == 12
 
 
 def test_layout_validation():
@@ -188,8 +187,6 @@ def test_layout_validation():
         lo.block_offset(1, 0)
     with pytest.raises(ValueError):
         lo.block_offset(0, 1)
-    with pytest.raises(ValueError):
-        lo.member_total(5)
 
 
 @given(
@@ -238,7 +235,6 @@ def test_result_metrics():
     # Blocking excludes the dedicated writer.
     assert res.blocking_time == pytest.approx(0.2)
     assert res.writer_ranks == [0]
-    assert sorted(res.worker_ranks) == [1, 2]
 
 
 def test_result_perceived_metrics():
@@ -263,7 +259,6 @@ def test_result_empty_rejected():
 def test_rank_report_properties():
     r = RankReport(3, "collective", 1.0, 2.5, 4.0, 42)
     assert r.io_time == pytest.approx(3.0)
-    assert r.blocked_seconds == pytest.approx(1.5)
 
 
 def test_result_per_rank_io_time():
@@ -301,7 +296,6 @@ def _loop_metrics(reports):
         "per_rank_io_time": {r.rank: r.t_complete - r.t_start for r in reps},
         "writer_ranks": [r.rank for r in reps
                          if r.role in ("writer", "independent")],
-        "worker_ranks": [r.rank for r in workers],
         "perceived_time": perceived,
         "perceived_bandwidth": (sum(r.bytes_local for r in workers) / perceived
                                 if perceived > 0 else 0.0),
@@ -430,7 +424,6 @@ def test_rows_and_run_entries_are_the_objects_they_stand_for(run, data):
             len(members) - 1 for members in runs)
         assert len(packed._runs) == len(runs)
         assert intervals(packed) == intervals(plain)
-        assert packed.op_counts() == plain.op_counts()
         assert as_tuples(packed.records) == as_tuples(plain.records)
     assert [(s.rank, s.name, s.cat, s.start, s.end, s.nbytes)
             for s in packed.tracer.spans] == [

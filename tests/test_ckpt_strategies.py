@@ -5,6 +5,8 @@ the data back (restart round-trip), plus structural checks: file counts,
 roles, writer/worker splits, and timing-semantics invariants.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -328,7 +330,7 @@ def test_noisy_config_still_deterministic_with_same_seed():
 def test_profiler_captures_write_ops():
     strategy = OneFilePerProcess(arrival_jitter=0.0)
     run = run_checkpoint_step(strategy, 4, payload_data(0), config=QUIET)
-    counts = run.profiler.op_counts()
+    counts = Counter(r.op for r in run.profiler.records)
     assert counts["create"] == 4
     assert counts["write"] == 4
     assert counts["close"] == 4

@@ -22,23 +22,32 @@ import numpy as np
 import pytest
 
 from repro import RunConfig
+from repro.buffers import ByteRope, as_bytes, zeros
 from repro.ckpt import (
     BurstBufferIO,
     CheckpointData,
+    CheckpointResult,
+    CheckpointStrategy,
     CollectiveIO,
+    EvolvingData,
     Field,
     OneFilePerProcess,
     ReducedBlockingIO,
 )
+from repro.ckpt.incremental import plan_delta, write_manifest
 from repro.ckpt.layout import FileLayout
-from repro.buffers import as_bytes
+from repro.ckpt.result import RankReport, ReportTable
 from repro.experiments import (
     run_checkpoint_step,
     run_checkpoint_steps,
     run_resilient_campaign,
 )
-from repro.faults import FaultSchedule, FaultSpec
+from repro.experiments.runner import CheckpointRun, _data_fn, normalize_gaps
+from repro.faults import FaultSchedule, FaultSpec, attach_faults
+from repro.faults.retry import retry_fs
+from repro.mpi import Job, RankContext
 from repro.mpiio import FlatExchange, Hints, pick_aggregators
+from repro.storage import attach_storage
 from repro.topology import intrepid
 
 PER_FIELD = 4096
@@ -216,8 +225,9 @@ def test_coalesce_spawns_fewer_processes():
     plan = strategy.coalesce_plan(64)
     assert plan is not None
     # 8 groups of 7 workers each -> 6 replayed per group eliminated.
-    assert len(plan.replayed_ranks()) == 8 * 6
-    assert plan.replayed_ranks().isdisjoint(plan.rep_members())
+    reps = plan.rep_members()
+    assert sum(len(members) - 1 for members in reps.values()) == 8 * 6
+    assert all(members[0] == rep for rep, members in reps.items())
 
 
 def test_spawn_order_steps_over_a_group_and_names_every_other_rank():
@@ -622,3 +632,227 @@ def test_1pfpp_require_without_a_plan_raises(case):
 def test_bad_coalesce_value_rejected():
     with pytest.raises(ValueError, match="coalesce must be one of"):
         RunConfig(coalesce="yes")
+
+
+# ---------------------------------------------------------------------------
+# 1PFPP: the one staged program against the generator program it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracle is the earlier generator pair, kept verbatim (renamed): the
+# runner's per-rank step loop and ``OneFilePerProcess.checkpoint``.  Both
+# drivers of the staged program — a process per rank (``coalesce="off"``,
+# faults, delta) and event callbacks (``coalesce="require"``) — must leave
+# exactly what the oracle leaves.
+
+def _oracle_rank_loop(ctx, strategy: CheckpointStrategy, data_fn,
+                      steps: list[int], basedir: str,
+                      gaps: tuple[float, ...], barrier_each_step: bool,
+                      writer_set: frozenset, table: ReportTable):
+    """Generator: one rank's steps; each step's report is filed in ``table``."""
+    data = data_fn(ctx.rank)
+    # Dedicated I/O ranks (rbIO writers) do not compute between
+    # checkpoints — they spend the gap draining their backlog.  The writer
+    # set is computed once per run and shared (rebuilding it per rank was
+    # O(np^2) at 65K ranks).
+    is_writer = ctx.rank in writer_set
+    inj = ctx.job.services.get("faults")
+    crash_t = inj.crash_time(ctx.rank) if inj is not None else None
+    for i, step in enumerate(steps):
+        dead = crash_t is not None and ctx.engine.now >= crash_t
+        if gaps[i] > 0 and not is_writer and not dead:
+            # Computation between checkpoints (nc * Tcomp).
+            yield ctx.engine.timeout(gaps[i])
+        if i == 0 or barrier_each_step:
+            # Coordinated checkpoint start.  Without per-step barriers
+            # ranks iterate at their own pace (the solver's nearest-
+            # neighbour coupling, not a global barrier, is what loosely
+            # synchronizes a real run) — this is the mode that exposes
+            # rbIO writer backpressure.  Crashed ranks still enter the
+            # barrier: crashes are cooperative at step boundaries, and the
+            # barrier is what makes every rank evaluate the failure
+            # oracle at the same instant.
+            yield from ctx.comm.barrier()
+        # Evolving workloads materialize each step's state just before it
+        # is checkpointed (successive generations genuinely differ).
+        d = data.at_step(step) if hasattr(data, "at_step") else data
+        if crash_t is not None and ctx.engine.now >= crash_t:
+            # This rank is dead for the rest of the campaign.  It ghosts
+            # through any collective setup (communicator splits) so the
+            # survivors' collectives complete, but contributes no data.
+            yield from strategy.ghost(ctx, d, step, basedir)
+            now = ctx.engine.now
+            table.file(i, RankReport(
+                rank=ctx.rank, role="crashed", t_start=now,
+                t_blocked_end=now, t_complete=now, bytes_local=0))
+            continue
+        table.file(i, (yield from strategy.checkpoint(ctx, d, step, basedir)))
+
+
+class _OracleOneFilePerProcess(OneFilePerProcess):
+    """1PFPP with the generator checkpoint (no staged op)."""
+
+    checkpoint_op = None
+
+    @staticmethod
+    def _file_payload(data: CheckpointData):
+        """One rank's file image, header then fields (size-only: ``None``)."""
+        if not data.has_payload:
+            return None
+        return ByteRope.concat(
+            [zeros(data.header_bytes), data.concatenated_payload()])
+
+    def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
+                   basedir: str = "/ckpt"):
+        """Generator: create own file, stream header + fields, close.
+
+        Nobody gathers; the plan is the whole file as one piece — header
+        and fields (full write) or header and the chunks absent from the
+        parent generation, with the manifest that maps every logical chunk
+        to the generation and offset holding its bytes (delta); the commit
+        is a POSIX create / write / close.
+        """
+        eng = ctx.engine
+        t0 = eng.now
+        if self.arrival_jitter > 0:
+            rng = ctx.job.streams.stream("ckpt.jitter")
+            yield eng.timeout(float(rng.random()) * self.arrival_jitter)
+        path = self.rank_path(basedir, step, ctx.rank)
+        manifest = None
+        if self._delta_active(data):
+            pieces, manifest = yield from plan_delta(
+                self, ctx, [(0, data.field_sizes, data.concatenated_payload())],
+                step, data.header_bytes)
+        else:
+            pieces = [(0, data.header_bytes + data.total_bytes,
+                       self._file_payload(data))]
+        handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
+                                     tracer=ctx.job.tracer)
+        # POSIX stream write: header and fields leave the node as one
+        # buffered sequential burst.
+        for offset, nbytes, payload in pieces:
+            yield from retry_fs(
+                eng, lambda o=offset, n=nbytes, p=payload:
+                    ctx.fs.write(handle, o, n, payload=p),
+                tracer=ctx.job.tracer)
+        yield from ctx.fs.close(handle)
+        if manifest is not None:
+            yield from write_manifest(ctx, manifest, path)
+        t_end = eng.now
+        return self._report(ctx, "independent", t0, t_end, t_end, data.total_bytes)
+
+
+def run_oracle(strategy, n_ranks, data, n_steps=1, gap_seconds=0.0,
+               barrier_each_step=True, run_config=None):
+    """``run_checkpoint_steps`` with the oracle's rank loop and checkpoint."""
+    oracle = _OracleOneFilePerProcess(strategy.arrival_jitter)
+    if strategy.delta != "off":
+        oracle.configure_delta(strategy.delta, strategy.chunking)
+    job = Job(n_ranks, seed=11, run_config=run_config)
+    fs = attach_storage(job)
+    attach_faults(job, job.run_config.faults)
+    table = ReportTable(n_steps, n_ranks)
+    job.spawn(_oracle_rank_loop, oracle, _data_fn(data), list(range(n_steps)),
+              "/ckpt", normalize_gaps(gap_seconds, n_steps),
+              barrier_each_step, frozenset(), table)
+    job.run()
+    return CheckpointRun(job, [
+        CheckpointResult(oracle.name, table, params=oracle.describe(),
+                         fs_stats=fs.stats(), step=i) for i in range(n_steps)])
+
+
+def counters(run, processes=True):
+    """The run's simulated counters; with ``processes``, the event counts
+    too (a coalesced run bootstraps and ends fewer processes)."""
+    return {k: v for k, v in run.job.metrics().snapshot().items()
+            if k.startswith(("copy.", "delta.", "fabric.", "faults."))
+            or processes and k in ("sim.events_processed",
+                                   "sim.batched_events")}
+
+
+def assert_matches_oracle(strategy, n_ranks, data, modes=("off", "require"),
+                          faults=None, **kwargs):
+    """Every driver in ``modes`` against the oracle under a full trace:
+    report rows, Darshan records, spans, file-system stats, file images,
+    the final clock and the copy counters."""
+    def config(mode):
+        return RunConfig(trace="full", coalesce=mode, faults=faults)
+
+    want = run_oracle(strategy, n_ranks, data, run_config=config("off"),
+                      **kwargs)
+    for mode in modes:
+        got = run_checkpoint_steps(strategy, n_ranks, data, seed=11,
+                                   run_config=config(mode), **kwargs)
+        assert_identical(want, got)
+        assert_file_images_identical(want, got)
+        assert want.job.engine.now == got.job.engine.now
+        assert records_of(want) == records_of(got)
+        assert spans_of(want) == spans_of(got)
+        assert counters(want, mode == "off") == counters(got, mode == "off")
+    return want
+
+
+@pytest.mark.parametrize("steps", list(STEP_MODES))
+@pytest.mark.parametrize("payload", [False, True], ids=["sizes", "payload"])
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_1pfpp_program_matches_the_oracle(jitter, payload, steps):
+    assert_matches_oracle(OneFilePerProcess(arrival_jitter=jitter), 64,
+                          shared_data(payload=payload), **STEP_MODES[steps])
+
+
+@pytest.mark.parametrize("op", ["create", "write"])
+def test_1pfpp_program_matches_the_oracle_under_a_transient_fault(op):
+    faults = FaultSchedule((FaultSpec(kind="fs_error", time=0.0, op=op,
+                                      count=3, transient=True),))
+    run = assert_matches_oracle(OneFilePerProcess(), 32, shared_data(),
+                                modes=("off",), faults=faults, n_steps=2,
+                                gap_seconds=0.5)
+    assert run.job.services["faults"].injected
+
+
+def test_1pfpp_program_matches_the_oracle_with_a_crashed_rank():
+    faults = FaultSchedule((FaultSpec(kind="rank_crash", time=0.25,
+                                      rank=5),))
+    run = assert_matches_oracle(OneFilePerProcess(), 32, shared_data(),
+                                modes=("off",), faults=faults, n_steps=3,
+                                gap_seconds=0.5)
+    assert run.results[-1].roles[5] == "crashed"
+
+
+def test_1pfpp_program_matches_the_oracle_under_delta():
+    strategy = OneFilePerProcess()
+    strategy.configure_delta("auto")
+    data = EvolvingData.mutating(points_per_rank=256, seed=3)
+    run = assert_matches_oracle(strategy, 16, data, modes=("off",),
+                                n_steps=3, gap_seconds=0.5)
+    assert run.job.metrics().get("delta.chunk_hits") > 0
+
+
+def test_1pfpp_checkpoint_in_a_process_is_the_runners_program():
+    """``checkpoint()`` run directly in a rank process returns the report
+    the runner's program files for that rank, with the same Darshan rows."""
+    strategy, data = OneFilePerProcess(), shared_data()
+    runner = run_checkpoint_step(strategy, 16, data, seed=11,
+                                 run_config=RunConfig(coalesce="off"))
+    job = Job(16, seed=11)
+    attach_storage(job)
+    attach_faults(job, None)
+
+    def main(ctx):
+        yield from ctx.comm.barrier()
+        return (yield from strategy.checkpoint(ctx, data, 0))
+
+    job.spawn(main)
+    reports = job.run()
+    assert [reports[r] for r in range(16)] == [
+        runner.result.report(r) for r in range(16)]
+    assert all(isinstance(r, RankReport) for r in reports.values())
+    assert records_of(runner) == [(r.rank, r.op, r.start, r.end, r.nbytes,
+                                   r.path) for r in job.profiler.records]
+
+
+def test_a_member_files_its_rows_without_a_report_or_context():
+    run = run_checkpoint_steps(OneFilePerProcess(), 64, shared_data(),
+                               n_steps=2, gap_seconds=0.5, seed=11,
+                               run_config=RunConfig(coalesce="require"))
+    assert len(run.job.contexts.built()) == 1
+    assert run.result.roles == ["independent"] * 64

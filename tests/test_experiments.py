@@ -63,7 +63,7 @@ def test_paper_sizes_match_table():
 
 
 def test_paper_weak_scaling_constant_per_rank():
-    per_rank = [paper_problem(n).bytes_per_rank for n in PAPER_SIZES]
+    per_rank = [paper_problem(n).file_bytes / n for n in PAPER_SIZES]
     assert max(per_rank) - min(per_rank) < 0.02 * per_rank[0]
 
 
@@ -75,8 +75,8 @@ def test_paper_problem_unknown_size():
 def test_scaled_problem_any_size():
     p = scaled_problem(512)
     assert p.n_ranks == 512
-    assert p.bytes_per_rank == pytest.approx(
-        paper_problem(16384).bytes_per_rank, rel=0.05
+    assert p.file_bytes / 512 == pytest.approx(
+        paper_problem(16384).file_bytes / 16384, rel=0.05
     )
 
 

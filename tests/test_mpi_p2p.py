@@ -295,7 +295,7 @@ def test_mailbox_get_exact_takes_oldest_match_and_leaves_the_rest():
 
     store, got = _drive(script)
     assert got == ["d", "a", "c"]
-    assert [m.body for m in store.peek_all()] == ["b"]
+    assert [m.body for m in store.items] == ["b"]
 
 
 def test_mailbox_get_exact_pending_getter_woken_only_by_its_match():
@@ -309,7 +309,7 @@ def test_mailbox_get_exact_pending_getter_woken_only_by_its_match():
 
     store, got = _drive(script)
     assert got == ["mine"]
-    assert [m.body for m in store.peek_all()] == ["wrong tag", "wrong source"]
+    assert [m.body for m in store.items] == ["wrong tag", "wrong source"]
 
 
 def test_mailbox_mixed_getters_on_one_mailbox_served_in_arrival_order():
@@ -331,7 +331,7 @@ def test_mailbox_mixed_getters_on_one_mailbox_served_in_arrival_order():
     store, got = _drive(script)
     assert got == [("exact_a", "q"), ("wildcard", "p"), ("filtered", "s"),
                    ("exact_b", "r")]
-    assert store.peek_all() == []
+    assert store.items == []
 
 
 def test_mailbox_get_exact_delivers_like_the_closure_filter():
@@ -357,8 +357,8 @@ def test_mailbox_get_exact_delivers_like_the_closure_filter():
     store_f, got_f = _drive(make(exact=False))
     store_e, got_e = _drive(make(exact=True))
     assert got_e == got_f
-    assert [m.body for m in store_e.peek_all()] == \
-        [m.body for m in store_f.peek_all()]
+    assert [m.body for m in store_e.items] == \
+        [m.body for m in store_f.items]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,11 @@ def test_an_explicit_cache_path_is_bounded_too(monkeypatch, tmp_path):
     assert [p.name for p in (tmp_path / "c").iterdir()] == ["b.json"]
 
 
+def _entry_bytes(cache) -> int:
+    """Total size of the cache's entry files."""
+    return sum(p.stat().st_size for p in cache.root.glob("*.json"))
+
+
 def test_disk_cache_lru_eviction_bounds_size(tmp_path):
     import time
 
@@ -169,7 +174,7 @@ def test_disk_cache_lru_eviction_bounds_size(tmp_path):
     for i in range(12):
         cache.put(f"k{i:02d}", "x" * 400)
         time.sleep(0.01)  # distinct mtimes so LRU order is unambiguous
-    assert cache.size_bytes() <= 2048
+    assert _entry_bytes(cache) <= 2048
     # Newest entries survive, oldest are gone.
     assert cache.get("k11") is not None
     assert cache.get("k00") is None
@@ -207,7 +212,7 @@ def test_disk_cache_stale_evict_lock_is_broken(tmp_path):
     os.utime(lock, (old, old))
     for i in range(4):
         cache.put(f"k{i}", "x" * 400)
-    assert cache.size_bytes() <= 512
+    assert _entry_bytes(cache) <= 512
     assert not lock.exists()
 
 
@@ -238,7 +243,7 @@ def test_disk_cache_concurrent_multiprocess_writers(tmp_path):
     cache = DiskCache(root, max_bytes=4096)
     # The shared directory stayed bounded and every surviving entry is
     # readable and consistent.
-    assert cache.size_bytes() <= 4096
+    assert _entry_bytes(cache) <= 4096
     for path in cache.root.glob("*.json"):
         key = path.stem
         value = cache.get(key)

@@ -30,16 +30,6 @@ def test_record_and_select():
     assert p.select(["app:isend"])[0].rank == 2
 
 
-def test_counters_and_bytes():
-    p = DarshanProfiler()
-    p.record_op(0, "write", 0.0, 1.0, 100, "/a")
-    p.record_op(0, "write", 1.0, 2.0, 200, "/a")
-    p.record_op(0, "read", 2.0, 3.0, 50, "/a")
-    assert p.op_counts()["write"] == 2
-    assert p.bytes_by_op()["write"] == 300
-    assert p.bytes_by_op()["read"] == 50
-
-
 def test_per_rank_io_time_and_span():
     p = DarshanProfiler()
     p.record_op(0, "write", 0.0, 1.0, 1, "/a")
@@ -48,21 +38,8 @@ def test_per_rank_io_time_and_span():
     t = p.per_rank_io_time(["write"])
     assert t[0] == pytest.approx(2.5)
     assert t[1] == pytest.approx(0.5)
-    span = p.per_rank_span(["write"])
-    assert span[0] == (0.0, 6.5)
-
-
-def test_file_counters_darshan_style():
-    p = DarshanProfiler()
-    p.record_op(0, "create", 0.0, 0.1, 0, "/f")
-    p.record_op(0, "write", 0.1, 0.6, 100, "/f")
-    p.record_op(1, "read", 1.0, 1.2, 40, "/f")
-    c = p.file_counters()["/f"]
-    assert c["OPENS"] == 1
-    assert c["WRITES"] == 1
-    assert c["BYTES_WRITTEN"] == 100
-    assert c["F_WRITE_TIME"] == pytest.approx(0.5)
-    assert c["BYTES_READ"] == 40
+    rank0 = [r for r in p.select(["write"]) if r.rank == 0]
+    assert (rank0[0].start, rank0[-1].end) == (0.0, 6.5)
 
 
 def test_reset_clears():
@@ -170,37 +147,8 @@ def test_every_view_of_the_op_log_is_that_of_the_calls(calls, ops):
         c for c in want if c[5].startswith("/a")]
     assert [tuple(r) for r in prof.select(ops, path_prefix="/b")] == [
         c for c in chosen if c[5].startswith("/b")]
-    counts, nbytes = {}, {}
-    for _rank, op, _s, _e, n, _p in want:
-        counts[op] = counts.get(op, 0) + 1
-        nbytes[op] = nbytes.get(op, 0) + n
-    assert items(prof.op_counts()) == items(counts)
-    assert items(prof.bytes_by_op()) == items(nbytes)
     assert items(prof.per_rank_io_time()) == items(_io_time(want))
     assert items(prof.per_rank_io_time(ops)) == items(_io_time(chosen))
-    span = {}
-    for rank, _op, start, end, _n, _p in chosen:
-        lo, hi = span.get(rank, (start, end))
-        span[rank] = (min(lo, start), max(hi, end))
-    assert items(prof.per_rank_span(ops)) == items(span)
-    files = {}
-    for _rank, op, start, end, n, path in want:
-        if not path:
-            continue
-        c = files.setdefault(path, {
-            "WRITES": 0, "BYTES_WRITTEN": 0, "READS": 0, "BYTES_READ": 0,
-            "F_WRITE_TIME": 0.0, "F_READ_TIME": 0.0, "OPENS": 0})
-        if op == "write":
-            c["WRITES"] += 1
-            c["BYTES_WRITTEN"] += n
-            c["F_WRITE_TIME"] += end - start
-        elif op == "read":
-            c["READS"] += 1
-            c["BYTES_READ"] += n
-            c["F_READ_TIME"] += end - start
-        elif op in ("open", "create"):
-            c["OPENS"] += 1
-    assert items(prof.file_counters()) == items(files)
     writes = [c for c in want if c[1] == "write"]
     per_rank = _io_time(want)
     assert prof.summary() == {

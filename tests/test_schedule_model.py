@@ -53,9 +53,6 @@ def test_production_improvement_validation():
 
 def test_schedule_steps_and_time():
     s = CheckpointSchedule(nc=5, t_computation_step=1.0, t_checkpoint=10.0)
-    assert not s.is_checkpoint_step(4)
-    assert s.is_checkpoint_step(5)
-    assert s.is_checkpoint_step(10)
     assert s.production_time(20) == pytest.approx(20 + 4 * 10)
     assert s.ratio == pytest.approx(10.0)
     assert s.overhead_fraction == pytest.approx(10 / 15)
@@ -69,8 +66,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         CheckpointSchedule(1, 1.0, -1.0)
     s = CheckpointSchedule(1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        s.is_checkpoint_step(0)
     with pytest.raises(ValueError):
         s.production_time(-1)
 
@@ -104,19 +99,8 @@ def test_improvement_monotone_property(tc_old, tc_new, t_comp, nc):
 
 
 # ---------------------------------------------------------------------------
-# Delta-sized checkpoints: Daly and the incremental interval model
+# Delta-sized checkpoints: the incremental interval model
 # ---------------------------------------------------------------------------
-
-def test_daly_interval_reduces_to_young_for_small_tc():
-    """Daly's perturbation solution converges on Young as Tc/MTBF -> 0."""
-    young = CheckpointSchedule.young_interval(1.0, 1e6)
-    daly = CheckpointSchedule.daly_interval(1.0, 1e6)
-    assert daly == pytest.approx(young, rel=1e-3)
-    # Degenerate regime: checkpoints as expensive as two MTBFs.
-    assert CheckpointSchedule.daly_interval(500.0, 100.0) == 100.0
-    with pytest.raises(ValueError):
-        CheckpointSchedule.daly_interval(0.0, 1.0)
-
 
 def test_young_interval_incremental_shortens_with_delta():
     """Cheaper delta writes -> shorter optimal interval -> smaller nc."""

@@ -21,7 +21,6 @@ def test_tally_basic_stats():
     assert t.max == 4.0
     assert t.mean == pytest.approx(2.5)
     assert t.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-    assert t.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
 
 
 def test_tally_empty_defaults():
@@ -112,7 +111,6 @@ def test_intervals_span_and_busy_time():
     rec.record(1.0, 2.0)
     rec.record(4.0, 7.0)
     assert rec.span == (1.0, 7.0)
-    assert rec.total_busy_time() == pytest.approx(4.0)
 
 
 def test_intervals_reject_inverted():
@@ -214,7 +212,6 @@ def test_intervals_identical_overlaps_all_counted():
     starts, counts = rec.activity(0.5)
     assert counts.tolist() == [4, 4]
     assert starts.tolist() == [1.0, 1.5]
-    assert rec.total_busy_time() == pytest.approx(4.0)
 
 
 def test_intervals_bin_width_larger_than_span():
@@ -234,7 +231,6 @@ def test_intervals_partial_overlap_staircase():
     # Bins [0,1) [1,2) [2,3) [3,4): overlap staircase 1-2-2-1.
     assert counts.tolist() == [1, 2, 2, 1]
     assert rec.span == (0.0, 4.0)
-    assert rec.total_busy_time() == pytest.approx(6.0)
 
 
 def test_intervals_activity_bad_bin_width():

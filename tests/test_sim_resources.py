@@ -181,7 +181,7 @@ def test_store_filtered_get_skips_nonmatching():
     eng.process(consumer())
     eng.run()
     assert got == [("tagB", 2), ("tagA", 1)]
-    assert store.peek_all() == [("tagA", 3)]
+    assert store.items == [("tagA", 3)]
 
 
 def test_store_pending_filtered_getter_woken_by_matching_put():
@@ -203,7 +203,7 @@ def test_store_pending_filtered_getter_woken_by_matching_put():
     eng.process(producer())
     eng.run()
     assert got == [(2.0, "wanted")]
-    assert store.peek_all() == ["other"]
+    assert store.items == ["other"]
 
 
 def test_store_multiple_getters_served_in_order():

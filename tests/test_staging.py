@@ -61,7 +61,7 @@ def test_buffer_reserve_and_free_accounting():
     def proc():
         yield from buf.reserve(60)
         assert buf.used == 60
-        assert buf.free_bytes == 40
+        assert buf.capacity - buf.used == 40
         buf.free(60)
         assert buf.used == 0
 

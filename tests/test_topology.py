@@ -193,7 +193,8 @@ def test_intrepid_preset_values():
     assert cfg.nodes_per_pset == 64
     assert cfg.n_file_servers == 128
     # 47 GB/s aggregate backend peak.
-    assert cfg.aggregate_disk_bandwidth == pytest.approx(47e9, rel=0.01)
+    assert cfg.n_file_servers * cfg.server_disk_bandwidth == pytest.approx(
+        47e9, rel=0.01)
 
 
 def test_config_with_override():
