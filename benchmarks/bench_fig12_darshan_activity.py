@@ -53,16 +53,16 @@ def test_fig12_write_activity(benchmark):
 def test_fig12_activity_parity_from_span_store(benchmark):
     """The span tracer regenerates Fig. 12 row-identically to Darshan.
 
-    Same run, two recorders: the DarshanProfiler op log (the legacy
-    figure path) and the trace plane's forwarded ``fs:write`` spans.
-    Both must rasterise to the exact same activity arrays — one event,
-    two views, no chance to disagree.  Runs at a fixed tiny np on every
-    scale tier; the figure itself covers the paper scale.
+    Same run, two views of one record: the DarshanProfiler op log (the
+    figure path) and the trace plane's ``fs:write`` spans read off it.
+    Both must rasterise to the exact same activity arrays.  Runs at a
+    fixed tiny np on every scale tier; the figure itself covers the
+    paper scale.
     """
     from repro import RunConfig
     from repro.experiments.figures import problem_for, strategy_for
     from repro.experiments.runner import run_checkpoint_steps
-    from repro.trace.export import write_intervals_from_spans
+    from repro.sim import IntervalRecorder
 
     n = 128
     for key in ("rbio_ng", "coio_64"):
@@ -71,7 +71,9 @@ def test_fig12_activity_parity_from_span_store(benchmark):
                                    run_config=RunConfig(trace="full"))
         tr = run.job.tracer
         legacy = run.profiler.write_intervals()
-        rebuilt = write_intervals_from_spans(tr)
+        rebuilt = IntervalRecorder()
+        rebuilt.intervals = [(s.start, s.end, s.rank) for s in tr.spans
+                             if (s.cat, s.name) == ("fs", "write")]
         assert rebuilt.intervals == legacy.intervals, key
         l_starts, l_counts = legacy.activity(0.25)
         s_starts, s_counts = rebuilt.activity(0.25)

@@ -51,8 +51,8 @@ class RunConfig:
     ``profiling``
         ``on`` gives the job a :class:`~repro.profiling.DarshanProfiler`,
         ``off`` gives it ``None`` — unless tracing is on, which forces a
-        live profiler because fs/phase spans are forwarded from its
-        records.
+        live profiler because the log is where the tracer's fs/phase
+        spans live (they are views of its rows).
     ``copy``
         ``zerocopy`` moves rope segment references between hops;
         ``eager`` materializes at every hop (the pre-rope reference the
@@ -244,13 +244,13 @@ class Job:
         self.config = config if config is not None else intrepid()
         self.n_ranks = n_ranks
         rc = self.run_config = run_config or RunConfig()
+        self.profiler: Optional[DarshanProfiler] = None
+        if rc.profiling == "on" or rc.trace != "off":
+            self.profiler = DarshanProfiler()
         self.tracer: Optional[SpanTracer] = None
         if rc.trace != "off":
-            self.tracer = SpanTracer(rc.trace)
+            self.tracer = SpanTracer(rc.trace, log=self.profiler)
             self.tracer.cores_per_node = self.config.cores_per_node
-        self.profiler: Optional[DarshanProfiler] = None
-        if rc.profiling == "on" or self.tracer is not None:
-            self.profiler = DarshanProfiler(self.tracer)
         self.stats = RunStats(eager=rc.copy == "eager")
         self.engine = Engine()
         self.fabric = Fabric(self.engine, self.config, n_ranks)

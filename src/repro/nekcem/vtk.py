@@ -14,7 +14,7 @@ after ASCII section headers).
 from __future__ import annotations
 
 import io
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -123,6 +123,18 @@ def _write_ints(f, arr: np.ndarray, binary: bool) -> None:
                  + "\n").encode())
 
 
+def _count(parts: list[str], i: int, expect: Optional[int] = None) -> int:
+    """Token ``i`` of a block header as a count; :class:`VtkReadError` when
+    it is missing, not an integer, negative, or not ``expect``."""
+    try:
+        n = int(parts[i])
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0 or expect is not None and n != expect:
+        raise VtkReadError(f"bad {parts[0]} header: {' '.join(parts)!r}")
+    return n
+
+
 def read_vtk(path: str) -> dict:
     """Read back a file written by :func:`write_vtk`.
 
@@ -195,14 +207,13 @@ def read_vtk(path: str) -> dict:
     parts = readline().split()
     if not parts or parts[0] != "POINTS":
         raise VtkReadError("missing POINTS block")
-    n_points = int(parts[1])
+    n_points = _count(parts, 1)
     points = read_doubles(3 * n_points).reshape(n_points, 3)
     parts = readline().split()
     if not parts or parts[0] != "CELLS":
         raise VtkReadError("missing CELLS block")
-    n_cells = int(parts[1])
-    if int(parts[2]) != 9 * n_cells:
-        raise VtkReadError("inconsistent CELLS header for hexahedral grid")
+    n_cells = _count(parts, 1)
+    _count(parts, 2, 9 * n_cells)  # hexahedra: 8 vertices + a count each
     conn = read_ints(9 * n_cells).reshape(n_cells, 9)
     if not (conn[:, 0] == 8).all():
         raise VtkReadError("non-hexahedral cell in file")
@@ -210,6 +221,7 @@ def read_vtk(path: str) -> dict:
     parts = readline().split()
     if not parts or parts[0] != "CELL_TYPES":
         raise VtkReadError("missing CELL_TYPES block")
+    _count(parts, 1, n_cells)
     types = read_ints(n_cells)
     if not (types == 12).all():
         raise VtkReadError("unexpected cell types")
@@ -219,6 +231,7 @@ def read_vtk(path: str) -> dict:
         parts = header.split()
         if parts[0] != "POINT_DATA":
             raise VtkReadError("missing POINT_DATA block")
+        _count(parts, 1, n_points)
         while True:
             line = readline()
             if not line:
@@ -226,6 +239,8 @@ def read_vtk(path: str) -> dict:
             parts = line.split()
             if parts[0] != "SCALARS":
                 break
+            if len(parts) < 2:
+                raise VtkReadError("SCALARS header without a field name")
             name = parts[1]
             readline()  # LOOKUP_TABLE default
             fields[name] = read_doubles(n_points)

@@ -103,14 +103,6 @@ class Fabric:
             self._latency_cache[key] = lat
         return lat
 
-    def latency_between(self, src_rank: int, dst_rank: int) -> float:
-        """Pure latency (overhead + hops) between two ranks' nodes."""
-        src = self.psets.node_of_rank(src_rank)
-        dst = self.psets.node_of_rank(dst_rank)
-        if src == dst:
-            return self.config.mpi_overhead
-        return self._pair_latency(src, dst)
-
     def delay(self, src_rank: int, dst_rank: int, nbytes: int) -> float:
         """Reserve the way for ``nbytes`` from ``src_rank``'s node to
         ``dst_rank``'s node; the time from now until the last byte is in.

@@ -13,8 +13,9 @@ clients (create/open/write/read/close with timestamps, sizes, and paths) and
 app-level *phase* records from the checkpoint strategies (e.g. a worker's
 ``isend`` window) into one columnar op log: a row per call, or one row for a
 replayed member run.  Every query — :attr:`~DarshanProfiler.records`, the
-counters, and the interval sets :mod:`repro.profiling.analysis` turns into
-the figures' data series — is a view of those columns.
+counters, the interval sets :mod:`repro.profiling.analysis` turns into
+the figures' data series, and the trace plane's fs/phase spans — is a
+view of those columns.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from ..sim import IntervalRecorder
+from ..trace import Span
 
 __all__ = ["OpRecord", "DarshanProfiler"]
 
@@ -51,9 +53,8 @@ class DarshanProfiler:
     File-system clients call :meth:`record_op`; checkpoint strategies call
     :meth:`record_phase` for application-level blocking windows (phases are
     stored with an ``app:`` prefix on the op name).  ``reset()`` between
-    checkpoint steps isolates per-step analyses.  With the run's
-    ``tracer`` attached, every record is also forwarded as a span — one
-    event, two views, so op records and fs/phase spans cannot disagree.
+    checkpoint steps isolates per-step analyses.  A traced job reads its
+    fs/phase spans from this log, so op records and spans cannot disagree.
 
     The log is one set of append-only columns in recording order — op code,
     rank, start, end, nbytes, path — with a row per call or per replayed
@@ -62,8 +63,7 @@ class DarshanProfiler:
     columns as the sequence of the per-rank calls (DESIGN.md section 17.2).
     """
 
-    def __init__(self, tracer=None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
@@ -83,9 +83,20 @@ class DarshanProfiler:
         """Every record, in recording order (a member run expanded)."""
         return list(self._calls())
 
+    @property
+    def n_rows(self) -> int:
+        """Rows so far (a member run is one row)."""
+        return len(self._ops)
+
+    def n_calls(self) -> int:
+        """Per-rank calls so far (a member run counts each member)."""
+        return len(self._ops) + sum(
+            len(members) - 1 for members, _late in self._runs.values())
+
     # -- recording -----------------------------------------------------------
-    def _put(self, rank: int, op: str, start: float, end: float,
-             nbytes: int, path: str) -> None:
+    def record_op(self, rank: int, op: str, start: float, end: float,
+                  nbytes: int, path: str) -> None:
+        """Record a file-system operation (called by FSClient)."""
         codes = self._codes
         code = codes.get(op)
         if code is None:
@@ -99,22 +110,10 @@ class DarshanProfiler:
         put_nbytes(nbytes)
         put_path(path)
 
-    def record_op(self, rank: int, op: str, start: float, end: float,
-                  nbytes: int, path: str) -> None:
-        """Record a file-system operation (called by FSClient)."""
-        self._put(rank, op, start, end, nbytes, path)
-        tr = self.tracer
-        if tr is not None:
-            tr.span(rank, op, "fs", start, end, nbytes,
-                    args={"path": path})
-
     def record_phase(self, rank: int, phase: str, start: float, end: float,
                      nbytes: int = 0) -> None:
         """Record an application-level phase (e.g. 'ckpt', 'isend')."""
-        self._put(rank, f"app:{phase}", start, end, nbytes, "")
-        tr = self.tracer
-        if tr is not None:
-            tr.span(rank, phase, "phase", start, end, nbytes)
+        self.record_op(rank, f"app:{phase}", start, end, nbytes, "")
 
     def record_phase_members(self, members, phase: str, start: float,
                              end: float, nbytes: int = 0,
@@ -123,31 +122,59 @@ class DarshanProfiler:
         one row; ``late[rank]`` replaces ``end`` for a member that ended
         at an instant of its own."""
         self._runs[len(self._ops)] = (members, late or {})
-        self._put(-1, f"app:{phase}", start, end, nbytes, "")
-        tr = self.tracer
-        if tr is not None:
-            late = late or {}
-            for m in members:
-                tr.span(m, phase, "phase", start, late.get(m, end), nbytes)
+        self.record_op(-1, f"app:{phase}", start, end, nbytes, "")
 
     # -- queries --------------------------------------------------------------
-    def _calls(self, ops: Optional[Iterable[str]] = None
-               ) -> Iterator[OpRecord]:
-        """The per-rank calls of the rows of ``ops`` (all when ``None``),
-        in recording order."""
+    def _calls(self, ops: Optional[Iterable[str]] = None, first: int = 0,
+               stop: Optional[int] = None) -> Iterator[OpRecord]:
+        """The per-rank calls of the rows ``first:stop`` of ``ops`` (all
+        when ``None``), in recording order."""
         names, runs = list(self._codes), self._runs
         codes = None if ops is None else {self._codes.get(op) for op in ops}
+        rows = slice(first, stop)
         for row, (code, rank, start, end, nbytes, path) in enumerate(zip(
-                self._ops, self._ranks, self._starts, self._ends,
-                self._nbytes, self._paths)):
+                self._ops[rows], self._ranks[rows], self._starts[rows],
+                self._ends[rows], self._nbytes[rows], self._paths[rows]),
+                first):
             if codes is None or code in codes:
-                if row not in runs:
-                    yield OpRecord(rank, names[code], start, end, nbytes, path)
-                    continue
-                members, late = runs[row]
+                members, late = runs.get(row, ((rank,), {}))
                 for m in members:
                     yield OpRecord(m, names[code], start, late.get(m, end),
                                    nbytes, path)
+
+    def spans(self, first: int = 0, stop: Optional[int] = None
+              ) -> Iterator[Span]:
+        """Rows ``first:stop`` as trace spans: a file operation is an ``fs``
+        span with its path, an ``app:`` phase a ``phase`` span, a member
+        run a span per member."""
+        for r in self._calls(None, first, stop):
+            if r.op.startswith("app:"):
+                yield Span(r.rank, r.op[4:], "phase", r.start, r.end,
+                           r.nbytes)
+            else:
+                yield Span(r.rank, r.op, "fs", r.start, r.end, r.nbytes,
+                           args={"path": r.path})
+
+    def span_totals(self) -> dict[tuple[str, str], list]:
+        """``(cat, name) -> [count, seconds, bytes]`` of :meth:`spans`, off
+        the columns, adding one call at a time in recording order."""
+        keys = [("phase", op[4:]) if op.startswith("app:") else ("fs", op)
+                for op in self._codes]
+        aggs, runs = [[0, 0.0, 0] for _key in keys], self._runs
+        for row, (code, start, end, nbytes) in enumerate(zip(
+                self._ops, self._starts, self._ends, self._nbytes)):
+            agg, nbytes = aggs[code], int(nbytes)
+            if row not in runs:
+                agg[0] += 1
+                agg[1] += end - start
+                agg[2] += nbytes
+                continue
+            members, late = runs[row]
+            for m in members:
+                agg[0] += 1
+                agg[1] += float(late.get(m, end)) - start
+                agg[2] += nbytes
+        return {key: agg for key, agg in zip(keys, aggs) if agg[0]}
 
     def select(self, ops: Optional[Iterable[str]] = None,
                path_prefix: Optional[str] = None) -> list[OpRecord]:
@@ -187,12 +214,8 @@ class DarshanProfiler:
         return rec
 
     def phase_intervals(self, phase: str) -> IntervalRecorder:
-        """Activity intervals of one application-level phase.
-
-        ``phase`` is the name passed to :meth:`record_phase` (e.g.
-        ``"isend"``, ``"stage"``, ``"drain"``) — the ``app:`` prefix is
-        added here.
-        """
+        """Activity intervals of the application phase ``phase``, as named
+        to :meth:`record_phase` (``"isend"``, ``"stage"``, ``"drain"``)."""
         return self._intervals(phase, f"app:{phase}")
 
     def summary(self) -> dict[str, float]:
@@ -200,8 +223,7 @@ class DarshanProfiler:
         writes = self.select(["write"])
         per_rank = self.per_rank_io_time()
         return {
-            "n_records": len(self._ops) + sum(
-                len(members) - 1 for members, _late in self._runs.values()),
+            "n_records": self.n_calls(),
             "n_writes": len(writes),
             "bytes_written": float(sum(r.nbytes for r in writes)),
             "max_rank_io_time": max(per_rank.values()) if per_rank else 0.0,

@@ -111,13 +111,6 @@ class MultiLevelModel:
                 overhead += t.failure_rate * (t.read_seconds + tau / 2.0)
         return 1.0 / (1.0 + overhead)
 
-    def expected_runtime(self, useful_seconds: float,
-                         intervals: dict[str, float] | None = None) -> float:
-        """Expected wall-clock to retire ``useful_seconds`` of computation."""
-        if useful_seconds < 0:
-            raise ValueError("negative workload")
-        return useful_seconds / self.efficiency(intervals)
-
     def improvement_over(self, other: "MultiLevelModel") -> float:
         """Eq. 1 generalised: this hierarchy's speedup over ``other``.
 

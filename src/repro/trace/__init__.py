@@ -5,16 +5,15 @@ counters, fabric intra/inter + TAM counters, copy/delta counters,
 Darshan-style op records — comes together:
 
 - :class:`SpanTracer` records hierarchical *sim-time* spans (checkpoint
-  → pack / chunk / tam-gather / exchange / write / drain / restore)
-  with per-rank and per-node attribution, plus instant events for
-  retries and writer failovers;
+  → pack / chunk / tam-gather / exchange / write / drain / restore,
+  the fs and phase ones read off the job's Darshan log) with per-rank
+  and per-node attribution, plus instant events for retries and writer
+  failovers;
 - :class:`~repro.trace.registry.MetricsRegistry` and
   :data:`~repro.trace.registry.SCHEMA` give every counter a stable,
   namespaced name (Prometheus-exportable);
 - :mod:`repro.trace.export` renders Chrome ``trace_event`` JSON that
-  loads in ``chrome://tracing`` / Perfetto, and rebuilds
-  :class:`~repro.sim.monitor.IntervalRecorder` views from the span
-  store so figure pipelines and traces can never disagree;
+  loads in ``chrome://tracing`` / Perfetto;
 - :mod:`repro.trace.timeline` renders per-rank ASCII Gantt charts and a
   critical-path summary for ``repro-report timeline``.
 
@@ -89,23 +88,28 @@ class SpanTracer:
 
     In ``summary`` mode only the ``(cat, name)`` → (count, seconds,
     bytes) aggregates are kept; ``full`` mode additionally retains the
-    span list for Chrome-trace export and interval reconstruction.
+    span list for Chrome-trace export and the timeline.
     Coalesce-representative spans count once per member in the
     aggregates, so summary totals match what an uncoalesced run of the
-    same workload would report.
+    same workload would report.  With a ``log`` (the job's
+    :class:`~repro.profiling.DarshanProfiler`) the fs/phase spans and
+    totals of its rows are read from it; each span recorded here
+    remembers how many rows came before it.
     """
 
-    def __init__(self, mode: str = "full") -> None:
+    def __init__(self, mode: str = "full", log=None) -> None:
         if mode not in ("summary", "full"):
             raise ValueError(f"tracer mode must be 'summary' or 'full', "
                              f"got {mode!r}")
         self.mode = mode
-        self.spans: list[Span] = []
+        self.log = log
         self.events: list[dict] = []
         #: Ranks per node, set by the runner from ``MachineConfig`` so
         #: exporters can attribute spans to nodes (pid = rank // cpn).
         self.cores_per_node: Optional[int] = None
         self._totals: dict[tuple[str, str], list] = {}
+        self._spans: list[Span] = []
+        self._rows: list[int] = []  # log rows before each of ``_spans``
 
     # -- recording -----------------------------------------------------------
     def span(self, rank: int, name: str, cat: str, start: float, end: float,
@@ -121,8 +125,10 @@ class SpanTracer:
         agg[1] += (float(end) - float(start)) * n
         agg[2] += int(nbytes) * n
         if self.mode == "full":
-            self.spans.append(Span(rank, name, cat, start, end, nbytes,
-                                   members, args))
+            self._spans.append(Span(rank, name, cat, start, end, nbytes,
+                                    members, args))
+            if self.log is not None:
+                self._rows.append(self.log.n_rows)
 
     def instant(self, name: str, cat: str, t: float, rank: int = -1,
                 args: Optional[dict[str, Any]] = None) -> None:
@@ -131,23 +137,46 @@ class SpanTracer:
                             "rank": rank, "args": dict(args or {})})
 
     # -- views ---------------------------------------------------------------
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in recording order (none in ``summary`` mode)."""
+        log = self.log
+        if log is None or self.mode != "full":
+            return self._spans
+        out, row = [], 0
+        for span, mark in zip(self._spans, self._rows):
+            out.extend(log.spans(row, mark))
+            out.append(span)
+            row = mark
+        out.extend(log.spans(row))
+        return out
+
+    def n_spans(self) -> int:
+        """``len(self.spans)``, counted without building a span."""
+        listed = self.log is not None and self.mode == "full"
+        return len(self._spans) + (self.log.n_calls() if listed else 0)
+
     def phase_totals(self) -> dict[str, dict]:
         """Per-phase aggregates: ``"cat:name" -> {count, seconds, bytes}``."""
+        totals = dict(self._totals)
+        if self.log is not None:
+            totals.update(self.log.span_totals())
         return {f"{cat}:{name}": {"count": agg[0], "seconds": agg[1],
                                   "bytes": agg[2]}
-                for (cat, name), agg in sorted(self._totals.items())}
+                for (cat, name), agg in sorted(totals.items())}
 
     def summary(self) -> dict:
         """JSON-clean rollup of everything this tracer holds."""
         return {
             "mode": self.mode,
-            "n_spans": len(self.spans),
+            "n_spans": self.n_spans(),
             "n_events": len(self.events),
             "phases": self.phase_totals(),
         }
 
     def reset(self) -> None:
-        self.spans.clear()
+        self._spans.clear()
+        self._rows.clear()
         self.events.clear()
         self._totals.clear()
 

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and interval reconstruction.
+"""Exporters: Chrome ``trace_event`` JSON.
 
 :func:`chrome_trace` renders a :class:`~repro.trace.SpanTracer` into
 the Chrome trace-event format (the JSON dialect both
@@ -8,14 +8,6 @@ instants, and per-node attribution rides on ``pid`` (node index,
 ``rank // cores_per_node``) with ``tid`` = world rank.  Coalesce
 representatives are expanded to one event per symmetry-group member,
 so the timeline shows the run as every rank experienced it.
-
-:func:`write_intervals_from_spans` and
-:func:`phase_intervals_from_spans` rebuild the
-:class:`~repro.sim.monitor.IntervalRecorder` views that the figure
-pipeline derives from Darshan records — spans are forwarded from the
-same call sites in the same order, so the reconstruction is
-row-identical to the legacy path (asserted by ``bench_fig12`` and
-``tests/test_trace.py``).
 """
 
 from __future__ import annotations
@@ -23,11 +15,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from ..sim.monitor import IntervalRecorder
-
-__all__ = ["chrome_trace", "write_chrome_trace",
-           "write_intervals_from_spans", "phase_intervals_from_spans",
-           "fs_totals"]
+__all__ = ["chrome_trace", "write_chrome_trace"]
 
 #: Sim seconds -> trace-event microseconds.
 _US = 1e6
@@ -101,44 +89,3 @@ def write_chrome_trace(tracer, path: str,
     with open(path, "w") as fh:
         json.dump(trace, fh)
     return trace
-
-
-def write_intervals_from_spans(tracer) -> IntervalRecorder:
-    """Per-rank PFS write intervals, rebuilt from ``fs:write`` spans.
-
-    Mirrors ``DarshanProfiler.write_intervals()`` — same call sites,
-    same insertion order — so ``activity()`` binning is row-identical.
-    """
-    rec = IntervalRecorder()
-    for span in tracer.spans:
-        if span.cat == "fs" and span.name == "write":
-            rec.record(span.start, span.end, span.rank)
-    return rec
-
-
-def phase_intervals_from_spans(tracer, phase: str) -> IntervalRecorder:
-    """Application-phase intervals (``isend``, ``stage``, ``drain``, ...).
-
-    Coalesce-representative spans contribute one interval per member,
-    matching the per-member records the profiler path emits.
-    """
-    rec = IntervalRecorder()
-    for span in tracer.spans:
-        if span.cat == "phase" and span.name == phase:
-            for rank in span.expand():
-                rec.record(span.start, span.end, rank)
-    return rec
-
-
-def fs_totals(tracer) -> dict:
-    """Aggregate filesystem-op spans: ``{op: {count, seconds, bytes}}``.
-
-    These are the numbers the reconciliation tests compare against
-    ``DarshanProfiler.summary()``.
-    """
-    out: dict[str, dict] = {}
-    for phase, agg in tracer.phase_totals().items():
-        cat, _, name = phase.partition(":")
-        if cat == "fs":
-            out[name] = dict(agg)
-    return out

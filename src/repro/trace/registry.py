@@ -102,7 +102,7 @@ class MetricsRegistry:
             self.counter(f"trace.{slug}.count", agg["count"])
             self.counter(f"trace.{slug}.seconds", agg["seconds"])
             self.counter(f"trace.{slug}.bytes", agg["bytes"])
-        self.counter("trace.spans", len(tracer.spans))
+        self.counter("trace.spans", tracer.n_spans())
         self.counter("trace.events", len(tracer.events))
 
     # -- export --------------------------------------------------------------

@@ -24,22 +24,21 @@ CAT_GLYPHS = (
 )
 
 
-def _span_bounds(tracer) -> tuple[float, float]:
-    t0 = min((s.start for s in tracer.spans), default=0.0)
-    t1 = max((s.end for s in tracer.spans), default=0.0)
-    return t0, t1
+def _span_bounds(spans) -> tuple[float, float]:
+    return min(s.start for s in spans), max(s.end for s in spans)
 
 
 def render_timeline(tracer, width: int = 72, max_rows: int = 32,
                     cores_per_node: Optional[int] = None) -> str:
     """Per-rank ASCII Gantt chart of every span in the store."""
-    if not tracer.spans:
+    spans = tracer.spans
+    if not spans:
         return "(no spans recorded — run with RunConfig(trace='full'))\n"
-    t0, t1 = _span_bounds(tracer)
+    t0, t1 = _span_bounds(spans)
     extent = max(t1 - t0, 1e-12)
     cpn = cores_per_node or tracer.cores_per_node or 1
 
-    ranks = sorted({r for s in tracer.spans for r in s.expand()})
+    ranks = sorted({r for s in spans for r in s.expand()})
     elided = 0
     if len(ranks) > max_rows:
         stride = -(-len(ranks) // max_rows)  # ceil
@@ -50,7 +49,7 @@ def render_timeline(tracer, width: int = 72, max_rows: int = 32,
 
     order = {cat: i for i, (cat, _g) in enumerate(CAT_GLYPHS)}
     glyph = dict(CAT_GLYPHS)
-    for span in sorted(tracer.spans, key=lambda s: order.get(s.cat, 0)):
+    for span in sorted(spans, key=lambda s: order.get(s.cat, 0)):
         ch = glyph.get(span.cat)
         if ch is None:
             continue
@@ -87,12 +86,13 @@ def critical_path(tracer) -> dict:
     top-level span finishes last; its constituent spans, in time order,
     explain the makespan.
     """
-    if not tracer.spans:
+    spans = tracer.spans
+    if not spans:
         return {"makespan": 0.0, "slowest_rank": None, "chain": [],
                 "phases": []}
-    t0, t1 = _span_bounds(tracer)
+    t0, t1 = _span_bounds(spans)
     ends: dict[int, float] = {}
-    for span in tracer.spans:
+    for span in spans:
         for rank in span.expand():
             if span.end > ends.get(rank, float("-inf")):
                 ends[rank] = span.end
@@ -100,7 +100,7 @@ def critical_path(tracer) -> dict:
     chain = sorted(
         ({"name": s.name, "cat": s.cat, "start": s.start, "end": s.end,
           "seconds": s.duration, "nbytes": s.nbytes}
-         for s in tracer.spans if slowest in set(s.expand())),
+         for s in spans if slowest in set(s.expand())),
         key=lambda d: (d["start"], d["end"]))
     phases = sorted(
         ({"phase": k, **v} for k, v in tracer.phase_totals().items()),

@@ -39,9 +39,15 @@ def _purge_bench_modules() -> None:
 
 
 @pytest.fixture()
-def smoke_bench_env(monkeypatch):
-    """Import benches fresh under the smoke scale tier, clean up after."""
+def smoke_bench_env(monkeypatch, tmp_path):
+    """Import benches fresh under the smoke scale tier, clean up after.
+
+    Runs from ``tmp_path``: ``bench_record`` writes ``BENCH_<name>.json``
+    to the working directory, and a smoke run must not overwrite the
+    checkout's own records.
+    """
     monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
+    monkeypatch.chdir(tmp_path)
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     _purge_bench_modules()
     yield

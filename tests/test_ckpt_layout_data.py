@@ -356,8 +356,7 @@ def test_rows_and_run_entries_are_the_objects_they_stand_for(run, data):
 
     n_ranks, steps = run
     table = ReportTable(len(steps), n_ranks)
-    packed = DarshanProfiler(SpanTracer("full"))
-    plain = DarshanProfiler(SpanTracer("full"))
+    packed, plain = DarshanProfiler(), DarshanProfiler()
     per_step = []
     for i, calls in enumerate(steps):
         reports = {}
@@ -426,6 +425,6 @@ def test_rows_and_run_entries_are_the_objects_they_stand_for(run, data):
         assert intervals(packed) == intervals(plain)
         assert as_tuples(packed.records) == as_tuples(plain.records)
     assert [(s.rank, s.name, s.cat, s.start, s.end, s.nbytes)
-            for s in packed.tracer.spans] == [
+            for s in SpanTracer("full", log=packed).spans] == [
         (s.rank, s.name, s.cat, s.start, s.end, s.nbytes)
-        for s in plain.tracer.spans]
+        for s in SpanTracer("full", log=plain).spans]

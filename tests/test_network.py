@@ -107,11 +107,6 @@ def test_distinct_destinations_proceed_in_parallel():
     assert max(finish) < 1.5 * one  # no serialization across disjoint pairs
 
 
-def test_latency_between_zero_distance():
-    eng, fab = make_fabric()
-    assert fab.latency_between(0, 1) == fab.config.mpi_overhead  # same node
-
-
 def test_negative_size_rejected():
     eng, fab = make_fabric()
     with pytest.raises(ValueError):

@@ -375,11 +375,6 @@ def test_staged_model_beats_flat_pfs():
     assert staged.improvement_over(flat) > 1.0
 
 
-def test_model_expected_runtime_scales_solve_time():
-    m = MultiLevelModel.single_tier(10.0, 10.0, 1 / 3600)
-    assert m.expected_runtime(1000.0) == pytest.approx(1000.0 / m.efficiency())
-
-
 def test_model_tier_lookup():
     m = MultiLevelModel.staged(2.0, 2.0, 50.0, 50.0, 1 / 21600, 1 / 604800)
     assert m.tier("pfs").write_seconds == 50.0

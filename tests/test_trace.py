@@ -25,12 +25,7 @@ from repro.experiments.runner import run_checkpoint_steps
 from repro.mpi import Job, RunConfig
 from repro.sim import Engine
 from repro.trace import SCHEMA, MetricsRegistry, Span, SpanTracer
-from repro.trace.export import (
-    chrome_trace,
-    fs_totals,
-    phase_intervals_from_spans,
-    write_intervals_from_spans,
-)
+from repro.trace.export import chrome_trace
 from repro.trace.timeline import critical_path, render_critical_path, \
     render_timeline
 
@@ -187,20 +182,6 @@ def test_chrome_trace_expands_coalesced_groups():
     assert all(e["args"]["representative"] == 8 for e in x)
 
 
-def test_interval_reconstruction_from_spans():
-    tr = SpanTracer("full")
-    tr.span(0, "write", "fs", 0.0, 1.0, 10)
-    tr.span(1, "write", "fs", 0.5, 2.0, 20)
-    tr.span(1, "read", "fs", 2.0, 3.0, 20)           # not a write
-    tr.span(2, "isend", "phase", 0.0, 0.5, 5, members=(2, 3))
-    rec = write_intervals_from_spans(tr)
-    assert rec.intervals == [(0.0, 1.0, 0), (0.5, 2.0, 1)]
-    phases = phase_intervals_from_spans(tr, "isend")
-    assert phases.intervals == [(0.0, 0.5, 2), (0.0, 0.5, 3)]
-    assert fs_totals(tr)["write"] == {"count": 2, "seconds": 2.5,
-                                      "bytes": 30}
-
-
 # ---------------------------------------------------------------------------
 # timeline rendering
 # ---------------------------------------------------------------------------
@@ -243,10 +224,11 @@ def test_run_config_selects_the_jobs_profiler():
     quiet = Job(4, run_config=RunConfig(profiling="off"))
     assert quiet.profiler is None
     assert all(ctx.profiler is None for ctx in quiet.contexts)
-    # An active tracer forces a live profiler (spans are forwarded).
+    # An active tracer forces a live profiler (its fs/phase spans are
+    # views of the log).
     traced = Job(4, run_config=RunConfig(trace="full", profiling="off"))
     assert traced.profiler is not None
-    assert traced.profiler.tracer is traced.tracer
+    assert traced.tracer.log is traced.profiler
 
 
 def test_run_without_profiler_matches_run_with():
@@ -274,7 +256,7 @@ def test_full_trace_reconciles_with_profiler_and_metrics():
     assert tr.spans
 
     summary = run.profiler.summary()
-    writes = fs_totals(tr)["write"]
+    writes = tr.phase_totals()["fs:write"]
     assert writes["count"] == summary["n_writes"]
     assert writes["bytes"] == summary["bytes_written"]
     assert writes["seconds"] == pytest.approx(
@@ -282,8 +264,9 @@ def test_full_trace_reconciles_with_profiler_and_metrics():
 
     # Span-derived write intervals are row-identical to the Darshan view.
     legacy = run.profiler.write_intervals()
-    rebuilt = write_intervals_from_spans(tr)
-    assert rebuilt.intervals == legacy.intervals
+    rebuilt = [(s.start, s.end, s.rank) for s in tr.spans
+               if (s.cat, s.name) == ("fs", "write")]
+    assert rebuilt == legacy.intervals
 
     # The job's metrics carry the same phase totals under trace.*.
     m = run.job.metrics()
@@ -437,14 +420,18 @@ def test_trace_off_is_bit_identical(cfg):
 
 def test_fig12_activity_row_identical_from_spans():
     import numpy as np
+
+    from repro.sim import IntervalRecorder
     run = run_checkpoint_steps(strategy_for("rbio_ng", 128), 128,
                                problem_for(128).data(), 1,
                                run_config=_traced())
     tr = run.job.tracer
     legacy_starts, legacy_counts = \
         run.profiler.write_intervals().activity(0.25)
-    span_starts, span_counts = \
-        write_intervals_from_spans(tr).activity(0.25)
+    rebuilt = IntervalRecorder()
+    rebuilt.intervals = [(s.start, s.end, s.rank) for s in tr.spans
+                         if (s.cat, s.name) == ("fs", "write")]
+    span_starts, span_counts = rebuilt.activity(0.25)
     assert np.array_equal(span_starts, legacy_starts)
     assert np.array_equal(span_counts, legacy_counts)
 

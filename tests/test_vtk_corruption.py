@@ -110,3 +110,36 @@ def test_corrupt_ascii_value_raises(tmp_path):
 
 def test_vtk_read_error_is_value_error():
     assert issubclass(VtkReadError, ValueError)
+
+
+@pytest.mark.parametrize("keyword, damaged", [
+    (b"POINTS", b"POINTS"),
+    (b"POINTS", b"POINTS abc double"),
+    (b"POINTS", b"POINTS -1 double"),
+    (b"CELLS", b"CELLS"),
+    (b"CELLS", b"CELLS 1"),
+    (b"CELLS", b"CELLS x 9"),
+    (b"CELLS", b"CELLS -1 -9"),
+    (b"CELL_TYPES", b"CELL_TYPES"),
+    (b"CELL_TYPES", b"CELL_TYPES -1"),
+    (b"POINT_DATA", b"POINT_DATA"),
+    (b"POINT_DATA", b"POINT_DATA 8.5"),
+    (b"SCALARS", b"SCALARS"),
+])
+def test_damaged_ascii_header_raises(tmp_path, keyword, damaged):
+    """A block header with a missing, non-integer or negative count (or a
+    field header with no name) is a VtkReadError, never an IndexError,
+    a bare ValueError or a silently empty block."""
+    order = 1
+    n_points = (order + 1) ** 3
+    path = tmp_path / "ascii.vtk"
+    write_vtk(str(path), np.zeros((n_points, 3)), order,
+              {"HX": np.ones(n_points)}, binary=False)
+    lines = path.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines)
+              if line.split()[:1] == [keyword])
+    lines[at] = damaged
+    bad = tmp_path / "ascii_header.vtk"
+    bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(VtkReadError):
+        read_vtk(str(bad))
