@@ -679,18 +679,10 @@ def assemble_section(section: ManifestSection,
 
 def write_manifest(ctx, blob: bytes, data_path: str):
     """Generator: write a serialized manifest (:meth:`Manifest.to_bytes`)
-    next to its data file, with FS retry."""
-    from ..faults.retry import retry_fs
-
+    next to its data file."""
     path = manifest_path(data_path)
-    eng = ctx.engine
-    tracer = ctx.job.tracer
-    handle = yield from retry_fs(eng, lambda: ctx.fs.create(path),
-                                 tracer=tracer)
-    yield from retry_fs(
-        eng, lambda: ctx.fs.write(handle, 0, len(blob),
-                                  payload=ByteRope.wrap(blob)),
-        tracer=tracer)
+    handle = yield from ctx.fs.create(path)
+    yield from ctx.fs.write(handle, 0, len(blob), payload=ByteRope.wrap(blob))
     yield from ctx.fs.close(handle)
 
 

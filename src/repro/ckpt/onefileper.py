@@ -19,7 +19,6 @@ import math
 from itertools import repeat
 
 from ..buffers import ByteRope, zeros
-from ..faults.retry import retry_fs
 from ..mpi import RankContext
 from ..sim import CoalescePlan, GroupPlan, StagedOp, Timeout
 from .base import CheckpointStrategy
@@ -135,12 +134,6 @@ class OneFilePerProcess(CheckpointStrategy):
                                              t_r0))
 
 
-def _retrying(job, attempt, *args):
-    """``attempt(*args)`` (an ``FSClient`` generator method) in the retry
-    loop a fault injector calls for."""
-    return retry_fs(job.engine, lambda: attempt(*args), tracer=job.tracer)
-
-
 class _Checkpoint(StagedOp):
     """One rank's checkpoint: jitter, plan, create, write each piece,
     close, manifest, report.
@@ -149,10 +142,9 @@ class _Checkpoint(StagedOp):
     fields (full write) or header and the chunks absent from the parent
     generation, with the manifest that maps every logical chunk to the
     generation and offset holding its bytes (delta); the commit is a POSIX
-    create / write / close, each ``FSClient``'s staged op.  With a fault
-    injector attached, create and write are the retrying generators
-    instead: they, the delta plan and the manifest write are handed to the
-    rank's process, where no coalesce plan reaches.
+    create / write / close, each ``FSClient``'s staged op (which absorbs
+    its own transient faults).  The delta plan and the manifest write are
+    generators, handed to the rank's process.
     """
 
     __slots__ = ("strategy", "job", "client", "data", "step", "basedir",
@@ -199,9 +191,7 @@ class _Checkpoint(StagedOp):
         client = self.client
         path = self.strategy.rank_path(self.basedir, self.step, client.rank)
         self.then = _Checkpoint._write
-        if client.fs.injector is None:
-            return self.call(client.create_op(path))
-        return _retrying(self.job, client.create, path)
+        return self.call(client.create_op(path))
 
     def _write(self):
         self.handle = handle = self.result
@@ -215,19 +205,14 @@ class _Checkpoint(StagedOp):
                                    data.concatenated_payload()]
                                   ) if data.has_payload else None
         self.then = _Checkpoint._close
-        if client.fs.injector is None:
-            return self.call(client.write_op(handle, 0, nbytes, payload))
-        return _retrying(self.job, client.write, handle, 0, nbytes, payload)
+        return self.call(client.write_op(handle, 0, nbytes, payload))
 
     def _piece(self):
         piece = next(self.plan[0], None)
         if piece is None:
             return self._close()
-        client = self.client
         self.then = _Checkpoint._piece
-        if client.fs.injector is None:
-            return self.call(client.write_op(self.handle, *piece))
-        return _retrying(self.job, client.write, self.handle, *piece)
+        return self.call(self.client.write_op(self.handle, *piece))
 
     def _close(self):
         self.then = (_Checkpoint._report if self.plan is None

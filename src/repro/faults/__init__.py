@@ -16,7 +16,6 @@ the simulation is bit-identical to a build without this package.
 
 from .errors import UnrecoverableCheckpointError
 from .injector import FaultInjector, attach_faults, faults_of
-from .retry import retry_fs
 from .schedule import FAULT_KINDS, FaultConfig, FaultSchedule, FaultSpec
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "UnrecoverableCheckpointError",
     "attach_faults",
     "faults_of",
-    "retry_fs",
 ]

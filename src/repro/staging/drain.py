@@ -114,19 +114,14 @@ class DrainScheduler:
     profiler:
         Optional :class:`~repro.profiling.DarshanProfiler`; drain windows
         are recorded as ``app:drain`` phases.
-    tracer:
-        Optional :class:`~repro.trace.SpanTracer`; drain-time FS retries
-        are recorded as instants.
     """
 
     def __init__(self, engine: Engine, fs_client_of: Callable[[int], Any],
-                 config: StagingConfig, profiler: Any = None,
-                 tracer: Any = None) -> None:
+                 config: StagingConfig, profiler: Any = None) -> None:
         self.engine = engine
         self.fs_client_of = fs_client_of
         self.config = config
         self.profiler = profiler
-        self.tracer = tracer
         self._queues: dict[int, Store] = {}
         self.intervals = IntervalRecorder("drain")
         self.packages_drained = 0
@@ -160,7 +155,6 @@ class DrainScheduler:
         parked process holds no pending timer, so it never keeps the
         simulation alive.
         """
-        from ..faults.retry import retry_fs
         from ..storage import FSError
 
         cfg = self.config
@@ -186,9 +180,7 @@ class DrainScheduler:
                     commits = ((pkg.path, ((0, pkg.nbytes, pkg.image),)),)
                 committed = 0
                 for path, pieces in commits:
-                    handle = yield from retry_fs(
-                        eng, lambda p=path: fsc.create(p),
-                        tracer=self.tracer)
+                    handle = yield from fsc.create(path)
                     for base, nbytes, image in pieces:
                         pos = 0
                         while pos < nbytes:
@@ -210,11 +202,8 @@ class DrainScheduler:
                             chunk = None
                             if image is not None:
                                 chunk = image[pos : pos + burst]
-                            yield from retry_fs(
-                                eng,
-                                lambda h=handle, p=base + pos, b=burst,
-                                c=chunk: fsc.write(h, p, b, payload=c),
-                                tracer=self.tracer)
+                            yield from fsc.write(handle, base + pos, burst,
+                                                 payload=chunk)
                             pos += burst
                             committed += burst
                             if (cfg.drain_bandwidth is not None

@@ -66,8 +66,7 @@ class StagingService:
             return fsc
 
         self.drain = DrainScheduler(job.engine, fs_client_of,
-                                    self.config, profiler=job.profiler,
-                                    tracer=job.tracer)
+                                    self.config, profiler=job.profiler)
         self.replicator: Optional[PartnerReplicator] = None
         if self.config.replicate:
             self.replicator = PartnerReplicator(

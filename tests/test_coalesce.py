@@ -44,7 +44,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import CheckpointRun, _data_fn, normalize_gaps
 from repro.faults import FaultSchedule, FaultSpec, attach_faults
-from repro.faults.retry import retry_fs
+from .test_fs_retry import retry_fs
 from repro.mpi import Job, RankContext
 from repro.mpiio import FlatExchange, Hints, pick_aggregators
 from repro.storage import attach_storage
