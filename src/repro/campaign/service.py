@@ -215,7 +215,9 @@ class SweepService:
         key = point.content_hash
         if self.cache is not None:
             hit = self.cache.get(key)
-            if hit is not None:
+            # Only a point's own result is a hit: any other entry under its
+            # key is a miss, and the run's result overwrites it.
+            if isinstance(hit, dict) and hit.get("point") == key:
                 status.results[index] = hit
                 self.counters["points_cached"] += 1
                 return

@@ -110,6 +110,27 @@ def test_disk_cache_spans_service_restarts(tmp_path):
         assert svc.results(spec.campaign_id) == results
 
 
+@pytest.mark.parametrize("entry", [{}, [1, 2], "x", 0,
+                                   {"point": "someone-else"}],
+                         ids=["empty", "list", "str", "zero", "foreign"])
+def test_a_foreign_cache_entry_is_a_miss(tmp_path, entry):
+    spec = CampaignSpec.from_dict({
+        "name": "cached", "seed": 5,
+        "grid": {"approaches": ["rbio_ng"], "np": [128]}})
+    key = expand(spec).points[0].content_hash
+    cache = DiskCache(tmp_path / "c")
+    cache.put(key, entry)
+    with SweepService(n_workers=1, cache=cache) as svc:
+        status = svc.wait(svc.submit(spec), timeout=300)
+        assert status["state"] == "done"
+        counters = svc.service_status()["counters"]
+        assert counters["points_cached"] == 0
+        assert counters["points_executed"] == 1
+        result = svc.results(spec.campaign_id)[0]
+    assert result["point"] == key
+    assert DiskCache(tmp_path / "c").get(key) == result
+
+
 def test_unknown_campaign_raises():
     with SweepService(n_workers=1, cache=False) as svc:
         with pytest.raises(KeyError):
