@@ -69,6 +69,11 @@ FAULT_CELLS = {
         FaultSpec(kind="fs_error", time=0.0, op="write", count=2,
                   transient=True),
     )),
+    # Two transient close errors: a writable handle's close retries too.
+    "transient_close": FaultSchedule((
+        FaultSpec(kind="fs_error", time=0.0, op="close", count=2,
+                  transient=True),
+    )),
     # Writer of group 1 (rank 8) dies between the generations.
     "writer_crash": FaultSchedule((
         FaultSpec(kind="rank_crash", time=1.0, rank=8),
