@@ -43,18 +43,16 @@ class StagingError(RuntimeError):
     """Raised on invalid staging usage or a failed/lost staging tier.
 
     Mirrors :class:`~repro.storage.FSError`'s context: the failing
-    operation, path, simulated timestamp, and whether a retry could
-    plausibly succeed (``transient``).
+    operation, path and simulated timestamp.
     """
 
     def __init__(self, message: str, *, op: Optional[str] = None,
-                 path: Optional[str] = None, time: Optional[float] = None,
-                 transient: bool = False) -> None:
+                 path: Optional[str] = None,
+                 time: Optional[float] = None) -> None:
         super().__init__(message)
         self.op = op
         self.path = path
         self.time = time
-        self.transient = transient
 
 
 @dataclass(frozen=True)
