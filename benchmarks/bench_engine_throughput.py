@@ -121,7 +121,7 @@ def _wide_barrier_coalesced() -> Engine:
 
     def rep_main(ctx, members):
         for _ in range(N_BARRIERS):
-            yield from ctx.comm.barrier_members(members)
+            yield ctx.comm.comm.arrive("barrier", members).event
 
     for g in range(BARRIER64_NP // GROUP64):
         members = range(g * GROUP64, (g + 1) * GROUP64)

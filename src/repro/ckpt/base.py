@@ -144,14 +144,59 @@ class CheckpointStrategy:
         return d
 
     def coalesce_plan(self, n_ranks: int):
-        """Offer a :class:`~repro.sim.CoalescePlan`, or ``None``.
+        """Offer the ranks to run without a process each, or ``None``.
 
-        A strategy whose ranks need no process of their own — symmetric
-        within groups (rbIO workers), one role that only contributes and
-        waits (coIO's non-aggregator ranks), or independent but for the
-        file system (every 1PFPP rank) — returns a plan, and the runner
-        has one representative stand in for each group.  The default is
-        ``None``: every rank runs.
+        At figure scale the simulator replays tens of thousands of ranks,
+        most of which need no process of their own.  A plan is a tuple of
+        ascending, disjoint, non-empty ``range``s of world ranks; ranks no
+        range covers run uncoalesced.  The runner spawns the rank program
+        of every rank below a range's start, then
+        ``self.coalesced_worker_main(ctx, members, loop)`` on the range's
+        first rank, which stands in for every member: ``loop`` is the
+        run's :class:`~repro.experiments.runner.StepLoop` (data, steps,
+        basedir, gaps, per-step barrier, writer set and report table),
+        and the generator must write every member's row of every step
+        into ``loop.table``.  The default is ``None``: every rank runs.
+
+        Whatever the idiom, a coalesced run is **exact**, not approximate:
+        every pipe reservation, collective arrival
+        (``Communicator.arrive`` counts one per member; contiguous ranges
+        in lockstep enter in one step), noise draw, Darshan record and
+        span happens where it does in the uncoalesced run
+        (``tests/test_coalesce.py``).  Three idioms exist (DESIGN.md
+        section 9):
+
+        - *Lock-step* (rbIO/bbIO workers).  Members of a 64:1 group are
+          identical by construction — same data, same barrier release,
+          one buffered Isend — so one generator performs each member's
+          visible actions in member order and writes their rows of the
+          run's report table, one slice per step, from its own times.
+          Valid only while members cannot diverge: flow-control
+          acknowledgements (``max_outstanding``) offer no plan.  Under
+          TAM symmetry holds per role, so the one replay
+          (:meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main`) is
+          role-aware: node leaders are replayed per symmetry class, and
+          the flat exchange is the case with no leader class.
+        - *Role-based continuations* (coIO).  Aggregator placement is a
+          property of the file communicator, so the ranks that only
+          contribute an extent and wait (62 of 64) are known before the
+          run.  They do diverge — each draws its own file-open noise — so
+          they are event callbacks, one per segment of members that wait
+          side by side, appended to the awaited event's callback list
+          where the first rank's process would have appended its resume.
+          Aggregators keep their processes.
+        - *One program, two drivers* (1PFPP).  Ranks diverge from the
+          first instant (arrival jitter, the directory token's queue) but
+          never interact except through the file system.  Each member
+          runs the runner's own rank program
+          (:meth:`~repro.experiments.runner.StepLoop.member`), a
+          :class:`~repro.sim.StagedOp` that an uncoalesced rank runs in
+          its process, here driven from event callbacks by one process.
+
+        The runner only coalesces when every rank shares one
+        :class:`~repro.ckpt.CheckpointData` object and no fault schedule
+        is attached (faults target ranks individually, so every rank must
+        run).
         """
         return None
 

@@ -1,8 +1,9 @@
 """coIO — tuned MPI-IO collective checkpointing.
 
 All ranks call MPI-IO split-collective writes
-(``MPI_File_write_at_all_begin`` / ``_end``).  The number of output files
-``nf`` is the tunable:
+(``MPI_File_write_at_all_begin`` / ``_end``); the paper calls the pair back
+to back, so each is one :meth:`~repro.mpiio.MPIFile.write_at_all`.  The
+number of output files ``nf`` is the tunable:
 
 - ``nf = 1``: every rank of ``MPI_COMM_WORLD`` participates in one
   collective per field on a single shared file;
@@ -31,7 +32,6 @@ from ..mpi import Message, RankContext
 from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
 from ..mpiio.aggregation import plan_table
 from ..mpiio.file import SHUFFLE_TAG_BASE
-from ..sim import CoalescePlan, GroupPlan
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta
@@ -110,18 +110,15 @@ class CollectiveIO(CheckpointStrategy):
         if self.hints.tam != "off" or self.delta != "off":
             return None
         per_file = self.ranks_per_file or n_ranks
-        groups = []
+        plan = []
         for base in range(0, n_ranks, per_file):
             size = min(per_file, n_ranks - base)
             aggs = pick_aggregators(size, self.hints.n_aggregators(size))
             for agg, nxt in zip(aggs, aggs[1:] + [size]):
                 members = range(base + agg + 1, base + nxt)
                 if members:
-                    groups.append(GroupPlan(rep=members[0], members=members))
-        if not groups:
-            return None
-        return CoalescePlan(groups=tuple(groups),
-                            worker_main=self.coalesced_worker_main)
+                    plan.append(members)
+        return tuple(plan) or None
 
     def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: bring one run of non-aggregator ranks to its cohort.
@@ -133,7 +130,7 @@ class CollectiveIO(CheckpointStrategy):
         """
         world = ctx.comm
         job = ctx.job
-        yield from world.barrier_members(members)
+        yield world.comm.arrive("barrier", members).event
         t0 = ctx.engine.now
         contexts = [job.contexts[m] for m in members]
         if self.ranks_per_file is None:
@@ -440,10 +437,11 @@ class _RunReplay:
                 continue
             # One rendezvous send: its delivery is its completion.
             dest, lo, hi = sends[0]
-            Message.in_flight(
-                eng, delay(world[lr], world[dest], hi - lo), mailbox(dest),
-                lr, tag, hi - lo, (lo, hi, None if payload is None
-                                   else payload[lo - offset:hi - offset])
+            Message.arriving(
+                eng, eng.now + delay(world[lr], world[dest], hi - lo),
+                mailbox(dest), lr, tag, hi - lo,
+                (lo, hi, None if payload is None
+                 else payload[lo - offset:hi - offset])
             ).callbacks.append(delivered)
 
     def _delivered(self, msg) -> None:

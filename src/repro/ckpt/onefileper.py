@@ -20,7 +20,7 @@ from itertools import repeat
 
 from ..buffers import ByteRope, zeros
 from ..mpi import RankContext
-from ..sim import CoalescePlan, GroupPlan, StagedOp, Timeout
+from ..sim import StagedOp, Timeout
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta, write_manifest
@@ -64,9 +64,7 @@ class OneFilePerProcess(CheckpointStrategy):
         """
         if self.delta != "off":
             return None
-        group = GroupPlan(rep=0, members=range(n_ranks))
-        return CoalescePlan(groups=(group,),
-                            worker_main=self.coalesced_worker_main)
+        return (range(n_ranks),)
 
     def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: the one process of a coalesced run.
@@ -77,7 +75,7 @@ class OneFilePerProcess(CheckpointStrategy):
         waits for the last to finish.  The first wave's jitter is one
         vector draw: the values, in the order, of one scalar draw per rank.
         """
-        yield from ctx.comm.barrier_members(members)
+        yield ctx.comm.comm.arrive("barrier", members).event
         eng = ctx.engine
         job = ctx.job
         fs, data, table = job.services["fs"], loop.data, loop.table

@@ -13,10 +13,12 @@ group's dedicated **writer**; the rest are **workers**:
 - The writer aggregates its group's packages, reorders them from
   member-major to the file's field-major layout, and commits:
 
-  - ``nf = ng`` (default): each writer owns a private file opened with
-    ``MPI_COMM_SELF`` (:meth:`~repro.mpiio.MPIFile.open_independent`) and
-    flushes whenever its collective buffer fills — several fields per
-    burst, no shared-file lock traffic, no collective synchronization.
+  - ``nf = ng`` (default): each writer owns a private file and flushes
+    whenever its collective buffer fills — several fields per burst, no
+    shared-file lock traffic, no collective synchronization.  The paper's
+    ``MPI_COMM_SELF`` file adds no exchange, so the writer calls
+    :class:`~repro.storage.FSClient` ``create`` / ``write`` / ``close``
+    itself.
   - ``nf = 1``: all writers collectively write one shared file
     (``MPI_File_write_at_all`` on the writers' communicator, every writer
     its own aggregator).  The field-major layout forces one commit per
@@ -32,7 +34,6 @@ from ..buffers import ByteRope, zeros
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from ..mpiio import Hints, MPIFile
-from ..sim import CoalescePlan, GroupPlan
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta, write_manifest
@@ -137,16 +138,10 @@ class ReducedBlockingIO(CheckpointStrategy):
         """
         if self.max_outstanding is not None:
             return None
-        groups = []
-        for g in range(self.n_groups(n_ranks)):
-            w = g * self.workers_per_writer
-            members = range(w + 1, min(w + self.workers_per_writer, n_ranks))
-            if members:
-                groups.append(GroupPlan(rep=members[0], members=members))
-        if not groups:
-            return None
-        return CoalescePlan(groups=tuple(groups),
-                            worker_main=self.coalesced_worker_main)
+        w = self.workers_per_writer
+        plan = tuple(range(first + 1, min(first + w, n_ranks))
+                     for first in range(0, n_ranks, w) if first + 1 < n_ranks)
+        return plan or None
 
     def coalesced_worker_main(self, ctx: RankContext, members, loop):
         """Generator: replay every worker of one group from its representative.
@@ -208,7 +203,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             if gaps[i] > 0:
                 yield eng.timeout(gaps[i])
             if i == 0 or loop.barrier_each_step:
-                yield from comm.barrier_members(members)
+                yield comm.comm.arrive("barrier", members).event
             if gviews is None:
                 # First step: stand in for every member of the two setup
                 # splits (group comm, then writers-vs-workers comm).
@@ -233,8 +228,8 @@ class ReducedBlockingIO(CheckpointStrategy):
                                                 tag=tag, payload=package)
             for lead in leaders:
                 for src in groups.members_of[lead][1:]:
-                    gviews[world[src]].post(lead, nbytes, tag=ttag,
-                                            payload=(src, package))
+                    gviews[members[0]].post_members(
+                        (src,), lead, nbytes, ttag, (src, package))
 
             def leader_replay(lead0, leads):
                 parts0 = [(lead0, package)] + [
@@ -247,7 +242,8 @@ class ReducedBlockingIO(CheckpointStrategy):
                              + [(src, package)
                                 for src in groups.members_of[lead][1:]])
                     fabric.count_tam(len(parts))
-                    gviews[world[lead]].post(0, total, tag=tag, payload=parts)
+                    gviews[world[lead]].post_members((lead,), 0, total, tag,
+                                                     parts)
                     if lead != lead0:
                         for src in groups.members_of[lead][1:]:
                             gviews[world[lead]].irecv(source=src, tag=ttag)
@@ -697,20 +693,21 @@ class ReducedBlockingIO(CheckpointStrategy):
         """Generator: commit a plan to a sole-owner file (``nf = ng``, a
         failover adoption, bbIO's degraded path).
 
-        Opened with ``MPI_COMM_SELF`` and flushed whenever the writer's
-        buffer fills — several fields per burst, no shared-file lock
-        traffic, no collective synchronization; the manifest follows if
-        the plan carries one.
+        Created by this writer alone and flushed whenever its buffer
+        fills — several fields per burst, no shared-file lock traffic, no
+        collective synchronization; the manifest follows if the plan
+        carries one.
         """
-        f = yield from MPIFile.open_independent(ctx, path, hints=self.hints)
+        fs = ctx.fs
+        handle = yield from fs.create(path)
         for offset, nbytes, image in pieces:
             pos = 0
             while pos < nbytes:
                 burst = min(self.writer_buffer, nbytes - pos)
                 chunk = image[pos : pos + burst] if image is not None else None
-                yield from f.write_at(offset + pos, burst, payload=chunk)
+                yield from fs.write(handle, offset + pos, burst, payload=chunk)
                 pos += burst
-        yield from f.close()
+        yield from fs.close(handle)
         if manifest is not None:
             yield from write_manifest(ctx, manifest, path)
 

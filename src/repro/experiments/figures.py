@@ -72,8 +72,8 @@ __all__ = [
 PAPER_NP = (16384, 32768, 65536)
 
 
-def _problem(n_ranks: int):
-    """Paper problem when available, weak-scaled equivalent otherwise."""
+def problem_for(n_ranks: int):
+    """The paper problem for a paper count, weak-scaled otherwise."""
     return paper_problem(n_ranks) if n_ranks in PAPER_SIZES else scaled_problem(n_ranks)
 
 #: Strategy factories for the five plotted configurations.
@@ -232,11 +232,6 @@ def strategy_for(key: str, n_ranks: int, delta: str = "off",
     return strategy
 
 
-def problem_for(n_ranks: int):
-    """The paper problem for a paper count, weak-scaled otherwise (hook)."""
-    return _problem(n_ranks)
-
-
 def _compute_summary(point: tuple) -> RunSummary:
     """One sweep point: run the experiment, extract the cacheable summary.
 
@@ -245,7 +240,7 @@ def _compute_summary(point: tuple) -> RunSummary:
     """
     key, n_ranks, seed, config = point
     strategy = _strategy_for(key, n_ranks)
-    data = _problem(n_ranks).data()
+    data = problem_for(n_ranks).data()
     run = run_checkpoint_step(strategy, n_ranks, data, config=config, seed=seed)
     # Released before the extracts below allocate: the collector, back on
     # since the drain ended, then walks what is left of the run, not all
@@ -491,7 +486,7 @@ def eq2_7_speedup(n_ranks: int = 65536,
     coio = get_run("coio_64", n_ranks, config).result
     rbio = get_run("rbio_ng", n_ranks, config).result
     model = SpeedupModel.from_results(coio, rbio, lam=0.0)
-    s = _problem(n_ranks).file_bytes
+    s = problem_for(n_ranks).file_bytes
     measured = (
         blocked_processor_seconds(coio) / blocked_processor_seconds(rbio)
     )
@@ -513,7 +508,7 @@ def eq2_7_speedup(n_ranks: int = 65536,
 def _staging_step_bytes(n_ranks: int, workers_per_writer: int,
                         config: MachineConfig) -> int:
     """Checkpoint bytes one ION-attached buffer ingests per step."""
-    data = _problem(n_ranks).data()
+    data = problem_for(n_ranks).data()
     per_group = data.header_bytes + workers_per_writer * data.total_bytes
     ranks_per_pset = config.pset_map(n_ranks).ranks_per_pset()
     groups_per_pset = max(1, min(n_ranks, ranks_per_pset) // workers_per_writer)
@@ -540,7 +535,7 @@ def ext_staging_run(n_ranks: int = 512, n_steps: int = 4,
     strategy = BurstBufferIO(workers_per_writer=workers_per_writer,
                              max_outstanding=max_outstanding,
                              staging=staging)
-    data = _problem(n_ranks).data()
+    data = problem_for(n_ranks).data()
     run = run_checkpoint_steps(strategy, n_ranks, data, n_steps=n_steps,
                                config=config, seed=seed,
                                gap_seconds=gap_seconds,

@@ -243,8 +243,8 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
 
     ``run_config`` (:class:`~repro.mpi.RunConfig`) selects how the run
     executes: tracing, profiling, copy mode, rank coalescing (see
-    :mod:`repro.sim.coalesce`; coalesced runs are bit-identical to
-    uncoalesced ones) and the
+    :meth:`~repro.ckpt.CheckpointStrategy.coalesce_plan`; coalesced runs
+    are bit-identical to uncoalesced ones) and the
     :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
     schedule disables coalescing: faults target ranks individually, so
     every rank must actually run.
@@ -260,11 +260,17 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     if any(g > 0 for g in gaps) and hasattr(strategy, "writer_ranks"):
         writer_set = frozenset(strategy.writer_ranks(n_ranks))
     plan = None
-    if coalesce != "off" and isinstance(data, CheckpointData) and not faults:
+    if coalesce != "off" and not isinstance(data, CheckpointData):
         # Per-rank data builders can diverge, so only a single shared
-        # CheckpointData object is provably the same for every rank.  A
-        # non-empty fault schedule also disqualifies coalescing.
-        plan = strategy.coalesce_plan(n_ranks)
+        # CheckpointData object is provably the same for every rank.
+        if coalesce == "require":
+            raise ValueError(
+                "coalesce='require' but the data is a per-rank builder, "
+                "which may hand ranks different data: the runner takes no "
+                "plan for it")
+    elif coalesce != "off" and not faults:
+        # A non-empty fault schedule also disqualifies coalescing.
+        plan = _checked_plan(strategy.coalesce_plan(n_ranks), n_ranks)
     if coalesce == "require" and plan is None:
         raise ValueError(
             f"coalesce='require' but {strategy.name} offers no plan for "
@@ -276,14 +282,16 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     if plan is None:
         job.spawn(loop.rank_main)
     else:
-        # Spawn in world-rank order (reps in their group's first-worker
+        # Spawn in world-rank order (a range's worker in its first rank's
         # slot) so process bootstrap — and with it every same-time event
         # tie — happens in the same order as the uncoalesced run.
-        for r, members in plan.spawn_order(n_ranks):
-            if members is None:
-                job.spawn(loop.rank_main, ranks=[r])
-            else:
-                job.spawn(plan.worker_main, members, loop, ranks=[r])
+        r = 0
+        for members in plan:
+            job.spawn(loop.rank_main, ranks=range(r, members.start))
+            job.spawn(strategy.coalesced_worker_main, members, loop,
+                      ranks=[members.start])
+            r = members.stop
+        job.spawn(loop.rank_main, ranks=range(r, n_ranks))
     job.run()
     fs_stats = fs.stats()
     results = [CheckpointResult(strategy.name, loop.table,
@@ -291,6 +299,23 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                                 fs_stats=fs_stats, step=i)
                for i in range(n_steps)]
     return CheckpointRun(job, results)
+
+
+def _checked_plan(plan, n_ranks: int):
+    """``plan`` if it is ascending, disjoint, non-empty ``range``s of
+    consecutive ranks below ``n_ranks`` (or ``None``); raise otherwise.
+    A subclassed strategy may offer anything."""
+    if plan is None:
+        return None
+    stop = 0
+    for members in plan:
+        if not (isinstance(members, range) and members.step == 1
+                and stop <= members.start < members.stop <= n_ranks):
+            raise ValueError(
+                f"coalesce plan {plan!r} is not ascending, disjoint, "
+                f"non-empty ranges of consecutive ranks below {n_ranks}")
+        stop = members.stop
+    return plan
 
 
 def run_checkpoint_step(strategy: CheckpointStrategy, n_ranks: int,

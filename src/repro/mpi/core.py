@@ -48,9 +48,8 @@ Semantics and costs
   burst instead of a delivery and a look-again per message, with the
   same instants and logical event count (DESIGN.md section 9.4).
 - A caller that stands in for many ranks enters a collective for all of
-  them at once (``barrier_members``, ``split_members``, or
-  ``Communicator.arrive`` with a member range): one arrival per member is
-  counted, in one call.
+  them at once (``split_members``, or ``Communicator.arrive`` with a
+  member range): one arrival per member is counted, in one call.
 """
 
 from __future__ import annotations
@@ -91,13 +90,13 @@ class MPIError(RuntimeError):
 class Message(Event):
     """A point-to-point message: in flight, its own delivery event.
 
-    :meth:`in_flight` puts it in the calendar at ``now + delay`` — the
-    float instant and the bucket position of the transfer ``Timeout`` it
-    replaces — with :meth:`Mailbox.deliver` as its callback, so a message
-    costs one object and one calendar entry (DESIGN.md section 9.3);
-    :meth:`arriving` does the same for an instant already known.
-    ``Message(...)`` builds one that has already been delivered (a
-    burst's messages a waiting receive took at the post, section 9.4).
+    :meth:`arriving` puts it in the calendar at its arrival instant
+    (``now + delay`` — the float instant and the bucket position of the
+    transfer ``Timeout`` it replaces) with :meth:`Mailbox.deliver` as its
+    callback, so a message costs one object and one calendar entry
+    (DESIGN.md section 9.3).  ``Message(...)`` builds one that has already
+    been delivered (a burst's messages a waiting receive took at the post,
+    section 9.4).
     """
 
     __slots__ = ("source", "tag", "nbytes", "payload", "sent_at",
@@ -110,14 +109,6 @@ class Message(Event):
         self.source, self.tag, self.nbytes = source, tag, nbytes
         self.payload, self.sent_at, self.delivered_at = (
             payload, sent_at, delivered_at)
-
-    @classmethod
-    def in_flight(cls, engine: Engine, delay: float, box: "Mailbox",
-                  source: int, tag: int, nbytes: int, payload: Any
-                  ) -> "Message":
-        """Send a message now: it arrives in ``box`` after ``delay``."""
-        return cls.arriving(engine, engine.now + delay, box, source, tag,
-                            nbytes, payload)
 
     @classmethod
     def arriving(cls, engine: Engine, t: float, box: "Mailbox", source: int,
@@ -764,8 +755,8 @@ class CommView:
         mailbox = comm._mailboxes.get(dest)
         if mailbox is None:
             mailbox = comm.mailbox(dest)
-        msg = Message.in_flight(
-            eng, fabric.delay(world[self.rank], world[dest], nbytes),
+        msg = Message.arriving(
+            eng, eng.now + fabric.delay(world[self.rank], world[dest], nbytes),
             mailbox, self.rank, tag, nbytes, payload)
         if buffered or nbytes <= cfg.eager_threshold:
             # Local completion: buffer copy at memory bandwidth plus the
@@ -774,26 +765,19 @@ class CommView:
             return Request(eng.timeout(copy), msg.sent_at, "isend")
         return Request(msg, msg.sent_at, "isend")
 
-    def post(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None) -> None:
-        """Fire-and-forget buffered send (coalescing replay).
-
-        Moves the data through the fabric and delivers to ``dest``'s mailbox
-        exactly like ``isend(..., buffered=True)``, but allocates no
-        sender-side completion event: a coalesced representative replaying a
-        symmetric member's Isend never waits on that member's local
-        completion (it is identical to its own), so the event would be pure
-        heap churn.
-        """
-        self.post_members((self.rank,), dest, nbytes, tag, payload)
-
     def post_members(self, sources_local, dest: int, nbytes: int,
                      tag: int = 0, payload: Any = None) -> None:
-        """Bulk :meth:`post`: one buffered send per represented member.
+        """Fire-and-forget buffered sends (coalescing replay), one per
+        represented member.
 
-        A coalesced representative replaying a symmetric group's sends
-        issues one per member; this keeps the per-member fabric transfers
-        (each member's message reserves injection/ejection capacity on its
-        own, so the writer-side incast stays bit-identical to uncoalesced
+        Each moves the data through the fabric and delivers to ``dest``'s
+        mailbox exactly like ``isend(..., buffered=True)``, but allocates
+        no sender-side completion event: a coalesced representative
+        replaying a symmetric member's Isend never waits on that member's
+        local completion (it is identical to its own), so the event would
+        be pure heap churn.  The per-member fabric transfers stay (each
+        member's message reserves injection/ejection capacity on its own,
+        so the writer-side incast stays bit-identical to uncoalesced
         execution), reserved in one pass (:meth:`Fabric.arrivals`).
         ``sources_local`` gives the member source ranks on this
         communicator, in issue order.  A burst that a waiting
@@ -954,17 +938,6 @@ class CommView:
     # ------------------------------------------------------------------
     # Coalescing replay (multi-member collective entry)
     # ------------------------------------------------------------------
-    def barrier_members(self, local_ranks):
-        """Generator: enter the next barrier once per represented member.
-
-        Used by a coalescing representative to stand in for every symmetric
-        member of its group: arrival counting and completion timing are
-        identical to each member entering on its own, but a contiguous
-        member range costs O(1) interpreted work per wave
-        (:meth:`Communicator.arrive`).
-        """
-        yield self.comm.arrive("barrier", local_ranks).event
-
     def split_members(self, local_ranks, color: int):
         """Generator: enter the next MPI_Comm_split once per member.
 

@@ -8,7 +8,7 @@ from .aggregation import (
     pick_aggregators,
     pick_node_aggregators,
 )
-from .file import MPIFile, SplitRequest
+from .file import MPIFile
 from .hints import Hints, TAM_MODES
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "pick_aggregators",
     "pick_node_aggregators",
     "MPIFile",
-    "SplitRequest",
     "Hints",
     "TAM_MODES",
 ]

@@ -1,14 +1,15 @@
-"""MPI-IO file interface: open, independent and collective writes, close.
+"""MPI-IO file interface: collective open, write and close.
 
-Implements the ROMIO subset the paper's three checkpoint approaches use:
+Implements the ROMIO subset the paper's collective approaches use (coIO,
+rbIO ``nf = 1``):
 
 - ``MPI_File_open`` — collective create/open over a communicator
-  (:meth:`MPIFile.open`), or independent ``MPI_COMM_SELF`` open
-  (:meth:`MPIFile.open_independent`, the rbIO nf=ng writer path).
-- ``MPI_File_write_at`` — independent write (:meth:`MPIFile.write_at`).
-- ``MPI_File_write_at_all_begin`` / ``_end`` — split-collective two-phase
-  write (:meth:`MPIFile.write_at_all_begin` / :meth:`write_at_all_end`),
-  with :meth:`write_at_all` as the blocking composition.
+  (:meth:`MPIFile.open`).
+- ``MPI_File_write_at_all`` — two-phase collective write
+  (:meth:`MPIFile.write_at_all`).  The paper's coIO calls
+  ``MPI_File_write_at_all_begin`` and ``_end`` back to back, which is this
+  call; the rbIO ``nf = ng`` writer's ``MPI_COMM_SELF`` file adds no
+  exchange, so it writes through :class:`~repro.storage.FSClient` itself.
 - ``MPI_File_close`` — collective close.
 
 The collective write follows BG/P ROMIO: access regions are exchanged, the
@@ -25,13 +26,12 @@ from typing import Any, Optional
 
 from ..buffers import ByteRope, overlay
 from ..mpi import CommView, RankContext
-from ..sim import Process
 from ..storage import FSClient, FileHandle
 from ..topology import NodeGroups
 from .aggregation import FlatExchange, TamExchange, plan_table
 from .hints import Hints
 
-__all__ = ["MPIFile", "SplitRequest", "SHUFFLE_TAG_BASE"]
+__all__ = ["MPIFile", "SHUFFLE_TAG_BASE"]
 
 #: Tag of collective call ``seq``'s shuffle messages is this plus ``seq``.
 SHUFFLE_TAG_BASE = 1 << 20
@@ -42,28 +42,13 @@ _TAM_TAG_BASE = 1 << 22
 _UNSET = object()
 
 
-class SplitRequest:
-    """Outstanding split-collective write (returned by write_at_all_begin)."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: Process) -> None:
-        self.process = process
-
-    @property
-    def complete(self) -> bool:
-        """Whether the split collective has finished."""
-        return not self.process.is_alive
-
-
 class MPIFile:
-    """An open MPI-IO file as seen by one rank.
+    """An open MPI-IO file as seen by one rank of its communicator.
 
-    Construct via the generator classmethods :meth:`open` (collective) or
-    :meth:`open_independent` (``MPI_COMM_SELF``).
+    Construct via the generator classmethod :meth:`open`.
     """
 
-    def __init__(self, comm: Optional[CommView], ctx: RankContext,
+    def __init__(self, comm: CommView, ctx: RankContext,
                  handle: FileHandle, path: str, hints: Hints) -> None:
         self.comm = comm
         self.fs: FSClient = ctx.fs
@@ -98,25 +83,6 @@ class MPIFile:
             handle = yield from ctx.fs.open(path, write=True)
         return cls(comm, ctx, handle, path, hints)
 
-    @classmethod
-    def open_independent(cls, ctx: RankContext, path: str,
-                         hints: Optional[Hints] = None):
-        """Generator: independent (MPI_COMM_SELF) create of ``path``.
-
-        This is the rbIO nf=ng writer path: one sole-owner file per writer,
-        no collective synchronization, no shared-file lock traffic.
-        """
-        handle = yield from ctx.fs.create(path)
-        return cls(None, ctx, handle, path, hints or Hints())
-
-    # ------------------------------------------------------------------
-    # Independent I/O
-    # ------------------------------------------------------------------
-    def write_at(self, offset: int, nbytes: int, payload: Optional[bytes] = None):
-        """Generator: independent write (MPI_File_write_at)."""
-        self._check_open()
-        yield from self.fs.write(self.handle, offset, nbytes, payload=payload)
-
     # ------------------------------------------------------------------
     # Collective I/O
     # ------------------------------------------------------------------
@@ -124,38 +90,14 @@ class MPIFile:
         """Generator: blocking collective write (two-phase).
 
         Runs the two-phase exchange inline in the calling rank's process:
-        unlike the split-collective begin/end pair there is nothing to
-        overlap, so spawning a dedicated process per rank per call (the
-        dominant object churn of coIO runs) would buy nothing.
+        there is nothing to overlap, so spawning a dedicated process per
+        rank per call (the dominant object churn of coIO runs) would buy
+        nothing.
         """
         self._check_open()
-        if self.comm is None:
-            raise RuntimeError("collective write on an independently opened file")
         seq = self._call_seq
         self._call_seq += 1
         yield from self._two_phase(seq, offset, nbytes, payload)
-
-    def write_at_all_begin(self, offset: int, nbytes: int,
-                           payload: Optional[bytes] = None) -> SplitRequest:
-        """Start a split-collective write; returns a :class:`SplitRequest`.
-
-        Every rank of the file's communicator must call begin (and later
-        end) in the same order.
-        """
-        self._check_open()
-        if self.comm is None:
-            raise RuntimeError("collective write on an independently opened file")
-        seq = self._call_seq
-        self._call_seq += 1
-        proc = self.fs.fs.engine.process(
-            self._two_phase(seq, offset, nbytes, payload),
-            name=f"waa-{self.path}-{seq}-r{self.comm.rank}",
-        )
-        return SplitRequest(proc)
-
-    def write_at_all_end(self, req: SplitRequest):
-        """Generator: complete a split-collective write."""
-        yield req.process
 
     def _two_phase(self, seq: int, offset: int, nbytes: int,
                    payload: Optional[bytes]):
@@ -298,8 +240,8 @@ class MPIFile:
     def _node_groups(self) -> Optional[NodeGroups]:
         """Node co-residency of the file's communicator, or ``None``.
 
-        ``None`` means the flat exchange runs: TAM is off, the file is
-        independently opened, or no node hosts two ranks (nothing to
+        ``None`` means the flat exchange runs: TAM is off, or no node
+        hosts two ranks (nothing to
         coalesce — ``tam="require"`` raises instead of degrading
         silently).  Cached per file; the communicator never changes.
         """
@@ -307,7 +249,7 @@ class MPIFile:
             return self._tam_groups_cache
         groups = None
         tam = self.hints.tam
-        if tam != "off" and self.comm is not None:
+        if tam != "off":
             cpn = self.fs.fs.config.cores_per_node
             candidate = NodeGroups(self.comm.comm.world_ranks, cpn)
             if candidate.nontrivial:
@@ -351,21 +293,20 @@ class MPIFile:
             pos += burst
         tr = self.tracer
         if tr is not None:
-            rank = self.fs.rank if self.comm is None else self.comm.world_rank
-            tr.span(rank, "commit", "mpiio", t_w0, eng.now, hi - lo,
+            tr.span(self.comm.world_rank, "commit", "mpiio", t_w0, eng.now, hi - lo,
                     args={"path": self.path, "domain": [dlo, dhi]})
 
     # ------------------------------------------------------------------
     # Closing
     # ------------------------------------------------------------------
     def close(self):
-        """Generator: close the file (collective when opened collectively)."""
+        """Generator: collective close."""
         self._check_open()
         self.closed = True
-        if self.comm is not None and self.comm.size > 1:
+        if self.comm.size > 1:
             yield from self.comm.barrier()
         yield from self.fs.close(self.handle)
-        if self.comm is not None and self.comm.size > 1:
+        if self.comm.size > 1:
             yield from self.comm.barrier()
 
     def _check_open(self) -> None:

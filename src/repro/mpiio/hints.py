@@ -13,7 +13,7 @@ intra-node aggregation mode (``tam``, after Kang et al., arXiv:1907.12656).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 __all__ = ["Hints", "TAM_MODES"]
 
@@ -21,14 +21,6 @@ __all__ = ["Hints", "TAM_MODES"]
 #: exchange, ``"auto"`` engages TAM whenever nodes host multiple ranks,
 #: ``"require"`` raises if TAM cannot engage (no co-resident ranks).
 TAM_MODES = ("off", "auto", "require")
-
-#: Hint keys :meth:`Hints.from_info` understands (ROMIO info-string style).
-_INFO_KEYS = ("cb_nodes", "cb_buffer_size", "bgp_nodes_pset", "tam",
-              "align_file_domains")
-
-_BOOL_WORDS = {"true": True, "enable": True, "1": True, "yes": True,
-               "false": False, "disable": False, "0": False, "no": False}
-
 
 @dataclass(frozen=True)
 class Hints:
@@ -89,47 +81,3 @@ class Hints:
     def with_(self, **changes) -> "Hints":
         """Copy with fields replaced."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_info(cls, info: Mapping[str, object],
-                  base: Optional["Hints"] = None) -> "Hints":
-        """Parse a ROMIO-style info dict (string values) into hints.
-
-        Unknown keys and invalid values raise ``ValueError`` naming the
-        offending key, matching MPI_Info semantics where silent typos are
-        the classic footgun.  ``base`` supplies defaults for keys the info
-        dict does not mention.
-        """
-        base = base if base is not None else cls()
-        changes: dict = {}
-        for key, raw in info.items():
-            if key not in _INFO_KEYS:
-                raise ValueError(
-                    f"unknown MPI-IO hint {key!r}; supported hints: "
-                    f"{list(_INFO_KEYS)}")
-            if key in ("cb_nodes", "cb_buffer_size", "bgp_nodes_pset"):
-                try:
-                    value = int(str(raw))
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"hint {key!r} needs an integer, got {raw!r}"
-                    ) from None
-                if value < 1:
-                    raise ValueError(f"hint {key!r} must be >= 1, got {value}")
-                changes[{"cb_nodes": "cb_nodes",
-                         "cb_buffer_size": "cb_buffer_size",
-                         "bgp_nodes_pset": "ranks_per_aggregator"}[key]] = value
-            elif key == "tam":
-                mode = str(raw)
-                if mode not in TAM_MODES:
-                    raise ValueError(
-                        f"hint 'tam' must be one of {TAM_MODES}, got {raw!r}")
-                changes["tam"] = mode
-            else:  # align_file_domains
-                word = str(raw).strip().lower()
-                if word not in _BOOL_WORDS:
-                    raise ValueError(
-                        f"hint 'align_file_domains' needs a boolean word "
-                        f"(true/false/enable/disable/1/0), got {raw!r}")
-                changes["align_file_domains"] = _BOOL_WORDS[word]
-        return base.with_(**changes) if changes else base

@@ -13,15 +13,12 @@ Public surface:
   :class:`~repro.sim.randomness.NoiseModel` — deterministic noise.
 - :class:`~repro.sim.monitor.Tally`, :class:`~repro.sim.monitor.TimeSeries`,
   :class:`~repro.sim.monitor.IntervalRecorder` — measurement helpers.
-- :class:`~repro.sim.coalesce.CoalescePlan`,
-  :class:`~repro.sim.coalesce.GroupPlan` — symmetry-aware rank coalescing.
 - :class:`~repro.sim.stages.StagedOp` — a blocking operation cut at its
   waits, runnable from a process or from event callbacks
   (:class:`~repro.sim.stages.HandOffError` when a stage hands a generator
   to the callback driver).
 """
 
-from .coalesce import CoalescePlan, GroupPlan
 from .engine import (
     AllOf,
     AnyOf,
@@ -44,8 +41,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Cohort",
-    "CoalescePlan",
-    "GroupPlan",
     "Engine",
     "HandOffError",
     "Event",

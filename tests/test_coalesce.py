@@ -225,25 +225,71 @@ def test_coalesce_spawns_fewer_processes():
     plan = strategy.coalesce_plan(64)
     assert plan is not None
     # 8 groups of 7 workers each -> 6 replayed per group eliminated.
-    reps = plan.rep_members()
-    assert sum(len(members) - 1 for members in reps.values()) == 8 * 6
-    assert all(members[0] == rep for rep, members in reps.items())
+    assert sum(len(members) - 1 for members in plan) == 8 * 6
+    assert all(type(members) is range for members in plan)
+
+
+def spawn_order(plan, n_ranks):
+    """Oracle of the runner's spawn sequence (the retired
+    ``CoalescePlan.spawn_order``): in world-rank order, ``(rep, members)``
+    for a representative, ``(rank, None)`` for a rank no group covers.
+    A contiguous group is stepped over, not tested rank by rank."""
+    reps = {members[0]: members for members in plan}
+    skip: set = set()  # members of groups that are not contiguous
+    r = 0
+    while r < n_ranks:
+        members = reps.get(r)
+        if members is None:
+            if r not in skip:
+                yield r, None
+        else:
+            yield r, members
+            if isinstance(members, range) and members.step == 1:
+                r = members.stop
+                continue
+            skip.update(members)
+        r += 1
 
 
 def test_spawn_order_steps_over_a_group_and_names_every_other_rank():
-    from repro.sim import CoalescePlan, GroupPlan
-
     plan = ReducedBlockingIO(workers_per_writer=8).coalesce_plan(20)
-    assert list(plan.spawn_order(20)) == [
+    assert list(spawn_order(plan, 20)) == [
         (0, None), (1, range(1, 8)), (8, None), (9, range(9, 16)),
         (16, None), (17, range(17, 20))]
-    # Members that are not contiguous are left out one by one.
-    scattered = CoalescePlan(
-        groups=(GroupPlan(1, (1, 3, 5)), GroupPlan(6, range(6, 8))),
-        worker_main=None)
-    assert list(scattered.spawn_order(9)) == [
-        (0, None), (1, (1, 3, 5)), (2, None), (4, None), (6, range(6, 8)),
-        (8, None)]
+    # The runner spawns exactly that sequence, for every plan idiom.
+    for strategy, n_ranks, config in (
+            (OneFilePerProcess(), 64, None),
+            (CollectiveIO(ranks_per_file=64), 256, None),
+            (CollectiveIO(ranks_per_file=None), 128, None),
+            (CollectiveIO(ranks_per_file=48), 128, None),  # ragged
+            # 20 ranks on 4 nodes: a power-of-two torus.
+            (ReducedBlockingIO(workers_per_writer=8), 20,
+             intrepid().with_(cores_per_node=5))):
+        run = run_checkpoint_step(strategy, n_ranks, shared_data(),
+                                  config=config,
+                                  run_config=RunConfig(coalesce="require"))
+        assert [r for r, _proc in run.job._rank_procs] == [
+            r for r, _members in spawn_order(
+                strategy.coalesce_plan(n_ranks), n_ranks)]
+
+
+@pytest.mark.parametrize("plan", [
+    (range(4, 8), range(0, 4)),
+    (range(0, 5), range(4, 8)),
+    (range(0, 40),),
+    (range(3, 3),),
+    (range(0, 8, 2),),
+    ([1, 2, 3],),
+], ids=["descending", "overlapping", "past_n_ranks", "empty", "strided",
+        "not_a_range"])
+def test_runner_rejects_a_malformed_plan(plan):
+    class Offers(OneFilePerProcess):
+        def coalesce_plan(self, n_ranks):
+            return plan
+
+    with pytest.raises(ValueError, match="coalesce plan"):
+        run_checkpoint_step(Offers(), 32, shared_data(),
+                            run_config=RunConfig(coalesce="auto"))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +307,18 @@ def test_flow_control_require_raises():
     with pytest.raises(ValueError, match="no plan"):
         run_checkpoint_step(strategy, 32, shared_data(),
                             run_config=RunConfig(coalesce="require"))
+
+
+@pytest.mark.parametrize("key", ["rbio_ng", "coio_64", "1pfpp"])
+def test_require_with_a_per_rank_builder_names_the_builder(key):
+    """The strategy offers a plan; the runner refuses it because a
+    per-rank builder may hand ranks different data, and says so."""
+    from repro.experiments.figures import strategy_for
+
+    d = shared_data()
+    with pytest.raises(ValueError, match="per-rank builder.*no plan"):
+        run_checkpoint_steps(strategy_for(key, 64), 64, lambda r: d,
+                             run_config=RunConfig(coalesce="require"))
 
 
 def test_per_rank_data_builder_disables_coalescing():
@@ -414,7 +472,7 @@ def test_coio_cohort_exact_under_a_full_trace(per_file, n_ranks,
     assert off.job.engine.now == on.job.engine.now
     assert records_of(off) == records_of(on)
     assert spans_of(off) == spans_of(on) and spans_of(on)
-    n_agg = len(coio(per_file).coalesce_plan(n_ranks).rep_members())
+    n_agg = len(coio(per_file).coalesce_plan(n_ranks))
     assert len(on.job._rank_procs) == 2 * n_agg  # aggregators + run reps
 
 
@@ -434,8 +492,8 @@ def test_coio_cohort_lets_go_of_each_closed_handle():
 
 
 def members_of(strategy, n_ranks):
-    return {m for group in strategy.coalesce_plan(n_ranks).groups
-            for m in group.members}
+    return {m for members in strategy.coalesce_plan(n_ranks)
+            for m in members}
 
 
 def member_isends(monkeypatch, strategy, n_ranks, data, **kwargs):
@@ -505,24 +563,23 @@ def test_coio_restore_after_a_coalesced_run(per_file):
 def test_coio_plan_shape():
     plan = coio(64).coalesce_plan(256)
     aggregators = {g * 64 + a for g in range(4) for a in pick_aggregators(64, 2)}
-    assert [g.members for g in plan.groups[:2]] == [
+    assert list(plan[:2]) == [
         range(1, 32), range(33, 64)]  # contiguous: a range, no rank objects
-    assert len(plan.groups) == 8
+    assert len(plan) == 8
     covered = set()
-    for g in plan.groups:
-        assert g.members == range(g.rep, g.rep + len(g.members))
-        assert covered.isdisjoint(g.members)
-        covered.update(g.members)
+    for members in plan:
+        assert type(members) is range and members.step == 1
+        assert covered.isdisjoint(members)
+        covered.update(members)
     assert covered == set(range(256)) - aggregators
     # nf=1: the 31-rank runs between the world communicator's aggregators.
     nf1 = coio(None).coalesce_plan(2048)
-    assert len(nf1.groups) == 64
-    assert all(len(g.members) == 31 and g.members[0] % 32 == 1
-               for g in nf1.groups)
+    assert len(nf1) == 64
+    assert all(len(members) == 31 and members[0] % 32 == 1
+               for members in nf1)
     # Ragged last file group: its own (smaller) communicator, own aggregators.
     ragged = coio(48).coalesce_plan(128)
-    assert [g.members for g in ragged.groups] == [
-        range(1, 48), range(49, 96), range(97, 128)]
+    assert list(ragged) == [range(1, 48), range(49, 96), range(97, 128)]
 
 
 def test_coio_offers_no_plan_without_a_flat_full_write_member():

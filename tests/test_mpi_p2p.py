@@ -485,7 +485,7 @@ def _degrade(eng):
 @pytest.mark.parametrize("armed", [False, True], ids=["plain", "net_degrade"])
 def test_message_in_flight_lands_at_now_plus_delay(armed):
     """``delivered_at`` is ``now + Fabric.delay(...)`` bit for bit, through
-    ``isend`` (eager and rendezvous) and ``post`` alike; a twin fabric that
+    ``isend`` (eager and rendezvous) and ``post_members`` alike; a twin fabric that
     makes the same reservations gives the delays."""
     eng = Engine()
     fabric, twin = Fabric(eng, QUIET, 16), Fabric(eng, QUIET, 16)
@@ -499,7 +499,7 @@ def test_message_in_flight_lands_at_now_plus_delay(armed):
         for k, (src, dst, nbytes) in enumerate(_PAIRS):
             want.append((k, (eng.now + twin.delay(src, dst, nbytes)).hex()))
             if k % 2:
-                comm.view(src).post(dst, nbytes, tag=k)
+                comm.view(src).post_members((src,), dst, nbytes, tag=k)
             else:
                 comm.view(src).isend(dst, nbytes, tag=k)
             if k % 3 == 2:
@@ -532,7 +532,7 @@ def test_same_instant_messages_fire_in_creation_order():
             req = comm.view(src).isend(0, nbytes, tag=k)
             assert isinstance(req.event, Message)
             req.event.callbacks.append(log(k))
-        comm.view(2).post(0, nbytes, tag=4)
+        comm.view(2).post_members((2,), 0, nbytes, tag=4)
         eng.timeout(delay).callbacks.append(log("after"))
 
     eng.process(sender())
@@ -657,7 +657,8 @@ def _posted(bulk, burst, expect, nbytes, recv_at, receiver_first,
                                       payload="burst")
         else:
             for src in burst:
-                comm.view(src).post(0, nbytes, tag=_TAG, payload="burst")
+                comm.view(src).post_members((src,), 0, nbytes, tag=_TAG,
+                                            payload="burst")
 
     def isend(at, rank, tag, size, body):
         yield eng.timeout(at)
@@ -823,7 +824,7 @@ def test_an_arrival_goes_before_a_look_again_at_its_instant(bulk):
             comm.view(0).post_members(burst, 0, 1 << 20, tag=_TAG)
         else:
             for src in burst:
-                comm.view(src).post(0, 1 << 20, tag=_TAG)
+                comm.view(src).post_members((src,), 0, 1 << 20, tag=_TAG)
 
     def timer():
         yield eng.timeout(_T_POST + 2.0 ** -12)  # after the post

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RunConfig
-from repro.ckpt import CheckpointData, CollectiveIO, Field
+from repro.ckpt import CheckpointData, CollectiveIO, Field, ReducedBlockingIO
 from repro.experiments import run_checkpoint_steps
 from repro.mpi import Job
 from repro.mpiio import (
@@ -70,48 +70,6 @@ def test_hints_cb_nodes_validation():
         Hints(cb_nodes=0)
     with pytest.raises(ValueError):
         Hints(tam="always")
-
-
-def test_hints_from_info_parses_romio_keys():
-    h = Hints.from_info({
-        "cb_nodes": "16",
-        "cb_buffer_size": "8388608",
-        "bgp_nodes_pset": "64",
-        "tam": "auto",
-        "align_file_domains": "false",
-    })
-    assert h.cb_nodes == 16
-    assert h.cb_buffer_size == 8388608
-    assert h.ranks_per_aggregator == 64
-    assert h.tam == "auto"
-    assert h.align_file_domains is False
-
-
-def test_hints_from_info_layers_on_base():
-    base = Hints(ranks_per_aggregator=8, tam="require")
-    h = Hints.from_info({"cb_nodes": 3}, base=base)
-    assert h.ranks_per_aggregator == 8   # untouched base field
-    assert h.tam == "require"
-    assert h.cb_nodes == 3
-
-
-@pytest.mark.parametrize("info", [
-    {"cb_nodes": "zero"},
-    {"cb_nodes": 0},
-    {"cb_buffer_size": -1},
-    {"bgp_nodes_pset": "many"},
-    {"tam": "maybe"},
-    {"align_file_domains": "sometimes"},
-])
-def test_hints_from_info_invalid_values_name_the_key(info):
-    (key,) = info
-    with pytest.raises(ValueError, match=key):
-        Hints.from_info(info)
-
-
-def test_hints_from_info_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="romio_no_indep_rw"):
-        Hints.from_info({"romio_no_indep_rw": "true"})
 
 
 # ---------------------------------------------------------------------------
@@ -343,51 +301,47 @@ def test_flat_exchange_is_the_per_rank_geometry_built_once():
 
 
 # ---------------------------------------------------------------------------
-# MPIFile: independent path
+# Sole-owner files: the rbIO nf=ng writer calls the file system itself
 # ---------------------------------------------------------------------------
 
 def test_independent_open_write_read_roundtrip():
     data = np.arange(1000, dtype=np.float64).tobytes()
+    strategy = ReducedBlockingIO(writer_buffer=3000)  # three bursts
 
     def main(ctx):
         if ctx.rank != 0:
             return None
-        f = yield from MPIFile.open_independent(ctx, "/out/self.dat")
-        yield from f.write_at(0, len(data), payload=data)
-        got = yield from ctx.fs.read(f.handle, 0, len(data))
-        yield from f.close()
-        return got
+        yield from strategy._commit_private(ctx, "/out/self.dat",
+                                            [(0, len(data), data)])
+        handle = yield from ctx.fs.open("/out/self.dat")
+        return (yield from ctx.fs.read(handle, 0, len(data)))
 
-    _, _, results = run_job(main, 4)
+    _, fs, results = run_job(main, 4)
     assert results[0] == data
+    assert fs.stats()["files"] == 1
 
 
 def test_independent_file_is_sole_owner():
-    def main(ctx):
-        f = yield from MPIFile.open_independent(ctx, f"/out/w{ctx.rank}.dat")
-        yield from f.write_at(0, 1 << 20)
-        yield from f.close()
-
-    _, fs, _ = run_job(main, 4)
-    assert fs.revocations == 0
-    assert fs.storms == 0
-    assert fs.stats()["files"] == 4
+    strategy = ReducedBlockingIO(workers_per_writer=4)
+    run = run_checkpoint_steps(strategy, 16, CheckpointData.synthetic([4096] * 3),
+                               config=QUIET)
+    assert run.fs.revocations == 0
+    assert run.fs.storms == 0
+    assert run.fs.stats()["files"] == strategy.n_groups(16) == 4
 
 
 def test_write_on_closed_file_raises():
     def main(ctx):
-        if ctx.rank != 0:
-            return None
-        f = yield from MPIFile.open_independent(ctx, "/f")
+        f = yield from MPIFile.open(ctx, ctx.comm, "/f")
         yield from f.close()
         try:
-            yield from f.write_at(0, 10)
+            yield from f.write_at_all(0, 10)
         except RuntimeError:
             return "raised"
         return "no"
 
     _, _, results = run_job(main, 4)
-    assert results[0] == "raised"
+    assert set(results.values()) == {"raised"}
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +397,6 @@ def test_collective_write_all_ranks_return_together():
     assert len(set(results.values())) == 1  # collective: synchronized exit
 
 
-def test_split_collective_overlaps_other_work():
-    """Between begin and end, ranks can do unrelated work."""
-    n = 4
-    marks = {}
-
-    def main(ctx):
-        f = yield from MPIFile.open(ctx, ctx.comm, "/s")
-        req = f.write_at_all_begin(ctx.rank * (1 << 20), 1 << 20)
-        # Simulated computation while I/O is in flight.
-        yield ctx.engine.timeout(0.001)
-        marks[ctx.rank] = ctx.engine.now
-        yield from f.write_at_all_end(req)
-        yield from f.close()
-        return ctx.engine.now
-
-    _, _, results = run_job(main, n)
-    for r in range(n):
-        assert marks[r] <= results[r]
-
-
 def test_collective_write_empty_regions_everywhere():
     def main(ctx):
         f = yield from MPIFile.open(ctx, ctx.comm, "/s")
@@ -515,21 +449,6 @@ def test_collective_on_subcommunicator():
     g1 = fs.file("/out/g1.dat").read_extents(0, 400)
     assert [g0[i * 100] for i in range(4)] == [0, 1, 2, 3]
     assert [g1[i * 100] for i in range(4)] == [4, 5, 6, 7]
-
-
-def test_collective_write_on_independent_file_raises():
-    def main(ctx):
-        if ctx.rank != 0:
-            return None
-        f = yield from MPIFile.open_independent(ctx, "/f")
-        try:
-            f.write_at_all_begin(0, 10)
-        except RuntimeError:
-            return "raised"
-        return "no"
-
-    _, _, results = run_job(main, 4)
-    assert results[0] == "raised"
 
 
 def test_aggregator_writes_use_multiple_bursts():
