@@ -229,9 +229,14 @@ class ByteRope:
             hi = min(len(seg), stop - s0)
             yield seg if lo == 0 and hi == len(seg) else seg[lo:hi]
 
-    def iter_segments(self) -> Iterator[memoryview]:
-        """The underlying segment views, in order."""
-        return iter(self._segments)
+    def iter_segments(self, start: int = 0, stop: Optional[int] = None
+                      ) -> Iterator[memoryview]:
+        """The segment views covering ``[start, stop)`` (default: all of
+        the rope), in order; a read, never a counted copy."""
+        if start <= 0 and (stop is None or stop >= self._length):
+            return iter(self._segments)
+        stop = self._length if stop is None else stop
+        return self._iter_range(max(0, start), stop)
 
     # -- content ops -------------------------------------------------------
     def crc32(self, value: int = 0) -> int:

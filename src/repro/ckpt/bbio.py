@@ -143,9 +143,9 @@ class BurstBufferIO(ReducedBlockingIO):
         degraded generation is always a plain full write without a
         manifest.
         """
-        layout, image, member_sizes, member_payloads = gathered
+        layout, image, packages = gathered
         delta = (self._delta_active(data)
-                 and len(member_sizes) == cache["gcomm"].size)
+                 and len(packages) == cache["gcomm"].size)
         eng = ctx.engine
         svc = self._service(ctx)
         buf = svc.buffer_for(ctx.rank)
@@ -165,8 +165,8 @@ class BurstBufferIO(ReducedBlockingIO):
                                     layout=layout, image=image)
                 if delta:
                     pieces, blob = yield from plan_delta(
-                        self, ctx, zip(range(len(member_sizes)),
-                                       member_sizes, member_payloads),
+                        self, ctx,
+                        [(m, *pkg) for m, pkg in enumerate(packages)],
                         step, data.header_bytes, span_dedup=True)
                     pkg.pfs_commits = (
                         (path, tuple(pieces)),

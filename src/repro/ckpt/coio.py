@@ -200,7 +200,7 @@ class CollectiveIO(CheckpointStrategy):
         if self._delta_active(data):
             pieces, manifest = yield from plan_delta(
                 self, ctx,
-                [(comm.rank, data.field_sizes, data.concatenated_payload())],
+                [(comm.rank, *data.package())],
                 step, data.header_bytes, comm=comm)
         else:
             layout: FileLayout = yield from comm.allgather(

@@ -19,6 +19,9 @@ from ..buffers import ByteRope, BytesLike, concat_once
 
 __all__ = ["Field", "CheckpointData", "EvolvingData", "BoundEvolvingData"]
 
+#: ``(since, spans)``: payload byte spans rewritten since step ``since``.
+Rewritten = tuple[int, tuple[tuple[int, int], ...]]
+
 
 def _random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     """The ``n`` uniform bytes ``rng.integers`` would draw as ``uint8``.
@@ -83,9 +86,16 @@ class CheckpointData:
         Size of the per-file master header (application name, version,
         offset table...).  Written once per output file by that file's
         first writer.
+    rewritten:
+        What the builder states it rewrote: ``(since, spans)``, the
+        half-open byte spans of the concatenated payload that may differ
+        from this rank's state at step ``since`` (every other byte is
+        unchanged).  ``None`` states nothing.  Delta planning re-chunks
+        only those spans when its parent generation is step ``since``.
     """
 
-    def __init__(self, fields: Sequence[Field], header_bytes: int = 4096) -> None:
+    def __init__(self, fields: Sequence[Field], header_bytes: int = 4096,
+                 rewritten: Optional[Rewritten] = None) -> None:
         if header_bytes < 0:
             raise ValueError(f"negative header size: {header_bytes}")
         self.fields = list(fields)
@@ -93,6 +103,7 @@ class CheckpointData:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names: {names}")
         self.header_bytes = header_bytes
+        self.rewritten = rewritten
 
     @property
     def n_fields(self) -> int:
@@ -126,6 +137,11 @@ class CheckpointData:
         if not self.has_payload:
             return None
         return concat_once(self, [f.payload for f in self.fields])
+
+    def package(self) -> tuple:
+        """``(field_sizes, payload, rewritten)``: what a worker ships to its
+        writer, and a member entry of a delta plan after the member id."""
+        return (self.field_sizes, self.concatenated_payload(), self.rewritten)
 
     @classmethod
     def synthetic(cls, bytes_per_field: Sequence[int],
@@ -204,7 +220,9 @@ class EvolvingData:
         Each step's state is one read-only array; its fields are read-only
         ``memoryview`` slices of it, so no payload byte is copied before
         the file-system commit, and a later step (a fresh array) never
-        aliases an earlier step's views.
+        aliases an earlier step's views.  A later step states its region
+        as rewritten since the step before (two spans when it wraps);
+        step 0 states nothing.
         """
         if not 0.0 <= mutated_fraction <= 1.0:
             raise ValueError(
@@ -216,12 +234,13 @@ class EvolvingData:
         total = shape.total_bytes
         mut_len = int(total * mutated_fraction)
 
-        def advance(state: "np.ndarray", rank: int, step: int
-                    ) -> "np.ndarray":
+        def advance(state: "np.ndarray", rank: int, step: int):
+            """``(state, rewritten)`` of ``step`` from ``step - 1``'s state."""
             if step == 0:
                 out = _random_bytes(np.random.default_rng((seed, rank)), total)
+                rewritten = None
             elif mut_len == 0:
-                return state
+                return state, (step - 1, ())
             else:
                 rng = np.random.default_rng((seed, rank, step))
                 start = int(rng.integers(0, total))
@@ -230,20 +249,23 @@ class EvolvingData:
                 end = start + mut_len
                 if end <= total:
                     out[start:end] = fresh
+                    rewritten = (step - 1, ((start, end),))
                 else:
                     out[start:] = fresh[: total - start]
                     out[: end - total] = fresh[total - start :]
+                    rewritten = (step - 1, ((0, end - total), (start, total)))
             out.setflags(write=False)
-            return out
+            return out, rewritten
 
-        def fields_of(state: "np.ndarray") -> CheckpointData:
+        def fields_of(state: "np.ndarray", rewritten) -> CheckpointData:
             view = memoryview(state)  # read-only: advance froze the array
             fields = []
             pos = 0
             for name, nbytes in zip(names, sizes):
                 fields.append(Field(name, nbytes, view[pos : pos + nbytes]))
                 pos += nbytes
-            return CheckpointData(fields, header_bytes=header_bytes)
+            return CheckpointData(fields, header_bytes=header_bytes,
+                                  rewritten=rewritten)
 
         return cls(_MutatingFn(advance, fields_of), layout=shape)
 
@@ -251,27 +273,28 @@ class EvolvingData:
 class _MutatingFn:
     """Stateful ``(rank, step) -> CheckpointData`` for cumulative mutation.
 
-    Keeps only the current state array per rank and advances it forward;
-    a request for an earlier step replays from step 0.  This bounds RAM to
-    one state per bound rank instead of one per (rank, step).
+    Keeps only the current state array (and what its step rewrote) per
+    rank and advances it forward; a request for an earlier step replays
+    from step 0.  This bounds RAM to one state per bound rank instead of
+    one per (rank, step).
     """
 
     def __init__(self, advance, fields_of) -> None:
         self._advance = advance
         self._fields_of = fields_of
-        self._state: dict[int, tuple[int, object]] = {}
+        self._state: dict[int, tuple[int, object, object]] = {}
 
     def __call__(self, rank: int, step: int) -> CheckpointData:
         cached = self._state.get(rank)
         if cached is None or cached[0] > step:
-            at, state = -1, None
+            at, state, rewritten = -1, None, None
         else:
-            at, state = cached
+            at, state, rewritten = cached
         while at < step:
             at += 1
-            state = self._advance(state, rank, at)
-        self._state[rank] = (at, state)
-        return self._fields_of(state)
+            state, rewritten = self._advance(state, rank, at)
+        self._state[rank] = (at, state, rewritten)
+        return self._fields_of(state, rewritten)
 
 
 class BoundEvolvingData:

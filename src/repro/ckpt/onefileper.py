@@ -177,7 +177,7 @@ class _Checkpoint(StagedOp):
             return self._create()
         self.then = _Checkpoint._planned
         return plan_delta(self.strategy, self.sink,
-                          [(0, data.field_sizes, data.concatenated_payload())],
+                          [(0, *data.package())],
                           self.step, data.header_bytes)
 
     def _planned(self):

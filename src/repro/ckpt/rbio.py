@@ -218,7 +218,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             t0 = eng.now
             tag = _PKG_TAG_BASE + step
             ttag = _TAM_TAG_BASE + step
-            package = (tuple(data.field_sizes), data.concatenated_payload())
+            package = data.package()
             # One bulk call posts every co-located member's package to the
             # writer (group-local rank 0); transfers are still issued per
             # member in member order, so the writer-side incast is
@@ -236,7 +236,7 @@ class ReducedBlockingIO(CheckpointStrategy):
                     msg.payload
                     for msg in (yield from gviews[world[lead0]].recv_all(
                         groups.members_of[lead0][1:], ttag))]
-                total = sum(sum(sizes) for _, (sizes, _p) in parts0)
+                total = sum(sum(pkg[0]) for _, pkg in parts0)
                 for lead in leads:
                     parts = ([(lead, package)]
                              + [(src, package)
@@ -411,7 +411,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             cache["outstanding"] = outstanding + 1
         me = comm.rank
         lead = 0 if groups is None else groups.leader_of[me]
-        package = (tuple(data.field_sizes), data.concatenated_payload())
+        package = data.package()
         if lead == 0:
             req = comm.isend(dest, data.total_bytes, tag=_PKG_TAG_BASE + step,
                              payload=package, buffered=True)
@@ -423,7 +423,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             parts = [(me, package)] + [
                 msg.payload for msg in (yield from comm.recv_all(
                     groups.members_of[me][1:], _TAM_TAG_BASE + step))]
-            total = sum(sum(sizes) for _, (sizes, _p) in parts)
+            total = sum(sum(pkg[0]) for _, pkg in parts)
             ctx.job.fabric.count_tam(len(parts))
             req = comm.isend(dest, total, tag=_PKG_TAG_BASE + step,
                              payload=parts, buffered=True)
@@ -447,15 +447,16 @@ class ReducedBlockingIO(CheckpointStrategy):
         rebuilt in group-rank order — layout and image are byte-identical
         to the flat gather's, only the message count differs.
 
-        Returns ``(layout, image, member_sizes, member_payloads)`` — the
-        group's :class:`FileLayout`, the assembled field-major file image
-        (``None`` in size-only runs), and the raw per-member packages.
+        Returns ``(layout, image, packages)`` — the group's
+        :class:`FileLayout`, the assembled field-major file image (``None``
+        in size-only runs), and the raw per-member packages
+        (:meth:`CheckpointData.package`), in group-rank order.
         Shared by rbIO's synchronous commit and bbIO's staged commit.
         """
         eng = ctx.engine
         tag = _PKG_TAG_BASE + step
         t_g0 = eng.now
-        packages = [(tuple(data.field_sizes), data.concatenated_payload())]
+        packages = [data.package()]
         if groups is None:
             packages += [msg.payload for msg in
                          (yield from gcomm.recv_all(alive, tag))]
@@ -467,8 +468,8 @@ class ReducedBlockingIO(CheckpointStrategy):
             for msg in msgs[len(local):]:
                 by_rank.update(msg.payload)
             packages += [by_rank[src] for src in alive]
-        member_sizes = [tuple(sizes) for sizes, _payload in packages]
-        member_payloads = [payload for _sizes, payload in packages]
+        member_sizes = [tuple(pkg[0]) for pkg in packages]
+        member_payloads = [pkg[1] for pkg in packages]
         group_bytes = sum(sum(s) for s in member_sizes)
         if groups is not None:
             self._span(ctx, "tam-gather", t_g0, eng.now, group_bytes,
@@ -481,7 +482,7 @@ class ReducedBlockingIO(CheckpointStrategy):
                    step=step)
         layout = FileLayout(data.header_bytes, [list(s) for s in member_sizes])
         image = self._field_major_image(layout, member_sizes, member_payloads)
-        return layout, image, member_sizes, member_payloads
+        return layout, image, packages
 
     @classmethod
     def _field_major_image(cls, layout: FileLayout, member_sizes,
@@ -626,16 +627,15 @@ class ReducedBlockingIO(CheckpointStrategy):
         survivors skip this generation's shared commit entirely (restore
         falls back past it).
         """
-        layout, image, member_sizes, member_payloads = gathered
+        layout, image, packages = gathered
         header_bytes = data.header_bytes
-        complete = len(member_sizes) == cache["gcomm"].size
+        complete = len(packages) == cache["gcomm"].size
         manifest = None
         if not self.single_file:
             pieces = [(0, layout.total_size, image)]
             if self._delta_active(data) and complete:
                 pieces, manifest = yield from plan_delta(
-                    self, ctx, zip(range(len(member_sizes)), member_sizes,
-                                   member_payloads),
+                    self, ctx, [(m, *pkg) for m, pkg in enumerate(packages)],
                     step, header_bytes, span_dedup=True)
             path = self.file_path(basedir, step, self.group_of(ctx.rank))
             yield from self._commit_private(ctx, path, pieces, manifest)
@@ -645,8 +645,8 @@ class ReducedBlockingIO(CheckpointStrategy):
             if delta:
                 # Members are keyed by world rank in the one manifest.
                 pieces, manifest = yield from plan_delta(
-                    self, ctx, zip(range(ctx.rank, ctx.rank + len(member_sizes)),
-                                   member_sizes, member_payloads),
+                    self, ctx, [(m, *pkg) for m, pkg in
+                                enumerate(packages, start=ctx.rank)],
                     step, header_bytes, comm=wcomm, span_dedup=True)
             # A delta is placed before the file is opened, a full write
             # with it open: each keeps the order it has always had.
@@ -654,11 +654,10 @@ class ReducedBlockingIO(CheckpointStrategy):
                 ctx, wcomm, self.shared_path(basedir, step), hints=self.hints)
             if not delta:
                 pieces = yield from self._plan_shared(
-                    wcomm, member_sizes, member_payloads, header_bytes)
+                    wcomm, packages, header_bytes)
             yield from self._commit_shared(ctx, f, pieces, manifest)
 
-    def _plan_shared(self, wcomm, member_sizes, member_payloads,
-                     header_bytes: int):
+    def _plan_shared(self, wcomm, packages, header_bytes: int):
         """Generator: the full-write plan of one group in the shared file.
 
         The field-major layout forces one piece per field: the group's
@@ -674,11 +673,12 @@ class ReducedBlockingIO(CheckpointStrategy):
             return firsts, FileLayout(
                 header_bytes, [s for group in lists for s in group])
 
+        member_sizes = [pkg[0] for pkg in packages]
         firsts, layout = yield from wcomm.allgather(
             [list(s) for s in member_sizes],
             nbytes=8 * len(member_sizes[0]) * len(member_sizes),
             map_fn=global_layout)
-        blocks = self._field_blocks(member_sizes, member_payloads)
+        blocks = self._field_blocks(member_sizes, [pkg[1] for pkg in packages])
         hdr = zeros(header_bytes) if blocks is not None else None
         pieces = header_piece(wcomm.rank, header_bytes, hdr)
         for fidx in range(len(member_sizes[0])):

@@ -166,9 +166,15 @@ class RunSummary:
             doc, approach=str, params=dict, n_ranks=int, role_names=list,
             columns=dict, write_intervals=dict, fs_stats=dict,
             bytes_copied=int)
+        ranks, *cols = _fields(columns, **dict.fromkeys(_RESULT_COLUMNS, dict))
+        # The one column sized by the document itself: check n_ranks
+        # against it before anything is allocated from n_ranks.
+        ranks = _decode(ranks, np.dtype("i8"))
+        if n_ranks != len(ranks):
+            raise ValueError(f"n_ranks {n_ranks} != {len(ranks)} ranks")
         table = ReportTable(1, n_ranks)
-        for name, col in zip(_RESULT_COLUMNS, _fields(
-                columns, **dict.fromkeys(_RESULT_COLUMNS, dict))):
+        table.ranks[...] = ranks
+        for name, col in zip(_RESULT_COLUMNS[1:], cols):
             target = getattr(table, name)
             target[...] = _decode(col, target.dtype, n_ranks)
         if (not all(isinstance(r, str) for r in role_names)

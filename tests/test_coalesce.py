@@ -777,7 +777,8 @@ class _OracleOneFilePerProcess(OneFilePerProcess):
         manifest = None
         if self._delta_active(data):
             pieces, manifest = yield from plan_delta(
-                self, ctx, [(0, data.field_sizes, data.concatenated_payload())],
+                self, ctx,
+                [(0, data.field_sizes, data.concatenated_payload(), None)],
                 step, data.header_bytes)
         else:
             pieces = [(0, data.header_bytes + data.total_bytes,

@@ -390,11 +390,16 @@ def test_a_json_entry_of_another_shape_is_a_miss(disk_cached):
             shape=[0], data="")),
         edited(lambda d: d.update(n_ranks="256")),
         edited(lambda d: d.update(role_names=[1, 2])),
+        # n_ranks off its columns' length, however large: a miss, never an
+        # allocation sized by the damaged number.
+        edited(lambda d: d.update(n_ranks=-1)),
+        edited(lambda d: d.update(n_ranks=10**11)),
+        edited(lambda d: d.update(n_ranks=2**62)),
     ]
     for bad in bad_docs:
         with pytest.raises(ValueError):
             RunSummary.from_json(bad)
-    for bad in bad_docs[3:5]:
+    for bad in bad_docs[3:5] + bad_docs[-3:]:
         cache.put(key, bad)
         clear_cache()
         again = get_run("rbio_ng", 256, seed=5)
