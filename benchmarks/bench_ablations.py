@@ -19,7 +19,7 @@ import pytest
 from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import get_run, paper_data, run_checkpoint_step, scaled_problem
+from repro.experiments import get_run, paper_data, run_checkpoint_steps, scaled_problem
 from repro.mpiio import Hints
 from repro.topology import intrepid
 
@@ -35,7 +35,7 @@ def test_ablation_noise_storms(benchmark):
     """Without shared-load noise the coIO 64:1 collapse at 64K vanishes."""
     def run():
         noisy = get_run("coio_64", NP_BIG).result
-        quiet = run_checkpoint_step(
+        quiet = run_checkpoint_steps(
             CollectiveIO(ranks_per_file=64), NP_BIG, _data(NP_BIG),
             config=intrepid().quiet(),
         ).result
@@ -70,7 +70,7 @@ def test_ablation_alignment(benchmark):
     def run():
         out = {}
         for aligned in (True, False):
-            run_ = run_checkpoint_step(
+            run_ = run_checkpoint_steps(
                 CollectiveIO(ranks_per_file=None,
                              hints=Hints(align_file_domains=aligned)),
                 NP_MID, _data(NP_MID), config=intrepid().quiet(),
@@ -146,11 +146,11 @@ def test_ablation_writer_buffer(benchmark):
     def run():
         out = {}
         for buf in buffers:
-            out[buf] = run_checkpoint_step(
+            out[buf] = run_checkpoint_steps(
                 ReducedBlockingIO(workers_per_writer=64, writer_buffer=buf),
                 NP_MID, _data(NP_MID), config=intrepid().quiet(),
             ).result
-        out["nf1"] = run_checkpoint_step(
+        out["nf1"] = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=64, single_file=True),
             NP_MID, _data(NP_MID), config=intrepid().quiet(),
         ).result

@@ -12,7 +12,7 @@ could vary from one file system to another".
 from _common import PAPER_SCALE, SMOKE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import paper_data, run_checkpoint_step, scaled_problem
+from repro.experiments import paper_data, run_checkpoint_steps, scaled_problem
 
 NP = bench_np(16384, 2048)
 if PAPER_SCALE:
@@ -36,13 +36,13 @@ def test_ext_lustre_file_sweep(benchmark):
             if wpw < 2:
                 continue
             for fs_type in ("gpfs", "lustre"):
-                out[fs_type][nf] = run_checkpoint_step(
+                out[fs_type][nf] = run_checkpoint_steps(
                     ReducedBlockingIO(workers_per_writer=wpw), NP, data,
                     fs_type=fs_type,
                 ).result.write_bandwidth / 1e9
         # Shared-file collective baseline on both.
         for fs_type in ("gpfs", "lustre"):
-            out[fs_type]["nf=1 coIO"] = run_checkpoint_step(
+            out[fs_type]["nf=1 coIO"] = run_checkpoint_steps(
                 CollectiveIO(ranks_per_file=None), NP, data,
                 fs_type=fs_type,
             ).result.write_bandwidth / 1e9

@@ -19,7 +19,7 @@ comparison is clean:
 from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import get_run, paper_data, run_checkpoint_step, scaled_problem
+from repro.experiments import get_run, paper_data, run_checkpoint_steps, scaled_problem
 
 NP = bench_np(65536, 4096)
 
@@ -44,7 +44,7 @@ def test_ext_pvfs_comparison(benchmark):
             # GPFS side: shared with the Figs. 5-7 measurement campaign.
             res = get_run(cache_key, NP).result
             out["gpfs"][label] = res.write_bandwidth / 1e9
-            out["pvfs"][label] = run_checkpoint_step(
+            out["pvfs"][label] = run_checkpoint_steps(
                 _strategy_for(label), NP, data, fs_type="pvfs"
             ).result.write_bandwidth / 1e9
         return out

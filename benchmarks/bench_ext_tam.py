@@ -26,7 +26,7 @@ than the flat protocol.
 from _common import PAPER_SCALE, SMOKE, bench_record, print_series
 
 from repro.ckpt import CollectiveIO
-from repro.experiments import run_checkpoint_step
+from repro.experiments import run_checkpoint_steps
 from repro.experiments.figures import problem_for, strategy_for
 from repro.mpiio import Hints
 from repro.topology import intrepid
@@ -63,8 +63,8 @@ _KEYS = ("fabric.msgs_intra", "fabric.msgs_inter",
 
 def _cell(strategy, n_ranks: int) -> dict:
     """Run one checkpoint step; return fabric counters + headline timing."""
-    run = run_checkpoint_step(strategy, n_ranks,
-                              problem_for(n_ranks).data(), config=QUIET)
+    run = run_checkpoint_steps(strategy, n_ranks,
+                               problem_for(n_ranks).data(), config=QUIET)
     metrics = run.job.metrics()
     out = {k: metrics.get(k) for k in _KEYS}
     out["gbps"] = run.result.write_bandwidth / 1e9

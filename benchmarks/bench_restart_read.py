@@ -10,7 +10,7 @@ single-file layout restores far faster than it wrote.
 from _common import PAPER_SCALE, bench_np, bench_record, print_series
 
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
-from repro.experiments import paper_data, run_checkpoint_and_restore, scaled_problem
+from repro.experiments import paper_data, run_checkpoint_steps, scaled_problem
 
 NP = bench_np(16384, 2048)
 
@@ -25,7 +25,9 @@ def test_restart_read(benchmark):
             ("coIO 64:1", CollectiveIO(ranks_per_file=64)),
             ("rbIO nf=ng", ReducedBlockingIO(workers_per_writer=64)),
         ]:
-            out[label] = run_checkpoint_and_restore(strategy, NP, data)
+            out[label] = run = run_checkpoint_steps(strategy, NP, data)
+            run.restore()
+            run.job.close()
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -33,9 +35,9 @@ def test_restart_read(benchmark):
     for label, r in out.items():
         rows.append([
             label,
-            f"{r['checkpoint'].overall_time:.2f} s",
-            f"{r['restore_seconds']:.2f} s",
-            f"{r['restore_bandwidth']/1e9:.2f} GB/s",
+            f"{r.result.overall_time:.2f} s",
+            f"{r.restore_seconds:.2f} s",
+            f"{NP * data.total_bytes / r.restore_seconds / 1e9:.2f} GB/s",
         ])
     print_series(
         f"Restart read, np={NP}",
@@ -44,12 +46,13 @@ def test_restart_read(benchmark):
     )
 
     bench_record("restart_read", n_ranks=NP, restore_s={
-        label: r["restore_seconds"] for label, r in out.items()
+        label: r.restore_seconds for label, r in out.items()
     })
     for label, r in out.items():
-        assert r["restore_seconds"] > 0
-        assert max(r["per_rank_restore"].values()) <= r["restore_seconds"] * 1.01
+        assert r.restore_seconds > 0
+        assert max(b - a for a, b in r.restore_windows.values()) \
+            <= r.restore_seconds * 1.01
     if PAPER_SCALE:
         # Restart avoids the write-side pathologies: far faster than the
         # 1PFPP write path once the metadata storm exists.
-        assert out["1PFPP"]["restore_seconds"] < out["1PFPP"]["checkpoint"].overall_time / 3
+        assert out["1PFPP"].restore_seconds < out["1PFPP"].result.overall_time / 3

@@ -14,7 +14,7 @@ Run:  python examples/io_tuning_sweep.py [n_ranks]
 import sys
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import PAPER_SIZES, paper_data, run_checkpoint_step, scaled_problem
+from repro.experiments import PAPER_SIZES, paper_data, run_checkpoint_steps, scaled_problem
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
     nf = 64
     while nf <= n_ranks // 4:
         wpw = n_ranks // nf
-        res = run_checkpoint_step(
+        res = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=wpw), n_ranks, data
         ).result
         bw = res.write_bandwidth / 1e9
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"{'ranks/file':>12} {'nf':>8} {'bandwidth':>12} {'step time':>10}")
     for ranks_per_file in (None, 256, 64, 16):
         strategy = CollectiveIO(ranks_per_file=ranks_per_file)
-        res = run_checkpoint_step(strategy, n_ranks, data).result
+        res = run_checkpoint_steps(strategy, n_ranks, data).result
         nf = 1 if ranks_per_file is None else n_ranks // ranks_per_file
         label = "all (nf=1)" if ranks_per_file is None else str(ranks_per_file)
         print(f"{label:>12} {nf:>8} {res.write_bandwidth/1e9:>9.2f} GB/s "
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"{'np:ng':>8} {'writers':>8} {'bandwidth':>12} {'perceived':>12} "
           f"{'blocked':>10}")
     for wpw in (64, 32, 16):
-        res = run_checkpoint_step(
+        res = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=wpw), n_ranks, data
         ).result
         print(f"{wpw:>6}:1 {len(res.writer_ranks):>8} "

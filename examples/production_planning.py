@@ -19,7 +19,7 @@ from repro.ckpt import (
     ReducedBlockingIO,
     production_improvement,
 )
-from repro.experiments import TCOMP_PER_STEP, paper_data, run_checkpoint_step
+from repro.experiments import TCOMP_PER_STEP, paper_data, run_checkpoint_steps
 
 N_RANKS = 16384
 N_STEPS = 10_000  # a production campaign's step count
@@ -37,7 +37,7 @@ def main() -> None:
         ("coIO 64:1", CollectiveIO(ranks_per_file=64)),
         ("rbIO nf=ng", ReducedBlockingIO(workers_per_writer=64)),
     ]:
-        res = run_checkpoint_step(strategy, N_RANKS, data).result
+        res = run_checkpoint_steps(strategy, N_RANKS, data).result
         blocked[label] = res.blocking_time
 
     print(f"{'approach':<12} {'Tc (blocked)':>14} {'ratio Tc/Tcomp':>16} "

@@ -3,8 +3,9 @@
 
 Runs one coordinated checkpoint step for 1PFPP, coIO, and rbIO on a
 simulated 16,384-processor Blue Gene/P partition with the paper's 39 GB
-NekCEM checkpoint, and prints the Fig. 5-style comparison plus rbIO's
-perceived (worker-side) bandwidth.
+NekCEM checkpoint, restarts from it, and prints the Fig. 5-style
+comparison with each layout's restart time plus rbIO's perceived
+(worker-side) bandwidth.
 
 Run:  python examples/quickstart.py [n_ranks]
 
@@ -15,7 +16,7 @@ well under a minute of wall clock.
 import sys
 
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
-from repro.experiments import paper_data, PAPER_SIZES, run_checkpoint_step, scaled_problem
+from repro.experiments import paper_data, PAPER_SIZES, run_checkpoint_steps, scaled_problem
 
 
 def main() -> None:
@@ -35,14 +36,17 @@ def main() -> None:
         ("rbIO  (reduced-blocking, np:ng=64:1, nf=ng)",
          ReducedBlockingIO(workers_per_writer=64)),
     ]
-    print(f"{'approach':<46} {'bandwidth':>12} {'step time':>10} {'app blocked':>12}")
-    print("-" * 84)
+    print(f"{'approach':<46} {'bandwidth':>12} {'step time':>10} {'app blocked':>12}"
+          f" {'restart':>9}")
+    print("-" * 94)
     rbio_result = None
     for label, strategy in approaches:
-        run = run_checkpoint_step(strategy, n_ranks, data)
+        run = run_checkpoint_steps(strategy, n_ranks, data)
+        run.restore()  # every rank reads its state back, on the same job
         res = run.result
         print(f"{label:<46} {res.write_bandwidth/1e9:>9.2f} GB/s "
-              f"{res.overall_time:>8.1f} s {res.blocking_time:>10.4f} s")
+              f"{res.overall_time:>8.1f} s {res.blocking_time:>10.4f} s "
+              f"{run.restore_seconds:>7.2f} s")
         if strategy.name == "rbio":
             rbio_result = res
 

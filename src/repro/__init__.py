@@ -31,11 +31,13 @@ the study depends on, built from scratch:
 Quickstart::
 
     from repro.ckpt import ReducedBlockingIO
-    from repro.experiments import paper_data, run_checkpoint_step
+    from repro.experiments import paper_data, run_checkpoint_steps
 
-    run = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=64),
-                              n_ranks=16384, data=paper_data(16384))
+    run = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=64),
+                               n_ranks=16384, data=paper_data(16384))
     print(run.result.write_bandwidth / 1e9, "GB/s")
+    run.restore()                  # restart from it on the same job
+    print(run.restore_seconds, "s to restart")
 """
 
 from .buffers import ByteRope

@@ -12,7 +12,8 @@ content hashes:
 - fault-rate points draw their schedules from the per-rate-index stream
   ``root_seed + 7919 * i`` with ``fs_errors = rate``, ``fs_stalls =
   rate / 2``, so a rate campaign is bit-reproducible from its seed;
-- resume points replay :func:`~repro.experiments.run_resilient_campaign`.
+- resume points follow their checkpoint steps with the run's restore
+  wave (:meth:`~repro.experiments.CheckpointRun.restore`).
 
 :func:`run_point` is the module-level worker that ``run_sweep`` and the
 sweep service ship to worker processes; it returns a JSON-clean dict —
@@ -27,7 +28,6 @@ from typing import Optional
 from ..ckpt import EvolvingData
 from ..experiments.figures import get_run, problem_for, strategy_for
 from ..experiments.parallel import cache_key
-from ..experiments.resilience import run_resilient_campaign
 from ..experiments.runner import run_checkpoint_steps
 from ..faults import FaultConfig, FaultSchedule, faults_of
 from ..mpi import RunConfig
@@ -235,26 +235,20 @@ def run_point(point: CampaignPoint) -> dict:
             seed=0 if point.seed is None else point.seed)
     else:
         data = problem_for(point.n_ranks).data()
+    run = run_checkpoint_steps(
+        strategy, point.n_ranks, data, point.n_steps,
+        config=point.config, seed=point.seed, basedir=point.basedir,
+        fs_type=point.fs_type, gap_seconds=point.gaps,
+        run_config=run_config)
     if point.resume:
-        campaign = run_resilient_campaign(
-            strategy, point.n_ranks, data, n_steps=point.n_steps,
-            config=point.config, seed=point.seed,
-            basedir=point.basedir, fs_type=point.fs_type,
-            gap_seconds=point.gaps, run_config=run_config)
-        run = campaign.run
-        report = campaign.fault_report
+        run.restore()
         out.update({
-            "restored_step": campaign.restored_step,
-            "failovers": report["by_kind"].get("writer_failover", 0),
+            "restored_step": run.restored_step,
+            "failovers": faults_of(run.job).report()["by_kind"].get(
+                "writer_failover", 0),
             "crashed_roles": run.results[-1].roles.count("crashed"),
         })
-    else:
-        run = run_checkpoint_steps(
-            strategy, point.n_ranks, data, point.n_steps,
-            config=point.config, seed=point.seed, basedir=point.basedir,
-            fs_type=point.fs_type, gap_seconds=point.gaps,
-            run_config=run_config)
-        report = faults_of(run.job).report()
+    report = faults_of(run.job).report()
     res = run.results[-1]
     out.update({
         "scheduled": report["scheduled"],

@@ -558,7 +558,7 @@ class ResumeSpec:
     job, after background drains settle) by a coordinated resilient
     restore that agrees on a generation per the ``policy`` —
     ``newest_complete`` votes for the newest generation every rank can
-    read back intact (see :mod:`repro.experiments.resilience`).
+    read back intact (see :meth:`repro.experiments.CheckpointRun.restore`).
     """
 
     enabled: bool = False

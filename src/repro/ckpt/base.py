@@ -97,43 +97,6 @@ class CheckpointStrategy:
         return
         yield  # pragma: no cover - makes this a generator
 
-    def restore_resilient(self, ctx: RankContext, template: CheckpointData,
-                          steps, basedir: str = "/ckpt"):
-        """Generator: restore the newest step all ranks agree is intact.
-
-        Tries each step of ``steps`` (newest first) with :meth:`restore`;
-        a rank whose restore fails validation (missing/truncated file,
-        corrupt package, checksum mismatch) votes it down, and the vote is
-        agreed by a min-allreduce so every rank falls back to the same
-        generation together.  Returns ``(step, fields)`` on success and
-        raises :class:`~repro.faults.UnrecoverableCheckpointError` once no
-        generation survives — never a silently wrong restore.
-        """
-        from ..staging import StagingError
-        from ..storage import FSError
-
-        last_failure = None
-        for step in steps:
-            ok = 1
-            fields = None
-            try:
-                fields = yield from self.restore(ctx, template, step,
-                                                 basedir=basedir)
-            except (FSError, StagingError, UnrecoverableCheckpointError) as exc:
-                ok = 0
-                # The message, not the exception: its traceback holds this
-                # frame, and a frame holding it back would be a cycle.
-                last_failure = str(exc)
-            agreed = yield from ctx.comm.allreduce(ok, op=min)
-            if agreed:
-                return step, fields
-        raise UnrecoverableCheckpointError(
-            f"no restorable checkpoint generation among steps {list(steps)!r}"
-            + (f" (last failure: {last_failure})"
-               if last_failure is not None else ""),
-            rank=ctx.rank,
-        )
-
     def describe(self) -> dict[str, Any]:
         """Strategy parameters for result records / EXPERIMENTS.md rows."""
         d: dict[str, Any] = {"name": self.name}

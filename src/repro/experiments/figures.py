@@ -39,7 +39,7 @@ from ..staging import StagingConfig, staging_of
 from ..topology import MachineConfig, intrepid
 from .configs import PAPER_SIZES, TCOMP_PER_STEP, paper_problem, scaled_problem
 from .parallel import cache_key, run_sweep, sweep_cache
-from .runner import run_checkpoint_step, run_checkpoint_steps
+from .runner import run_checkpoint_steps
 
 
 __all__ = [
@@ -247,7 +247,7 @@ def _compute_summary(point: tuple) -> RunSummary:
     key, n_ranks, seed, config = point
     strategy = _strategy_for(key, n_ranks)
     data = problem_for(n_ranks).data()
-    run = run_checkpoint_step(strategy, n_ranks, data, config=config, seed=seed)
+    run = run_checkpoint_steps(strategy, n_ranks, data, config=config, seed=seed)
     # Released before the extracts below allocate: the collector, back on
     # since the drain ended, then walks what is left of the run, not all
     # of it.  The profiler and the counters outlive close().

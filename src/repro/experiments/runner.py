@@ -15,15 +15,15 @@ from typing import Callable, Optional, Sequence, Union
 from ..ckpt import CheckpointData, CheckpointResult, CheckpointStrategy
 from ..ckpt.data import EvolvingData
 from ..ckpt.result import RankReport, ReportTable
-from ..faults import FaultInjector, attach_faults
+from ..faults import FaultInjector, UnrecoverableCheckpointError, attach_faults
 from ..mpi import Job, RunConfig
 from ..profiling import DarshanProfiler
 from ..sim import StagedOp
-from ..storage import attach_storage
+from ..staging import StagingError
+from ..storage import FSError, attach_storage
 from ..topology import MachineConfig
 
-__all__ = ["CheckpointRun", "normalize_gaps", "run_checkpoint_step",
-           "run_checkpoint_steps"]
+__all__ = ["CheckpointRun", "normalize_gaps", "run_checkpoint_steps"]
 
 DataBuilder = Union[CheckpointData, EvolvingData,
                     Callable[[int], CheckpointData]]
@@ -61,12 +61,20 @@ class CheckpointRun:
 
     ``profiler`` is ``None`` when the run's ``RunConfig`` switched
     profiling off (sweeps that never read profiles); figure pipelines
-    always run with it on.
+    always run with it on.  ``loop`` is the run's :class:`StepLoop`, what
+    :meth:`restore` restarts from.
     """
 
-    def __init__(self, job: Job, results: list[CheckpointResult]) -> None:
+    def __init__(self, job: Job, results: list[CheckpointResult],
+                 loop: Optional[StepLoop] = None) -> None:
         self.job = job
         self.results = results
+        self.loop = loop
+        #: ``{rank: (step, fields)}`` once :meth:`restore` has returned.
+        self.restored: Optional[dict[int, tuple]] = None
+        #: ``{rank: (t0, t1)}``: from the restart barrier to the moment the
+        #: kept generation's read returned on that rank.
+        self.restore_windows: Optional[dict[int, tuple[float, float]]] = None
 
     @property
     def profiler(self) -> Optional[DarshanProfiler]:
@@ -82,6 +90,78 @@ class CheckpointRun:
     def fs(self):
         """The job's file system."""
         return self.job.services["fs"]
+
+    def restore(self) -> dict[int, tuple]:
+        """Restart every rank from the newest generation all of them read
+        back intact; return ``{rank: (step, fields)}``.
+
+        The wave runs on the same job once the checkpoint steps and every
+        background drain have settled.  It raises
+        :class:`~repro.faults.UnrecoverableCheckpointError` when no
+        generation survives — never a silently wrong restore.  All ranks
+        take part (a real restart replaces crashed ranks).
+        """
+        loop = self.loop
+        # A module-level program: a bound method would hold the run from
+        # the job's processes, a cycle the refcount release cannot free.
+        self.job.spawn(_restore_wave, loop.strategy, loop.data_fn,
+                       loop.steps[::-1], loop.basedir)
+        waves = self.job.run()  # {rank: (step, fields, t0, t1)}
+        self.restored = {r: w[:2] for r, w in waves.items()}
+        self.restore_windows = {r: w[2:] for r, w in waves.items()}
+        return self.restored
+
+    @property
+    def restored_step(self) -> Optional[int]:
+        """The generation the ranks agreed to restore, or ``None`` before
+        :meth:`restore`."""
+        return next(iter(self.restored.values()))[0] if self.restored else None
+
+    @property
+    def restore_seconds(self) -> float:
+        """The restart latency a failure recovery pays: from the
+        coordinated restart start until the slowest rank holds its state."""
+        windows = self.restore_windows.values()
+        return max(b for _a, b in windows) - min(a for a, _b in windows)
+
+
+def _restore_wave(ctx, strategy: CheckpointStrategy, data_fn, steps,
+                  basedir: str):
+    """One rank's restart: barrier, then the newest-first vote.
+
+    Each step of ``steps`` is tried with ``strategy.restore``; a rank whose
+    read fails validation (missing or truncated file, corrupt package,
+    checksum mismatch) votes it down, and a min-allreduce agrees the vote
+    so every rank falls back to the same generation together.  Returns
+    ``(step, fields, t0, t1)``: ``t1`` is when the kept attempt's read
+    returned, before its vote.
+    """
+    template = data_fn(ctx.rank)
+    if hasattr(template, "template"):
+        # Evolving workloads: restore only needs the field layout.
+        template = template.template()
+    yield from ctx.comm.barrier()  # coordinated restart start
+    t0 = ctx.engine.now
+    last_failure = None
+    for step in steps:
+        ok, fields = 1, None
+        try:
+            fields = yield from strategy.restore(ctx, template, step,
+                                                 basedir=basedir)
+        except (FSError, StagingError, UnrecoverableCheckpointError) as exc:
+            ok = 0
+            # The message, not the exception: its traceback holds this
+            # frame, and a frame holding it back would be a cycle.
+            last_failure = str(exc)
+        t1 = ctx.engine.now
+        if (yield from ctx.comm.allreduce(ok, op=min)):
+            return step, fields, t0, t1
+    raise UnrecoverableCheckpointError(
+        f"no restorable checkpoint generation among steps {list(steps)!r}"
+        + (f" (last failure: {last_failure})"
+           if last_failure is not None else ""),
+        rank=ctx.rank,
+    )
 
 
 def _data_fn(data: DataBuilder):
@@ -248,6 +328,9 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
     schedule disables coalescing: faults target ranks individually, so
     every rank must actually run.
+
+    The returned run is live: :meth:`CheckpointRun.restore` restarts from
+    its checkpoints on the same job.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -298,7 +381,7 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                                 params=strategy.describe(),
                                 fs_stats=fs_stats, step=i)
                for i in range(n_steps)]
-    return CheckpointRun(job, results)
+    return CheckpointRun(job, results, loop)
 
 
 def _checked_plan(plan, n_ranks: int):
@@ -316,64 +399,3 @@ def _checked_plan(plan, n_ranks: int):
                 f"non-empty ranges of consecutive ranks below {n_ranks}")
         stop = members.stop
     return plan
-
-
-def run_checkpoint_step(strategy: CheckpointStrategy, n_ranks: int,
-                        data: DataBuilder,
-                        config: Optional[MachineConfig] = None,
-                        seed: Optional[int] = None,
-                        basedir: str = "/ckpt",
-                        fs_type: str = "gpfs",
-                        run_config: Optional[RunConfig] = None
-                        ) -> CheckpointRun:
-    """Run a single coordinated checkpoint step."""
-    return run_checkpoint_steps(strategy, n_ranks, data, 1, config, seed,
-                                basedir, fs_type, run_config=run_config)
-
-
-def run_checkpoint_and_restore(strategy: CheckpointStrategy, n_ranks: int,
-                               data: DataBuilder,
-                               config: Optional[MachineConfig] = None,
-                               seed: Optional[int] = None,
-                               basedir: str = "/ckpt",
-                               fs_type: str = "gpfs",
-                               run_config: Optional[RunConfig] = None
-                               ) -> dict:
-    """One checkpoint step followed by a coordinated restart read.
-
-    Returns the checkpoint :class:`~repro.ckpt.CheckpointResult` plus
-    restart timing: the window from the coordinated restore start until
-    the slowest rank holds its state again (the restart latency a failure
-    recovery pays).
-    """
-    job = Job(n_ranks, config, seed=seed, run_config=run_config)
-    fs = attach_storage(job, fs_type=fs_type)
-    data_fn = _data_fn(data)
-    restore_windows: dict[int, tuple[float, float]] = {}
-
-    def rank_main(ctx):
-        d = data_fn(ctx.rank)
-        yield from ctx.comm.barrier()
-        report = yield from strategy.checkpoint(ctx, d, 0, basedir)
-        yield from ctx.comm.barrier()  # coordinated restart start
-        t0 = ctx.engine.now
-        yield from strategy.restore(ctx, d, 0, basedir)
-        restore_windows[ctx.rank] = (t0, ctx.engine.now)
-        return report
-
-    job.spawn(rank_main)
-    reports = job.run()
-    result = CheckpointResult(strategy.name, reports,
-                              params=strategy.describe(), fs_stats=fs.stats())
-    job.close()
-    t0 = min(a for a, _b in restore_windows.values())
-    t1 = max(b for _a, b in restore_windows.values())
-    total = sum(data_fn(r).total_bytes for r in range(n_ranks))
-    return {
-        "checkpoint": result,
-        "restore_seconds": t1 - t0,
-        "restore_bandwidth": total / (t1 - t0) if t1 > t0 else float("inf"),
-        "per_rank_restore": {
-            r: b - a for r, (a, b) in restore_windows.items()
-        },
-    }

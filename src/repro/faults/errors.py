@@ -17,8 +17,8 @@ class UnrecoverableCheckpointError(RuntimeError):
     """No checkpoint generation could be restored consistently.
 
     Raised by validation (size/checksum mismatch on a specific generation)
-    and by :meth:`~repro.ckpt.CheckpointStrategy.restore_resilient` once
-    every candidate generation has been rejected by some rank.  Carries
+    and by the restore wave (:meth:`~repro.experiments.CheckpointRun.restore`)
+    once every candidate generation has been rejected by some rank.  Carries
     context so tests and callers can tell *what* was unrecoverable.
     """
 

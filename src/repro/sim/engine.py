@@ -711,8 +711,3 @@ class Engine:
         while alive:
             proc = alive.pop()
             proc.generator = proc._resume_cb = None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``float('inf')`` if none."""
-        times = self._times
-        return times[0] if times else float("inf")

@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -114,21 +114,6 @@ class TimeSeries:
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(times, values)`` as numpy arrays."""
         return np.asarray(self.times), np.asarray(self.values)
-
-    def binned_sum(self, bin_width: float, t_end: Optional[float] = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Sum samples into fixed-width bins; returns (bin_starts, sums)."""
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        t, v = self.as_arrays()
-        if len(t) == 0:
-            return np.array([]), np.array([])
-        end = t_end if t_end is not None else float(t[-1]) + bin_width
-        edges = np.arange(0.0, end + bin_width, bin_width)
-        idx = np.clip(np.digitize(t, edges) - 1, 0, len(edges) - 2)
-        sums = np.zeros(len(edges) - 1)
-        np.add.at(sums, idx, v)
-        return edges[:-1], sums
 
 
 class IntervalRecorder:

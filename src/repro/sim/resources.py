@@ -188,15 +188,3 @@ class Pipe:
         self.busy_until = start + nbytes / self.bandwidth + extra_delay
         self.bytes_moved += int(nbytes)
         return self.busy_until + self.latency
-
-    def would_complete_at(self, nbytes: float) -> float:
-        """Completion time a transfer issued now would see (no side effects)."""
-        eng = self.engine
-        start = self.busy_until if self.busy_until > eng.now else eng.now
-        return start + nbytes / self.bandwidth + self.latency
-
-    @property
-    def backlog_seconds(self) -> float:
-        """Seconds of queued work ahead of a transfer issued right now."""
-        b = self.busy_until - self.engine.now
-        return b if b > 0 else 0.0

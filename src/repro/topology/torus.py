@@ -102,22 +102,6 @@ class TorusTopology:
                 + (dy if dy + dy <= y_dim else y_dim - dy)
                 + (dz if dz + dz <= z_dim else z_dim - dz))
 
-    def neighbors(self, node: int) -> list[int]:
-        """The (up to six) distinct torus neighbours of ``node``."""
-        c = self.coords(node)
-        out = []
-        for axis in range(3):
-            d = self.dims[axis]
-            if d == 1:
-                continue
-            for step in (-1, 1):
-                nc = list(c)
-                nc[axis] = (nc[axis] + step) % d
-                n = self.node_at(tuple(nc))
-                if n != node and n not in out:
-                    out.append(n)
-        return out
-
     def max_hops(self) -> int:
         """Torus diameter (worst-case shortest path)."""
         return sum(d // 2 for d in self.dims)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.ckpt import BurstBufferIO, CheckpointData, Field, ReducedBlockingIO
-from repro.experiments import run_checkpoint_step
+from repro.experiments import run_checkpoint_steps
 from repro.mpi import Job
 from repro.staging import StagingConfig, StagingError, staging_of
 from repro.storage import attach_storage
@@ -127,7 +127,7 @@ def test_bbio_partner_restore_without_replica_raises():
 
 def test_bbio_workers_unblock_before_drain_completes():
     strategy = BurstBufferIO(workers_per_writer=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     worker_blocked = max(
         res.t_blocked_end[i] - res.t_start[i]
@@ -139,18 +139,18 @@ def test_bbio_workers_unblock_before_drain_completes():
 
 
 def test_bbio_blocking_no_worse_than_rbio():
-    bb = run_checkpoint_step(BurstBufferIO(workers_per_writer=4), 8,
-                             payload_data(0), config=QUIET).result
-    rb = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=4), 8,
-                             payload_data(0), config=QUIET).result
+    bb = run_checkpoint_steps(BurstBufferIO(workers_per_writer=4), 8,
+                              payload_data(0), config=QUIET).result
+    rb = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=4), 8,
+                              payload_data(0), config=QUIET).result
     assert bb.blocking_time <= rb.blocking_time + 1e-6
 
 
 def test_bbio_deterministic_across_runs():
-    r1 = run_checkpoint_step(BurstBufferIO(workers_per_writer=4), 8,
-                             payload_data(0), config=QUIET).result
-    r2 = run_checkpoint_step(BurstBufferIO(workers_per_writer=4), 8,
-                             payload_data(0), config=QUIET).result
+    r1 = run_checkpoint_steps(BurstBufferIO(workers_per_writer=4), 8,
+                              payload_data(0), config=QUIET).result
+    r2 = run_checkpoint_steps(BurstBufferIO(workers_per_writer=4), 8,
+                              payload_data(0), config=QUIET).result
     assert r1.overall_time == r2.overall_time
     assert np.array_equal(r1.t_complete, r2.t_complete)
 

@@ -13,11 +13,11 @@ from repro.experiments import (
     clear_cache,
     get_run,
     get_runs,
-    run_resilient_campaign,
+    run_checkpoint_steps,
     run_sweep,
     scaled_problem,
 )
-from repro.faults import FaultSchedule, FaultSpec
+from repro.faults import FaultSchedule, FaultSpec, faults_of
 
 
 TINY = {
@@ -388,11 +388,12 @@ def test_rate_campaign_reproduces_the_recorded_sweep_rows():
 
 def test_failover_campaign_bit_identical_to_legacy_campaign():
     faults = FaultSchedule((FaultSpec(kind="rank_crash", time=1.0, rank=0),))
-    campaign = run_resilient_campaign(
+    campaign = run_checkpoint_steps(
         ReducedBlockingIO(workers_per_writer=64), 128,
         scaled_problem(128).data(), n_steps=2,
         run_config=RunConfig(faults=faults),
         gap_seconds=1.0)
+    campaign.restore()
     spec = CampaignSpec.from_dict({
         "name": "f", "steps": {"n_steps": 2, "gap": 1.0},
         "grid": {"approaches": ["rbio_ng"], "np": [128]},
@@ -402,7 +403,7 @@ def test_failover_campaign_bit_identical_to_legacy_campaign():
     assert {k: out[k] for k in ("restored_step", "failovers", "overall_time",
                                 "crashed_roles")} == {
         "restored_step": campaign.restored_step,
-        "failovers": campaign.fault_report["by_kind"].get(
+        "failovers": faults_of(campaign.job).report()["by_kind"].get(
             "writer_failover", 0),
         "overall_time": campaign.results[-1].overall_time,
         "crashed_roles": campaign.results[-1].roles.count("crashed"),

@@ -14,7 +14,7 @@ from repro.ckpt import (
     RankReport,
     ReducedBlockingIO,
 )
-from repro.experiments import run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.topology import intrepid
 
 
@@ -137,9 +137,10 @@ def test_resilient_restore_from_layout_template_is_bit_identical():
                                  header_bytes=256)
     strategy = ReducedBlockingIO(workers_per_writer=8)
     strategy.configure_delta("require")
-    campaign = run_resilient_campaign(
+    campaign = run_checkpoint_steps(
         strategy, n_ranks, data, n_steps=n_steps, config=intrepid().quiet(),
         gap_seconds=2.0)
+    campaign.restore()
     assert campaign.restored_step == n_steps - 1
     truth = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
                                   header_bytes=256)

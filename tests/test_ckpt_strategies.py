@@ -17,7 +17,7 @@ from repro.ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
 )
-from repro.experiments import run_checkpoint_step, run_checkpoint_steps
+from repro.experiments import run_checkpoint_steps
 from repro.mpi import Job
 from repro.storage import attach_storage
 from repro.topology import intrepid
@@ -137,7 +137,7 @@ def test_coio_all_ranks_finish_together():
 
 def test_coio_groups_finish_independently():
     strategy = CollectiveIO(ranks_per_file=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     # Within a group all ranks share a completion time.
     t = res.t_complete
@@ -178,7 +178,7 @@ def test_rbio_single_file_roundtrip():
 
 def test_rbio_workers_unblock_before_writers_finish():
     strategy = ReducedBlockingIO(workers_per_writer=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     worker_blocked = max(
         res.t_blocked_end[i] - res.t_start[i]
@@ -193,7 +193,7 @@ def test_rbio_workers_unblock_before_writers_finish():
 
 def test_rbio_perceived_bandwidth_exceeds_raw():
     strategy = ReducedBlockingIO(workers_per_writer=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     assert res.perceived_bandwidth > res.write_bandwidth * 10
 
@@ -235,7 +235,6 @@ def test_rbio_single_file_with_a_ragged_last_group_restores(delta, tam):
     short and every generation unrestorable."""
     from repro.buffers import as_bytes
     from repro.ckpt import ChunkingParams, EvolvingData
-    from repro.experiments import run_resilient_campaign
 
     data = EvolvingData.mutating(300, mutated_fraction=0.25, seed=5,
                                  header_bytes=256)
@@ -245,8 +244,9 @@ def test_rbio_single_file_with_a_ragged_last_group_restores(delta, tam):
             min_size=256, avg_size=1024, max_size=4096))
     if tam != "off":
         strategy.configure_tam(tam)
-    campaign = run_resilient_campaign(strategy, 16, data, n_steps=2,
-                                      config=QUIET, gap_seconds=1.0)
+    campaign = run_checkpoint_steps(strategy, 16, data, n_steps=2,
+                                    config=QUIET, gap_seconds=1.0)
+    campaign.restore()
     assert campaign.restored_step == 1
     for rank in range(16):
         step, fields = campaign.restored[rank]
@@ -257,7 +257,7 @@ def test_rbio_single_file_with_a_ragged_last_group_restores(delta, tam):
 
 def test_rbio_isend_window_recorded_for_workers():
     strategy = ReducedBlockingIO(workers_per_writer=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     for i in range(res.n_ranks):
         if res.roles[i] == "worker":
@@ -301,7 +301,7 @@ def test_multi_step_checkpoints_separate_directories():
 
 def test_result_metrics_sane():
     strategy = CollectiveIO(ranks_per_file=4)
-    run = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET)
     res = run.result
     assert res.total_bytes == 8 * 3 * 2048
     assert res.overall_time > 0
@@ -311,9 +311,9 @@ def test_result_metrics_sane():
 
 def test_deterministic_across_runs():
     strategy = ReducedBlockingIO(workers_per_writer=4)
-    r1 = run_checkpoint_step(strategy, 8, payload_data(0), config=QUIET).result
+    r1 = run_checkpoint_steps(strategy, 8, payload_data(0), config=QUIET).result
     strategy2 = ReducedBlockingIO(workers_per_writer=4)
-    r2 = run_checkpoint_step(strategy2, 8, payload_data(0), config=QUIET).result
+    r2 = run_checkpoint_steps(strategy2, 8, payload_data(0), config=QUIET).result
     assert r1.overall_time == r2.overall_time
     assert np.array_equal(r1.t_complete, r2.t_complete)
 
@@ -321,15 +321,15 @@ def test_deterministic_across_runs():
 def test_noisy_config_still_deterministic_with_same_seed():
     noisy = intrepid()
     strategy = CollectiveIO(ranks_per_file=4)
-    r1 = run_checkpoint_step(strategy, 8, payload_data(0), config=noisy, seed=7).result
+    r1 = run_checkpoint_steps(strategy, 8, payload_data(0), config=noisy, seed=7).result
     strategy2 = CollectiveIO(ranks_per_file=4)
-    r2 = run_checkpoint_step(strategy2, 8, payload_data(0), config=noisy, seed=7).result
+    r2 = run_checkpoint_steps(strategy2, 8, payload_data(0), config=noisy, seed=7).result
     assert r1.overall_time == r2.overall_time
 
 
 def test_profiler_captures_write_ops():
     strategy = OneFilePerProcess(arrival_jitter=0.0)
-    run = run_checkpoint_step(strategy, 4, payload_data(0), config=QUIET)
+    run = run_checkpoint_steps(strategy, 4, payload_data(0), config=QUIET)
     counts = Counter(r.op for r in run.profiler.records)
     assert counts["create"] == 4
     assert counts["write"] == 4

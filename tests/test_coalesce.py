@@ -38,9 +38,7 @@ from repro.ckpt.incremental import plan_delta, write_manifest
 from repro.ckpt.layout import FileLayout
 from repro.ckpt.result import RankReport, ReportTable
 from repro.experiments import (
-    run_checkpoint_step,
     run_checkpoint_steps,
-    run_resilient_campaign,
 )
 from repro.experiments.runner import CheckpointRun, _data_fn, normalize_gaps
 from repro.faults import FaultSchedule, FaultSpec, attach_faults
@@ -152,22 +150,23 @@ def check_rbio_restore_after_a_coalesced_run(single_file, tam, width):
                                      single_file=single_file)
         strategy.configure_tam(tam)
         strategies.append(strategy)
-        runs.append(run_resilient_campaign(
+        runs.append(run_checkpoint_steps(
             strategy, n_ranks, data, n_steps=2, seed=11,
             run_config=RunConfig(coalesce=mode)))
+        runs[-1].restore()
     off, on = runs
-    assert_identical(off.run, on.run)
-    assert off.run.job.engine.now == on.run.job.engine.now
-    assert off.run.job.fabric.stats() == on.run.job.fabric.stats()
+    assert_identical(off, on)
+    assert off.job.engine.now == on.job.engine.now
+    assert off.job.fabric.stats() == on.job.fabric.stats()
     # The rbIO replay records its workers' phases group by group: the same
     # records, in another order.
-    assert sorted(records_of(off.run)) == sorted(records_of(on.run))
+    assert sorted(records_of(off)) == sorted(records_of(on))
     want = [as_bytes(f.payload) for f in data.fields]
     for rank in range(n_ranks):
         assert off.restored[rank][0] == on.restored[rank][0] == 1
         assert [as_bytes(f) for f in off.restored[rank][1]] == want
         assert [as_bytes(f) for f in on.restored[rank][1]] == want
-    strategy, job = strategies[1], on.run.job
+    strategy, job = strategies[1], on.job
     table = job.services[strategy._splits_key]
     assert sorted(table) == list(range((n_ranks - 2) // width + 1))
     for ctx in job.contexts:
@@ -265,9 +264,9 @@ def test_spawn_order_steps_over_a_group_and_names_every_other_rank():
             # 20 ranks on 4 nodes: a power-of-two torus.
             (ReducedBlockingIO(workers_per_writer=8), 20,
              intrepid().with_(cores_per_node=5))):
-        run = run_checkpoint_step(strategy, n_ranks, shared_data(),
-                                  config=config,
-                                  run_config=RunConfig(coalesce="require"))
+        run = run_checkpoint_steps(strategy, n_ranks, shared_data(),
+                                   config=config,
+                                   run_config=RunConfig(coalesce="require"))
         assert [r for r, _proc in run.job._rank_procs] == [
             r for r, _members in spawn_order(
                 strategy.coalesce_plan(n_ranks), n_ranks)]
@@ -288,8 +287,8 @@ def test_runner_rejects_a_malformed_plan(plan):
             return plan
 
     with pytest.raises(ValueError, match="coalesce plan"):
-        run_checkpoint_step(Offers(), 32, shared_data(),
-                            run_config=RunConfig(coalesce="auto"))
+        run_checkpoint_steps(Offers(), 32, shared_data(),
+                             run_config=RunConfig(coalesce="auto"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +304,8 @@ def test_flow_control_disables_plan():
 def test_flow_control_require_raises():
     strategy = ReducedBlockingIO(workers_per_writer=8, max_outstanding=2)
     with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_step(strategy, 32, shared_data(),
-                            run_config=RunConfig(coalesce="require"))
+        run_checkpoint_steps(strategy, 32, shared_data(),
+                             run_config=RunConfig(coalesce="require"))
 
 
 @pytest.mark.parametrize("key", ["rbio_ng", "coio_64", "1pfpp"])
@@ -326,8 +325,8 @@ def test_per_rank_data_builder_disables_coalescing():
     strategy = ReducedBlockingIO(workers_per_writer=8)
     builder = lambda rank: shared_data()  # noqa: E731
     with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_step(strategy, 32, builder,
-                            run_config=RunConfig(coalesce="require"))
+        run_checkpoint_steps(strategy, 32, builder,
+                             run_config=RunConfig(coalesce="require"))
 
 
 @pytest.mark.parametrize("strategy", [
@@ -336,10 +335,10 @@ def test_per_rank_data_builder_disables_coalescing():
 ])
 def test_auto_equals_off_when_no_plan(strategy):
     data = shared_data(payload=False)
-    off = run_checkpoint_step(strategy, 16, data, seed=3,
-                              run_config=RunConfig(coalesce="off"))
-    auto = run_checkpoint_step(strategy, 16, data, seed=3,
-                               run_config=RunConfig(coalesce="auto"))
+    off = run_checkpoint_steps(strategy, 16, data, seed=3,
+                               run_config=RunConfig(coalesce="off"))
+    auto = run_checkpoint_steps(strategy, 16, data, seed=3,
+                                run_config=RunConfig(coalesce="auto"))
     assert_identical(off, auto)
 
 
@@ -543,16 +542,18 @@ def test_coio_restore_after_a_coalesced_run(per_file):
     aggregators, which hold theirs, never join."""
     data = shared_data()
     strategies = coio(per_file), coio(per_file)
-    off, on = (run_resilient_campaign(strategy, 64, data, n_steps=2,
-                                      seed=11,
-                                      run_config=RunConfig(coalesce=mode))
+    off, on = (run_checkpoint_steps(strategy, 64, data, n_steps=2,
+                                    seed=11,
+                                    run_config=RunConfig(coalesce=mode))
                for strategy, mode in zip(strategies, ("off", "require")))
+    off.restore()
+    on.restore()
     for strategy, campaign in zip(strategies, (off, on)):
         assert all("iocomm" in strategy._cache(ctx)
-                   for ctx in campaign.run.job.contexts)
-    assert_identical(off.run, on.run)
-    assert off.run.job.engine.now == on.run.job.engine.now
-    assert records_of(off.run) == records_of(on.run)
+                   for ctx in campaign.job.contexts)
+    assert_identical(off, on)
+    assert off.job.engine.now == on.job.engine.now
+    assert records_of(off) == records_of(on)
     want = [as_bytes(f.payload) for f in data.fields]
     for rank in range(64):
         assert off.restored[rank][0] == on.restored[rank][0] == 1
@@ -661,13 +662,15 @@ def test_1pfpp_restore_after_a_coalesced_run():
     checkpoint ran on (the coIO lesson: what a replayed rank leaves behind
     must be what its own ``checkpoint()`` would have)."""
     data = shared_data()
-    off, on = (run_resilient_campaign(OneFilePerProcess(), 64, data,
-                                      n_steps=2, seed=11,
-                                      run_config=RunConfig(coalesce=mode))
+    off, on = (run_checkpoint_steps(OneFilePerProcess(), 64, data,
+                                    n_steps=2, seed=11,
+                                    run_config=RunConfig(coalesce=mode))
                for mode in ("off", "require"))
-    assert_identical(off.run, on.run)
-    assert off.run.job.engine.now == on.run.job.engine.now
-    assert records_of(off.run) == records_of(on.run)
+    off.restore()
+    on.restore()
+    assert_identical(off, on)
+    assert off.job.engine.now == on.job.engine.now
+    assert records_of(off) == records_of(on)
     want = [as_bytes(f.payload) for f in data.fields]
     for rank in range(64):
         assert off.restored[rank][0] == on.restored[rank][0] == 1
@@ -682,8 +685,8 @@ def test_1pfpp_require_without_a_plan_raises(case):
     else:
         data = lambda rank, d=data: d  # noqa: E731
     with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_step(strategy, 32, data,
-                            run_config=RunConfig(coalesce="require"))
+        run_checkpoint_steps(strategy, 32, data,
+                             run_config=RunConfig(coalesce="require"))
 
 
 def test_bad_coalesce_value_rejected():
@@ -889,8 +892,8 @@ def test_1pfpp_checkpoint_in_a_process_is_the_runners_program():
     """``checkpoint()`` run directly in a rank process returns the report
     the runner's program files for that rank, with the same Darshan rows."""
     strategy, data = OneFilePerProcess(), shared_data()
-    runner = run_checkpoint_step(strategy, 16, data, seed=11,
-                                 run_config=RunConfig(coalesce="off"))
+    runner = run_checkpoint_steps(strategy, 16, data, seed=11,
+                                  run_config=RunConfig(coalesce="off"))
     job = Job(16, seed=11)
     attach_storage(job)
     attach_faults(job, None)

@@ -179,14 +179,14 @@ def test_coio_figure_runs_equal_the_uncoalesced_reference(key):
     """``get_run`` takes coIO's coalesce plan; every figure value it feeds
     (result arrays, Darshan write intervals, fs counters) must be the
     uncoalesced run's, at the default noisy calibration."""
-    from repro.experiments import run_checkpoint_step
+    from repro.experiments import run_checkpoint_steps
     from repro.experiments.figures import problem_for, strategy_for
 
     n = 1024
     strategy = strategy_for(key, n)
     assert strategy.coalesce_plan(n) is not None
-    ref = run_checkpoint_step(strategy, n, problem_for(n).data(),
-                              run_config=RunConfig(coalesce="off"))
+    ref = run_checkpoint_steps(strategy, n, problem_for(n).data(),
+                               run_config=RunConfig(coalesce="off"))
     got = get_run(key, n)
     for attr in ("ranks", "t_start", "t_blocked_end", "t_complete",
                  "bytes_local", "isend_seconds"):
@@ -208,12 +208,12 @@ def test_1pfpp_default_run_takes_its_plan():
     per rank (six calendar events a rank: jitter, token grant, create,
     allocate, move, close) — a refactor that silently drops the plan fails
     here, not in a host-time benchmark."""
-    from repro.experiments import run_checkpoint_step
+    from repro.experiments import run_checkpoint_steps
     from repro.experiments.figures import problem_for, strategy_for
 
     n = 4096
-    run = run_checkpoint_step(strategy_for("1pfpp", n), n,
-                              problem_for(n).data())
+    run = run_checkpoint_steps(strategy_for("1pfpp", n), n,
+                               problem_for(n).data())
     assert len(run.job._rank_procs) == 1
     assert run.job.metrics().get("sim.dispatched_events") <= 7 * n
     assert run.result.roles == ["independent"] * n

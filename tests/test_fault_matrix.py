@@ -19,8 +19,8 @@ from repro.ckpt import (
     ReducedBlockingIO,
     UnrecoverableCheckpointError,
 )
-from repro.experiments import run_resilient_campaign
-from repro.faults import FaultSchedule, FaultSpec
+from repro.experiments import run_checkpoint_steps
+from repro.faults import FaultSchedule, FaultSpec, faults_of
 from repro.staging import StagingConfig
 from repro.topology import intrepid
 
@@ -91,12 +91,14 @@ FAULT_CELLS = {
 
 
 def run_cell(strategy_name: str, fault_name: str):
-    return run_resilient_campaign(
+    run = run_checkpoint_steps(
         make_strategy(strategy_name), NP, matrix_data,
         n_steps=N_STEPS,
         run_config=RunConfig(faults=FAULT_CELLS[fault_name]),
         config=QUIET, gap_seconds=GAP,
     )
+    run.restore()
+    return run
 
 
 def assert_contract(campaign):
@@ -128,7 +130,7 @@ def test_matrix_cell(strategy_name, fault_name):
 def test_transient_errors_are_absorbed_and_logged(strategy_name):
     campaign = run_cell(strategy_name, "transient_fs")
     assert_contract(campaign)
-    report = campaign.fault_report
+    report = faults_of(campaign.job).report()
     assert report["by_kind"].get("fs_error", 0) == 2
     # Retries absorbed them: newest generation restores fine.
     assert campaign.restored_step == N_STEPS - 1
@@ -148,7 +150,7 @@ def test_writer_crash_falls_back_to_complete_generation(strategy_name):
 def test_rbio_failover_keeps_survivor_data_durable():
     """The adopter writer commits the orphaned group's survivors."""
     campaign = run_cell("rbio", "writer_crash")
-    kinds = [e["kind"] for e in campaign.fault_report["log"]]
+    kinds = [e["kind"] for e in faults_of(campaign.job).report()["log"]]
     assert "writer_failover" in kinds
     # Generation 1 holds a failover file for group 1 written by the
     # adopter — smaller than a full group file, hence rejected at restore.
@@ -158,7 +160,7 @@ def test_rbio_failover_keeps_survivor_data_durable():
 def test_bbio_buffer_loss_degrades_to_pfs():
     campaign = run_cell("bbio", "buffer_loss")
     assert_contract(campaign)
-    log = campaign.fault_report["log"]
+    log = faults_of(campaign.job).report()["log"]
     assert any(e["kind"] == "buffer_loss" for e in log)
     # The generation checkpointed after the loss bypassed the dead buffer.
     assert any(e["kind"] == "bbio_degraded" for e in log)
@@ -167,7 +169,7 @@ def test_bbio_buffer_loss_degrades_to_pfs():
 def test_bbio_corrupt_replica_never_served():
     campaign = run_cell("bbio", "replica_corrupt")
     assert_contract(campaign)
-    log = campaign.fault_report["log"]
+    log = faults_of(campaign.job).report()["log"]
     assert any(e["kind"] == "replica_corrupt" for e in log)
 
 
@@ -177,7 +179,7 @@ def test_bbio_bit_rot_falls_back_to_partner_replica():
     Single-wave (restore in the same processes, drain still trickling) so
     the rotted package is still buffer-resident when the restore looks.
     """
-    from repro.faults import attach_faults, faults_of
+    from repro.faults import attach_faults
     from repro.mpi import Job
     from repro.storage import attach_storage
 
@@ -210,9 +212,10 @@ def test_bbio_bit_rot_falls_back_to_partner_replica():
 
 def test_no_fault_cells_restore_newest_generation():
     for name in ["1pfpp", "coio", "rbio", "bbio"]:
-        campaign = run_resilient_campaign(
+        campaign = run_checkpoint_steps(
             make_strategy(name), NP, matrix_data, n_steps=N_STEPS,
             config=QUIET, gap_seconds=GAP,
         )
+        campaign.restore()
         assert_contract(campaign)
         assert campaign.restored_step == N_STEPS - 1

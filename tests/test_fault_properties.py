@@ -25,7 +25,7 @@ from repro.ckpt import (
     ReducedBlockingIO,
     UnrecoverableCheckpointError,
 )
-from repro.experiments import run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.faults import FaultConfig, FaultSchedule
 from repro.sim import StreamRegistry
 from repro.topology import intrepid
@@ -93,11 +93,12 @@ def build_case(i: int):
 def check_case(i: int):
     strategy, n_ranks, data_fn, faults = build_case(i)
     try:
-        campaign = run_resilient_campaign(
+        campaign = run_checkpoint_steps(
             strategy, n_ranks, data_fn, n_steps=2,
             run_config=RunConfig(faults=faults),
             config=QUIET, gap_seconds=1.5,
         )
+        campaign.restore()
     except UnrecoverableCheckpointError:
         return "unrecoverable"
     restored = campaign.restored

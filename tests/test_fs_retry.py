@@ -25,7 +25,7 @@ from repro.ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
 )
-from repro.experiments import run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.faults import FaultSchedule, FaultSpec, attach_faults, faults_of
 from repro.mpi import Job
 from repro.sim import StagedOp
@@ -198,12 +198,12 @@ def run_campaign(strategy_name, delta, schedule) -> dict:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(runner_module, "attach_faults", keeping)
         try:
-            campaign = run_resilient_campaign(
+            campaign = run_checkpoint_steps(
                 make_strategy(strategy_name, delta), NP, DATA,
                 n_steps=STEPS, config=QUIET, gap_seconds=GAP,
                 run_config=RunConfig(
                     trace="full", faults=FaultSchedule(SCHEDULES[schedule])))
-            outcome = _restored(campaign.restored)
+            outcome = _restored(campaign.restore())
         except RuntimeError as exc:
             outcome = (type(exc).__name__, str(exc))
     return fingerprint(jobs[0], outcome)

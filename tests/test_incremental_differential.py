@@ -38,7 +38,7 @@ from repro.ckpt import (
     ReducedBlockingIO,
     UnrecoverableCheckpointError,
 )
-from repro.experiments import run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.faults import FaultSchedule, FaultSpec
 from repro.staging import StagingConfig
 from repro.topology import intrepid
@@ -107,12 +107,14 @@ FAULT_CELLS = {
 
 
 def run_cell(strategy_name: str, fault_name: str, delta: str):
-    return run_resilient_campaign(
+    run = run_checkpoint_steps(
         make_strategy(strategy_name, delta), NP, DATA,
         n_steps=N_STEPS,
         run_config=RunConfig(faults=FAULT_CELLS[fault_name]),
         config=QUIET, gap_seconds=GAP,
     )
+    run.restore()
+    return run
 
 
 def expected_fields(rank: int, step: int) -> list[bytes]:
@@ -193,8 +195,8 @@ def test_matrix_cell_differential(strategy_name, fault_name):
 
     # Every surviving manifest's declared CRCs match the stored bytes,
     # and the delta run actually deduplicated (or at least chunked).
-    audit_manifests(on.run.job, strict=(fault_name == "none"))
-    snap = delta_snapshot(on.run.job)
+    audit_manifests(on.job, strict=(fault_name == "none"))
+    snap = delta_snapshot(on.job)
     assert snap["chunk_misses"] > 0
     if fault_name in ("none", "transient_fs"):
         # Unfaulted chains dedup every generation after the first.
@@ -214,20 +216,20 @@ def delta_snapshot(job) -> dict:
 
 def test_delta_off_leaves_counters_untouched():
     # Run after a delta job in the same process, with no reset anywhere.
-    assert delta_snapshot(run_cell("rbio", "none", "auto").run.job)[
+    assert delta_snapshot(run_cell("rbio", "none", "auto").job)[
         "chunk_misses"] > 0
-    assert delta_snapshot(run_cell("1pfpp", "none", "off").run.job) == {
+    assert delta_snapshot(run_cell("1pfpp", "none", "off").job) == {
         "bytes_logical": 0, "bytes_to_pfs": 0,
         "chunk_hits": 0, "chunk_misses": 0,
     }
 
 
 def test_dedup_beats_full_write_in_steady_state():
-    campaign = run_resilient_campaign(
+    campaign = run_checkpoint_steps(
         make_strategy("rbio", "require"), NP, DATA, n_steps=6,
-        config=QUIET, gap_seconds=GAP, restore=False,
+        config=QUIET, gap_seconds=GAP,
     )
-    snap = delta_snapshot(campaign.run.job)
+    snap = delta_snapshot(campaign.job)
     # Generations 1..5 reuse the ~75% untouched chunks of their parent,
     # so across the chain hits overtake the full gen-0 misses.
     assert snap["chunk_hits"] > snap["chunk_misses"]
@@ -238,7 +240,7 @@ def test_delta_runs_are_deterministic():
     """Two identical delta campaigns: bit-identical figures and PFS image."""
 
     def image(campaign):
-        fs = campaign.run.job.services["fs"]
+        fs = campaign.job.services["fs"]
         return {
             path: (f.size, as_bytes(f.read_extents(0, f.size)))
             for path, f in sorted(fs.files.items())
@@ -258,25 +260,17 @@ def test_delta_runs_are_deterministic():
 # Seeded mutation sweep: on-disk chunk flips are caught and recovered
 # ---------------------------------------------------------------------------
 
-def _restore_main(ctx, strategy, steps, basedir):
-    template = DATA.bind(ctx.rank).template()
-    yield from ctx.comm.barrier()
-    step, fields = yield from strategy.restore_resilient(
-        ctx, template, steps, basedir=basedir)
-    return step, fields
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_mutated_chunk_is_caught_and_parent_chain_recovers(seed):
     """Flip one stored chunk of generation 1; CRC must catch it and the
     restore must fall back along the chain, never serving the flipped
     bytes."""
     strategy = make_strategy("1pfpp", "require")
-    campaign = run_resilient_campaign(
+    campaign = run_checkpoint_steps(
         strategy, NP, DATA, n_steps=N_STEPS, config=QUIET,
-        gap_seconds=GAP, restore=False,
+        gap_seconds=GAP,
     )
-    fs = campaign.run.job.services["fs"]
+    fs = campaign.job.services["fs"]
 
     # Pick a victim chunk stored in generation 1 that generation 2 still
     # deduplicates against (src_step == 1 in gen 2's manifest), seeded,
@@ -301,9 +295,7 @@ def test_mutated_chunk_is_caught_and_parent_chain_recovers(seed):
     # A later extent shadows earlier ones — this is on-disk bit damage.
     fobj.extents.append((victim.src_offset, flipped))
 
-    campaign.run.job.spawn(_restore_main, strategy,
-                           list(range(N_STEPS - 1, -1, -1)), "/ckpt")
-    restored = campaign.run.job.run()
+    restored = campaign.restore()
 
     # Generations 2 and 1 both reference the damaged generation-1 file
     # (gen 2 deduplicates against it), so the vote must land on gen 0.

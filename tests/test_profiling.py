@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt import OneFilePerProcess, ReducedBlockingIO
-from repro.experiments import run_checkpoint_step, scaled_problem
+from repro.experiments import run_checkpoint_steps, scaled_problem
 from repro.profiling import (
     DarshanProfiler,
     distribution_summary,
@@ -201,8 +201,8 @@ def test_writer_worker_split():
 
 def test_write_activity_from_real_run():
     data = scaled_problem(16).data()
-    run = run_checkpoint_step(OneFilePerProcess(arrival_jitter=0.0), 16, data,
-                              config=QUIET)
+    run = run_checkpoint_steps(OneFilePerProcess(arrival_jitter=0.0), 16, data,
+                               config=QUIET)
     starts, counts = write_activity(run.profiler, bin_width=0.05)
     assert counts.max() >= 1
     assert counts.sum() > 0
@@ -210,8 +210,8 @@ def test_write_activity_from_real_run():
 
 def test_rbio_profiler_contains_isend_phases():
     data = scaled_problem(8).data()
-    run = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=4), 8, data,
-                              config=QUIET)
+    run = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=4), 8, data,
+                               config=QUIET)
     isends = run.profiler.select(["app:isend"])
     assert len(isends) == 6  # 8 ranks - 2 writers
     writes = run.profiler.select(["write"])
@@ -235,8 +235,8 @@ def test_job_metrics_publish_the_fabric_counters_once():
         strategy = ReducedBlockingIO(workers_per_writer=8)
         if tam != "off":
             strategy.configure_tam(tam)
-        runs[tam] = run_checkpoint_step(strategy, 16, data, config=QUIET,
-                                        run_config=RunConfig(trace="full"))
+        runs[tam] = run_checkpoint_steps(strategy, 16, data, config=QUIET,
+                                         run_config=RunConfig(trace="full"))
     for run in runs.values():
         metrics, fabric = run.job.metrics(), run.job.fabric.stats()
         for key in ("msgs_intra", "msgs_inter", "bytes_intra", "bytes_inter",

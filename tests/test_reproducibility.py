@@ -9,7 +9,12 @@ import numpy as np
 
 from repro import RunConfig
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
-from repro.experiments import clear_cache, fig5_write_bandwidth, run_checkpoint_step, scaled_problem
+from repro.experiments import (
+    clear_cache,
+    fig5_write_bandwidth,
+    run_checkpoint_steps,
+    scaled_problem,
+)
 from repro.topology import intrepid
 
 N = 512
@@ -33,26 +38,26 @@ def test_noisy_runs_reproducible_with_default_seed():
         lambda: CollectiveIO(ranks_per_file=64),
         lambda: ReducedBlockingIO(workers_per_writer=64),
     ):
-        r1 = run_checkpoint_step(strategy_factory(), N, DATA).result
-        r2 = run_checkpoint_step(strategy_factory(), N, DATA).result
+        r1 = run_checkpoint_steps(strategy_factory(), N, DATA).result
+        r2 = run_checkpoint_steps(strategy_factory(), N, DATA).result
         assert r1.overall_time == r2.overall_time
         assert np.array_equal(r1.t_complete, r2.t_complete)
 
 
 def test_different_seed_changes_noisy_measurement():
-    r1 = run_checkpoint_step(CollectiveIO(ranks_per_file=64), N, DATA,
-                             seed=1).result
-    r2 = run_checkpoint_step(CollectiveIO(ranks_per_file=64), N, DATA,
-                             seed=2).result
+    r1 = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), N, DATA,
+                              seed=1).result
+    r2 = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), N, DATA,
+                              seed=2).result
     assert r1.overall_time != r2.overall_time
 
 
 def test_seed_does_not_matter_when_noise_disabled():
     quiet = intrepid().quiet()
-    r1 = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=64), N,
-                             DATA, config=quiet, seed=1).result
-    r2 = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=64), N,
-                             DATA, config=quiet, seed=2).result
+    r1 = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=64), N,
+                              DATA, config=quiet, seed=1).result
+    r2 = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=64), N,
+                              DATA, config=quiet, seed=2).result
     # rbIO uses no stochastic services in quiet mode except the 1PFPP-style
     # jitter (absent here): identical timings.
     assert r1.overall_time == r2.overall_time
@@ -119,8 +124,7 @@ def test_fault_schedule_generation_reproducible():
 def test_faulted_campaign_bit_reproducible():
     """Same seed, same schedule: identical reports, logs, and FS bytes."""
     from repro.ckpt import ReducedBlockingIO
-    from repro.experiments import run_resilient_campaign
-    from repro.faults import FaultSchedule, FaultSpec
+    from repro.faults import FaultSchedule, FaultSpec, faults_of
 
     faults = FaultSchedule((
         FaultSpec(kind="fs_error", time=0.0, op="write", count=2,
@@ -129,19 +133,21 @@ def test_faulted_campaign_bit_reproducible():
     ))
 
     def campaign():
-        return run_resilient_campaign(
+        run = run_checkpoint_steps(
             ReducedBlockingIO(workers_per_writer=16), 64, DATA, n_steps=2,
             run_config=RunConfig(faults=faults), gap_seconds=2.0, seed=5,
         )
+        run.restore()
+        return run
 
     a, b = campaign(), campaign()
-    assert a.fault_report == b.fault_report
+    assert faults_of(a.job).report() == faults_of(b.job).report()
     assert {r: s for r, (s, _f) in a.restored.items()} == \
            {r: s for r, (s, _f) in b.restored.items()}
     for ra, rb in zip(a.results, b.results):
         assert np.array_equal(ra.t_complete, rb.t_complete)
         assert np.array_equal(ra.t_blocked_end, rb.t_blocked_end)
-    assert _fs_image(a.run.job) == _fs_image(b.run.job)
+    assert _fs_image(a.job) == _fs_image(b.job)
 
 
 def test_faulted_run_reproducible_under_auto_coalescing():

@@ -20,7 +20,7 @@ from repro import RunConfig
 from repro.campaign import run_point
 from repro.campaign.compiler import CampaignPoint
 from repro.ckpt import UnrecoverableCheckpointError
-from repro.experiments import run_checkpoint_steps, run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.experiments.figures import clear_cache, problem_for, strategy_for
 from repro.faults import FaultSchedule, FaultSpec
 from repro.mpi import Job
@@ -88,12 +88,12 @@ def test_a_golden_cell_drain_leaves_nothing_unreachable(name,
     cell = CELLS[name]
     data = SHARED if cell["coalesce"] == "auto" else EVOLVING
     try:
-        campaign = run_resilient_campaign(
+        campaign = run_checkpoint_steps(
             make_strategy(cell), NP, data, n_steps=N_STEPS, seed=SEED,
             gap_seconds=GAPS,
             run_config=RunConfig(trace="full", coalesce=cell["coalesce"],
                                  faults=FAULTS[cell["fault"]]))
-        assert campaign.restored
+        assert campaign.restore()
     except UnrecoverableCheckpointError:
         pass  # a refused restore is a drain like any other
     assert drain_offenders == []
@@ -151,7 +151,7 @@ def test_engine_close_abandons_parked_processes():
     assert log == ["job"] and proc.is_alive and eng._alive == {proc}
     eng.close()
     assert log == ["job", "closed"] and not eng._alive
-    assert proc.generator is None and eng.peek() == float("inf")
+    assert proc.generator is None and not eng._times  # calendar empty
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +419,11 @@ def test_close_leaves_lazy_contexts_and_split_views_nothing_to_collect(tam):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        campaign = run_resilient_campaign(
+        campaign = run_checkpoint_steps(
             strategy_for("rbio_nf1", 256, tam=tam), 256, SHARED, n_steps=2,
             seed=SEED)
-        job = campaign.run.job
+        campaign.restore()
+        job = campaign.job
         assert len(job._rank_procs) < 2 * 256  # the first wave coalesced
         assert len(job.contexts.built()) == 256  # the restore wave ran all
         assert gc.collect() == 0

@@ -69,30 +69,6 @@ def test_timeseries_rejects_backwards_time():
         ts.record(4.0, 1.0)
 
 
-def test_timeseries_binned_sum():
-    ts = TimeSeries()
-    ts.record(0.1, 1.0)
-    ts.record(0.2, 1.0)
-    ts.record(1.5, 5.0)
-    starts, sums = ts.binned_sum(1.0, t_end=3.0)
-    assert sums[0] == pytest.approx(2.0)
-    assert sums[1] == pytest.approx(5.0)
-    assert np.all(sums[2:] == 0)
-
-
-def test_timeseries_binned_sum_empty():
-    ts = TimeSeries()
-    starts, sums = ts.binned_sum(1.0)
-    assert len(starts) == 0 and len(sums) == 0
-
-
-def test_timeseries_bad_bin_width():
-    ts = TimeSeries()
-    ts.record(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ts.binned_sum(0.0)
-
-
 # ---------------------------------------------------------------------------
 # IntervalRecorder
 # ---------------------------------------------------------------------------

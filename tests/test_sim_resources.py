@@ -347,22 +347,6 @@ def test_pipe_rejects_bad_parameters():
         pipe.transfer(-5.0)
 
 
-def test_pipe_would_complete_at_has_no_side_effects():
-    eng = Engine()
-    pipe = Pipe(eng, bandwidth=100.0, latency=1.0)
-    t = pipe.would_complete_at(100.0)
-    assert t == 2.0
-    assert pipe.busy_until == 0.0  # unchanged
-
-
-def test_pipe_backlog_seconds():
-    eng = Engine()
-    pipe = Pipe(eng, bandwidth=100.0)
-    assert pipe.backlog_seconds == 0.0
-    pipe.transfer(300.0)
-    assert pipe.backlog_seconds == pytest.approx(3.0)
-
-
 def test_pipe_bytes_moved_accumulates():
     eng = Engine()
     pipe = Pipe(eng, bandwidth=10.0)

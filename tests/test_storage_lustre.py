@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import run_checkpoint_step, scaled_problem
+from repro.experiments import run_checkpoint_steps, scaled_problem
 from repro.mpi import Job
 from repro.storage import GPFS, LustreFS, attach_storage
 from repro.topology import intrepid
@@ -120,10 +120,10 @@ def test_shared_file_ceiling_on_lustre():
     n = 256
     data = scaled_problem(n).data()
     strategy = CollectiveIO(ranks_per_file=None)
-    gpfs_bw = run_checkpoint_step(strategy, n, data, config=QUIET).result.write_bandwidth
+    gpfs_bw = run_checkpoint_steps(strategy, n, data, config=QUIET).result.write_bandwidth
     strategy = CollectiveIO(ranks_per_file=None)
-    lustre_bw = run_checkpoint_step(strategy, n, data, config=QUIET,
-                                    fs_type="lustre").result.write_bandwidth
+    lustre_bw = run_checkpoint_steps(strategy, n, data, config=QUIET,
+                                     fs_type="lustre").result.write_bandwidth
     assert lustre_bw < gpfs_bw
 
 
@@ -131,8 +131,8 @@ def test_rbio_runs_unchanged_on_lustre():
     """The strategies are storage-agnostic: rbIO works on the variant."""
     n = 64
     data = scaled_problem(n).data()
-    run = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=8), n,
-                              data, config=QUIET, fs_type="lustre")
+    run = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=8), n,
+                               data, config=QUIET, fs_type="lustre")
     res = run.result
     assert res.write_bandwidth > 0
     assert len(res.writer_ranks) == 8

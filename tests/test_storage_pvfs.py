@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ckpt import CollectiveIO, ReducedBlockingIO
-from repro.experiments import run_checkpoint_step, scaled_problem
+from repro.experiments import run_checkpoint_steps, scaled_problem
 from repro.mpi import Job
 from repro.storage import PVFS, attach_storage
 from repro.topology import intrepid
@@ -125,17 +125,17 @@ def test_coio_nf1_faster_on_pvfs_than_gpfs():
     """The nf=1 allocation ceiling is a GPFS artifact: PVFS lifts it."""
     n = 256
     data = scaled_problem(n).data()
-    gpfs = run_checkpoint_step(CollectiveIO(), n, data, config=QUIET).result
-    pvfs = run_checkpoint_step(CollectiveIO(), n, data, config=QUIET,
-                               fs_type="pvfs").result
+    gpfs = run_checkpoint_steps(CollectiveIO(), n, data, config=QUIET).result
+    pvfs = run_checkpoint_steps(CollectiveIO(), n, data, config=QUIET,
+                                fs_type="pvfs").result
     assert pvfs.write_bandwidth > gpfs.write_bandwidth
 
 
 def test_rbio_unchanged_semantics_on_pvfs():
     n = 64
     data = scaled_problem(n).data()
-    run = run_checkpoint_step(ReducedBlockingIO(workers_per_writer=8), n,
-                              data, config=QUIET, fs_type="pvfs")
+    run = run_checkpoint_steps(ReducedBlockingIO(workers_per_writer=8), n,
+                               data, config=QUIET, fs_type="pvfs")
     res = run.result
     assert res.write_bandwidth > 0
     assert res.blocking_time < 1e-2

@@ -30,7 +30,7 @@ from repro.ckpt import (
     CheckpointData,
     ReducedBlockingIO,
 )
-from repro.experiments import run_checkpoint_steps, run_resilient_campaign
+from repro.experiments import run_checkpoint_steps
 from repro.faults import FaultSchedule, FaultSpec
 from repro.mpiio import TamExchange, pick_node_aggregators
 from repro.topology import NodeGroups, intrepid
@@ -96,14 +96,15 @@ def assert_same_files(job_a, job_b):
 def test_matrix_cell_differential(strategy_name, coalesce, delta):
     runs = {}
     for tam in ("off", "require"):
-        runs[tam] = run_resilient_campaign(
+        runs[tam] = run_checkpoint_steps(
             make_strategy(strategy_name, tam=tam, delta=delta), NP, DATA,
             n_steps=N_STEPS, config=QUIET, gap_seconds=GAP,
             run_config=RunConfig(coalesce=coalesce))
+        runs[tam].restore()
     off, on = runs["off"], runs["require"]
 
     # Bit-identical PFS images and checksums.
-    assert_same_files(off.run.job, on.run.job)
+    assert_same_files(off.job, on.job)
 
     # Same restored generation, bit-identical restored state, matching
     # the evolving workload's ground truth.
@@ -118,15 +119,15 @@ def test_matrix_cell_differential(strategy_name, coalesce, delta):
         assert [as_bytes(f) for f in fields_on] == want
 
     # Logical figures agree (TAM changes traffic shape, not logic).
-    for a, b in zip(off.run.results, on.run.results):
+    for a, b in zip(off.results, on.results):
         assert a.roles == b.roles
         assert np.array_equal(a.ranks, b.ranks)
         assert np.array_equal(a.bytes_local, b.bytes_local)
 
     # TAM must have *reduced* inter-node fabric messages while keeping
     # total message count (every package still travels exactly once).
-    sf = off.run.job.fabric.stats()
-    st = on.run.job.fabric.stats()
+    sf = off.job.fabric.stats()
+    st = on.job.fabric.stats()
     assert st["tam_msgs"] > 0
     assert st["tam_coalesce_ratio"] > 1.0
     assert st["msgs_inter"] < sf["msgs_inter"]
@@ -213,25 +214,26 @@ def test_writer_failover_under_tam_auto_falls_back_flat():
     flat run bit for bit."""
     runs = {}
     for tam in ("off", "auto"):
-        runs[tam] = run_resilient_campaign(
+        runs[tam] = run_checkpoint_steps(
             make_strategy("rbio", tam=tam), NP, DATA, n_steps=N_STEPS,
             run_config=RunConfig(faults=WRITER_CRASH), config=QUIET,
             gap_seconds=GAP)
+        runs[tam].restore()
     off, on = runs["off"], runs["auto"]
-    assert_same_files(off.run.job, on.run.job)
+    assert_same_files(off.job, on.job)
     assert off.restored_step == on.restored_step
     assert on.restored == off.restored
     # The flat failover protocol ran: no TAM coalescing happened.
-    assert on.run.job.fabric.stats()["tam_msgs"] == 0
+    assert on.job.fabric.stats()["tam_msgs"] == 0
 
 
 def test_writer_failover_under_tam_require_raises():
     with pytest.raises(ValueError, match="tam='require'"):
-        run_resilient_campaign(
+        run_checkpoint_steps(
             make_strategy("rbio", tam="require"), NP, DATA,
             n_steps=N_STEPS, run_config=RunConfig(faults=WRITER_CRASH),
             config=QUIET,
-            gap_seconds=GAP)
+            gap_seconds=GAP).restore()
 
 
 def test_transient_fs_errors_keep_tam_engaged():
@@ -239,12 +241,13 @@ def test_transient_fs_errors_keep_tam_engaged():
     retried commits still match the flat run."""
     runs = {}
     for tam in ("off", "require"):
-        runs[tam] = run_resilient_campaign(
+        runs[tam] = run_checkpoint_steps(
             make_strategy("rbio", tam=tam), NP, DATA, n_steps=N_STEPS,
             run_config=RunConfig(faults=TRANSIENT_FS), config=QUIET,
             gap_seconds=GAP)
-    assert_same_files(runs["off"].run.job, runs["require"].run.job)
-    assert runs["require"].run.job.fabric.stats()["tam_msgs"] > 0
+        runs[tam].restore()
+    assert_same_files(runs["off"].job, runs["require"].job)
+    assert runs["require"].job.fabric.stats()["tam_msgs"] > 0
     assert runs["require"].restored == runs["off"].restored
 
 

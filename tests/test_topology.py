@@ -80,19 +80,6 @@ def test_hops_manhattan_on_small_grid():
     assert t.hops(a, b) == 1 + 2
 
 
-def test_neighbors_count_and_distance():
-    t = TorusTopology((4, 4, 4))
-    for node in [0, 17, 63]:
-        nbrs = t.neighbors(node)
-        assert len(nbrs) == 6
-        assert all(t.hops(node, n) == 1 for n in nbrs)
-
-
-def test_neighbors_degenerate_axis():
-    t = TorusTopology((4, 1, 1))
-    assert len(t.neighbors(0)) == 2
-
-
 def test_max_hops_is_diameter():
     t = TorusTopology((8, 8, 8))
     assert t.max_hops() == 12
