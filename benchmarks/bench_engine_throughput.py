@@ -141,10 +141,12 @@ def _wide_barrier_coalesced() -> Engine:
 #: last two pin the object budget of a run (DESIGN.md section 17): a
 #: change that goes back to an object per rank per concept — a context for
 #: a rank that never runs, a report or a Darshan record per replayed
-#: member — moves them by more than the gate's band.
+#: member — moves them by more than the gate's band.  The ``tracemalloc``
+#: peak of the run (KiB per rank) pins its memory budget the same way.
 _GATED_LEAVES = ("dispatched_per_rank_step", "drain_unreachable",
                  "left_for_collector_after_close",
-                 "tracked_objects_per_rank", "contexts_built")
+                 "tracked_objects_per_rank", "contexts_built",
+                 "traced_peak_kib_per_rank")
 
 
 def _checkpoint_cell(approach: str) -> dict:
@@ -164,9 +166,11 @@ def _checkpoint_cell(approach: str) -> dict:
     ``tracked_objects_per_rank`` is what the run holds when its drain
     ends (GC-tracked objects then, less those before the job was built,
     per rank), ``contexts_built`` how many ranks were ever asked for
-    their ``RankContext``.
+    their ``RankContext``, ``traced_peak_kib_per_rank`` the peak of the
+    memory the run allocated (``tracemalloc``), per rank.
     """
     import gc
+    import tracemalloc
 
     from repro.experiments.figures import problem_for, strategy_for
     from repro.experiments.runner import run_checkpoint_steps
@@ -179,12 +183,16 @@ def _checkpoint_cell(approach: str) -> dict:
         # First use: lazy imports and module-level memos are not the run's.
         run_checkpoint_steps(strategy, TRACE_NP, data, 1).job.close()
         before = len(gc.get_objects())
+        tracemalloc.start()
         job = run_checkpoint_steps(strategy_for(approach, TRACE_NP), TRACE_NP,
                                    data, 1).job
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         tracked = len(gc.get_objects()) - before
         counters = job.engine.counters()
         cell = {"np": TRACE_NP,
                 "tracked_objects_per_rank": round(tracked / TRACE_NP, 2),
+                "traced_peak_kib_per_rank": round(peak / 1024 / TRACE_NP, 2),
                 "contexts_built": len(job.contexts.built()),
                 "dispatched": counters["sim.dispatched_events"],
                 "dispatched_per_rank_step": round(

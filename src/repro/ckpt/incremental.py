@@ -120,6 +120,14 @@ class ManifestError(UnrecoverableCheckpointError):
     """
 
 
+def _count(value, what: str) -> int:
+    """A manifest number: a non-negative ``int``, never a coerced one."""
+    if type(value) is not int or value < 0:
+        raise ManifestError(f"manifest {what} must be a non-negative int, "
+                            f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ChunkingParams:
     """Content-defined chunking bounds.
@@ -152,7 +160,8 @@ class ChunkingParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkingParams":
-        return cls(min_size=d["min"], avg_size=d["avg"], max_size=d["max"])
+        return cls(*(_count(d[key], f"chunking {key}")
+                     for key in ("min", "avg", "max")))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +342,10 @@ class ChunkRef:
 
     @classmethod
     def from_list(cls, v: Sequence) -> "ChunkRef":
-        if len(v) != 6:
+        if len(v) != 6 or type(v[3]) is not str:
             raise ManifestError(f"malformed chunk entry: {v!r}")
-        return cls(int(v[0]), int(v[1]), int(v[2]), str(v[3]),
-                   int(v[4]), int(v[5]))
+        return cls(*(_count(x, "chunk entry") for x in v[:3]), v[3],
+                   *(_count(x, "chunk entry") for x in v[4:]))
 
 
 @dataclass(frozen=True)
@@ -370,8 +379,9 @@ class ManifestSection:
     def from_dict(cls, d: dict) -> "ManifestSection":
         try:
             return cls(
-                member=int(d["member"]),
-                field_sizes=tuple(int(s) for s in d["field_sizes"]),
+                member=_count(d["member"], "member"),
+                field_sizes=tuple(_count(s, "field size")
+                                  for s in d["field_sizes"]),
                 chunks=tuple(ChunkRef.from_list(c) for c in d["chunks"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -433,16 +443,19 @@ class Manifest:
             raise ManifestError(f"unparsable manifest: {exc}") from None
         if not isinstance(d, dict) or "version" not in d:
             raise ManifestError("manifest is not a versioned object")
-        if d["version"] != MANIFEST_VERSION:
+        if _count(d["version"], "version") != MANIFEST_VERSION:
             raise ManifestError(
                 f"unsupported manifest version {d['version']!r} "
                 f"(this build reads version {MANIFEST_VERSION})")
         try:
+            if type(d["strategy"]) is not str:
+                raise ManifestError(f"manifest strategy {d['strategy']!r}")
             return cls(
-                strategy=str(d["strategy"]),
-                step=int(d["step"]),
-                parent=None if d["parent"] is None else int(d["parent"]),
-                header_bytes=int(d["header_bytes"]),
+                strategy=d["strategy"],
+                step=_count(d["step"], "step"),
+                parent=(None if d["parent"] is None
+                        else _count(d["parent"], "parent")),
+                header_bytes=_count(d["header_bytes"], "header_bytes"),
                 chunking=ChunkingParams.from_dict(d["chunking"]),
                 sections=tuple(ManifestSection.from_dict(s)
                                for s in d["sections"]),

@@ -14,9 +14,8 @@ offset territory is safe to skip ahead into without finishing ``f``'s
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Sequence
-
-import numpy as np
 
 __all__ = ["FileLayout", "header_piece"]
 
@@ -36,63 +35,83 @@ def header_piece(rank: int, header_bytes: int, payload) -> list:
 class FileLayout:
     """Offset map of one checkpoint file with ``m`` member contributions.
 
-    Parameters
-    ----------
-    header_bytes:
-        Master-header size at offset 0.
-    member_field_sizes:
-        ``[member][field]`` sizes.  All members must have the same field
-        count (the SPMD contract).
+    ``member_field_sizes`` are ``[member][field]`` sizes, non-negative
+    ``int``s with one field count for every member (the SPMD contract),
+    after a master header of ``header_bytes`` at offset 0.  Equal rows
+    (every symmetric group; :meth:`uniform` takes the one row) are laid out
+    by arithmetic — member ``m``'s block sits ``m * size`` into its field's
+    section — and ragged ones by a column of running offsets per field;
+    either way every offset is an exact ``int``.
     """
 
-    def __init__(self, header_bytes: int, member_field_sizes: Sequence[Sequence[int]]) -> None:
-        if header_bytes < 0:
-            raise ValueError("negative header size")
-        if not member_field_sizes:
-            raise ValueError("need at least one member")
-        sizes = np.asarray(member_field_sizes, dtype=np.int64)
-        if sizes.ndim != 2:
+    def __init__(self, header_bytes: int,
+                 member_field_sizes: Sequence[Sequence[int]]) -> None:
+        rows = list(map(tuple, member_field_sizes))
+        if len(set(map(len, rows))) > 1:
             raise ValueError("members disagree on field count")
-        if (sizes < 0).any():
-            raise ValueError("negative field size")
-        self.header_bytes = header_bytes
-        self.n_members, self.n_fields = sizes.shape
-        self.sizes = sizes
-        # Section sizes and their start offsets.
-        section_totals = sizes.sum(axis=0)
-        self.section_offsets = header_bytes + np.concatenate(
-            ([0], np.cumsum(section_totals[:-1]))
-        )
-        # Within each section, each member's block offset.
-        within = np.zeros_like(sizes)
-        within[1:, :] = np.cumsum(sizes[:-1, :], axis=0)
-        self._within = within
-        self.total_size = int(header_bytes + section_totals.sum())
+        _check_sizes(chain.from_iterable(rows))
+        ragged = rows and rows.count(rows[0]) != len(rows)
+        self._init(header_bytes, rows[0] if rows else (), len(rows),
+                   rows if ragged else None)
 
     @classmethod
     def uniform(cls, header_bytes: int, field_sizes: Sequence[int], n_members: int
                 ) -> "FileLayout":
         """Layout where every member contributes identical field sizes."""
-        return cls(header_bytes, [list(field_sizes)] * n_members)
+        layout = cls.__new__(cls)
+        layout._init(header_bytes, _check_sizes(field_sizes), n_members, None)
+        return layout
+
+    def _init(self, header_bytes: int, row: tuple, n_members: int,
+              rows) -> None:
+        """Every member's sizes are ``row``, unless ``rows`` are ragged."""
+        if n_members < 1 or type(header_bytes) is not int or header_bytes < 0:
+            raise ValueError(f"{n_members} members, header {header_bytes!r}")
+        self.header_bytes, self.n_members = header_bytes, n_members
+        self.n_fields, self._row, self._rows = len(row), row, rows
+        if rows is None:
+            totals = [n_members * size for size in row]
+        else:
+            columns = list(zip(*rows))
+            totals = list(map(sum, columns))
+            self._within = [list(accumulate(col, initial=0)) for col in columns]
+        self.section_offsets = list(accumulate(totals[:-1],
+                                               initial=header_bytes))
+        self.total_size = header_bytes + sum(totals)
 
     def block_offset(self, field: int, member: int) -> int:
         """File offset of ``member``'s block within ``field``'s section."""
         self._check(field, member)
-        return int(self.section_offsets[field] + self._within[member, field])
+        return self.member_offsets(member)[field]
 
     def member_offsets(self, member: int) -> list[int]:
         """:meth:`block_offset` of ``member`` in every field section."""
         if not 0 <= member < self.n_members:
             raise ValueError(f"member {member} out of range")
-        return (self.section_offsets + self._within[member]).tolist()
+        if self._rows is not None:
+            return [start + col[member]
+                    for start, col in zip(self.section_offsets, self._within)]
+        return [start + member * size
+                for start, size in zip(self.section_offsets, self._row)]
 
     def block_size(self, field: int, member: int) -> int:
         """Size of ``member``'s block in ``field``'s section."""
         self._check(field, member)
-        return int(self.sizes[member, field])
+        return (self._row if self._rows is None else self._rows[member])[field]
 
     def _check(self, field: int, member: int) -> None:
         if not 0 <= field < self.n_fields:
             raise ValueError(f"field {field} out of range")
         if not 0 <= member < self.n_members:
             raise ValueError(f"member {member} out of range")
+
+
+def _check_sizes(sizes) -> tuple:
+    """``sizes`` as a tuple if each is a non-negative ``int``; a bool, a
+    float or anything else raises (nothing is truncated)."""
+    sizes = tuple(sizes)
+    if not set(map(type, sizes)) <= {int}:
+        raise ValueError(f"field sizes must be ints, got {list(sizes)!r}")
+    if min(sizes, default=0) < 0:
+        raise ValueError("negative field size")
+    return sizes

@@ -468,9 +468,14 @@ class ReducedBlockingIO(CheckpointStrategy):
             for msg in msgs[len(local):]:
                 by_rank.update(msg.payload)
             packages += [by_rank[src] for src in alive]
-        member_sizes = [tuple(pkg[0]) for pkg in packages]
+        member_sizes = [pkg[0] for pkg in packages]
         member_payloads = [pkg[1] for pkg in packages]
-        group_bytes = sum(sum(s) for s in member_sizes)
+        first, n = member_sizes[0], len(member_sizes)
+        if member_sizes.count(first) == n:  # a symmetric group: one row
+            layout = FileLayout.uniform(data.header_bytes, first, n)
+        else:
+            layout = FileLayout(data.header_bytes, member_sizes)
+        group_bytes = layout.total_size - data.header_bytes
         if groups is not None:
             self._span(ctx, "tam-gather", t_g0, eng.now, group_bytes,
                        cat="phase", step=step)
@@ -480,7 +485,6 @@ class ReducedBlockingIO(CheckpointStrategy):
         yield eng.timeout(group_bytes / ctx.config.memory_bandwidth)
         self._span(ctx, "pack", t_p0, eng.now, group_bytes, cat="phase",
                    step=step)
-        layout = FileLayout(data.header_bytes, [list(s) for s in member_sizes])
         image = self._field_major_image(layout, member_sizes, member_payloads)
         return layout, image, packages
 
@@ -591,10 +595,9 @@ class ReducedBlockingIO(CheckpointStrategy):
         msgs = yield from ctx.comm.recv_all(alive, tag)
         member_sizes = [msg.payload[0] for msg in msgs]
         member_payloads = [msg.payload[1] for msg in msgs]
-        group_bytes = sum(sum(s) for s in member_sizes)
-        yield ctx.engine.timeout(group_bytes / ctx.config.memory_bandwidth)
-        layout = FileLayout(data.header_bytes,
-                            [list(s) for s in member_sizes])
+        layout = FileLayout(data.header_bytes, member_sizes)
+        yield ctx.engine.timeout((layout.total_size - data.header_bytes)
+                                 / ctx.config.memory_bandwidth)
         image = self._field_major_image(layout, member_sizes, member_payloads)
         yield from self._commit_private(
             ctx, self.file_path(basedir, step, group),
@@ -675,7 +678,7 @@ class ReducedBlockingIO(CheckpointStrategy):
 
         member_sizes = [pkg[0] for pkg in packages]
         firsts, layout = yield from wcomm.allgather(
-            [list(s) for s in member_sizes],
+            member_sizes,
             nbytes=8 * len(member_sizes[0]) * len(member_sizes),
             map_fn=global_layout)
         blocks = self._field_blocks(member_sizes, [pkg[1] for pkg in packages])

@@ -57,9 +57,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import deque
 from collections.abc import Mapping
 from heapq import heappush as _heappush
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Optional
 
 from ..network import Fabric
@@ -96,7 +97,7 @@ class Message(Event):
     callback, so a message costs one object and one calendar entry
     (DESIGN.md section 9.3).  ``Message(...)`` builds one that has already
     been delivered (a burst's messages a waiting receive took at the post,
-    section 9.4).
+    made when the receive is read, section 9.4).
     """
 
     __slots__ = ("source", "tag", "nbytes", "payload", "sent_at",
@@ -151,7 +152,7 @@ class _RecvAll:
     """
 
     __slots__ = ("tag", "slot_of", "msgs", "missing", "bandwidth", "event",
-                 "slot", "t", "waiting", "owed")
+                 "slot", "t", "waiting", "owed", "bursts")
 
     def __init__(self, sources, tag: int, event: Event,
                  bandwidth: float) -> None:
@@ -168,23 +169,17 @@ class _RecvAll:
         self.waiting = False
         #: Events the loop has dispatched so far, less those spent here.
         self.owed = -1
+        #: Folded ``(probe, sources, slots, arrivals)``, read by messages().
+        self.bursts: list = []
 
-    def _step(self, msgs: list, slot: int, t: float, now: float,
-              woken: bool) -> tuple:
-        """The loop's clock, one wake-up: from its receive of ``slot``
-        (posted at ``t``) it takes what of ``msgs`` has arrived, with its
-        own float operations (a copy timeout adds ``nbytes / bandwidth``),
-        up to the first message that has not, or to its end — or, ``woken``
-        by a message, through that one's copy only: loops woken in one
-        instant meet again after it, whatever else each had in its queue.
-
-        Returns ``(slot, t, copies, at)``: where the loop is, how many copy
-        timeouts it ran, and the instant it comes back at — ``None`` if it
-        waits for ``msgs[slot]`` or, at its end, finishes ``now``.
-        """
-        bandwidth = self.bandwidth
-        start = t  # of the last copy
-        copies = 0
+    def go_on(self, _ev: Optional[Event] = None, woken: bool = False) -> None:
+        """It is now: the loop copies what has arrived (a copy timeout adds
+        ``nbytes / bandwidth``) up to a missing message or its end — or,
+        ``woken`` by a message, that one only: loops woken in one instant
+        meet again after it — and comes back to look again, waits or ends."""
+        msgs, bandwidth, now = self.msgs, self.bandwidth, self.event.engine.now
+        slot, copies = self.slot, 0
+        t = start = self.t  # start: of the last copy
         while slot < len(msgs) and msgs[slot] is not None:
             start = t
             copy = msgs[slot].nbytes / bandwidth
@@ -194,74 +189,98 @@ class _RecvAll:
                 copies += 1
                 if woken:
                     break
+        self.owed += copies + slot - self.slot
+        self.slot, self.t = slot, t
         if slot < len(msgs):  # busy copying until t: look again then
-            return slot, t, copies, t if t > now else None
+            if t > now:
+                self._at(t, self.go_on)
+            else:
+                self.waiting = True
         # The loop's last event is pushed when its last copy starts: two
         # loops that end at one instant go on in that order.
-        return slot, t, copies, start if now < start < t else None
-
-    def go_on(self, _ev: Optional[Event] = None, woken: bool = False) -> None:
-        """It is now: the loop goes on (:meth:`_step`) and comes back when
-        it looks again, waits, or ends."""
-        msgs = self.msgs
-        slot, self.t, copies, at = self._step(
-            msgs, self.slot, self.t, self.event.engine.now, woken)
-        self.owed += copies + slot - self.slot
-        self.slot = slot
-        if at is not None:
-            self._at(at, self.go_on if slot < len(msgs) else self._finish)
-        elif slot < len(msgs):
-            self.waiting = True
+        elif now < start < t:
+            self._at(start, self._finish)
         else:
             self._finish()
 
     def fold(self, arrivals: list, slots: list, probe: Message) -> bool:
         """A burst posted now, while the loop waits, brings ``probe``-sized
         messages into ``slots`` at ``arrivals`` (post order): run the loop
-        over all but the last of them to arrive, as their deliveries and
-        its own look-agains would (a look-again that falls on an arrival
-        instant was pushed after the burst and comes second; ties in the
-        burst go in post order).
-
-        If the loop then waits for the last one, keep that state — every
-        earlier delivery taken (its calendar event credited), waiting for
-        the last slot — and return True; else False, nothing changed.
+        over all but the last to arrive, in one pass over the sorted
+        instants with :meth:`go_on`'s float operations (a look-again on an
+        arrival instant comes second; ties in the burst go in post order).
+        If it then waits for the last one, keep that state — ``probe`` in
+        every earlier slot, its delivery credited — and return True; else
+        False, nothing changed.
         """
         order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
         last = order.pop()
+        # The folded arrivals in time order, then the last one's instant.
+        times = list(map(arrivals.__getitem__, order)) + [arrivals[last]]
+        into = list(map(slots.__getitem__, order))
         msgs = self.msgs[:]
-        slot, t, owed = self.slot, self.t, self.owed
+        bandwidth, slot, t, owed = self.bandwidth, self.slot, self.t, self.owed
         look = None  # the pending look-again; None while the loop waits
         spent = len(order)  # events of the per-message path folded here
-        j, a_last = 0, arrivals[last]
+        j = 0
         while True:
-            if look is not None and look < (
-                    arrivals[order[j]] if j < len(order) else a_last):
+            if look is not None and look < times[j]:
                 spent += 1
                 if msgs[slot] is None:  # nothing new: the loop waits again
                     look = None
                     continue
                 now, woken = look, False
-            elif j < len(order):
-                i = order[j]
+            elif j < len(into):
+                landed = into[j]
+                msgs[landed] = probe
                 j += 1
-                msgs[slots[i]] = probe
-                if look is not None or slots[i] != slot:
+                if look is not None or landed != slot:
                     continue
-                now = t = arrivals[i]
+                now = t = times[j - 1]
                 woken = True
+                # Members that each land after the previous one's copy and
+                # empty look-again, slot after slot: that whole cycle each.
+                copy = probe.nbytes / bandwidth
+                while j < len(into) and into[j] == slot + 1 and (
+                        now < t + copy < times[j]):
+                    slot += 1
+                    msgs[slot] = probe
+                    owed += 1
+                    spent += 1
+                    now = t = times[j]
+                    j += 1
             else:
                 break
+            # go_on's step; the missing last slot stops it.
             before = slot
-            slot, t, copies, look = self._step(msgs, slot, t, now, woken)
-            owed += copies + slot - before
+            while msgs[slot] is not None:
+                copy = msgs[slot].nbytes / bandwidth
+                slot += 1
+                if copy > 0:
+                    t += copy
+                    owed += 1
+                    if woken:
+                        break
+            owed += slot - before
+            look = t if t > now else None
             if look is not None:
                 owed -= 1
         if look is not None or slot != slots[last]:
             return False
-        self.slot, self.t, self.owed = slot, t, owed + spent
+        self.msgs, self.slot, self.t, self.owed = msgs, slot, t, owed + spent
         self.missing = 1
         return True
+
+    def messages(self) -> list:
+        """The received messages, in ``sources`` order; a folded burst's
+        are made here, when the receiver reads them."""
+        msgs = self.msgs
+        for probe, sources, slots, arrivals in self.bursts:
+            for src, slot, t in zip(sources, slots, arrivals):
+                if msgs[slot] is probe:
+                    msgs[slot] = Message(src, probe.tag, probe.nbytes,
+                                         probe.payload, probe.sent_at, t)
+        return msgs
 
     def _at(self, t: float, then) -> None:
         self.owed -= 1
@@ -272,7 +291,7 @@ class _RecvAll:
     def _finish(self, _ev: Optional[Event] = None) -> None:
         engine = self.event.engine
         engine.count_events(self.owed)
-        engine.succeed_at(self.event, self.t, self.msgs)
+        engine.succeed_at(self.event, self.t)
 
 
 class Mailbox(Store):
@@ -305,14 +324,12 @@ class Mailbox(Store):
     def take_burst(self, sources, tag: int, nbytes: int, payload: Any,
                    arrivals: list) -> bool:
         """Send a burst posted now (``nbytes`` from each of ``sources``,
-        arriving at ``arrivals``) as one message in flight, if it can be:
-        its first receive is a waiting :meth:`get_all` for ``tag`` that
-        misses exactly these sources, and nothing else is in flight here.
-
-        Then the receive's loop is run now over all but the last-arriving
-        message (:meth:`_RecvAll.fold`); if it would be waiting for that
-        one, the others are taken as delivered messages and only it goes
-        in flight, to come in as any message does (DESIGN.md section 9.4).
+        arriving at ``arrivals``) as one message in flight, if its first
+        receive is a waiting :meth:`get_all` for ``tag`` missing exactly
+        these sources and nothing else is in flight here, and the loop run
+        over all but the last arrival (:meth:`_RecvAll.fold`) then waits
+        for that one: the others are taken as delivered (made when the
+        receive is read), only the last goes in flight (DESIGN.md 9.4).
         """
         getters = self._getters
         if self.incoming or not getters:
@@ -321,20 +338,16 @@ class Mailbox(Store):
         if (pending.__class__ is not _RecvAll or pending.tag != tag
                 or not pending.waiting or pending.missing != len(sources)):
             return False
-        slot_of, msgs = pending.slot_of, pending.msgs
-        slots = [slot_of.get(src) for src in sources]
+        slots = list(map(pending.slot_of.get, sources))
         if (None in slots or len(set(slots)) != len(slots)
-                or any(msgs[slot] is not None for slot in slots)):
+                or any(map(pending.msgs.__getitem__, slots))):  # one is filled
             return False
         engine = self.engine
-        now = engine.now
-        if not pending.fold(arrivals, slots,
-                            Message(-1, tag, nbytes, None, now, None)):
+        probe = Message(-1, tag, nbytes, payload, engine.now, None)
+        if not pending.fold(arrivals, slots, probe):
             return False
+        pending.bursts.append((probe, sources, slots, arrivals))
         last = slots.index(pending.slot)
-        for i, (src, slot, t) in enumerate(zip(sources, slots, arrivals)):
-            if i != last:
-                msgs[slot] = Message(src, tag, nbytes, payload, now, t)
         Message.arriving(engine, arrivals[last], self, sources[last], tag,
                          nbytes, payload)
         return True
@@ -380,13 +393,12 @@ class Mailbox(Store):
         self._getters.append(((source, tag), ev))
         return ev
 
-    def get_all(self, sources, tag: int, bandwidth: float) -> Event:
-        """One event for the oldest ``tag`` message of every source.
-
-        It fires with the messages in ``sources`` order at the instant a
-        loop of :meth:`get_exact` + copy at ``bandwidth`` over ``sources``
-        would have come out (see :meth:`CommView.recv_all`).  Messages
-        already queued are taken now, in one pass; the rest as they come.
+    def get_all(self, sources, tag: int, bandwidth: float) -> _RecvAll:
+        """One receive of the oldest ``tag`` message of every source: its
+        ``event`` fires when a loop of :meth:`get_exact` + copy at
+        ``bandwidth`` over ``sources`` would end (:meth:`CommView.recv_all`),
+        with :meth:`_RecvAll.messages` in ``sources`` order.  Queued messages
+        are taken now, in one pass; the rest as they come.
         """
         ev = Event(self.engine)
         pending = _RecvAll(sources, tag, ev, bandwidth)
@@ -405,7 +417,7 @@ class Mailbox(Store):
         if pending.missing:
             self._getters.append((pending, ev))
         pending.go_on()
-        return ev
+        return pending
 
 
 class Request:
@@ -497,8 +509,8 @@ class Communicator:
         table is built by the first call)."""
         table = self._local_of_world
         if table is None:
-            table = self._local_of_world = {
-                w: i for i, w in enumerate(self.world_ranks)}
+            table = self._local_of_world = dict(
+                zip(self.world_ranks, range(self.size)))
         try:
             return table[world_rank]
         except KeyError:
@@ -554,10 +566,8 @@ class Communicator:
                 op = self.arrive(name, (lr,), (value,), root, nbytes, fn)
             return op
         op = self._op(seq, name, root, members[0])
-        if contribs is not None:
-            contrib = op.contrib
-            for lr, value in zip(members, contribs):
-                contrib[lr] = value
+        if contribs is not None:  # each member's, stored in one C-level pass
+            deque(map(op.contrib.__setitem__, members, contribs), 0)
         op.arrived += len(members)
         self.engine.count_events(len(members))
         if op.arrived == self.size:
@@ -654,18 +664,29 @@ class Communicator:
 
     def _complete_split(self, op: _CollectiveOp) -> None:
         """Build the sub-communicators of a completed MPI_Comm_split; every
-        rank gets the same :class:`_SplitViews`."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for c, k, r in op.contrib:
-            groups.setdefault(c, []).append((k, r))
+        rank gets the same :class:`_SplitViews`.  A contribution is
+        ``(color, key, rank)``, or ``(color, ranks)`` for a member run whose
+        keys are its ranks (:meth:`CommView.split_members`): a colour keyed
+        by rank is its runs in rank order, a run at a time."""
+        groups: dict[int, list] = {}
+        for entry in filter(None, op.contrib):
+            groups.setdefault(entry[0], []).append(entry)
         sub_of: list = [None] * self.size
         world_ranks = self.world_ranks
-        for members in groups.values():
-            members.sort()
-            sub = Communicator(self.engine, self.fabric,
-                               [world_ranks[r] for _k, r in members])
-            for _k, r in members:
-                sub_of[r] = sub
+        for entries in groups.values():
+            if all(len(e) == 2 or e[1] == e[2] for e in entries):
+                runs = [e[1] if len(e) == 2 else range(e[2], e[2] + 1)
+                        for e in entries]
+            else:  # a key that is not the rank: rank by rank, in key order
+                keyed = sorted(chain.from_iterable(
+                    zip(e[1], e[1]) if len(e) == 2 else (e[1:],)
+                    for e in entries))
+                runs = [range(r, r + 1) for _k, r in keyed]
+            sub = Communicator(self.engine, self.fabric, list(
+                chain.from_iterable(world_ranks[run.start:run.stop]
+                                    for run in runs)))
+            for run in runs:
+                sub_of[run.start:run.stop] = repeat(sub, len(run))
         self._finish_after(op, 2 * self.tree_time(),
                            _SplitViews(self, sub_of, range(self.size)))
 
@@ -768,21 +789,13 @@ class CommView:
     def post_members(self, sources_local, dest: int, nbytes: int,
                      tag: int = 0, payload: Any = None) -> None:
         """Fire-and-forget buffered sends (coalescing replay), one per
-        represented member.
-
-        Each moves the data through the fabric and delivers to ``dest``'s
-        mailbox exactly like ``isend(..., buffered=True)``, but allocates
-        no sender-side completion event: a coalesced representative
-        replaying a symmetric member's Isend never waits on that member's
-        local completion (it is identical to its own), so the event would
-        be pure heap churn.  The per-member fabric transfers stay (each
-        member's message reserves injection/ejection capacity on its own,
-        so the writer-side incast stays bit-identical to uncoalesced
-        execution), reserved in one pass (:meth:`Fabric.arrivals`).
-        ``sources_local`` gives the member source ranks on this
-        communicator, in issue order.  A burst that a waiting
-        ``recv_all`` takes whole costs one calendar entry, not one per
-        message (:meth:`Mailbox.take_burst`).
+        member of ``sources_local`` (ranks on this communicator, in issue
+        order): each delivers to ``dest`` as ``isend(..., buffered=True)``
+        would, with its own fabric reservation (:meth:`Fabric.arrivals`:
+        the writer-side incast is the uncoalesced one), but no sender-side
+        completion event — a representative never waits on a symmetric
+        member's local completion.  A burst that a waiting ``recv_all``
+        takes whole is one calendar entry (:meth:`Mailbox.take_burst`).
         """
         comm = self.comm
         size = comm.size
@@ -798,7 +811,7 @@ class CommView:
         fabric = comm.fabric
         world = comm.world_ranks
         box = comm.mailbox(dest)
-        arrivals = fabric.arrivals([world[src] for src in sources_local],
+        arrivals = fabric.arrivals(map(world.__getitem__, sources_local),
                                    world[dest], nbytes)
         if (len(arrivals) > 1 and fabric.injector is None
                 and box.take_burst(sources_local, tag, nbytes, payload,
@@ -869,8 +882,10 @@ class CommView:
         if tag == ANY_TAG or min(sources) < 0 or max(sources) >= comm.size:
             raise MPIError(f"recv_all needs exact sources and tag, got "
                            f"{sources!r}, tag {tag}")
-        return (yield comm.mailbox(self.rank).get_all(
-            sources, tag, comm.fabric.config.memory_bandwidth))
+        pending = comm.mailbox(self.rank).get_all(
+            sources, tag, comm.fabric.config.memory_bandwidth)
+        yield pending.event
+        return pending.messages()
 
     def waitall(self, requests: list[Request]):
         """Generator: wait for all requests; returns their values in order."""
@@ -944,10 +959,15 @@ class CommView:
         Every member of ``local_ranks`` enters with ``color`` (its current
         rank doubles as its ordering key, matching ``split`` with
         ``key=None``).  Returns a mapping ``local_rank -> sub CommView``
-        over the members, each view made when it is asked for.
+        over the members, each view made when it is asked for.  A range
+        of ranks is entered as one ``(color, ranks)`` record at its first
+        rank, not a record per member.
         """
-        views = yield self.comm.arrive(
-            "split", local_ranks, [(color, lr, lr) for lr in local_ranks]).event
+        if isinstance(local_ranks, range) and local_ranks.step == 1:
+            contribs = [(color, local_ranks)] + [None] * (len(local_ranks) - 1)
+        else:
+            contribs = [(color, lr, lr) for lr in local_ranks]
+        views = yield self.comm.arrive("split", local_ranks, contribs).event
         return _SplitViews(views._parent, views._sub_of, local_ranks)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

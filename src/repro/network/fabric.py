@@ -21,6 +21,8 @@ event per message (essential at 65,536 ranks).
 
 from __future__ import annotations
 
+from itertools import groupby, repeat
+
 from ..sim import Engine, Event, Pipe
 from ..topology import MachineConfig, PsetMap, TorusTopology
 
@@ -107,15 +109,10 @@ class Fabric:
         """Reserve the way for ``nbytes`` from ``src_rank``'s node to
         ``dst_rank``'s node; the time from now until the last byte is in.
 
-        Same-node transfers cost a memory copy instead of network time.
-        The one reservation formula: a message in flight, :meth:`transfer`
-        and each source of :meth:`arrivals` wait exactly this long.
-
-        Only *sizes* move through the fabric model; message payloads ride
-        the :class:`~repro.mpi.core.Message` as zero-copy segment
-        references (ropes), so a transfer never copies host bytes — the
-        copy cost above is simulated time, accounted separately from the
-        data plane's ``bytes_copied`` counter.
+        Same-node transfers cost a memory copy instead of network time.  A
+        message in flight and :meth:`transfer` wait this long (:meth:`arrivals`
+        reserves a burst with the same float operations).  Only sizes move
+        through the fabric: payloads ride the message as zero-copy ropes.
         """
         if nbytes < 0:
             raise ValueError(f"negative message size: {nbytes}")
@@ -148,25 +145,53 @@ class Fabric:
         return done - now
 
     def arrivals(self, src_ranks, dst_rank: int, nbytes: int) -> list:
-        """Reserve the way for ``nbytes`` from each of ``src_ranks`` to
-        ``dst_rank``, one after the other in that order: each one's
-        arrival instant, ``now + delay(...)`` — the float a message in
-        flight computes — with the reservations and counters of one
-        :meth:`delay` per source.
-
-        Equal instants handed out at one instant are one float object, as
-        the calendar's bucket key is for the messages it delivers
-        (symmetric groups posting together arrive together).
-        """
+        """Each of ``src_ranks``' arrival instant ``now + delay(...)`` for
+        ``nbytes`` sent now to ``dst_rank``, with one :meth:`delay` per
+        source's reservations and counters, taken a run of same-node
+        sources at a time (DESIGN.md 9.4).  Equal instants handed out at one
+        instant are one float, as the calendar's bucket key is."""
+        if nbytes < 0:
+            raise ValueError(f"negative message size: {nbytes}")
         now = self.engine.now
         if self._instants_at != now:
             self._instants_at, self._instants = now, {}
-        instants = self._instants
-        delay = self.delay
-        out = []
-        for src_rank in src_ranks:
-            t = now + delay(src_rank, dst_rank, nbytes)
-            out.append(instants.setdefault(t, t))
+        intern, injector = self._instants.setdefault, self.injector
+        dst = dst_rank // self._cores_per_node
+        ej, out = None, []
+        for node, run in groupby(src_ranks, self._cores_per_node.__rfloordiv__):
+            run = list(run)
+            k = len(run)
+            if node == dst:  # shared memory: one copy time for each
+                self.msgs_intra += k
+                self.bytes_intra += k * nbytes
+                t = now + (self._intra_overhead + nbytes / self._mem_bw)
+                out += repeat(intern(t, t), k)
+                continue
+            self.msgs_inter += k
+            self.bytes_inter += k * nbytes
+            if ej is None:
+                ej = self._ejection.get(dst) or self.ejection(dst)
+                e_busy, e_cost = ej.busy_until, nbytes / ej.bandwidth
+            inj = self._injection.get(node) or self.injection(node)
+            i_cost = nbytes / inj.bandwidth
+            lat = (self._latency_cache.get(node * self._n_nodes + dst)
+                   or self._pair_latency(node, dst))
+            # delay's (busy if busy > now else now) + cost, then adding on.
+            i_busy = inj.busy_until if inj.busy_until > now else now
+            e_busy = e_busy if e_busy > now else now
+            for src_rank in run:
+                i_busy += i_cost
+                e_busy += e_cost
+                done = (e_busy if e_busy > i_busy else i_busy) + lat
+                if injector is not None:
+                    done = injector.net_adjust(now, src_rank, dst_rank, done)
+                t = now + (done - now)
+                out.append(intern(t, t))
+            inj.busy_until = i_busy
+            inj.bytes_moved += k * int(nbytes)
+            ej.bytes_moved += k * int(nbytes)
+        if ej is not None:
+            ej.busy_until = e_busy
         return out
 
     def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> Event:

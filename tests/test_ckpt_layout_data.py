@@ -190,6 +190,81 @@ def test_layout_validation():
         lo.block_offset(0, 1)
 
 
+@pytest.mark.parametrize("sizes", [
+    [[1, 2], [3, 4.5]],   # was truncated: total_size 10
+    [[1, 2], [3, 4.0]],   # integral, but not an int
+    [[True, 2]],          # a bool is not a size
+    [[1, 2], [True, 2]],  # equal to [1, 2], still a bool
+    [[1, 2], ["3", 4]],
+])
+def test_layout_rejects_sizes_that_are_not_ints(sizes):
+    with pytest.raises(ValueError, match="field sizes must be ints"):
+        FileLayout(0, sizes)
+
+
+@pytest.mark.parametrize("sizes", [[[1, 2], [3]], [[1], [2, 3], [4]], [[], [1]]])
+def test_layout_names_a_ragged_member(sizes):
+    with pytest.raises(ValueError, match="members disagree on field count"):
+        FileLayout(0, sizes)
+
+
+@pytest.mark.parametrize("field_sizes, n, header", [
+    ([True, 2], 3, 0), ([4.5], 2, 0), ([-1, 2], 2, 0), ([1], 0, 0),
+    ([1], 2, -1), ([1], 2, 1.5)])
+def test_uniform_layout_validates_too(field_sizes, n, header):
+    with pytest.raises(ValueError):
+        FileLayout.uniform(header, field_sizes, n)
+
+
+def _reference_offsets(header, rows):
+    """Every block's offset, summed out the long way: the field sections
+    in order, members in order within each."""
+    offsets, pos = {}, header
+    for f in range(len(rows[0])):
+        for m, row in enumerate(rows):
+            offsets[f, m] = pos
+            pos += row[f]
+    return offsets, pos
+
+
+def _assert_layout_is(layout, header, rows):
+    offsets, total = _reference_offsets(header, rows)
+    n, n_fields = len(rows), len(rows[0])
+    assert (layout.n_members, layout.n_fields) == (n, n_fields)
+    assert layout.total_size == total and type(layout.total_size) is int
+    for m in range(n):
+        got = layout.member_offsets(m)
+        assert got == [offsets[f, m] for f in range(n_fields)]
+        assert all(type(o) is int for o in got)
+        for f in range(n_fields):
+            assert layout.block_offset(f, m) == offsets[f, m]
+            assert layout.block_size(f, m) == rows[m][f]
+
+
+_SIZES = st.lists(st.integers(0, 1 << 40), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=st.integers(0, 1 << 20), row=_SIZES, n=st.integers(1, 70))
+def test_uniform_layout_is_the_general_layout(header, row, n):
+    """A symmetric group's layout — by :meth:`FileLayout.uniform`, by one
+    row object repeated and by equal row copies — against the offsets
+    summed member by member."""
+    rows = [row] * n
+    for layout in (FileLayout.uniform(header, row, n), FileLayout(header, rows),
+                   FileLayout(header, [tuple(row) for _ in range(n)])):
+        _assert_layout_is(layout, header, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=st.integers(0, 1 << 20), data=st.data())
+def test_ragged_layout_offsets(header, data):
+    n_fields = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 1 << 40), min_size=n_fields,
+                                       max_size=n_fields), min_size=1, max_size=40))
+    _assert_layout_is(FileLayout(header, rows), header, rows)
+
+
 @given(
     st.integers(min_value=0, max_value=1000),
     st.lists(st.lists(st.integers(min_value=0, max_value=100),

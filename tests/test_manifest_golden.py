@@ -22,6 +22,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckpt.incremental import (
     MANIFEST_VERSION,
@@ -90,3 +92,67 @@ def test_malformed_blobs_raise_typed_error(blob):
 def test_manifest_error_is_an_unrecoverable_checkpoint_error():
     """Restore voting fences unreadable manifests like any bad generation."""
     assert issubclass(ManifestError, UnrecoverableCheckpointError)
+
+
+# ---------------------------------------------------------------------------
+# Numbers are validated, never coerced
+# ---------------------------------------------------------------------------
+
+_N = st.integers(0, 1 << 40)
+_CHUNK = st.builds(ChunkRef, _N, _N, st.integers(0, (1 << 32) - 1),
+                   st.text("0123456789abcdef", min_size=32, max_size=32), _N, _N)
+_SECTION = st.builds(ManifestSection, _N, st.lists(_N, max_size=4).map(tuple),
+                     st.lists(_CHUNK, max_size=3).map(tuple))
+_MANIFEST = st.builds(
+    Manifest, st.sampled_from(["rbio", "coio", "1pfpp", "bbio"]), _N,
+    st.none() | _N, _N,
+    st.sampled_from([ChunkingParams(), ChunkingParams(256, 1024, 4096)]),
+    st.lists(_SECTION, max_size=3).map(tuple))
+
+
+def _number_paths(node, path=()):
+    """Where a manifest's dict form holds a number."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _number_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _number_paths(value, path + (i,))
+    elif type(node) is int:
+        yield path
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifest=_MANIFEST)
+def test_valid_manifests_round_trip(manifest):
+    assert Manifest.from_bytes(manifest.to_bytes()) == manifest
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=_MANIFEST, data=st.data())
+def test_a_mutated_number_raises_manifest_error(manifest, data):
+    """One number of a valid manifest made a float, a bool, a numeric
+    string or a negative: the manifest is damaged, and ``from_bytes``
+    says so with :class:`ManifestError` rather than coercing it."""
+    d = manifest.to_dict()
+    path = data.draw(st.sampled_from(list(_number_paths(d))))
+    *parents, leaf = path
+    node = d
+    for key in parents:
+        node = node[key]
+    value = node[leaf]
+    node[leaf] = data.draw(st.sampled_from(
+        [value + 0.5, float(value), True, False, str(value), -value - 1]))
+    with pytest.raises(ManifestError):
+        Manifest.from_bytes(json.dumps(d).encode())
+
+
+@pytest.mark.parametrize("section", [
+    {"member": 2.7, "field_sizes": [4.5, True], "chunks": []},
+    {"member": 2, "field_sizes": ["12"], "chunks": []},
+    {"member": 2, "field_sizes": [-4], "chunks": []},
+    {"member": 2, "field_sizes": [4], "chunks": [[0, 4, 0, 7, 1, 0]]},
+])
+def test_a_section_is_not_coerced(section):
+    with pytest.raises(ManifestError):
+        ManifestSection.from_dict(section)

@@ -3,6 +3,8 @@
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpi import Job, MPIError, run_spmd
 from repro.topology import intrepid
@@ -336,3 +338,63 @@ def test_arrive_rejects_bad_members(members, match):
         small.arrive("barrier", [1, 1])
     op = small.arrive("barrier", [0, 1])
     assert op.arrived == 2 and small._coll_seq == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# split_members: a member run is one record, and the split is unchanged
+# ---------------------------------------------------------------------------
+
+def _split(entries, n, as_runs):
+    """One MPI_Comm_split of an ``n``-rank world, entered by ``entries``:
+    ``(at, color, ranks, key)`` — a run of ranks entering together (key
+    ``None``: every key is the rank), or one rank with its own key.  A run
+    enters through ``split_members`` (``as_runs``) or rank by rank with
+    ``split``.  Returns each rank's sub-communicator and rank in it, and
+    the completion instant."""
+    job = Job(n, QUIET)
+    seen, done = {}, []
+
+    def enter(ctx, at, color, ranks, key):
+        yield ctx.engine.timeout(at)
+        if key is None:
+            views = yield from ctx.comm.split_members(ranks, color)
+            got = {r: views[r] for r in ranks}
+        else:
+            got = {ctx.rank: (yield from ctx.comm.split(color, key))}
+        done.append(ctx.engine.now)
+        for r, view in got.items():
+            seen[r] = (tuple(view.comm.world_ranks), view.rank, view.size)
+
+    for at, color, ranks, key in entries:
+        if as_runs or key is not None:
+            job.spawn(enter, at, color, ranks, key, ranks=[ranks[0]])
+        else:
+            for r in ranks:
+                job.spawn(enter, at, color, range(r, r + 1), r, ranks=[r])
+    job.run()
+    assert len(set(done)) == 1
+    return seen, done[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_member_run_split_is_a_split_rank_by_rank(data):
+    """Member runs entered as one record each, among ranks entering one
+    by one (their keys the rank or not), at interleaved instants, against
+    every rank entering by itself: the same sub-communicators (world
+    ranks in order), the same views, the same completion instant."""
+    n = data.draw(st.sampled_from([4, 8, 16, 32, 64]))
+    colors = data.draw(st.integers(1, 4))
+    entries, lo = [], 0
+    while lo < n:
+        width = data.draw(st.integers(1, n - lo))
+        at = data.draw(st.sampled_from([0.0, 1e-3, 2e-3]))
+        color = data.draw(st.integers(0, colors - 1))
+        if width > 1 and data.draw(st.booleans()):
+            entries.append((at, color, range(lo, lo + width), None))
+        else:
+            width = 1
+            key = data.draw(st.sampled_from([lo, -lo, lo % 3, 100 - lo]))
+            entries.append((at, color, range(lo, lo + 1), key))
+        lo += width
+    assert _split(entries, n, True) == _split(entries, n, False)

@@ -838,3 +838,66 @@ def test_an_arrival_goes_before_a_look_again_at_its_instant(bulk):
     eng.run()
     assert order[0][1] == order[1][1]
     assert [name for name, _t in order] == ["timer", "gather"]
+
+
+def _group_gather(bulk, n_members, nbytes, recv_at, receiver_first, config):
+    """An rbIO group: members 1..n of a 64-rank world (ranks 1-3 share the
+    writer's node) post ``nbytes`` each to rank 0 at ``_T_POST``, by one
+    ``post_members`` (``bulk``) or one post per member, while rank 0 takes
+    them with one ``recv_all`` posted at ``_T_POST + recv_at``.  Returns
+    every field of every message it got, the instant it got them, the
+    logical event count, the fabric's counters and pipes."""
+    eng = Engine()
+    fabric = Fabric(eng, config, 64)
+    comm = Communicator(eng, fabric, list(range(64)))
+    members = range(1, n_members + 1)
+    seen = {}
+
+    def receiver():
+        yield eng.timeout(_T_POST + recv_at)
+        msgs = yield from comm.view(0).recv_all(members, _TAG)
+        seen["gather"] = (eng.now.hex(), [
+            (m.source, m.tag, m.nbytes, m.payload, m.sent_at.hex(),
+             m.delivered_at.hex(), type(m)) for m in msgs])
+
+    def representative():
+        yield eng.timeout(_T_POST)
+        if bulk:
+            comm.view(0).post_members(members, 0, nbytes, tag=_TAG,
+                                      payload=("pkg", nbytes))
+        else:
+            for src in members:
+                comm.view(src).post_members((src,), 0, nbytes, tag=_TAG,
+                                            payload=("pkg", nbytes))
+
+    procs = [representative()]
+    procs.insert(0 if receiver_first else 1, receiver())
+    for proc in procs:
+        eng.process(proc)
+    eng.run()
+    return (seen, eng.events_processed, fabric.stats(), _pipe_state(fabric),
+            eng.counters()["sim.dispatched_events"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_members=st.sampled_from([1, 2, 3, 4, 7, 31, 63]),
+       nbytes=st.sampled_from(_BURST_SIZES + (2_457_600,)),
+       recv_at=st.sampled_from(_RECV_AT), receiver_first=st.booleans(),
+       dyadic=st.booleans())
+def test_post_members_at_rbio_group_shapes(n_members, nbytes, recv_at,
+                                           receiver_first, dyadic):
+    """The folded group burst (63 -> 1 and smaller, co-located members
+    first, the receive posted before or after the burst) against one post
+    per member: every field of every message ``recv_all`` returns, the
+    instant it returns, ``events_processed``, the fabric's counters and
+    pipes — and never more calendar entries."""
+    config = _DYADIC if dyadic else QUIET
+    *one, one_dispatched = _group_gather(False, n_members, nbytes, recv_at,
+                                         receiver_first, config)
+    *bulk, bulk_dispatched = _group_gather(True, n_members, nbytes, recv_at,
+                                           receiver_first, config)
+    assert bulk == one
+    assert "gather" in bulk[0]
+    assert bulk_dispatched <= one_dispatched
+    if n_members >= 7 and recv_at < 0 and nbytes == 2_457_600 and not dyadic:
+        assert bulk_dispatched < one_dispatched  # the waiting receive folded it

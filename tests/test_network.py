@@ -1,6 +1,8 @@
 """Unit tests for the torus fabric transport model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Engine
 from repro.network import Fabric
@@ -202,3 +204,53 @@ def test_arrivals_share_one_float_per_instant():
     assert fab.arrivals([], 0, 4096) == []
     with pytest.raises(ValueError):
         fab.arrivals([1], 0, -1)
+
+
+#: Dyadic constants: every reservation below is exact, so an injection and
+#: an ejection finish at one instant and a maximum is a tie.
+_DYADIC = dict(mpi_overhead=2.0 ** -19, torus_hop_latency=2.0 ** -23,
+               memory_bandwidth=2.0 ** 31, torus_link_bandwidth=2.0 ** 31,
+               torus_links_per_node=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_level_arrivals_are_delay_per_source(data):
+    """One pass a run at a time against one ``delay`` per source, on twin
+    fabrics: pipes left busy by earlier traffic (some past, some still
+    busy at the burst), sources on the destination's node, runs of
+    several sources per node and repeats, zero-byte and dyadic sizes, an
+    armed ``net_adjust``.  Every instant bit for bit, every pipe's
+    ``busy_until`` and ``bytes_moved``, and ``stats()``."""
+    dyadic = data.draw(st.booleans())
+    eng, fab = make_fabric(n_ranks=128, **(_DYADIC if dyadic else {}))
+    twin = Fabric(eng, fab.config, 128)
+    if data.draw(st.booleans()):
+        fab.injector = twin.injector = _Stretch()
+    dst = data.draw(st.integers(0, 127))
+    node_of = st.integers(0, 31)
+    runs = data.draw(st.lists(st.tuples(node_of, st.integers(1, 6)),
+                              min_size=0, max_size=10))
+    sources = [4 * node + data.draw(st.integers(0, 3))
+               for node, k in runs for _ in range(k)]
+    nbytes = data.draw(st.sampled_from([0, 8, 4096, 1 << 20, 3 << 20]))
+    preload = data.draw(st.lists(
+        st.tuples(st.integers(0, 127), st.integers(0, 127),
+                  st.sampled_from([0, 1 << 16, 1 << 20, 8 << 20]),
+                  st.sampled_from([0.0, 1e-3, 2.0 ** -10])),
+        max_size=6))
+    got = {}
+
+    def proc():
+        for src, to, size, wait in preload:
+            for f in (fab, twin):
+                f.delay(src, to, size)
+            yield eng.timeout(wait)
+        got["run"] = fab.arrivals(iter(sources), dst, nbytes)
+        got["one"] = [eng.now + twin.delay(src, dst, nbytes) for src in sources]
+
+    eng.process(proc())
+    eng.run()
+    assert [t.hex() for t in got["run"]] == [t.hex() for t in got["one"]]
+    assert fab.stats() == twin.stats()
+    assert _pipes(fab) == _pipes(twin)

@@ -21,6 +21,19 @@ def test_metric_classification():
     assert is_wall_metric("events_per_second")
     assert not is_wall_metric("events_processed")
     assert not is_wall_metric("n_spans_full")
+    # The object and memory budgets of a run are counts, gated alike.
+    assert not is_wall_metric("tracked_objects_per_rank")
+    assert not is_wall_metric("traced_peak_kib_per_rank")
+
+
+def test_the_memory_leaf_is_gated_like_the_object_leaf():
+    base = record(ckpt_rbio={"tracked_objects_per_rank": 1.49,
+                             "traced_peak_kib_per_rank": 1.64})
+    grown = record(ckpt_rbio={"tracked_objects_per_rank": 1.49,
+                              "traced_peak_kib_per_rank": 2.2})
+    assert compare_record("b", base, grown, 0.25)
+    gone = record(ckpt_rbio={"tracked_objects_per_rank": 1.49})
+    assert compare_record("b", base, gone, 0.25)
 
 
 def test_deterministic_metrics_gated_both_directions():
