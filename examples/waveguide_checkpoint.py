@@ -9,10 +9,12 @@ This example runs the full pipeline end to end:
    and the ``genmap`` partition (``.map``), exactly as production runs do;
 2. *solver* — the slab-parallel SEDG Maxwell solver on a simulated
    8-rank partition, exchanging ghost faces over simulated MPI;
-3. *checkpointing* — coordinated rbIO checkpoints every 4 steps;
-4. *failure + restart* — the run is killed after step 10, rolls back to the
-   step-8 checkpoint, re-executes, and finishes **bit-exactly** equal to an
-   uninterrupted run.
+3. *checkpointing* — coordinated rbIO checkpoints every 4 steps, the
+   solver being the checkpoint step loop's application;
+4. *failure + restart* — a ``restart`` fault fires before the step-12
+   checkpoint: every rank rolls back to the step-8 checkpoint (the restore
+   wave's vote), re-executes the lost steps, and the run finishes
+   **bit-exactly** equal to an uninterrupted one.
 
 Run:  python examples/waveguide_checkpoint.py
 """
@@ -22,7 +24,9 @@ import tempfile
 
 import numpy as np
 
+from repro import RunConfig
 from repro.ckpt import ReducedBlockingIO
+from repro.faults import FaultSchedule, FaultSpec, faults_of
 from repro.nekcem import (
     MaxwellSolver,
     partition_linear,
@@ -73,14 +77,17 @@ def main() -> None:
               f"{cr.overall_time*1e3:.1f} ms (virtual), app blocked "
               f"{cr.blocking_time*1e6:.0f} us")
 
-    # --- failure at step 10, restart from step 8 -----------------------------
+    # --- restart before the step-12 checkpoint, from step 8 -----------------
+    # Checkpoint 2 is the one at step 12: the fault fires before it.
+    restart = FaultSchedule((FaultSpec("restart", step=2),))
     crashed = run_parallel_solver(
         n_ranks, mesh, order, n_steps,
         strategy=strategy, checkpoint_every=4,
-        simulate_failure_at=10, config=intrepid(), init="te10",
+        run_config=RunConfig(faults=restart), config=intrepid(), init="te10",
     )
-    print(f"\nfailure run : crashed after step 10, restored from "
-          f"step {crashed.restored_at_step} checkpoint, re-executed")
+    print(f"\nfailure run : {faults_of(crashed.job).report()['by_kind']}, "
+          f"restored from the step {crashed.restored_at_step} checkpoint, "
+          f"steps {crashed.restored_at_step + 1}-{n_steps} re-executed")
 
     diffs = [np.abs(a - b).max()
              for a, b in zip(clean.global_state(), crashed.global_state())]

@@ -101,11 +101,12 @@ class CheckpointRun:
         generation survives — never a silently wrong restore.  All ranks
         take part (a real restart replaces crashed ranks).
         """
+        # A closure over the loop, not the run: the run held from the job's
+        # processes would be a cycle the refcount release cannot free.
         loop = self.loop
-        # A module-level program: a bound method would hold the run from
-        # the job's processes, a cycle the refcount release cannot free.
-        self.job.spawn(_restore_wave, loop.strategy, loop.data_fn,
-                       loop.steps[::-1], loop.basedir)
+        self.job.spawn(lambda ctx: _restore_wave(
+            ctx, loop.strategy, loop.data_fn(ctx.rank), loop.steps[::-1],
+            loop.basedir))
         waves = self.job.run()  # {rank: (step, fields, t0, t1)}
         self.restored = {r: w[:2] for r, w in waves.items()}
         self.restore_windows = {r: w[2:] for r, w in waves.items()}
@@ -125,9 +126,9 @@ class CheckpointRun:
         return max(b for _a, b in windows) - min(a for a, _b in windows)
 
 
-def _restore_wave(ctx, strategy: CheckpointStrategy, data_fn, steps,
+def _restore_wave(ctx, strategy: CheckpointStrategy, data, steps,
                   basedir: str):
-    """One rank's restart: barrier, then the newest-first vote.
+    """One rank's restart of its ``data``: barrier, then the newest-first vote.
 
     Each step of ``steps`` is tried with ``strategy.restore``; a rank whose
     read fails validation (missing or truncated file, corrupt package,
@@ -136,10 +137,8 @@ def _restore_wave(ctx, strategy: CheckpointStrategy, data_fn, steps,
     ``(step, fields, t0, t1)``: ``t1`` is when the kept attempt's read
     returned, before its vote.
     """
-    template = data_fn(ctx.rank)
-    if hasattr(template, "template"):
-        # Evolving workloads: restore only needs the field layout.
-        template = template.template()
+    # Evolving workloads and applications: restore only needs the layout.
+    template = data.template() if hasattr(data, "template") else data
     yield from ctx.comm.barrier()  # coordinated restart start
     t0 = ctx.engine.now
     last_failure = None
@@ -181,7 +180,9 @@ class StepLoop:
     itself when a plan coalesces); ``steps`` is ``range(n_steps)``, a step
     being its own row of ``table``; ``gaps`` comes from
     :func:`normalize_gaps`, and the ``writer_set`` ranks skip them;
-    ``faults`` is the job's injector.
+    ``faults`` is the job's injector.  ``app``: the rank data objects are
+    an application (DESIGN.md §6.1), whose ``advance(ctx, step)`` runs in
+    every rank's gap slot and ``restore(step, fields)`` after a restart.
     """
 
     job: Job
@@ -195,6 +196,7 @@ class StepLoop:
     writer_set: frozenset
     table: ReportTable
     faults: FaultInjector
+    app: bool
 
     def rank_main(self, ctx):
         """``job.spawn`` target: rank ``ctx.rank``'s program, in its process."""
@@ -213,8 +215,9 @@ class StepLoop:
 
 
 class _RankProgram(StagedOp):
-    """One rank's steps — gap, barrier, crash check, checkpoint, its row —
-    for both drivers (:meth:`StepLoop.rank_main`, :meth:`StepLoop.member`)."""
+    """One rank's steps — gap or application, restart or barrier, crash
+    check, checkpoint, its row — for both drivers (:meth:`StepLoop.rank_main`,
+    :meth:`StepLoop.member`)."""
 
     __slots__ = ("loop", "rank", "ctx", "data", "i")
 
@@ -235,6 +238,11 @@ class _RankProgram(StagedOp):
 
     def _gap(self):
         loop = self.loop
+        if loop.app:
+            # On every rank (writers own slabs too).  A per-rank builder
+            # never coalesces: this hand-off always meets a process.
+            self.then = _RankProgram._barrier
+            return self.data.advance(self.ctx, loop.steps[self.i])
         gap = loop.gaps[self.i]
         if gap > 0 and self.rank not in loop.writer_set and not self._dead():
             # Computation between checkpoints (nc * Tcomp); dedicated I/O
@@ -244,7 +252,14 @@ class _RankProgram(StagedOp):
         return self._barrier()
 
     def _barrier(self):
-        if self.i and not self.loop.barrier_each_step:
+        loop = self.loop
+        if loop.steps[self.i] in loop.faults.restarts:
+            # Every rank rolls back together, newest earlier generation
+            # first; the wave's barrier stands in for the step's.
+            self.then = _RankProgram._restored
+            return _restore_wave(self.ctx, loop.strategy, self.data,
+                                 loop.steps[:self.i][::-1], loop.basedir)
+        if self.i and not loop.barrier_each_step:
             return self._checkpoint()
         # Coordinated checkpoint start.  Without per-step barriers ranks
         # iterate at their own pace (the solver's nearest-neighbour
@@ -253,7 +268,20 @@ class _RankProgram(StagedOp):
         # still enter: crashes are cooperative at step boundaries, and the
         # barrier makes every rank evaluate the failure oracle at once.
         self.then = _RankProgram._checkpoint
-        return self.loop.job.world._barrier_arrive(self.rank).event
+        return loop.job.world._barrier_arrive(self.rank).event
+
+    def _restored(self):
+        loop, faults = self.loop, self.loop.faults
+        step, fields = self.result[:2]
+        self.result = None
+        # Fired once: every rank is past the wave's barrier, so has fired it.
+        faults.restarts.discard(loop.steps[self.i])
+        if self.rank == 0:
+            faults.log("restart", step=loop.steps[self.i], restored=step)
+        if loop.app:
+            self.data.restore(step, fields)
+        self.i = step  # the run goes on after the restored generation
+        return self._next()
 
     def _checkpoint(self):
         loop, ctx, data = self.loop, self.ctx, self.data
@@ -327,7 +355,8 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     are bit-identical to uncoalesced ones) and the
     :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
     schedule disables coalescing: faults target ranks individually, so
-    every rank must actually run.
+    every rank must actually run.  ``data`` may build per-rank application
+    objects (:class:`StepLoop`), whose ``advance`` takes the gaps' place.
 
     The returned run is live: :meth:`CheckpointRun.restore` restarts from
     its checkpoints on the same job.
@@ -339,6 +368,13 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     fs = attach_storage(job, fs_type=fs_type)
     injector = attach_faults(job, faults)
     gaps = normalize_gaps(gap_seconds, n_steps)
+    if injector.restarts and max(injector.restarts) >= n_steps:
+        raise ValueError(f"a restart at step {max(injector.restarts)} is "
+                         f"past the run's {n_steps} steps")
+    # Rank 0's object speaks for the run: an application is decided once.
+    app = callable(data) and hasattr(data(0), "advance")
+    if app and any(gaps):
+        raise ValueError("an application computes between steps: no gaps")
     writer_set = frozenset()
     if any(g > 0 for g in gaps) and hasattr(strategy, "writer_ranks"):
         writer_set = frozenset(strategy.writer_ranks(n_ranks))
@@ -361,7 +397,7 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
         )
     loop = StepLoop(job, strategy, data, _data_fn(data), range(n_steps),
                     basedir, gaps, barrier_each_step, writer_set,
-                    ReportTable(n_steps, n_ranks), injector)
+                    ReportTable(n_steps, n_ranks), injector, app)
     if plan is None:
         job.spawn(loop.rank_main)
     else:

@@ -13,7 +13,8 @@
   window (via ``fabric.injector``);
 * **ranks** — :meth:`FaultInjector.crash_time` / :meth:`dead_at` form a
   deterministic failure-detector oracle the checkpoint runner and the
-  rbIO failover consult at step boundaries;
+  rbIO failover consult at step boundaries; :attr:`restarts` holds the
+  steps a ``restart`` still rolls every rank back before;
 * **staging** — buffer loss / bit-rot / replica corruption fire as
   absolute-time engine callbacks against ``job.services["staging"]``.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..storage import FSError
-from .schedule import FS_KINDS, NET_KINDS, FaultSchedule
+from .schedule import FS_KINDS, NET_KINDS, TIMER_KINDS, FaultSchedule
 
 __all__ = ["FaultInjector", "attach_faults", "faults_of"]
 
@@ -43,21 +44,17 @@ class FaultInjector:
         self.schedule = schedule
         #: Chronological record of every fault actually delivered.
         self.injected: list[dict] = []
-        self._crash: dict[int, float] = {}
-        self._fs_state: list[list] = []   # [spec, remaining_count]
-        self._net: list[list] = []        # [spec, already_logged]
-        self._timer_specs = []
-        for spec in schedule:
-            if spec.kind == "rank_crash":
-                prev = self._crash.get(spec.rank)
-                if prev is None or spec.time < prev:
-                    self._crash[spec.rank] = spec.time
-            elif spec.kind in FS_KINDS:
-                self._fs_state.append([spec, spec.count])
-            elif spec.kind in NET_KINDS:
-                self._net.append([spec, False])
-            else:  # fs_slow / buffer_loss / bit_rot / replica_corrupt
-                self._timer_specs.append(spec)
+        self._crash: dict[int, float] = {}  # each rank's earliest crash
+        for spec in schedule.by_kind("rank_crash"):
+            self._crash[spec.rank] = min(spec.time,
+                                         self._crash.get(spec.rank, spec.time))
+        # [spec, remaining_count] and [spec, already_logged]
+        self._fs_state = [[s, s.count] for s in schedule.by_kind(*FS_KINDS)]
+        self._net = [[s, False] for s in schedule.by_kind(*NET_KINDS)]
+        self._timer_specs = schedule.by_kind(*TIMER_KINDS)
+        #: Steps a pending ``restart`` fires before (the runner discards one
+        #: once every rank has entered its restore wave).
+        self.restarts = {s.step for s in schedule.by_kind("restart")}
         self.has_rank_faults = bool(self._crash)
         self.has_fs_faults = bool(self._fs_state)
         self.has_net_faults = bool(self._net)

@@ -26,11 +26,23 @@ kind                      effect
 ``buffer_loss``           a burst-buffer device is lost with all residents
 ``bit_rot``               a resident staged package is corrupted in place
 ``replica_corrupt``       a partner replica is corrupted in place
+``restart``               before checkpointing ``step``, every rank rolls back
+                          to the newest generation before it (the restore
+                          wave's vote) and the run goes on from there; each
+                          restart fires once
 ========================  =====================================================
+
+Every field is checked on construction: integers (``rank``, ``group``,
+``step`` >= 0, ``count`` >= 1) must be non-bool ints, times and magnitudes
+finite numbers (stored as floats), ``transient`` a bool and ``op`` /
+``path`` strings — a value of another type would never match and the
+fault would silently never fire.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -48,6 +60,7 @@ FAULT_KINDS = (
     "buffer_loss",
     "bit_rot",
     "replica_corrupt",
+    "restart",
 )
 
 #: Kinds that arm the file-system operation hook.
@@ -56,6 +69,18 @@ FS_KINDS = ("fs_error", "fs_stall")
 NET_KINDS = ("net_degrade", "net_drop")
 #: Kinds fired by absolute-time callbacks against the staging tier / FS.
 TIMER_KINDS = ("fs_slow", "buffer_loss", "bit_rot", "replica_corrupt")
+#: The field a kind cannot do without: its target.
+_NEEDS = {"rank_crash": "rank", "buffer_loss": "rank", "bit_rot": "group",
+          "replica_corrupt": "group", "restart": "step"}
+
+
+def _known(cls, d: Mapping, what: str) -> Mapping:
+    """``d`` if every key is a field of ``cls``; ``ValueError`` otherwise."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown fault {what} field(s) {unknown}; expected "
+                         f"a subset of {sorted(f.name for f in fields(cls))}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -84,20 +109,35 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"expected one of {FAULT_KINDS}")
-        if self.time < 0:
-            raise ValueError(f"negative fault time: {self.time}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.duration < 0 or self.delay < 0:
-            raise ValueError("duration/delay must be non-negative")
-        if self.factor <= 0:
-            raise ValueError(f"factor must be positive, got {self.factor}")
-        if self.kind == "rank_crash" and self.rank is None:
-            raise ValueError("rank_crash needs an explicit rank")
-        if self.kind == "buffer_loss" and self.rank is None:
-            raise ValueError("buffer_loss needs the rank whose buffer is lost")
-        if self.kind in ("bit_rot", "replica_corrupt") and self.group is None:
-            raise ValueError(f"{self.kind} needs the target group")
+        for name, low in (("rank", 0), ("group", 0), ("step", 0),
+                          ("count", 1)):
+            value = getattr(self, name)
+            if value is None and name != "count":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("time", "duration", "delay", "factor"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0
+                    or (name == "factor" and value == 0)):
+                bound = "> 0" if name == "factor" else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.transient, bool):
+            raise ValueError(f"transient must be true or false, got "
+                             f"{self.transient!r}")
+        for name in ("op", "path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string, got "
+                                 f"{getattr(self, name)!r}")
+        need = _NEEDS.get(self.kind)
+        if need is not None and getattr(self, need) is None:
+            raise ValueError(f"{self.kind} needs its target {need}")
 
     def to_dict(self) -> dict:
         """Plain-data form (campaign specs, JSON transport): non-defaults only."""
@@ -111,15 +151,7 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "FaultSpec":
         """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown fault spec field(s) {unknown}; expected a subset "
-                f"of {sorted(known)}")
-        if "op" in d and d["op"] is not None:
-            d = {**d, "op": str(d["op"])}
-        return cls(**d)
+        return cls(**_known(cls, d, "spec"))
 
 
 @dataclass(frozen=True)
@@ -162,13 +194,7 @@ class FaultConfig:
     @classmethod
     def from_dict(cls, d: Mapping) -> "FaultConfig":
         """Inverse of :meth:`to_dict`; unknown keys raise ``ValueError``."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown fault config field(s) {unknown}; expected a subset "
-                f"of {sorted(known)}")
-        return cls(**d)
+        return cls(**_known(cls, d, "config"))
 
 
 @dataclass(frozen=True)

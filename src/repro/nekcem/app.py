@@ -12,10 +12,10 @@ Two drivers are provided:
   file system (the examples use it);
 - :func:`run_parallel_solver` — the full pipeline on the simulated Blue
   Gene/P: slab-decomposed SEDG ranks exchanging ghost faces over simulated
-  MPI each RK stage, checkpointing coordinately through any
-  :class:`~repro.ckpt.CheckpointStrategy`, with optional failure injection
-  and restart.  Field payloads are real numpy data end-to-end, so a
-  post-restart state is bit-exact.
+  MPI each RK stage, the application of the checkpoint step loop through
+  any :class:`~repro.ckpt.CheckpointStrategy`, with ``restart`` faults.
+  Field payloads are real numpy data end-to-end, so a post-restart state
+  is bit-exact.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..ckpt import CheckpointData, CheckpointResult, CheckpointStrategy, Field
-from ..mpi import Job, RankContext
-from ..profiling import DarshanProfiler
+from ..experiments.runner import run_checkpoint_steps
+from ..faults import attach_faults
+from ..mpi import Job, RankContext, RunConfig
 from ..storage import attach_storage
 from ..topology import MachineConfig, intrepid
 from .maxwell import (GhostFaces, MaxwellSolver, cavity_fields,
@@ -64,23 +65,20 @@ def compute_seconds_per_step(points_per_rank: int, config: MachineConfig) -> flo
 # Field <-> checkpoint conversion
 # ---------------------------------------------------------------------------
 
-def fields_to_checkpoint_data(solver: MaxwellSolver, state: list[np.ndarray],
-                              header_bytes: int = 4096,
-                              include_geometry: bool = True) -> CheckpointData:
+def fields_to_checkpoint_data(solver: MaxwellSolver,
+                              state: list[np.ndarray]) -> CheckpointData:
     """Package a solver state as checkpoint fields with real payloads.
 
-    Layout matches the paper's output file: an optional geometry block
-    (nodal coordinates) followed by the six field components.
+    Layout matches the paper's output file: a 4 KiB header, the geometry
+    block (nodal coordinates), then the six field components.
     """
-    fields = []
-    if include_geometry:
-        X, Y, Z = solver.coordinates()
-        geom = np.stack([X, Y, Z]).tobytes()
-        fields.append(Field("geometry", len(geom), geom))
+    X, Y, Z = solver.coordinates()
+    geom = np.stack([X, Y, Z]).tobytes()
+    fields = [Field("geometry", len(geom), geom)]
     for name, comp in zip(MaxwellSolver.COMPONENTS, state):
         body = np.ascontiguousarray(comp).tobytes()
         fields.append(Field(name, len(body), body))
-    return CheckpointData(fields, header_bytes=header_bytes)
+    return CheckpointData(fields, header_bytes=4096)
 
 
 def checkpoint_data_to_fields(solver: MaxwellSolver,
@@ -179,13 +177,8 @@ def _slab_ranges(nex: int, n_ranks: int) -> list[tuple[int, int]]:
     if n_ranks > nex:
         raise ValueError(f"more ranks ({n_ranks}) than x element layers ({nex})")
     base, extra = divmod(nex, n_ranks)
-    out = []
-    pos = 0
-    for r in range(n_ranks):
-        count = base + (1 if r < extra else 0)
-        out.append((pos, pos + count))
-        pos += count
-    return out
+    bounds = [r * base + min(r, extra) for r in range(n_ranks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _local_mesh(mesh: HexMesh, lo: int, hi: int) -> HexMesh:
@@ -213,7 +206,6 @@ class ParallelRunResult:
     n_steps: int
     checkpoint_results: list[CheckpointResult] = field(default_factory=list)
     job: Optional[Job] = None
-    profiler: Optional[DarshanProfiler] = None
     compute_seconds_per_step: float = 0.0
     restored_at_step: Optional[int] = None
 
@@ -226,12 +218,10 @@ class ParallelRunResult:
 def gather_slab_states(states: dict[int, list[np.ndarray]], mesh: HexMesh,
                        order: int, n_ranks: int) -> list[np.ndarray]:
     """Concatenate per-rank slab fields back into global arrays."""
-    ranges = _slab_ranges(mesh.shape[0], n_ranks)
-    out = []
-    for c in range(6):
-        out.append(np.concatenate([states[r][c] for r in range(n_ranks)], axis=0))
+    out = [np.concatenate([states[r][c] for r in range(n_ranks)], axis=0)
+           for c in range(6)]
     # Sanity: total x layers must match.
-    assert out[0].shape[0] == mesh.shape[0], (out[0].shape, mesh.shape, ranges)
+    assert out[0].shape[0] == mesh.shape[0], (out[0].shape, mesh.shape)
     return out
 
 
@@ -246,19 +236,13 @@ def _exchange_ghosts(ctx: RankContext, state: list[np.ndarray], tag: int,
     """
     comm = ctx.comm
     reqs = []
-    if left is not None:
-        # My low-x minus-faces (layer 0, node index 0).
-        face = np.ascontiguousarray(
-            np.stack([c[0, :, :, 0, :, :] for c in state])
-        )
-        reqs.append(comm.isend(left, face.nbytes, tag=tag * 2,
-                               payload=face, buffered=True))
-    if right is not None:
-        face = np.ascontiguousarray(
-            np.stack([c[-1, :, :, -1, :, :] for c in state])
-        )
-        reqs.append(comm.isend(right, face.nbytes, tag=tag * 2 + 1,
-                               payload=face, buffered=True))
+    # My low-x minus-faces (layer 0, node index 0) go left, my high-x
+    # plus-faces right.
+    for dest, i, dest_tag in ((left, 0, tag * 2), (right, -1, tag * 2 + 1)):
+        if dest is not None:
+            face = np.stack([c[i, :, :, i, :, :] for c in state])
+            reqs.append(comm.isend(dest, face.nbytes, tag=dest_tag,
+                                   payload=face, buffered=True))
     lo = hi = None
     if left is not None:
         msg = yield from comm.recv(source=left, tag=tag * 2 + 1)
@@ -271,6 +255,65 @@ def _exchange_ghosts(ctx: RankContext, state: list[np.ndarray], tag: int,
     return GhostFaces(lo, hi)
 
 
+@dataclass(eq=False)
+class _Slab:
+    """One rank's solver — its slab, state and neighbours — as the step
+    loop's application (DESIGN.md §6.1) and its checkpoint data."""
+
+    solver: MaxwellSolver
+    state: list[np.ndarray]
+    left: Optional[int]
+    right: Optional[int]
+    every: int  # RK steps per checkpoint interval
+    n_steps: int
+    dt: float
+    stage_time: float
+    restored: Optional[int] = None  # the solver step restarted from
+
+    def advance(self, ctx: RankContext, step: int):
+        """Generator: the RK steps of interval ``step``, those up to
+        checkpoint ``step``; the interval after the last checkpoint is the
+        run's tail."""
+        solver, state, dt = self.solver, self.state, self.dt
+        # RK4A[0] = 0: a step's first stage discards the accumulator, so a
+        # fresh one per interval is exact.
+        res = [np.zeros_like(c) for c in state]
+        for n in range(step * self.every,
+                       min((step + 1) * self.every, self.n_steps)):
+            for stage in range(len(RK4A)):
+                # Tagged by RK step and stage: a re-executed step reuses
+                # its tags, every earlier exchange having completed.
+                solver.set_ghosts((yield from _exchange_ghosts(
+                    ctx, state, n * len(RK4A) + stage, self.left, self.right)))
+                k = solver.rhs(state, n * dt + RK4C[stage] * dt)
+                # Charge the virtual cost of the stage's floating-point work.
+                yield ctx.engine.timeout(self.stage_time)
+                a, b = RK4A[stage], RK4B[stage]
+                for r_acc, s_arr, k_arr in zip(res, state, k):
+                    r_acc *= a
+                    r_acc += dt * k_arr
+                    s_arr += b * r_acc
+
+    def at_step(self, step: int = 0) -> CheckpointData:
+        """The current state as checkpoint fields (a copy: the solver goes
+        on): the step's checkpoint, and the layout a restore reads."""
+        return fields_to_checkpoint_data(self.solver, self.state)
+
+    template = at_step
+
+    def restore(self, step: int, fields: list) -> None:
+        """Take checkpoint ``step``'s state after a restart."""
+        self.state = checkpoint_data_to_fields(self.solver, fields,
+                                               self.template())
+        self.restored = (step + 1) * self.every
+
+
+#: Initial fields: the *global* cavity mode or guided TE10 mode (the
+#: waveguide production workload) on the slab's coordinates, or zeros.
+_INITS = {"cavity": cavity_fields, "te10": waveguide_te10_fields,
+          "zero": lambda _bounds, X, *_: [np.zeros_like(X) for _ in range(6)]}
+
+
 def run_parallel_solver(
     n_ranks: int,
     mesh: HexMesh,
@@ -281,7 +324,7 @@ def run_parallel_solver(
     dt: Optional[float] = None,
     strategy: Optional[CheckpointStrategy] = None,
     checkpoint_every: int = 0,
-    simulate_failure_at: Optional[int] = None,
+    run_config: Optional[RunConfig] = None,
     config: Optional[MachineConfig] = None,
     seed: Optional[int] = None,
     basedir: str = "/ckpt",
@@ -289,138 +332,56 @@ def run_parallel_solver(
 ) -> ParallelRunResult:
     """Run the slab-decomposed SEDG solver on the simulated machine.
 
-    Each rank owns a contiguous block of x element layers, exchanges ghost
-    faces with its neighbours every RK stage, and (optionally) checkpoints
-    every ``checkpoint_every`` steps through ``strategy``.  With
-    ``simulate_failure_at = k`` the in-memory state is destroyed right
-    after step ``k`` and restored from the most recent checkpoint — the
-    restart path the checkpoints exist for.
+    Each rank owns a contiguous block of x element layers and exchanges
+    ghost faces with its neighbours every RK stage.  With a ``strategy``
+    the run is :func:`~repro.experiments.run_checkpoint_steps` over one
+    checkpoint per ``checkpoint_every`` steps, the solver its application;
+    the steps after the last checkpoint run on the same job.  ``run_config``
+    configures it as every other run: tracing, and faults — a ``restart``
+    at checkpoint ``s`` rolls the solver back to the newest earlier one.
     """
     if checkpoint_every and strategy is None:
         raise ValueError("checkpoint_every requires a strategy")
-    if simulate_failure_at is not None:
-        if not checkpoint_every:
-            raise ValueError("failure injection requires checkpointing")
-        if simulate_failure_at < checkpoint_every:
-            raise ValueError("failure before the first checkpoint loses work")
+    if init not in _INITS:
+        raise ValueError(f"unknown init {init!r}")
+    kinds = {spec.kind for spec in getattr(run_config, "faults", None) or ()}
+    if "rank_crash" in kinds:
+        raise ValueError("a crashed slab cannot exchange ghost faces: the "
+                         "solver takes no rank_crash fault")
+    n_ckpts = n_steps // checkpoint_every if checkpoint_every else 0
+    if "restart" in kinds and not n_ckpts:
+        raise ValueError("a restart fault requires checkpointing")
     config = config if config is not None else intrepid()
-    ranges = _slab_ranges(mesh.shape[0], n_ranks)
-    periodic_x = mesh.boundary[0] == "periodic"
-    probe = MaxwellSolver(_local_mesh(mesh, *ranges[0]), order, alpha=alpha)
-    dt = probe.max_dt() if dt is None else dt
-    points_per_rank = max(
-        MaxwellSolver(_local_mesh(mesh, lo, hi), order, alpha).n_dof
-        for lo, hi in ranges
-    )
-    t_compute = compute_seconds_per_step(points_per_rank, config)
-
-    job = Job(n_ranks, config, seed=seed)
-    attach_storage(job)
-    restored_at: dict[int, Optional[int]] = {}
-
-    def rank_main(ctx: RankContext):
-        rank = ctx.rank
-        lo, hi = ranges[rank]
-        solver = MaxwellSolver(_local_mesh(mesh, lo, hi), order, alpha=alpha)
-        if init == "cavity":
-            # Initialize from the *global* cavity mode evaluated on the
-            # local slab's coordinates.
-            state = cavity_fields(mesh.bounds, *solver.coordinates(), 0.0)
-        elif init == "te10":
-            # The guided TE10 mode (the waveguide production workload).
-            state = waveguide_te10_fields(mesh.bounds, *solver.coordinates(), 0.0)
-        elif init == "zero":
-            state = solver.zero_fields()
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        if n_ranks > 1:
-            left = rank - 1 if rank > 0 or periodic_x else None
-            right = rank + 1 if rank < n_ranks - 1 or periodic_x else None
-            if left is not None:
-                left %= n_ranks
-            if right is not None:
-                right %= n_ranks
-        else:
-            left = right = None
-        res = [np.zeros_like(c) for c in state]
-        tag_counter = 0
-        ckpt_results = []
-        last_ckpt_step = None
-        last_template = None
-        restored_at[rank] = None
-        stage_time = t_compute / len(RK4A)
-
-        failure_pending = simulate_failure_at is not None
-        step = 1
-        while step <= n_steps:
-            t = (step - 1) * dt
-            for stage in range(len(RK4A)):
-                if left is not None or right is not None:
-                    ghosts = yield from _exchange_ghosts(
-                        ctx, state, tag_counter, left, right
-                    )
-                    solver.set_ghosts(ghosts)
-                    tag_counter += 1
-                k = solver.rhs(state, t + RK4C[stage] * dt)
-                # Charge the virtual cost of the stage's floating-point work.
-                yield ctx.engine.timeout(stage_time)
-                a, b = RK4A[stage], RK4B[stage]
-                for r_acc, s_arr, k_arr in zip(res, state, k):
-                    r_acc *= a
-                    r_acc += dt * k_arr
-                    s_arr += b * r_acc
-
-            if checkpoint_every and step % checkpoint_every == 0:
-                data = fields_to_checkpoint_data(solver, state)
-                yield from ctx.comm.barrier()
-                report = yield from strategy.checkpoint(ctx, data, step, basedir)
-                ckpt_results.append((step, report))
-                last_ckpt_step = step
-                last_template = data
-
-            if failure_pending and step == simulate_failure_at:
-                # Node failure: volatile state is lost; roll back to the
-                # most recent checkpoint and re-execute the lost steps
-                # (coordinated restart).
-                failure_pending = False
-                state = None
-                yield from ctx.comm.barrier()
-                payloads = yield from strategy.restore(
-                    ctx, last_template, last_ckpt_step, basedir
-                )
-                state = checkpoint_data_to_fields(solver, payloads, last_template)
-                res = [np.zeros_like(c) for c in state]
-                restored_at[rank] = last_ckpt_step
-                step = last_ckpt_step + 1
-                continue
-            step += 1
-
-        return {"state": state, "reports": ckpt_results}
-
-    job.spawn(rank_main)
-    per_rank = job.run()
-    states = {r: out["state"] for r, out in per_rank.items()}
-    # Assemble per-step CheckpointResults across ranks.
-    ckpt_results = []
-    if checkpoint_every and strategy is not None:
-        n_ckpts = len(per_rank[0]["reports"])
-        for i in range(n_ckpts):
-            reports = {r: out["reports"][i][1] for r, out in per_rank.items()}
-            ckpt_results.append(
-                CheckpointResult(strategy.name, reports,
-                                 params=strategy.describe())
-            )
+    solvers = [MaxwellSolver(_local_mesh(mesh, lo, hi), order, alpha=alpha)
+               for lo, hi in _slab_ranges(mesh.shape[0], n_ranks)]
+    dt = solvers[0].max_dt() if dt is None else dt
+    t_compute = compute_seconds_per_step(max(s.n_dof for s in solvers), config)
+    # Neighbours: none past a wall, nor for a lone rank on a periodic axis.
+    ring = mesh.boundary[0] == "periodic" and n_ranks > 1
+    slabs = [_Slab(solver, _INITS[init](mesh.bounds, *solver.coordinates(), 0.0),
+                   (rank - 1) % n_ranks if rank > 0 or ring else None,
+                   (rank + 1) % n_ranks if rank < n_ranks - 1 or ring else None,
+                   checkpoint_every or n_steps, n_steps, dt,
+                   t_compute / len(RK4A))
+             for rank, solver in enumerate(solvers)]
+    results = []
+    if n_ckpts:
+        run = run_checkpoint_steps(strategy, n_ranks, slabs.__getitem__,
+                                   n_ckpts, config=config, seed=seed,
+                                   basedir=basedir, run_config=run_config)
+        job, results = run.job, run.results
+    else:
+        job = Job(n_ranks, config, seed=seed, run_config=run_config)
+        attach_storage(job)
+        attach_faults(job, job.run_config.faults)
+    if n_ckpts * checkpoint_every < n_steps:
+        job.spawn(lambda ctx: slabs[ctx.rank].advance(ctx, n_ckpts))
+        job.run()
     return ParallelRunResult(
-        mesh=mesh,
-        order=order,
-        n_ranks=n_ranks,
-        states=states,
-        t_final=n_steps * dt,
-        dt=dt,
-        n_steps=n_steps,
-        checkpoint_results=ckpt_results,
-        job=job,
-        profiler=job.profiler,
+        mesh=mesh, order=order, n_ranks=n_ranks,
+        states={r: slab.state for r, slab in enumerate(slabs)},
+        t_final=n_steps * dt, dt=dt, n_steps=n_steps,
+        checkpoint_results=results, job=job,
         compute_seconds_per_step=t_compute,
-        restored_at_step=restored_at.get(0),
+        restored_at_step=slabs[0].restored,
     )

@@ -1,10 +1,12 @@
 """Integration tests: parallel SEDG solver + checkpointing on the simulated
-machine, including failure injection and restart."""
+machine, including restart faults."""
 
 import numpy as np
 import pytest
 
+from repro import RunConfig
 from repro.ckpt import CollectiveIO, OneFilePerProcess, ReducedBlockingIO
+from repro.faults import FaultSchedule, FaultSpec, faults_of
 from repro.nekcem import (
     MaxwellSolver,
     box_mesh,
@@ -14,6 +16,12 @@ from repro.nekcem import (
 from repro.topology import intrepid
 
 QUIET = intrepid().quiet()
+
+
+def restart_at(step):
+    """A run configuration whose schedule restarts before checkpoint
+    ``step``."""
+    return RunConfig(faults=FaultSchedule((FaultSpec("restart", step=step),)))
 
 
 def serial_reference(mesh, order, n_steps, dt):
@@ -86,8 +94,8 @@ def test_checkpointed_run_produces_results(strategy_factory):
 
 
 def test_failure_injection_recovers_bitwise():
-    """Crash after step 4, restart from step-2 checkpoint: final state must
-    equal the uninterrupted run's."""
+    """Restart before the step-6 checkpoint, from the step-4 one: the final
+    state must equal the uninterrupted run's."""
     mesh = box_mesh((4, 1, 1))
     order = 3
     strategy = ReducedBlockingIO(workers_per_writer=2)
@@ -97,9 +105,11 @@ def test_failure_injection_recovers_bitwise():
     )
     crashed = run_parallel_solver(
         4, mesh, order, 6, strategy=strategy, checkpoint_every=2,
-        simulate_failure_at=4, config=QUIET,
+        run_config=restart_at(2), config=QUIET,
     )
     assert crashed.restored_at_step == 4
+    assert faults_of(crashed.job).report()["by_kind"] == {"restart": 1}
+    assert clean.restored_at_step is None
     for a, b in zip(clean.global_state(), crashed.global_state()):
         assert np.array_equal(a, b)
 
@@ -113,7 +123,7 @@ def test_failure_mid_interval_reexecutes_lost_steps():
     )
     crashed = run_parallel_solver(
         2, mesh, order, 7, strategy=CollectiveIO(), checkpoint_every=3,
-        simulate_failure_at=5, config=QUIET,
+        run_config=restart_at(1), config=QUIET,
     )
     assert crashed.restored_at_step == 3
     for a, b in zip(clean.global_state(), crashed.global_state()):
@@ -123,13 +133,33 @@ def test_failure_mid_interval_reexecutes_lost_steps():
 def test_failure_validation():
     mesh = box_mesh((2, 1, 1))
     with pytest.raises(ValueError, match="requires checkpointing"):
-        run_parallel_solver(2, mesh, 2, 4, simulate_failure_at=2, config=QUIET)
-    with pytest.raises(ValueError, match="before the first checkpoint"):
+        run_parallel_solver(2, mesh, 2, 4, run_config=restart_at(1),
+                            config=QUIET)
+    crash = RunConfig(faults=FaultSchedule((
+        FaultSpec("rank_crash", time=0.0, rank=1),)))
+    with pytest.raises(ValueError, match="rank_crash"):
         run_parallel_solver(2, mesh, 2, 4, strategy=CollectiveIO(),
-                            checkpoint_every=3, simulate_failure_at=2,
+                            checkpoint_every=2, run_config=crash,
                             config=QUIET)
     with pytest.raises(ValueError, match="requires a strategy"):
         run_parallel_solver(2, mesh, 2, 4, checkpoint_every=2, config=QUIET)
+
+
+def test_traced_run_records_each_checkpoint_and_keeps_the_state():
+    """A traced solver run records one ``checkpoint`` span per rank per
+    checkpoint and ends bit-identical to the untraced run."""
+    mesh = box_mesh((4, 1, 1))
+
+    def run(**kw):
+        return run_parallel_solver(4, mesh, 2, 5,
+                                   strategy=OneFilePerProcess(),
+                                   checkpoint_every=2, config=QUIET, **kw)
+
+    plain, traced = run(), run(run_config=RunConfig(trace="full"))
+    spans = [s for s in traced.job.tracer.spans if s.name == "checkpoint"]
+    assert sorted(s.rank for s in spans) == sorted(list(range(4)) * 2)
+    for a, b in zip(plain.global_state(), traced.global_state()):
+        assert np.array_equal(a, b)
 
 
 def test_virtual_compute_time_matches_model():
