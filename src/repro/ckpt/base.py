@@ -37,10 +37,8 @@ class CheckpointStrategy:
 
     Subclasses implement :meth:`checkpoint` (gather -> plan -> commit, see
     the module docstring) and :meth:`restore`; what the stages share across
-    strategies lives here: the collective commit tail
-    (:meth:`_commit_shared`), the delta-chain restore
-    (:meth:`_restore_delta`) and the full-write block read
-    (:meth:`_read_blocks`).
+    strategies lives here: the delta-chain restore (:meth:`_restore_delta`)
+    and the full-write block read (:meth:`_read_blocks`).
     """
 
     #: Short identifier used in result tables ("1pfpp", "coio", "rbio").
@@ -62,7 +60,7 @@ class CheckpointStrategy:
     tam: str = "off"
 
     #: A strategy whose checkpoint is written once as a
-    #: :class:`~repro.sim.StagedOp` (1PFPP) makes this its builder,
+    #: :class:`~repro.sim.StagedOp` (1PFPP, coIO) makes this its builder,
     #: ``checkpoint_op(job, client, data, step, basedir, sink)``; the
     #: runner's rank program then calls the op, under either driver,
     #: instead of handing its process :meth:`checkpoint`.
@@ -126,7 +124,7 @@ class CheckpointStrategy:
         (``Communicator.arrive`` counts one per member; contiguous ranges
         in lockstep enter in one step), noise draw, Darshan record and
         span happens where it does in the uncoalesced run
-        (``tests/test_coalesce.py``).  Three idioms exist (DESIGN.md
+        (``tests/test_coalesce.py``).  Two idioms exist (DESIGN.md
         section 9):
 
         - *Lock-step* (rbIO/bbIO workers).  Members of a 64:1 group are
@@ -140,21 +138,15 @@ class CheckpointStrategy:
           (:meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main`) is
           role-aware: node leaders are replayed per symmetry class, and
           the flat exchange is the case with no leader class.
-        - *Role-based continuations* (coIO).  Aggregator placement is a
-          property of the file communicator, so the ranks that only
-          contribute an extent and wait (62 of 64) are known before the
-          run.  They do diverge — each draws its own file-open noise — so
-          they are event callbacks, one per segment of members that wait
-          side by side, appended to the awaited event's callback list
-          where the first rank's process would have appended its resume.
-          Aggregators keep their processes.
-        - *One program, two drivers* (1PFPP).  Ranks diverge from the
-          first instant (arrival jitter, the directory token's queue) but
-          never interact except through the file system.  Each member
-          runs the runner's own rank program
-          (:meth:`~repro.experiments.runner.StepLoop.member`), a
-          :class:`~repro.sim.StagedOp` that an uncoalesced rank runs in
-          its process, here driven from event callbacks by one process.
+        - *One body, two drivers* (1PFPP, coIO).  Members diverge (file
+          noise, arrival jitter, the directory token's queue), so each
+          strategy's checkpoint is one :class:`~repro.sim.StagedOp` that
+          an uncoalesced rank runs in its process and a coalesced run
+          drives from event callbacks.  1PFPP's members run the runner's
+          own rank program (:meth:`~repro.experiments.runner.StepLoop.member`);
+          coIO's non-aggregator ranks are :class:`~repro.sim.stages.Segment`
+          s of the file communicator, one callback per segment of members
+          that wait side by side, and its aggregators keep their processes.
 
         The runner only coalesces when every rank shares one
         :class:`~repro.ckpt.CheckpointData` object and no fault schedule
@@ -218,22 +210,6 @@ class CheckpointStrategy:
                 f"{self.name}: delta='require' needs payload-carrying "
                 f"CheckpointData, got size-only fields")
         return False
-
-    def _commit_shared(self, ctx: RankContext, f, pieces, manifest=None):
-        """Generator: commit a plan to an open collective file.
-
-        One ``write_at_all`` per piece (the master header is rank 0's
-        first piece, :func:`~repro.ckpt.layout.header_piece`), the
-        collective close, then the manifest if the plan carries one — a
-        delta plan hands it to the file communicator's rank 0 only.
-        """
-        from .incremental import write_manifest
-
-        for offset, nbytes, payload in pieces:
-            yield from f.write_at_all(offset, nbytes, payload=payload)
-        yield from f.close()
-        if manifest is not None:
-            yield from write_manifest(ctx, manifest, f.path)
 
     def _restore_delta(self, ctx: RankContext, template: CheckpointData,
                        step: int, member: int, path_of):

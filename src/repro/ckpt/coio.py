@@ -19,6 +19,11 @@ block boundaries — both inherited from :mod:`repro.mpiio`.
 The file layout is the NekCEM format of Fig. 2: master header, then one
 section per field, each holding the group members' blocks in rank order,
 so the collective pattern is one ``write_at_all`` per field.
+
+The checkpoint is written once (:class:`_Checkpoint`, a segment of the
+file's :class:`~repro.mpiio.MPIFile`): a rank's process runs it as a
+segment of one, and a coalesced run's non-aggregator ranks as a
+:class:`_Cohort` of segments driven from event callbacks.
 """
 
 from __future__ import annotations
@@ -27,15 +32,14 @@ from functools import partial
 from itertools import repeat
 from typing import Optional
 
-from ..buffers import zeros
-from ..mpi import Message, RankContext
-from ..mpiio import FlatExchange, Hints, MPIFile, pick_aggregators
-from ..mpiio.aggregation import plan_table
-from ..mpiio.file import SHUFFLE_TAG_BASE
+from ..buffers import ByteRope, zeros
+from ..mpi import RankContext
+from ..mpiio import Hints, MPIFile, pick_aggregators
+from ..mpiio.file import _File
 from .base import CheckpointStrategy
 from .data import CheckpointData
-from .incremental import plan_delta
-from .layout import FileLayout, header_piece
+from .incremental import plan_delta, write_manifest
+from .layout import FileLayout
 
 __all__ = ["CollectiveIO"]
 
@@ -97,15 +101,16 @@ class CollectiveIO(CheckpointStrategy):
 
     # -- coalescing -------------------------------------------------------
     def coalesce_plan(self, n_ranks: int):
-        """Replay the ranks that only contribute an extent and wait.
+        """Drive the ranks that only contribute an extent and wait as a
+        cohort of segments, without processes.
 
         Aggregator placement is a property of the file communicator, so
         the non-aggregator ranks are known up front: one group per maximal
         contiguous run of them between two aggregators (1-31 and 33-63 of
         a 64-rank file group under the default 1:32 hint).  Aggregators —
         the ranks that receive, overlay and touch the file system — keep
-        their processes.  Only the flat, full-write exchange is replayed:
-        TAM and delta change the members' roles and run uncoalesced.
+        their processes.  Only the flat, full write coalesces: TAM and
+        delta are hand-offs only a process takes.
         """
         if self.hints.tam != "off" or self.delta != "off":
             return None
@@ -121,15 +126,11 @@ class CollectiveIO(CheckpointStrategy):
         return tuple(plan) or None
 
     def coalesced_worker_main(self, ctx: RankContext, members, loop):
-        """Generator: bring one run of non-aggregator ranks to its cohort.
-
-        Only the world barrier and the communicator split — which complete
-        for all members at once — are entered from here.  From the first
-        layout allgather on, the runs of one file communicator advance
-        together as a :class:`_RunReplay`, through every step.
-        """
-        world = ctx.comm
-        job = ctx.job
+        """Generator: bring one run of non-aggregator ranks to its cohort:
+        the world barrier and the communicator split (which complete for
+        all members at once), then one :class:`_Cohort` segment per file
+        communicator, through every step."""
+        world, job = ctx.comm, ctx.job
         yield world.comm.arrive("barrier", members).event
         t0 = ctx.engine.now
         contexts = [job.contexts[m] for m in members]
@@ -139,17 +140,21 @@ class CollectiveIO(CheckpointStrategy):
             by_rank = yield from world.split_members(
                 members, self.group_of(members[0]))
             views = [by_rank[m] for m in members]
+        comm = views[0].comm
+        cohorts = job.services.setdefault(f"ckpt:{id(self)}:cohorts", {})
+        if comm not in cohorts:
+            cohorts[comm] = _Cohort(job, loop, comm.size)
+        cohort = cohorts[comm]
         for member, view in zip(contexts, views):
             # What _iocomm leaves behind: a later restore (or ghost) of the
             # member must find the split done, as the aggregators do.
             self._cache(member)["iocomm"] = view
-        cohorts = job.services.setdefault(f"ckpt:{id(self)}:cohorts", {})
-        group = self.group_of(members[0])
-        run = cohorts.get(group)
-        if run is None:
-            run = cohorts[group] = _RunReplay(self, ctx, group, loop,
-                                             views[0].comm)
-        yield run.join([view.rank for view in views], t0)
+            cohort.clients[view.rank] = member.fs
+        cohort.unfinished += len(members)
+        cohort.done.append(job.engine.event())
+        _Checkpoint(self, loop.data, 0, loop.basedir, t0, cohort=cohort,
+                    ranks=[view.rank for view in views])._enter(comm, job)
+        yield cohort.done[-1]
 
     # -- setup ------------------------------------------------------------
     def _iocomm(self, ctx: RankContext):
@@ -178,46 +183,17 @@ class CollectiveIO(CheckpointStrategy):
         yield from self._iocomm(ctx)
 
     # -- checkpoint -------------------------------------------------------
+    def checkpoint_op(self, job, client, data: CheckpointData, step: int,
+                      basedir: str, sink) -> "_Checkpoint":
+        """:meth:`checkpoint` staged; ``sink`` is the rank's context."""
+        return _Checkpoint(self, data, step, basedir, job.engine.now,
+                           ctx=sink, client=client)
+
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
                    basedir: str = "/ckpt"):
         """Generator: one collective write per piece on the group file."""
-        eng = ctx.engine
-        t0 = eng.now
-        comm = yield from self._iocomm(ctx)
-        inj = ctx.job.services.get("faults")
-        if inj is not None and inj.has_rank_faults and any(
-                inj.dead_at(r, t0) for r in self._group_members(ctx)):
-            # A dead member can never rejoin the collective; the whole
-            # group skips this generation (every survivor evaluates the
-            # same oracle at the same post-barrier time) and restore falls
-            # back to the newest complete one.
-            return self._report(ctx, "collective", t0, t0, t0, 0)
-        # Gather happens inside the collective call (ROMIO's aggregators);
-        # the plan is one piece per field section of the NekCEM layout —
-        # or, for a delta, the member's fresh region placed by the group's
-        # allgather — behind the master header.
-        manifest = None
-        if self._delta_active(data):
-            pieces, manifest = yield from plan_delta(
-                self, ctx,
-                [(comm.rank, *data.package())],
-                step, data.header_bytes, comm=comm)
-        else:
-            layout: FileLayout = yield from comm.allgather(
-                list(data.field_sizes), nbytes=8 * data.n_fields,
-                map_fn=lambda sizes: FileLayout(data.header_bytes, sizes),
-            )
-            hdr = zeros(data.header_bytes) if data.has_payload else None
-            # Fields contribute zero-copy views; the two-phase exchange
-            # slices and ships segment references, never the bytes.
-            pieces = header_piece(comm.rank, data.header_bytes, hdr) + [
-                (offset, fld.nbytes, fld.view) for offset, fld in
-                zip(layout.member_offsets(comm.rank), data.fields)]
-        path = self.file_path(basedir, step, self.group_of(ctx.rank))
-        f = yield from MPIFile.open(ctx, comm, path, hints=self.hints)
-        yield from self._commit_shared(ctx, f, pieces, manifest)
-        t_end = eng.now
-        return self._report(ctx, "collective", t0, t_end, t_end, data.total_bytes)
+        return (yield from self.checkpoint_op(ctx.job, ctx.fs, data, step,
+                                              basedir, ctx).run())
 
     # -- restore ----------------------------------------------------------
     def restore(self, ctx: RankContext, template: CheckpointData, step: int,
@@ -235,269 +211,170 @@ class CollectiveIO(CheckpointStrategy):
         comm = yield from self._iocomm(ctx)
         layout: FileLayout = yield from comm.allgather(
             list(template.field_sizes), nbytes=8 * template.n_fields,
-            map_fn=lambda sizes: FileLayout(template.header_bytes, sizes),
-        )
+            map_fn=partial(FileLayout, template.header_bytes))
         return (yield from self._read_blocks(
             ctx, template, step, self.file_path(basedir, step, group),
             layout.total_size, layout.member_offsets(comm.rank), t_r0))
 
 
-class _RunReplay:
-    """The non-aggregator ranks of one file communicator, without processes.
+class _Cohort:
+    """The non-aggregator ranks of one file communicator, without
+    processes: what their segments share, and the run's step loop."""
 
-    Each method is the continuation the rank processes would run when the
-    event they wait on fires, for a *segment* of them: members whose
-    resumes would have sat next to each other in the event's callback
-    list, in that order.  :meth:`_await` puts one callback where the first
-    of them would have appended its resume and lets later arrivals join
-    it for as long as nobody else has appended after it — an aggregator's
-    process arriving in between starts a new segment.  Members therefore
-    take their turns among the aggregators (and each other) in the
-    uncoalesced order, which makes everything order-sensitive exact by
-    construction: the shared noise stream's draws, the reservations on an
-    aggregator node's ejection pipe (its own straddling piece included),
-    collective arrival order, Darshan records and spans.  Where members
-    part ways — each open and close takes its own time, each message is
-    delivered at its own instant — a member reaches the next collective
-    from its own event, and joins the segment forming there.
+    __slots__ = ("tail", "clients", "job", "loop", "unfinished", "done")
 
-    Nothing another layer decides is re-derived here: a member ships the
-    pieces :meth:`FlatExchange.sends` lists for it, like
-    ``MPIFile._two_phase`` does, and an open or close is ``FSClient``'s own
-    staged op, driven from callbacks (:meth:`_drive`) as a process would
-    ``yield from`` it.
-    """
+    def __init__(self, job, loop, size: int) -> None:
+        self.tail, self.clients, self.job, self.loop = None, [None] * size, job, loop
+        self.unfinished, self.done = 0, []  # ``done``: an event per joined run
 
-    def __init__(self, strategy: CollectiveIO, ctx: RankContext, group: int,
-                 loop, comm) -> None:
-        job = ctx.job
-        data = loop.data
-        self.strategy = strategy
-        self.eng = job.engine
-        self.tracer = job.tracer
-        self.contexts = job.contexts
-        self.world = ctx.comm.comm
-        self.comm = comm
-        self.gaps = loop.gaps
-        self.barrier_each_step = loop.barrier_each_step
-        self.paths = [strategy.file_path(loop.basedir, step, group)
-                      for step in loop.steps]
-        self.total_bytes = data.total_bytes
-        self.field_sizes = list(data.field_sizes)
-        self.layout_nbytes = 8 * data.n_fields
-        self.make_layout = partial(FileLayout, data.header_bytes)
-        # The collective calls of one step: the master header (members
-        # contribute an empty region) is call -1 when there is one.
-        self.first_call = -1 if data.header_bytes else 0
-        self.payloads = [fld.view for fld in data.fields]
-        self.exchange_plan = partial(
-            FlatExchange.for_hints, hints=strategy.hints,
-            block_size=ctx.fs.fs.config.fs_block_size,
-            plans=plan_table(job.services))
-        # Per member, by rank on ``comm`` (an aggregator's slot stays None).
-        self.fs: list = [None] * comm.size
-        self.handles: list = [None] * comm.size
-        self.offs = None  # offs[lr][field], once the layout is known
-        self.t_x0 = [0.0] * comm.size
-        self.step = 0
-        self.t0 = [0.0] * len(self.paths)
-        self.table = loop.table
-        self.unfinished = 0
-        self.done: list = []  # one event per joined run
-        self._tail = None
 
-    def join(self, lrs: list, t0: float):
-        """A run's members (ranks on ``comm``) enter their first step.
+class _Checkpoint(MPIFile):
+    """One coIO checkpoint of a segment of a file communicator's ranks:
+    the layout allgather (or a delta's placement), the open, one
+    ``write_at_all`` per piece (the master header, then each field
+    section), the close, the ranks' rows.  A process runs a segment of one
+    under the runner's rank program; a :class:`_Cohort` runs its segments
+    and their step loop.  The split, the delta plan and the manifest are
+    hand-offs only a process takes."""
 
-        Returns the event that fires when the cohort is through its last
-        step.
-        """
-        world_ranks = self.comm.world_ranks
-        for lr in lrs:
-            self.fs[lr] = self.contexts[world_ranks[lr]].fs
-        self.unfinished += len(lrs)
-        self.done.append(self.eng.event())
-        self.t0[0] = t0
-        self._gather_layout(lrs)
-        return self.done[-1]
+    __slots__ = ("strategy", "ctx", "data", "step", "basedir", "t0",
+                 "layout", "plan")
 
-    def _await(self, event, lrs, handler, arg) -> None:
-        """Go on with ``handler(lrs, arg, event)`` where ``lrs``' processes
-        would have resumed from ``event``."""
-        callbacks = event.callbacks
-        tail = self._tail
-        if callbacks and callbacks[-1] is tail:
-            tail.args[0].extend(lrs)
-        else:
-            self._tail = tail = partial(handler, list(lrs), arg)
-            callbacks.append(tail)
+    def __init__(self, strategy: CollectiveIO, data, step: int, basedir: str,
+                 t0: float, ctx=None, client=None, cohort=None,
+                 ranks=None) -> None:
+        super().__init__(_Checkpoint._begin, ranks, cohort, client)
+        self.strategy, self.ctx, self.data, self.step = strategy, ctx, data, step
+        self.basedir, self.t0, self.layout, self.plan = basedir, t0, None, None
+        self.ret = _Checkpoint._next
 
-    # -- step prologue ----------------------------------------------------
-    def _after_gap(self, lrs, step, _ev) -> None:
-        if self.barrier_each_step:
-            world_ranks = self.comm.world_ranks
-            self._await(self.world.arrive(
-                "barrier", [world_ranks[lr] for lr in lrs]).event,
-                lrs, self._enter_step, step)
-        else:
-            self._enter_step(lrs, step, None)
+    def _one(self, lr: int) -> "_Checkpoint":
+        seg = object.__new__(_Checkpoint)  # a copy, minus the other ranks
+        seg.result = seg.up = seg.sub = seg.ev = seg.ctx = seg.plan = None
+        seg.file, seg.cohort, seg.seq, seg.ret, seg.ranks = (
+            self.file, self.cohort, self.seq, self.ret, [lr])
+        seg.client, seg.strategy, seg.data, seg.step = (
+            self.cohort.clients[lr], self.strategy, self.data, self.step)
+        seg.basedir, seg.t0, seg.layout = self.basedir, self.t0, self.layout
+        return seg
 
-    def _enter_step(self, lrs, step, _ev) -> None:
-        self.step = step
-        self.t0[step] = self.eng.now
-        self._gather_layout(lrs)
+    def _begin(self):  # a process: its file communicator first
+        self.then = _Checkpoint._grouped
+        return self.strategy._iocomm(self.ctx)
 
-    def _gather_layout(self, lrs) -> None:
-        self._await(self.comm.arrive(
-            "allgather", lrs, repeat(self.field_sizes), nbytes=self.layout_nbytes,
-            fn=self.make_layout).event, lrs, self._laid_out, None)
+    def _grouped(self):
+        comm, self.result = self.result, None
+        ctx, strategy, t0 = self.ctx, self.strategy, self.t0
+        inj = ctx.job.services.get("faults")
+        if inj is not None and inj.has_rank_faults and any(
+                inj.dead_at(r, t0) for r in strategy._group_members(ctx)):
+            # A dead member can never rejoin the collective: the group
+            # skips this generation (every survivor evaluates the same
+            # oracle at the same time), restore falls back past it.
+            self.result = strategy._report(ctx, "collective", t0, t0, t0, 0)
+            return self.done()
+        self.ranks = [comm.rank]
+        return self._enter(comm.comm, ctx.job)
 
-    def _laid_out(self, lrs, _arg, ev) -> None:
-        if self.offs is None:
-            self.offs = [fs and ev.value.member_offsets(lr)
-                         for lr, fs in enumerate(self.fs)]
-        # MPIFile.open, non-creator side: barrier, then fs.open.
-        self._await(self.comm.arrive("barrier", lrs).event,
-                    lrs, self._open, None)
+    def _enter(self, comm, job):
+        """The step's file, then the members' placement (a delta) or the
+        layout allgather."""
+        strategy, data, lr = self.strategy, self.data, self.ranks[0]
+        self.file = _File.of(job, comm, strategy.file_path(
+            self.basedir, self.step,
+            strategy.group_of(comm.world_ranks[lr])), strategy.hints)
+        if strategy._delta_active(data):
+            self.then = _Checkpoint._planned
+            return plan_delta(strategy, self.ctx, [(lr, *data.package())],
+                              self.step, data.header_bytes, comm=comm.view(lr))
+        op = comm.arrive("allgather", self.ranks, repeat(list(data.field_sizes)),
+                         nbytes=8 * data.n_fields,
+                         fn=partial(FileLayout, data.header_bytes))
+        self.ev = op.event
+        return self.wait(op.event, _Checkpoint._planned)
 
-    def _drive(self, op, done, lr, fired=None) -> None:
-        """Run one member's ``FSClient`` op up to its next wait, from where
-        its process would have resumed; ``done(lr, result)`` after it."""
-        ev = op.advance(fired, False)
-        if ev is None:
-            done(lr, op.result)
-        else:
-            ev.add_callback(partial(self._drive, op, done, lr))
+    def _planned(self, _ev=None):
+        if self.result is None:  # the allgather's layout, or a delta plan
+            self.layout = self.ev._value
+        self.plan, self.result = self.result, None
+        return self._open()
 
-    def _open(self, lrs, _arg, _ev) -> None:
-        path = self.paths[self.step]
-        for lr in lrs:
-            self._drive(self.fs[lr].open_op(path, True), self._opened, lr)
+    def _next(self, _ev=None):
+        """The file is open or a piece written: the next piece's
+        ``write_at_all``, or the close after the last."""
+        f, i, layout = self.file, self.seq, self.layout
+        regions, payloads = f.regions, f.payloads
+        if i == (len(self.plan[0]) if self.plan is not None
+                 else layout.n_fields + (layout.header_bytes > 0)):
+            self.ret = _Checkpoint._closed
+            return self._close()
+        if self.plan is not None:  # a delta: the rank's planned pieces
+            offset, nbytes, payload = self.plan[0][i]
+            regions[self.ranks[0]] = (offset, nbytes)
+            payloads[self.ranks[0]] = (None if payload is None
+                                       else ByteRope.wrap(payload))
+            return self._write()
+        field = i - 1 if layout.header_bytes else i
+        if field < 0:  # the master header: rank 0's, an empty region else
+            hdr = zeros(layout.header_bytes) if self.data.has_payload else None
+            for lr in self.ranks:
+                regions[lr], payloads[lr] = (0, 0), None
+            if not self.ranks[0]:
+                regions[0], payloads[0] = (0, layout.header_bytes), hdr
+            return self._write()
+        # Fields contribute zero-copy views; the two-phase exchange slices
+        # and ships segment references, never the bytes.
+        offsets = layout.field_offsets(field)
+        fld = self.data.fields[field]
+        nbytes, payload = fld.nbytes, fld.view
+        for lr in self.ranks:
+            regions[lr], payloads[lr] = (offsets[lr], nbytes), payload
+        return self._write()
 
-    def _opened(self, lr, handle) -> None:
-        self.handles[lr] = handle
-        self._write_at_all((lr,), self.first_call)
+    def _closed(self, _ev=None):
+        """Closed: the manifest next to its data file (a delta's rank 0),
+        then the ranks' rows."""
+        if self.plan is not None and self.plan[1] is not None:
+            self.then = _Checkpoint._report
+            return write_manifest(self.ctx, self.plan[1], self.file.path)
+        return self._report()
 
-    # -- one collective write per call: allgather, ship, barrier ----------
-    def _write_at_all(self, lrs, i) -> None:
-        comm = self.comm
-        if i == len(self.payloads):
-            # MPIFile.close: barrier, fs.close, barrier.
-            self._await(comm.arrive("barrier", lrs).event,
-                        lrs, self._close, None)
-            return
-        if self.tracer is not None:
-            now = self.eng.now
-            for lr in lrs:
-                self.t_x0[lr] = now
-        if i < 0:
-            regions = repeat((0, 0))
-        else:
-            offs, nbytes = self.offs, self.field_sizes[i]
-            regions = [(offs[lr][i], nbytes) for lr in lrs]
-        self._await(comm.arrive(
-            "allgather", lrs, regions, nbytes=16, fn=self.exchange_plan).event,
-            lrs, self._ship, i)
-
-    def _ship(self, lrs, i, ev) -> None:
-        ex: FlatExchange = ev.value
-        comm = self.comm
-        if ex.empty or i < 0:
-            # Nothing to send: straight to the call's closing barrier.
-            self._await(comm.arrive("barrier", lrs).event, lrs,
-                        self._next_call if ex.empty else self._exchanged, i)
-            return
-        eng = self.eng
-        fabric = comm.fabric
-        delay = fabric.delay
-        eager = fabric.config.eager_threshold
-        world = comm.world_ranks
-        mailbox = comm.mailbox
-        offs = self.offs
-        payload = self.payloads[i]
-        tag = SHUFFLE_TAG_BASE + i - self.first_call
-        shipped, delivered = self._shipped, self._delivered
-        for lr in lrs:
-            sends = ex.sends(lr)
-            offset = offs[lr][i]
-            if len(sends) != 1 or sends[0][2] - sends[0][1] <= eager:
-                # A straddling extent, an eager piece, nothing at all: the
-                # rank's own isend(s) and wait, as MPIFile._two_phase.
-                view = comm.view(lr)
-                sent = [view.isend(
-                    dest, hi - lo, tag=tag,
-                    payload=(lo, hi, None if payload is None
-                             else payload[lo - offset:hi - offset])).event
-                    for dest, lo, hi in sends]
-                if not sent:
-                    shipped(lr, i)
-                else:
-                    (sent[0] if len(sent) == 1 else eng.all_of(sent)
-                     ).add_callback(partial(shipped, lr, i))
-                continue
-            # One rendezvous send: its delivery is its completion.
-            dest, lo, hi = sends[0]
-            Message.arriving(
-                eng, eng.now + delay(world[lr], world[dest], hi - lo),
-                mailbox(dest), lr, tag, hi - lo,
-                (lo, hi, None if payload is None
-                 else payload[lo - offset:hi - offset])
-            ).callbacks.append(delivered)
-
-    def _delivered(self, msg) -> None:
-        """A member's rendezvous send is in (its call is read off the tag)."""
-        self._shipped(msg.source, msg.tag - SHUFFLE_TAG_BASE + self.first_call)
-
-    def _shipped(self, lr, i, _ev=None) -> None:
-        self._await(self.comm._barrier_arrive(lr).event, (lr,),
-                    self._exchanged, i)
-
-    def _exchanged(self, lrs, i, _ev) -> None:
-        tr = self.tracer
-        if tr is not None:
-            now = self.eng.now
-            world = self.comm.world_ranks
-            nbytes = 0 if i < 0 else self.field_sizes[i]
-            for lr in lrs:
-                tr.span(world[lr], "exchange", "mpiio", self.t_x0[lr], now,
-                        nbytes, args={"path": self.paths[self.step],
-                                      "seq": i - self.first_call})
-        self._write_at_all(lrs, i + 1)
-
-    def _next_call(self, lrs, i, _ev) -> None:
-        self._write_at_all(lrs, i + 1)
-
-    def _close(self, lrs, _arg, _ev) -> None:
-        for lr in lrs:
-            # The close op holds the handle (and its stream) from here on.
-            op, self.handles[lr] = self.fs[lr].close_op(self.handles[lr]), None
-            self._drive(op, self._closed, lr)
-
-    def _closed(self, lr, _result) -> None:
-        self._await(self.comm._barrier_arrive(lr).event, (lr,),
-                    self._finished, self.step)
-
-    def _finished(self, lrs, step, _ev) -> None:
-        now = self.eng.now
-        t0 = self.t0[step]
-        world = self.comm.world_ranks
-        for lr in lrs:
-            self.strategy._put_report(self.table, self.tracer, step,
-                                      world[lr], "collective", t0, now, now,
-                                      self.total_bytes)
-        step += 1
-        if step == len(self.paths):
-            self.unfinished -= len(lrs)
-            if not self.unfinished:
-                for done in self.done:
+    def _report(self):
+        f, strategy, t0, cohort = self.file, self.strategy, self.t0, self.cohort
+        now, nbytes = f.engine.now, self.data.total_bytes
+        if cohort is None:  # a process: the report its program files
+            self.result = strategy._report(self.ctx, "collective", t0, now,
+                                           now, nbytes)
+            return self.done()
+        loop, world = cohort.loop, f.comm.world_ranks
+        for lr in self.ranks:
+            strategy._put_report(loop.table, f.tracer, self.step, world[lr],
+                                 "collective", t0, now, now, nbytes)
+        # The cohort's step loop: the gap (one timer where the segment's
+        # would have stood side by side), then the step's barrier.
+        step = self.step = self.step + 1
+        if step == len(loop.steps):
+            cohort.unfinished -= len(self.ranks)
+            if not cohort.unfinished:
+                for done in cohort.done:
                     done.succeed()
-                self._tail = None  # it points back here
-            return
-        gap = self.gaps[step]
-        if gap > 0:
-            # One timer where the segment's would have stood side by side.
-            self.eng.count_events(len(lrs) - 1)
-            self.eng.timeout(gap).callbacks.append(
-                partial(self._after_gap, list(lrs), step))
-        else:
-            self._after_gap(lrs, step, None)
+                cohort.tail = None  # it points back here
+            return None
+        if loop.gaps[step] > 0:
+            f.engine.count_events(len(self.ranks) - 1)
+            return self.wait(f.engine.timeout(loop.gaps[step]),
+                             _Checkpoint._gapped)
+        return self._gapped()
+
+    def _gapped(self, _ev=None):
+        if self.cohort.loop.barrier_each_step:
+            world = self.file.comm.world_ranks
+            return self.wait(self.cohort.job.world.arrive(
+                "barrier", [world[lr] for lr in self.ranks]).event,
+                _Checkpoint._stepped)
+        return self._stepped()
+
+    def _stepped(self, _ev=None):
+        self.t0, self.seq, self.ret = (self.file.engine.now, 0,
+                                       _Checkpoint._next)
+        return self._enter(self.file.comm, self.cohort.job)

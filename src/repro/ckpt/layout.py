@@ -74,10 +74,12 @@ class FileLayout:
         else:
             columns = list(zip(*rows))
             totals = list(map(sum, columns))
-            self._within = [list(accumulate(col, initial=0)) for col in columns]
-        self.section_offsets = list(accumulate(totals[:-1],
-                                               initial=header_bytes))
+        starts = self.section_offsets = list(accumulate(totals[:-1],
+                                                        initial=header_bytes))
         self.total_size = header_bytes + sum(totals)
+        if rows is not None:  # every member's block offset, a column per field
+            self._columns = [list(accumulate(col[:-1], initial=start))
+                             for start, col in zip(starts, columns)]
 
     def block_offset(self, field: int, member: int) -> int:
         """File offset of ``member``'s block within ``field``'s section."""
@@ -89,10 +91,17 @@ class FileLayout:
         if not 0 <= member < self.n_members:
             raise ValueError(f"member {member} out of range")
         if self._rows is not None:
-            return [start + col[member]
-                    for start, col in zip(self.section_offsets, self._within)]
+            return [col[member] for col in self._columns]
         return [start + member * size
                 for start, size in zip(self.section_offsets, self._row)]
+
+    def field_offsets(self, field: int):
+        """Every member's block offset in ``field``'s section, by member."""
+        if self._rows is not None:
+            return self._columns[field]
+        start, size = self.section_offsets[field], self._row[field]
+        return (range(start, start + self.n_members * size, size) if size
+                else (start,) * self.n_members)
 
     def block_size(self, field: int, member: int) -> int:
         """Size of ``member``'s block in ``field``'s section."""

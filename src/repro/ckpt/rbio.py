@@ -658,7 +658,13 @@ class ReducedBlockingIO(CheckpointStrategy):
             if not delta:
                 pieces = yield from self._plan_shared(
                     wcomm, packages, header_bytes)
-            yield from self._commit_shared(ctx, f, pieces, manifest)
+            # One write_at_all per piece (the master header is rank 0's
+            # first), the close, then the manifest (a delta's rank 0).
+            for offset, nbytes, payload in pieces:
+                yield from f.write_at_all(offset, nbytes, payload=payload)
+            yield from f.close()
+            if manifest is not None:
+                yield from write_manifest(ctx, manifest, f.file.path)
 
     def _plan_shared(self, wcomm, packages, header_bytes: int):
         """Generator: the full-write plan of one group in the shared file.

@@ -119,9 +119,12 @@ class CheckpointRun:
         return next(iter(self.restored.values()))[0] if self.restored else None
 
     @property
-    def restore_seconds(self) -> float:
+    def restore_seconds(self) -> Optional[float]:
         """The restart latency a failure recovery pays: from the
-        coordinated restart start until the slowest rank holds its state."""
+        coordinated restart start until the slowest rank holds its state;
+        ``None`` before :meth:`restore`."""
+        if not self.restore_windows:
+            return None
         windows = self.restore_windows.values()
         return max(b for _a, b in windows) - min(a for a, _b in windows)
 

@@ -162,6 +162,11 @@ class FaultConfig:
     actual draws (times, target ops, transience) come from the registry's
     ``"faults.schedule"`` stream.  ``horizon`` is the simulated-time window
     fault instants are drawn from — size it to cover the checkpoint steps.
+
+    Fields are checked as :class:`FaultSpec`'s are: ``fs_error_ops`` is a
+    non-empty list or tuple of op names, every other field a finite number
+    >= 0 (``*_prob``, ``fs_fatal_fraction`` <= 1; ``degrade_factor``,
+    ``horizon`` > 0).
     """
 
     fs_errors: float = 0.0
@@ -178,7 +183,22 @@ class FaultConfig:
     horizon: float = 10.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fs_error_ops", tuple(self.fs_error_ops))
+        ops = self.fs_error_ops
+        if (not isinstance(ops, (list, tuple)) or not ops
+                or not all(isinstance(op, str) for op in ops)):
+            raise ValueError(f"fs_error_ops must be a non-empty list of op "
+                             f"names, got {ops!r}")
+        object.__setattr__(self, "fs_error_ops", tuple(ops))
+        for name in (f.name for f in fields(self) if f.name != "fs_error_ops"):
+            value = getattr(self, name)
+            unit = name.endswith("_prob") or name == "fs_fatal_fraction"
+            positive = name in ("degrade_factor", "horizon")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0
+                    or (unit and value > 1) or (positive and value == 0)):
+                bound = "in [0, 1]" if unit else "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be a finite number {bound}, "
+                                 f"got {value!r}")
 
     def to_dict(self) -> dict:
         """Plain-data form (campaign specs, JSON transport): non-defaults only."""

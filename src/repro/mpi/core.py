@@ -764,27 +764,33 @@ class CommView:
         completes after a local memory copy — the rbIO fast path; a
         rendezvous send's request event is the message itself.
         """
-        comm = self.comm
-        if not 0 <= dest < comm.size:
-            raise MPIError(f"isend dest {dest} out of range (size {comm.size})")
+        if not 0 <= dest < self.comm.size:
+            raise MPIError(f"isend dest {dest} out of range (size {self.comm.size})")
         if nbytes < 0:
             raise MPIError(f"negative message size {nbytes}")
-        eng = comm.engine
-        fabric = comm.fabric
+        msg = self.isend_from(self.rank, dest, nbytes, tag, payload)
+        fabric = self.comm.fabric
         cfg = fabric.config
-        world = comm.world_ranks
-        mailbox = comm._mailboxes.get(dest)
-        if mailbox is None:
-            mailbox = comm.mailbox(dest)
-        msg = Message.arriving(
-            eng, eng.now + fabric.delay(world[self.rank], world[dest], nbytes),
-            mailbox, self.rank, tag, nbytes, payload)
         if buffered or nbytes <= cfg.eager_threshold:
             # Local completion: buffer copy at memory bandwidth plus the
             # per-message software overhead.
             copy = cfg.mpi_overhead + fabric.local_copy_time(nbytes)
-            return Request(eng.timeout(copy), msg.sent_at, "isend")
+            return Request(msg.engine.timeout(copy), msg.sent_at, "isend")
         return Request(msg, msg.sent_at, "isend")
+
+    def isend_from(self, source: int, dest: int, nbytes: int, tag: int,
+                   payload: Any = None) -> Message:
+        """:meth:`isend` of rank ``source`` of this communicator (the view's
+        own, or a coalesced cohort's member) to rank ``dest`` without its
+        :class:`Request`: the message, a rendezvous send's completion."""
+        comm = self.comm
+        eng, world = comm.engine, comm.world_ranks
+        box = comm._mailboxes.get(dest)
+        if box is None:
+            box = comm.mailbox(dest)
+        return Message.arriving(
+            eng, eng.now + comm.fabric.delay(world[source], world[dest], nbytes),
+            box, source, tag, nbytes, payload)
 
     def post_members(self, sources_local, dest: int, nbytes: int,
                      tag: int = 0, payload: Any = None) -> None:

@@ -168,10 +168,10 @@ class FlatExchange:
     exchange — which pieces every rank sends where, and whom every
     aggregator hears from — is computed exactly once per call via
     ``allgather(map_fn=...)``, vectorised over the gathered extents, and
-    consulted read-only by every participant: the per-rank two-phase
-    write (``MPIFile._two_phase``, whose phase 1 reads a
-    :class:`TamExchange` instead when two-level aggregation engages) and
-    coIO's coalesced replay read this one plan.
+    consulted read-only by every participant: the two-phase write's stages
+    (``MPIFile._ship`` / ``_aggregate``, for a process's rank and a
+    coalesced segment alike; phase 1 reads a :class:`TamExchange` instead
+    when two-level aggregation engages) read this one plan.
 
     ``agg_index`` maps an aggregator's rank to the domain it commits;
     ``expected[k]`` lists the ranks domain ``k``'s aggregator receives from

@@ -17,16 +17,22 @@ A stage may instead hand its process a generator (``return gen`` for
 ``yield from gen``): a step only a process runs, such as a fault retry or
 a delta plan.  :meth:`run` runs it and stores its return value as the
 stage's op's ``result``; :meth:`advance` raises :class:`HandOffError`.
+
+A :class:`Segment` is an op that stands for several members at one point
+of their program (coIO's non-aggregator ranks): a cohort drives it from
+one callback per wait, where the first member's process would have
+appended its resume, and a process drives a segment of one.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from .engine import Event, SimulationError
 
-__all__ = ["HandOffError", "StagedOp"]
+__all__ = ["HandOffError", "Segment", "StagedOp"]
 
 
 class HandOffError(SimulationError):
@@ -104,3 +110,46 @@ class StagedOp:
                 op.result = yield from out
             else:
                 yield out
+
+
+class Segment(StagedOp):
+    """An op for ``ranks`` (members, in the order their processes would
+    resume) at one point of their program, driven by ``cohort`` (whose
+    ``tail`` is the callback it appended last), or by :meth:`run` when
+    ``None`` (a process's segment of one).  A subclass a cohort drives
+    defines ``_one(member)``: that member, as a segment of its own where
+    this one stands."""
+
+    __slots__ = ("ranks", "cohort")
+
+    def wait(self, event: Event, then, member=None) -> Optional[Event]:
+        """Go on at ``then`` once ``event`` fires (only ``member``, when
+        given: it parted from the others).  A process's segment hands the
+        event back to :meth:`run`; a cohort appends one callback where the
+        first member's process would have appended its resume, or, when the
+        event's last callback is its last one, joins that segment."""
+        cohort = self.cohort
+        if cohort is None:
+            self.then = then
+            return event
+        callbacks = event.callbacks
+        if not callbacks or callbacks[-1] is not cohort.tail:
+            cohort.tail = tail = partial(
+                then, self if member is None else self._one(member))
+            callbacks.append(tail)
+        elif member is None:
+            cohort.tail.args[0].ranks += self.ranks
+        else:
+            cohort.tail.args[0].ranks.append(member)
+        return None
+
+    def each(self, stage) -> Optional[Event]:
+        """Go on at ``stage`` member by member: a cohort drives a segment
+        of one per member with :meth:`advance`."""
+        if self.cohort is None:
+            return stage(self)
+        for member in self.ranks:
+            seg = self._one(member)
+            ev = stage(seg)  # its first wait: an op it called
+            ev.callbacks.append(seg.advance)
+        return None

@@ -145,6 +145,18 @@ def test_coio_groups_finish_independently():
     assert np.allclose(t[4:], t[4])
 
 
+def test_restore_figures_are_none_until_a_run_restores():
+    """A live run answers ``restored_step`` and ``restore_seconds`` with
+    ``None`` before its restart wave, and with the wave's figures after."""
+    run = run_checkpoint_steps(CollectiveIO(ranks_per_file=64), 128,
+                               CheckpointData.synthetic([4096] * 3),
+                               n_steps=2, config=QUIET)
+    assert run.restored_step is None and run.restore_seconds is None
+    run.restore()
+    assert run.restored_step == 1
+    assert run.restore_seconds > 0
+
+
 def test_coio_validation():
     with pytest.raises(ValueError):
         CollectiveIO(ranks_per_file=0)

@@ -1,0 +1,54 @@
+"""coIO's one checkpoint body under its two drivers, over drawn geometries.
+
+``coalesce="off"`` runs every rank's segment of one in its process;
+``"require"`` drives the non-aggregator ranks of each file communicator as
+a cohort of segments.  Whatever the geometry — ragged file groups, a
+headerless format, empty and eager-sized fields, extents that straddle a
+file domain, back-to-back or gapped steps, with or without the per-step
+barrier — the two runs must leave identical reports, file images, fabric
+counters, final clocks, Darshan records and trace totals.  The hand-picked
+cells of ``tests/test_coalesce.py`` stay; this draws the space between them.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ckpt import CheckpointData, CollectiveIO, Field
+from repro.topology import intrepid
+
+from .test_coalesce import assert_coio_identical
+
+EAGER = intrepid().eager_threshold
+
+
+@st.composite
+def geometries(draw):
+    nodes = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))  # a power of two
+    n_ranks = draw(st.integers(max(2, 4 * nodes - 3), 4 * nodes))
+    per_file = draw(st.sampled_from([None, 16, 48, 64]))
+    sizes = draw(st.lists(st.one_of(
+        st.sampled_from([0, 1, EAGER // 2, EAGER, EAGER + 1]),
+        st.integers(0, 6000)), min_size=1, max_size=3))
+    payload = draw(st.booleans())
+    data = CheckpointData(
+        [Field(f"f{i}", n, bytes([i + 1]) * n if payload else None)
+         for i, n in enumerate(sizes)],
+        header_bytes=draw(st.sampled_from([0, 64, 512])))
+    n_steps = draw(st.integers(1, 3))
+    kwargs = dict(
+        n_steps=n_steps,
+        gap_seconds=draw(st.lists(st.sampled_from([0.0, 0.25]),
+                                  min_size=n_steps - 1,
+                                  max_size=n_steps - 1)) or 0.0,
+        barrier_each_step=draw(st.booleans()),
+        # Small blocks put file-domain boundaries inside members' extents.
+        config=intrepid().with_(fs_block_size=draw(
+            st.sampled_from([512, 1024, 4096, 1 << 22]))))
+    return CollectiveIO(ranks_per_file=per_file), n_ranks, data, kwargs
+
+
+@settings(max_examples=25, deadline=None)
+@given(geometries())
+def test_coio_off_equals_require_over_drawn_geometries(geometry):
+    strategy, n_ranks, data, kwargs = geometry
+    assert_coio_identical(strategy, n_ranks, data, **kwargs)
