@@ -104,7 +104,7 @@ class CheckpointStrategy:
             d["tam"] = self.tam
         return d
 
-    def coalesce_plan(self, n_ranks: int):
+    def coalesce_plan(self, n_ranks: int, loop=None):
         """Offer the ranks to run without a process each, or ``None``.
 
         At figure scale the simulator replays tens of thousands of ranks,
@@ -115,9 +115,11 @@ class CheckpointStrategy:
         ``self.coalesced_worker_main(ctx, members, loop)`` on the range's
         first rank, which stands in for every member: ``loop`` is the
         run's :class:`~repro.experiments.runner.StepLoop` (data, steps,
-        basedir, gaps, per-step barrier, writer set and report table),
-        and the generator must write every member's row of every step
-        into ``loop.table``.  The default is ``None``: every rank runs.
+        basedir, gaps, per-step barrier, writer set, report table and
+        fault injector), and the generator must write every member's row
+        of every step into ``loop.table``.  The runner asks with the loop
+        it built; ``loop=None`` asks for a one-step run without faults.
+        The default is ``None``: every rank runs.
 
         Whatever the idiom, a coalesced run is **exact**, not approximate:
         every pipe reservation, collective arrival
@@ -132,9 +134,14 @@ class CheckpointStrategy:
           one buffered Isend — so one generator performs each member's
           visible actions in member order and writes their rows of the
           run's report table, one slice per step, from its own times.
-          Valid only while members cannot diverge: flow-control
-          acknowledgements (``max_outstanding``) offer no plan.  Under
-          TAM symmetry holds per role, so the one replay
+          Valid only while members cannot diverge: a worker that must
+          wait for a flow-control acknowledgement (``max_outstanding``
+          packages already in flight) or a ``rank_crash`` / ``restart``
+          schedule (rerouted, killed or rolled-back workers) gets no
+          plan.  File-system, network and staging faults never reach a
+          worker: only writers touch the file system and the buffers, and
+          the fabric stretches each member's transfer in member order.
+          Under TAM symmetry holds per role, so the one replay
           (:meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main`) is
           role-aware: node leaders are replayed per symmetry class, and
           the flat exchange is the case with no leader class.
@@ -147,11 +154,12 @@ class CheckpointStrategy:
           coIO's non-aggregator ranks are :class:`~repro.sim.stages.Segment`
           s of the file communicator, one callback per segment of members
           that wait side by side, and its aggregators keep their processes.
+          Their members do file-system operations themselves, so any
+          non-empty fault schedule refuses these plans.
 
-        The runner only coalesces when every rank shares one
-        :class:`~repro.ckpt.CheckpointData` object and no fault schedule
-        is attached (faults target ranks individually, so every rank must
-        run).
+        The runner only asks when every rank shares one
+        :class:`~repro.ckpt.CheckpointData` object (a per-rank builder may
+        hand ranks different data).
         """
         return None
 

@@ -100,7 +100,7 @@ class CollectiveIO(CheckpointStrategy):
         return f"{self.step_dir(basedir, step)}/part{group:05d}.vtk"
 
     # -- coalescing -------------------------------------------------------
-    def coalesce_plan(self, n_ranks: int):
+    def coalesce_plan(self, n_ranks: int, loop=None):
         """Drive the ranks that only contribute an extent and wait as a
         cohort of segments, without processes.
 
@@ -110,9 +110,11 @@ class CollectiveIO(CheckpointStrategy):
         a 64-rank file group under the default 1:32 hint).  Aggregators —
         the ranks that receive, overlay and touch the file system — keep
         their processes.  Only the flat, full write coalesces: TAM and
-        delta are hand-offs only a process takes.
+        delta are hand-offs only a process takes.  Every rank opens and
+        closes the file itself, so any fault schedule refuses the plan.
         """
-        if self.hints.tam != "off" or self.delta != "off":
+        if (self.hints.tam != "off" or self.delta != "off"
+                or (loop is not None and loop.faults.schedule)):
             return None
         per_file = self.ranks_per_file or n_ranks
         plan = []
@@ -316,11 +318,12 @@ class _Checkpoint(MPIFile):
             return self._write()
         field = i - 1 if layout.header_bytes else i
         if field < 0:  # the master header: rank 0's, an empty region else
-            hdr = zeros(layout.header_bytes) if self.data.has_payload else None
             for lr in self.ranks:
                 regions[lr], payloads[lr] = (0, 0), None
             if not self.ranks[0]:
-                regions[0], payloads[0] = (0, layout.header_bytes), hdr
+                regions[0] = (0, layout.header_bytes)
+                if self.data.has_payload:
+                    payloads[0] = zeros(layout.header_bytes)
             return self._write()
         # Fields contribute zero-copy views; the two-phase exchange slices
         # and ships segment references, never the bytes.

@@ -55,14 +55,15 @@ class OneFilePerProcess(CheckpointStrategy):
         return f"{self.step_dir(basedir, step)}/p{rank:06d}.vtk"
 
     # -- coalescing -------------------------------------------------------
-    def coalesce_plan(self, n_ranks: int):
+    def coalesce_plan(self, n_ranks: int, loop=None):
         """Offer every rank as a program driven from event callbacks.
 
         Between a rank's waits nothing happens that a callback on the
         awaited event cannot do, so no rank needs a process.  Delta commits
-        keep per-rank parent manifests and run uncoalesced.
+        keep per-rank parent manifests and run uncoalesced, and so does
+        any fault schedule: every rank does its own file-system calls.
         """
-        if self.delta != "off":
+        if self.delta != "off" or (loop is not None and loop.faults.schedule):
             return None
         return (range(n_ranks),)
 

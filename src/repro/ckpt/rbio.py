@@ -129,15 +129,23 @@ class ReducedBlockingIO(CheckpointStrategy):
         return f"{self.step_dir(basedir, step)}/all.vtk"
 
     # -- coalescing --------------------------------------------------------
-    def coalesce_plan(self, n_ranks: int):
+    def coalesce_plan(self, n_ranks: int, loop=None):
         """Workers within a group are symmetric: replay each group once.
 
-        Coalescing is only exact when workers never diverge; flow control
-        (``max_outstanding``) makes a worker's timeline depend on how many
-        acknowledgements it has already drained, so it disables the plan.
+        Coalescing is only exact while no worker can diverge.  Flow control
+        makes a worker wait for an acknowledgement first at step index
+        ``max_outstanding``, so it refuses only runs with more steps than
+        that.  ``rank_crash`` (failover reroutes workers, the dead ghost)
+        and ``restart`` (every rank rolls back in its own restore wave)
+        refuse any run.  File-system, network and staging faults reach
+        the writers, which keep their processes, and the fabric, which
+        stretches each member's transfer in member order.
         """
-        if self.max_outstanding is not None:
-            return None
+        if loop is not None:
+            binds = (self.max_outstanding is not None
+                     and len(loop.steps) > self.max_outstanding)
+            if binds or loop.faults.schedule.by_kind("rank_crash", "restart"):
+                return None
         w = self.workers_per_writer
         plan = tuple(range(first + 1, min(first + w, n_ranks))
                      for first in range(0, n_ranks, w) if first + 1 < n_ranks)
@@ -182,8 +190,7 @@ class ReducedBlockingIO(CheckpointStrategy):
         copy = ctx.config.mpi_overhead + fabric.local_copy_time(nbytes)
         world = range(members[0] - 1, members[-1] + 1)  # the writer first
         groups = None
-        inj = ctx.job.services.get("faults")
-        if self.tam != "off" and (inj is None or not inj.has_rank_faults):
+        if self.tam != "off":  # no plan under rank faults, so TAM is on
             from ..topology import NodeGroups
             groups = NodeGroups(list(world), ctx.config.cores_per_node)
         if groups is not None and groups.nontrivial:

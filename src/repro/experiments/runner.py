@@ -356,10 +356,13 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     executes: tracing, profiling, copy mode, rank coalescing (see
     :meth:`~repro.ckpt.CheckpointStrategy.coalesce_plan`; coalesced runs
     are bit-identical to uncoalesced ones) and the
-    :class:`~repro.faults.FaultSchedule` attached to the job.  A non-empty
-    schedule disables coalescing: faults target ranks individually, so
-    every rank must actually run.  ``data`` may build per-rank application
-    objects (:class:`StepLoop`), whose ``advance`` takes the gaps' place.
+    :class:`~repro.faults.FaultSchedule` attached to the job.  The
+    strategy's plan sees the run's :class:`StepLoop` and refuses what
+    could make its members diverge: 1PFPP and coIO refuse any fault
+    schedule, rbIO/bbIO a ``rank_crash`` or ``restart`` one and flow
+    control that can bind in the run's steps.  ``data`` may build
+    per-rank application objects (:class:`StepLoop`), whose ``advance``
+    takes the gaps' place; such a run never coalesces.
 
     The returned run is live: :meth:`CheckpointRun.restore` restarts from
     its checkpoints on the same job.
@@ -367,9 +370,9 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     if n_steps < 1:
         raise ValueError("need at least one step")
     job = Job(n_ranks, config, seed=seed, run_config=run_config)
-    coalesce, faults = job.run_config.coalesce, job.run_config.faults
+    coalesce = job.run_config.coalesce
     fs = attach_storage(job, fs_type=fs_type)
-    injector = attach_faults(job, faults)
+    injector = attach_faults(job, job.run_config.faults)
     gaps = normalize_gaps(gap_seconds, n_steps)
     if injector.restarts and max(injector.restarts) >= n_steps:
         raise ValueError(f"a restart at step {max(injector.restarts)} is "
@@ -381,6 +384,9 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     writer_set = frozenset()
     if any(g > 0 for g in gaps) and hasattr(strategy, "writer_ranks"):
         writer_set = frozenset(strategy.writer_ranks(n_ranks))
+    loop = StepLoop(job, strategy, data, _data_fn(data), range(n_steps),
+                    basedir, gaps, barrier_each_step, writer_set,
+                    ReportTable(n_steps, n_ranks), injector, app)
     plan = None
     if coalesce != "off" and not isinstance(data, CheckpointData):
         # Per-rank data builders can diverge, so only a single shared
@@ -390,17 +396,13 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
                 "coalesce='require' but the data is a per-rank builder, "
                 "which may hand ranks different data: the runner takes no "
                 "plan for it")
-    elif coalesce != "off" and not faults:
-        # A non-empty fault schedule also disqualifies coalescing.
-        plan = _checked_plan(strategy.coalesce_plan(n_ranks), n_ranks)
+    elif coalesce != "off":
+        plan = _checked_plan(strategy.coalesce_plan(n_ranks, loop), n_ranks)
     if coalesce == "require" and plan is None:
         raise ValueError(
             f"coalesce='require' but {strategy.name} offers no plan for "
-            f"this configuration"
-        )
-    loop = StepLoop(job, strategy, data, _data_fn(data), range(n_steps),
-                    basedir, gaps, barrier_each_step, writer_set,
-                    ReportTable(n_steps, n_ranks), injector, app)
+            f"{n_steps} step(s) of {strategy.describe()} under faults "
+            f"{sorted({s.kind for s in injector.schedule})}")
     if plan is None:
         job.spawn(loop.rank_main)
     else:

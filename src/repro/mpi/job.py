@@ -60,12 +60,15 @@ class RunConfig:
     ``coalesce``
         Rank coalescing in the checkpoint runners (ranks replayed without
         a process each; every strategy offers a plan): ``auto`` accepts
-        the plan when all ranks share one ``CheckpointData`` and no fault
-        is scheduled, ``off`` forces the full SPMD run, ``require`` raises
-        if no plan is available.  Coalesced runs are bit-identical.
+        the plan when all ranks share one ``CheckpointData`` and the
+        strategy's plan takes the run, ``off`` forces the full SPMD run,
+        ``require`` raises if no plan is available.  Coalesced runs are
+        bit-identical.
     ``faults``
         A :class:`~repro.faults.FaultSchedule` the runners attach to the
-        job (a non-empty one disables coalescing), or ``None``.
+        job, or ``None``.  Each strategy's plan refuses the kinds that
+        can reach its members: 1PFPP and coIO any schedule, rbIO/bbIO
+        ``rank_crash`` and ``restart``.
     """
 
     trace: str = "off"
@@ -83,9 +86,6 @@ class RunConfig:
             if value not in allowed:
                 raise ValueError(
                     f"{name} must be one of {allowed}, got {value!r}")
-        if self.coalesce == "require" and self.faults:
-            raise ValueError("coalesce='require' is incompatible with a "
-                             "non-empty fault schedule")
 
 
 class RunStats:

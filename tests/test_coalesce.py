@@ -13,9 +13,10 @@ additionally compare file images, fabric counters, the final clock, the
 whole Darshan record sequence and the trace (totals and, in the cohort
 cells, every span for coIO; every span for 1PFPP).
 
-Configurations without a valid plan (flow-controlled rbIO/bbIO, coIO under
-TAM or delta, 1PFPP under delta) must fall back to the uncoalesced path
-under ``coalesce="auto"``.
+Configurations without a valid plan (rbIO/bbIO whose flow control can bind
+in the run's steps, coIO under TAM or delta, 1PFPP under delta) must fall
+back to the uncoalesced path under ``coalesce="auto"``;
+``tests/test_coalesce_faults.py`` holds the fault schedules.
 """
 
 import numpy as np
@@ -283,7 +284,7 @@ def test_spawn_order_steps_over_a_group_and_names_every_other_rank():
         "not_a_range"])
 def test_runner_rejects_a_malformed_plan(plan):
     class Offers(OneFilePerProcess):
-        def coalesce_plan(self, n_ranks):
+        def coalesce_plan(self, n_ranks, loop=None):
             return plan
 
     with pytest.raises(ValueError, match="coalesce plan"):
@@ -295,17 +296,40 @@ def test_runner_rejects_a_malformed_plan(plan):
 # Auto-disable: configurations that would diverge fall back, exactly
 # ---------------------------------------------------------------------------
 
+FLOW_CONTROLLED = {
+    "rbio": lambda: ReducedBlockingIO(workers_per_writer=8, max_outstanding=2),
+    "bbio": lambda: BurstBufferIO(workers_per_writer=8),  # 2 by default
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CONTROLLED))
+def test_flow_control_that_cannot_bind_takes_the_plan(name):
+    """A worker first waits for an acknowledgement at step index
+    ``max_outstanding``: a run of that many steps never waits, so it
+    coalesces and equals its uncoalesced twin."""
+    off, on = run_pair(FLOW_CONTROLLED[name](), 32, shared_data(), n_steps=2,
+                       gap_seconds=0.5)
+    assert_identical(off, on)
+    assert_file_images_identical(off, on)
+    assert off.job.engine.now == on.job.engine.now
+    assert off.job.fabric.stats() == on.job.fabric.stats()
+    assert len(on.job._rank_procs) == 8  # a writer and a replay per group
+
+
 def test_flow_control_disables_plan():
-    assert ReducedBlockingIO(workers_per_writer=8,
-                             max_outstanding=2).coalesce_plan(32) is None
-    assert BurstBufferIO(workers_per_writer=8).coalesce_plan(32) is None
+    """One step more, and a worker may wait: ``auto`` runs every rank."""
+    for make in FLOW_CONTROLLED.values():
+        run = run_checkpoint_steps(make(), 32, shared_data(), n_steps=3,
+                                   run_config=RunConfig(coalesce="auto"))
+        assert len(run.job._rank_procs) == 32
 
 
 def test_flow_control_require_raises():
-    strategy = ReducedBlockingIO(workers_per_writer=8, max_outstanding=2)
-    with pytest.raises(ValueError, match="no plan"):
-        run_checkpoint_steps(strategy, 32, shared_data(),
-                             run_config=RunConfig(coalesce="require"))
+    for make in FLOW_CONTROLLED.values():
+        with pytest.raises(ValueError,
+                           match="no plan for 3 step.*'max_outstanding': 2"):
+            run_checkpoint_steps(make(), 32, shared_data(), n_steps=3,
+                                 run_config=RunConfig(coalesce="require"))
 
 
 @pytest.mark.parametrize("key", ["rbio_ng", "coio_64", "1pfpp"])

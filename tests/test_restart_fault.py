@@ -86,5 +86,5 @@ def test_restart_past_the_run_is_rejected():
 
 
 def test_restart_schedule_takes_no_coalesce_plan():
-    with pytest.raises(ValueError, match="incompatible with a non-empty fault schedule"):
+    with pytest.raises(ValueError, match="offers no plan.*'restart'"):
         run("rbio", RESTART, coalesce="require")
