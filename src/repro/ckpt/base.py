@@ -131,20 +131,23 @@ class CheckpointStrategy:
 
         - *Lock-step* (rbIO/bbIO workers).  Members of a 64:1 group are
           identical by construction — same data, same barrier release,
-          one buffered Isend — so one generator performs each member's
-          visible actions in member order and writes their rows of the
-          run's report table, one slice per step, from its own times.
-          Valid only while members cannot diverge: a worker that must
-          wait for a flow-control acknowledgement (``max_outstanding``
-          packages already in flight) or a ``rank_crash`` / ``restart``
-          schedule (rerouted, killed or rolled-back workers) gets no
-          plan.  File-system, network and staging faults never reach a
-          worker: only writers touch the file system and the buffers, and
-          the fabric stretches each member's transfer in member order.
-          Under TAM symmetry holds per role, so the one replay
-          (:meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main`) is
-          role-aware: node leaders are replayed per symmetry class, and
-          the flat exchange is the case with no leader class.
+          one buffered Isend — so the worker send is one generator over a
+          set of group ranks (``ReducedBlockingIO._send``): a rank's
+          process runs it for itself, and
+          :meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main` for
+          every worker of a group in member order, then writes their rows
+          of the run's report table, one slice per step, from its own
+          times.  Valid only while members cannot diverge: a worker that
+          must wait for a flow-control acknowledgement
+          (``max_outstanding`` packages already in flight), a TAM node
+          leader that starts its next step after its members (no per-step
+          barrier) or a ``rank_crash`` / ``restart`` schedule (rerouted,
+          killed or rolled-back workers) gets no plan.  File-system, network and
+          staging faults never reach a worker: only writers touch the
+          file system and the buffers, and the fabric stretches each
+          member's transfer in member order.  Under TAM symmetry holds
+          per role: the send runs node leaders one symmetry class at a
+          time, and the flat exchange is the case with no leader class.
         - *One body, two drivers* (1PFPP, coIO).  Members diverge (file
           noise, arrival jitter, the directory token's queue), so each
           strategy's checkpoint is one :class:`~repro.sim.StagedOp` that

@@ -197,11 +197,15 @@ class BurstBufferIO(ReducedBlockingIO):
             inj.log("bbio_degraded", rank=ctx.rank, step=step, group=group)
 
     # -- restore -----------------------------------------------------------
-    def _locate(self, svc: StagingService, ctx: RankContext, step: int):
+    def _locate(self, svc: StagingService, ctx: RankContext, step: int,
+                size: int):
         """Find the best available *trustworthy* copy: ``(package, tier)``.
 
         Copies whose checksum no longer matches (bit-rot, device loss) are
-        skipped — detected corruption falls through to the next tier.
+        skipped — detected corruption falls through to the next tier.  So
+        are copies that lack one of the group's ``size`` members (a crashed
+        worker sent nothing): the scatter has no block for it, and the PFS
+        tier's size check rejects the generation for the whole group.
         """
         group = self.group_of(ctx.rank)
         want = self.restore_from
@@ -209,7 +213,7 @@ class BurstBufferIO(ReducedBlockingIO):
         if want in ("auto", "buffer"):
             buf = svc.buffer_for(ctx.rank)
             pkg = None if buf.lost else buf.resident.get((step, group))
-            if pkg is not None:
+            if pkg is not None and pkg.layout.n_members == size:
                 if pkg.verify():
                     return pkg, "buffer"
                 if inj is not None:
@@ -226,7 +230,7 @@ class BurstBufferIO(ReducedBlockingIO):
                 pkg = (None if pbuf.lost
                        else svc.replicator.find_replica(partner_rank, group,
                                                         step))
-                if pkg is not None:
+                if pkg is not None and pkg.layout.n_members == size:
                     if pkg.verify():
                         return pkg, "partner"
                     if inj is not None:
@@ -280,7 +284,7 @@ class BurstBufferIO(ReducedBlockingIO):
         group = self.group_of(ctx.rank)
         pkg = None
         try:
-            pkg, tier = self._locate(svc, ctx, step)
+            pkg, tier = self._locate(svc, ctx, step, gcomm.size)
             if tier == "pfs":
                 # The PFS copy is only durable once the background drain has
                 # committed it; if our package is still in flight, wait it

@@ -32,7 +32,7 @@ from typing import Optional
 
 from ..buffers import ByteRope, zeros
 from ..faults import UnrecoverableCheckpointError
-from ..mpi import RankContext
+from ..mpi import CommView, RankContext
 from ..mpiio import Hints, MPIFile
 from .base import CheckpointStrategy
 from .data import CheckpointData
@@ -135,16 +135,22 @@ class ReducedBlockingIO(CheckpointStrategy):
         Coalescing is only exact while no worker can diverge.  Flow control
         makes a worker wait for an acknowledgement first at step index
         ``max_outstanding``, so it refuses only runs with more steps than
-        that.  ``rank_crash`` (failover reroutes workers, the dead ghost)
-        and ``restart`` (every rank rolls back in its own restore wave)
-        refuse any run.  File-system, network and staging faults reach
-        the writers, which keep their processes, and the fabric, which
+        that.  Under TAM a node leader completes after its members, and
+        without the per-step barrier it starts the next step later than
+        they do, so TAM refuses runs of more than one step without it.
+        ``rank_crash`` (failover reroutes workers, the dead ghost) and
+        ``restart`` (every rank rolls back in its own restore wave) refuse
+        any run.  File-system, network and staging faults reach the
+        writers, which keep their processes, and the fabric, which
         stretches each member's transfer in member order.
         """
         if loop is not None:
             binds = (self.max_outstanding is not None
                      and len(loop.steps) > self.max_outstanding)
-            if binds or loop.faults.schedule.by_kind("rank_crash", "restart"):
+            drifts = (self.tam != "off" and not loop.barrier_each_step
+                      and len(loop.steps) > 1)
+            if (binds or drifts
+                    or loop.faults.schedule.by_kind("rank_crash", "restart")):
                 return None
         w = self.workers_per_writer
         plan = tuple(range(first + 1, min(first + w, n_ranks))
@@ -152,59 +158,21 @@ class ReducedBlockingIO(CheckpointStrategy):
         return plan or None
 
     def coalesced_worker_main(self, ctx: RankContext, members, loop):
-        """Generator: replay every worker of one group from its representative.
+        """Generator: every worker of one group, from its representative.
 
-        Mirrors the runner's rank program + :meth:`_worker` member by member:
-        collective arrivals are entered once per member (same arrival
-        counts, same completion timing), each member's package moves through
-        the fabric as its own transfer (same pipe reservations, so the
-        writer-side incast is bit-identical), and the single shared eager
-        copy time stands in for every member's local Isend completion:
-        per step the members' rows of ``table`` are one slice assignment
-        and their Darshan records one run entry, with the node leaders'
-        own instants (TAM) as point fixes.  No member has a context, a
-        view or a report object of its own.
-
-        Under TAM the worker roles are not fully symmetric, so the replay
-        is role-aware.  Members on the writer's node and plain members are
-        replayed by bulk fire-and-forget posts plus the shared eager-copy
-        timeout.  Node leaders — whose timelines depend on their members'
-        intra-node arrivals — are replayed by one child process per
-        *symmetry class* (leaders with equal member counts behave
-        identically): the child faithfully receives the class
-        representative's member messages, posts every same-class leader's
-        combined inter-node message at that instant (with its TAM
-        accounting), consumes the remaining leaders' member messages
-        fire-and-forget, and completes after the combined local copy.
-        Message sources, tags, payloads and per-message fabric transfers
-        match the uncoalesced TAM run, so the writer-side gather — and
-        hence the file image — is bit-identical.  The flat exchange is the
-        case where every member counts as co-located with the writer and
-        there is no leader class.
+        The runner's rank program for all of them at once, around one
+        lock-step :meth:`_send`: collective arrivals are entered once per
+        member (same arrival counts, same completion timing) and the send
+        posts each member's package as its own message.  Per step the
+        members' rows of ``table`` are one slice assignment and their
+        Darshan records one run entry, with the node leaders' own instants
+        (TAM) as point fixes.  No member has a context, a view or a report
+        object of its own.
         """
         eng = ctx.engine
         comm = ctx.comm
-        fabric = ctx.job.fabric
         data, gaps, table = loop.data, loop.gaps, loop.table
         nbytes = data.total_bytes
-        copy = ctx.config.mpi_overhead + fabric.local_copy_time(nbytes)
-        world = range(members[0] - 1, members[-1] + 1)  # the writer first
-        groups = None
-        if self.tam != "off":  # no plan under rank faults, so TAM is on
-            from ..topology import NodeGroups
-            groups = NodeGroups(list(world), ctx.config.cores_per_node)
-        if groups is not None and groups.nontrivial:
-            co_located = list(groups.members_of[0][1:])
-            leaders = [lead for lead in groups.leaders if lead != 0]
-            span_args = {"tam": True}
-        else:
-            co_located = range(1, len(world))
-            leaders = []
-            span_args = {}
-        classes: dict[int, list[int]] = {}
-        for lead in leaders:
-            classes.setdefault(len(groups.members_of[lead]), []).append(lead)
-        class_list = list(classes.values())
         gviews = None
         for i, step in enumerate(loop.steps):
             if gaps[i] > 0:
@@ -217,58 +185,18 @@ class ReducedBlockingIO(CheckpointStrategy):
                 group = self.group_of(members[0])
                 gviews = yield from comm.split_members(members, group)
                 yield from comm.split_members(members, 1)
-                # What _setup would have left behind: the restore wave runs
-                # a process per member on this job and must find the splits
-                # done, as the writers do.  One entry per group on the job,
-                # not a cache dict (or a table entry) per member.
+                # What _setup leaves behind, for the restore wave's member
+                # processes: one entry per group on the job, none per member.
                 ctx.job.services.setdefault(self._splits_key, {})[group] = gviews
+                # TAM as the writer has it (no plan under rank faults).
+                groups = self._tam_groups(ctx, gviews[members[0]], {})
+                span_args = {} if groups is None else {"tam": True}
             t0 = eng.now
-            tag = _PKG_TAG_BASE + step
-            ttag = _TAM_TAG_BASE + step
-            package = data.package()
-            # One bulk call posts every co-located member's package to the
-            # writer (group-local rank 0); transfers are still issued per
-            # member in member order, so the writer-side incast is
-            # bit-identical.
-            if co_located:
-                gviews[members[0]].post_members(co_located, 0, nbytes,
-                                                tag=tag, payload=package)
-            for lead in leaders:
-                for src in groups.members_of[lead][1:]:
-                    gviews[members[0]].post_members(
-                        (src,), lead, nbytes, ttag, (src, package))
-
-            def leader_replay(lead0, leads):
-                parts0 = [(lead0, package)] + [
-                    msg.payload
-                    for msg in (yield from gviews[world[lead0]].recv_all(
-                        groups.members_of[lead0][1:], ttag))]
-                total = sum(sum(pkg[0]) for _, pkg in parts0)
-                for lead in leads:
-                    parts = ([(lead, package)]
-                             + [(src, package)
-                                for src in groups.members_of[lead][1:]])
-                    fabric.count_tam(len(parts))
-                    gviews[world[lead]].post_members((lead,), 0, total, tag,
-                                                     parts)
-                    if lead != lead0:
-                        for src in groups.members_of[lead][1:]:
-                            gviews[world[lead]].irecv(source=src, tag=ttag)
-                yield eng.timeout(ctx.config.mpi_overhead
-                                  + fabric.local_copy_time(total))
-                return eng.now
-
-            children = [eng.process(leader_replay(leads[0], leads))
-                        for leads in class_list]
-            yield eng.timeout(copy)
-            t_member = eng.now
-            # Leaders complete with their class's child, everyone else here.
-            t_leader: dict[int, float] = {}
-            if children:
-                done = yield eng.all_of(children)
-                for leads, t in zip(class_list, done):
-                    for lead in leads:
-                        t_leader[world[lead]] = t
+            t_member, t_leader = yield from self._send(
+                ctx, gviews[members[0]], range(1, len(members) + 1), 0,
+                groups, data, step)
+            # Leaders complete with their class, everyone else together.
+            t_leader = {members[0] - 1 + lead: t for lead, t in t_leader.items()}
             if ctx.profiler is not None:
                 ctx.profiler.record_phase_members(
                     members, "isend", t0, t_member, nbytes, late=t_leader or None)
@@ -278,9 +206,8 @@ class ReducedBlockingIO(CheckpointStrategy):
                 table.put(i, m, "worker", t0, t_done, t_done, nbytes,
                           t_done - t0)
             if ctx.job.tracer is not None:
-                # One representative span per symmetry class (members
-                # sharing a completion time); exporters expand to every
-                # class member.
+                # One span per class of members sharing a completion time;
+                # exporters expand it to every class member.
                 by_end: dict[float, list[int]] = {}
                 for m in members:
                     by_end.setdefault(t_leader.get(m, t_member), []).append(m)
@@ -383,25 +310,16 @@ class ReducedBlockingIO(CheckpointStrategy):
     # -- gather --------------------------------------------------------------
     def _worker(self, ctx: RankContext, comm, dest: int, groups,
                 data: CheckpointData, step: int):
-        """Worker: one buffered Isend of the whole package, then resume.
+        """Worker: one buffered Isend of the whole package (:meth:`_send`
+        to ``dest`` on ``comm``: the writer, group rank 0, or the adopter
+        over the world communicator once the writer is dead), then resume.
 
         With flow control enabled, first drain acknowledgements until the
         in-flight package count is under the bound — the time spent here
         is the lambda blocking of Eq. 4.  The count restarts whenever the
         rank that acknowledges changes (a failover adopter): packages
         outstanding at a dead writer will never be acknowledged.  The
-        writer acknowledges every member directly, so flow control is
-        untouched by where the package physically travels.
-
-        Routing is flat — straight to ``dest`` on ``comm``: the writer,
-        group rank 0, or the adopter over the world communicator once the
-        writer is dead — or, with the group's node ``groups`` (TAM), by
-        node position: members co-resident with the writer keep the flat
-        single (their send is shared-memory traffic already); other
-        members forward ``(group_rank, package)`` to their node's leader
-        over shared memory; each leader coalesces its node's packages and
-        issues **one** combined inter-node message to the writer —
-        O(nodes) inter-node messages per group instead of O(workers).
+        writer acknowledges every member itself, wherever its package went.
         """
         eng = ctx.engine
         t0 = eng.now
@@ -417,30 +335,98 @@ class ReducedBlockingIO(CheckpointStrategy):
                 outstanding -= 1
             cache["outstanding"] = outstanding + 1
         me = comm.rank
-        lead = 0 if groups is None else groups.leader_of[me]
-        package = data.package()
-        if lead == 0:
-            req = comm.isend(dest, data.total_bytes, tag=_PKG_TAG_BASE + step,
-                             payload=package, buffered=True)
-        elif me != lead:
-            req = comm.isend(lead, data.total_bytes,
-                             tag=_TAM_TAG_BASE + step, payload=(me, package),
-                             buffered=True)
-        else:
-            parts = [(me, package)] + [
-                msg.payload for msg in (yield from comm.recv_all(
-                    groups.members_of[me][1:], _TAM_TAG_BASE + step))]
-            total = sum(sum(pkg[0]) for _, pkg in parts)
-            ctx.job.fabric.count_tam(len(parts))
-            req = comm.isend(dest, total, tag=_PKG_TAG_BASE + step,
-                             payload=parts, buffered=True)
-        yield req.event
-        t_done = eng.now
+        t_member, t_leader = yield from self._send(ctx, comm, (me,), dest,
+                                                   groups, data, step)
+        t_done = t_leader.get(me, t_member)
         if ctx.profiler is not None:
             ctx.profiler.record_phase(ctx.rank, "isend", t0, t_done,
                                       data.total_bytes)
         return self._report(ctx, "worker", t0, t_done, t_done,
                             data.total_bytes, isend_seconds=t_done - t0)
+
+    def _send(self, ctx: RankContext, comm, ranks, dest: int, groups,
+              data: CheckpointData, step: int):
+        """Generator: the buffered Isend of group ranks ``ranks``, in lock-step.
+
+        The one worker send: a rank's process passes itself, a coalesced
+        group's process all its workers (symmetric: one ``data`` package
+        stands for each).  ``dest`` is the writer's rank on ``comm``.  Flat
+        (``groups`` is ``None``), and under TAM for the members co-resident
+        with the writer, a rank posts its package to ``dest``; other
+        members post ``(group_rank, package)`` to their node's leader, and
+        each leader combines its node's packages into **one** inter-node
+        message to the writer (:meth:`_lead`).  Every post is the message
+        of an ``isend(..., buffered=True)`` in the order the ranks' own
+        processes issue them, complete after the local copy.
+
+        Returns ``(t_member, t_leader)``: the instant every non-leader
+        completes (``None`` if there is none), and ``{leader: instant}``.
+        Leader classes run in child processes beside the members' copy;
+        without members (a leader's own process) the class runs inline.
+        """
+        eng = ctx.engine
+        fabric = comm.comm.fabric
+        nbytes = data.total_bytes
+        package = data.package()
+        flat, remote, classes = ranks, (), {}
+        if groups is not None:
+            lead_of = groups.leader_of
+            flat = [r for r in ranks if lead_of[r] == 0]
+            remote = [r for r in ranks if lead_of[r] not in (0, r)]
+            for r in ranks:
+                if lead_of[r] == r:
+                    classes.setdefault(len(groups.members_of[r]), []).append(r)
+        if flat:
+            comm.post_members(flat, dest, nbytes, _PKG_TAG_BASE + step, package)
+        for src in remote:
+            comm.post_members((src,), lead_of[src], nbytes,
+                              _TAM_TAG_BASE + step, (src, package))
+        gens = [self._lead(ctx, comm, cls, dest, groups, package, step)
+                for cls in classes.values()]
+        if flat or remote:
+            children = [eng.process(gen) for gen in gens]
+            yield eng.timeout(fabric.config.mpi_overhead
+                              + fabric.local_copy_time(nbytes))
+            t_member = eng.now
+            done = (yield eng.all_of(children)) if children else ()
+        else:
+            (gen,) = gens
+            t_member, done = None, [(yield from gen)]
+        t_leader = {}
+        for cls, t in zip(classes.values(), done):
+            t_leader.update(dict.fromkeys(cls, t))
+        return t_member, t_leader
+
+    def _lead(self, ctx: RankContext, comm, leads, dest: int, groups,
+              package, step: int):
+        """Generator: the combined sends of one *symmetry class* of node
+        leaders (equal member counts), complete after their local copy.
+
+        The class representative receives its members' messages, then
+        every class leader sends; the other leaders' member messages are
+        consumed unread.  O(nodes) inter-node messages per group instead
+        of O(workers).  Returns the instant the class completes."""
+        fabric = comm.comm.fabric
+        members_of = groups.members_of
+        ttag = _TAM_TAG_BASE + step
+        lead0 = leads[0]
+        parts0 = [(lead0, package)] + [
+            msg.payload for msg in (yield from CommView(comm.comm, lead0)
+                                    .recv_all(members_of[lead0][1:], ttag))]
+        total = sum(sum(pkg[0]) for _, pkg in parts0)
+        for lead in leads:
+            parts = (parts0 if lead == lead0
+                     else [(src, package) for src in members_of[lead]])
+            fabric.count_tam(len(parts))
+            comm.post_members((lead,), dest, total, _PKG_TAG_BASE + step,
+                              parts)
+            if lead != lead0:
+                view = CommView(comm.comm, lead)
+                for src in members_of[lead][1:]:
+                    view.irecv(src, ttag)
+        yield ctx.engine.timeout(fabric.config.mpi_overhead
+                                 + fabric.local_copy_time(total))
+        return ctx.engine.now
 
     def _gather_group(self, ctx: RankContext, gcomm, data: CheckpointData,
                       step: int, alive, groups):
@@ -744,16 +730,11 @@ class ReducedBlockingIO(CheckpointStrategy):
         if fields is not None:
             return fields
         cache = yield from self._setup(ctx)
-        # Layout within the group (or globally for nf=1).
-        layout: FileLayout = yield from cache["gcomm"].allgather(
-            list(template.field_sizes), nbytes=8 * template.n_fields,
-            map_fn=lambda sizes: FileLayout(template.header_bytes, sizes),
-        )
-        if self.single_file:
-            layout = yield from ctx.comm.allgather(
+        # Layout within the group, then (nf=1) over every rank.
+        for comm in (cache["gcomm"], ctx.comm)[:1 + self.single_file]:
+            layout = yield from comm.allgather(
                 list(template.field_sizes), nbytes=8 * template.n_fields,
-                map_fn=lambda sizes: FileLayout(template.header_bytes, sizes),
-            )
+                map_fn=lambda sizes: FileLayout(template.header_bytes, sizes))
         return (yield from self._read_blocks(
             ctx, template, step, path_of(step), layout.total_size,
             layout.member_offsets(member), t_r0))

@@ -78,6 +78,11 @@ FAULT_CELLS = {
     "writer_crash": FaultSchedule((
         FaultSpec(kind="rank_crash", time=1.0, rank=8),
     )),
+    # Worker rank 11 (group 1) dies between the generations: generation 1
+    # of its group, staged copies included, holds only 7 of 8 members.
+    "worker_crash": FaultSchedule((
+        FaultSpec(kind="rank_crash", time=1.0, rank=11),
+    )),
     # Group 0's burst buffer device is lost mid-campaign.
     "buffer_loss": FaultSchedule((
         FaultSpec(kind="buffer_loss", time=1.0, rank=0),
