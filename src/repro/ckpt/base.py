@@ -22,6 +22,7 @@ must persist across steps (split communicators, cached layouts) lives in
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Any
 
 from ..faults import UnrecoverableCheckpointError
@@ -107,64 +108,50 @@ class CheckpointStrategy:
     def coalesce_plan(self, n_ranks: int, loop=None):
         """Offer the ranks to run without a process each, or ``None``.
 
-        At figure scale the simulator replays tens of thousands of ranks,
-        most of which need no process of their own.  A plan is a tuple of
-        ascending, disjoint, non-empty ``range``s of world ranks; ranks no
-        range covers run uncoalesced.  The runner spawns the rank program
-        of every rank below a range's start, then
-        ``self.coalesced_worker_main(ctx, members, loop)`` on the range's
-        first rank, which stands in for every member: ``loop`` is the
-        run's :class:`~repro.experiments.runner.StepLoop` (data, steps,
-        basedir, gaps, per-step barrier, writer set, report table and
-        fault injector), and the generator must write every member's row
-        of every step into ``loop.table``.  The runner asks with the loop
-        it built; ``loop=None`` asks for a one-step run without faults.
-        The default is ``None``: every rank runs.
+        A plan is a tuple of ascending, disjoint, non-empty ``range``s of
+        world ranks; ranks no range covers run uncoalesced.  ``loop`` is
+        the run's :class:`~repro.experiments.runner.StepLoop` (``None``:
+        a one-step run without faults).  The default offers none.
 
-        Whatever the idiom, a coalesced run is **exact**, not approximate:
-        every pipe reservation, collective arrival
-        (``Communicator.arrive`` counts one per member; contiguous ranges
-        in lockstep enter in one step), noise draw, Darshan record and
-        span happens where it does in the uncoalesced run
-        (``tests/test_coalesce.py``).  Two idioms exist (DESIGN.md
-        section 9):
-
-        - *Lock-step* (rbIO/bbIO workers).  Members of a 64:1 group are
-          identical by construction — same data, same barrier release,
-          one buffered Isend — so the worker send is one generator over a
-          set of group ranks (``ReducedBlockingIO._send``): a rank's
-          process runs it for itself, and
-          :meth:`repro.ckpt.ReducedBlockingIO.coalesced_worker_main` for
-          every worker of a group in member order, then writes their rows
-          of the run's report table, one slice per step, from its own
-          times.  Valid only while members cannot diverge: a worker that
-          must wait for a flow-control acknowledgement
-          (``max_outstanding`` packages already in flight), a TAM node
-          leader that starts its next step after its members (no per-step
-          barrier) or a ``rank_crash`` / ``restart`` schedule (rerouted,
-          killed or rolled-back workers) gets no plan.  File-system, network and
-          staging faults never reach a worker: only writers touch the
-          file system and the buffers, and the fabric stretches each
-          member's transfer in member order.  Under TAM symmetry holds
-          per role: the send runs node leaders one symmetry class at a
-          time, and the flat exchange is the case with no leader class.
-        - *One body, two drivers* (1PFPP, coIO).  Members diverge (file
-          noise, arrival jitter, the directory token's queue), so each
-          strategy's checkpoint is one :class:`~repro.sim.StagedOp` that
-          an uncoalesced rank runs in its process and a coalesced run
-          drives from event callbacks.  1PFPP's members run the runner's
-          own rank program (:meth:`~repro.experiments.runner.StepLoop.member`);
-          coIO's non-aggregator ranks are :class:`~repro.sim.stages.Segment`
-          s of the file communicator, one callback per segment of members
-          that wait side by side, and its aggregators keep their processes.
-          Their members do file-system operations themselves, so any
-          non-empty fault schedule refuses these plans.
-
-        The runner only asks when every rank shares one
-        :class:`~repro.ckpt.CheckpointData` object (a per-rank builder may
-        hand ranks different data).
+        The runner drives each range with its one step loop: a process in
+        the range's first-rank slot enters the first barrier for every
+        member and runs :meth:`coalesced_setup`, then goes on in lock-step
+        (no :attr:`checkpoint_op`: rbIO/bbIO workers, identical by
+        construction) or hands the members to a cohort of segments driven
+        from event callbacks (1PFPP's and coIO's members, which diverge).
+        A coalesced run is **exact**: every pipe reservation, collective
+        arrival, noise draw, Darshan record and span of a rank happens
+        where it does uncoalesced (``tests/test_coalesce.py``); only
+        different ranks' records may be filed in another order.  A plan
+        refuses what would make members diverge from their driver, and
+        is asked for only when every rank shares one
+        :class:`~repro.ckpt.CheckpointData` object.
         """
         return None
+
+    def coalesced_setup(self, ctx: RankContext, members, loop):
+        """Generator: the first-step setup of coalesced range ``members``
+        (every member's splits; their views left by :meth:`_leave_views`).
+        Returns ``(key, op)``: ranges with one ``key`` share a cohort;
+        ``op`` is the range's checkpoint: ``op(data, step, table)`` in
+        lock-step (no :attr:`checkpoint_op`), else ``op(segment, data,
+        step, t0)`` for a cohort's segment (``None``: each member's own)."""
+        return None, None
+        yield  # pragma: no cover - makes this a generator
+
+    @property
+    def _splits_key(self) -> str:
+        """``job.services`` key of the views coalesced ranges leave."""
+        return f"ckpt:{id(self)}:splits"
+
+    def _leave_views(self, job, group: int, views) -> None:
+        """Leave a range's split views (one entry per group; a ``ChainMap`` if two)."""
+        table = job.services.setdefault(self._splits_key, {})
+        table[group] = ChainMap(table[group], views) if group in table else views
+
+    def _left_view(self, ctx: RankContext, group: int):
+        """This rank's view a range left, or ``None``: it splits itself."""
+        return ctx.job.services.get(self._splits_key, {}).get(group, {}).get(ctx.rank)
 
     # -- incremental checkpointing --------------------------------------------
     def configure_delta(self, delta: str = "auto", chunking=None):

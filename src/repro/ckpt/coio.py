@@ -21,9 +21,8 @@ section per field, each holding the group members' blocks in rank order,
 so the collective pattern is one ``write_at_all`` per field.
 
 The checkpoint is written once (:class:`_Checkpoint`, a segment of the
-file's :class:`~repro.mpiio.MPIFile`): a rank's process runs it as a
-segment of one, and a coalesced run's non-aggregator ranks as a
-:class:`_Cohort` of segments driven from event callbacks.
+file's :class:`~repro.mpiio.MPIFile`): a rank's process runs a segment of
+one, the runner's cohort of a coalesced run's members segments of many.
 """
 
 from __future__ import annotations
@@ -101,17 +100,13 @@ class CollectiveIO(CheckpointStrategy):
 
     # -- coalescing -------------------------------------------------------
     def coalesce_plan(self, n_ranks: int, loop=None):
-        """Drive the ranks that only contribute an extent and wait as a
-        cohort of segments, without processes.
-
-        Aggregator placement is a property of the file communicator, so
-        the non-aggregator ranks are known up front: one group per maximal
-        contiguous run of them between two aggregators (1-31 and 33-63 of
-        a 64-rank file group under the default 1:32 hint).  Aggregators —
-        the ranks that receive, overlay and touch the file system — keep
-        their processes.  Only the flat, full write coalesces: TAM and
-        delta are hand-offs only a process takes.  Every rank opens and
-        closes the file itself, so any fault schedule refuses the plan.
+        """Offer the ranks that only contribute an extent and wait: one
+        range per maximal contiguous run of them between two aggregators
+        (1-31 and 33-63 of a 64-rank file group under the default 1:32
+        hint; aggregator placement is a property of the file communicator).
+        Aggregators keep their processes.  Only the flat, full write
+        coalesces (TAM and delta are hand-offs only a process takes), and
+        any fault schedule refuses: every rank opens and closes the file.
         """
         if (self.hints.tam != "off" or self.delta != "off"
                 or (loop is not None and loop.faults.schedule)):
@@ -127,36 +122,26 @@ class CollectiveIO(CheckpointStrategy):
                     plan.append(members)
         return tuple(plan) or None
 
-    def coalesced_worker_main(self, ctx: RankContext, members, loop):
-        """Generator: bring one run of non-aggregator ranks to its cohort:
-        the world barrier and the communicator split (which complete for
-        all members at once), then one :class:`_Cohort` segment per file
-        communicator, through every step."""
-        world, job = ctx.comm, ctx.job
-        yield world.comm.arrive("barrier", members).event
-        t0 = ctx.engine.now
-        contexts = [job.contexts[m] for m in members]
-        if self.ranks_per_file is None:
-            views = [member.comm for member in contexts]
-        else:
-            by_rank = yield from world.split_members(
-                members, self.group_of(members[0]))
-            views = [by_rank[m] for m in members]
-        comm = views[0].comm
-        cohorts = job.services.setdefault(f"ckpt:{id(self)}:cohorts", {})
-        if comm not in cohorts:
-            cohorts[comm] = _Cohort(job, loop, comm.size)
-        cohort = cohorts[comm]
-        for member, view in zip(contexts, views):
-            # What _iocomm leaves behind: a later restore (or ghost) of the
-            # member must find the split done, as the aggregators do.
-            self._cache(member)["iocomm"] = view
-            cohort.clients[view.rank] = member.fs
-        cohort.unfinished += len(members)
-        cohort.done.append(job.engine.event())
-        _Checkpoint(self, loop.data, 0, loop.basedir, t0, cohort=cohort,
-                    ranks=[view.rank for view in views])._enter(comm, job)
-        yield cohort.done[-1]
+    def coalesced_setup(self, ctx: RankContext, members, loop):
+        """Generator: the members' file split, their views left for a
+        later restore (:meth:`_iocomm` reads them); returns the file
+        communicator and its cohort's checkpoint (:meth:`_segment`)."""
+        comm = ctx.comm.comm
+        if self.ranks_per_file is not None:
+            group = self.group_of(members[0])
+            views = yield from ctx.comm.split_members(members, group)
+            self._leave_views(ctx.job, group, views)
+            comm = views[members[0]].comm
+        return comm, partial(self._segment, comm)
+
+    def _segment(self, comm, seg, data: CheckpointData, step: int,
+                 t0: float):
+        """The checkpoint of cohort segment ``seg`` (world ranks) on file
+        communicator ``comm``; after its rows the runner's stages go on."""
+        base = comm.world_ranks[0]
+        return _Checkpoint(
+            self, data, step, seg.loop.basedir, t0, cohort=seg.cohort,
+            ranks=[r - base for r in seg.ranks])._enter(comm, seg.loop.job)
 
     # -- setup ------------------------------------------------------------
     def _iocomm(self, ctx: RankContext):
@@ -164,9 +149,9 @@ class CollectiveIO(CheckpointStrategy):
         cache = self._cache(ctx)
         comm = cache.get("iocomm")
         if comm is None:
-            if self.ranks_per_file is None:
-                comm = ctx.comm
-            else:
+            comm = (ctx.comm if self.ranks_per_file is None
+                    else self._left_view(ctx, self.group_of(ctx.rank)))
+            if comm is None:  # not a member a coalesced run split for
                 comm = yield from ctx.comm.split(color=self.group_of(ctx.rank))
             cache["iocomm"] = comm
         return comm
@@ -219,25 +204,14 @@ class CollectiveIO(CheckpointStrategy):
             layout.total_size, layout.member_offsets(comm.rank), t_r0))
 
 
-class _Cohort:
-    """The non-aggregator ranks of one file communicator, without
-    processes: what their segments share, and the run's step loop."""
-
-    __slots__ = ("tail", "clients", "job", "loop", "unfinished", "done")
-
-    def __init__(self, job, loop, size: int) -> None:
-        self.tail, self.clients, self.job, self.loop = None, [None] * size, job, loop
-        self.unfinished, self.done = 0, []  # ``done``: an event per joined run
-
-
 class _Checkpoint(MPIFile):
     """One coIO checkpoint of a segment of a file communicator's ranks:
     the layout allgather (or a delta's placement), the open, one
     ``write_at_all`` per piece (the master header, then each field
     section), the close, the ranks' rows.  A process runs a segment of one
-    under the runner's rank program; a :class:`_Cohort` runs its segments
-    and their step loop.  The split, the delta plan and the manifest are
-    hand-offs only a process takes."""
+    under the runner's rank program; the runner's cohort runs segments of
+    many, which hand their ranks back to it after their rows.  The split,
+    the delta plan and the manifest are hand-offs only a process takes."""
 
     __slots__ = ("strategy", "ctx", "data", "step", "basedir", "t0",
                  "layout", "plan")
@@ -256,7 +230,7 @@ class _Checkpoint(MPIFile):
         seg.file, seg.cohort, seg.seq, seg.ret, seg.ranks = (
             self.file, self.cohort, self.seq, self.ret, [lr])
         seg.client, seg.strategy, seg.data, seg.step = (
-            self.cohort.clients[lr], self.strategy, self.data, self.step)
+            None, self.strategy, self.data, self.step)
         seg.basedir, seg.t0, seg.layout = self.basedir, self.t0, self.layout
         return seg
 
@@ -349,35 +323,8 @@ class _Checkpoint(MPIFile):
             self.result = strategy._report(self.ctx, "collective", t0, now,
                                            now, nbytes)
             return self.done()
-        loop, world = cohort.loop, f.comm.world_ranks
-        for lr in self.ranks:
-            strategy._put_report(loop.table, f.tracer, self.step, world[lr],
+        ranks = list(map(f.comm.world_ranks.__getitem__, self.ranks))
+        for rank in ranks:
+            strategy._put_report(cohort.loop.table, f.tracer, self.step, rank,
                                  "collective", t0, now, now, nbytes)
-        # The cohort's step loop: the gap (one timer where the segment's
-        # would have stood side by side), then the step's barrier.
-        step = self.step = self.step + 1
-        if step == len(loop.steps):
-            cohort.unfinished -= len(self.ranks)
-            if not cohort.unfinished:
-                for done in cohort.done:
-                    done.succeed()
-                cohort.tail = None  # it points back here
-            return None
-        if loop.gaps[step] > 0:
-            f.engine.count_events(len(self.ranks) - 1)
-            return self.wait(f.engine.timeout(loop.gaps[step]),
-                             _Checkpoint._gapped)
-        return self._gapped()
-
-    def _gapped(self, _ev=None):
-        if self.cohort.loop.barrier_each_step:
-            world = self.file.comm.world_ranks
-            return self.wait(self.cohort.job.world.arrive(
-                "barrier", [world[lr] for lr in self.ranks]).event,
-                _Checkpoint._stepped)
-        return self._stepped()
-
-    def _stepped(self, _ev=None):
-        self.t0, self.seq, self.ret = (self.file.engine.now, 0,
-                                       _Checkpoint._next)
-        return self._enter(self.file.comm, self.cohort.job)
+        return cohort.stepped(self.step, ranks)

@@ -16,7 +16,6 @@ rather than an artificial rank-ordered ramp.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 from ..buffers import ByteRope, zeros
 from ..mpi import RankContext
@@ -56,48 +55,16 @@ class OneFilePerProcess(CheckpointStrategy):
 
     # -- coalescing -------------------------------------------------------
     def coalesce_plan(self, n_ranks: int, loop=None):
-        """Offer every rank as a program driven from event callbacks.
-
-        Between a rank's waits nothing happens that a callback on the
-        awaited event cannot do, so no rank needs a process.  Delta commits
-        keep per-rank parent manifests and run uncoalesced, and so does
-        any fault schedule: every rank does its own file-system calls.
+        """Offer every rank to the runner's cohort: between a rank's
+        waits nothing happens that an event callback cannot do, and each
+        member runs its :class:`_Checkpoint` with a client from the job's
+        file system.  Delta commits keep per-rank parent manifests and run
+        uncoalesced, and so does any fault schedule (every rank does its
+        own file-system calls).
         """
         if self.delta != "off" or (loop is not None and loop.faults.schedule):
             return None
         return (range(n_ranks),)
-
-    def coalesced_worker_main(self, ctx: RankContext, members, loop):
-        """Generator: the one process of a coalesced run.
-
-        It enters the first barrier for everybody, starts each member's
-        program (``loop.member``) past that barrier and its jitter in rank
-        order — as the barrier's release resumes rank processes — and
-        waits for the last to finish.  The first wave's jitter is one
-        vector draw: the values, in the order, of one scalar draw per rank.
-        """
-        yield ctx.comm.comm.arrive("barrier", members).event
-        eng = ctx.engine
-        job = ctx.job
-        fs, data, table = job.services["fs"], loop.data, loop.table
-        home = _Home(eng.event(), len(members))
-        delays = None
-        if self.arrival_jitter > 0:
-            rng = job.streams.stream("ckpt.jitter")
-            delays = rng.random(len(members)) * self.arrival_jitter
-        for m, delay in zip(members, repeat(None) if delays is None
-                            else delays.tolist()):
-            op = _Checkpoint(self, job, fs.client(m), data, 0, loop.basedir,
-                             table)
-            # Past the jitter drawn above, and the plan: a coalesced run
-            # writes full files.
-            op.then = _Checkpoint._create
-            prog = loop.member(m, home, op)
-            if delay is None:
-                prog.advance()
-            else:
-                Timeout(eng, delay).callbacks.append(prog.advance)
-        yield home.finished
 
     # -- checkpoint -------------------------------------------------------
     def checkpoint_op(self, job, client, data: CheckpointData, step: int,
@@ -168,9 +135,14 @@ class _Checkpoint(StagedOp):
         jitter = self.strategy.arrival_jitter
         if jitter <= 0:
             return self._plan()
-        self.then = _Checkpoint._plan
-        rng = self.job.streams.stream("ckpt.jitter")
-        return self.job.engine.timeout(float(rng.random()) * jitter)
+        # The ``ckpt.jitter`` stream's only reader: a prefetched block
+        # serves the values of one scalar ``rng.random()`` per call, in order.
+        block = self.job.services.get("ckpt:jitter")
+        if not block:
+            block = self.job.services["ckpt:jitter"] = self.job.streams.stream(
+                "ckpt.jitter").random(256)[::-1].tolist()
+        self.then = _Checkpoint._create if self.strategy.delta == "off" else _Checkpoint._plan
+        return Timeout(self.job.engine, block.pop() * jitter)
 
     def _plan(self):
         data = self.data
@@ -232,19 +204,3 @@ class _Checkpoint(StagedOp):
             self.result = self.strategy._report(sink, "independent", self.t0,
                                                 now, now, nbytes)
         return self.done()
-
-
-class _Home(StagedOp):
-    """Where the member programs of a coalesced run return: the last one
-    back fires ``finished``."""
-
-    __slots__ = ("finished", "left")
-
-    def __init__(self, finished, n: int) -> None:
-        super().__init__(_Home._back)
-        self.finished, self.left = finished, n
-
-    def _back(self):
-        self.left -= 1
-        if not self.left:
-            self.finished.succeed()

@@ -28,6 +28,7 @@ group's dedicated **writer**; the rest are **workers**:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from ..buffers import ByteRope, zeros
@@ -130,25 +131,21 @@ class ReducedBlockingIO(CheckpointStrategy):
 
     # -- coalescing --------------------------------------------------------
     def coalesce_plan(self, n_ranks: int, loop=None):
-        """Workers within a group are symmetric: replay each group once.
+        """A group's workers are symmetric: one range each, in lock-step.
 
-        Coalescing is only exact while no worker can diverge.  Flow control
-        makes a worker wait for an acknowledgement first at step index
-        ``max_outstanding``, so it refuses only runs with more steps than
-        that.  Under TAM a node leader completes after its members, and
-        without the per-step barrier it starts the next step later than
-        they do, so TAM refuses runs of more than one step without it.
-        ``rank_crash`` (failover reroutes workers, the dead ghost) and
-        ``restart`` (every rank rolls back in its own restore wave) refuse
-        any run.  File-system, network and staging faults reach the
+        Exact only while no worker can diverge.  Flow control first waits
+        at step index ``max_outstanding`` (runs with more steps refuse);
+        a TAM node leader completes after its members, so without a world
+        barrier at every step it would start the next one late (refused);
+        ``rank_crash`` / ``restart`` reroute, kill or roll back workers
+        (refused).  File-system, network and staging faults reach only the
         writers, which keep their processes, and the fabric, which
         stretches each member's transfer in member order.
         """
         if loop is not None:
             binds = (self.max_outstanding is not None
                      and len(loop.steps) > self.max_outstanding)
-            drifts = (self.tam != "off" and not loop.barrier_each_step
-                      and len(loop.steps) > 1)
+            drifts = self.tam != "off" and not loop.synchronized
             if (binds or drifts
                     or loop.faults.schedule.by_kind("rank_crash", "restart")):
                 return None
@@ -157,78 +154,26 @@ class ReducedBlockingIO(CheckpointStrategy):
                      for first in range(0, n_ranks, w) if first + 1 < n_ranks)
         return plan or None
 
-    def coalesced_worker_main(self, ctx: RankContext, members, loop):
-        """Generator: every worker of one group, from its representative.
-
-        The runner's rank program for all of them at once, around one
-        lock-step :meth:`_send`: collective arrivals are entered once per
-        member (same arrival counts, same completion timing) and the send
-        posts each member's package as its own message.  Per step the
-        members' rows of ``table`` are one slice assignment and their
-        Darshan records one run entry, with the node leaders' own instants
-        (TAM) as point fixes.  No member has a context, a view or a report
-        object of its own.
-        """
-        eng = ctx.engine
-        comm = ctx.comm
-        data, gaps, table = loop.data, loop.gaps, loop.table
-        nbytes = data.total_bytes
-        gviews = None
-        for i, step in enumerate(loop.steps):
-            if gaps[i] > 0:
-                yield eng.timeout(gaps[i])
-            if i == 0 or loop.barrier_each_step:
-                yield comm.comm.arrive("barrier", members).event
-            if gviews is None:
-                # First step: stand in for every member of the two setup
-                # splits (group comm, then writers-vs-workers comm).
-                group = self.group_of(members[0])
-                gviews = yield from comm.split_members(members, group)
-                yield from comm.split_members(members, 1)
-                # What _setup leaves behind, for the restore wave's member
-                # processes: one entry per group on the job, none per member.
-                ctx.job.services.setdefault(self._splits_key, {})[group] = gviews
-                # TAM as the writer has it (no plan under rank faults).
-                groups = self._tam_groups(ctx, gviews[members[0]], {})
-                span_args = {} if groups is None else {"tam": True}
-            t0 = eng.now
-            t_member, t_leader = yield from self._send(
-                ctx, gviews[members[0]], range(1, len(members) + 1), 0,
-                groups, data, step)
-            # Leaders complete with their class, everyone else together.
-            t_leader = {members[0] - 1 + lead: t for lead, t in t_leader.items()}
-            if ctx.profiler is not None:
-                ctx.profiler.record_phase_members(
-                    members, "isend", t0, t_member, nbytes, late=t_leader or None)
-            table.put(i, members, "worker", t0, t_member, t_member, nbytes,
-                      t_member - t0)
-            for m, t_done in t_leader.items():
-                table.put(i, m, "worker", t0, t_done, t_done, nbytes,
-                          t_done - t0)
-            if ctx.job.tracer is not None:
-                # One span per class of members sharing a completion time;
-                # exporters expand it to every class member.
-                by_end: dict[float, list[int]] = {}
-                for m in members:
-                    by_end.setdefault(t_leader.get(m, t_member), []).append(m)
-                for t_done, cls_members in by_end.items():
-                    self._span(ctx, "checkpoint", t0, t_done, nbytes,
-                               members=tuple(cls_members), role="worker",
-                               coalesced=True, **span_args)
+    def coalesced_setup(self, ctx: RankContext, members, loop):
+        """Generator: the workers' two setup splits (group, then writers
+        vs workers), their group views left for later processes; returns
+        the group communicator and the lock-step :meth:`_worker` body."""
+        group = self.group_of(members[0])
+        gviews = yield from ctx.comm.split_members(members, group)
+        yield from ctx.comm.split_members(members, 1)
+        self._leave_views(ctx.job, group, gviews)
+        gview = gviews[members[0]]
+        ranks = range(gview.rank, gview.rank + len(members))
+        # TAM as the writer has it (no plan under rank faults).
+        return gview.comm, partial(self._worker, ctx, gview, ranks, 0,
+                                   self._tam_groups(ctx, gview, {}))
 
     # -- setup -------------------------------------------------------------
-    @property
-    def _splits_key(self) -> str:
-        """``job.services`` key of the group views of replayed workers."""
-        return f"ckpt:{id(self)}:gviews"
-
     def _setup(self, ctx: RankContext):
         """Generator: split group comm (and writers' comm) once, cache."""
         cache = self._cache(ctx)
         if "gcomm" not in cache:
-            gviews = ctx.job.services.get(self._splits_key, {}).get(
-                self.group_of(ctx.rank))
-            gcomm = gviews.get(ctx.rank) if gviews is not None else None
+            gcomm = self._left_view(ctx, self.group_of(ctx.rank))
             am_writer, wcomm = False, None
             if gcomm is None:  # not a worker a coalesced run split for
                 gcomm = yield from ctx.comm.split(
@@ -279,7 +224,8 @@ class ReducedBlockingIO(CheckpointStrategy):
                 comm = ctx.comm
                 dest = self._adopter_rank(inj, g, self.n_groups(comm.size),
                                           now)
-        return (yield from self._worker(ctx, comm, dest, groups, data, step))
+        return (yield from self._worker(ctx, comm, (comm.rank,), dest, groups,
+                                        data, step))
 
     def _tam_groups(self, ctx: RankContext, gcomm, cache: dict):
         """The group's :class:`NodeGroups`, or ``None`` for the flat path.
@@ -308,23 +254,27 @@ class ReducedBlockingIO(CheckpointStrategy):
         return cache["tam_groups"]
 
     # -- gather --------------------------------------------------------------
-    def _worker(self, ctx: RankContext, comm, dest: int, groups,
-                data: CheckpointData, step: int):
-        """Worker: one buffered Isend of the whole package (:meth:`_send`
-        to ``dest`` on ``comm``: the writer, group rank 0, or the adopter
-        over the world communicator once the writer is dead), then resume.
+    def _worker(self, ctx: RankContext, comm, ranks, dest: int, groups,
+                data: CheckpointData, step: int, table=None):
+        """Workers ``ranks`` (group ranks on ``comm``): one buffered Isend
+        of the whole package each (:meth:`_send` to ``dest``: the writer,
+        group rank 0, or the adopter on the world communicator once the
+        writer is dead), then resume.  A rank's process passes itself and
+        gets its report; a coalesced group's process passes all its
+        workers and files their rows of ``table`` (the TAM leaders' own
+        instants as point fixes), their Darshan phase as one member run
+        and one span per completion class.
 
-        With flow control enabled, first drain acknowledgements until the
-        in-flight package count is under the bound — the time spent here
-        is the lambda blocking of Eq. 4.  The count restarts whenever the
-        rank that acknowledges changes (a failover adopter): packages
-        outstanding at a dead writer will never be acknowledged.  The
-        writer acknowledges every member itself, wherever its package went.
+        With flow control, first drain acknowledgements until the
+        in-flight count is under the bound: Eq. 4's lambda blocking (never
+        in a coalesced group's plan).  The count restarts when the
+        acknowledging rank changes (a dead writer acknowledges nothing);
+        the writer acknowledges every member, wherever its package went.
         """
         eng = ctx.engine
         t0 = eng.now
-        cache = self._cache(ctx)
         if self.max_outstanding is not None:
+            cache = self._cache(ctx)
             target = comm.comm.world_ranks[dest]
             if cache.setdefault("ack_target", target) != target:
                 cache["ack_target"] = target
@@ -334,23 +284,43 @@ class ReducedBlockingIO(CheckpointStrategy):
                 yield from comm.recv(source=dest, tag=_ACK_TAG)
                 outstanding -= 1
             cache["outstanding"] = outstanding + 1
-        me = comm.rank
-        t_member, t_leader = yield from self._send(ctx, comm, (me,), dest,
+        t_member, t_leader = yield from self._send(ctx, comm, ranks, dest,
                                                    groups, data, step)
-        t_done = t_leader.get(me, t_member)
+        nbytes = data.total_bytes
+        if table is None:
+            t_done = t_leader.get(ranks[0], t_member)
+            if ctx.profiler is not None:
+                ctx.profiler.record_phase(ctx.rank, "isend", t0, t_done, nbytes)
+            return self._report(ctx, "worker", t0, t_done, t_done, nbytes,
+                                isend_seconds=t_done - t0)
+        members = range(ctx.rank, ctx.rank + len(ranks))
+        # Leaders complete with their class, everyone else together.
+        t_leader = {ctx.rank - ranks[0] + lead: t for lead, t in t_leader.items()}
         if ctx.profiler is not None:
-            ctx.profiler.record_phase(ctx.rank, "isend", t0, t_done,
-                                      data.total_bytes)
-        return self._report(ctx, "worker", t0, t_done, t_done,
-                            data.total_bytes, isend_seconds=t_done - t0)
+            ctx.profiler.record_phase_members(
+                members, "isend", t0, t_member, nbytes, late=t_leader or None)
+        table.put(step, members, "worker", t0, t_member, t_member, nbytes,
+                  t_member - t0)
+        for m, t_done in t_leader.items():
+            table.put(step, m, "worker", t0, t_done, t_done, nbytes,
+                      t_done - t0)
+        if ctx.job.tracer is not None:
+            # Exporters expand a class's span to every class member.
+            span_args = {} if groups is None else {"tam": True}
+            by_end: dict[float, list[int]] = {}
+            for m in members:
+                by_end.setdefault(t_leader.get(m, t_member), []).append(m)
+            for t_done, cls_members in by_end.items():
+                self._span(ctx, "checkpoint", t0, t_done, nbytes,
+                           members=tuple(cls_members), role="worker",
+                           coalesced=True, **span_args)
 
     def _send(self, ctx: RankContext, comm, ranks, dest: int, groups,
               data: CheckpointData, step: int):
         """Generator: the buffered Isend of group ranks ``ranks``, in lock-step.
 
-        The one worker send: a rank's process passes itself, a coalesced
-        group's process all its workers (symmetric: one ``data`` package
-        stands for each).  ``dest`` is the writer's rank on ``comm``.  Flat
+        One ``data`` package stands for each rank (symmetric).  ``dest``
+        is the writer's rank on ``comm``.  Flat
         (``groups`` is ``None``), and under TAM for the members co-resident
         with the writer, a rank posts its package to ``dest``; other
         members post ``(group_rank, package)`` to their node's leader, and

@@ -18,7 +18,7 @@ from ..ckpt.result import RankReport, ReportTable
 from ..faults import FaultInjector, UnrecoverableCheckpointError, attach_faults
 from ..mpi import Job, RunConfig
 from ..profiling import DarshanProfiler
-from ..sim import StagedOp
+from ..sim.stages import Segment
 from ..staging import StagingError
 from ..storage import FSError, attach_storage
 from ..topology import MachineConfig
@@ -178,14 +178,15 @@ def _data_fn(data: DataBuilder):
 class StepLoop:
     """One run's step loop: what every rank's program reads.
 
-    :func:`run_checkpoint_steps` builds it and hands it to a coalesce
-    plan's ``worker_main``.  ``data_fn(rank)`` is a rank's data (``data``
-    itself when a plan coalesces); ``steps`` is ``range(n_steps)``, a step
-    being its own row of ``table``; ``gaps`` comes from
-    :func:`normalize_gaps`, and the ``writer_set`` ranks skip them;
-    ``faults`` is the job's injector.  ``app``: the rank data objects are
-    an application (DESIGN.md §6.1), whose ``advance(ctx, step)`` runs in
-    every rank's gap slot and ``restore(step, fields)`` after a restart.
+    :func:`run_checkpoint_steps` builds it, and a strategy's
+    :meth:`~repro.ckpt.CheckpointStrategy.coalesce_plan` decides from it.
+    ``data_fn(rank)`` is a rank's data (``data`` itself when a plan
+    coalesces); ``steps`` is ``range(n_steps)``, a step being its own row
+    of ``table``; ``gaps`` comes from :func:`normalize_gaps`, and the
+    ``writer_set`` ranks skip them; ``faults`` is the job's injector.
+    ``app``: the rank data objects are an application (DESIGN.md §6.1),
+    whose ``advance(ctx, step)`` runs in every rank's gap slot and
+    ``restore(step, fields)`` after a restart.
     """
 
     job: Job
@@ -201,38 +202,47 @@ class StepLoop:
     faults: FaultInjector
     app: bool
 
-    def rank_main(self, ctx):
-        """``job.spawn`` target: rank ``ctx.rank``'s program, in its process."""
-        return _RankProgram(self, ctx.rank, ctx, self.data_fn(ctx.rank)).run()
+    @property
+    def synchronized(self) -> bool:
+        """Whether every step starts at a world barrier."""
+        return self.barrier_each_step or len(self.steps) == 1
 
-    def member(self, rank: int, up: StagedOp,
-               op: StagedOp) -> "_RankProgram":
-        """Rank ``rank``'s program for a driver that is not a process: no
-        context, past its first barrier and inside ``op``, its first
-        checkpoint (the strategy's staged op, built by the driver; it files
-        its own row); it returns to ``up``."""
-        prog = _RankProgram(self, rank, None, self.data)
-        prog.up, prog.sub, prog.then = up, op, _RankProgram._next
-        op.up = prog
-        return prog
+    def rank_main(self, ctx, members=None):
+        """``job.spawn`` target: rank ``ctx.rank``'s program in its process,
+        or, in a plan range's first-rank slot, the program over ``members``."""
+        return _ProcessProgram(self, ctx, self.data_fn(ctx.rank), members).run()
 
 
-class _RankProgram(StagedOp):
-    """One rank's steps — gap or application, restart or barrier, crash
-    check, checkpoint, its row — for both drivers (:meth:`StepLoop.rank_main`,
-    :meth:`StepLoop.member`)."""
+class _RunCohort:
+    """Coalesced ranks going on from event callbacks: ``tail`` (for
+    ``Segment.wait``), ``op`` (their checkpoint; ``None``: each member's
+    own op) and their ranges' processes' ``done`` events (``left`` = 0)."""
 
-    __slots__ = ("loop", "rank", "ctx", "data", "i")
+    __slots__ = ("tail", "loop", "op", "left", "done")
 
-    def __init__(self, loop: StepLoop, rank: int, ctx, data) -> None:
-        # StagedOp.__init__ flattened: one of these per rank.
-        self.then = _RankProgram._gap
-        self.result = self.up = self.sub = None
-        self.loop = loop
-        self.rank = rank
-        self.ctx = ctx
-        self.data = data
-        self.i = 0
+    def __init__(self, loop: StepLoop, op) -> None:
+        self.tail, self.loop, self.op, self.left, self.done = None, loop, op, 0, []
+
+    def stepped(self, step: int, ranks: list) -> None:
+        """World ``ranks`` filed step ``step``'s rows: the stages go on."""
+        return _RankProgram(self.loop, ranks[0], ranks, self, self.loop.steps.index(step))._next()
+
+
+class _RankProgram(Segment):
+    """The step loop — gap or application, restart or barrier, crash
+    check, checkpoint, rows — of a segment of world ``ranks`` (``None``:
+    ``rank`` alone), driven from event callbacks by a :class:`_RunCohort`
+    or, as a :class:`_ProcessProgram`, by a process."""
+
+    __slots__ = ("loop", "rank", "i")
+
+    def __init__(self, loop: StepLoop, rank: int, ranks, cohort, i: int) -> None:
+        # StagedOp.__init__ flattened: one of these per member and step.
+        self.then, self.result, self.up, self.sub = _RankProgram._gap, None, None, None
+        self.loop, self.rank, self.ranks, self.cohort, self.i = loop, rank, ranks, cohort, i
+
+    def _one(self, member: int) -> "_RankProgram":
+        return _RankProgram(self.loop, member, None, self.cohort, self.i)
 
     def _dead(self) -> bool:
         faults = self.loop.faults
@@ -248,13 +258,15 @@ class _RankProgram(StagedOp):
             return self.data.advance(self.ctx, loop.steps[self.i])
         gap = loop.gaps[self.i]
         if gap > 0 and self.rank not in loop.writer_set and not self._dead():
-            # Computation between checkpoints (nc * Tcomp); dedicated I/O
-            # ranks (rbIO writers) drain their backlog instead.
-            self.then = _RankProgram._barrier
-            return loop.job.engine.timeout(gap)
+            # Computation between checkpoints (nc * Tcomp); dedicated I/O ranks
+            # (rbIO writers) drain instead.  A cohort segment: one timer, rest credited.
+            engine = loop.job.engine
+            if self.cohort is not None:
+                engine.count_events(len(self.ranks) - 1)
+            return self.wait(engine.timeout(gap), _RankProgram._barrier)
         return self._barrier()
 
-    def _barrier(self):
+    def _barrier(self, _ev=None):
         loop = self.loop
         if loop.steps[self.i] in loop.faults.restarts:
             # Every rank rolls back together, newest earlier generation
@@ -270,8 +282,10 @@ class _RankProgram(StagedOp):
         # — the mode that exposes rbIO writer backpressure.  Crashed ranks
         # still enter: crashes are cooperative at step boundaries, and the
         # barrier makes every rank evaluate the failure oracle at once.
-        self.then = _RankProgram._checkpoint
-        return loop.job.world._barrier_arrive(self.rank).event
+        ranks, world = self.ranks, loop.job.world
+        op = (world._barrier_arrive(self.rank) if ranks is None or len(ranks) == 1
+              else world.arrive("barrier", ranks))
+        return self.wait(op.event, _RankProgram._checkpoint)
 
     def _restored(self):
         loop, faults = self.loop, self.loop.faults
@@ -286,9 +300,15 @@ class _RankProgram(StagedOp):
         self.i = step  # the run goes on after the restored generation
         return self._next()
 
-    def _checkpoint(self):
-        loop, ctx, data = self.loop, self.ctx, self.data
+    def _checkpoint(self, _ev=None):
+        loop = self.loop
         strategy, step = loop.strategy, loop.steps[self.i]
+        if self.ranks is not None:
+            if self.cohort is None and self.op is None:  # a range's first step
+                self.t0, self.then = loop.job.engine.now, _ProcessProgram._set_up
+                return strategy.coalesced_setup(self.ctx, self.ranks, loop)
+            return self._step(loop.job.engine.now)
+        ctx, data = self.ctx, self.data
         # Evolving workloads materialize each step's state just before it
         # is checkpointed (successive generations genuinely differ).
         d = data.at_step(step) if hasattr(data, "at_step") else data
@@ -298,23 +318,29 @@ class _RankProgram(StagedOp):
             # collectives complete, but contributes no data.
             self.then = _RankProgram._crashed
             return strategy.ghost(ctx, d, step, loop.basedir)
-        if strategy.checkpoint_op is None:
-            self.then = _RankProgram._file
-            return strategy.checkpoint(ctx, d, step, loop.basedir)
-        return self.call(self._op(d, step))
-
-    def _op(self, data, step: int):
-        """The strategy's staged checkpoint: a process files the report it
-        returns, a member (no context) has it file its own row."""
-        loop, ctx = self.loop, self.ctx
-        if ctx is None:
-            self.then = _RankProgram._next
-            return loop.strategy.checkpoint_op(
-                loop.job, loop.job.services["fs"].client(self.rank), data,
-                step, loop.basedir, loop.table)
         self.then = _RankProgram._file
-        return loop.strategy.checkpoint_op(loop.job, ctx.fs, data, step,
-                                           loop.basedir, ctx)
+        if strategy.checkpoint_op is None:
+            return strategy.checkpoint(ctx, d, step, loop.basedir)
+        return self.call(strategy.checkpoint_op(loop.job, ctx.fs, d, step,
+                                                loop.basedir, ctx))
+
+    def _step(self, t0: float):
+        """The checkpoint, begun at ``t0``, of the segment's ranks."""
+        cohort, data, step = self.cohort, self.loop.data, self.loop.steps[self.i]
+        if cohort is None:  # lock-step, in the range's process
+            self.then = _RankProgram._next
+            return self.op(data, step, self.loop.table)
+        if cohort.op is None:
+            return self.each(_RankProgram._member)
+        return cohort.op(self, data, step, t0)
+
+    def _member(self):
+        """A cohort member's own staged op (it files the row)."""
+        loop = self.loop
+        self.then = _RankProgram._next
+        return self.call(loop.strategy.checkpoint_op(
+            loop.job, loop.job.services["fs"].client(self.rank), loop.data,
+            loop.steps[self.i], loop.basedir, loop.table))
 
     def _crashed(self):
         now = self.loop.job.engine.now
@@ -328,7 +354,47 @@ class _RankProgram(StagedOp):
 
     def _next(self):
         i = self.i = self.i + 1
-        return self._gap() if i < len(self.loop.steps) else self.done()
+        cohort = self.cohort
+        if i < len(self.loop.steps):
+            if cohort is not None and self.ranks is None:  # a member alone:
+                self.ranks = [self.rank]  # its next wait may join others
+            return self._gap()
+        if cohort is None:
+            return self.done()
+        cohort.left -= 1 if self.ranks is None else len(self.ranks)
+        if not cohort.left:
+            for done in cohort.done:
+                done.succeed()
+            cohort.tail = None  # it points back into the cohort
+        return None
+
+
+class _ProcessProgram(_RankProgram):
+    """The step loop in a process: rank ``ctx.rank``'s own (``ranks`` is
+    ``None``) or a plan range's, which runs the first-step setup (begun at
+    ``t0``), then goes on in lock-step (``op``) or waits for its cohort."""
+
+    __slots__ = ("ctx", "data", "op", "t0")
+
+    def __init__(self, loop: StepLoop, ctx, data, ranks=None) -> None:
+        # Flattened: one of these per rank process.
+        self.then, self.result, self.up, self.sub = _RankProgram._gap, None, None, None
+        self.loop, self.rank, self.ctx, self.data = loop, ctx.rank, ctx, data
+        self.ranks, self.cohort, self.op, self.i = ranks, None, None, 0
+
+    def _set_up(self):
+        """Go on in lock-step, or hand the ranks to ``key``'s cohort."""
+        (key, op), self.result = self.result, None
+        loop = self.loop
+        if loop.strategy.checkpoint_op is None:
+            self.op = op
+            return self._step(self.t0)
+        cohort = loop.job.services.setdefault("run:cohorts", {}).setdefault(
+            key, _RunCohort(loop, op))
+        cohort.left += len(self.ranks)
+        cohort.done.append(loop.job.engine.event())
+        _RankProgram(loop, self.rank, self.ranks, cohort, self.i)._step(self.t0)
+        return self.wait(cohort.done[-1], _RankProgram.done)
 
 
 def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
@@ -353,16 +419,13 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
     time) compile down to.
 
     ``run_config`` (:class:`~repro.mpi.RunConfig`) selects how the run
-    executes: tracing, profiling, copy mode, rank coalescing (see
-    :meth:`~repro.ckpt.CheckpointStrategy.coalesce_plan`; coalesced runs
-    are bit-identical to uncoalesced ones) and the
-    :class:`~repro.faults.FaultSchedule` attached to the job.  The
-    strategy's plan sees the run's :class:`StepLoop` and refuses what
-    could make its members diverge: 1PFPP and coIO refuse any fault
-    schedule, rbIO/bbIO a ``rank_crash`` or ``restart`` one and flow
-    control that can bind in the run's steps.  ``data`` may build
-    per-rank application objects (:class:`StepLoop`), whose ``advance``
-    takes the gaps' place; such a run never coalesces.
+    executes: tracing, profiling, copy mode, rank coalescing (the
+    strategy's :meth:`~repro.ckpt.CheckpointStrategy.coalesce_plan`, which
+    sees the run's :class:`StepLoop`; coalesced runs are bit-identical to
+    uncoalesced ones) and the :class:`~repro.faults.FaultSchedule`
+    attached to the job.  ``data`` may build per-rank application objects
+    (:class:`StepLoop`), whose ``advance`` takes the gaps' place; such a
+    run never coalesces.
 
     The returned run is live: :meth:`CheckpointRun.restore` restarts from
     its checkpoints on the same job.
@@ -403,19 +466,15 @@ def run_checkpoint_steps(strategy: CheckpointStrategy, n_ranks: int,
             f"coalesce='require' but {strategy.name} offers no plan for "
             f"{n_steps} step(s) of {strategy.describe()} under faults "
             f"{sorted({s.kind for s in injector.schedule})}")
-    if plan is None:
-        job.spawn(loop.rank_main)
-    else:
-        # Spawn in world-rank order (a range's worker in its first rank's
-        # slot) so process bootstrap — and with it every same-time event
-        # tie — happens in the same order as the uncoalesced run.
-        r = 0
-        for members in plan:
-            job.spawn(loop.rank_main, ranks=range(r, members.start))
-            job.spawn(strategy.coalesced_worker_main, members, loop,
-                      ranks=[members.start])
-            r = members.stop
-        job.spawn(loop.rank_main, ranks=range(r, n_ranks))
+    # Spawn in world-rank order (a range's program in its first rank's
+    # slot) so process bootstrap — and with it every same-time event tie
+    # — happens in the same order as the uncoalesced run.
+    r = 0
+    for members in plan or ():
+        job.spawn(loop.rank_main, ranks=range(r, members.start))
+        job.spawn(loop.rank_main, members, ranks=[members.start])
+        r = members.stop
+    job.spawn(loop.rank_main, ranks=range(r, n_ranks))
     job.run()
     fs_stats = fs.stats()
     results = [CheckpointResult(strategy.name, loop.table,

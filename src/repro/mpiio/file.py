@@ -165,10 +165,14 @@ class MPIFile(Segment):
 
     def _open_one(self):
         self.then = MPIFile._opened
+        f = self.file
         if self.cohort is None:  # a process: through its client's open,
             # the call tests/test_fs_retry.py's retry oracle wraps
-            return self.client.open(self.file.path, True)
-        return self.call(self.client.open_op(self.file.path, True))
+            return self.client.open(f.path, True)
+        # A cohort's member: a client from the job's file system (the
+        # handle keeps it until the close).
+        client = f.services["fs"].client(f.comm.world_ranks[self.ranks[0]])
+        return self.call(client.open_op(f.path, True))
 
     def _opened(self):
         lr = self.ranks[0]

@@ -19,9 +19,10 @@ a delta plan.  :meth:`run` runs it and stores its return value as the
 stage's op's ``result``; :meth:`advance` raises :class:`HandOffError`.
 
 A :class:`Segment` is an op that stands for several members at one point
-of their program (coIO's non-aggregator ranks): a cohort drives it from
-one callback per wait, where the first member's process would have
-appended its resume, and a process drives a segment of one.
+of their program (a coalesced range's ranks in the runner's step loop and
+in coIO's collective write): a cohort drives it from one callback per
+wait, where the first member's process would have appended its resume,
+and a process drives a segment of one.
 """
 
 from __future__ import annotations

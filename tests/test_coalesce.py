@@ -935,9 +935,21 @@ def test_1pfpp_checkpoint_in_a_process_is_the_runners_program():
                                    r.path) for r in job.profiler.records]
 
 
-def test_a_member_files_its_rows_without_a_report_or_context():
-    run = run_checkpoint_steps(OneFilePerProcess(), 64, shared_data(),
-                               n_steps=2, gap_seconds=0.5, seed=11,
-                               run_config=RunConfig(coalesce="require"))
-    assert len(run.job.contexts.built()) == 1
-    assert run.result.roles == ["independent"] * 64
+@pytest.mark.parametrize("strategy,n_ranks", [
+    (OneFilePerProcess(), 64),
+    (CollectiveIO(ranks_per_file=64), 256),
+    (ReducedBlockingIO(), 64),
+], ids=["1pfpp", "coio_64", "rbio_ng"])
+def test_a_member_files_its_rows_without_a_report_or_context(strategy,
+                                                             n_ranks):
+    """A coalesced run builds one context per process it spawns, none per
+    member, and every member's row is filed."""
+    runs = [run_checkpoint_steps(strategy, n_ranks, shared_data(),
+                                 n_steps=2, gap_seconds=0.5, seed=11,
+                                 run_config=RunConfig(coalesce=mode))
+            for mode in ("off", "require")]
+    plan = strategy.coalesce_plan(n_ranks, runs[1].loop)
+    assert len(runs[1].job.contexts.built()) == n_ranks - sum(
+        len(members) - 1 for members in plan)
+    assert runs[1].result.roles == runs[0].result.roles
+    assert "crashed" not in runs[1].result.roles

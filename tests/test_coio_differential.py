@@ -1,19 +1,20 @@
-"""coIO's one checkpoint body under its two drivers, over drawn geometries.
+"""The runner's cohort driver against a process per rank, over drawn runs.
 
-``coalesce="off"`` runs every rank's segment of one in its process;
-``"require"`` drives the non-aggregator ranks of each file communicator as
-a cohort of segments.  Whatever the geometry — ragged file groups, a
-headerless format, empty and eager-sized fields, extents that straddle a
-file domain, back-to-back or gapped steps, with or without the per-step
-barrier — the two runs must leave identical reports, file images, fabric
-counters, final clocks, Darshan records and trace totals.  The hand-picked
-cells of ``tests/test_coalesce.py`` stay; this draws the space between them.
+``coalesce="off"`` runs every rank's program in its process;
+``"require"`` hands coIO's non-aggregator ranks of each file communicator,
+and every 1PFPP rank, to the runner's cohort of segments.  Whatever the
+geometry — ragged file groups and partitions, a headerless format, empty
+and eager-sized fields, extents that straddle a file domain, arrival
+jitter, back-to-back or gapped steps, with or without the per-step barrier
+— the two runs must leave identical reports, file images, fabric counters,
+final clocks, Darshan records and trace totals.  The hand-picked cells of
+``tests/test_coalesce.py`` stay; this draws the space between them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt import CheckpointData, CollectiveIO, Field
+from repro.ckpt import CheckpointData, CollectiveIO, Field, OneFilePerProcess
 from repro.topology import intrepid
 
 from .test_coalesce import assert_coio_identical
@@ -51,4 +52,32 @@ def geometries(draw):
 @given(geometries())
 def test_coio_off_equals_require_over_drawn_geometries(geometry):
     strategy, n_ranks, data, kwargs = geometry
+    assert_coio_identical(strategy, n_ranks, data, **kwargs)
+
+
+@st.composite
+def onefile_runs(draw):
+    nodes = draw(st.sampled_from([1, 2, 4, 8, 16]))  # a power of two
+    n_ranks = draw(st.integers(max(1, 4 * nodes - 3), 4 * nodes))
+    payload = draw(st.booleans())
+    data = CheckpointData(
+        [Field(f"f{i}", n, bytes([i + 1]) * n if payload else None)
+         for i, n in enumerate(draw(st.lists(st.integers(0, 6000),
+                                             min_size=1, max_size=3)))],
+        header_bytes=draw(st.sampled_from([0, 512])))
+    n_steps = draw(st.integers(1, 3))
+    kwargs = dict(
+        n_steps=n_steps,
+        gap_seconds=draw(st.lists(st.sampled_from([0.0, 0.25]),
+                                  min_size=n_steps - 1,
+                                  max_size=n_steps - 1)) or 0.0,
+        barrier_each_step=draw(st.booleans()))
+    jitter = draw(st.sampled_from([0.0, 0.2]))
+    return OneFilePerProcess(arrival_jitter=jitter), n_ranks, data, kwargs
+
+
+@settings(max_examples=25, deadline=None)
+@given(onefile_runs())
+def test_1pfpp_off_equals_require_over_drawn_runs(run):
+    strategy, n_ranks, data, kwargs = run
     assert_coio_identical(strategy, n_ranks, data, **kwargs)
