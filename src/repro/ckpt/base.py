@@ -129,6 +129,14 @@ class CheckpointStrategy:
         """
         return None
 
+    @staticmethod
+    def _moves_ranks(loop) -> bool:
+        """Whether the run's fault schedule kills or rolls back ranks
+        (``rank_crash``, ``restart``): no plan follows a rank off its
+        program."""
+        return loop is not None and bool(
+            loop.faults.schedule.by_kind("rank_crash", "restart"))
+
     def coalesced_setup(self, ctx: RankContext, members, loop):
         """Generator: the first-step setup of coalesced range ``members``
         (every member's splits; their views left by :meth:`_leave_views`).

@@ -33,8 +33,9 @@ from typing import Optional
 
 from ..buffers import ByteRope, zeros
 from ..mpi import RankContext
-from ..mpiio import Hints, MPIFile, pick_aggregators
+from ..mpiio import Hints, MPIFile, node_groups, place_aggregators
 from ..mpiio.file import _File
+from ..topology import intrepid
 from .base import CheckpointStrategy
 from .data import CheckpointData
 from .incremental import plan_delta, write_manifest
@@ -103,23 +104,23 @@ class CollectiveIO(CheckpointStrategy):
         """Offer the ranks that only contribute an extent and wait: one
         range per maximal contiguous run of them between two aggregators
         (1-31 and 33-63 of a 64-rank file group under the default 1:32
-        hint; aggregator placement is a property of the file communicator).
-        Aggregators keep their processes.  Only the flat, full write
-        coalesces (TAM and delta are hand-offs only a process takes), and
-        any fault schedule refuses: every rank opens and closes the file.
+        hint; :func:`~repro.mpiio.place_aggregators` on the run's machine).
+        Aggregators keep their processes.  A delta refuses (its plan and
+        manifest are hand-offs only a process takes), and so do schedules
+        that move ranks (:meth:`_moves_ranks`).
         """
-        if (self.hints.tam != "off" or self.delta != "off"
-                or (loop is not None and loop.faults.schedule)):
+        if self.delta != "off" or self._moves_ranks(loop):
             return None
+        cpn = (intrepid() if loop is None else loop.job.config).cores_per_node
         per_file = self.ranks_per_file or n_ranks
         plan = []
         for base in range(0, n_ranks, per_file):
             size = min(per_file, n_ranks - base)
-            aggs = pick_aggregators(size, self.hints.n_aggregators(size))
-            for agg, nxt in zip(aggs, aggs[1:] + [size]):
-                members = range(base + agg + 1, base + nxt)
-                if members:
-                    plan.append(members)
+            groups = node_groups(range(base, base + size), self.hints.tam, cpn)
+            aggs = place_aggregators(size, self.hints.n_aggregators(size), groups)
+            for agg, nxt in zip(aggs, aggs[1:] + (size,)):
+                if agg + 1 < nxt:
+                    plan.append(range(base + agg + 1, base + nxt))
         return tuple(plan) or None
 
     def coalesced_setup(self, ctx: RankContext, members, loop):
@@ -226,9 +227,9 @@ class _Checkpoint(MPIFile):
 
     def _one(self, lr: int) -> "_Checkpoint":
         seg = object.__new__(_Checkpoint)  # a copy, minus the other ranks
-        seg.result = seg.up = seg.sub = seg.ev = seg.ctx = seg.plan = None
-        seg.file, seg.cohort, seg.seq, seg.ret, seg.ranks = (
-            self.file, self.cohort, self.seq, self.ret, [lr])
+        seg.result = seg.up = seg.sub = seg.ctx = seg.plan = None
+        seg.file, seg.cohort, seg.seq, seg.ret, seg.ev, seg.ranks = (
+            self.file, self.cohort, self.seq, self.ret, self.ev, [lr])
         seg.client, seg.strategy, seg.data, seg.step = (
             None, self.strategy, self.data, self.step)
         seg.basedir, seg.t0, seg.layout = self.basedir, self.t0, self.layout

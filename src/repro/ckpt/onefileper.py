@@ -55,14 +55,13 @@ class OneFilePerProcess(CheckpointStrategy):
 
     # -- coalescing -------------------------------------------------------
     def coalesce_plan(self, n_ranks: int, loop=None):
-        """Offer every rank to the runner's cohort: between a rank's
-        waits nothing happens that an event callback cannot do, and each
-        member runs its :class:`_Checkpoint` with a client from the job's
-        file system.  Delta commits keep per-rank parent manifests and run
-        uncoalesced, and so does any fault schedule (every rank does its
-        own file-system calls).
-        """
-        if self.delta != "off" or (loop is not None and loop.faults.schedule):
+        """Offer every rank to the runner's cohort: between a rank's waits
+        nothing happens that an event callback cannot do, and each member
+        runs its :class:`_Checkpoint` with a client from the job's file
+        system (each call retries its own faults).  Delta commits keep
+        per-rank parent manifests, so they run uncoalesced, as schedules
+        that move ranks do (:meth:`_moves_ranks`)."""
+        if self.delta != "off" or self._moves_ranks(loop):
             return None
         return (range(n_ranks),)
 

@@ -146,8 +146,7 @@ class ReducedBlockingIO(CheckpointStrategy):
             binds = (self.max_outstanding is not None
                      and len(loop.steps) > self.max_outstanding)
             drifts = self.tam != "off" and not loop.synchronized
-            if (binds or drifts
-                    or loop.faults.schedule.by_kind("rank_crash", "restart")):
+            if binds or drifts or self._moves_ranks(loop):
                 return None
         w = self.workers_per_writer
         plan = tuple(range(first + 1, min(first + w, n_ranks))

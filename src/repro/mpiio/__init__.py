@@ -5,8 +5,10 @@ from .aggregation import (
     FlatExchange,
     RegionMap,
     TamExchange,
+    node_groups,
     pick_aggregators,
     pick_node_aggregators,
+    place_aggregators,
 )
 from .file import MPIFile
 from .hints import Hints, TAM_MODES
@@ -16,8 +18,10 @@ __all__ = [
     "FlatExchange",
     "RegionMap",
     "TamExchange",
+    "node_groups",
     "pick_aggregators",
     "pick_node_aggregators",
+    "place_aggregators",
     "MPIFile",
     "Hints",
     "TAM_MODES",

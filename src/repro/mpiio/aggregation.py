@@ -16,12 +16,16 @@ segment-list discipline that makes collective I/O fast in the first place.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 from weakref import WeakValueDictionary
 
 import numpy as np
 
+from ..topology import NodeGroups
+
 __all__ = ["RegionMap", "FileDomains", "FlatExchange", "TamExchange",
-           "pick_aggregators", "pick_node_aggregators", "plan_table"]
+           "node_groups", "pick_aggregators", "pick_node_aggregators",
+           "place_aggregators", "plan_table"]
 
 
 class RegionMap:
@@ -154,8 +158,8 @@ def pick_aggregators(comm_size: int, n_aggregators: int) -> list[int]:
     topology so no node hosts more than one (rank striding achieves this
     under block rank-to-node placement).  The placement is a pure function
     of ``(comm_size, n_aggregators)`` and is memoized: every rank of every
-    collective call consults the same few geometries (hot paths use the
-    cached tuple via :func:`_aggregator_placement` directly).
+    collective call consults the same few geometries (hot paths read the
+    cached tuple through :func:`place_aggregators`).
     """
     return list(_aggregator_placement(comm_size, n_aggregators))
 
@@ -169,9 +173,11 @@ class FlatExchange:
     aggregator hears from — is computed exactly once per call via
     ``allgather(map_fn=...)``, vectorised over the gathered extents, and
     consulted read-only by every participant: the two-phase write's stages
-    (``MPIFile._ship`` / ``_aggregate``, for a process's rank and a
-    coalesced segment alike; phase 1 reads a :class:`TamExchange` instead
-    when two-level aggregation engages) read this one plan.
+    (``MPIFile._ship``, and an aggregator's ``_commit`` and ``_received``,
+    for a process's rank and a cohort's segment alike) read this one plan,
+    or a :class:`TamExchange` when two-level aggregation engages.  The
+    aggregators are :func:`place_aggregators`'s, as a coalesce plan sees
+    them.
 
     ``agg_index`` maps an aggregator's rank to the domain it commits;
     ``expected[k]`` lists the ranks domain ``k``'s aggregator receives from
@@ -187,7 +193,7 @@ class FlatExchange:
         regions = self.regions = RegionMap(raw_regions)
         domains = self.domains = FileDomains(
             regions.lo, regions.hi, n_aggregators, block_size, align=align)
-        aggregators = self.aggregators = _aggregator_placement(
+        aggregators = self.aggregators = place_aggregators(
             len(raw_regions), n_aggregators)
         self.agg_index = {r: k for k, r in enumerate(aggregators)}
         # Clip every extent (in file-offset order) against the domain
@@ -269,6 +275,30 @@ def pick_node_aggregators(leaders, n_aggregators: int) -> tuple[int, ...]:
     return tuple(leaders[k * stride] for k in range(n))
 
 
+def node_groups(world_ranks, tam: str,
+                cores_per_node: int) -> Optional[NodeGroups]:
+    """A file communicator's nodes when two-level aggregation engages:
+    ``tam`` is not ``"off"`` and some node hosts two of ``world_ranks``;
+    else ``None`` (the flat exchange runs)."""
+    if tam == "off":
+        return None
+    groups = NodeGroups(world_ranks, cores_per_node)
+    return groups if groups.nontrivial else None
+
+
+def place_aggregators(size: int, n_aggregators: int,
+                      groups: Optional[NodeGroups] = None) -> tuple[int, ...]:
+    """The ranks of a ``size``-rank file communicator that commit its file
+    domains, as a call's plan (:class:`FlatExchange`, :class:`TamExchange`)
+    and a strategy's coalesce plan read them: ``n_aggregators`` strided
+    over the ranks (:func:`pick_aggregators`) or, under two-level
+    aggregation (``groups``, :func:`node_groups`), over the node leaders
+    (:func:`pick_node_aggregators`)."""
+    if groups is None:
+        return _aggregator_placement(size, n_aggregators)
+    return pick_node_aggregators(groups.leaders, n_aggregators)
+
+
 class TamExchange:
     """Shared geometry of one two-level (TAM) collective write call.
 
@@ -288,7 +318,7 @@ class TamExchange:
     """
 
     __slots__ = ("raw", "regions", "groups", "domains", "aggregators",
-                 "agg_index", "send_domains", "expected")
+                 "agg_index", "node_senders", "send_domains", "expected")
 
     def __init__(self, raw_regions: list, groups, n_aggregators: int,
                  block_size: int, align: bool = True) -> None:
@@ -296,11 +326,16 @@ class TamExchange:
         self.regions = RegionMap(list(raw_regions))
         self.groups = groups
         leaders = groups.leaders
-        self.aggregators = pick_node_aggregators(leaders, n_aggregators)
+        self.aggregators = place_aggregators(len(raw_regions), n_aggregators,
+                                             groups)
         self.agg_index = {r: k for k, r in enumerate(self.aggregators)}
         self.domains = FileDomains(
             self.regions.lo, self.regions.hi, len(self.aggregators),
             block_size, align=align)
+        # Per-leader: the members that hand it an extent, in rank order.
+        self.node_senders = {lead: tuple(m for m in groups.members_of[lead][1:]
+                                         if self.raw[m][1] > 0)
+                             for lead in leaders}
         # Per-leader: which domains its node's members touch.  Every listed
         # domain is guaranteed at least one non-empty piece from that node
         # (overlap is computed per member region), so no aggregator ever
@@ -331,3 +366,12 @@ class TamExchange:
     def empty(self) -> bool:
         """Nothing is written anywhere (participants only synchronize)."""
         return self.regions.hi <= self.regions.lo
+
+    def clip(self, k: int, parts: list) -> list:
+        """A node's extents ``parts`` (``(offset, nbytes, payload)``) cut to
+        domain ``k``: its ``(lo, hi, payload slice)`` pieces."""
+        dlo, dhi = self.domains.domain(k)
+        return [(lo, hi, None if pay is None else pay[lo - off:hi - off])
+                for off, n, pay in parts
+                for lo, hi in ((max(off, dlo), min(off + n, dhi)),)
+                if lo < hi]

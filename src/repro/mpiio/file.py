@@ -34,8 +34,7 @@ from typing import Optional
 from ..buffers import ByteRope, overlay
 from ..mpi import CommView, RankContext
 from ..sim.stages import Segment, StagedOp
-from ..topology import NodeGroups
-from .aggregation import FlatExchange, TamExchange, plan_table
+from .aggregation import FlatExchange, TamExchange, node_groups, plan_table
 from .hints import Hints
 
 __all__ = ["MPIFile", "SHUFFLE_TAG_BASE"]
@@ -68,18 +67,13 @@ class _File:
         self.payloads: list = [None] * size
         self.staged: dict[int, list] = {}
         self.t_x0 = None if job.tracer is None else [0.0] * size
-        # Node co-residency, or ``None``: the flat exchange runs (TAM off,
-        # or no node hosts two ranks; ``tam="require"`` raises then).
         cpn = config.cores_per_node
-        self.groups = None if hints.tam == "off" else NodeGroups(
-            comm.world_ranks, cpn)
-        if self.groups is not None and not self.groups.nontrivial:
-            self.groups = None
-            if hints.tam == "require":
-                raise ValueError(
-                    f"tam='require' on {path!r}: no node hosts more than one "
-                    f"rank of the communicator (cores_per_node={cpn}), "
-                    f"two-level aggregation cannot engage")
+        self.groups = node_groups(comm.world_ranks, hints.tam, cpn)
+        if self.groups is None and hints.tam == "require":
+            raise ValueError(
+                f"tam='require' on {path!r}: no node hosts more than one "
+                f"rank of the communicator (cores_per_node={cpn}), "
+                f"two-level aggregation cannot engage")
         #: ``allgather`` map of a call: its one plan, built by one rank.
         self.exchange = partial(
             FlatExchange.for_hints, hints=hints, plans=plan_table(job.services),
@@ -207,9 +201,9 @@ class MPIFile(Segment):
     def _write(self):
         """Phase 0 of the two-phase write: exchange the ranks' regions
         (``file.regions`` / ``file.payloads``) for the call's one plan.
-        Phase 1 (:meth:`_ship`, :meth:`_tam_ship`) ships each rank's data,
-        as zero-copy ropes, to the aggregators owning it; phase 2
-        (:meth:`_aggregate`) overlays and commits each domain."""
+        Phase 1 (:meth:`_ship`, :meth:`_lead`) ships each rank's data, as
+        zero-copy ropes, to the aggregators owning it; phase 2
+        (:meth:`_commit`) overlays and commits each domain."""
         f, ranks = self.file, self.ranks
         if f.t_x0 is not None:
             for lr in ranks:
@@ -221,150 +215,156 @@ class MPIFile(Segment):
         return self.wait(op.event, MPIFile._ship)
 
     def _ship(self, _ev=None):
-        """Phase 1: each rank ships its extent's pieces; then it waits for
-        its own sends (a cohort's rank alone, :meth:`_delivered`)."""
+        """Phase 1, rank by rank in walk order (DESIGN.md section 9.2): a
+        rank ships its pieces (under TAM to its node leader) and waits for
+        its sends; a node leader and an aggregator go on alone, a cohort's
+        as a segment of one that ``advance()`` drives."""
         f = self.file
         ex = self.ev._value
         if ex.empty:  # nothing to write anywhere: still synchronize
             return self._barrier(MPIFile._written)
-        if f.groups is not None:  # TAM runs uncoalesced: a hand-off
-            self.then = MPIFile._shipped
-            return self._tam_ship(ex)
         comm, cohort, regions, payloads = f.comm, self.cohort, f.regions, f.payloads
-        isend_from, delivered = f.view.isend_from, MPIFile._delivered
-        tag = SHUFFLE_TAG_BASE + self.seq
+        isend_from, aggs, delivered = f.view.isend_from, ex.agg_index, MPIFile._delivered
+        leads = None if f.groups is None else f.groups.leader_of
+        tag = (SHUFFLE_TAG_BASE if leads is None else _TAM_TAG_BASE) + self.seq
         eager = comm.fabric.config.eager_threshold
-        idle = []
         for lr in self.ranks:
             offset, nbytes = regions[lr]
-            payload = payloads[lr]
-            sent = []
-            for dest, lo, hi in ex.sends(lr) if nbytes else ():
-                part = None if payload is None else payload[lo - offset:
-                                                            hi - offset]
-                if dest == lr:  # self-contribution: no message needed
-                    f.staged.setdefault(lr, []).append((lo, hi, part))
-                elif hi - lo == nbytes > eager:
-                    # One rendezvous send: its delivery is its completion.
-                    sent.append(isend_from(lr, dest, nbytes, tag, (lo, hi, part)))
-                else:
-                    sent.append(comm.view(lr).isend(
-                        dest, hi - lo, tag=tag, payload=(lo, hi, part)).event)
+            sent, stage = [], MPIFile._commit if lr in aggs else MPIFile._sent
+            if leads is None:
+                payload = payloads[lr]
+                for dest, lo, hi in ex.sends(lr) if nbytes else ():
+                    part = None if payload is None else payload[lo - offset:
+                                                                hi - offset]
+                    if dest == lr:  # self-contribution: no message needed
+                        f.staged.setdefault(lr, []).append((lo, hi, part))
+                    elif hi - lo == nbytes > eager:
+                        # One rendezvous send: its delivery is its completion.
+                        sent.append(isend_from(lr, dest, nbytes, tag, (lo, hi, part)))
+                    else:
+                        sent.append(comm.view(lr).isend(
+                            dest, hi - lo, tag=tag, payload=(lo, hi, part)).event)
+            elif leads[lr] == lr:  # a node leader: its node's extents first
+                stage = partial(MPIFile._receive, sources=ex.node_senders[lr],
+                                tag=tag, then=MPIFile._lead, t_g0=f.engine.now)
+            elif nbytes:  # a member's extent, to its node leader
+                sent.append(comm.view(lr).isend(
+                    leads[lr], nbytes, tag=tag,
+                    payload=(offset, nbytes, payloads[lr])).event)
             if cohort is None:  # a process is a segment of one
-                self.result = sent
-                return self._shipped()
-            if not sent:
-                idle.append(lr)
-            else:
+                return stage(self, sent=sent)
+            if stage is not MPIFile._sent:
+                seg = self._one(lr)
+                seg.then = partial(stage, sent=sent)
+                seg.advance()
+            elif sent:
                 (f.engine.all_of(sent) if sent[1:] else sent[0]
                  ).callbacks.append(partial(delivered, self, lr))
-        self.ranks = idle  # the rest wait at the barrier on their own
-        return self._barrier(MPIFile._exchanged) if idle else None
+            else:
+                delivered(self, lr)
 
-    def _delivered(self, lr: int, _ev):
-        """A cohort rank's sends are out: the call's closing barrier."""
-        return self.wait(self.file.comm._barrier_arrive(lr).event,
-                         MPIFile._exchanged, lr)
+    def _receive(self, sources, tag: int, then, **state):
+        """Post this rank's ``recv_all`` of ``tag`` from ``sources``; go on
+        at ``then`` with it (``pending``) once all are in."""
+        comm = self.file.comm
+        pending = comm.mailbox(self.ranks[0]).get_all(
+            sources, tag, comm.fabric.config.memory_bandwidth) if sources else None
+        self.then = partial(then, pending=pending, **state)
+        return self.then(self) if pending is None else pending.event
 
-    def _shipped(self):
-        """A process's sends (``result``) are out; an aggregator receives
-        and commits its domain (phase 2), then it waits for its sends."""
-        k = self.ev._value.agg_index.get(self.ranks[0])
-        if k is not None:  # aggregators keep their processes: a hand-off
-            self.then = MPIFile._committed
-            return self._aggregate(k)
-        return self._committed()
-
-    def _committed(self, _ev=None):
-        sent, self.result = self.result, None
-        if not sent:
-            return self._barrier(MPIFile._exchanged)
-        return self.wait(sent[0] if len(sent) == 1
-                         else self.file.engine.all_of(sent), MPIFile._committed)
-
-    def _exchanged(self, _ev=None):
-        f = self.file
-        if f.tracer is not None:
-            for lr in self.ranks:
-                args = {"path": f.path, "seq": self.seq}
-                if f.groups is not None:
-                    args["tam"] = True
-                f.tracer.span(f.comm.world_ranks[lr], "exchange", "mpiio",
-                              f.t_x0[lr], f.engine.now, f.regions[lr][1],
-                              args=args)
-        return self._written()
-
-    def _written(self, _ev=None):
-        self.seq += 1
-        return self.ret(self)
-
-    def _tam_ship(self, ex):
-        """Generator: phase 1 of a two-level call (TAM runs uncoalesced).
-        A rank hands its extent to its node's leader over shared memory; a
-        leader clips the node's extents against the file domains and sends
-        one message per touched domain.  Returns the send events."""
-        f, me, groups = self.file, self.ranks[0], self.file.groups
-        view = f.comm.view(me)
+    def _lead(self, pending, sent: list, t_g0: float):
+        """A TAM node leader clips its node's extents against the file
+        domains and sends one message per touched domain (its own domain's
+        pieces are staged); an aggregator then commits (:meth:`_commit`)."""
+        f, me, ex = self.file, self.ranks[0], self.ev._value
         offset, nbytes = f.regions[me]
-        payload = f.payloads[me]
-        tag_intra = _TAM_TAG_BASE + self.seq
-        if groups.leader_of[me] != me:
-            return [] if not nbytes else [view.isend(
-                groups.leader_of[me], nbytes, tag=tag_intra,
-                payload=(offset, nbytes, payload)).event]
-        t_g0 = f.engine.now
-        parts = [(offset, nbytes, payload)] if nbytes > 0 else []
-        parts += [msg.payload for msg in (yield from view.recv_all(
-            [m for m in groups.members_of[me][1:] if ex.raw[m][1] > 0],
-            tag_intra))]
-        sent = []
+        parts = [(offset, nbytes, f.payloads[me])] if nbytes > 0 else []
+        if pending is not None:
+            parts += [msg.payload for msg in pending.messages()]
         for k in ex.send_domains.get(me, ()):
-            dlo, dhi = ex.domains.domain(k)
-            pieces = [(lo, hi, None if pay is None else pay[lo - off:hi - off])
-                      for off, n, pay in parts
-                      for lo, hi in ((max(off, dlo), min(off + n, dhi)),)
-                      if lo < hi]
-            dest = ex.aggregators[k]
+            pieces, dest = ex.clip(k, parts), ex.aggregators[k]
             if dest == me:
                 f.staged.setdefault(me, []).extend(pieces)
             else:
                 f.comm.fabric.count_tam(len(pieces))
-                sent.append(view.isend(dest, sum(hi - lo for lo, hi, _p in pieces),
-                                       tag=SHUFFLE_TAG_BASE + self.seq,
-                                       payload=pieces).event)
+                sent.append(f.comm.view(me).isend(
+                    dest, sum(hi - lo for lo, hi, _p in pieces),
+                    tag=SHUFFLE_TAG_BASE + self.seq, payload=pieces).event)
         if f.tracer is not None:
-            f.tracer.span(view.world_rank, "tam-gather", "mpiio", t_g0,
-                          f.engine.now, sum(n for _o, n, _p in parts),
-                          args={"path": f.path, "seq": self.seq,
-                                "members": len(groups.members_of[me])})
-        return sent
+            self._span(me, "tam-gather", t_g0, sum(n for _o, n, _p in parts),
+                       seq=self.seq, members=len(f.groups.members_of[me]))
+        return (self._commit if me in ex.agg_index else self._sent)(sent)
 
-    def _aggregate(self, k: int):
-        """Generator: the aggregator of domain ``k`` receives it, overlays
-        the pieces (offset-sorted, later shadows earlier) into one rope and
-        commits the covered part in ``cb_buffer_size`` bursts.  Returns its
-        send events (``result``) for the wait after it."""
-        f, me, sent, ex = self.file, self.ranks[0], self.result, self.ev._value
-        pieces = f.staged.pop(me, [])
-        for msg in (yield from f.comm.view(me).recv_all(
-                ex.expected[k], SHUFFLE_TAG_BASE + self.seq)):
+    def _commit(self, sent: list):
+        """Phase 2 at an aggregator: it receives its file domain (:meth:`_received`)."""
+        ex, lr = self.ev._value, self.ranks[0]
+        return self._receive(ex.expected[ex.agg_index[lr]], SHUFFLE_TAG_BASE + self.seq,
+                             MPIFile._received, sent=sent)
+
+    def _received(self, pending, sent: list):
+        """The aggregator overlays its pieces (offset-sorted, later shadows
+        earlier) into one rope and commits the covered part in
+        ``cb_buffer_size`` bursts (:meth:`_burst`); then its sends."""
+        f = self.file
+        pieces = f.staged.pop(self.ranks[0], [])
+        for msg in () if pending is None else pending.messages():
             pieces += [msg.payload] if f.groups is None else msg.payload
         if not pieces:
-            return sent
+            return self._sent(sent)
         pieces.sort(key=lambda p: p[0])
         lo, hi = pieces[0][0], max(p[1] for p in pieces)
         data: Optional[ByteRope] = None
         if any(p[2] is not None for p in pieces):
             data = overlay(((plo, part) for plo, _phi, part in pieces
                             if part is not None), lo, hi)
-        handle, cb, t_w0 = f.handles[me], f.hints.cb_buffer_size, f.engine.now
-        for pos in range(lo, hi, cb):
+        return self._burst((sent, data, lo, hi, f.engine.now), lo)
+
+    def _burst(self, domain: tuple, pos: int):
+        """The burst at ``pos`` through ``self.call(write_op)``, or the
+        commit span and the sends after the last one."""
+        f, (sent, data, lo, hi, t_w0) = self.file, domain
+        lr = self.ranks[0]
+        if pos < hi:
+            cb, handle = f.hints.cb_buffer_size, f.handles[lr]
             burst = min(cb, hi - pos)
-            yield from handle.client.write(
+            self.then = partial(MPIFile._burst, domain=domain, pos=pos + cb)
+            return self.call(handle.client.write_op(
                 handle, pos, burst,
-                payload=None if data is None else data[pos - lo:pos - lo + burst])
+                None if data is None else data[pos - lo:pos - lo + burst]))
         if f.tracer is not None:
-            f.tracer.span(f.comm.world_ranks[me], "commit", "mpiio", t_w0,
-                          f.engine.now, hi - lo, args={
-                              "path": f.path, "domain": list(ex.domains.domain(k))})
-        return sent
+            ex = self.ev._value
+            self._span(lr, "commit", t_w0, hi - lo,
+                       domain=list(ex.domains.domain(ex.agg_index[lr])))
+        return self._sent(sent)
+
+    def _sent(self, sent: list):
+        """Once a rank's sends are out, the closing barrier."""
+        if not sent:
+            return self._barrier(MPIFile._exchanged)
+        self.then = MPIFile._delivered
+        return sent[0] if len(sent) == 1 else self.file.engine.all_of(sent)
+
+    def _delivered(self, lr: Optional[int] = None, _ev=None):
+        """A rank's sends are out (``lr``: a cohort's, from their event)."""
+        return self.wait(self.file.comm._barrier_arrive(
+            self.ranks[0] if lr is None else lr).event, MPIFile._exchanged, lr)
+
+    def _exchanged(self, _ev=None):
+        f = self.file
+        if f.tracer is not None:
+            tam = {} if f.groups is None else {"tam": True}
+            for lr in self.ranks:
+                self._span(lr, "exchange", f.t_x0[lr], f.regions[lr][1],
+                           seq=self.seq, **tam)
+        return self._written()
+
+    def _span(self, lr: int, name: str, t0: float, nbytes: int, **args) -> None:
+        """Rank ``lr``'s ``name`` span from ``t0`` to now (a traced run)."""
+        f = self.file
+        f.tracer.span(f.comm.world_ranks[lr], name, "mpiio", t0, f.engine.now,
+                      nbytes, args={"path": f.path, **args})
+
+    def _written(self, _ev=None):
+        self.seq += 1
+        return self.ret(self)
+

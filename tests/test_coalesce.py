@@ -7,15 +7,16 @@ the default (noisy) GPFS model on purpose: any divergence in event ordering
 would desynchronize the noise RNG draw sequence and show up here.
 
 coIO replays only the non-aggregator ranks of each file communicator (as
-one cohort, a callback per segment of them), and 1PFPP every rank, as event
-callbacks standing where the rank processes would have waited; their cells
-additionally compare file images, fabric counters, the final clock, the
-whole Darshan record sequence and the trace (totals and, in the cohort
-cells, every span for coIO; every span for 1PFPP).
+one cohort, a callback per segment of them; under TAM its node leaders
+too), and 1PFPP every rank, as event callbacks standing where the rank
+processes would have waited; their cells additionally compare file
+images, fabric counters, the final clock, the whole Darshan record
+sequence and the trace (totals and, in the cohort cells, every span for
+coIO; every span for 1PFPP).
 
 Configurations without a valid plan (rbIO/bbIO whose flow control can bind
-in the run's steps, coIO under TAM or delta, 1PFPP under delta) must fall
-back to the uncoalesced path under ``coalesce="auto"``;
+in the run's steps, coIO and 1PFPP under delta) must fall back to the
+uncoalesced path under ``coalesce="auto"``;
 ``tests/test_coalesce_faults.py`` holds the fault schedules.
 """
 
@@ -42,12 +43,17 @@ from repro.experiments import (
     run_checkpoint_steps,
 )
 from repro.experiments.runner import CheckpointRun, _data_fn, normalize_gaps
-from repro.faults import FaultSchedule, FaultSpec, attach_faults
+from repro.faults import FaultSchedule, FaultSpec, attach_faults, faults_of
 from .test_fs_retry import retry_fs
 from repro.mpi import Job, RankContext
-from repro.mpiio import FlatExchange, Hints, pick_aggregators
+from repro.mpiio import (
+    FlatExchange,
+    Hints,
+    pick_aggregators,
+    pick_node_aggregators,
+)
 from repro.storage import attach_storage
-from repro.topology import intrepid
+from repro.topology import NodeGroups, intrepid
 
 PER_FIELD = 4096
 
@@ -354,7 +360,7 @@ def test_per_rank_data_builder_disables_coalescing():
 
 
 @pytest.mark.parametrize("strategy", [
-    CollectiveIO().configure_tam("auto"),
+    CollectiveIO().configure_delta("auto"),
     ReducedBlockingIO(workers_per_writer=8, max_outstanding=2),
 ])
 def test_auto_equals_off_when_no_plan(strategy):
@@ -607,34 +613,108 @@ def test_coio_plan_shape():
     assert list(ragged) == [range(1, 48), range(49, 96), range(97, 128)]
 
 
-def test_coio_offers_no_plan_without_a_flat_full_write_member():
-    assert coio(64).configure_tam("auto").coalesce_plan(256) is None
-    assert CollectiveIO(64, Hints(tam="auto")).coalesce_plan(256) is None
+def test_coio_tam_plan_avoids_exactly_the_node_leader_aggregators():
+    """Under TAM the aggregators are node leaders (on the default machine,
+    four ranks a node): with three per 64-rank file they sit at 0, 20 and
+    40, not at the flat stride's 0, 21 and 42, and the ragged last group of
+    40 ranks has its own (0, 12 and 24)."""
+    hints = Hints(cb_nodes=3)
+    flat, tam = (CollectiveIO(64, hints.with_(tam=t)).coalesce_plan(232)
+                 for t in ("off", "auto"))
+    assert flat[:3] == (range(1, 21), range(22, 42), range(43, 64))
+    assert tam[:3] == (range(1, 20), range(21, 40), range(41, 64))
+    assert tam[-3:] == (range(193, 204), range(205, 216), range(217, 232))
+    uncovered = set(range(232)) - {r for members in tam for r in members}
+    want = set()
+    for base in range(0, 232, 64):
+        size = min(64, 232 - base)
+        groups = NodeGroups(range(base, base + size), 4)
+        want |= {base + a for a in pick_node_aggregators(
+            groups.leaders, hints.n_aggregators(size))}
+    assert uncovered == want
+    # One core a node: no node to aggregate in, the flat placement.
+    solo = run_checkpoint_steps(CollectiveIO(64, hints.with_(tam="auto")), 64,
+                                shared_data(), config=intrepid().with_(
+                                    cores_per_node=1))
+    assert solo.loop.strategy.coalesce_plan(64, solo.loop) == flat[:3]
+
+
+def test_coio_offers_no_plan_without_a_full_write_member():
     assert coio(64).configure_delta("auto").coalesce_plan(256) is None
     # Every rank an aggregator: nobody left to replay.
     assert CollectiveIO(64, Hints(ranks_per_aggregator=1)
                         ).coalesce_plan(256) is None
 
 
-@pytest.mark.parametrize("case", ["builder", "tam", "delta", "faults"])
+@pytest.mark.parametrize("case", ["builder", "delta"])
 def test_coio_auto_without_a_plan_equals_off(case):
     runs = []
     for mode in ("off", "auto"):
-        strategy, data, faults = coio(16), shared_data(), None
+        strategy, data = coio(16), shared_data()
         if case == "builder":
             data = lambda rank, d=data: d  # noqa: E731
-        elif case == "tam":
-            strategy.configure_tam("auto")
-        elif case == "delta":
-            strategy.configure_delta("auto")
         else:
-            faults = FaultSchedule((
-                FaultSpec(kind="fs_error", time=0.0, op="write", count=1),))
+            strategy.configure_delta("auto")
         runs.append(run_checkpoint_steps(
             strategy, 32, data, n_steps=2, seed=5,
+            run_config=RunConfig(coalesce=mode)))
+    assert_identical(*runs)
+    assert records_of(runs[0]) == records_of(runs[1])
+
+
+@pytest.mark.parametrize("case", ["tam", "faults"])
+def test_coio_require_equals_off_under(case):
+    """TAM and a file-system fault schedule take the plan: the node leaders
+    join the cohort, a member's open retries in its own staged op."""
+    runs = []
+    for mode in ("off", "require"):
+        strategy, faults = coio(16), None
+        if case == "tam":
+            strategy.configure_tam("auto")
+        else:
+            faults = FaultSchedule((
+                FaultSpec(kind="fs_error", time=0.0, op="write", count=1),
+                FaultSpec(kind="fs_error", time=0.0, op="open", count=2)))
+        runs.append(run_checkpoint_steps(
+            strategy, 32, shared_data(), n_steps=2, seed=5,
             run_config=RunConfig(coalesce=mode, faults=faults)))
     assert_identical(*runs)
     assert records_of(runs[0]) == records_of(runs[1])
+    assert runs[0].job.engine.now == runs[1].job.engine.now
+    if case == "faults":
+        assert faults_of(runs[1].job).report()["injected"] == 3
+    else:
+        assert runs[1].job.fabric.stats()["tam_msgs"] > 0
+
+
+class _AllButTheCreators(CollectiveIO):
+    """coIO with every rank but each file's creator offered: aggregators
+    join the cohort too."""
+
+    def coalesce_plan(self, n_ranks, loop=None):
+        per_file = self.ranks_per_file or n_ranks
+        return tuple(range(base + 1, min(base + per_file, n_ranks))
+                     for base in range(0, n_ranks, per_file))
+
+
+@pytest.mark.parametrize("tam", ["off", "auto"])
+@pytest.mark.parametrize("per_file,n_ranks", [(64, 256), (None, 128),
+                                              (48, 128)],
+                         ids=["64to1", "nf1", "ragged"])
+def test_coio_aggregators_run_the_same_stages_in_a_cohort(per_file, n_ranks,
+                                                          tam):
+    """An aggregator's receive and burst commits and a node leader's gather
+    are stages, so a cohort can drive them as it drives any member (small
+    bursts: several commits per domain)."""
+    strategy = _AllButTheCreators(per_file, Hints(tam=tam,
+                                                  cb_buffer_size=2048))
+    off = assert_coio_identical(strategy, n_ranks, shared_data(),
+                                n_steps=3, gap_seconds=(0.5, 0.0))
+    n_files = len(strategy.coalesce_plan(n_ranks))
+    on = run_checkpoint_steps(strategy, n_ranks, shared_data(), seed=11,
+                              n_steps=3, gap_seconds=(0.5, 0.0),
+                              run_config=RunConfig(coalesce="require"))
+    assert len(on.job._rank_procs) == 2 * n_files < len(off.job._rank_procs)
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +969,8 @@ def test_1pfpp_program_matches_the_oracle_under_a_transient_fault(op):
     faults = FaultSchedule((FaultSpec(kind="fs_error", time=0.0, op=op,
                                       count=3, transient=True),))
     run = assert_matches_oracle(OneFilePerProcess(), 32, shared_data(),
-                                modes=("off",), faults=faults, n_steps=2,
-                                gap_seconds=0.5)
+                                modes=("off", "require"), faults=faults,
+                                n_steps=2, gap_seconds=0.5)
     assert run.job.services["faults"].injected
 
 

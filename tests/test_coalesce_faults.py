@@ -1,20 +1,29 @@
-"""Coalesced rbIO/bbIO runs under faults must equal their uncoalesced twins.
+"""Coalesced runs under faults must equal their uncoalesced twins.
 
-A worker only Isends its package and resumes; its writer alone touches the
-file system and the burst buffer.  So file-system, network and staging
-faults cannot reach a worker's timeline, and the lock-step replay must
-reproduce the full SPMD run under every one of them: reports, file images,
-fabric statistics, the final clock, the Darshan records, the injector's
-report and the restored bytes (a fatal error: its type).  ``rank_crash``
-and ``restart`` reroute, kill or roll back workers, so those plans are
-refused, and a ``coalesce="auto"`` run under them is the uncoalesced run.
+An rbIO/bbIO worker only Isends its package and resumes; its writer alone
+touches the file system and the burst buffer.  A 1PFPP rank and a coIO
+rank make their own file-system calls, each a staged op that retries its
+own transient errors, and a coIO rank's messages cross the faulted fabric
+in the order its process would send them.  So file-system, network and
+staging faults move nothing a cohort or a lock-step replay cannot follow,
+and the coalesced run must reproduce the full SPMD run under every one of
+them: reports, file images, fabric statistics, the final clock, the
+Darshan records, the injector's report and the restored bytes (a fatal
+error: its type).  ``rank_crash`` and ``restart`` kill or roll back ranks,
+so those plans are refused, and a ``coalesce="auto"`` run under them is
+the uncoalesced run.
 """
 
 import numpy as np
 import pytest
 
 from repro import RunConfig
-from repro.ckpt import BurstBufferIO, ReducedBlockingIO
+from repro.ckpt import (
+    BurstBufferIO,
+    CollectiveIO,
+    OneFilePerProcess,
+    ReducedBlockingIO,
+)
 from repro.experiments import run_checkpoint_steps
 from repro.faults import FaultSchedule, FaultSpec, faults_of
 from repro.staging import StagingConfig
@@ -49,8 +58,18 @@ STAGING = {
 }
 
 
+#: What only a rank's own file-system calls meet: a coIO member's open.
+MEMBER_SIDE = {
+    "fs_error_open": FaultSpec("fs_error", op="open", count=3),
+}
+
+
 def make(name: str, tam: str):
-    if name == "rbio":
+    if name == "1pfpp":
+        return OneFilePerProcess()
+    if name == "coio":
+        strategy = CollectiveIO(ranks_per_file=GROUP)
+    elif name == "rbio":
         strategy = ReducedBlockingIO(workers_per_writer=GROUP)
     else:
         strategy = BurstBufferIO(workers_per_writer=GROUP,
@@ -92,6 +111,12 @@ def assert_runs_equal(off, on):
 
 CELLS = ([("rbio", kind) for kind in WRITER_SIDE]
          + [("bbio", kind) for kind in {**WRITER_SIDE, **STAGING}])
+#: 1PFPP sends no message (the network kinds have nothing to inject
+#: there) and has no collective exchange to aggregate in two levels.
+RANK_CELLS = ([("1pfpp", kind, "off") for kind in WRITER_SIDE
+               if not kind.startswith("net_")]
+              + [("coio", kind, tam) for kind in {**WRITER_SIDE, **MEMBER_SIDE}
+                 for tam in ("off", "auto")])
 
 
 @pytest.mark.parametrize("payload", [True, False], ids=["bytes", "sizes"])
@@ -111,11 +136,31 @@ def test_coalesced_run_equals_the_uncoalesced_run_under(name, kind, tam,
     assert_runs_equal(off, on)
 
 
+@pytest.mark.parametrize("payload", [True, False], ids=["bytes", "sizes"])
+@pytest.mark.parametrize("n_steps", [1, 2])
+@pytest.mark.parametrize("name,kind,tam", RANK_CELLS,
+                         ids=[f"{n}-{k}-tam_{t}" for n, k, t in RANK_CELLS])
+def test_a_cohort_equals_the_uncoalesced_run_under(name, kind, tam, n_steps,
+                                                   payload):
+    """1PFPP's ranks and coIO's non-aggregator ranks run as the runner's
+    cohort; each of their file-system calls retries in its own staged op."""
+    spec = {**WRITER_SIDE, **MEMBER_SIDE}[kind]
+    off, off_error = run_mode(name, tam, spec, n_steps, payload, "off")
+    on, on_error = run_mode(name, tam, spec, n_steps, payload, "require")
+    assert off_error is on_error
+    if off_error is not None:
+        assert off_error is FSError and kind == "fs_error_fatal"
+        return
+    assert faults_of(off.job).report()["injected"] > 0
+    assert len(on.job._rank_procs) < len(off.job._rank_procs)
+    assert_runs_equal(off, on)
+
+
 @pytest.mark.parametrize("spec", [
     FaultSpec("rank_crash", time=0.2, rank=GROUP + 3),
     FaultSpec("restart", step=1),
 ], ids=["worker_crash", "restart"])
-@pytest.mark.parametrize("name", ["rbio", "bbio"])
+@pytest.mark.parametrize("name", ["rbio", "bbio", "1pfpp", "coio"])
 def test_a_schedule_that_moves_workers_takes_no_plan(name, spec):
     """``require`` names the refused schedule, and ``auto`` runs the
     uncoalesced program: the same run as ``off``."""

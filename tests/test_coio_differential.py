@@ -4,9 +4,10 @@
 ``"require"`` hands coIO's non-aggregator ranks of each file communicator,
 and every 1PFPP rank, to the runner's cohort of segments.  Whatever the
 geometry — ragged file groups and partitions, a headerless format, empty
-and eager-sized fields, extents that straddle a file domain, arrival
-jitter, back-to-back or gapped steps, with or without the per-step barrier
-— the two runs must leave identical reports, file images, fabric counters,
+and eager-sized fields, extents that straddle a file domain, two-level
+aggregation on one, two or four cores a node, arrival jitter,
+back-to-back or gapped steps, with or without the per-step barrier — the
+two runs must leave identical reports, file images, fabric counters,
 final clocks, Darshan records and trace totals.  The hand-picked cells of
 ``tests/test_coalesce.py`` stay; this draws the space between them.
 """
@@ -24,8 +25,10 @@ EAGER = intrepid().eager_threshold
 
 @st.composite
 def geometries(draw):
+    cpn = draw(st.sampled_from([1, 2, 4]))  # cores a node
     nodes = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))  # a power of two
-    n_ranks = draw(st.integers(max(2, 4 * nodes - 3), 4 * nodes))
+    n_ranks = draw(st.integers(max(2, cpn * (nodes - 1) + 1),
+                               max(2, cpn * nodes)))
     per_file = draw(st.sampled_from([None, 16, 48, 64]))
     sizes = draw(st.lists(st.one_of(
         st.sampled_from([0, 1, EAGER // 2, EAGER, EAGER + 1]),
@@ -43,9 +46,12 @@ def geometries(draw):
                                   max_size=n_steps - 1)) or 0.0,
         barrier_each_step=draw(st.booleans()),
         # Small blocks put file-domain boundaries inside members' extents.
-        config=intrepid().with_(fs_block_size=draw(
-            st.sampled_from([512, 1024, 4096, 1 << 22]))))
-    return CollectiveIO(ranks_per_file=per_file), n_ranks, data, kwargs
+        config=intrepid().with_(
+            fs_block_size=draw(st.sampled_from([512, 1024, 4096, 1 << 22])),
+            cores_per_node=cpn))
+    strategy = CollectiveIO(ranks_per_file=per_file)
+    return (strategy.configure_tam(draw(st.sampled_from(["off", "auto"]))),
+            n_ranks, data, kwargs)
 
 
 @settings(max_examples=25, deadline=None)
