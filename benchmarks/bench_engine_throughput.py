@@ -149,6 +149,10 @@ _GATED_LEAVES = ("dispatched_per_rank_step", "drain_unreachable",
                  "traced_peak_kib_per_rank")
 
 
+#: Warm-up runs before a measured checkpoint cell (see ``_checkpoint_cell``).
+_WARM_RUNS = 30
+
+
 def _checkpoint_cell(approach: str) -> dict:
     """Deterministic counts of one coalesced checkpoint.
 
@@ -179,9 +183,16 @@ def _checkpoint_cell(approach: str) -> dict:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        strategy, data = strategy_for(approach, TRACE_NP), problem_for(TRACE_NP).data()
-        # First use: lazy imports and module-level memos are not the run's.
-        run_checkpoint_steps(strategy, TRACE_NP, data, 1).job.close()
+        data = problem_for(TRACE_NP).data()
+        # First use: lazy imports and module-level memos are not the run's,
+        # nor is the process's history: CPython (3.11+) gives each of a
+        # class's first ~30 instances one attribute slot less than the one
+        # before, so an object a run builds once weighs less the more runs
+        # the process has made.  Runs built like the measured one, until
+        # every such class has reached its floor.
+        for _ in range(_WARM_RUNS):
+            run_checkpoint_steps(strategy_for(approach, TRACE_NP), TRACE_NP,
+                                 data, 1).job.close()
         before = len(gc.get_objects())
         tracemalloc.start()
         job = run_checkpoint_steps(strategy_for(approach, TRACE_NP), TRACE_NP,

@@ -10,10 +10,11 @@ when its I/O duty completed.
 A strategy's rank program is written once, as **gather -> plan -> commit**:
 who gathers (nobody, ROMIO's aggregators inside the collective call, or
 dedicated writers), what is written (a *plan*: ``(offset, nbytes, payload)``
-pieces, plus a serialized manifest when the generation is a delta —
+pieces, a delta's manifest one more file —
 :func:`repro.ckpt.incremental.plan_delta`), and the commit that takes the
-plan to the file system (private, shared or staged).  Delta, TAM, faults
-and staging are choices made inside a stage, never a parallel method.
+plan to the file system (private: :class:`PrivateCommit`; shared; staged).
+Delta, TAM, faults and staging are choices made inside a stage, never a
+parallel method; restart is one body, :meth:`CheckpointStrategy.restore`.
 
 Strategies are shared, immutable configuration objects; per-rank state that
 must persist across steps (split communicators, cached layouts) lives in
@@ -23,23 +24,26 @@ must persist across steps (split communicators, cached layouts) lives in
 from __future__ import annotations
 
 from collections import ChainMap
-from typing import Any
+from functools import partial
+from typing import Any, Optional
 
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
+from ..sim import StagedOp
 from .data import CheckpointData
+from .layout import FileLayout
 from .result import RankReport
 
-__all__ = ["CheckpointStrategy"]
+__all__ = ["CheckpointStrategy", "PrivateCommit"]
 
 
 class CheckpointStrategy:
     """Base class for the checkpointing I/O approaches.
 
     Subclasses implement :meth:`checkpoint` (gather -> plan -> commit, see
-    the module docstring) and :meth:`restore`; what the stages share across
-    strategies lives here: the delta-chain restore (:meth:`_restore_delta`)
-    and the full-write block read (:meth:`_read_blocks`).
+    the module docstring) and say where a rank's blocks are
+    (:meth:`_restore_file`, :meth:`_layout_comms`); the restore body that
+    reads them is shared (:meth:`restore`).
     """
 
     #: Short identifier used in result tables ("1pfpp", "coio", "rbio").
@@ -80,9 +84,34 @@ class CheckpointStrategy:
         """Generator: read this rank's contribution back (restart path).
 
         ``template`` describes the expected field names/sizes.  Returns the
-        list of per-field payload byte strings.
+        list of per-field payload byte strings: the member's delta chain, or
+        its blocks in the layout allgathered over :meth:`_layout_comms`.
         """
+        t_r0 = ctx.engine.now
+        member, path_of = self._restore_file(ctx, basedir)
+        fields = yield from self._restore_delta(ctx, template, step, member,
+                                                path_of)
+        if fields is not None:
+            return fields
+        layout_of = partial(FileLayout, template.header_bytes)
+        layout = layout_of([template.field_sizes])  # a file it owns alone
+        for comm in (yield from self._layout_comms(ctx)):
+            layout = yield from comm.allgather(
+                list(template.field_sizes), nbytes=8 * template.n_fields,
+                map_fn=layout_of)
+        return (yield from self._read_blocks(
+            ctx, template, step, path_of(step), layout.total_size,
+            layout.member_offsets(member), t_r0))
+
+    def _restore_file(self, ctx: RankContext, basedir: str):
+        """``(member, path_of)``: the rank's member index in its file, and
+        ``path_of(step)``, the file of generation ``step``."""
         raise NotImplementedError
+
+    def _layout_comms(self, ctx: RankContext):
+        """Generator: the communicators laying the file out, in order."""
+        return ()
+        yield  # pragma: no cover - makes this a generator
 
     def ghost(self, ctx: RankContext, data: CheckpointData, step: int,
               basedir: str = "/ckpt"):
@@ -362,3 +391,61 @@ class CheckpointStrategy:
                                  t_complete, nbytes)
         table.put(step, rank, role, t_start, t_blocked_end, t_complete,
                   nbytes)
+
+
+class PrivateCommit(StagedOp):
+    """The commit of files one rank owns: for each ``(path, pieces)`` of the
+    tuple ``files``, a create, one write per ``(offset, nbytes, payload)``
+    piece and a close, each ``client``'s staged op (which absorbs its own
+    transient faults).  1PFPP's file, an rbIO ``nf = ng`` writer's, a
+    failover adoption's, bbIO's degraded write and a delta's manifest
+    (:func:`~repro.ckpt.incremental.manifest_files`) all go through it.
+
+    ``burst`` cuts the first file's pieces into writes of at most that many
+    bytes (a piece of none takes none): a writer flushes its data file
+    whenever its buffer fills, several fields per burst.  A later file — a
+    manifest, one serialized blob — keeps one write per piece.
+    """
+
+    __slots__ = ("client", "files", "handle", "pieces")
+
+    def __init__(self, client, files: tuple, burst: Optional[int] = None) -> None:
+        super().__init__(PrivateCommit._create)
+        if burst is not None and files:
+            (path, pieces), *rest = files
+            files = ((path, _bursts(pieces, burst)), *rest)
+        self.client, self.files, self.handle, self.pieces = client, files, None, None
+
+    def _create(self):
+        """The next file's create, or the end (:meth:`_end`)."""
+        if not self.files:
+            return self._end()
+        (path, self.pieces), self.files = self.files[0], self.files[1:]
+        self.then = type(self)._created  # a subclass's may build the pieces
+        return self.call(self.client.create_op(path))
+
+    def _created(self):
+        self.handle, self.result = self.result, None
+        self.then = PrivateCommit._write
+        return self._write()
+
+    def _write(self):
+        """The open file's next piece, or its close."""
+        if self.pieces:
+            piece, self.pieces = self.pieces[0], self.pieces[1:]
+            return self.call(self.client.write_op(self.handle, *piece))
+        handle, self.handle, self.pieces = self.handle, None, None
+        self.then = PrivateCommit._create
+        return self.call(self.client.close_op(handle))
+
+    def _end(self):
+        """After the last close: the op is done (a subclass goes on)."""
+        return self.done()
+
+
+def _bursts(pieces, burst: int) -> tuple:
+    """``pieces`` as writes of at most ``burst`` bytes, in order."""
+    return tuple((offset + pos, min(burst, nbytes - pos),
+                  None if payload is None else payload[pos:pos + burst])
+                 for offset, nbytes, payload in pieces
+                 for pos in range(0, nbytes, burst))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..buffers import ByteRope
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import RankContext
 from ..mpiio import Hints
@@ -40,7 +39,8 @@ from ..staging import (
 )
 from ..storage import FSError
 from .data import CheckpointData
-from .incremental import manifest_path, plan_delta
+from .base import PrivateCommit
+from .incremental import manifest_files, plan_delta
 from .rbio import ReducedBlockingIO
 
 __all__ = ["BurstBufferIO"]
@@ -168,10 +168,8 @@ class BurstBufferIO(ReducedBlockingIO):
                         self, ctx,
                         [(m, *pkg) for m, pkg in enumerate(packages)],
                         step, data.header_bytes, span_dedup=True)
-                    pkg.pfs_commits = (
-                        (path, tuple(pieces)),
-                        (manifest_path(path),
-                         ((0, len(blob), ByteRope.wrap(blob)),)))
+                    pkg.pfs_commits = ((path, tuple(pieces)),) + manifest_files(
+                        path, blob)
                     pkg.wire_nbytes = len(blob) + sum(
                         n for _o, n, _p in pieces)
                 buf.stage(pkg)
@@ -191,7 +189,8 @@ class BurstBufferIO(ReducedBlockingIO):
                 return
         # Graceful degradation: local buffer lost — commit straight to the
         # PFS like rbIO so the generation is still durable.
-        yield from self._commit_private(ctx, path, [(0, total, image)])
+        yield from PrivateCommit(ctx.fs, ((path, ((0, total, image),)),),
+                                 self.writer_buffer).run()
         inj = ctx.job.services.get("faults")
         if inj is not None:
             inj.log("bbio_degraded", rank=ctx.rank, step=step, group=group)

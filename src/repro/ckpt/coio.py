@@ -36,9 +36,9 @@ from ..mpi import RankContext
 from ..mpiio import Hints, MPIFile, node_groups, place_aggregators
 from ..mpiio.file import _File
 from ..topology import intrepid
-from .base import CheckpointStrategy
+from .base import CheckpointStrategy, PrivateCommit
 from .data import CheckpointData
-from .incremental import plan_delta, write_manifest
+from .incremental import manifest_files, plan_delta
 from .layout import FileLayout
 
 __all__ = ["CollectiveIO"]
@@ -105,9 +105,9 @@ class CollectiveIO(CheckpointStrategy):
         range per maximal contiguous run of them between two aggregators
         (1-31 and 33-63 of a 64-rank file group under the default 1:32
         hint; :func:`~repro.mpiio.place_aggregators` on the run's machine).
-        Aggregators keep their processes.  A delta refuses (its plan and
-        manifest are hand-offs only a process takes), and so do schedules
-        that move ranks (:meth:`_moves_ranks`).
+        Aggregators keep their processes.  A delta refuses (its plan is a
+        hand-off only a process takes), and so do schedules that move
+        ranks (:meth:`_moves_ranks`).
         """
         if self.delta != "off" or self._moves_ranks(loop):
             return None
@@ -184,25 +184,16 @@ class CollectiveIO(CheckpointStrategy):
                                               basedir, ctx).run())
 
     # -- restore ----------------------------------------------------------
-    def restore(self, ctx: RankContext, template: CheckpointData, step: int,
-                basedir: str = "/ckpt"):
-        """Generator: read this rank's blocks back from the group file."""
-        t_r0 = ctx.engine.now
+    def _restore_file(self, ctx: RankContext, basedir: str):
+        """The group file, where the rank is its file communicator's rank."""
         group = self.group_of(ctx.rank)
-        fields = yield from self._restore_delta(
-            ctx, template, step,
-            member=(ctx.rank if self.ranks_per_file is None
-                    else ctx.rank % self.ranks_per_file),
-            path_of=lambda s: self.file_path(basedir, s, group))
-        if fields is not None:
-            return fields
-        comm = yield from self._iocomm(ctx)
-        layout: FileLayout = yield from comm.allgather(
-            list(template.field_sizes), nbytes=8 * template.n_fields,
-            map_fn=partial(FileLayout, template.header_bytes))
-        return (yield from self._read_blocks(
-            ctx, template, step, self.file_path(basedir, step, group),
-            layout.total_size, layout.member_offsets(comm.rank), t_r0))
+        return (ctx.rank if self.ranks_per_file is None
+                else ctx.rank % self.ranks_per_file,
+                lambda s: self.file_path(basedir, s, group))
+
+    def _layout_comms(self, ctx: RankContext):
+        """The file communicator."""
+        return ((yield from self._iocomm(ctx)),)
 
 
 class _Checkpoint(MPIFile):
@@ -211,8 +202,8 @@ class _Checkpoint(MPIFile):
     ``write_at_all`` per piece (the master header, then each field
     section), the close, the ranks' rows.  A process runs a segment of one
     under the runner's rank program; the runner's cohort runs segments of
-    many, which hand their ranks back to it after their rows.  The split,
-    the delta plan and the manifest are hand-offs only a process takes."""
+    many, which hand their ranks back to it after their rows.  The split
+    and the delta plan are hand-offs only a process takes."""
 
     __slots__ = ("strategy", "ctx", "data", "step", "basedir", "t0",
                  "layout", "plan")
@@ -312,10 +303,11 @@ class _Checkpoint(MPIFile):
     def _closed(self, _ev=None):
         """Closed: the manifest next to its data file (a delta's rank 0),
         then the ranks' rows."""
-        if self.plan is not None and self.plan[1] is not None:
-            self.then = _Checkpoint._report
-            return write_manifest(self.ctx, self.plan[1], self.file.path)
-        return self._report()
+        if self.plan is None:
+            return self._report()
+        self.then = _Checkpoint._report
+        return self.call(PrivateCommit(self.client, manifest_files(
+            self.file.path, self.plan[1])))
 
     def _report(self):
         f, strategy, t0, cohort = self.file, self.strategy, self.t0, self.cohort

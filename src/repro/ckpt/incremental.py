@@ -31,7 +31,8 @@ machinery that lets every strategy ship only the *changed* chunks:
   the plan is the one a walk over the whole payload makes.
   :func:`plan_delta` is the *plan* stage every strategy's delta commit
   runs: members in, the ``(offset, nbytes, payload)`` pieces to write
-  plus the file's serialized manifest out.
+  plus the file's serialized manifest out; :func:`manifest_files` makes
+  the manifest one more file of the commit's plan.
 - **Delta-chain restore** — :func:`read_plan` merges a section's chunks
   into maximal contiguous read runs per source generation;
   :func:`assemble_section` reassembles the member payload from the run
@@ -78,7 +79,7 @@ __all__ = [
     "read_plan",
     "assemble_section",
     "manifest_path",
-    "write_manifest",
+    "manifest_files",
     "read_manifest",
     "manifest_exists",
 ]
@@ -471,6 +472,13 @@ def manifest_path(data_path: str) -> str:
     return data_path + ".manifest"
 
 
+def manifest_files(data_path: str, blob: Optional[bytes]) -> tuple:
+    """The manifest ``blob`` as files of a commit plan — one write of the
+    whole blob next to ``data_path`` — or none (``blob`` is ``None``)."""
+    return () if blob is None else (
+        (manifest_path(data_path), ((0, len(blob), ByteRope.wrap(blob)),)),)
+
+
 # ---------------------------------------------------------------------------
 # Delta planning (checkpoint side)
 # ---------------------------------------------------------------------------
@@ -789,15 +797,6 @@ def assemble_section(section: ManifestSection,
 # ---------------------------------------------------------------------------
 # Manifest I/O (simulated file system)
 # ---------------------------------------------------------------------------
-
-def write_manifest(ctx, blob: bytes, data_path: str):
-    """Generator: write a serialized manifest (:meth:`Manifest.to_bytes`)
-    next to its data file."""
-    path = manifest_path(data_path)
-    handle = yield from ctx.fs.create(path)
-    yield from ctx.fs.write(handle, 0, len(blob), payload=ByteRope.wrap(blob))
-    yield from ctx.fs.close(handle)
-
 
 def manifest_exists(ctx, data_path: str) -> bool:
     """Whether a generation wrote a manifest (the delta-vs-full probe)."""

@@ -19,11 +19,10 @@ import math
 
 from ..buffers import ByteRope, zeros
 from ..mpi import RankContext
-from ..sim import StagedOp, Timeout
-from .base import CheckpointStrategy
+from ..sim import Timeout
+from .base import CheckpointStrategy, PrivateCommit
 from .data import CheckpointData
-from .incremental import plan_delta, write_manifest
-from .result import ReportTable
+from .incremental import manifest_files, plan_delta
 
 __all__ = ["OneFilePerProcess"]
 
@@ -70,8 +69,8 @@ class OneFilePerProcess(CheckpointStrategy):
                       basedir: str, sink) -> "_Checkpoint":
         """:meth:`checkpoint` of ``client``'s rank, staged.  ``sink`` is the
         rank's context (the op's ``result`` is the report) or, for a rank
-        without one and with delta off, the run's
-        :class:`~repro.ckpt.result.ReportTable` (the op files row ``step``)."""
+        without one and with delta off, the run's step loop (the op files
+        row ``step`` of its table)."""
         return _Checkpoint(self, job, client, data, step, basedir, sink)
 
     def checkpoint(self, ctx: RankContext, data: CheckpointData, step: int,
@@ -80,55 +79,31 @@ class OneFilePerProcess(CheckpointStrategy):
         return (yield from self.checkpoint_op(ctx.job, ctx.fs, data, step,
                                               basedir, ctx).run())
 
-    def restore(self, ctx: RankContext, template: CheckpointData, step: int,
-                basedir: str = "/ckpt"):
-        """Generator: read this rank's fields back from its private file."""
-        t_r0 = ctx.engine.now
-        path_of = lambda s: self.rank_path(basedir, s, ctx.rank)  # noqa: E731
-        fields = yield from self._restore_delta(ctx, template, step, 0,
-                                                path_of)
-        if fields is not None:
-            return fields
-        offsets = []
-        pos = template.header_bytes
-        for f in template.fields:
-            offsets.append(pos)
-            pos += f.nbytes
-        return (yield from self._read_blocks(ctx, template, step,
-                                             path_of(step), pos, offsets,
-                                             t_r0))
+    def _restore_file(self, ctx: RankContext, basedir: str):
+        """The rank's private file holds it alone: member 0."""
+        return 0, lambda s: self.rank_path(basedir, s, ctx.rank)
 
 
-class _Checkpoint(StagedOp):
-    """One rank's checkpoint: jitter, plan, create, write each piece,
-    close, manifest, report.
+class _Checkpoint(PrivateCommit):
+    """One rank's checkpoint: jitter, plan, the commit, report.
 
     Nobody gathers; the plan is the whole file as one piece — header and
     fields (full write) or header and the chunks absent from the parent
     generation, with the manifest that maps every logical chunk to the
-    generation and offset holding its bytes (delta); the commit is a POSIX
-    create / write / close, each ``FSClient``'s staged op (which absorbs
-    its own transient faults).  The delta plan and the manifest write are
-    generators, handed to the rank's process.
+    generation and offset holding its bytes as one more file (delta); the
+    commit is the :class:`~repro.ckpt.base.PrivateCommit` this op is.  The
+    delta plan is a generator, handed to the rank's process.
     """
 
-    __slots__ = ("strategy", "job", "client", "data", "step", "basedir",
-                 "sink", "t0", "handle", "plan")
+    __slots__ = ("strategy", "data", "step", "basedir", "sink", "t0")
 
     def __init__(self, strategy, job, client, data, step, basedir,
                  sink) -> None:
-        # StagedOp.__init__ flattened: one of these per rank per step.
-        self.then = _Checkpoint._jitter
-        self.result = self.up = self.sub = None
-        self.strategy = strategy
-        self.job = job
-        self.client = client
-        self.data = data
-        self.step = step
-        self.basedir = basedir
-        self.sink = sink
-        self.plan = None  # a delta plan: (pieces left, manifest)
-        self.t0 = job.engine.now
+        # PrivateCommit.__init__ flattened: one of these per rank per step.
+        self.then, self.result, self.up, self.sub = _Checkpoint._jitter, None, None, None
+        self.client, self.files, self.handle, self.pieces = client, (), None, None
+        self.strategy, self.data, self.step = strategy, data, step
+        self.basedir, self.sink, self.t0 = basedir, sink, job.engine.now
 
     def _jitter(self):
         jitter = self.strategy.arrival_jitter
@@ -136,70 +111,50 @@ class _Checkpoint(StagedOp):
             return self._plan()
         # The ``ckpt.jitter`` stream's only reader: a prefetched block
         # serves the values of one scalar ``rng.random()`` per call, in order.
-        block = self.job.services.get("ckpt:jitter")
+        job = self.sink.job
+        block = job.services.get("ckpt:jitter")
         if not block:
-            block = self.job.services["ckpt:jitter"] = self.job.streams.stream(
+            block = job.services["ckpt:jitter"] = job.streams.stream(
                 "ckpt.jitter").random(256)[::-1].tolist()
-        self.then = _Checkpoint._create if self.strategy.delta == "off" else _Checkpoint._plan
-        return Timeout(self.job.engine, block.pop() * jitter)
+        self.then = _Checkpoint._planned if self.strategy.delta == "off" else _Checkpoint._plan
+        return Timeout(job.engine, block.pop() * jitter)
 
     def _plan(self):
         data = self.data
         if not self.strategy._delta_active(data):
-            return self._create()
+            return self._planned()
         self.then = _Checkpoint._planned
         return plan_delta(self.strategy, self.sink,
                           [(0, *data.package())],
                           self.step, data.header_bytes)
 
     def _planned(self):
-        pieces, manifest = self.result
-        self.plan = (iter(pieces), manifest)
+        """A delta's pieces and manifest, or the full write's one piece,
+        built once the file exists (:meth:`_created`)."""
+        (pieces, blob), self.result = self.result or (None, None), None
+        path = self.strategy.rank_path(self.basedir, self.step, self.client.rank)
+        self.files = ((path, pieces),) + manifest_files(path, blob)
         return self._create()
 
-    def _create(self):
-        client = self.client
-        path = self.strategy.rank_path(self.basedir, self.step, client.rank)
-        self.then = _Checkpoint._write
-        return self.call(client.create_op(path))
+    def _created(self):
+        if self.pieces is None:
+            # The full write (a metadata storm holds every member at its
+            # create): header and fields leave the node as one buffered
+            # sequential burst.
+            data = self.data
+            self.pieces = ((0, data.header_bytes + data.total_bytes,
+                            ByteRope.concat([zeros(data.header_bytes),
+                                             data.concatenated_payload()])
+                            if data.has_payload else None),)
+        return PrivateCommit._created(self)
 
-    def _write(self):
-        self.handle = handle = self.result
-        if self.plan is not None:  # delta: the planned pieces, in order
-            return self._piece()
-        # The full write: header and fields leave the node as one
-        # buffered sequential burst.
-        client, data = self.client, self.data
-        nbytes = data.header_bytes + data.total_bytes
-        payload = ByteRope.concat([zeros(data.header_bytes),
-                                   data.concatenated_payload()]
-                                  ) if data.has_payload else None
-        self.then = _Checkpoint._close
-        return self.call(client.write_op(handle, 0, nbytes, payload))
-
-    def _piece(self):
-        piece = next(self.plan[0], None)
-        if piece is None:
-            return self._close()
-        self.then = _Checkpoint._piece
-        return self.call(self.client.write_op(self.handle, *piece))
-
-    def _close(self):
-        self.then = (_Checkpoint._report if self.plan is None
-                     else _Checkpoint._closed)
-        return self.call(self.client.close_op(self.handle))
-
-    def _closed(self):  # delta: the manifest, next to its data file
-        self.then = _Checkpoint._report
-        return write_manifest(self.sink, self.plan[1], self.handle.file.path)
-
-    def _report(self):
-        now, nbytes, sink = self.job.engine.now, self.data.total_bytes, self.sink
-        if sink.__class__ is ReportTable:
-            self.strategy._put_report(sink, self.job.tracer, self.step,
-                                      self.client.rank, "independent",
-                                      self.t0, now, now, nbytes)
-        else:
+    def _end(self):  # the report
+        sink, now, nbytes = self.sink, self.sink.job.engine.now, self.data.total_bytes
+        if isinstance(sink, RankContext):
             self.result = self.strategy._report(sink, "independent", self.t0,
                                                 now, now, nbytes)
+        else:
+            self.strategy._put_report(sink.table, sink.job.tracer, self.step,
+                                      self.client.rank, "independent",
+                                      self.t0, now, now, nbytes)
         return self.done()

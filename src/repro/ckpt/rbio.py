@@ -16,9 +16,8 @@ group's dedicated **writer**; the rest are **workers**:
   - ``nf = ng`` (default): each writer owns a private file and flushes
     whenever its collective buffer fills — several fields per burst, no
     shared-file lock traffic, no collective synchronization.  The paper's
-    ``MPI_COMM_SELF`` file adds no exchange, so the writer calls
-    :class:`~repro.storage.FSClient` ``create`` / ``write`` / ``close``
-    itself.
+    ``MPI_COMM_SELF`` file adds no exchange, so the writer commits it
+    itself (:class:`~repro.ckpt.base.PrivateCommit`).
   - ``nf = 1``: all writers collectively write one shared file
     (``MPI_File_write_at_all`` on the writers' communicator, every writer
     its own aggregator).  The field-major layout forces one commit per
@@ -35,9 +34,9 @@ from ..buffers import ByteRope, zeros
 from ..faults import UnrecoverableCheckpointError
 from ..mpi import CommView, RankContext
 from ..mpiio import Hints, MPIFile
-from .base import CheckpointStrategy
+from .base import CheckpointStrategy, PrivateCommit
 from .data import CheckpointData
-from .incremental import plan_delta, write_manifest
+from .incremental import manifest_files, plan_delta
 from .layout import FileLayout, header_piece
 
 __all__ = ["ReducedBlockingIO"]
@@ -561,9 +560,9 @@ class ReducedBlockingIO(CheckpointStrategy):
         yield ctx.engine.timeout((layout.total_size - data.header_bytes)
                                  / ctx.config.memory_bandwidth)
         image = self._field_major_image(layout, member_sizes, member_payloads)
-        yield from self._commit_private(
-            ctx, self.file_path(basedir, step, group),
-            [(0, layout.total_size, image)])
+        yield from PrivateCommit(ctx.fs, (
+            (self.file_path(basedir, step, group),
+             ((0, layout.total_size, image),)),), self.writer_buffer).run()
         if self.max_outstanding is not None:
             for r in alive:
                 ctx.comm.isend(r, 8, tag=_ACK_TAG, buffered=True)
@@ -578,11 +577,11 @@ class ReducedBlockingIO(CheckpointStrategy):
         ``nf = ng``: the group's image — or, for a delta, its members'
         fresh chunks, packed member-major (delta files carry no
         field-major sections; the manifest, not a fixed layout, is what
-        restore walks) — goes to the writer's private file.  ``nf = 1``:
-        the writers place their groups in the one shared file through an
-        allgather and commit collectively.  Workers send full packages
-        either way (the fast path is untouched); dedup is writer-side
-        against the previous generation's manifest.
+        restore walks) and its manifest — goes to the writer's own files.
+        ``nf = 1``: the writers place their groups in the one shared file
+        through an allgather and commit collectively.  Workers send full
+        packages either way (the fast path is untouched); dedup is
+        writer-side against the previous generation's manifest.
 
         A delta describes a *complete* group: with a dead member
         (``nf = ng``) or any dead rank (``nf = 1``: the writers' delta
@@ -597,13 +596,15 @@ class ReducedBlockingIO(CheckpointStrategy):
         complete = len(packages) == cache["gcomm"].size
         manifest = None
         if not self.single_file:
-            pieces = [(0, layout.total_size, image)]
+            pieces = ((0, layout.total_size, image),)
             if self._delta_active(data) and complete:
                 pieces, manifest = yield from plan_delta(
                     self, ctx, [(m, *pkg) for m, pkg in enumerate(packages)],
                     step, header_bytes, span_dedup=True)
             path = self.file_path(basedir, step, self.group_of(ctx.rank))
-            yield from self._commit_private(ctx, path, pieces, manifest)
+            yield from PrivateCommit(
+                ctx.fs, ((path, pieces),) + manifest_files(path, manifest),
+                self.writer_buffer).run()
         elif not any(r % self.workers_per_writer == 0 for r in dead):
             wcomm = cache["wcomm"]
             delta = self._delta_active(data) and not dead
@@ -625,8 +626,8 @@ class ReducedBlockingIO(CheckpointStrategy):
             for offset, nbytes, payload in pieces:
                 yield from f.write_at_all(offset, nbytes, payload=payload)
             yield from f.close()
-            if manifest is not None:
-                yield from write_manifest(ctx, manifest, f.file.path)
+            yield from PrivateCommit(
+                ctx.fs, manifest_files(f.file.path, manifest)).run()
 
     def _plan_shared(self, wcomm, packages, header_bytes: int):
         """Generator: the full-write plan of one group in the shared file.
@@ -659,51 +660,16 @@ class ReducedBlockingIO(CheckpointStrategy):
                 None if blocks is None else ByteRope.concat(blocks[fidx])))
         return pieces
 
-    def _commit_private(self, ctx: RankContext, path: str, pieces,
-                        manifest=None):
-        """Generator: commit a plan to a sole-owner file (``nf = ng``, a
-        failover adoption, bbIO's degraded path).
-
-        Created by this writer alone and flushed whenever its buffer
-        fills — several fields per burst, no shared-file lock traffic, no
-        collective synchronization; the manifest follows if the plan
-        carries one.
-        """
-        fs = ctx.fs
-        handle = yield from fs.create(path)
-        for offset, nbytes, image in pieces:
-            pos = 0
-            while pos < nbytes:
-                burst = min(self.writer_buffer, nbytes - pos)
-                chunk = image[pos : pos + burst] if image is not None else None
-                yield from fs.write(handle, offset + pos, burst, payload=chunk)
-                pos += burst
-        yield from fs.close(handle)
-        if manifest is not None:
-            yield from write_manifest(ctx, manifest, path)
-
     # -- restore ---------------------------------------------------------------
-    def restore(self, ctx: RankContext, template: CheckpointData, step: int,
-                basedir: str = "/ckpt"):
-        """Generator: read this rank's blocks back from its group's file."""
-        t_r0 = ctx.engine.now
-        group = self.group_of(ctx.rank)
+    def _restore_file(self, ctx: RankContext, basedir: str):
+        """The group's file (``nf = ng``) or the shared one (``nf = 1``)."""
         if self.single_file:
-            member = ctx.rank
-            path_of = lambda s: self.shared_path(basedir, s)  # noqa: E731
-        else:
-            member = ctx.rank % self.workers_per_writer
-            path_of = lambda s: self.file_path(basedir, s, group)  # noqa: E731
-        fields = yield from self._restore_delta(ctx, template, step, member,
-                                                path_of)
-        if fields is not None:
-            return fields
+            return ctx.rank, lambda s: self.shared_path(basedir, s)
+        group = self.group_of(ctx.rank)
+        return (ctx.rank % self.workers_per_writer,
+                lambda s: self.file_path(basedir, s, group))
+
+    def _layout_comms(self, ctx: RankContext):
+        """The group, then (``nf = 1``) every rank."""
         cache = yield from self._setup(ctx)
-        # Layout within the group, then (nf=1) over every rank.
-        for comm in (cache["gcomm"], ctx.comm)[:1 + self.single_file]:
-            layout = yield from comm.allgather(
-                list(template.field_sizes), nbytes=8 * template.n_fields,
-                map_fn=lambda sizes: FileLayout(template.header_bytes, sizes))
-        return (yield from self._read_blocks(
-            ctx, template, step, path_of(step), layout.total_size,
-            layout.member_offsets(member), t_r0))
+        return (cache["gcomm"], ctx.comm)[:1 + self.single_file]

@@ -340,7 +340,7 @@ class _RankProgram(Segment):
         self.then = _RankProgram._next
         return self.call(loop.strategy.checkpoint_op(
             loop.job, loop.job.services["fs"].client(self.rank), loop.data,
-            loop.steps[self.i], loop.basedir, loop.table))
+            loop.steps[self.i], loop.basedir, loop))
 
     def _crashed(self):
         now = self.loop.job.engine.now

@@ -9,7 +9,8 @@ rbIO ``nf = 1``):
   (:meth:`MPIFile.write_at_all`).  The paper's coIO calls
   ``MPI_File_write_at_all_begin`` and ``_end`` back to back, which is this
   call; the rbIO ``nf = ng`` writer's ``MPI_COMM_SELF`` file adds no
-  exchange, so it writes through :class:`~repro.storage.FSClient` itself.
+  exchange, so it commits the file itself
+  (:class:`~repro.ckpt.base.PrivateCommit`).
 - ``MPI_File_close`` — collective close.
 
 The collective write follows BG/P ROMIO: access regions are exchanged, the
@@ -160,12 +161,10 @@ class MPIFile(Segment):
     def _open_one(self):
         self.then = MPIFile._opened
         f = self.file
-        if self.cohort is None:  # a process: through its client's open,
-            # the call tests/test_fs_retry.py's retry oracle wraps
-            return self.client.open(f.path, True)
-        # A cohort's member: a client from the job's file system (the
+        # A cohort's member takes a client from the job's file system (the
         # handle keeps it until the close).
-        client = f.services["fs"].client(f.comm.world_ranks[self.ranks[0]])
+        client = self.client if self.cohort is None else f.services["fs"].client(
+            f.comm.world_ranks[self.ranks[0]])
         return self.call(client.open_op(f.path, True))
 
     def _opened(self):

@@ -36,7 +36,7 @@ from repro.ckpt import (
     OneFilePerProcess,
     ReducedBlockingIO,
 )
-from repro.ckpt.incremental import plan_delta, write_manifest
+from repro.ckpt.incremental import manifest_path, plan_delta
 from repro.ckpt.layout import FileLayout
 from repro.ckpt.result import RankReport, ReportTable
 from repro.experiments import (
@@ -901,7 +901,10 @@ class _OracleOneFilePerProcess(OneFilePerProcess):
                 tracer=ctx.job.tracer)
         yield from ctx.fs.close(handle)
         if manifest is not None:
-            yield from write_manifest(ctx, manifest, path)
+            handle = yield from ctx.fs.create(manifest_path(path))
+            yield from ctx.fs.write(handle, 0, len(manifest),
+                                    payload=ByteRope.wrap(manifest))
+            yield from ctx.fs.close(handle)
         t_end = eng.now
         return self._report(ctx, "independent", t0, t_end, t_end, data.total_bytes)
 

@@ -77,15 +77,18 @@ def _wrapped(client, attempt):
 
 class _HandOff(StagedOp):
     """A staged call as the earlier 1PFPP checkpoint made it under faults:
-    the retry-wrapped generator, handed to the rank's process."""
+    the retry-wrapped generator, handed to the rank's process.  ``make()``
+    builds the tree's op; the open a create calls runs it bare."""
 
-    def __init__(self, client, attempt) -> None:
+    def __init__(self, client, make) -> None:
         super().__init__(_HandOff._go)
-        self.client, self.attempt = client, attempt
+        self.client, self.make = client, make
 
     def _go(self):
         self.then = StagedOp.done
-        return _wrapped(self.client, self.attempt)
+        if self.up.__class__ is gpfs._Create:  # ``call`` set it already
+            return self.call(self.make())
+        return _wrapped(self.client, lambda: self.make().run())
 
 
 @contextmanager
@@ -106,11 +109,12 @@ def oracle():
                   _wrapped(self, lambda: write_op(self, h, o, n,
                                                   payload).run()))
         m.setattr(FSClient, "create_op", lambda self, path, exclusive=False:
-                  _HandOff(self, lambda: create_op(self, path,
-                                                   exclusive).run()))
+                  _HandOff(self, lambda: create_op(self, path, exclusive)))
+        m.setattr(FSClient, "open_op", lambda self, path, write=False: (
+            _HandOff(self, lambda: open_op(self, path, True))
+            if write else open_op(self, path)))
         m.setattr(FSClient, "write_op", lambda self, h, o, n, payload=None:
-                  _HandOff(self, lambda: write_op(self, h, o, n,
-                                                  payload).run()))
+                  _HandOff(self, lambda: write_op(self, h, o, n, payload)))
         yield
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import RunConfig
 from repro.ckpt import CheckpointData, CollectiveIO, Field, ReducedBlockingIO
+from repro.ckpt.base import PrivateCommit
 from repro.experiments import run_checkpoint_steps
 from repro.mpi import Job
 from repro.mpiio import (
@@ -311,14 +312,17 @@ def test_independent_open_write_read_roundtrip():
     def main(ctx):
         if ctx.rank != 0:
             return None
-        yield from strategy._commit_private(ctx, "/out/self.dat",
-                                            [(0, len(data), data)])
+        yield from PrivateCommit(ctx.fs, (("/out/self.dat",
+                                           ((0, len(data), data),)),),
+                                 strategy.writer_buffer).run()
         handle = yield from ctx.fs.open("/out/self.dat")
         return (yield from ctx.fs.read(handle, 0, len(data)))
 
-    _, fs, results = run_job(main, 4)
+    job, fs, results = run_job(main, 4)
     assert results[0] == data
     assert fs.stats()["files"] == 1
+    writes = [r for r in job.profiler.records if r.op == "write"]
+    assert [r.nbytes for r in writes] == [3000, 3000, 2000]
 
 
 def test_independent_file_is_sole_owner():
